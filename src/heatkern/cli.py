@@ -9,8 +9,7 @@ Configs are flat INI files; see configs/ for the fixtures.  Four tasks:
 
 Exit codes: 0 success, 1 validation/config error, 2 tolerance breach.
 Output is byte-deterministic for a fixed config: floats are printed with
-%.17g, grid points are assembled in grid order regardless of thread count
-(HEATKERN_THREADS bounds the pool).
+%.17g and rows are written in grid order.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import configparser
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +35,7 @@ from .tensorcalc import PotentialJet, build_model_geometry
 _TASKS = ("asymptotics", "oracle", "compare", "report")
 _KINDS = ("sphere", "circle", "torus", "landau", "interval")
 _SCHEMA = "# heatkern-schema=1"
+_MAX_GRID = 1_000_000
 
 
 def _fmt(x):
@@ -69,8 +67,10 @@ class RunConfig:
         except configparser.Error as exc:
             raise ValidationError(f"config parse error in {path}: {exc}")
 
-        def need(section, key, cast=str):
+        def need(section, key, cast=str, fallback=None):
             if not parser.has_option(section, key):
+                if fallback is not None:
+                    return fallback
                 raise ValidationError(f"missing [{section}] {key} in {path}")
             raw = parser.get(section, key)
             try:
@@ -86,11 +86,13 @@ class RunConfig:
             raise ValidationError(f"unknown geometry kind {kind!r}")
 
         start = need("grid", "start", float)
-        stop = parser.getfloat("grid", "stop", fallback=start)
-        count = parser.getint("grid", "count", fallback=1)
+        stop = need("grid", "stop", float, fallback=start)
+        count = need("grid", "count", int, fallback=1)
         geometric = parser.getboolean("grid", "geometric", fallback=True)
-        if count < 1:
-            raise ValidationError("grid count must be >= 1")
+        if not 1 <= count <= _MAX_GRID:
+            raise ValidationError(f"grid count must be in [1, {_MAX_GRID}]")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValidationError("grid start and stop must be finite")
         if start <= 0 or stop < start:
             raise ValidationError("grid must satisfy 0 < start <= stop")
         if count == 1:
@@ -100,10 +102,10 @@ class RunConfig:
         else:
             grid = tuple(float(x) for x in np.linspace(start, stop, count))
 
-        abs_tol = parser.getfloat("tolerances", "abs", fallback=1e-12)
-        rel_tol = parser.getfloat("tolerances", "rel", fallback=1e-6)
-        if abs_tol <= 0 or rel_tol <= 0:
-            raise ValidationError("tolerances must be positive")
+        abs_tol = need("tolerances", "abs", float, fallback=1e-12)
+        rel_tol = need("tolerances", "rel", float, fallback=1e-6)
+        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
+            raise ValidationError("tolerances must be positive and finite")
 
         out_format = parser.get("output", "format", fallback="csv")
         if out_format not in ("csv", "json"):
@@ -135,7 +137,10 @@ def _parse_modes(raw):
 
 
 class _Model:
-    """Asymptotic/oracle evaluator pair for one configured geometry."""
+    """Asymptotic/oracle evaluator pair for one configured geometry.
+
+    Both evaluators take the whole t-grid and return one value per point.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -150,8 +155,9 @@ class _Model:
             pot = PotentialJet.constant(m, 1, q, cutoff=cut)
             jet = build_operator_jet(geom, pot, cutoff=cut)
             expansion = trace_expansion(geom, hmds_coefficients(jet, kmax, cutoff=0))
-            self.asymptotic = expansion.evaluate
-            self.oracle = lambda t: sphere_trace(m, a, t) * math.exp(-t * q)
+            self.asymptotic = lambda ts: [expansion.evaluate(t) for t in ts]
+            self.oracle = lambda ts: [sphere_trace(m, a, t) * math.exp(-t * q)
+                                      for t in ts]
             self.describe = {"kind": kind, "m": m, "radius": a, "potential": q,
                              "expansion": {str(e): c for e, c in expansion.terms}}
         elif kind in ("circle", "torus"):
@@ -179,9 +185,9 @@ class _Model:
                 return val
 
             spectra_modes = {k: complex(v) for k, v in modes.items()}
-            self.asymptotic = asym
-            self.oracle = lambda t: torus_potential_trace(periods, spectra_modes,
-                                                          cutoff, t)
+            self.asymptotic = lambda ts: [asym(t) for t in ts]
+            self.oracle = lambda ts: torus_potential_trace(periods, spectra_modes,
+                                                           cutoff, np.asarray(ts))
             self.describe = {"kind": kind, "periods": list(periods),
                              "modes": {",".join(map(str, k)): [v.real, v.imag]
                                        for k, v in sorted(modes.items())},
@@ -189,8 +195,8 @@ class _Model:
         elif kind == "landau":
             B = float(cfg.operator.get("field", 1.0))
             fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
-            self.asymptotic = lambda t: nilpotent_trace_density(fs, t)
-            self.oracle = lambda t: landau_trace_density(B, t)
+            self.asymptotic = lambda ts: [nilpotent_trace_density(fs, t) for t in ts]
+            self.oracle = lambda ts: [landau_trace_density(B, t) for t in ts]
             self.describe = {"kind": kind, "field": B}
         elif kind == "interval":
             L = float(cfg.geometry.get("length", math.pi))
@@ -199,22 +205,13 @@ class _Model:
                 raise ValidationError(
                     f"interval comparison supports bc DD/NN/DN, not {bc!r}")
             const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
-            self.asymptotic = lambda t: (4.0 * math.pi * t) ** -0.5 * L + const
-            self.oracle = lambda t: interval_trace(L, bc, t)
+            self.asymptotic = lambda ts: [(4.0 * math.pi * t) ** -0.5 * L + const
+                                          for t in ts]
+            self.oracle = lambda ts: [interval_trace(L, bc, t) for t in ts]
             self.describe = {"kind": kind, "length": L, "bc": bc,
                              "weyl": [(4.0 * math.pi) ** -0.5 * L, const]}
         else:
             raise ValidationError(f"unsupported geometry kind {kind!r}")
-
-
-def _evaluate(cfg, funcs):
-    workers = max(1, int(os.environ.get("HEATKERN_THREADS", "1")))
-
-    def one(t):
-        return tuple(f(t) for f in funcs)
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(one, cfg.grid))
 
 
 def _write_text(path, text):
@@ -233,27 +230,21 @@ def run(cfg):
         _write_text(cfg.out_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
 
-    if cfg.task == "asymptotics":
-        rows = _evaluate(cfg, (model.asymptotic,))
-        lines = [_SCHEMA, "t,asymptotic"]
-        lines += [f"{_fmt(t)},{_fmt(v[0])}" for t, v in zip(cfg.grid, rows)]
-        _write_text(cfg.out_path, "\n".join(lines) + "\n")
-        return 0
-
-    if cfg.task == "oracle":
-        rows = _evaluate(cfg, (model.oracle,))
-        lines = [_SCHEMA, "t,oracle"]
-        lines += [f"{_fmt(t)},{_fmt(v[0])}" for t, v in zip(cfg.grid, rows)]
+    if cfg.task in ("asymptotics", "oracle"):
+        column = "asymptotic" if cfg.task == "asymptotics" else "oracle"
+        values = getattr(model, column)(cfg.grid)
+        lines = [_SCHEMA, f"t,{column}"]
+        lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(cfg.grid, values)]
         _write_text(cfg.out_path, "\n".join(lines) + "\n")
         return 0
 
     # compare
-    rows = _evaluate(cfg, (model.asymptotic, model.oracle))
     table = []
     first_fail = None
     max_abs = 0.0
     max_rel = 0.0
-    for t, (a, o) in zip(cfg.grid, rows):
+    for t, a, o in zip(cfg.grid, model.asymptotic(cfg.grid), model.oracle(cfg.grid)):
+        a, o = float(a), float(o)
         abs_err = abs(a - o)
         rel_err = abs_err / max(abs(o), 1e-300)
         max_abs = max(max_abs, abs_err)

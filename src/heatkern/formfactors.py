@@ -128,8 +128,8 @@ class FourierBackground:
 
     def __post_init__(self):
         periods = tuple(float(p) for p in self.periods)
-        if len(periods) != self.m or any(p <= 0 for p in periods):
-            raise ValidationError("need m positive periods")
+        if len(periods) != self.m or not all(0 < p < math.inf for p in periods):
+            raise ValidationError("need m positive finite periods")
         object.__setattr__(self, "periods", periods)
 
         pm = {}
@@ -138,6 +138,8 @@ class FourierBackground:
             if len(n) != self.m:
                 raise ValidationError(f"potential mode {key!r} has wrong dimension")
             pm[n] = np.asarray(amp, dtype=complex).reshape(self.d, self.d)
+            if not np.all(np.isfinite(pm[n])):
+                raise ValidationError(f"potential mode {key!r} amplitude is not finite")
         for n, amp in pm.items():
             mn = tuple(-x for x in n)
             other = pm.get(mn)

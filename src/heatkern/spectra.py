@@ -8,6 +8,7 @@ oracle sums into expansion coefficients with honest error bars.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -200,11 +201,13 @@ def sphere_trace(m, a, t):
 def landau_trace_density(B, t):
     """Per-area trace of the m=2 constant-field problem.
 
-    (B/2 pi) sum_n e^{-tB(2n+1)} geometrically summed: (B/4 pi)/sinh(tB).
+    (B/2 pi) sum_n e^{-tB(2n+1)} geometrically summed: (B/4 pi)/sinh(tB),
+    written with x = e^{-tB} as B x / (2 pi (1 - x^2)) so that large tB
+    underflows toward 0 instead of overflowing sinh.
     """
     if B <= 0 or t <= 0:
         raise ValidationError("landau density needs B > 0 and t > 0")
-    return B / (4.0 * math.pi * math.sinh(t * B))
+    return B * math.exp(-t * B) / (2.0 * math.pi * -math.expm1(-2.0 * t * B))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,8 @@ def landau_trace_density(B, t):
 # ---------------------------------------------------------------------------
 
 _MATRIX_BUDGET = 4097
+_TAIL_SHELLS = 100_000
+_EXP_CHUNK = 1_000_000
 
 
 def cosine_modes(n, q):
@@ -228,6 +233,8 @@ def _normalize_modes(modes, m):
         if len(k) != m:
             raise ValidationError(f"mode key {key!r} has wrong dimension")
         out[k] = complex(amp)
+        if not cmath.isfinite(out[k]):
+            raise ValidationError(f"potential mode {key!r} amplitude {amp!r} is not finite")
     for k, amp in out.items():
         mk = tuple(-x for x in k)
         if mk not in out or abs(out[mk] - amp.conjugate()) > 1e-12:
@@ -236,60 +243,132 @@ def _normalize_modes(modes, m):
     return out
 
 
+def _fourier_spectrum(periods, modes, cutoff):
+    """Sorted eigenvalues of -Laplace + Q on the Fourier box |n|_inf <= cutoff.
+
+    Each block is the principal submatrix of the dense matrix on one
+    connected component of the coupling graph n -> n + k, with the dense
+    matrix's entry layout (H[n + k, n] = q(k)).  Blocks of equal size are
+    stacked into one eigvalsh call.
+    """
+    m = len(periods)
+    side = 2 * cutoff + 1
+    coords = np.indices((side,) * m).reshape(m, -1).T - cutoff
+    dim = len(coords)
+    kvecs = 2.0 * math.pi * coords / np.array(periods)
+    diag = np.sum(kvecs * kvecs, axis=1) + modes.get((0,) * m, 0.0).real
+
+    strides = side ** np.arange(m - 1, -1, -1)
+    couplings = []
+    for k, amp in modes.items():
+        if not any(k):
+            continue
+        src = np.flatnonzero(np.all(np.abs(coords + np.array(k)) <= cutoff, axis=1))
+        couplings.append((amp, src, src + int(np.dot(k, strides))))
+
+    # _normalize_modes keeps -k beside every k, so the graph is undirected
+    nbrs = [[] for _ in range(dim)]
+    for _, src, dst in couplings:
+        for j, i in zip(src.tolist(), dst.tolist()):
+            nbrs[j].append(i)
+    label = [-1] * dim
+    blocks = []
+    for seed in range(dim):
+        if label[seed] >= 0:
+            continue
+        label[seed] = len(blocks)
+        members, stack = [seed], [seed]
+        while stack:
+            for i in nbrs[stack.pop()]:
+                if label[i] < 0:
+                    label[i] = label[seed]
+                    members.append(i)
+                    stack.append(i)
+        blocks.append(sorted(members))
+
+    label = np.array(label)
+    sizes = np.array([len(b) for b in blocks])
+    pos = np.empty(dim, dtype=int)
+    for b in blocks:
+        pos[b] = np.arange(len(b))
+    real = all(amp.imag == 0 for amp, _, _ in couplings)
+    slot = np.empty(len(blocks), dtype=int)
+    lams = []
+    for s in np.unique(sizes):
+        ids = np.flatnonzero(sizes == s)
+        slot[ids] = np.arange(len(ids))
+        index = np.array([blocks[b] for b in ids])
+        H = np.zeros((len(ids), s, s), dtype=float if real else complex)
+        H[:, np.arange(s), np.arange(s)] = diag[index]
+        for amp, src, dst in couplings:
+            keep = sizes[label[src]] == s
+            H[slot[label[src[keep]]], pos[dst[keep]], pos[src[keep]]] = \
+                amp.real if real else amp
+        lams.append(np.linalg.eigvalsh(H).ravel())
+    return np.sort(np.concatenate(lams))
+
+
 def torus_potential_trace(periods, modes, cutoff, t):
     """Trace of exp(-t(-Laplace + Q)) on a circle or torus.
 
     The operator is represented exactly on the Fourier modes |n|_inf <=
     cutoff: diagonal |k|^2 plus the convolution matrix of the potential
     modes; the trace of the matrix exponential is the partial spectral sum.
+    Q couples mode n only to n + k for its mode vectors k, so the matrix is
+    block diagonal over the connected components of that graph on the box:
+    zero potential gives 1x1 blocks, one circle cosine mode n0 gives n0
+    chains.  Each block is diagonalised on its own, as a real symmetric
+    matrix when every amplitude is real, and the spectrum is computed once
+    for all t.
+
+    t is a positive scalar, which returns a float, or a 1-D array of them,
+    which returns an array.  The Gershgorin tail guard runs at the smallest
+    t, where the discarded modes weigh most.
     """
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or ts.size == 0:
+        raise ValidationError("t must be a scalar or a non-empty 1-D array")
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValidationError("t must be positive and finite")
     if isinstance(periods, (int, float)):
         periods = (float(periods),)
     periods = tuple(float(p) for p in periods)
-    if any(p <= 0 for p in periods):
-        raise ValidationError("periods must be positive")
+    if not all(0 < p < math.inf for p in periods):
+        raise ValidationError("periods must be positive and finite")
+    if cutoff < 0:
+        raise ValidationError("fourier cutoff must be >= 0")
     m = len(periods)
     modes = _normalize_modes(modes, m)
 
     qnorm = sum(abs(a) for a in modes.values())
     lmax = max(periods)
+    tmin = float(ts.min())
     # Gershgorin: discarded modes have lambda >= (2 pi c'/lmax)^2 - qnorm
     tail = 0.0
-    cp = cutoff + 1
-    while True:
+    for cp in range(cutoff + 1, cutoff + 1 + _TAIL_SHELLS):
         shell = (2 * cp + 1) ** m - (2 * cp - 1) ** m
         lam = (2.0 * math.pi * cp / lmax) ** 2 - qnorm
-        term = shell * math.exp(-t * max(lam, 0.0))
+        term = shell * math.exp(-tmin * max(lam, 0.0))
         tail += term
-        if term < 1e-16 * max(tail, 1e-300) or lam > 60.0 / t:
+        if term < 1e-16 * max(tail, 1e-300) or lam > 60.0 / tmin:
             break
-        cp += 1
+    else:
+        raise NumericError(
+            f"fourier tail bound did not settle within {_TAIL_SHELLS} shells at t={tmin}")
     if tail > 1e-10:
         raise ValidationError(
-            f"fourier cutoff {cutoff} leaves tail bound {tail:.2e} > 1e-10 at t={t}")
+            f"fourier cutoff {cutoff} leaves tail bound {tail:.2e} > 1e-10 at t={tmin}")
 
-    grids = [range(-cutoff, cutoff + 1)] * m
-    import itertools
-    lattice = list(itertools.product(*grids))
-    dim = len(lattice)
+    dim = (2 * cutoff + 1) ** m
     if dim > _MATRIX_BUDGET:
         raise ResourceError(f"fourier matrix dimension {dim} exceeds budget {_MATRIX_BUDGET}")
 
-    kvecs = np.array([[2.0 * math.pi * n / p for n, p in zip(nn, periods)]
-                      for nn in lattice])
-    H = np.zeros((dim, dim), dtype=complex)
-    H[np.diag_indices(dim)] = np.sum(kvecs * kvecs, axis=1)
-    index = {nn: i for i, nn in enumerate(lattice)}
-    for kmode, amp in modes.items():
-        for j, nn in enumerate(lattice):
-            target = tuple(a + b for a, b in zip(nn, kmode))
-            i = index.get(target)
-            if i is not None:
-                H[i, j] += amp
-    lam = np.linalg.eigvalsh(H)
-    return float(np.sum(np.exp(-t * lam)))
+    lam = _fourier_spectrum(periods, modes, cutoff)
+    flat = ts.ravel()
+    rows = max(1, _EXP_CHUNK // lam.size)
+    out = np.concatenate([np.exp(np.multiply.outer(-flat[i:i + rows], lam)).sum(axis=1)
+                          for i in range(0, flat.size, rows)])
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,17 @@ class ConstantFieldStrength:
 
 
 def nilpotent_trace_density(fs, t):
-    """Diagonal density (4 pi t)^{-m/2} tr e^{-tQ} prod_j t B_j / sinh(t B_j)."""
+    """Diagonal density (4 pi t)^{-m/2} tr e^{-tQ} prod_j t B_j / sinh(t B_j).
+
+    Each factor is written with x = e^{-t B_j} as 2 t B_j x / (1 - x^2), so
+    large t B_j underflows toward 0 instead of overflowing sinh.
+    """
     if t <= 0:
         raise ValidationError("t must be positive")
     qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(fs.Q))))
     det = 1.0
     for b in fs.rotation_frequencies():
-        det *= t * b / math.sinh(t * b)
+        det *= 2.0 * t * b * math.exp(-t * b) / -math.expm1(-2.0 * t * b)
     return (4.0 * math.pi * t) ** (-fs.m / 2.0) * qtr * det
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,12 @@ from heatkern.cli import RunConfig, main
 from heatkern.errors import ValidationError
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _subprocess_env():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -122,13 +129,40 @@ def test_from_ini_validation(tmp_path, mutation, needle):
 
 @pytest.mark.parametrize("grid_block", [
     "start = 0.0\n", "start = -1.0\n", "start = 0.2\nstop = 0.1\n",
-    "start = 0.1\ncount = 0\n",
+    "start = 0.1\ncount = 0\n", "start = nan\n", "start = inf\n",
+    "start = 0.1\nstop = nan\n", "start = 0.1\nstop = inf\n",
+    "start = 0.1\nstop = abc\n", "start = 0.1\ncount = 1000001\n",
+    "start = 0.1\ncount = many\n",
 ])
 def test_from_ini_grid_validation(tmp_path, grid_block):
     path = write_ini(tmp_path, "[run]\ntask = oracle\n[geometry]\nkind = landau\n"
                      "[grid]\n" + grid_block)
     with pytest.raises(ValidationError):
         RunConfig.from_ini(path)
+
+
+@pytest.mark.parametrize("tol_block", [
+    "abs = nan\n", "rel = nan\n", "abs = inf\n", "rel = inf\n", "rel = -inf\n",
+    "abs = tiny\n",
+])
+def test_from_ini_tolerances_must_be_finite(tmp_path, tol_block):
+    path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = landau\n"
+                     "[grid]\nstart = 0.1\n[tolerances]\n" + tol_block)
+    with pytest.raises(ValidationError):
+        RunConfig.from_ini(path)
+
+
+def test_from_ini_grid_count_cap_boundary(tmp_path):
+    path = write_ini(tmp_path, "[run]\ntask = report\n[geometry]\nkind = landau\n"
+                     "[grid]\nstart = 0.1\nstop = 0.2\ncount = 1000000\n")
+    assert len(RunConfig.from_ini(path).grid) == 1_000_000
+
+
+def test_non_finite_grid_exits_1_not_2(tmp_path, capsys):
+    path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = landau\n"
+                     f"[grid]\nstart = nan\n[output]\npath = {tmp_path / 'o.csv'}\n")
+    assert main(["compare", "--config", path]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_from_ini_tolerance_and_format_validation(tmp_path):
@@ -347,6 +381,63 @@ path = {out}
     assert main(["compare", "--config", path]) == 0
 
 
+def test_landau_compare_past_sinh_overflow(tmp_path):
+    # tB reaches 1200: both columns underflow toward 0 instead of overflowing
+    out = tmp_path / "landau.csv"
+    path = write_ini(tmp_path, f"""
+[run]
+task = compare
+
+[geometry]
+kind = landau
+
+[operator]
+field = 1.5
+
+[grid]
+start = 0.01
+stop = 800
+count = 8
+
+[tolerances]
+abs = 1e-15
+rel = 1e-10
+
+[output]
+path = {out}
+""")
+    assert main(["compare", "--config", path]) == 0
+    assert out.read_text().splitlines()[-2].startswith("800,0,0,")
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+def test_circle_non_finite_amplitude_exits_1(tmp_path, amplitude):
+    # a NaN amplitude once spun forever in the oracle's tail loop
+    path = write_ini(tmp_path, f"""
+[run]
+task = oracle
+
+[geometry]
+kind = circle
+
+[operator]
+mode = 3
+amplitude = {amplitude}
+cutoff = 64
+
+[grid]
+start = 0.05
+
+[output]
+path = {tmp_path / "o.csv"}
+""")
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatkern.cli", "oracle", "--config", path],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
 def test_circle_compare_gamma_channel(tmp_path):
     # weak cosine background: the t^{3/2} functional closes the gap to 1e-3
     out = tmp_path / "circle.csv"
@@ -421,18 +512,21 @@ def test_out_flag_overrides_config(tmp_path):
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_compare_byte_deterministic_across_threads(tmp_path, monkeypatch):
-    cfg = sphere_compare_ini(tmp_path, tmp_path / "unused.csv")
+def test_compare_byte_deterministic_across_runs(tmp_path):
+    cfg = str(REPO_CONFIGS / "circle_gamma.ini")
     outs = []
-    for name, threads in (("a.csv", None), ("b.csv", None), ("c.csv", "4")):
-        if threads is None:
-            monkeypatch.delenv("HEATKERN_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("HEATKERN_THREADS", threads)
+    for name in ("a.csv", "b.csv", "c.csv"):
         out = tmp_path / name
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    out = tmp_path / "sub.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatkern.cli", "compare", "--config", cfg,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -1,10 +1,11 @@
 """Exact spectral oracles: intervals, spheres, Landau levels, torus matrices."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatkern import spectra
@@ -157,6 +158,15 @@ def test_landau_small_field_limit():
     assert abs(got - 1.0 / (4 * math.pi * t)) < 1e-9 / t
 
 
+def test_landau_density_large_tb_underflows():
+    # (B/4pi)/sinh(tB) must not overflow past tB = 710; both forms agree
+    B = 1.5
+    t = 700.0 / B
+    want = B / (2 * math.pi) * sum(math.exp(-t * B * (2 * n + 1)) for n in range(4))
+    assert abs(spectra.landau_trace_density(B, t) - want) < 1e-13 * want
+    assert spectra.landau_trace_density(B, 800.0) == 0.0
+
+
 def test_landau_validation():
     with pytest.raises(ValidationError):
         spectra.landau_trace_density(0.0, 1.0)
@@ -194,6 +204,60 @@ def test_torus_trace_matches_handmade_fourier_matrix():
     assert abs(got - want) < 1e-13 * want
 
 
+def dense_fourier_trace(periods, modes, cutoff, t):
+    """Reference: eigvalsh of the full complex matrix H[i, j] = q(n_i - n_j)."""
+    lattice = list(itertools.product(range(-cutoff, cutoff + 1), repeat=len(periods)))
+    H = np.zeros((len(lattice), len(lattice)), dtype=complex)
+    for i, ni in enumerate(lattice):
+        H[i, i] = sum((2 * math.pi * n / p) ** 2 for n, p in zip(ni, periods))
+        for j, nj in enumerate(lattice):
+            H[i, j] += modes.get(tuple(a - b for a, b in zip(ni, nj)), 0.0)
+    lam = np.linalg.eigvalsh(H)
+    return np.array([np.sum(np.exp(-tv * lam)) for tv in t])
+
+
+@st.composite
+def hermitian_fourier_problem(draw):
+    m = draw(st.sampled_from((1, 2)))
+    periods = tuple(draw(st.floats(0.5, 1.0)) for _ in range(m))
+    cutoff = draw(st.integers(0, 6))
+    complex_amps = draw(st.booleans())
+    modes = {}
+    for _ in range(draw(st.integers(0, 3))):
+        k = tuple(draw(st.integers(-3, 3)) for _ in range(m))
+        re = draw(st.floats(-0.5, 0.5))
+        im = draw(st.floats(-0.5, 0.5)) if complex_amps and any(k) else 0.0
+        modes[k] = complex(re, im)
+        modes[tuple(-x for x in k)] = complex(re, -im)
+    ts = draw(st.lists(st.floats(35.0, 60.0), min_size=1, max_size=4))
+    return periods, modes, cutoff, guard_times(periods, cutoff, ts)
+
+
+def guard_times(periods, cutoff, scaled):
+    """t with t (2 pi (cutoff+1)/L_max)^2 = scaled: past the tail guard, and
+    small enough that t lambda_max, and so the dense reference's own error
+    eps t lambda_max, stays far below 1e-12."""
+    return np.array(scaled) * max(periods) ** 2 / (2 * math.pi * (cutoff + 1)) ** 2
+
+
+@given(hermitian_fourier_problem())
+@example(((0.7,), {(1,): 0.3 + 0.2j, (-1,): 0.3 - 0.2j}, 6,
+          guard_times((0.7,), 6, [35.0, 60.0])))
+@example(((0.7, 0.9), {(1, 0): 0.4, (-1, 0): 0.4, (0, 1): 0.1j, (0, -1): -0.1j},
+          5, guard_times((0.7, 0.9), 5, [40.0, 50.0])))
+@example(((0.6, 0.8), {(1, 1): 0.2 + 0.3j, (-1, -1): 0.2 - 0.3j, (0, 0): 0.5},
+          6, guard_times((0.6, 0.8), 6, [45.0])))
+@settings(max_examples=60, deadline=None)
+def test_torus_trace_blocks_match_dense_matrix(problem):
+    periods, modes, cutoff, ts = problem
+    want = dense_fourier_trace(periods, modes, cutoff, ts)
+    got = spectra.torus_potential_trace(periods, modes, cutoff, ts)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    scalar = spectra.torus_potential_trace(periods, modes, cutoff, float(ts[-1]))
+    assert isinstance(scalar, float) and scalar == got[-1]
+
+
 def test_cosine_modes_layout():
     assert spectra.cosine_modes(0, 2.0) == {(0,): 2.0 + 0.0j}
     m = spectra.cosine_modes(3, 0.5)
@@ -211,6 +275,31 @@ def test_torus_trace_rejects_complex_potential():
 def test_torus_trace_cutoff_tail_guard():
     with pytest.raises(ValidationError):
         spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=1e-4)
+    # the guard runs at the smallest t of a grid
+    with pytest.raises(ValidationError, match="t=0.0001"):
+        spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=np.array([1.0, 1e-4]))
+
+
+def test_torus_trace_tail_loop_is_capped():
+    # at t = 1e-300 no shell term ever falls below the running tail
+    with pytest.raises(NumericError):
+        spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=1e-300)
+
+
+@pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.1, math.nan)])
+def test_torus_trace_rejects_non_finite_amplitude(amp):
+    modes = {(1,): amp, (-1,): amp.conjugate() if isinstance(amp, complex) else amp}
+    with pytest.raises(ValidationError, match="not finite"):
+        spectra.torus_potential_trace(2 * math.pi, modes, cutoff=8, t=0.5)
+
+
+@pytest.mark.parametrize("periods,t", [
+    ((math.nan,), 0.5), ((math.inf,), 0.5), ((2 * math.pi,), math.nan),
+    ((2 * math.pi,), np.array([0.5, 0.0])), ((2 * math.pi,), np.zeros((2, 2))),
+])
+def test_torus_trace_rejects_bad_periods_and_times(periods, t):
+    with pytest.raises(ValidationError):
+        spectra.torus_potential_trace(periods, {}, cutoff=8, t=t)
 
 
 def test_torus_trace_matrix_budget():
