@@ -62,21 +62,14 @@ class RunConfig:
         try:
             with open(path) as fh:
                 parser.read_file(fh)
+            sections = {name: dict(parser.items(name)) for name in parser.sections()}
         except OSError as exc:
             raise ValidationError(f"cannot read config {path}: {exc}")
         except configparser.Error as exc:
             raise ValidationError(f"config parse error in {path}: {exc}")
 
         def need(section, key, cast=str, fallback=None):
-            if not parser.has_option(section, key):
-                if fallback is not None:
-                    return fallback
-                raise ValidationError(f"missing [{section}] {key} in {path}")
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError:
-                raise ValidationError(f"bad value for [{section}] {key}: {raw!r}")
+            return _value(sections.get(section, {}), section, key, cast, fallback)
 
         task = need("run", "task")
         if task not in _TASKS:
@@ -88,7 +81,7 @@ class RunConfig:
         start = need("grid", "start", float)
         stop = need("grid", "stop", float, fallback=start)
         count = need("grid", "count", int, fallback=1)
-        geometric = parser.getboolean("grid", "geometric", fallback=True)
+        geometric = need("grid", "geometric", _boolean, fallback=True)
         if not 1 <= count <= _MAX_GRID:
             raise ValidationError(f"grid count must be in [1, {_MAX_GRID}]")
         if not (math.isfinite(start) and math.isfinite(stop)):
@@ -107,19 +100,45 @@ class RunConfig:
         if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
             raise ValidationError("tolerances must be positive and finite")
 
-        out_format = parser.get("output", "format", fallback="csv")
+        out_format = need("output", "format", fallback="csv")
         if out_format not in ("csv", "json"):
             raise ValidationError(f"unknown output format {out_format!r}")
-        out_path = parser.get("output", "path", fallback=f"{task}.{out_format}")
-
-        def section(name):
-            return dict(parser.items(name)) if parser.has_section(name) else {}
+        out_path = need("output", "path", fallback=f"{task}.{out_format}")
 
         return cls(task=task, kind=kind, grid=grid, out_format=out_format,
                    out_path=out_path, abs_tol=abs_tol, rel_tol=rel_tol,
-                   geometry=section("geometry"), operator=section("operator"),
-                   boundary=section("boundary"),
-                   kmax=parser.getint("asymptotics", "kmax", fallback=3))
+                   geometry=sections.get("geometry", {}),
+                   operator=sections.get("operator", {}),
+                   boundary=sections.get("boundary", {}),
+                   kmax=need("asymptotics", "kmax", int, fallback=3))
+
+
+def _value(items, section, key, cast=str, fallback=None):
+    """items[key] through `cast`, or `fallback` when the key is absent.
+
+    Every config value is read here, so a missing key or one that `cast`
+    rejects ends in a one-line ValidationError naming [section] key.
+    """
+    if key not in items:
+        if fallback is not None:
+            return fallback
+        raise ValidationError(f"missing [{section}] {key}")
+    raw = items[key]
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValidationError(f"bad value for [{section}] {key}: {raw!r}") from None
+
+
+def _boolean(raw):
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
+
+
+def _floats(raw):
+    return tuple(float(x) for x in raw.split(","))
 
 
 def _parse_modes(raw):
@@ -144,11 +163,11 @@ class _Model:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        kind = cfg.kind
+        kind, geo, op = cfg.kind, cfg.geometry, cfg.operator
         if kind == "sphere":
-            m = int(cfg.geometry.get("dimension", 2))
-            a = float(cfg.geometry.get("radius", 1.0))
-            q = float(cfg.operator.get("potential", 0.0))
+            m = _value(geo, "geometry", "dimension", int, 2)
+            a = _value(geo, "geometry", "radius", float, 1.0)
+            q = _value(op, "operator", "potential", float, 0.0)
             kmax = cfg.kmax
             cut = 2 * kmax
             geom = build_model_geometry("sphere", m, cutoff=cut, radius=a)
@@ -162,21 +181,20 @@ class _Model:
                              "expansion": {str(e): c for e, c in expansion.terms}}
         elif kind in ("circle", "torus"):
             if kind == "circle":
-                length = float(cfg.geometry.get("length", 2.0 * math.pi))
-                periods = (length,)
-                n = int(cfg.operator.get("mode", 1))
-                qamp = float(cfg.operator.get("amplitude", 0.0))
+                periods = (_value(geo, "geometry", "length", float, 2.0 * math.pi),)
+                n = _value(op, "operator", "mode", int, 1)
+                qamp = _value(op, "operator", "amplitude", float, 0.0)
                 modes = {(n,): qamp / 2.0, (-n,): qamp / 2.0} if n else {(0,): qamp}
             else:
-                periods = tuple(float(x) for x in cfg.geometry["periods"].split(","))
-                modes = _parse_modes(cfg.operator.get("modes", ""))
+                periods = _value(geo, "geometry", "periods", _floats)
+                modes = _value(op, "operator", "modes", _parse_modes, {})
             m = len(periods)
             bg = FourierBackground(m=m, periods=periods, d=1,
                                    potential_modes={k: [[v]] for k, v in modes.items()})
             vol = bg.volume
             pref = (4.0 * math.pi) ** (-m / 2.0)
             a2 = -pref * vol * float(np.real(modes.get((0,) * m, 0.0)))
-            cutoff = int(cfg.operator.get("cutoff", 64))
+            cutoff = _value(op, "operator", "cutoff", int, 64)
 
             def asym(t, bg=bg, vol=vol, pref=pref, a2=a2, m=m):
                 val = pref * vol * t ** (-m / 2.0) + a2 * t ** (1.0 - m / 2.0)
@@ -193,14 +211,14 @@ class _Model:
                                        for k, v in sorted(modes.items())},
                              "A0": pref * vol, "A2": a2}
         elif kind == "landau":
-            B = float(cfg.operator.get("field", 1.0))
+            B = _value(op, "operator", "field", float, 1.0)
             fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
             self.asymptotic = lambda ts: [nilpotent_trace_density(fs, t) for t in ts]
             self.oracle = lambda ts: [landau_trace_density(B, t) for t in ts]
             self.describe = {"kind": kind, "field": B}
         elif kind == "interval":
-            L = float(cfg.geometry.get("length", math.pi))
-            bc = cfg.boundary.get("bc", "DD")
+            L = _value(geo, "geometry", "length", float, math.pi)
+            bc = _value(cfg.boundary, "boundary", "bc", fallback="DD")
             if bc not in ("DD", "NN", "DN"):
                 raise ValidationError(
                     f"interval comparison supports bc DD/NN/DN, not {bc!r}")

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EllipticityError, NumericError, ResourceError,
-                     StructureError, ValidationError)
+from .errors import (EllipticityError, ResourceError, StructureError,
+                     ValidationError)
+from .quadrature import gauss_hermite_average
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -101,23 +102,22 @@ class SymbolSpectrum:
         """Eigenprojectors Pi_1..Pi_s of A(xi-hat) at one unit direction."""
         return self.projectors_batch(np.asarray(direction, dtype=float)[None])[0]
 
+    def eigenvectors(self, directions):
+        """(N, d, d) eigenvectors of A at unit directions and the (N, d) slope
+        index of each column; an eigenvalue off every slope is out of class."""
+        w, V = np.linalg.eigh(self.symbol.symbol_matrix(directions))
+        mu = np.array(self.mu)
+        labels = np.argmin(np.abs(w[..., None] - mu), axis=-1)
+        if np.max(np.abs(w - mu[labels]) / mu[labels], initial=0.0) > _CLUSTER_RTOL:
+            raise StructureError(
+                "eigenvalue off every recorded slope; symbol out of class")
+        return V, labels
+
     def projectors_batch(self, directions):
         """(N, s, d, d) array of projectors at unit directions."""
-        dirs = np.asarray(directions, dtype=float)
-        A = self.symbol.symbol_matrix(dirs)
-        w, V = np.linalg.eigh(A)
-        d = self.symbol.d
-        out = np.zeros((dirs.shape[0], self.s, d, d), dtype=complex)
-        mu = np.array(self.mu)
-        for n in range(dirs.shape[0]):
-            labels = np.argmin(np.abs(w[n][:, None] - mu[None, :]), axis=1)
-            if np.max(np.abs(w[n] - mu[labels]) / mu[labels]) > _CLUSTER_RTOL:
-                raise StructureError(
-                    "eigenvalue off every recorded slope; symbol out of class")
-            for i in range(self.s):
-                cols = V[n][:, labels == i]
-                out[n, i] = cols @ cols.conj().T
-        return out
+        V, labels = self.eigenvectors(directions)
+        mask = labels[:, None, :] == np.arange(self.s)[None, :, None]
+        return np.einsum("nak,nik,nbk->niab", V, mask, V.conj())
 
 
 def eigenstructure(sym, directions=None):
@@ -141,24 +141,14 @@ def eigenstructure(sym, directions=None):
         raise EllipticityError(
             f"leading symbol not positive definite: min eigenvalue {np.min(w):.3e}")
 
-    def cluster(vals):
-        groups = [[vals[0]]]
-        for v in vals[1:]:
-            if v - groups[-1][-1] <= _CLUSTER_RTOL * v:
-                groups[-1].append(v)
-            else:
-                groups.append([v])
-        return [float(np.mean(g)) for g in groups], [len(g) for g in groups]
-
-    mu0, mult0 = cluster(w[0])
-    slopes = [mu0]
-    for n in range(1, w.shape[0]):
-        mu, mult = cluster(w[n])
-        if mult != mult0:
-            raise StructureError(
-                "eigenvalue multiplicities vary with direction; symbol out of class")
-        slopes.append(mu)
-    slopes = np.array(slopes)
+    # sorted eigenvalues split where the relative gap exceeds _CLUSTER_RTOL
+    breaks = np.diff(w, axis=1) > _CLUSTER_RTOL * w[:, 1:]
+    if np.any(breaks != breaks[0]):
+        raise StructureError(
+            "eigenvalue multiplicities vary with direction; symbol out of class")
+    starts = np.concatenate(([0], np.flatnonzero(breaks[0]) + 1))
+    mult = np.diff(np.append(starts, sym.d))
+    slopes = np.add.reduceat(w, starts, axis=1) / mult
     mean = slopes.mean(axis=0)
     spread = np.max(np.abs(slopes - mean[None, :]) / mean[None, :])
     if spread > _SPREAD_RTOL:
@@ -167,22 +157,21 @@ def eigenstructure(sym, directions=None):
             "symbol out of class")
 
     spec = SymbolSpectrum(symbol=sym, s=len(mean),
-                          mu=tuple(float(x) for x in mean), mult=tuple(mult0))
+                          mu=tuple(float(x) for x in mean), mult=tuple(mult.tolist()))
 
     # projector algebra residuals at the sampled directions
     P = spec.projectors_batch(dirs)
-    eye = np.eye(sym.d)
-    for n in range(dirs.shape[0]):
-        if np.max(np.abs(P[n].sum(axis=0) - eye)) > 1e-10:
-            raise StructureError("projectors do not resolve the identity")
-        for i in range(spec.s):
-            if np.max(np.abs(P[n, i] @ P[n, i] - P[n, i])) > 1e-10:
-                raise StructureError("projector not idempotent")
-            if abs(np.trace(P[n, i]).real - spec.mult[i]) > 1e-10:
-                raise StructureError("projector rank differs from multiplicity")
-            for j in range(i + 1, spec.s):
-                if np.max(np.abs(P[n, i] @ P[n, j])) > 1e-10:
-                    raise StructureError("projectors not mutually orthogonal")
+    PP = np.einsum("niab,njbc->nijac", P, P)
+    diag = np.arange(spec.s)
+    upper = np.triu_indices(spec.s, 1)
+    if np.max(np.abs(P.sum(axis=1) - np.eye(sym.d))) > 1e-10:
+        raise StructureError("projectors do not resolve the identity")
+    if np.max(np.abs(PP[:, diag, diag] - P)) > 1e-10:
+        raise StructureError("projector not idempotent")
+    if np.max(np.abs(np.trace(P, axis1=2, axis2=3).real - np.array(spec.mult))) > 1e-10:
+        raise StructureError("projector rank differs from multiplicity")
+    if np.max(np.abs(PP[:, upper[0], upper[1]]), initial=0.0) > 1e-10:
+        raise StructureError("projectors not mutually orthogonal")
     return spec
 
 
@@ -204,27 +193,19 @@ def h_endomorphism(sym, spec):
     """H = -(4 pi)^{-m/2} sum_i mu_i^{-m/2} <Pi_i>, Gaussian xi-average.
 
     The average pi^{-m/2} int e^{-|xi|^2} Pi_i(xi-hat) d xi is taken by
-    product Gauss-Hermite quadrature with node doubling to 1e-10; even node
-    counts keep the origin (where the direction is undefined) off the grid.
+    quadrature.gauss_hermite_average over (16, 32, 64, 128) nodes per axis
+    to 1e-10 absolute.  The slope weights are folded into the eigenvector
+    contraction, so no per-node projector array is built.
     """
-    m, d = sym.m, sym.d
-    prev = None
-    for n in (16, 32, 64, 128):
-        x, w = np.polynomial.hermite.hermgauss(n)
-        grids = np.meshgrid(*([x] * m), indexing="ij")
-        xi = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.ones(xi.shape[0])
-        for g in np.meshgrid(*([w] * m), indexing="ij"):
-            wts = wts * g.ravel()
-        dirs = xi / np.linalg.norm(xi, axis=1, keepdims=True)
-        P = spec.projectors_batch(dirs)
-        avg = np.einsum("n,niab->iab", wts, P) * math.pi ** (-m / 2.0)
-        H = -(4.0 * math.pi) ** (-m / 2.0) * sum(
-            spec.mu[i] ** (-m / 2.0) * avg[i] for i in range(spec.s))
-        if prev is not None and np.max(np.abs(H - prev)) < 1e-10:
-            return 0.5 * (H + H.conj().T)
-        prev = H
-    raise NumericError("Gaussian projector average did not reach 1e-10")
+    m = sym.m
+    weight = -(4.0 * math.pi) ** (-m / 2.0) * np.array(spec.mu) ** (-m / 2.0)
+
+    def integrand(xi):
+        V, labels = spec.eigenvectors(xi / np.linalg.norm(xi, axis=1, keepdims=True))
+        return np.einsum("nak,nk,nbk->nab", V, weight[labels], V.conj())
+
+    H = gauss_hermite_average(m, (16, 32, 64, 128), integrand, 1e-10)
+    return 0.5 * (H + H.conj().T)
 
 
 def a2_potential_part(H, Q, vol):
@@ -237,18 +218,9 @@ def a2_potential_part(H, Q, vol):
 def x_tensor(sym, riemann):
     """X^{mu nu}_{alpha beta} = -1/3 a^{lambda(mu} R^{nu)}_{(alpha|lambda|beta)}."""
     R = np.asarray(riemann, dtype=float)
-    m, d = sym.m, sym.d
-    X = np.zeros((m, m, m, m, d, d), dtype=complex)
-    for mu in range(m):
-        for nu in range(m):
-            for al in range(m):
-                for be in range(m):
-                    acc = np.zeros((d, d), dtype=complex)
-                    for lam in range(m):
-                        acc += sym.a[lam, mu] * 0.5 * (R[nu, al, lam, be] + R[nu, be, lam, al])
-                        acc += sym.a[lam, nu] * 0.5 * (R[mu, al, lam, be] + R[mu, be, lam, al])
-                    X[mu, nu, al, be] = -acc / 6.0
-    return X
+    sym_R = 0.5 * (R + R.transpose(0, 3, 2, 1))
+    T = np.einsum("lmij,nalb->mnabij", sym.a, sym_R)
+    return -(T + T.transpose(1, 0, 2, 3, 4, 5)) / 6.0
 
 
 def y_tensor(sym, ricci, fiber_curvature=None):

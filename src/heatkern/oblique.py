@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConditioningError, DomainError, NumericError,
-                     ValidationError)
+from .errors import ConditioningError, DomainError, ValidationError
+from .quadrature import gauss_hermite_average
 
 _HERM_TOL = 1e-12
 
@@ -122,16 +122,13 @@ def strong_ellipticity(data, directions=None):
         raise ValidationError("need at least 50 boundary covectors")
     if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
         raise ValidationError("covectors must be unit length")
-    worst = math.inf
-    worst_dir = None
-    for z in dirs:
-        M = np.eye(data.d) - 1j * data.gamma_dot(z)
-        lam = float(np.min(np.linalg.eigvalsh(M)))
-        if lam < worst:
-            worst, worst_dir = lam, z
-        if lam <= 1e-12:
-            return EllipticityVerdict(False, lam, z)
-    return EllipticityVerdict(True, worst, worst_dir)
+    lam = np.linalg.eigvalsh(np.eye(data.d) - 1j * data.gamma_dot(dirs))[:, 0]
+    violating = np.flatnonzero(lam <= 1e-12)
+    if violating.size:
+        k = violating[0]
+        return EllipticityVerdict(False, float(lam[k]), dirs[k])
+    k = int(np.argmin(lam))
+    return EllipticityVerdict(True, float(lam[k]), dirs[k])
 
 
 def _prefactor(m):
@@ -149,10 +146,11 @@ def a1_quadrature(data, m=None):
 
     (4 pi)^{-(m-1)/2} / 4 * { -I - 2 Pi
         + 2 pi^{-(m-1)/2} int dzeta exp[-|zeta|^2 I - (Gamma . zeta)^2] },
-    by product Gauss-Hermite with node doubling to 1e-9.  The factor
-    exp(-|zeta|^2) is scalar and splits off exactly; the remaining matrix
-    exponent -(Gamma . zeta)^2 is Hermitian positive semidefinite only
-    inside the ellipticity cone, and the integral diverges outside it.
+    by quadrature.gauss_hermite_average over (16, 32, 64, 128) nodes per
+    axis to 1e-9 absolute.  The factor exp(-|zeta|^2) is scalar and splits
+    off exactly; the remaining matrix exponent -(Gamma . zeta)^2 is
+    Hermitian positive semidefinite only inside the ellipticity cone, and the
+    integral diverges outside it.
     """
     m = data.m if m is None else m
     p = m - 1
@@ -165,34 +163,20 @@ def a1_quadrature(data, m=None):
         return _assemble(data, m, np.eye(data.d))   # exact Dirichlet/Neumann limit
 
     # near-violation conditioning: |zeta|^2 I + (Gamma.zeta)^2 nearly singular
-    dirs = boundary_directions(p)
-    cond_min = math.inf
-    for z in dirs:
-        gz = data.gamma_dot(z)
-        M = np.eye(data.d) + gz @ gz
-        cond_min = min(cond_min, float(np.min(np.linalg.eigvalsh(M))))
+    gz = data.gamma_dot(boundary_directions(p))
+    cond_min = float(np.min(np.linalg.eigvalsh(np.eye(data.d) + gz @ gz)))
     if cond_min < 1e-3:
         raise ConditioningError(
             f"quadrature ill-conditioned: min eig(|zeta|^2 I + (Gamma.zeta)^2) "
             f"= {cond_min:.3e} < 1e-3 on the unit sphere")
 
-    prev = None
-    for n in (16, 32, 64, 128):
-        x, w = np.polynomial.hermite.hermgauss(n)
-        grids = np.meshgrid(*([x] * p), indexing="ij")
-        zeta = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.ones(zeta.shape[0])
-        for g in np.meshgrid(*([w] * p), indexing="ij"):
-            wts = wts * g.ravel()
+    def integrand(zeta):
         gz = data.gamma_dot(zeta)
         M = -np.einsum("nab,nbc->nac", gz, gz)      # -(Gamma.zeta)^2, Hermitian PSD
         lam, V = np.linalg.eigh(M)
-        expM = np.einsum("nab,nb,ncb->nac", V, np.exp(lam), V.conj())
-        J = math.pi ** (-p / 2.0) * np.einsum("n,nac->ac", wts, expM)
-        if prev is not None and np.max(np.abs(J - prev)) < 1e-9:
-            return _assemble(data, m, J)
-        prev = J
-    raise NumericError("boundary quadrature did not reach 1e-9")
+        return np.einsum("nab,nb,ncb->nac", V, np.exp(lam), V.conj())
+
+    return _assemble(data, m, gauss_hermite_average(p, (16, 32, 64, 128), integrand, 1e-9))
 
 
 def a1_abelian(data, m=None):

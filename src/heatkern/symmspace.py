@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, ValidationError
+from .quadrature import gauss_hermite_average
 
 _K_MAX = 6
 
@@ -331,12 +332,15 @@ def _sinhc_det(X):
     return np.prod(ratio, axis=-1).real
 
 
-def theta_quadrature(space, Q=None, t=0.01, nodes=None):
+def theta_quadrature(space, Q=None, t=0.01):
     """Direct Gaussian quadrature of the holonomy-average representation.
 
     Valid only while the Gaussian support stays clear of the first zero of
     the sinh determinant in the denominator; the guard requires
     sqrt(t) * ||D|| * 6 sigma < pi with sigma^2 = 2 lambda_max(beta^{-1}).
+    The average is quadrature.gauss_hermite_average over (64, 128, 256)
+    nodes per axis for p = 1, (32, 64, 128) for p = 2 and (16, 32, 64)
+    otherwise, to 1e-10 relative.
     """
     if t <= 0:
         raise ValidationError("t must be positive")
@@ -350,36 +354,21 @@ def theta_quadrature(space, Q=None, t=0.01, nodes=None):
 
     L = np.linalg.cholesky(space.beta)
     Linv_T = np.linalg.inv(L).T
-    schedule = nodes or {1: (64, 128, 256), 2: (32, 64, 128)}.get(space.p, (16, 32, 64))
-    if isinstance(schedule, int):
-        schedule = (schedule,)
     has_F = bool(np.any(space.F))
     Fmats = space.F.transpose(1, 0, 2)
 
-    prev = None
-    for n in schedule:
-        x, w = np.polynomial.hermite.hermgauss(n)
-        grids = np.meshgrid(*([x] * space.p), indexing="ij")
-        v = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.ones(v.shape[0])
-        for g in np.meshgrid(*([w] * space.p), indexing="ij"):
-            wts = wts * g.ravel()
+    def integrand(v):
         omega = 2.0 * v @ Linv_T.T
-
         Xd = 0.5 * math.sqrt(t) * np.einsum("ni,iab->nab", omega, space.D)
         vals = 1.0 / np.sqrt(_sinhc_det(Xd))
         if has_F:
             Xf = 0.5 * math.sqrt(t) * np.einsum("ni,iab->nab", omega, Fmats)
             vals = vals * np.sqrt(_sinhc_det(Xf))
-        total = math.pi ** (-space.p / 2.0) * float(wts @ vals)
-        if prev is not None and abs(total - prev) <= 1e-10 * abs(total):
-            prev = total
-            break
-        prev = total
-    else:
-        if len(schedule) > 1:
-            raise NumericError("holonomy quadrature did not stabilize to 1e-10")
+        return vals
+
+    schedule = {1: (64, 128, 256), 2: (32, 64, 128)}.get(space.p, (16, 32, 64))
+    avg = float(gauss_hermite_average(space.p, schedule, integrand, 1e-10, relative=True))
 
     M = _fiber_matrix(space, Q)
     qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(M)))) / M.shape[0]
-    return (4.0 * math.pi * t) ** (-space.m / 2.0) * qtr * prev
+    return (4.0 * math.pi * t) ** (-space.m / 2.0) * qtr * avg

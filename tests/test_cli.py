@@ -237,6 +237,31 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+GRID = "[grid]\nstart = 0.1\n"
+
+
+@pytest.mark.parametrize("kind,blocks,needle", [
+    ("torus", GRID, "missing [geometry] periods"),
+    ("sphere", GRID + "[operator]\npotential = abc\n",
+     "bad value for [operator] potential: 'abc'"),
+    ("circle", GRID + "[operator]\nmode = 1.5\n", "bad value for [operator] mode"),
+    ("torus", "periods = 1,1\n" + GRID + "[operator]\nmodes = a,0:0.1\n",
+     "bad value for [operator] modes"),
+    ("sphere", GRID + "[asymptotics]\nkmax = abc\n",
+     "bad value for [asymptotics] kmax: 'abc'"),
+    ("landau", GRID + "geometric = maybe\n", "bad value for [grid] geometric"),
+    ("landau", GRID + "[output]\npath = out%x.csv\n", "config parse error"),
+])
+def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
+    path = write_ini(tmp_path,
+                     f"[run]\ntask = compare\n[geometry]\nkind = {kind}\n{blocks}")
+    rc = main(["compare", "--config", path, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and needle in err
+    assert err.count("\n") == 1
+
+
 def test_interval_robin_rejected(tmp_path, capsys):
     path = write_ini(tmp_path, f"""
 [run]

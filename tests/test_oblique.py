@@ -80,6 +80,22 @@ def test_strong_ellipticity_pauli():
     assert abs(np.linalg.norm(v.violating_direction) - 1.0) < 1e-12
 
 
+def test_violating_direction_is_first_violating_sample():
+    # I - i Gamma . zeta = diag(1 + 1.5 zeta_1, 1): violated wherever zeta_1 <= -2/3;
+    # the worst sample, -e_1, is moved last so the first violation is milder
+    data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                  Gamma=(np.diag([1.5j, 0.0]), np.zeros((2, 2))))
+    d = ob.boundary_directions(2)
+    dirs = np.concatenate([d[2:], d[:2]])
+    lam = 1.0 + 1.5 * dirs[:, 0]
+    first = int(np.flatnonzero(lam <= 1e-12)[0])
+    assert lam[first] > np.min(lam) + 0.1
+    v = ob.strong_ellipticity(data, directions=dirs)
+    assert not v.elliptic
+    assert np.array_equal(v.violating_direction, dirs[first])
+    assert abs(v.min_eigenvalue - lam[first]) < 1e-12
+
+
 def test_strong_ellipticity_direction_validation():
     with pytest.raises(ValidationError):
         ob.strong_ellipticity(pauli_data(0.3), directions=np.eye(2))
