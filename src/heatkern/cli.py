@@ -137,8 +137,15 @@ def _boolean(raw):
     return value
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _floats(raw):
-    return tuple(float(x) for x in raw.split(","))
+    return tuple(_finite(x) for x in raw.split(","))
 
 
 def _parse_modes(raw):
@@ -166,8 +173,13 @@ class _Model:
         kind, geo, op = cfg.kind, cfg.geometry, cfg.operator
         if kind == "sphere":
             m = _value(geo, "geometry", "dimension", int, 2)
-            a = _value(geo, "geometry", "radius", float, 1.0)
-            q = _value(op, "operator", "potential", float, 0.0)
+            # the oracle knows S^2 and S^3; the jet alone is bounded by cost
+            top = 3 if cfg.task in ("compare", "oracle") else 4
+            if not 2 <= m <= top:
+                raise ValidationError(
+                    f"sphere dimension must be in [2, {top}] for task {cfg.task!r}, got {m}")
+            a = _value(geo, "geometry", "radius", _finite, 1.0)
+            q = _value(op, "operator", "potential", _finite, 0.0)
             kmax = cfg.kmax
             cut = 2 * kmax
             geom = build_model_geometry("sphere", m, cutoff=cut, radius=a)
@@ -181,9 +193,9 @@ class _Model:
                              "expansion": {str(e): c for e, c in expansion.terms}}
         elif kind in ("circle", "torus"):
             if kind == "circle":
-                periods = (_value(geo, "geometry", "length", float, 2.0 * math.pi),)
+                periods = (_value(geo, "geometry", "length", _finite, 2.0 * math.pi),)
                 n = _value(op, "operator", "mode", int, 1)
-                qamp = _value(op, "operator", "amplitude", float, 0.0)
+                qamp = _value(op, "operator", "amplitude", _finite, 0.0)
                 modes = {(n,): qamp / 2.0, (-n,): qamp / 2.0} if n else {(0,): qamp}
             else:
                 periods = _value(geo, "geometry", "periods", _floats)
@@ -211,13 +223,13 @@ class _Model:
                                        for k, v in sorted(modes.items())},
                              "A0": pref * vol, "A2": a2}
         elif kind == "landau":
-            B = _value(op, "operator", "field", float, 1.0)
+            B = _value(op, "operator", "field", _finite, 1.0)
             fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
             self.asymptotic = lambda ts: [nilpotent_trace_density(fs, t) for t in ts]
             self.oracle = lambda ts: [landau_trace_density(B, t) for t in ts]
             self.describe = {"kind": kind, "field": B}
         elif kind == "interval":
-            L = _value(geo, "geometry", "length", float, math.pi)
+            L = _value(geo, "geometry", "length", _finite, math.pi)
             bc = _value(cfg.boundary, "boundary", "bc", fallback="DD")
             if bc not in ("DD", "NN", "DN"):
                 raise ValidationError(

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc
 
 from .errors import NumericError, ResourceError, ValidationError
 
@@ -49,6 +47,8 @@ def _robin_eigenvalues(L, S, count):
     lowered spectrum admits one or two negative eigenvalues, found from the
     hyperbolic counterparts kappa tanh(kappa L/2) = S, kappa coth = S.
     """
+    from scipy.optimize import brentq
+
     lams = []
 
     def even_f(k):
@@ -128,7 +128,7 @@ def interval_model(L, bc, S=None):
         # lambda_j >= ((j-2) pi / L)^2 for every family above
         J = max(n - 2, 0)
         return math.exp(-t * c * J * J) + math.sqrt(math.pi / (4 * t * c)) \
-            * erfc(math.sqrt(t * c) * J)
+            * math.erfc(math.sqrt(t * c) * J)
 
     return SpectralModel(descriptor=f"interval L={L} bc={bc}", eigenvalues=ev,
                          tail_bound=tail)
@@ -173,7 +173,7 @@ def sphere_model(m, a):
             c = t * ia2
             u = n + 1.0
             gauss = u * math.exp(-c * u * u) / (2 * c) \
-                + math.sqrt(math.pi) / (4 * c ** 1.5) * erfc(math.sqrt(c) * u)
+                + math.sqrt(math.pi) / (4 * c ** 1.5) * math.erfc(math.sqrt(c) * u)
             return math.exp(c) * (u * u * math.exp(-c * u * u) + gauss)
     return SpectralModel(descriptor=f"sphere m={m} a={a}", eigenvalues=ev,
                          tail_bound=tail)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import dblquad, quad
-from scipy.special import erf, erfc, ive
 
 from .errors import ConsistencyError, ValidationError
 from .hmds import HeatTraceExpansion
@@ -55,7 +53,7 @@ def _gauss_term(t, m, xdist2, rho, rhop, dtheta):
     expo = (xdist2 + rho * rho + rhop * rhop
             - 2.0 * rho * rhop * math.cos(dtheta)) / (4.0 * t)
     amp = math.sqrt(rho * rhop / t) * math.cos(0.5 * dtheta)
-    return (4.0 * math.pi * t) ** (-m / 2.0) * math.exp(-expo) * erf(amp)
+    return (4.0 * math.pi * t) ** (-m / 2.0) * math.exp(-expo) * math.erf(amp)
 
 
 def wedge_kernel(t, p, pp):
@@ -79,8 +77,8 @@ def wedge_diagonal(t, rho, theta, m=2):
     sgn = -1.0 if theta < 0 else 1.0
     ct = math.cos(theta)
     gauss = math.exp(-rho * rho * ct * ct / t)
-    val = (1.0 - sgn * gauss - erfc(rho / math.sqrt(t))
-           + sgn * gauss * erfc(rho * abs(math.sin(theta)) / math.sqrt(t)))
+    val = (1.0 - sgn * gauss - math.erfc(rho / math.sqrt(t))
+           + sgn * gauss * math.erfc(rho * abs(math.sin(theta)) / math.sqrt(t)))
     return (4.0 * math.pi * t) ** (-m / 2.0) * val
 
 
@@ -94,6 +92,8 @@ def _corner_integral_check():
     between the two half-ranges; the even part reduces to
     -pi * int_0^infty rho erfc(rho) drho = -pi/4 times the bulk prefactor.
     """
+    from scipy.integrate import dblquad
+
     t = 1.0
 
     def integrand(rho, theta):
@@ -145,6 +145,8 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     function ive to keep the Gaussian prefactor finite, with a geometric
     tail bound from the monotone ratio I_{nu+1}/I_nu.
     """
+    from scipy.special import ive
+
     if t <= 0:
         raise ValidationError("t must be positive")
     if terms < 1:
@@ -226,11 +228,11 @@ def heat_residual(t, p, src, h_space=1e-2, h_time=None):
         expo = (rho * rho + src.rho ** 2
                 - 2.0 * rho * src.rho * math.cos(theta - src.theta)) / (4.0 * tt)
         amp = math.sqrt(rho * src.rho / tt) * math.cos(0.5 * (theta - src.theta))
-        v1 = math.exp(-expo) * erf(amp)
+        v1 = math.exp(-expo) * math.erf(amp)
         expo2 = (rho * rho + src.rho ** 2
                  - 2.0 * rho * src.rho * math.cos(theta + src.theta + math.pi)) / (4.0 * tt)
         amp2 = math.sqrt(rho * src.rho / tt) * math.cos(0.5 * (-theta - src.theta - math.pi))
-        v2 = math.exp(-expo2) * erf(amp2)
+        v2 = math.exp(-expo2) * math.erf(amp2)
         return (4.0 * math.pi * tt) ** -1.0 * (v1 + v2)
 
     def d1(f, x, h):

@@ -251,6 +251,15 @@ GRID = "[grid]\nstart = 0.1\n"
      "bad value for [asymptotics] kmax: 'abc'"),
     ("landau", GRID + "geometric = maybe\n", "bad value for [grid] geometric"),
     ("landau", GRID + "[output]\npath = out%x.csv\n", "config parse error"),
+    ("landau", GRID + "[operator]\nfield = nan\n", "bad value for [operator] field: 'nan'"),
+    ("interval", "length = nan\n" + GRID, "bad value for [geometry] length: 'nan'"),
+    ("sphere", "radius = inf\n" + GRID, "bad value for [geometry] radius: 'inf'"),
+    ("sphere", GRID + "[operator]\npotential = nan\n",
+     "bad value for [operator] potential: 'nan'"),
+    ("circle", "length = -inf\n" + GRID, "bad value for [geometry] length: '-inf'"),
+    ("circle", GRID + "[operator]\namplitude = inf\n",
+     "bad value for [operator] amplitude: 'inf'"),
+    ("torus", "periods = 1,nan\n" + GRID, "bad value for [geometry] periods: '1,nan'"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
     path = write_ini(tmp_path,
@@ -260,6 +269,32 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, 
     assert rc == 1
     assert err.startswith("error:") and needle in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task,dimension", [
+    ("compare", 4), ("oracle", 4), ("compare", 1), ("asymptotics", 5), ("report", 1),
+])
+def test_sphere_dimension_out_of_range_exits_1(tmp_path, capsys, task, dimension):
+    path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = sphere\n"
+                               f"dimension = {dimension}\n{GRID}")
+    rc = main([task, "--config", path, "--out", str(tmp_path / "o.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: sphere dimension must be in [2, ")
+    assert err.count("\n") == 1
+
+
+def test_sphere_dimension_9_exits_before_building_the_jet(tmp_path):
+    # the jet's cost grows steeply with m, so the bound is checked before it is built
+    path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = sphere\n"
+                               f"dimension = 9\n{GRID}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatkern.cli", "compare", "--config", path,
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: sphere dimension must be in [2, 3] "
+                           "for task 'compare', got 9\n")
 
 
 def test_interval_robin_rejected(tmp_path, capsys):
@@ -552,6 +587,32 @@ def test_compare_byte_deterministic_across_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+def _loaded_scipy_modules(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_core_imports_load_no_scipy():
+    # scipy costs most of a cold CLI start; it stays behind the routes that need it
+    names = ("cli", "hmds", "tensorcalc", "spectra", "formfactors", "symmspace",
+             "nonlaplace", "oblique", "quadrature", "zaremba")
+    assert _loaded_scipy_modules(
+        "\n".join(f"import heatkern.{name}" for name in names)) == "[]"
+
+
+def test_circle_compare_loads_no_scipy(tmp_path):
+    # circle_gamma's grid puts t |k|^2 on both sides of the gamma branch point z = 1
+    cfg = str(REPO_CONFIGS / "circle_gamma.ini")
+    out = str(tmp_path / "c.csv")
+    assert _loaded_scipy_modules(
+        "from heatkern.cli import main\n"
+        f"assert main(['compare', '--config', {cfg!r}, '--out', {out!r}]) == 0") == "[]"
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -97,7 +97,7 @@ def test_gamma_at_zero_is_f2(i):
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
 def test_gamma_quadrature_vs_series_oracle_at_z4(i):
-    # z = 4 exercises the quadrature branch; the oracle is a 40-term exact
+    # z = 4 exercises the closed-form branch; the oracle is a 40-term exact
     # rational Taylor sum evaluated in floating point only at the end
     assert abs(ff.gamma_factor(i, 4.0) - gamma_series_oracle(i, 4.0, 40)) < 1e-12
 
@@ -131,6 +131,39 @@ def test_gamma_negative_argument_uses_series():
 def test_gamma_family_validation():
     with pytest.raises(ValidationError):
         ff.gamma_factor(0, 1.0)
+
+
+@pytest.mark.parametrize("z", [1e4, 1e5, 1e6])
+def test_gamma_one_large_z_asymptotic_series(z):
+    # gamma^(1)(z) = 2/z + 4/z^2 + 24/z^3 + 240/z^4 + ...; the integrand is a
+    # spike of width 1/z at xi = 1, which adaptive quadrature can miss while
+    # reporting a tiny error estimate
+    series = 2.0 / z + 4.0 / z ** 2 + 24.0 / z ** 3
+    assert abs(ff.gamma_factor(1, z) - series) <= 241.0 / z ** 4 + 1e-15 * series
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
+def test_gamma_closed_form_vs_quadrature(i):
+    from scipy.integrate import quad
+
+    for z in np.concatenate([np.linspace(1.0, 10.0, 19), np.geomspace(10.0, 1000.0, 21)]):
+        ref, _ = quad(lambda xi: ff.f_profile(i, xi) * math.exp(-(1.0 - xi * xi) * z / 4.0),
+                      0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=400)
+        assert abs(ff.gamma_factor(i, z) - ref) < 1e-12, z
+
+
+def test_dawson_vs_scipy():
+    from scipy.special import dawsn
+
+    xs = np.concatenate([np.geomspace(0.5, 1e4, 400), np.linspace(45.0, 55.0, 101)])
+    rel = max(abs(ff._dawson(x) - dawsn(x)) / dawsn(x) for x in xs)
+    assert rel < 1e-14
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_gamma_non_finite_argument_rejected(z):
+    with pytest.raises(ValidationError):
+        ff.gamma_factor(1, z)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
