@@ -6,8 +6,18 @@ about the base point.  The conjugated operator
     L = P^{-1} Delta^{-1/2} F Delta^{1/2} P,
     F f = -g^{-1/2} (d_mu + A_mu) (g^{1/2} g^{mu nu} (d_nu + A_nu) f) + Q f,
 
-is applied mechanically to each Taylor basis element |n> as a polynomial with
-matrix coefficients; pairing with <m'| gives the table of matrix elements.
+is second order, L = a^{mu nu} d_mu d_nu + b^mu d_mu + c.  Applying L once,
+batched, to the test monomials 1, y_mu, y_mu y_nu gives a, b and c (c = L 1,
+b^mu = L y_mu - c y_mu, ...); every matrix element then follows by index
+gathers, for |alpha| = n:
+
+    <beta|L|alpha> = (beta!/n!) [alpha_mu (alpha_nu - delta_mu nu) a^{mu nu}_{beta-alpha+e_mu+e_nu}
+                                 + alpha_mu b^mu_{beta-alpha+e_mu} + c_{beta-alpha}].
+
+Polynomials are dense arrays over the monomials of degree <= cutoff + 2
+(`_Basis`); L takes two derivatives, so a, b and c stay exact through degree
+cutoff, which is every coefficient a block with m' <= cutoff reads.
+
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
 y^alpha, which also makes the parallel-transport factor P identically 1, and
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,100 +49,104 @@ from .tensorcalc import (
     exponents,
     inner_product,
     multi_indices,
-    multiplicity,
 )
 
 
 # ---------------------------------------------------------------------------
-# matrix-coefficient polynomials in the normal coordinates
+# dense polynomials over the graded monomial basis
 # ---------------------------------------------------------------------------
 
-class _MPoly:
-    """Polynomial in y with (d, d) matrix coefficients, truncated at `deg`.
+class _Basis:
+    """Monomials y^alpha with |alpha| <= deg, by degree and in multi_indices order.
 
-    Keys are per-axis exponent tuples.  All arithmetic drops monomials above
-    the truncation degree; within it everything is exact.
+    A polynomial is an array (batch..., N, d, d) of monomial coefficients, or
+    (N,) for a scalar one; its order-n slice is in a SymTensor's lower-index
+    order.  Index maps use N for "outside the basis", and column N maps N to
+    N: `down[mu]` takes alpha to alpha - e_mu and `up[mu]` to alpha + e_mu.
+    `quot[j, k]` is the position of y^{alpha_k} / y^{alpha_j}: the product
+    pair map read backwards, so a gather through row j of a zero-padded array
+    multiplies by y^{alpha_j} and truncates at `deg`.
     """
 
-    __slots__ = ("m", "d", "deg", "c")
-
-    def __init__(self, m, d, deg, c=None):
-        self.m = m
-        self.d = d
+    def __init__(self, m, deg):
         self.deg = deg
-        self.c = {} if c is None else c
+        rows = [exponents(idx, m) for n in range(deg + 1) for idx in multi_indices(m, n)]
+        position = {r: i for i, r in enumerate(rows)}
+        self.expo = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+        self.N = N = len(rows)
+        self.degree = self.expo.sum(axis=1)
+        self.offsets = np.cumsum([0] + [len(multi_indices(m, n)) for n in range(deg + 1)])
+        self.fact = np.array([math.prod(map(math.factorial, r)) for r in rows], dtype=float)
+        self.down = np.full((m, N + 1), N)
+        self.up = np.full((m, N + 1), N)
+        for mu in range(m):
+            ks = [k for k, r in enumerate(rows) if r[mu]]
+            self.down[mu, ks] = [position[rows[k][:mu] + (rows[k][mu] - 1,) + rows[k][mu + 1:]]
+                                 for k in ks]
+            self.up[mu, self.down[mu, ks]] = ks
+        self.up_weight = (self.expo.T + 1).astype(float)      # (m, N): alpha_mu + 1
+        # |y|^{2k} = sum over even alpha of the multinomial (k; alpha/2) y^alpha
+        self._even = np.all(self.expo % 2 == 0, axis=1)
+        self._half = self.degree[self._even] // 2
+        self._multinomial = np.array(
+            [math.factorial(sum(r) // 2) // math.prod(math.factorial(e // 2) for e in r)
+             for r in self.expo[self._even].tolist()], dtype=float)
+        # dividing by y^{alpha_i} is dividing by y^{alpha_i - e_mu}, then by y_mu
+        quot = np.empty((N, N + 1), dtype=np.min_scalar_type(N))
+        quot[0] = np.arange(N + 1)
+        for i in range(1, N):
+            mu = next(a for a, e in enumerate(rows[i]) if e)
+            quot[i] = self.down[mu, quot[self.down[mu, i]]]
+        self.quot = quot[:, :N]
 
-    @classmethod
-    def zero(cls, m, d, deg):
-        return cls(m, d, deg)
-
-    @classmethod
-    def monomial(cls, m, d, deg, expo, block):
-        p = cls(m, d, deg)
-        if sum(expo) <= deg:
-            p.c[tuple(expo)] = np.asarray(block, dtype=complex).reshape(d, d)
-        return p
-
-    @classmethod
-    def from_radial_series(cls, m, d, deg, series):
-        """sum_k series[k] * (|y|^2)^k as a matrix polynomial (times I_d)."""
-        from .tensorcalc import _norm2_power
-        p = cls(m, d, deg)
-        eye = np.eye(d, dtype=complex)
-        for k, ck in enumerate(series):
-            if 2 * k > deg or ck == 0.0:
-                continue
-            for expo, wgt in _norm2_power(m, k):
-                p._add(expo, ck * wgt * eye)
-        return p
-
-    def _add(self, expo, block):
-        cur = self.c.get(expo)
-        if cur is None:
-            self.c[expo] = block.copy()
-        else:
-            cur += block
-
-    def copy(self):
-        return _MPoly(self.m, self.d, self.deg, {k: v.copy() for k, v in self.c.items()})
-
-    def add(self, other):
-        out = self.copy()
-        for k, v in other.c.items():
-            out._add(k, v)
+    def radial(self, series):
+        """sum_k series[k] |y|^{2k} as a scalar polynomial (N,)."""
+        coeffs = np.zeros(self.deg // 2 + 1)
+        coeffs[:len(series)] = series[:len(coeffs)]
+        out = np.zeros(self.N)
+        out[self._even] = coeffs[self._half] * self._multinomial
         return out
 
-    def scale(self, s):
-        return _MPoly(self.m, self.d, self.deg, {k: v * s for k, v in self.c.items()})
 
-    def mul(self, other):
-        """self @ other, coefficientwise matrix product, truncated."""
-        out = _MPoly(self.m, self.d, self.deg)
-        for ka, va in self.c.items():
-            da = sum(ka)
-            for kb, vb in other.c.items():
-                if da + sum(kb) > self.deg:
-                    continue
-                ke = tuple(a + b for a, b in zip(ka, kb))
-                out._add(ke, va @ vb)
-        return out
+@lru_cache(maxsize=8)
+def _basis(m, deg):
+    return _Basis(m, deg)
 
-    def diff(self, axis):
-        out = _MPoly(self.m, self.d, self.deg)
-        for k, v in self.c.items():
-            e = k[axis]
-            if e == 0:
-                continue
-            ke = list(k)
-            ke[axis] = e - 1
-            out._add(tuple(ke), e * v)
-        return out
 
-    def coeff(self, expo):
-        v = self.c.get(tuple(expo))
-        if v is None:
-            return np.zeros((self.d, self.d), dtype=complex)
-        return v
+def _pad(P):
+    zero = np.zeros(P.shape[:-3] + (1,) + P.shape[-2:], dtype=P.dtype)
+    return np.concatenate([P, zero], axis=-3)
+
+
+def _falling(alpha, gamma):
+    """alpha!/(alpha - gamma)!, the coefficient of d^gamma y^alpha; 0 unless alpha >= gamma."""
+    out = np.ones(alpha.shape[:-1])
+    for mu, g in enumerate(gamma):
+        for i in range(g):
+            out = out * (alpha[..., mu] - i)
+    return out
+
+
+def _times(B, C, P):
+    """C P for a scalar (N,) or matrix (N, d, d) polynomial C, truncated at deg.
+
+    Sums C_j y^{alpha_j} P over C's support in basis order, so each
+    coefficient is accumulated in a fixed order; y^{alpha_j} P starts at
+    degree |alpha_j|, so only that tail of the output is touched.
+    """
+    Ppad = _pad(P)
+    out = np.zeros_like(P)
+    for j in np.flatnonzero(C if C.ndim == 1 else np.any(C, axis=(1, 2))):
+        lo = B.offsets[B.degree[j]]
+        shifted = Ppad[..., B.quot[j, lo:], :, :]
+        out[..., lo:, :, :] += C[j] * shifted if C.ndim == 1 else C[j] @ shifted
+    return out
+
+
+def _cov(B, conn, mu, P):
+    """(d_mu + A_mu) P."""
+    out = B.up_weight[mu, :, None, None] * _pad(P)[..., B.up[mu, :B.N], :, :]
+    return out if conn is None else out + _times(B, conn[mu], P)
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +168,6 @@ class OperatorJet:
         return self.table[(row, col)]
 
 
-def _potential_poly(pot, m, d, deg):
-    p = _MPoly(m, d, deg)
-    for n, jet in enumerate(pot.Q_jets):
-        if n > deg:
-            break
-        ents = jet.entries  # (1, #low, d, d)
-        for li, idx in enumerate(multi_indices(m, n)):
-            block = ents[0, li]
-            if not np.any(block):
-                continue
-            al = exponents(idx, m)
-            f = 1.0
-            for e in al:
-                f *= math.factorial(e)
-            # coefficient of y^alpha is <n|Q>[alpha] / alpha!
-            p._add(al, block / f)
-    return p
-
-
 def build_operator_jet(geom, pot, cutoff):
     """Matrix elements of the conjugated operator on the given geometry."""
     if geom.m != pot.m:
@@ -182,84 +178,78 @@ def build_operator_jet(geom, pot, cutoff):
         raise ValidationError(
             f"input jets support order {min(geom.cutoff, pot.cutoff)} < requested {cutoff}")
     m, d = geom.m, pot.d
-    deg = cutoff + 2
-    nser = deg // 2 + 1
+    B = _basis(m, cutoff + 2)
+    nser = B.deg // 2 + 1
 
     prof = list(geom.radial_profile) + [0.0] * nser
     if len(geom.radial_profile) < nser and geom.kind == "sphere":
         raise ValidationError("geometry radial profile too short for requested cutoff")
+    conn = None
+    if np.any(pot.curvature):
+        # A_mu = -1/2 R_{mu alpha} y^alpha; y^alpha sits at position 1 + alpha
+        conn = np.zeros((m, B.N, d, d), dtype=complex)
+        conn[:, 1:m + 1] = -0.5 * pot.curvature
+    Q = np.zeros((B.N, d, d), dtype=complex)
+    for n, jet in enumerate(pot.Q_jets[:B.deg + 1]):
+        s = slice(B.offsets[n], B.offsets[n + 1])
+        Q[s] = jet.entries[0] / B.fact[s, None, None]     # y^alpha coefficient
+    if conn is None and not Q.imag.any():
+        Q = Q.real                        # then every polynomial is real
+
+    # g^{1/2}, g^{-1/2}, g^{1/4} and g^{-1/4} = Delta^{1/2}
+    sqrtg, inv_sqrtg, gq, ginvq = (B.radial(_series_pow(prof, s * (m - 1), nser))
+                                   for s in (0.5, -0.5, 0.25, -0.25))
+    # g^{mu nu} = f^{-1} delta + ((1 - 1/f)/w) y^mu y^nu
     inv_prof = _series_pow(prof, -1.0, nser)
-    # (1 - f)/w and (1 - 1/f)/w enter the rank-one parts of g and g^{-1}
-    outer = [-c for c in prof[1:nser]]
-    outer_inv = [-c for c in inv_prof[1:nser]]
-
-    S = lambda series: _MPoly.from_radial_series(m, d, deg, series)
-    sqrtg = S(_series_pow(prof, (m - 1) / 2.0, nser))
-    inv_sqrtg = S(_series_pow(prof, -(m - 1) / 2.0, nser))
-    gq = S(_series_pow(prof, (m - 1) / 4.0, nser))          # g^{1/4}
-    ginvq = S(_series_pow(prof, -(m - 1) / 4.0, nser))      # g^{-1/4} = Delta^{1/2}
-    inv_diag = S(inv_prof)
-    outer_inv_poly = S(outer_inv)
-
-    ginv = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            p = _MPoly(m, d, deg)
-            if i == j:
-                p = p.add(inv_diag)
-            e = [0] * m
-            e[i] += 1
-            e[j] += 1
-            yy = _MPoly.monomial(m, d, deg, tuple(e), np.eye(d))
-            p = p.add(outer_inv_poly.mul(yy))
-            ginv[i][j] = p
-
-    conn = []
-    for mu in range(m):
-        p = _MPoly(m, d, deg)
-        for al in range(m):
-            blk = pot.curvature[mu, al]
-            if np.any(blk):
-                e = [0] * m
-                e[al] = 1
-                p._add(tuple(e), -0.5 * blk)
-        conn.append(p)
-
-    Qp = _potential_poly(pot, m, d, deg)
-
-    def cov(nu, f):
-        return f.diff(nu).add(conn[nu].mul(f))
+    outer_inv = np.append(B.radial([-c for c in inv_prof[1:nser]]), 0.0)
+    ginv = [[(B.radial(inv_prof) if mu == nu else 0.0) + outer_inv[B.quot[B.up[nu, B.up[mu, 0]]]]
+             for nu in range(m)] for mu in range(m)]
 
     def apply_L(phi):
-        inner = ginvq.mul(phi)
-        flux = _MPoly(m, d, deg)
+        u = _times(B, ginvq, phi)
+        G = [_cov(B, conn, nu, u) for nu in range(m)]
+        flux = 0.0
         for mu in range(m):
-            s = _MPoly(m, d, deg)
+            s = 0.0
             for nu in range(m):
-                s = s.add(ginv[mu][nu].mul(cov(nu, inner)))
-            flux = flux.add(cov(mu, sqrtg.mul(s)))
-        out = inv_sqrtg.mul(flux).scale(-1.0).add(Qp.mul(inner))
-        return gq.mul(out)
+                s = s + _times(B, ginv[mu][nu], G[nu])
+            flux = flux + _cov(B, conn, mu, _times(B, sqrtg, s))
+        return _times(B, gq, _times(B, Q, u) - _times(B, inv_sqrtg, flux))
 
+    # L = sum_{|gamma| <= 2} K_gamma d^gamma, so K_gamma is c, b^mu, a^{mu mu} or
+    # 2 a^{mu nu} (mu < nu).  Apply L to the test monomials y^gamma (the first nt
+    # basis elements) and peel off the lower orders.
+    nt = B.offsets[3]
+    gam = B.expo[:nt]
+    Lphi = apply_L((np.eye(nt, B.N)[:, :, None, None] * np.eye(d)).astype(Q.dtype))
+    K = Lphi.copy()
+    for t in range(nt):
+        for s in range(t):
+            if B.quot[s, t] < B.N:                 # y^gamma_s divides y^gamma_t
+                K[t] -= _falling(gam[t], gam[s]) * _pad(K[s])[B.quot[B.quot[s, t]]]
+        K[t] /= _falling(gam[t], gam[t])
+
+    # <beta|L|alpha> = (beta!/n!) sum_gamma alpha!/(alpha-gamma)! K_gamma[beta - alpha + gamma].
+    # A nonzero weight needs alpha >= gamma, so beta - alpha + gamma = beta / y^{alpha-gamma}
+    # has degree <= m' <= cutoff, where K is exact; rows with weight 0 read an
+    # arbitrary quot row.  Rows of order <= 2 are the test monomials: L y^gamma is read directly.
+    ncol = B.offsets[cutoff + 1]
+    Kpad = _pad(K)
     table = {}
     for n in range(cutoff + 1):
-        uppers = multi_indices(m, n)
-        results = []
-        scale = 1.0 / math.factorial(n)
-        for U in uppers:
-            phi = _MPoly.monomial(m, d, deg, exponents(U, m), scale * np.eye(d))
-            results.append(apply_L(phi))
+        lo, hi = B.offsets[n], B.offsets[n + 1]
+        if n <= 2:
+            E = Lphi[lo:hi, :ncol]
+        else:
+            E = np.zeros((hi - lo, ncol, d, d), dtype=K.dtype)
+            for t in range(nt):
+                w = _falling(B.expo[lo:hi], gam[t])
+                rows = np.minimum(B.quot[t, lo:hi], B.N - 1)      # alpha - gamma
+                E += w[:, None, None, None] * Kpad[t, B.quot[rows, :ncol]]
+        E = E * (B.fact[:ncol] / math.factorial(n))[None, :, None, None]
         for mp in range(cutoff + 1):
-            lows = multi_indices(m, mp)
-            E = np.zeros((len(uppers), len(lows), d, d), dtype=complex)
-            for ui, psi in enumerate(results):
-                for li, idx in enumerate(lows):
-                    al = exponents(idx, m)
-                    f = 1.0
-                    for e in al:
-                        f *= math.factorial(e)
-                    E[ui, li] = f * psi.coeff(al)
-            table[(mp, n)] = SymTensor(m, n, mp, d, E)
+            table[(mp, n)] = SymTensor(m, n, mp, d,
+                                       E[:, B.offsets[mp]:B.offsets[mp + 1]].astype(complex))
 
     # sparsity: degree counting makes <m'|L|n> vanish for n > m'+2
     for (mp, n), t in table.items():

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
 
+_INTERVAL_CAP = 1_000_000        # eigenvalues in one interval partial sum
+_SPHERE_CAP = 2_000_000          # eigenvalue levels in one sphere partial sum
+
 
 @dataclass(frozen=True)
 class SpectralModel:
@@ -139,12 +142,17 @@ def interval_trace(L, bc, t, S=None):
     if t <= 0:
         raise ValidationError("t must be positive")
     model = interval_model(L, bc, S)
-    n = max(8, int(L / math.pi * math.sqrt(60.0 / t)) + 4)
+    count = L / math.pi * math.sqrt(60.0 / t)
+    if not count <= _INTERVAL_CAP:
+        raise NumericError(
+            f"interval trace needs about {count:.3g} eigenvalues at t={t!r}, "
+            f"over the cap of {_INTERVAL_CAP}")
+    n = max(8, int(count) + 4)
     total = model.partial_trace(t, n)
     while model.tail_bound(t, n) > 1e-15 * max(total, 1e-300):
         n *= 2
         total = model.partial_trace(t, n)
-        if n > 1_000_000:
+        if n > _INTERVAL_CAP:
             raise NumericError("interval trace did not converge")
     return total
 
@@ -184,12 +192,17 @@ def sphere_trace(m, a, t):
     if t <= 0:
         raise ValidationError("t must be positive")
     model = sphere_model(m, a)
-    n = max(4, int(a * math.sqrt(40.0 / t)) + 2)
+    count = a * math.sqrt(40.0 / t)
+    if not count <= _SPHERE_CAP:
+        raise NumericError(
+            f"sphere trace needs about {count:.3g} eigenvalue levels at t={t!r}, "
+            f"over the cap of {_SPHERE_CAP}")
+    n = max(4, int(count) + 2)
     total = model.partial_trace(t, n)
     while model.tail_bound(t, n) > 1e-14 * max(total, 1.0):
         n *= 2
         total = model.partial_trace(t, n)
-        if n > 2_000_000:
+        if n > _SPHERE_CAP:
             raise NumericError("sphere trace did not converge")
     return total
 

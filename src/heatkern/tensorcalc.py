@@ -155,14 +155,6 @@ class SymTensor:
         il = _positions(self.m, self.q)[canonical(lower)]
         return self.entries[iu, il]
 
-    def with_entry(self, upper, lower, block):
-        """Functional update; returns a new tensor."""
-        iu = _positions(self.m, self.p)[canonical(upper)]
-        il = _positions(self.m, self.q)[canonical(lower)]
-        e = self.entries.copy()
-        e[iu, il] = np.asarray(block, dtype=complex).reshape(self.d, self.d)
-        return SymTensor(self.m, self.p, self.q, self.d, e)
-
     def _like(self, other):
         if (self.m, self.p, self.q, self.d) != (other.m, other.p, other.q, other.d):
             raise ValidationError("tensor shape mismatch")
@@ -217,17 +209,6 @@ def sym_product(A, B):
                     acc += (wu * wl) * (A.entries[au, posA_l[sl]] @ B.entries[bu, posB_l[rl]])
             R[iw, il] = acc
     return SymTensor(m, p, q, d, R)
-
-
-def sym_power(A, k):
-    """k-fold symmetric power; k = 0 gives the order-zero scalar 1."""
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError("sym_power: k must be a nonnegative integer")
-    out = SymTensor(A.m, 0, 0, A.d,
-                    np.eye(A.d, dtype=complex).reshape(1, 1, A.d, A.d))
-    for _ in range(k):
-        out = sym_product(out, A)
-    return out
 
 
 def inner_product(A, B):
@@ -317,24 +298,6 @@ class TaylorSeries:
         return TaylorSeries(self.m, self.d, cutoff, self.components[:cutoff + 1])
 
 
-def taylor_basis_pairing(n, f):
-    """<n|f>: component n of the series."""
-    if not isinstance(n, int) or n < 0:
-        raise ValidationError("pairing order must be a nonnegative integer")
-    if n > f.cutoff:
-        raise ValidationError(f"pairing order {n} beyond series cutoff {f.cutoff}")
-    return f.component(n)
-
-
-def basis_series(m, n, d, cutoff):
-    """The basis element |n> as a TaylorSeries (contravariant order n)."""
-    if n > cutoff:
-        raise ValidationError("basis order beyond cutoff")
-    comps = [SymTensor.zeros(m, n, j, d) for j in range(cutoff + 1)]
-    comps[n] = identity_pairing(m, n, d)
-    return TaylorSeries(m, d, cutoff, tuple(comps))
-
-
 # ---------------------------------------------------------------------------
 # scalar power series helpers (series in w = |y|^2)
 # ---------------------------------------------------------------------------
@@ -389,10 +352,17 @@ def _sphere_profile(radius, nterms):
     """Series coefficients of f(w) = sin^2(sqrt(w)/a)/(w/a^2) in w = |y|^2.
 
     sin^2(x)/x^2 = sum_k (-1)^k 2^{2k+1}/(2k+2)! x^{2k}; exact rationals,
-    floated once, scaled by a^{-2k}.
+    floated once, scaled by a^{-2k}.  A radius for which a^{2k} leaves the
+    float range is rejected.
     """
-    return tuple(float(Fraction((-1) ** k * 2 ** (2 * k + 1), math.factorial(2 * k + 2)))
-                 / radius ** (2 * k) for k in range(nterms))
+    try:
+        terms = tuple(float(Fraction((-1) ** k * 2 ** (2 * k + 1), math.factorial(2 * k + 2)))
+                      / radius ** (2 * k) for k in range(nterms))
+    except (OverflowError, ZeroDivisionError):
+        terms = (math.inf,)
+    if not all(math.isfinite(c) for c in terms):
+        raise ValidationError(f"sphere radius {radius!r} gives a non-finite curvature series")
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +489,13 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
         if radius is None or not radius > 0:
             raise ValidationError("sphere requires radius > 0")
         profile = _sphere_profile(float(radius), nterms)
-        kappa = 1.0 / float(radius) ** 2
+        try:
+            kappa = 1.0 / float(radius) ** 2
+            vol = sphere_volume(m, float(radius))
+        except OverflowError:
+            vol = math.inf
+        if not math.isfinite(vol):
+            raise ValidationError(f"sphere radius {radius!r} gives a non-finite volume")
         for mu in range(m):
             for al in range(m):
                 for nu in range(m):
@@ -528,7 +504,6 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
                             (mu == nu) * (al == be) - (mu == be) * (al == nu))
         ricci = kappa * (m - 1) * np.eye(m)
         R = kappa * m * (m - 1)
-        vol = sphere_volume(m, float(radius))
         per = None
     elif kind == "torus":
         if periods is None:

@@ -260,6 +260,10 @@ GRID = "[grid]\nstart = 0.1\n"
     ("circle", GRID + "[operator]\namplitude = inf\n",
      "bad value for [operator] amplitude: 'inf'"),
     ("torus", "periods = 1,nan\n" + GRID, "bad value for [geometry] periods: '1,nan'"),
+    ("sphere", "radius = 1e-200\n" + GRID, "sphere radius 1e-200 gives a non-finite"),
+    ("sphere", "radius = 1e200\n" + GRID, "sphere radius 1e+200 gives a non-finite"),
+    ("interval", "length = 1e300\n" + GRID, "over the cap of 1000000"),
+    ("sphere", "radius = 1e10\n" + GRID, "over the cap of 2000000"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
     path = write_ini(tmp_path,
@@ -295,6 +299,19 @@ def test_sphere_dimension_9_exits_before_building_the_jet(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == ("error: sphere dimension must be in [2, 3] "
                            "for task 'compare', got 9\n")
+
+
+def test_huge_interval_exits_1_without_building_the_spectrum(tmp_path):
+    # the first partial sum would need ~1e301 eigenvalues; it is refused up front
+    path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = interval\n"
+                               f"length = 1e300\n{GRID}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatkern.cli", "compare", "--config", path,
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: interval trace needs about")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_interval_robin_rejected(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Recursion residuals, frozen sphere coefficients, and shift identities."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +219,194 @@ def test_expansion_log_terms_slot():
                                   log_terms=((0.0, 0.5),))
     want = 1.0 / 0.2 + 0.5 * math.log(0.2)
     assert abs(exp.evaluate(0.2) - want) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# operator jet against an exact symbolic expansion
+# ---------------------------------------------------------------------------
+
+def symbolic_operator_jet(m, cutoff, radius, q, field):
+    """<m'|L|n> for m', n <= cutoff from exact sympy polynomial arithmetic.
+
+    The metric is the closed form g = f(w) delta + (1 - f(w))/w y y^T with
+    f = sin^2(sqrt(w)/a)/(w/a^2) (flat when radius is None), expanded from
+    sympy's series of sin^2(x)/x^2; det g and g^{-1} come from the generic
+    determinant and adjugate.  With A_mu = -1/2 R_{mu alpha} y^alpha,
+        F = -g^{-1/2} (d + A)_mu g^{1/2} g^{mu nu} (d + A)_nu + Q,
+        L = g^{1/4} F g^{-1/4}      (g = det g),
+    is applied to each y^alpha and truncated at total degree cutoff + 2.
+    q is Q as a polynomial in y0, y1, ...
+    """
+    sp = pytest.importorskip("sympy")
+    ys = sp.symbols(f"y0:{m}")
+    top = cutoff + 2
+
+    def poly(expr):
+        return sp.Poly(expr, *ys, domain=sp.QQ_I)
+
+    def trunc(p):
+        return sp.Poly.from_dict({k: v for k, v in p.as_dict().items() if sum(k) <= top}
+                                 or {(0,) * m: 0}, *ys, domain=sp.QQ_I)
+
+    def power(p, s):
+        # (1 + u)^s = sum_j binom(s, j) u^j with u = O(y^2)
+        u, acc, term = p - 1, poly(0), poly(1)
+        for j in range(top // 2 + 1):
+            acc += term * sp.binomial(s, j)
+            term = trunc(term * u)
+        return trunc(acc)
+
+    w = sum(y ** 2 for y in ys)
+    if radius is None:
+        f, h = poly(1), poly(0)
+    else:
+        x = sp.Symbol("x")
+        a2 = sp.Rational(radius) ** 2
+        prof = sp.sin(x) ** 2 / x ** 2
+        fs = sp.series(prof, x, 0, top + 2).removeO()
+        hs = sp.series((1 - prof) / x ** 2, x, 0, top + 2).removeO()
+        f = trunc(poly(sp.expand(fs.subs(x, sp.sqrt(w / a2)))))
+        h = trunc(poly(sp.expand(hs.subs(x, sp.sqrt(w / a2)) / a2)))
+    g = sp.Matrix(m, m, lambda i, j: (f * int(i == j) + h * poly(ys[i] * ys[j])).as_expr())
+    det = trunc(poly(sp.expand(g.det(method="berkowitz"))))
+    adj = g.adjugate(method="berkowitz")
+    det_inv = power(det, -1)
+    ginv = [[trunc(poly(sp.expand(adj[i, j])) * det_inv) for j in range(m)] for i in range(m)]
+    g_half, g_mhalf = power(det, sp.Rational(1, 2)), power(det, sp.Rational(-1, 2))
+    g_quarter, g_mquarter = power(det, sp.Rational(1, 4)), power(det, sp.Rational(-1, 4))
+
+    R = [[0] * m for _ in range(m)]
+    if field is not None:
+        R[0][1], R[1][0] = sp.I * sp.Rational(field), -sp.I * sp.Rational(field)
+    A = [poly(sum(-sp.Rational(1, 2) * R[mu][al] * ys[al] for al in range(m)))
+         for mu in range(m)]
+
+    Q = poly(sp.sympify(q, locals={str(y): y for y in ys}))
+
+    def cov(mu, p):
+        return trunc(p.diff(ys[mu]) + A[mu] * p)
+
+    def apply_L(phi):
+        inner = trunc(g_mquarter * phi)
+        flux = poly(0)
+        for mu in range(m):
+            s = poly(0)
+            for nu in range(m):
+                s += trunc(ginv[mu][nu] * cov(nu, inner))
+            flux += cov(mu, trunc(g_half * s))
+        return trunc(g_quarter * trunc(-g_mhalf * flux + Q * inner))
+
+    table = {}
+    for n in range(cutoff + 1):
+        images = []
+        for U in tc.multi_indices(m, n):
+            phi = poly(sp.Mul(*[ys[i] for i in U]))
+            images.append(apply_L(phi).as_dict())
+        for mp in range(cutoff + 1):
+            lows = [tc.exponents(L, m) for L in tc.multi_indices(m, mp)]
+            table[(mp, n)] = np.array(
+                [[complex(img.get(beta, 0)) * math.prod(map(math.factorial, beta))
+                  / math.factorial(n) for beta in lows] for img in images])
+    return table
+
+
+def polynomial_potential(m, cutoff, q, curvature=None):
+    """PotentialJet of a scalar polynomial Q: <n|Q>[alpha] = alpha! x its y^alpha coefficient."""
+    sp = pytest.importorskip("sympy")
+    ys = sp.symbols(f"y0:{m}")
+    coeffs = sp.Poly(sp.sympify(q, locals={str(y): y for y in ys}), *ys).as_dict()
+    jets = []
+    for n in range(cutoff + 1):
+        lows = [tc.exponents(L, m) for L in tc.multi_indices(m, n)]
+        E = [float(coeffs.get(al, 0)) * math.prod(map(math.factorial, al)) for al in lows]
+        jets.append(tc.SymTensor(m, 0, n, 1, np.array(E).reshape(1, -1, 1, 1)))
+    if curvature is None:
+        curvature = np.zeros((m, m, 1, 1), dtype=complex)
+    return tc.PotentialJet(m, 1, cutoff, tuple(jets), curvature)
+
+
+@pytest.mark.parametrize("m,cutoff,radius,q,field", [
+    (2, 4, "1.3", "1/5", None),                       # round S^2
+    (2, 4, None, "3/10", "0.8"),                      # flat R^2 with curvature i B eps
+    (2, 4, None, "3/10 + y0/5 - y0*y1/10 + y1**3/7", "0.8"),   # and a polynomial Q
+])
+def test_operator_jet_matches_symbolic_expansion(m, cutoff, radius, q, field):
+    kind, geo = ("flat", dict(volume=1.0)) if radius is None else \
+        ("sphere", dict(radius=float(radius)))
+    geom = tc.build_model_geometry(kind, m, cutoff=cutoff, **geo)
+    curv = None
+    if field is not None:
+        curv = np.zeros((m, m, 1, 1), dtype=complex)
+        curv[0, 1] = 1j * float(field)
+        curv[1, 0] = -1j * float(field)
+    pot = polynomial_potential(m, cutoff, q, curvature=curv)
+    jet = hmds.build_operator_jet(geom, pot, cutoff)
+    want = symbolic_operator_jet(m, cutoff, radius, q, field)
+    assert set(jet.table) == set(want)
+    table_max = max(float(np.max(np.abs(exact))) for exact in want.values())
+    for key, exact in want.items():
+        got = jet.table[key].entries[:, :, 0, 0]
+        # relative to the block, or to the whole table for a block that is exactly 0
+        scale = float(np.max(np.abs(exact))) or table_max
+        assert np.max(np.abs(got - exact)) <= 1e-12 * scale, key
+
+
+# ---------------------------------------------------------------------------
+# exact towers and the table contract
+# ---------------------------------------------------------------------------
+
+def test_unit_s3_diagonal_is_shifted_power():
+    # on the unit S^3 the kernel is (4 pi t)^{-3/2} (r / sin r) e^{-r^2/4t} e^{t(1-q)},
+    # so a_k^diag = (q - 1)^k
+    q = 0.3
+    _, _, _, coeffs = make_fixture("sphere", 3, q=q, kmax=4, cutoff=0, radius=1.0)
+    for k, c in enumerate(coeffs):
+        assert abs(c.diagonal[0, 0] - (q - 1.0) ** k) < 1e-12
+
+
+def test_flat_m3_matrix_potential_tower_is_exact():
+    # flat space, constant non-commuting Q: a_k = Q^k with no y-dependence at all
+    m, d, kmax, cutoff = 3, 2, 3, 2
+    Q0 = np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, -0.2]])
+    cap = cutoff + 2 * kmax
+    geom = tc.build_model_geometry("flat", m, cutoff=cap)
+    pot = tc.PotentialJet.constant(m, d, Q0, cutoff=cap)
+    coeffs = hmds.hmds_coefficients(hmds.build_operator_jet(geom, pot, cap), kmax, cutoff)
+    for k, c in enumerate(coeffs):
+        assert np.max(np.abs(c.diagonal - np.linalg.matrix_power(Q0, k))) < 1e-12
+        for n in range(1, c.series.cutoff + 1):
+            assert not np.any(c.series.component(n).entries)
+
+
+@pytest.mark.parametrize("kind,m,d,cutoff,geo", [
+    ("sphere", 3, 1, 4, dict(radius=1.2)),
+    ("flat", 2, 2, 3, dict(volume=1.0)),
+])
+def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
+    # callers read <m'|L|n> as table[(m', n)]: a SymTensor with n upper and m'
+    # lower slots for every m', n <= cutoff
+    geom = tc.build_model_geometry(kind, m, cutoff=cutoff, **geo)
+    pot = tc.PotentialJet.constant(m, d, 0.4 * np.eye(d), cutoff=cutoff)
+    jet = hmds.build_operator_jet(geom, pot, cutoff)
+    pairs = {(mp, n) for mp in range(cutoff + 1) for n in range(cutoff + 1)}
+    assert set(jet.table) == pairs
+    for mp, n in pairs:
+        elem = jet.element(mp, n)
+        assert elem is jet.table[(mp, n)]
+        assert isinstance(elem, tc.SymTensor)
+        assert (elem.m, elem.p, elem.q, elem.d) == (m, n, mp, d)
+        assert elem.entries.shape == (len(tc.multi_indices(m, n)),
+                                      len(tc.multi_indices(m, mp)), d, d)
+
+
+def test_dense_basis_follows_multi_indices_and_is_built_lazily():
+    B = hmds._basis(3, 4)
+    for n in range(5):
+        block = B.expo[B.offsets[n]:B.offsets[n + 1]]
+        assert [tuple(e) for e in block] == [tc.exponents(i, 3) for i in tc.multi_indices(3, n)]
+    src = str(Path(hmds.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import heatkern.cli; "
+            "from heatkern import hmds; print(hmds._basis.cache_info().currsize)" % src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -130,6 +130,18 @@ def test_sphere_model_validation():
         spectra.sphere_trace(2, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("trace", [
+    lambda: spectra.interval_trace(1e300, "DD", 0.01),
+    lambda: spectra.interval_trace(3e5, "NN", 1e-3),
+    lambda: spectra.sphere_trace(2, 1e100, 0.01),
+    lambda: spectra.sphere_trace(3, 1e6, 1e-2),
+])
+def test_first_partial_sum_is_capped(trace):
+    # the first eigenvalue count is checked against the cap before any list is built
+    with pytest.raises(NumericError, match="over the cap"):
+        trace()
+
+
 def test_sphere_tail_bound_is_a_bound():
     model = spectra.sphere_model(2, 1.0)
     t = 0.2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatkern import hmds
 from heatkern import tensorcalc as tc
 from heatkern.errors import ValidationError
 
@@ -88,18 +89,6 @@ def test_sym_product_matches_subset_average(m, pA, qA, pB, qB, d):
             assert np.max(np.abs(R.get(upper, lower) - want)) < 1e-13
 
 
-def test_sym_power_zero_is_unit():
-    rng = np.random.default_rng(3)
-    A = random_sym(rng, 2, 0, 1, d=2)
-    one = tc.sym_power(A, 0)
-    assert one.p == one.q == 0
-    assert np.allclose(one.entries[0, 0], np.eye(2))
-    # k = 3 equals the triple product
-    P3 = tc.sym_power(A, 3)
-    want = tc.sym_product(tc.sym_product(A, A), A)
-    assert P3.allclose(want, tol=1e-12)
-
-
 def test_sym_product_rejects_mismatch():
     A = tc.SymTensor.zeros(2, 0, 1)
     B = tc.SymTensor.zeros(3, 0, 1)
@@ -145,20 +134,17 @@ def test_identity_pairing_is_neutral(n):
 
 @pytest.mark.parametrize("n,np_", [(n, np_) for n in range(5) for np_ in range(5)])
 def test_basis_pairing_orthonormal(n, np_):
-    f = tc.basis_series(2, np_, 1, cutoff=6)
-    comp = tc.taylor_basis_pairing(n, f)
+    # |n'> is y^alpha / n'! per canonical index and <n| pairs a polynomial as
+    # beta! times its y^beta coefficient; the operator jet folds both factors
+    # into beta! / n'! on the dense monomial basis
+    B = hmds._basis(2, 6)
+    monomials = np.eye(B.N)[B.offsets[np_]:B.offsets[np_ + 1]]
+    lows = slice(B.offsets[n], B.offsets[n + 1])
+    pairing = monomials[:, lows] * (B.fact[lows] / math.factorial(np_))
     if n == np_:
-        assert comp.allclose(tc.identity_pairing(2, n, 1), tol=0.0)
+        assert np.array_equal(pairing, tc.identity_pairing(2, n, 1).entries[:, :, 0, 0])
     else:
-        assert comp.max_abs() == 0.0
-
-
-def test_basis_pairing_bounds():
-    f = tc.basis_series(2, 1, 1, cutoff=3)
-    with pytest.raises(ValidationError):
-        tc.taylor_basis_pairing(4, f)
-    with pytest.raises(ValidationError):
-        tc.taylor_basis_pairing(-1, f)
+        assert not pairing.any()
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +285,18 @@ def test_geometry_validation():
         tc.build_model_geometry("flat", 2, volume=-1.0)
     with pytest.raises(ValidationError):
         tc.build_model_geometry("flat", 0)
+
+
+@pytest.mark.parametrize("m,radius", [(2, 1e-200), (3, 1e-160), (2, 1e-100), (2, 1e200),
+                                      (3, 1e150)])
+def test_sphere_radius_out_of_float_range_rejected(m, radius):
+    # a^{-2k} or a^m leaves the float range: a ValidationError, never a
+    # ZeroDivisionError or OverflowError
+    with pytest.raises(ValidationError, match="non-finite"):
+        tc.build_model_geometry("sphere", m, cutoff=4, radius=radius)
+    if radius < 1:
+        with pytest.raises(ValidationError, match="non-finite curvature series"):
+            tc._sphere_profile(radius, 3)
 
 
 def test_torus_volume_is_period_product():
