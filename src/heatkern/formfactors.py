@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .spectra import MAX_AMPLITUDE, MAX_MODE, MIN_LENGTH
 
 # profiles as polynomials in u = xi^2: {power of u: rational coefficient}
 _PROFILE_POLY = {
@@ -180,16 +181,19 @@ class FourierBackground:
         periods = tuple(float(p) for p in self.periods)
         if len(periods) != self.m or not all(0 < p < math.inf for p in periods):
             raise ValidationError("need m positive finite periods")
+        if min(periods) < MIN_LENGTH:
+            raise ValidationError(f"period {min(periods)!r} is below {MIN_LENGTH:g}")
         object.__setattr__(self, "periods", periods)
 
         pm = {}
         for key, amp in self.potential_modes.items():
-            n = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
-            if len(n) != self.m:
-                raise ValidationError(f"potential mode {key!r} has wrong dimension")
+            n = self._mode(key, "potential")
             pm[n] = np.asarray(amp, dtype=complex).reshape(self.d, self.d)
             if not np.all(np.isfinite(pm[n])):
                 raise ValidationError(f"potential mode {key!r} amplitude is not finite")
+            if np.max(np.abs(pm[n])) > MAX_AMPLITUDE:
+                raise ValidationError(
+                    f"potential mode {key!r} amplitude exceeds {MAX_AMPLITUDE:g}")
         for n, amp in pm.items():
             mn = tuple(-x for x in n)
             other = pm.get(mn)
@@ -200,14 +204,15 @@ class FourierBackground:
 
         cm = {}
         for key, blk in self.curvature_modes.items():
-            n = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
-            if len(n) != self.m:
-                raise ValidationError(f"curvature mode {key!r} has wrong dimension")
+            n = self._mode(key, "curvature")
             if all(x == 0 for x in n):
                 raise ValidationError(
                     "zero-mode curvature excluded: the curvature channel carries 1/box; "
                     "constant field strength belongs to the symmspace route")
             b = np.asarray(blk, dtype=complex).reshape(self.m, self.m, self.d, self.d)
+            if not np.max(np.abs(b), initial=0.0) <= MAX_AMPLITUDE:
+                raise ValidationError(f"curvature mode {key!r} amplitude is not finite "
+                                      f"or exceeds {MAX_AMPLITUDE:g}")
             if np.max(np.abs(b + b.transpose(1, 0, 2, 3))) > 1e-12:
                 raise ValidationError("curvature modes must be antisymmetric in base indices")
             cm[n] = b
@@ -219,6 +224,14 @@ class FourierBackground:
                 raise ValidationError(
                     "curvature modes must satisfy Rhat(-n) = -Rhat(n)^dagger")
         object.__setattr__(self, "curvature_modes", cm)
+
+    def _mode(self, key, what):
+        n = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
+        if len(n) != self.m:
+            raise ValidationError(f"{what} mode {key!r} has wrong dimension")
+        if any(abs(x) > MAX_MODE for x in n):
+            raise ValidationError(f"{what} mode {key!r} exceeds {MAX_MODE} in magnitude")
+        return n
 
     @classmethod
     def circle_cosine(cls, length, n, q, d=1):

@@ -8,15 +8,19 @@ about the base point.  The conjugated operator
 
 is second order, L = a^{mu nu} d_mu d_nu + b^mu d_mu + c.  Applying L once,
 batched, to the test monomials 1, y_mu, y_mu y_nu gives a, b and c (c = L 1,
-b^mu = L y_mu - c y_mu, ...); every matrix element then follows by index
-gathers, for |alpha| = n:
+b^mu = L y_mu - c y_mu, ...).
 
-    <beta|L|alpha> = (beta!/n!) [alpha_mu (alpha_nu - delta_mu nu) a^{mu nu}_{beta-alpha+e_mu+e_nu}
-                                 + alpha_mu b^mu_{beta-alpha+e_mu} + c_{beta-alpha}].
+Polynomials are dense arrays over the monomials y^alpha of degree <= cutoff + 2
+(`_Basis`), and the operator jet is one matrix on the monomials of degree
+<= cutoff,
 
-Polynomials are dense arrays over the monomials of degree <= cutoff + 2
-(`_Basis`); L takes two derivatives, so a, b and c stay exact through degree
-cutoff, which is every coefficient a block with m' <= cutoff reads.
+    M[beta, alpha] = coefficient of y^beta in L y^alpha
+                   = sum_gamma alpha!/(alpha - gamma)! K_gamma[beta - alpha + gamma],
+
+where K_gamma is the coefficient of d^gamma in L (c, b^mu, a^{mu mu} or
+2 a^{mu nu}), filled by index gathers.  L takes two derivatives, so a, b and c
+stay exact through degree cutoff, which is every coefficient M reads; and
+M[beta, alpha] vanishes unless |alpha| <= |beta| + 2.
 
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
@@ -27,19 +31,23 @@ The recursion itself is
 
     a_0 = I,     (1 + D/k) a_k = L a_{k-1},
 
-solved order by order with D the Euler (degree-counting) operator, and the
-trace coefficients are A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
+with D the Euler (degree-counting) operator.  On monomial coefficients it is
+one matrix product and one per-degree scale per k,
+
+    a_k[beta] = k/(k + |beta|) sum_alpha M[beta, alpha] a_{k-1}[alpha],
+
+and the trace coefficients are A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .tensorcalc import (
     ModelGeometry,
     PotentialJet,
@@ -47,7 +55,6 @@ from .tensorcalc import (
     TaylorSeries,
     _series_pow,
     exponents,
-    inner_product,
     multi_indices,
 )
 
@@ -69,7 +76,7 @@ class _Basis:
     """
 
     def __init__(self, m, deg):
-        self.deg = deg
+        self.m, self.deg = m, deg
         rows = [exponents(idx, m) for n in range(deg + 1) for idx in multi_indices(m, n)]
         position = {r: i for i, r in enumerate(rows)}
         self.expo = np.array(rows, dtype=np.int64).reshape(len(rows), m)
@@ -153,23 +160,42 @@ def _cov(B, conn, mu, P):
 # operator jet
 # ---------------------------------------------------------------------------
 
+def _metric_polynomials(geom, B):
+    """det(g)^{1/2}, det(g)^{-1/2}, det(g)^{1/4}, det(g)^{-1/4} and g^{mu nu} on B.
+
+    Each is a scalar polynomial (N,), exact through degree B.deg; the last is
+    an m x m nested list of them.  det(g)^{-1/4} is the Van Vleck factor
+    Delta^{1/2}.
+    """
+    m = geom.m
+    nser = B.deg // 2 + 1
+    if len(geom.radial_profile) < nser and geom.kind == "sphere":
+        raise ValidationError("geometry radial profile too short for requested cutoff")
+    prof = list(geom.radial_profile) + [0.0] * nser
+    powers = [B.radial(_series_pow(prof, s * (m - 1), nser)) for s in (0.5, -0.5, 0.25, -0.25)]
+    # g^{mu nu} = f^{-1} delta + ((1 - 1/f)/w) y^mu y^nu
+    inv_prof = _series_pow(prof, -1.0, nser)
+    outer_inv = np.append(B.radial([-c for c in inv_prof[1:nser]]), 0.0)
+    ginv = [[(B.radial(inv_prof) if mu == nu else 0.0) + outer_inv[B.quot[B.up[nu, B.up[mu, 0]]]]
+             for nu in range(m)] for mu in range(m)]
+    return (*powers, ginv)
+
+
 @dataclass(frozen=True)
 class OperatorJet:
-    """Matrix elements <m'|L|n> for m', n <= cutoff on one geometry."""
+    """L on the monomials of degree <= cutoff: M[beta, alpha] is the y^beta
+    coefficient of L y^alpha, shape (N, N, d, d) in `_Basis` order."""
 
     m: int
     d: int
     cutoff: int
-    table: dict = field(repr=False)
+    M: np.ndarray = field(repr=False)
     geometry: ModelGeometry = field(repr=False)
     potential: PotentialJet = field(repr=False)
 
-    def element(self, row, col):
-        return self.table[(row, col)]
-
 
 def build_operator_jet(geom, pot, cutoff):
-    """Matrix elements of the conjugated operator on the given geometry."""
+    """Matrix of the conjugated operator on the given geometry."""
     if geom.m != pot.m:
         raise ValidationError("geometry and potential dimensions differ")
     if cutoff < 0:
@@ -179,11 +205,8 @@ def build_operator_jet(geom, pot, cutoff):
             f"input jets support order {min(geom.cutoff, pot.cutoff)} < requested {cutoff}")
     m, d = geom.m, pot.d
     B = _basis(m, cutoff + 2)
-    nser = B.deg // 2 + 1
 
-    prof = list(geom.radial_profile) + [0.0] * nser
-    if len(geom.radial_profile) < nser and geom.kind == "sphere":
-        raise ValidationError("geometry radial profile too short for requested cutoff")
+    sqrtg, inv_sqrtg, gq, ginvq, ginv = _metric_polynomials(geom, B)
     conn = None
     if np.any(pot.curvature):
         # A_mu = -1/2 R_{mu alpha} y^alpha; y^alpha sits at position 1 + alpha
@@ -195,15 +218,6 @@ def build_operator_jet(geom, pot, cutoff):
         Q[s] = jet.entries[0] / B.fact[s, None, None]     # y^alpha coefficient
     if conn is None and not Q.imag.any():
         Q = Q.real                        # then every polynomial is real
-
-    # g^{1/2}, g^{-1/2}, g^{1/4} and g^{-1/4} = Delta^{1/2}
-    sqrtg, inv_sqrtg, gq, ginvq = (B.radial(_series_pow(prof, s * (m - 1), nser))
-                                   for s in (0.5, -0.5, 0.25, -0.25))
-    # g^{mu nu} = f^{-1} delta + ((1 - 1/f)/w) y^mu y^nu
-    inv_prof = _series_pow(prof, -1.0, nser)
-    outer_inv = np.append(B.radial([-c for c in inv_prof[1:nser]]), 0.0)
-    ginv = [[(B.radial(inv_prof) if mu == nu else 0.0) + outer_inv[B.quot[B.up[nu, B.up[mu, 0]]]]
-             for nu in range(m)] for mu in range(m)]
 
     def apply_L(phi):
         u = _times(B, ginvq, phi)
@@ -229,35 +243,28 @@ def build_operator_jet(geom, pot, cutoff):
                 K[t] -= _falling(gam[t], gam[s]) * _pad(K[s])[B.quot[B.quot[s, t]]]
         K[t] /= _falling(gam[t], gam[t])
 
-    # <beta|L|alpha> = (beta!/n!) sum_gamma alpha!/(alpha-gamma)! K_gamma[beta - alpha + gamma].
-    # A nonzero weight needs alpha >= gamma, so beta - alpha + gamma = beta / y^{alpha-gamma}
-    # has degree <= m' <= cutoff, where K is exact; rows with weight 0 read an
-    # arbitrary quot row.  Rows of order <= 2 are the test monomials: L y^gamma is read directly.
-    ncol = B.offsets[cutoff + 1]
+    # Columns of order <= 2 are the test monomials' images L y^gamma; the
+    # others sum over gamma, one order at a time.  A nonzero weight needs
+    # alpha >= gamma, so beta - alpha + gamma = beta / y^{alpha-gamma} has
+    # degree <= |beta| <= cutoff, where K is exact; columns with weight 0 read
+    # an arbitrary quot row.
+    N = B.offsets[cutoff + 1]
+    M = np.zeros((N, N, d, d), dtype=K.dtype)
+    M[:, :nt] = Lphi[:N, :N].swapaxes(0, 1)
     Kpad = _pad(K)
-    table = {}
-    for n in range(cutoff + 1):
+    for n in range(3, cutoff + 1):
         lo, hi = B.offsets[n], B.offsets[n + 1]
-        if n <= 2:
-            E = Lphi[lo:hi, :ncol]
-        else:
-            E = np.zeros((hi - lo, ncol, d, d), dtype=K.dtype)
-            for t in range(nt):
-                w = _falling(B.expo[lo:hi], gam[t])
-                rows = np.minimum(B.quot[t, lo:hi], B.N - 1)      # alpha - gamma
-                E += w[:, None, None, None] * Kpad[t, B.quot[rows, :ncol]]
-        E = E * (B.fact[:ncol] / math.factorial(n))[None, :, None, None]
-        for mp in range(cutoff + 1):
-            table[(mp, n)] = SymTensor(m, n, mp, d,
-                                       E[:, B.offsets[mp]:B.offsets[mp + 1]].astype(complex))
+        for t in range(nt):
+            w = _falling(B.expo[lo:hi], gam[t])
+            cols = np.minimum(B.quot[t, lo:hi], B.N - 1)      # alpha - gamma
+            M[:, lo:hi] += w[None, :, None, None] * Kpad[t, B.quot[cols, :N].T]
 
-    # sparsity: degree counting makes <m'|L|n> vanish for n > m'+2
-    for (mp, n), t in table.items():
-        if n > mp + 2 and t.max_abs() > 1e-13:
-            raise ValidationError("sparsity violation in operator jet (internal)")
+    # sparsity: degree counting makes M[beta, alpha] vanish for |alpha| > |beta| + 2
+    deg = B.degree[:N]
+    if np.any(np.abs(M[deg[:, None] + 2 < deg[None, :]]) > 1e-13):
+        raise ValidationError("sparsity violation in operator jet (internal)")
 
-    return OperatorJet(m=m, d=d, cutoff=cutoff, table=table,
-                       geometry=geom, potential=pot)
+    return OperatorJet(m=m, d=d, cutoff=cutoff, M=M, geometry=geom, potential=pot)
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +273,23 @@ def build_operator_jet(geom, pot, cutoff):
 
 @dataclass(frozen=True)
 class HmdsCoefficient:
+    """a_k exact through degree `cutoff`: coeffs[i] (d, d) multiplies y^{alpha_i}
+    of `basis`, and diagonal = coeffs[0] is a_k at the base point."""
+
     order: int
-    series: TaylorSeries
+    cutoff: int
+    coeffs: np.ndarray = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
+    basis: _Basis = field(repr=False, compare=False)
 
-
-def dk_inverse(k, f):
-    """(1 + D/k)^{-1}: scale order-n component by k/(k+n)."""
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError("dk_inverse requires integer k >= 1")
-    comps = tuple(f.component(n).scale(k / (k + n)) for n in range(f.cutoff + 1))
-    return TaylorSeries(f.m, f.d, f.cutoff, comps)
-
-
-def _apply_jet(jet, series, out_cutoff):
-    """L applied to a coefficient series, exact to out_cutoff."""
-    comps = []
-    for n in range(out_cutoff + 1):
-        acc = SymTensor.zeros(jet.m, 0, n, jet.d)
-        for n2 in range(min(n + 2, series.cutoff) + 1):
-            elem = jet.table[(n, n2)]
-            comp = series.component(n2)
-            if comp.max_abs() == 0.0 or elem.max_abs() == 0.0:
-                continue
-            acc = acc + inner_product(elem, comp)
-        comps.append(acc)
-    return TaylorSeries(jet.m, jet.d, out_cutoff, tuple(comps))
+    @cached_property
+    def series(self):
+        """a_k as a TaylorSeries: component n holds alpha! times each y^alpha coefficient."""
+        B, d = self.basis, self.diagonal.shape[0]
+        taylor = B.fact[:len(self.coeffs), None, None] * self.coeffs
+        comps = tuple(SymTensor(B.m, 0, n, d, taylor[None, B.offsets[n]:B.offsets[n + 1]])
+                      for n in range(self.cutoff + 1))
+        return TaylorSeries(B.m, d, self.cutoff, comps)
 
 
 def hmds_coefficients(jet, kmax, cutoff):
@@ -301,38 +299,39 @@ def hmds_coefficients(jet, kmax, cutoff):
     if cutoff + 2 * kmax > jet.cutoff:
         raise ValidationError(
             f"need jet capacity {cutoff + 2 * kmax}, operator jet has {jet.cutoff}")
-    m, d = jet.m, jet.d
+    B = _basis(jet.m, jet.cutoff + 2)
 
-    cut0 = cutoff + 2 * kmax
-    comps = [SymTensor(m, 0, 0, d, np.eye(d, dtype=complex).reshape(1, 1, d, d))]
-    comps += [SymTensor.zeros(m, 0, n, d) for n in range(1, cut0 + 1)]
-    series = TaylorSeries(m, d, cut0, tuple(comps))
-    out = [HmdsCoefficient(0, series, np.eye(d, dtype=complex))]
+    def coefficient(k, cut, a):
+        return HmdsCoefficient(k, cut, a, a[0].astype(complex), B)
 
-    prev = series
+    cut = cutoff + 2 * kmax
+    a = np.zeros((B.offsets[cut + 1], jet.d, jet.d), dtype=jet.M.dtype)
+    a[0] = np.eye(jet.d)
+    out = [coefficient(0, cut, a)]
     for k in range(1, kmax + 1):
-        cutk = cutoff + 2 * (kmax - k)
-        rhs = _apply_jet(jet, prev, cutk)
-        ak = dk_inverse(k, rhs)
-        out.append(HmdsCoefficient(k, ak, ak.component(0).entries[0, 0].copy()))
-        prev = ak
+        cut -= 2
+        nr = B.offsets[cut + 1]
+        a = (k / (k + B.degree[:nr]))[:, None, None] \
+            * np.einsum("baij,ajk->bik", jet.M[:nr, :len(a)], a)
+        if not np.all(np.isfinite(a)):
+            raise NumericError(f"heat coefficient a_{k} is not finite")
+        out.append(coefficient(k, cut, a))
     return out
 
 
 def b_lambda(k, lam, coeffs):
-    """Shifted coefficients b_k(lambda) = sum_n C(k,n) (-lambda)^{k-n} a_n."""
+    """Shifted coefficient b_k(lambda) = sum_n C(k,n) (-lambda)^{k-n} a_n, as an
+    HmdsCoefficient of order k exact through the smallest cutoff of a_0..a_k."""
     if not isinstance(k, int) or k < 0:
         raise ValidationError("order k must be a nonnegative integer")
     have = {c.order: c for c in coeffs}
     missing = [n for n in range(k + 1) if n not in have]
     if missing:
         raise ValidationError(f"b_lambda needs orders 0..{k}, missing {missing}")
-    cut = min(have[n].series.cutoff for n in range(k + 1))
-    acc = TaylorSeries.zero(coeffs[0].series.m, coeffs[0].series.d, cut)
-    for n in range(k + 1):
-        w = math.comb(k, n) * (-lam) ** (k - n)
-        acc = acc + have[n].series.truncate(cut).scale(w)
-    return acc
+    cut = min(have[n].cutoff for n in range(k + 1))
+    size = have[0].basis.offsets[cut + 1]
+    b = sum(math.comb(k, n) * (-lam) ** (k - n) * have[n].coeffs[:size] for n in range(k + 1))
+    return HmdsCoefficient(k, cut, b, b[0].astype(complex), have[0].basis)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +359,11 @@ class HeatTraceExpansion:
     def evaluate(self, t):
         if t <= 0:
             raise ValidationError("t must be positive")
-        val = sum(c * t ** e for e, c in self.terms)
-        val += sum(c * t ** e * math.log(t) for e, c in self.log_terms)
+        try:
+            val = sum(c * t ** e for e, c in self.terms)
+            val += sum(c * t ** e * math.log(t) for e, c in self.log_terms)
+        except OverflowError:
+            raise NumericError(f"heat-trace expansion overflows at t={t!r}") from None
         return val
 
     def coefficient(self, exponent):

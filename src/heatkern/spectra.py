@@ -19,6 +19,13 @@ from .errors import NumericError, ResourceError, ValidationError
 _INTERVAL_CAP = 1_000_000        # eigenvalues in one interval partial sum
 _SPHERE_CAP = 2_000_000          # eigenvalue levels in one sphere partial sum
 
+# Input ranges of the interval and Fourier routes.  Inside them every squared
+# wavenumber (2 pi n / L)^2 and squared amplitude is a finite float, and every
+# mode number is exact as a float and as an int64 offset.
+MIN_LENGTH = 1e-100
+MAX_MODE = 2 ** 53
+MAX_AMPLITUDE = 1e100
+
 
 @dataclass(frozen=True)
 class SpectralModel:
@@ -108,6 +115,8 @@ def _robin_eigenvalues(L, S, count):
 def interval_model(L, bc, S=None):
     if L <= 0:
         raise ValidationError("interval length must be positive")
+    if not L >= MIN_LENGTH:
+        raise ValidationError(f"interval length {L!r} is below {MIN_LENGTH:g}")
     bc = bc.upper() if bc.lower() != "robin" else "robin"
     c = (math.pi / L) ** 2
 
@@ -245,9 +254,14 @@ def _normalize_modes(modes, m):
         k = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
         if len(k) != m:
             raise ValidationError(f"mode key {key!r} has wrong dimension")
+        if any(abs(x) > MAX_MODE for x in k):
+            raise ValidationError(f"mode key {key!r} exceeds {MAX_MODE} in magnitude")
         out[k] = complex(amp)
         if not cmath.isfinite(out[k]):
             raise ValidationError(f"potential mode {key!r} amplitude {amp!r} is not finite")
+        if abs(out[k]) > MAX_AMPLITUDE:
+            raise ValidationError(f"potential mode {key!r} amplitude {amp!r} exceeds "
+                                  f"{MAX_AMPLITUDE:g}")
     for k, amp in out.items():
         mk = tuple(-x for x in k)
         if mk not in out or abs(out[mk] - amp.conjugate()) > 1e-12:
@@ -348,6 +362,8 @@ def torus_potential_trace(periods, modes, cutoff, t):
     periods = tuple(float(p) for p in periods)
     if not all(0 < p < math.inf for p in periods):
         raise ValidationError("periods must be positive and finite")
+    if min(periods) < MIN_LENGTH:
+        raise ValidationError(f"period {min(periods)!r} is below {MIN_LENGTH:g}")
     if cutoff < 0:
         raise ValidationError("fourier cutoff must be >= 0")
     m = len(periods)

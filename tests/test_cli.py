@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -264,11 +265,21 @@ GRID = "[grid]\nstart = 0.1\n"
     ("sphere", "radius = 1e200\n" + GRID, "sphere radius 1e+200 gives a non-finite"),
     ("interval", "length = 1e300\n" + GRID, "over the cap of 1000000"),
     ("sphere", "radius = 1e10\n" + GRID, "over the cap of 2000000"),
+    ("sphere", "[grid]\nstart = 1e300\n", "heat-trace expansion overflows at t=1e+300"),
+    ("interval", "length = 1e-300\n" + GRID, "interval length 1e-300 is below 1e-100"),
+    ("circle", GRID + "[operator]\nmode = 1000000000000000000000\n",
+     "potential mode (1000000000000000000000,) exceeds 9007199254740992"),
+    ("circle", "length = 1e-300\n" + GRID, "period 1e-300 is below 1e-100"),
+    ("circle", GRID + "[operator]\namplitude = 1e300\n", "amplitude exceeds 1e+100"),
+    ("sphere", GRID + "[operator]\npotential = 1e300\n", "heat coefficient a_2 is not finite"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
     path = write_ini(tmp_path,
                      f"[run]\ntask = compare\n[geometry]\nkind = {kind}\n{blocks}")
-    rc = main(["compare", "--config", path, "--out", str(tmp_path / "o.csv")])
+    with warnings.catch_warnings():
+        # a numpy RuntimeWarning would be a second stderr line
+        warnings.simplefilter("error")
+        rc = main(["compare", "--config", path, "--out", str(tmp_path / "o.csv")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and needle in err

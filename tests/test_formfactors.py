@@ -198,6 +198,27 @@ def test_background_hermiticity_enforced():
                              potential_modes={(1,): 1j, (-1,): 1j})
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(periods=(1e-300,), potential_modes={(1,): 0.1, (-1,): 0.1}), "below 1e-100"),
+    (dict(periods=(1.0,), potential_modes={(10 ** 21,): 0.1, (-10 ** 21,): 0.1}),
+     "exceeds 9007199254740992"),
+    (dict(periods=(1.0,), potential_modes={(1,): 1e300, (-1,): 1e300}), "exceeds 1e\\+100"),
+])
+def test_background_rejects_out_of_range_inputs(kwargs, match):
+    # every |k(n)|^2 and |Qhat|^2 the channel sums form must stay a float
+    with pytest.raises(ValidationError, match=match):
+        ff.FourierBackground(m=1, **kwargs)
+
+
+def test_background_curvature_amplitude_bound():
+    m, d = 2, 1
+    b = np.zeros((m, m, d, d), dtype=complex)
+    b[0, 1], b[1, 0] = 1e101, -1e101
+    with pytest.raises(ValidationError, match="exceeds 1e\\+100"):
+        ff.FourierBackground(m=m, periods=(1.0, 1.0),
+                             curvature_modes={(1, 0): b, (-1, 0): -np.conj(b)})
+
+
 def test_background_curvature_constraints():
     m, d = 2, 1
     b = np.zeros((m, m, d, d), dtype=complex)

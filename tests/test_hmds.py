@@ -10,7 +10,7 @@ import pytest
 
 from heatkern import hmds
 from heatkern import tensorcalc as tc
-from heatkern.errors import ValidationError
+from heatkern.errors import NumericError, ValidationError
 
 
 def make_fixture(kind, m, q=0.0, d=1, curvature=None, kmax=3, cutoff=2, **geo):
@@ -31,19 +31,24 @@ FIXTURES = [
 ]
 
 
+def recursion_residual(jet, coeffs):
+    """max |(1 + D/k) a_k - L a_{k-1}| over k and every stored monomial coefficient."""
+    expo = hmds._basis(jet.m, jet.cutoff + 2).expo
+    worst = 0.0
+    for prev, cur in zip(coeffs, coeffs[1:]):
+        a, b = prev.coeffs, cur.coeffs
+        lhs = (1.0 + expo[:len(b)].sum(axis=1) / cur.order)[:, None, None] * b
+        rhs = np.matmul(jet.M[:len(b), :len(a)], a[None]).sum(axis=1)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
 @pytest.mark.parametrize("kind,m,q,geo", FIXTURES)
 def test_recursion_residuals(kind, m, q, geo):
     # (1 + D/k) a_k = L a_{k-1} exactly on every stored order
     _, _, jet, coeffs = make_fixture(kind, m, q=q, **geo)
-    kmax, cutoff = 3, 2
-    for k in range(1, kmax + 1):
-        cutk = cutoff + 2 * (kmax - k)
-        rhs = hmds._apply_jet(jet, coeffs[k - 1].series, cutk)
-        worst = 0.0
-        for n in range(cutk + 1):
-            lhs = coeffs[k].series.component(n).scale(1.0 + n / k)
-            worst = max(worst, (lhs - rhs.component(n)).max_abs())
-        assert worst < 1e-10
+    assert [c.cutoff for c in coeffs] == [8, 6, 4, 2]
+    assert recursion_residual(jet, coeffs) < 1e-10
 
 
 @pytest.mark.parametrize("kind,m,q,geo", FIXTURES)
@@ -127,6 +132,12 @@ def test_flat_matrix_potential_exponentiates():
                              - np.linalg.matrix_power(Q0, k))) < 1e-12
 
 
+def degree_gap(jet):
+    """|alpha| - |beta| at every entry M[beta, alpha]."""
+    deg = hmds._basis(jet.m, jet.cutoff + 2).degree[:len(jet.M)]
+    return deg[None, :] - deg[:, None]
+
+
 def test_operator_jet_band_structure():
     # <m'|L|n> vanishes for n > m' + 2; with flat metric and constant Q only
     # the n = m' (potential) and n = m' + 2 (second derivative) bands survive.
@@ -134,11 +145,9 @@ def test_operator_jet_band_structure():
     geom = tc.build_model_geometry("flat", 2, cutoff=cap)
     pot = tc.PotentialJet.constant(2, 1, [[0.7]], cutoff=cap)
     jet = hmds.build_operator_jet(geom, pot, cap)
-    for (mp, n), elem in jet.table.items():
-        if n > mp + 2:
-            assert elem.max_abs() == 0.0
-        elif n not in (mp, mp + 2):
-            assert elem.max_abs() == 0.0
+    band = degree_gap(jet)
+    assert not jet.M[(band != 0) & (band != 2)].any()
+    assert jet.M[band == 0].any() and jet.M[band == 2].any()
 
 
 def test_sphere_band_respects_sparsity():
@@ -146,9 +155,7 @@ def test_sphere_band_respects_sparsity():
     geom = tc.build_model_geometry("sphere", 2, cutoff=cap, radius=1.0)
     pot = tc.PotentialJet.zero(2, cutoff=cap)
     jet = hmds.build_operator_jet(geom, pot, cap)
-    for (mp, n), elem in jet.table.items():
-        if n > mp + 2:
-            assert elem.max_abs() == 0.0
+    assert not jet.M[degree_gap(jet) > 2].any()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,7 @@ def test_sphere_band_respects_sparsity():
 # ---------------------------------------------------------------------------
 
 def b_diag(k, lam, coeffs):
-    return hmds.b_lambda(k, lam, coeffs).component(0).entries[0, 0]
+    return hmds.b_lambda(k, lam, coeffs).diagonal
 
 
 def test_b_lambda_at_zero_shift():
@@ -182,8 +189,10 @@ def test_b_lambda_equals_shifted_potential():
     _, _, _, shifted = make_fixture("sphere", 2, q=q - lam, radius=1.0)
     for k in range(4):
         b = hmds.b_lambda(k, lam, coeffs)
-        ref = shifted[k].series
-        worst = max((b.component(n) - ref.component(n)).max_abs()
+        assert b.cutoff == shifted[k].cutoff
+        assert np.max(np.abs(b.coeffs - shifted[k].coeffs)) < 1e-12
+        got, ref = b.series, shifted[k].series
+        worst = max(np.max(np.abs(got.component(n).entries - ref.component(n).entries))
                     for n in range(b.cutoff + 1))
         assert worst < 1e-12
 
@@ -214,6 +223,13 @@ def test_expansion_exponent_ordering():
         exp.evaluate(0.0)
 
 
+def test_expansion_overflow_is_numeric_error():
+    exp = hmds.HeatTraceExpansion(m=2, terms=((-1.0, 1.0), (2.0, 0.5)))
+    assert exp.evaluate(1e100) == pytest.approx(0.5e200)
+    with pytest.raises(NumericError, match="overflows at t=1e\\+300"):
+        exp.evaluate(1e300)
+
+
 def test_expansion_log_terms_slot():
     exp = hmds.HeatTraceExpansion(m=2, terms=((-1.0, 1.0),),
                                   log_terms=((0.0, 0.5),))
@@ -226,7 +242,8 @@ def test_expansion_log_terms_slot():
 # ---------------------------------------------------------------------------
 
 def symbolic_operator_jet(m, cutoff, radius, q, field):
-    """<m'|L|n> for m', n <= cutoff from exact sympy polynomial arithmetic.
+    """M[beta, alpha], the y^beta coefficient of L y^alpha for |alpha|, |beta| <=
+    cutoff in the dense basis order, from exact sympy polynomial arithmetic.
 
     The metric is the closed form g = f(w) delta + (1 - f(w))/w y y^T with
     f = sin^2(sqrt(w)/a)/(w/a^2) (flat when radius is None), expanded from
@@ -296,18 +313,12 @@ def symbolic_operator_jet(m, cutoff, radius, q, field):
             flux += cov(mu, trunc(g_half * s))
         return trunc(g_quarter * trunc(-g_mhalf * flux + Q * inner))
 
-    table = {}
-    for n in range(cutoff + 1):
-        images = []
-        for U in tc.multi_indices(m, n):
-            phi = poly(sp.Mul(*[ys[i] for i in U]))
-            images.append(apply_L(phi).as_dict())
-        for mp in range(cutoff + 1):
-            lows = [tc.exponents(L, m) for L in tc.multi_indices(m, mp)]
-            table[(mp, n)] = np.array(
-                [[complex(img.get(beta, 0)) * math.prod(map(math.factorial, beta))
-                  / math.factorial(n) for beta in lows] for img in images])
-    return table
+    monomials = [tc.exponents(U, m) for n in range(cutoff + 1) for U in tc.multi_indices(m, n)]
+    M = np.zeros((len(monomials), len(monomials)), dtype=complex)
+    for i, alpha in enumerate(monomials):
+        image = apply_L(poly(sp.Mul(*[y ** e for y, e in zip(ys, alpha)]))).as_dict()
+        M[:, i] = [complex(image.get(beta, 0)) for beta in monomials]
+    return M
 
 
 def polynomial_potential(m, cutoff, q, curvature=None):
@@ -342,13 +353,18 @@ def test_operator_jet_matches_symbolic_expansion(m, cutoff, radius, q, field):
     pot = polynomial_potential(m, cutoff, q, curvature=curv)
     jet = hmds.build_operator_jet(geom, pot, cutoff)
     want = symbolic_operator_jet(m, cutoff, radius, q, field)
-    assert set(jet.table) == set(want)
-    table_max = max(float(np.max(np.abs(exact))) for exact in want.values())
-    for key, exact in want.items():
-        got = jet.table[key].entries[:, :, 0, 0]
-        # relative to the block, or to the whole table for a block that is exactly 0
-        scale = float(np.max(np.abs(exact))) or table_max
-        assert np.max(np.abs(got - exact)) <= 1e-12 * scale, key
+    assert jet.M.shape == want.shape + (1, 1)
+    got = jet.M[:, :, 0, 0]
+    offsets = hmds._basis(m, cutoff + 2).offsets
+    # entry by entry, relative to its block of degrees (|beta|, |alpha|), or to
+    # the whole matrix for a block that is exactly 0
+    for mp in range(cutoff + 1):
+        rows = slice(offsets[mp], offsets[mp + 1])
+        for n in range(cutoff + 1):
+            cols = slice(offsets[n], offsets[n + 1])
+            exact = want[rows, cols]
+            scale = float(np.max(np.abs(exact))) or float(np.max(np.abs(want)))
+            assert np.max(np.abs(got[rows, cols] - exact)) <= 1e-12 * scale, (mp, n)
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +397,44 @@ def test_flat_m3_matrix_potential_tower_is_exact():
 @pytest.mark.parametrize("kind,m,d,cutoff,geo", [
     ("sphere", 3, 1, 4, dict(radius=1.2)),
     ("flat", 2, 2, 3, dict(volume=1.0)),
+    ("flat", 2, 2, 3, dict(volume=1.0, field=0.7)),
 ])
 def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
-    # callers read <m'|L|n> as table[(m', n)]: a SymTensor with n upper and m'
-    # lower slots for every m', n <= cutoff
+    # the jet is one matrix M[beta, alpha] over the N monomials of degree <=
+    # cutoff; it is real unless a connection is present
+    geo = dict(geo)
+    field = geo.pop("field", None)
+    curv = None
+    if field is not None:
+        curv = np.zeros((m, m, d, d), dtype=complex)
+        curv[0, 1] = 1j * field * np.eye(d)
+        curv[1, 0] = -curv[0, 1]
     geom = tc.build_model_geometry(kind, m, cutoff=cutoff, **geo)
-    pot = tc.PotentialJet.constant(m, d, 0.4 * np.eye(d), cutoff=cutoff)
+    pot = tc.PotentialJet.constant(m, d, 0.4 * np.eye(d), curvature=curv, cutoff=cutoff)
     jet = hmds.build_operator_jet(geom, pot, cutoff)
-    pairs = {(mp, n) for mp in range(cutoff + 1) for n in range(cutoff + 1)}
-    assert set(jet.table) == pairs
-    for mp, n in pairs:
-        elem = jet.element(mp, n)
-        assert elem is jet.table[(mp, n)]
-        assert isinstance(elem, tc.SymTensor)
-        assert (elem.m, elem.p, elem.q, elem.d) == (m, n, mp, d)
-        assert elem.entries.shape == (len(tc.multi_indices(m, n)),
-                                      len(tc.multi_indices(m, mp)), d, d)
+    N = sum(len(tc.multi_indices(m, n)) for n in range(cutoff + 1))
+    assert (jet.m, jet.d, jet.cutoff) == (m, d, cutoff)
+    assert jet.M.shape == (N, N, d, d)
+    assert jet.M.dtype == (float if field is None else complex)
+    assert jet.M.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m,deg,d,scalar", [(2, 5, 2, False), (3, 4, 1, True), (2, 6, 3, True)])
+def test_dense_product_matches_brute_force(m, deg, d, scalar):
+    # C P truncated at degree deg, with C's fiber block on the left
+    B = hmds._basis(m, deg)
+    rng = np.random.default_rng(17 + m + deg)
+    C = rng.standard_normal(B.N) if scalar else rng.standard_normal((B.N, d, d))
+    C[rng.random(B.N) < 0.5] = 0.0
+    P = rng.standard_normal((B.N, d, d)) + 1j * rng.standard_normal((B.N, d, d))
+    position = {tuple(e): i for i, e in enumerate(B.expo.tolist())}
+    want = np.zeros_like(P)
+    for j, cj in enumerate(C):
+        for i, pi in enumerate(P):
+            k = position.get(tuple(B.expo[i] + B.expo[j]))
+            if k is not None:
+                want[k] += cj * pi if scalar else cj @ pi
+    assert np.max(np.abs(hmds._times(B, C, P) - want)) < 1e-13
 
 
 def test_dense_basis_follows_multi_indices_and_is_built_lazily():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,31 @@ def test_torus_trace_rejects_non_finite_amplitude(amp):
 def test_torus_trace_rejects_bad_periods_and_times(periods, t):
     with pytest.raises(ValidationError):
         spectra.torus_potential_trace(periods, {}, cutoff=8, t=t)
+
+
+@pytest.mark.parametrize("periods,modes,match", [
+    ((1e-300,), {}, "period 1e-300 is below 1e-100"),
+    ((1.0, 1e-101), {}, "period 1e-101 is below 1e-100"),
+    ((1.0,), {(10 ** 21,): 0.1, (-10 ** 21,): 0.1}, "exceeds 9007199254740992"),
+    ((1.0,), {(1,): 1e101, (-1,): 1e101}, "exceeds 1e\\+100"),
+])
+def test_torus_trace_rejects_out_of_range_inputs(periods, modes, match):
+    with pytest.raises(ValidationError, match=match):
+        spectra.torus_potential_trace(periods, modes, cutoff=4, t=0.5)
+
+
+def test_fourier_and_interval_range_edges_are_accepted():
+    # at the edges every square stays a float: no warning, a finite trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mode = spectra.MAX_MODE
+        free = spectra.torus_potential_trace((2 * math.pi,), {}, cutoff=8, t=0.5)
+        far = spectra.torus_potential_trace((2 * math.pi,), {(mode,): 0.1, (-mode,): 0.1},
+                                            cutoff=8, t=0.5)
+        assert far == free
+        assert spectra.interval_trace(spectra.MIN_LENGTH, "NN", 0.1) == 1.0
+    with pytest.raises(ValidationError, match="below 1e-100"):
+        spectra.interval_trace(1e-300, "DD", 0.1)
 
 
 def test_torus_trace_matrix_budget():
