@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HeatkernError, ValidationError
+from .errors import HeatkernError, NumericError, ValidationError
 from .formfactors import FourierBackground, h_functional
 from .hmds import build_operator_jet, hmds_coefficients, trace_expansion
 from .spectra import (interval_trace, landau_trace_density, sphere_trace,
@@ -209,9 +209,12 @@ class _Model:
             cutoff = _value(op, "operator", "cutoff", int, 64)
 
             def asym(t, bg=bg, vol=vol, pref=pref, a2=a2, m=m):
-                val = pref * vol * t ** (-m / 2.0) + a2 * t ** (1.0 - m / 2.0)
-                if bg.potential_modes:
-                    val += t ** (2.0 - m / 2.0) * h_functional(bg, t)
+                try:
+                    val = pref * vol * t ** (-m / 2.0) + a2 * t ** (1.0 - m / 2.0)
+                    if bg.potential_modes:
+                        val += t ** (2.0 - m / 2.0) * h_functional(bg, t)
+                except OverflowError:
+                    raise NumericError(f"heat-trace expansion overflows at t={t!r}") from None
                 return val
 
             spectra_modes = {k: complex(v) for k, v in modes.items()}

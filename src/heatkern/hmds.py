@@ -11,8 +11,8 @@ batched, to the test monomials 1, y_mu, y_mu y_nu gives a, b and c (c = L 1,
 b^mu = L y_mu - c y_mu, ...).
 
 Polynomials are dense arrays over the monomials y^alpha of degree <= cutoff + 2
-(`_Basis`), and the operator jet is one matrix on the monomials of degree
-<= cutoff,
+(`tensorcalc._Basis`), and the operator jet is one matrix on the monomials of
+degree <= cutoff,
 
     M[beta, alpha] = coefficient of y^beta in L y^alpha
                    = sum_gamma alpha!/(alpha - gamma)! K_gamma[beta - alpha + gamma],
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -53,77 +53,17 @@ from .tensorcalc import (
     PotentialJet,
     SymTensor,
     TaylorSeries,
+    _Basis,
+    _basis,
+    _pad,
     _series_pow,
-    exponents,
-    multi_indices,
+    _times,
 )
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over the graded monomial basis
+# operator jet
 # ---------------------------------------------------------------------------
-
-class _Basis:
-    """Monomials y^alpha with |alpha| <= deg, by degree and in multi_indices order.
-
-    A polynomial is an array (batch..., N, d, d) of monomial coefficients, or
-    (N,) for a scalar one; its order-n slice is in a SymTensor's lower-index
-    order.  Index maps use N for "outside the basis", and column N maps N to
-    N: `down[mu]` takes alpha to alpha - e_mu and `up[mu]` to alpha + e_mu.
-    `quot[j, k]` is the position of y^{alpha_k} / y^{alpha_j}: the product
-    pair map read backwards, so a gather through row j of a zero-padded array
-    multiplies by y^{alpha_j} and truncates at `deg`.
-    """
-
-    def __init__(self, m, deg):
-        self.m, self.deg = m, deg
-        rows = [exponents(idx, m) for n in range(deg + 1) for idx in multi_indices(m, n)]
-        position = {r: i for i, r in enumerate(rows)}
-        self.expo = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-        self.N = N = len(rows)
-        self.degree = self.expo.sum(axis=1)
-        self.offsets = np.cumsum([0] + [len(multi_indices(m, n)) for n in range(deg + 1)])
-        self.fact = np.array([math.prod(map(math.factorial, r)) for r in rows], dtype=float)
-        self.down = np.full((m, N + 1), N)
-        self.up = np.full((m, N + 1), N)
-        for mu in range(m):
-            ks = [k for k, r in enumerate(rows) if r[mu]]
-            self.down[mu, ks] = [position[rows[k][:mu] + (rows[k][mu] - 1,) + rows[k][mu + 1:]]
-                                 for k in ks]
-            self.up[mu, self.down[mu, ks]] = ks
-        self.up_weight = (self.expo.T + 1).astype(float)      # (m, N): alpha_mu + 1
-        # |y|^{2k} = sum over even alpha of the multinomial (k; alpha/2) y^alpha
-        self._even = np.all(self.expo % 2 == 0, axis=1)
-        self._half = self.degree[self._even] // 2
-        self._multinomial = np.array(
-            [math.factorial(sum(r) // 2) // math.prod(math.factorial(e // 2) for e in r)
-             for r in self.expo[self._even].tolist()], dtype=float)
-        # dividing by y^{alpha_i} is dividing by y^{alpha_i - e_mu}, then by y_mu
-        quot = np.empty((N, N + 1), dtype=np.min_scalar_type(N))
-        quot[0] = np.arange(N + 1)
-        for i in range(1, N):
-            mu = next(a for a, e in enumerate(rows[i]) if e)
-            quot[i] = self.down[mu, quot[self.down[mu, i]]]
-        self.quot = quot[:, :N]
-
-    def radial(self, series):
-        """sum_k series[k] |y|^{2k} as a scalar polynomial (N,)."""
-        coeffs = np.zeros(self.deg // 2 + 1)
-        coeffs[:len(series)] = series[:len(coeffs)]
-        out = np.zeros(self.N)
-        out[self._even] = coeffs[self._half] * self._multinomial
-        return out
-
-
-@lru_cache(maxsize=8)
-def _basis(m, deg):
-    return _Basis(m, deg)
-
-
-def _pad(P):
-    zero = np.zeros(P.shape[:-3] + (1,) + P.shape[-2:], dtype=P.dtype)
-    return np.concatenate([P, zero], axis=-3)
-
 
 def _falling(alpha, gamma):
     """alpha!/(alpha - gamma)!, the coefficient of d^gamma y^alpha; 0 unless alpha >= gamma."""
@@ -134,31 +74,10 @@ def _falling(alpha, gamma):
     return out
 
 
-def _times(B, C, P):
-    """C P for a scalar (N,) or matrix (N, d, d) polynomial C, truncated at deg.
-
-    Sums C_j y^{alpha_j} P over C's support in basis order, so each
-    coefficient is accumulated in a fixed order; y^{alpha_j} P starts at
-    degree |alpha_j|, so only that tail of the output is touched.
-    """
-    Ppad = _pad(P)
-    out = np.zeros_like(P)
-    for j in np.flatnonzero(C if C.ndim == 1 else np.any(C, axis=(1, 2))):
-        lo = B.offsets[B.degree[j]]
-        shifted = Ppad[..., B.quot[j, lo:], :, :]
-        out[..., lo:, :, :] += C[j] * shifted if C.ndim == 1 else C[j] @ shifted
-    return out
-
-
 def _cov(B, conn, mu, P):
     """(d_mu + A_mu) P."""
     out = B.up_weight[mu, :, None, None] * _pad(P)[..., B.up[mu, :B.N], :, :]
     return out if conn is None else out + _times(B, conn[mu], P)
-
-
-# ---------------------------------------------------------------------------
-# operator jet
-# ---------------------------------------------------------------------------
 
 def _metric_polynomials(geom, B):
     """det(g)^{1/2}, det(g)^{-1/2}, det(g)^{1/4}, det(g)^{-1/4} and g^{mu nu} on B.

@@ -6,8 +6,9 @@ Two regimes where the diagonal heat kernel closes algebraically:
   a pure determinant factor det^{1/2}(t R / sinh(t R)) times tr e^{-tQ};
 * symmetric spaces: the diagonal is a Gaussian average over the holonomy
   algebra of a ratio of sinh determinants, evaluated either as an asymptotic
-  series in t (exact Gaussian moments of the expanded integrand) or by direct
-  quadrature inside the pole-free window.
+  series in t (exact Gaussian moments of the expanded integrand, on the dense
+  monomial basis shared with hmds) or by direct quadrature inside the
+  pole-free window.
 
 The omega-integral is treated primarily as an asymptotic series: the 1/sinh
 factor has poles on the real axis, so the literal integral only makes sense
@@ -26,8 +27,24 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import gauss_hermite_average
+from .tensorcalc import _basis, _pad, _times
 
 _K_MAX = 6
+
+
+def _finite(a, what):
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} must be finite")
+    return a
+
+
+def _endomorphism(Q):
+    """Q as a finite Hermitian matrix; None is the 1 x 1 zero."""
+    q = np.zeros((1, 1), dtype=complex) if Q is None else np.asarray(Q, dtype=complex)
+    q = _finite(q.reshape(1, 1) if q.ndim == 0 else q, "endomorphism")
+    if np.max(np.abs(q - q.conj().T)) > 1e-12:
+        raise ValidationError("endomorphism must be Hermitian")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +60,12 @@ class ConstantFieldStrength:
     Q: np.ndarray = None
 
     def __post_init__(self):
-        r = np.asarray(self.rhat, dtype=float).reshape(self.m, self.m)
+        r = _finite(np.asarray(self.rhat, dtype=float).reshape(self.m, self.m),
+                    "field strength")
         if np.max(np.abs(r + r.T)) > 1e-12:
             raise ValidationError("field strength must be antisymmetric")
         object.__setattr__(self, "rhat", r)
-        q = np.zeros((1, 1)) if self.Q is None else np.asarray(self.Q, dtype=complex)
-        if q.ndim == 0:
-            q = q.reshape(1, 1)
-        if np.max(np.abs(q - q.conj().T)) > 1e-12:
-            raise ValidationError("endomorphism must be Hermitian")
-        object.__setattr__(self, "Q", q)
+        object.__setattr__(self, "Q", _endomorphism(self.Q))
 
     def rotation_frequencies(self):
         """Positive frequencies B_j, one per +iB_j eigenvalue of rhat."""
@@ -103,8 +116,9 @@ class SymmetricSpaceData:
     R_G: float = field(init=False)
 
     def __post_init__(self):
-        E = np.asarray(self.E, dtype=float).reshape(self.p, self.m, self.m)
-        beta = np.asarray(self.beta, dtype=float).reshape(self.p, self.p)
+        E = _finite(np.asarray(self.E, dtype=float).reshape(self.p, self.m, self.m),
+                    "holonomy generators")
+        beta = _finite(np.asarray(self.beta, dtype=float).reshape(self.p, self.p), "beta")
         if np.max(np.abs(E + E.transpose(0, 2, 1))) > 1e-12:
             raise ValidationError("holonomy generators must be antisymmetric")
         if np.max(np.abs(beta - beta.T)) > 1e-12 or np.any(np.linalg.eigvalsh(beta) <= 0):
@@ -165,24 +179,17 @@ class SymmetricSpaceData:
 
 def build_symmetric_space(fixture, radius=1.0):
     """Holonomy data for the supported fixtures S2 and S3."""
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
-    kappa = 1.0 / radius ** 2
+    if not 0 < radius < math.inf:
+        raise ValidationError("radius must be positive and finite")
+    kappa = 1.0 / radius / radius     # 0 or inf off the float range: beta rejects it
     if fixture == "S2":
         eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
         return SymmetricSpaceData(m=2, p=1, E=eps[None], beta=[[kappa]])
     if fixture == "S3":
-        E = np.zeros((3, 3, 3))
-        for i in range(3):
-            for a in range(3):
-                for b in range(3):
-                    E[i, a, b] = _levi_civita(i, a, b)
-        return SymmetricSpaceData(m=3, p=3, E=E, beta=kappa * np.eye(3))
+        i, a, b = np.indices((3, 3, 3))
+        E = (i - a) * (a - b) * (b - i) / 2.0        # Levi-Civita epsilon_{iab}
+        return SymmetricSpaceData(m=3, p=3, E=E, beta=np.diag([kappa] * 3))
     raise ValidationError(f"unsupported fixture {fixture!r}; use 'S2' or 'S3'")
-
-
-def _levi_civita(i, j, k):
-    return (i - j) * (j - k) * (k - i) / 2
 
 
 @lru_cache(maxsize=None)
@@ -198,80 +205,44 @@ def _log_sinh_coeffs(kmax):
     return tuple(b)
 
 
-# scalar polynomials in omega: dict exponent-tuple -> float
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0.0) + ca * cb
-    return out
+def _traced_powers(B, mats, jmax):
+    """tr((x . M)^{2j}) for j = 0..jmax as scalar (N, 1, 1) polynomials on B."""
+    P = np.eye(B.N, 1)[:, :, None] * np.eye(mats.shape[1])       # (x . M)^0
+    traces = [np.trace(P, axis1=1, axis2=2)]
+    for n in range(1, 2 * jmax + 1):
+        P = sum(_pad(P)[B.down[i, :B.N]] @ mats[i] for i in range(len(mats)))
+        if n % 2 == 0:
+            traces.append(np.trace(P, axis1=1, axis2=2))
+    return np.array(traces)[:, :, None, None]
 
 
-def _poly_axpy(acc, poly, scale):
-    for e, c in poly.items():
-        acc[e] = acc.get(e, 0.0) + scale * c
+def _graded_exp(B, s):
+    """Grades G_0..G_K (K = B.deg // 2) of exp(sum_j s_j) as a (K + 1, N) array.
+
+    s_j = s[j - 1] is a scalar (N, 1, 1) polynomial of grade j, and 0 past the
+    end of s; k G_k = sum_j j s_j G_{k-j}.
+    """
+    G = [np.eye(B.N, 1)[:, :, None]]
+    for k in range(1, B.deg // 2 + 1):
+        G.append(sum(j * _times(B, s[j - 1], G[k - j])
+                     for j in range(1, min(k, len(s)) + 1)) / k)
+    return np.array(G)[:, :, 0, 0]
 
 
-def _traced_powers(mats, p, jmax):
-    """tr((omega . M)^{2j}) for j = 1..jmax as omega-polynomials."""
-    if jmax == 0 or not np.any(mats):
-        return {j: {} for j in range(1, jmax + 1)}
-    n = mats.shape[1]
-    lin = {}
-    for i in range(p):
-        e = tuple(1 if k == i else 0 for k in range(p))
-        lin[e] = mats[i]
-    power = {tuple([0] * p): np.eye(n)}
-    traces = {}
-    for step in range(1, 2 * jmax + 1):
-        nxt = {}
-        for ea, Ma in power.items():
-            for eb, Mb in lin.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = nxt.get(e)
-                nxt[e] = Ma @ Mb if acc is None else acc + Ma @ Mb
-        power = nxt
-        if step % 2 == 0:
-            traces[step // 2] = {e: float(np.trace(M)) for e, M in power.items()
-                                 if abs(np.trace(M)) > 0}
-    return traces
+def _normal_moments(B, cov):
+    """E[x^alpha] = alpha! [x^alpha] exp(x^T cov x / 2) for x ~ N(0, cov), on B.
 
-
-def _gauss_moment(expo, cov, memo):
-    """E[prod omega_i^{expo_i}] for centered Gaussian with covariance cov."""
-    if sum(expo) == 0:
-        return 1.0
-    if sum(expo) % 2 == 1:
-        return 0.0
-    cached = memo.get(expo)
-    if cached is not None:
-        return cached
-    i = next(k for k, e in enumerate(expo) if e > 0)
-    rest = list(expo)
-    rest[i] -= 1
-    total = 0.0
-    for k in range(len(expo)):
-        if rest[k] == 0:
-            continue
-        sub = list(rest)
-        sub[k] -= 1
-        total += cov[i, k] * rest[k] * _gauss_moment(tuple(sub), cov, memo)
-    memo[expo] = total
-    return total
+    At degree 0 the quadratic lies off the basis, where B.up points at N, so
+    it is built with one extra slot.
+    """
+    quad = np.zeros(B.N + 1)
+    np.add.at(quad, B.up[:, B.up[:, 0]], cov / 2.0)
+    return B.fact * _graded_exp(B, [quad[:B.N, None, None]]).sum(axis=0)
 
 
 def _fiber_matrix(space, Q):
-    if Q is None:
-        q = np.zeros((1, 1), dtype=complex)
-    else:
-        q = np.asarray(Q, dtype=complex)
-        if q.ndim == 0:
-            q = q.reshape(1, 1)
-    if np.max(np.abs(q - q.conj().T)) > 1e-12:
-        raise ValidationError("endomorphism must be Hermitian")
-    shift = space.R / 8.0 + space.R_H / 6.0
-    return q - shift * np.eye(q.shape[0])
+    q = _endomorphism(Q)
+    return q - (space.R / 8.0 + space.R_H / 6.0) * np.eye(q.shape[0])
 
 
 def theta_series(space, Q=None, order=4):
@@ -279,47 +250,32 @@ def theta_series(space, Q=None, order=4):
 
     U^diag(t) = (4 pi t)^{-m/2} sum_k c_k t^k + O(t^{order+1-m/2}), fiber
     trace normalized so c_0 = 1.  The Gaussian omega-average is evaluated
-    exactly: both determinant factors are expanded through t^order via
-    log(sinh x / x), exponentiated as a graded series, and the resulting
-    even polynomial moments are taken with covariance 2 beta^{-1}.
+    exactly, with polynomials in the p holonomy variables as dense arrays on
+    tensorcalc's monomial basis of degree <= 2 order: both determinant factors
+    are expanded through t^order via log(sinh x / x) and exponentiated as a
+    graded series G_k; the moments of the Gaussian with covariance 2 beta^{-1}
+    are the graded exponential of its quadratic form, and c_k pairs the two.
     """
     if not isinstance(order, int) or order < 0:
         raise ValidationError("order must be a nonnegative integer")
     if order > _K_MAX:
         raise ValidationError(f"order must be <= {_K_MAX}")
     K = order
-    bcoef = _log_sinh_coeffs(K)
-    trF = _traced_powers(space.F.transpose(1, 0, 2), space.p, K)
-    trD = _traced_powers(space.D, space.p, K)
-
-    # log integrand = sum_j t^j s_j(omega)
-    s = {j: {} for j in range(1, K + 1)}
-    for j in range(1, K + 1):
-        w = float(bcoef[j]) / 2.0 / 4 ** j
-        _poly_axpy(s[j], trF[j], w)
-        _poly_axpy(s[j], trD[j], -w)
-
-    # graded exponential: k G_k = sum_j j s_j G_{k-j}
-    zero = tuple([0] * space.p)
-    G = [{zero: 1.0}]
-    for k in range(1, K + 1):
-        acc = {}
-        for j in range(1, k + 1):
-            for e, c in _poly_mul(s[j], G[k - j]).items():
-                acc[e] = acc.get(e, 0.0) + j * c
-        G.append({e: c / k for e, c in acc.items()})
-
+    B = _basis(space.p, 2 * K)
+    # polynomials in x = omega / sigma, sigma a power of 2 near the Gaussian
+    # width, so that rescaling is exact and nothing overflows at extreme radii
     cov = 2.0 * np.linalg.inv(space.beta)
-    memo = {}
-    gamma = [sum(c * _gauss_moment(e, cov, memo) for e, c in g.items()) for g in G]
+    sigma = 2.0 ** (math.frexp(np.max(np.abs(cov)))[1] // 2)
+    bcoef = _log_sinh_coeffs(K)
+    tr = _traced_powers(B, sigma * space.F.transpose(1, 0, 2), K) \
+        - _traced_powers(B, sigma * space.D, K)
+    # log integrand = sum_j t^j s_j(x)
+    G = _graded_exp(B, [float(bcoef[j]) / 2.0 / 4 ** j * tr[j] for j in range(1, K + 1)])
+    gamma = (G @ _normal_moments(B, cov / (sigma * sigma))).tolist()
 
-    M = _fiber_matrix(space, Q)
-    d = M.shape[0]
-    Mpow = np.eye(d, dtype=complex)
-    fib = []
-    for a in range(K + 1):
-        fib.append((-1.0) ** a / math.factorial(a) * float(np.trace(Mpow).real) / d)
-        Mpow = Mpow @ M
+    # fiber factor tr e^{-tM} / d = sum_a t^a tr (-M)^a / (a! d)
+    lam = np.linalg.eigvalsh(_fiber_matrix(space, Q))
+    fib = [float(np.mean((-lam) ** a)) / math.factorial(a) for a in range(K + 1)]
     return [sum(fib[a] * gamma[k - a] for a in range(k + 1)) for k in range(K + 1)]
 
 

@@ -272,6 +272,8 @@ GRID = "[grid]\nstart = 0.1\n"
     ("circle", "length = 1e-300\n" + GRID, "period 1e-300 is below 1e-100"),
     ("circle", GRID + "[operator]\namplitude = 1e300\n", "amplitude exceeds 1e+100"),
     ("sphere", GRID + "[operator]\npotential = 1e300\n", "heat coefficient a_2 is not finite"),
+    ("circle", "[grid]\nstart = 1e300\nstop = 1e300\n[operator]\namplitude = 0.5\n",
+     "heat-trace expansion overflows at t=1e+300"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
     path = write_ini(tmp_path,

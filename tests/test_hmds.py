@@ -1,9 +1,6 @@
 """Recursion residuals, frozen sphere coefficients, and shift identities."""
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,34 +414,3 @@ def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
     assert jet.M.shape == (N, N, d, d)
     assert jet.M.dtype == (float if field is None else complex)
     assert jet.M.flags.c_contiguous
-
-
-@pytest.mark.parametrize("m,deg,d,scalar", [(2, 5, 2, False), (3, 4, 1, True), (2, 6, 3, True)])
-def test_dense_product_matches_brute_force(m, deg, d, scalar):
-    # C P truncated at degree deg, with C's fiber block on the left
-    B = hmds._basis(m, deg)
-    rng = np.random.default_rng(17 + m + deg)
-    C = rng.standard_normal(B.N) if scalar else rng.standard_normal((B.N, d, d))
-    C[rng.random(B.N) < 0.5] = 0.0
-    P = rng.standard_normal((B.N, d, d)) + 1j * rng.standard_normal((B.N, d, d))
-    position = {tuple(e): i for i, e in enumerate(B.expo.tolist())}
-    want = np.zeros_like(P)
-    for j, cj in enumerate(C):
-        for i, pi in enumerate(P):
-            k = position.get(tuple(B.expo[i] + B.expo[j]))
-            if k is not None:
-                want[k] += cj * pi if scalar else cj @ pi
-    assert np.max(np.abs(hmds._times(B, C, P) - want)) < 1e-13
-
-
-def test_dense_basis_follows_multi_indices_and_is_built_lazily():
-    B = hmds._basis(3, 4)
-    for n in range(5):
-        block = B.expo[B.offsets[n]:B.offsets[n + 1]]
-        assert [tuple(e) for e in block] == [tc.exponents(i, 3) for i in tc.multi_indices(3, n)]
-    src = str(Path(hmds.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, %r); import heatkern.cli; "
-            "from heatkern import hmds; print(hmds._basis.cache_info().currsize)" % src)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"

@@ -1,11 +1,13 @@
 """Nilpotent closed forms and curved symmetric-space theta machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heatkern import spectra, symmspace as ss
+from heatkern import tensorcalc as tc
 from heatkern.errors import DomainError, ValidationError
 
 
@@ -103,6 +105,25 @@ def test_fixture_validation():
         ss.build_symmetric_space("S2", radius=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ss.theta_series(ss.build_symmetric_space("S2"), Q=math.nan),
+    lambda: ss.theta_quadrature(ss.build_symmetric_space("S2"), Q=np.array([[math.inf]])),
+    lambda: ss.ConstantFieldStrength(2, planar_field(math.nan)),
+    lambda: ss.ConstantFieldStrength(2, planar_field(1.0), Q=np.diag([0.1, math.nan])),
+    lambda: ss.SymmetricSpaceData(m=2, p=1, E=[[[0.0, 1.0], [-1.0, 0.0]]], beta=[[math.nan]]),
+    lambda: ss.SymmetricSpaceData(m=2, p=1, E=[[[0.0, math.inf], [-math.inf, 0.0]]],
+                                  beta=[[1.0]]),
+    lambda: ss.build_symmetric_space("S2", radius=math.nan),
+    lambda: ss.build_symmetric_space("S3", radius=math.inf),
+    lambda: ss.build_symmetric_space("S3", radius=1e-200),
+], ids=["series-Q", "quadrature-Q", "field-rhat", "field-Q", "space-beta", "space-E",
+        "radius-nan", "radius-inf", "radius-tiny"])
+def test_non_finite_inputs_rejected(call):
+    # NaN fails every comparison, so each of these used to pass its validator
+    with pytest.raises(ValidationError, match=r"\bfinite"):
+        call()
+
+
 @pytest.mark.parametrize("fixture,a", [("S2", 1.0), ("S3", 1.0), ("S3", 1.7)])
 def test_riemann_is_constant_curvature(fixture, a):
     space = ss.build_symmetric_space(fixture, radius=a)
@@ -148,6 +169,58 @@ def test_log_sinh_coefficients():
 # theta series
 # ---------------------------------------------------------------------------
 
+def bernoulli(n):
+    """Bernoulli numbers B_0..B_n as Fractions."""
+    B = [Fraction(1)]
+    for k in range(1, n + 1):
+        B.append(-sum(math.comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return B
+
+
+def s2_exact_coefficients(order):
+    """Mulholland's c_k for the unit S^2, exactly.
+
+    Theta(t) = sum_l (2l+1) e^{-t l(l+1)} = e^{t/4} sum_l f(l + 1/2) with
+    f(x) = 2x e^{-t x^2}.  Euler-Maclaurin at the midpoints gives
+    t sum_l f(l + 1/2) = 1 + sum_{k>=1} (-1)^k B_{2k}(1/2) t^k / k!, with
+    B_{2k}(1/2) = (2^{1-2k} - 1) B_{2k}; then t Theta(t) = sum_k c_k t^k.
+    """
+    B = bernoulli(2 * order)
+    e = [Fraction(1)] + [(-1) ** k * (Fraction(2) ** (1 - 2 * k) - 1) * B[2 * k]
+                         / math.factorial(k) for k in range(1, order + 1)]
+    return [sum(Fraction(1, 4) ** a / math.factorial(a) * e[k - a] for a in range(k + 1))
+            for k in range(order + 1)]
+
+
+def test_theta_series_s2_matches_mulholland_rationals():
+    want = s2_exact_coefficients(6)
+    assert want == [1, Fraction(1, 3), Fraction(1, 15), Fraction(4, 315), Fraction(1, 315),
+                    Fraction(4, 3465), Fraction(382, 675675)]
+    c = ss.theta_series(ss.build_symmetric_space("S2"), order=6)
+    for got, w in zip(c, want):
+        assert abs(got - float(w)) <= 1e-14 * float(w)
+
+
+def test_normal_moments_match_symbolic_expansion():
+    # alpha! times the x^alpha coefficient of exp(x^T C x / 2), expanded by sympy
+    sympy = pytest.importorskip("sympy")
+    C = [[sympy.Rational(2), sympy.Rational(1, 2), sympy.Rational(-1, 3)],
+         [sympy.Rational(1, 2), sympy.Rational(3, 2), sympy.Rational(1, 4)],
+         [sympy.Rational(-1, 3), sympy.Rational(1, 4), sympy.Rational(1)]]
+    x = sympy.symbols("x0:3")
+    quad = sum(C[i][k] * x[i] * x[k] for i in range(3) for k in range(3)) / 2
+    series = sympy.Poly(sum(quad ** k / math.factorial(k) for k in range(7)), *x).as_dict()
+    B = tc._basis(3, 12)
+    got = ss._normal_moments(B, np.array(C, dtype=float))
+    want = np.array([float(series.get(tuple(e), 0) * f) for e, f in
+                     zip(B.expo.tolist(), B.fact)])
+    assert not got[B.degree % 2 == 1].any()
+    for n in range(0, 13, 2):
+        # per degree block: E[x0 x1 x2^6] cancels to exactly 0, but only in rationals
+        block = B.degree == n
+        assert np.max(np.abs(got[block] - want[block])) <= 1e-14 * np.max(np.abs(want[block]))
+
+
 def test_theta_series_s2_frozen_coefficients():
     c = ss.theta_series(ss.build_symmetric_space("S2"), order=4)
     assert abs(c[0] - 1.0) < 1e-14
@@ -168,9 +241,9 @@ def test_theta_series_s3_is_exponential(a, q):
     # on S^3 the holonomy factors cancel exactly, leaving c_k = (kappa - q)^k/k!
     space = ss.build_symmetric_space("S3", radius=a)
     Q = None if q == 0.0 else np.array([[q]])
-    c = ss.theta_series(space, Q=Q, order=4)
+    c = ss.theta_series(space, Q=Q, order=6)
     kappa = 1 / a ** 2
-    for k in range(5):
+    for k in range(7):
         assert abs(c[k] - (kappa - q) ** k / math.factorial(k)) < 1e-12
 
 
