@@ -21,16 +21,17 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import HeatkernError, NumericError, ValidationError
+from .errors import HeatkernError, ValidationError
 from .formfactors import FourierBackground, h_functional
 from .hmds import build_operator_jet, hmds_coefficients, trace_expansion
-from .spectra import (interval_trace, landau_trace_density, sphere_trace,
-                      torus_potential_trace)
+from .spectra import (_like_t, cosine_modes, interval_trace, landau_trace_density,
+                      sphere_trace, torus_potential_trace)
 from .symmspace import ConstantFieldStrength, nilpotent_trace_density
-from .tensorcalc import PotentialJet, build_model_geometry
+from .tensorcalc import MAX_CUTOFF, PotentialJet, build_model_geometry
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
 _KINDS = ("sphere", "circle", "torus", "landau", "interval")
@@ -88,12 +89,8 @@ class RunConfig:
             raise ValidationError("grid start and stop must be finite")
         if start <= 0 or stop < start:
             raise ValidationError("grid must satisfy 0 < start <= stop")
-        if count == 1:
-            grid = (start,)
-        elif geometric:
-            grid = tuple(float(x) for x in np.geomspace(start, stop, count))
-        else:
-            grid = tuple(float(x) for x in np.linspace(start, stop, count))
+        # both spacings return start and stop exactly as the end points
+        grid = tuple((np.geomspace if geometric else np.linspace)(start, stop, count).tolist())
 
         abs_tol = need("tolerances", "abs", float, fallback=1e-12)
         rel_tol = need("tolerances", "rel", float, fallback=1e-6)
@@ -105,12 +102,17 @@ class RunConfig:
             raise ValidationError(f"unknown output format {out_format!r}")
         out_path = need("output", "path", fallback=f"{task}.{out_format}")
 
+        # the jet to order 2 kmax is capped at tensorcalc.MAX_CUTOFF
+        kmax = need("asymptotics", "kmax", int, fallback=3)
+        if not 0 <= kmax <= MAX_CUTOFF // 2:
+            raise ValidationError(
+                f"[asymptotics] kmax must be in [0, {MAX_CUTOFF // 2}], got {kmax}")
+
         return cls(task=task, kind=kind, grid=grid, out_format=out_format,
                    out_path=out_path, abs_tol=abs_tol, rel_tol=rel_tol,
                    geometry=sections.get("geometry", {}),
                    operator=sections.get("operator", {}),
-                   boundary=sections.get("boundary", {}),
-                   kmax=need("asymptotics", "kmax", int, fallback=3))
+                   boundary=sections.get("boundary", {}), kmax=kmax)
 
 
 def _value(items, section, key, cast=str, fallback=None):
@@ -165,11 +167,10 @@ def _parse_modes(raw):
 class _Model:
     """Asymptotic/oracle evaluator pair for one configured geometry.
 
-    Both evaluators take the whole t-grid and return one value per point.
+    Both evaluators take the whole t-grid as one array, and return an array.
     """
 
     def __init__(self, cfg):
-        self.cfg = cfg
         kind, geo, op = cfg.kind, cfg.geometry, cfg.operator
         if kind == "sphere":
             m = _value(geo, "geometry", "dimension", int, 2)
@@ -186,9 +187,8 @@ class _Model:
             pot = PotentialJet.constant(m, 1, q, cutoff=cut)
             jet = build_operator_jet(geom, pot, cutoff=cut)
             expansion = trace_expansion(geom, hmds_coefficients(jet, kmax, cutoff=0))
-            self.asymptotic = lambda ts: [expansion.evaluate(t) for t in ts]
-            self.oracle = lambda ts: [sphere_trace(m, a, t) * math.exp(-t * q)
-                                      for t in ts]
+            self.asymptotic = expansion.evaluate
+            self.oracle = lambda ts: sphere_trace(m, a, ts) * np.exp(-ts * q)
             self.describe = {"kind": kind, "m": m, "radius": a, "potential": q,
                              "expansion": {str(e): c for e, c in expansion.terms}}
         elif kind in ("circle", "torus"):
@@ -196,7 +196,7 @@ class _Model:
                 periods = (_value(geo, "geometry", "length", _finite, 2.0 * math.pi),)
                 n = _value(op, "operator", "mode", int, 1)
                 qamp = _value(op, "operator", "amplitude", _finite, 0.0)
-                modes = {(n,): qamp / 2.0, (-n,): qamp / 2.0} if n else {(0,): qamp}
+                modes = cosine_modes(n, qamp)
             else:
                 periods = _value(geo, "geometry", "periods", _floats)
                 modes = _value(op, "operator", "modes", _parse_modes, {})
@@ -207,20 +207,10 @@ class _Model:
             pref = (4.0 * math.pi) ** (-m / 2.0)
             a2 = -pref * vol * float(np.real(modes.get((0,) * m, 0.0)))
             cutoff = _value(op, "operator", "cutoff", int, 64)
-
-            def asym(t, bg=bg, vol=vol, pref=pref, a2=a2, m=m):
-                try:
-                    val = pref * vol * t ** (-m / 2.0) + a2 * t ** (1.0 - m / 2.0)
-                    if bg.potential_modes:
-                        val += t ** (2.0 - m / 2.0) * h_functional(bg, t)
-                except OverflowError:
-                    raise NumericError(f"heat-trace expansion overflows at t={t!r}") from None
-                return val
-
-            spectra_modes = {k: complex(v) for k, v in modes.items()}
-            self.asymptotic = lambda ts: [asym(t) for t in ts]
-            self.oracle = lambda ts: torus_potential_trace(periods, spectra_modes,
-                                                           cutoff, np.asarray(ts))
+            self.asymptotic = lambda ts: (pref * vol * ts ** (-m / 2.0)
+                                          + a2 * ts ** (1.0 - m / 2.0)
+                                          + ts ** (2.0 - m / 2.0) * h_functional(bg, ts))
+            self.oracle = partial(torus_potential_trace, periods, modes, cutoff)
             self.describe = {"kind": kind, "periods": list(periods),
                              "modes": {",".join(map(str, k)): [v.real, v.imag]
                                        for k, v in sorted(modes.items())},
@@ -228,8 +218,8 @@ class _Model:
         elif kind == "landau":
             B = _value(op, "operator", "field", _finite, 1.0)
             fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
-            self.asymptotic = lambda ts: [nilpotent_trace_density(fs, t) for t in ts]
-            self.oracle = lambda ts: [landau_trace_density(B, t) for t in ts]
+            self.asymptotic = partial(nilpotent_trace_density, fs)
+            self.oracle = partial(landau_trace_density, B)
             self.describe = {"kind": kind, "field": B}
         elif kind == "interval":
             L = _value(geo, "geometry", "length", _finite, math.pi)
@@ -238,13 +228,19 @@ class _Model:
                 raise ValidationError(
                     f"interval comparison supports bc DD/NN/DN, not {bc!r}")
             const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
-            self.asymptotic = lambda ts: [(4.0 * math.pi * t) ** -0.5 * L + const
-                                          for t in ts]
-            self.oracle = lambda ts: [interval_trace(L, bc, t) for t in ts]
+            self.asymptotic = lambda ts: (4.0 * math.pi * ts) ** -0.5 * L + const
+            self.oracle = partial(interval_trace, L, bc)
             self.describe = {"kind": kind, "length": L, "bc": bc,
                              "weyl": [(4.0 * math.pi) ** -0.5 * L, const]}
         else:
             raise ValidationError(f"unsupported geometry kind {kind!r}")
+
+
+def _column(model, column, ts):
+    """model.<column>(ts), a non-finite value a NumericError naming its t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = getattr(model, column)(ts)
+    return _like_t(ts, values, "heat-trace expansion" if column == "asymptotic" else "oracle")
 
 
 def _write_text(path, text):
@@ -263,29 +259,23 @@ def run(cfg):
         _write_text(cfg.out_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
 
+    ts = np.asarray(cfg.grid)
     if cfg.task in ("asymptotics", "oracle"):
         column = "asymptotic" if cfg.task == "asymptotics" else "oracle"
-        values = getattr(model, column)(cfg.grid)
+        values = _column(model, column, ts)
         lines = [_SCHEMA, f"t,{column}"]
         lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(cfg.grid, values)]
         _write_text(cfg.out_path, "\n".join(lines) + "\n")
         return 0
 
     # compare
-    table = []
-    first_fail = None
-    max_abs = 0.0
-    max_rel = 0.0
-    for t, a, o in zip(cfg.grid, model.asymptotic(cfg.grid), model.oracle(cfg.grid)):
-        a, o = float(a), float(o)
-        abs_err = abs(a - o)
-        rel_err = abs_err / max(abs(o), 1e-300)
-        max_abs = max(max_abs, abs_err)
-        max_rel = max(max_rel, rel_err)
-        ok = abs_err <= cfg.abs_tol or rel_err <= cfg.rel_tol
-        if not ok and first_fail is None:
-            first_fail = t
-        table.append((t, a, o, abs_err, rel_err))
+    asym, oracle = _column(model, "asymptotic", ts), _column(model, "oracle", ts)
+    abs_err = np.abs(asym - oracle)
+    rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
+    fails = np.flatnonzero(~((abs_err <= cfg.abs_tol) | (rel_err <= cfg.rel_tol)))
+    first_fail = cfg.grid[fails[0]] if fails.size else None
+    max_abs, max_rel = float(abs_err.max()), float(rel_err.max())
+    table = list(zip(cfg.grid, *(col.tolist() for col in (asym, oracle, abs_err, rel_err))))
 
     if cfg.out_format == "json":
         payload = {"schema": 1, "task": "compare",
@@ -299,12 +289,9 @@ def run(cfg):
     else:
         lines = [_SCHEMA, "t,asymptotic,oracle,abs_err,rel_err"]
         lines += [",".join(_fmt(x) for x in row) for row in table]
-        if first_fail is None:
-            lines.append(f"# summary: status=ok max_abs={_fmt(max_abs)} "
-                         f"max_rel={_fmt(max_rel)}")
-        else:
-            lines.append(f"# summary: status=fail first_t={_fmt(first_fail)} "
-                         f"max_abs={_fmt(max_abs)} max_rel={_fmt(max_rel)}")
+        status = "ok" if first_fail is None else f"fail first_t={_fmt(first_fail)}"
+        lines.append(f"# summary: status={status} max_abs={_fmt(max_abs)} "
+                     f"max_rel={_fmt(max_rel)}")
         _write_text(cfg.out_path, "\n".join(lines) + "\n")
 
     if first_fail is not None:

@@ -11,13 +11,15 @@ related order by order through
 
     gamma^(i)(z) = sum_{k>=2} (-1)^k z^{k-2} (k-2)!/(2k-3)! f^(i)_k.
 
-gamma_factor sums that Taylor series below z = 1.  Above it, each profile is
-a polynomial in xi^2, so gamma^(i) is a combination of Gaussian moments with
-a closed form in Dawson's function D, which _dawson evaluates with `math`
-alone.
+_gamma evaluates gamma^(i) on an array of z: that Taylor series below z = 1,
+with float coefficients built once per order; above it, since each profile
+is a polynomial in xi^2, a closed form in Dawson's function D, which _dawson
+evaluates with numpy.  gamma_factor is its scalar entry point.
 
 h_functional resums the whole quadratic tower on flat torus backgrounds,
-where the mode decomposition makes every operator function diagonal.
+where the mode decomposition makes every operator function diagonal.  As in
+spectra, a scalar t gives a float, a 1-D t-array an array, and any other t
+is a ValidationError.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spectra import MAX_AMPLITUDE, MAX_MODE, MIN_LENGTH
+from .spectra import MAX_AMPLITUDE, MAX_MODE, MIN_LENGTH, _as_t, _check_partners, _like_t
 
 # profiles as polynomials in u = xi^2: {power of u: rational coefficient}
 _PROFILE_POLY = {
@@ -76,17 +78,33 @@ def _beta_moment(j, n):
     return num / den
 
 
+_series_table = {i: np.empty(0) for i in _PROFILE_POLY}
+
+
+def _series_moments(i, count):
+    """M_n = int_0^1 f^(i)(xi) (1 - xi^2)^n dxi for n < count as floats, built once."""
+    if _series_table[i].size < count:
+        poly = _PROFILE_POLY[i].items()
+        _series_table[i] = np.array([float(sum(c * _beta_moment(j, n) for j, c in poly))
+                                     for n in range(count)])
+    return _series_table[i][:count]
+
+
 def _gamma_series(i, z, tol=1e-18, nmax=250):
-    acc = 0.0
-    term_scale = 1.0
-    for n in range(nmax):
-        M = float(sum(c * _beta_moment(j, n) for j, c in _PROFILE_POLY[i].items()))
-        term = term_scale * M
-        acc += term
-        term_scale *= (-z / 4.0) / (n + 1)
-        if abs(term_scale) < tol * max(1.0, abs(acc)):
-            return acc
-    raise NumericError(f"gamma series did not converge for i={i}, z={z}")
+    """Taylor series sum_n M_n s_n, s_n = (-z/4)^n / n!, at each entry of the array z:
+    sequential sums, each stopped at its first n with |s_{n+1}| < tol max(1, |sum|),
+    which every entry has reached once (max|z|/4)^n / n! < tol."""
+    count, s, zmax = 1, 1.0, float(np.max(np.abs(z), initial=0.0)) / 4.0
+    while s >= tol and count < nmax:
+        s, count = s * zmax / count, count + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = (-z / 4.0) / np.arange(1.0, count + 1)[:, None]
+        scale = np.cumprod(np.vstack([np.ones_like(z), steps]), axis=0)
+        acc = np.cumsum(scale[:-1] * _series_moments(i, count)[:, None], axis=0)
+        done = np.abs(scale[1:]) < tol * np.maximum(1.0, np.abs(acc))
+    if not np.all(done.any(axis=0)):
+        raise NumericError(f"gamma series did not converge for i={i}, z={z.min()}")
+    return acc[done.argmax(axis=0), np.arange(z.size)]
 
 
 # Rybicki's sampling-theorem sum for Dawson's function (Computers in Physics
@@ -102,43 +120,46 @@ _DAWSON_ASYMPTOTIC = 50.0
 
 
 def _dawson(x):
-    """Dawson's function D(x) = e^{-x^2} int_0^x e^{s^2} ds for x >= 0.
+    """Dawson's function D(x) = e^{-x^2} int_0^x e^{s^2} ds at each entry x >= 0.5.
 
-    Relative error about 1e-16 for x >= 0.5; near 0 the alternating sum
-    leaves an absolute error of about 1e-16.
+    Relative error about 1e-16.  Both forms are evaluated at every x, which
+    costs less than splitting x and stays finite on either side of the switch.
     """
-    if x >= _DAWSON_ASYMPTOTIC:
-        u = 0.5 / (x * x)
-        term = total = 1.0
-        k = 0
-        while term > 1e-17 * total:
-            k += 1
-            term *= (2 * k - 1) * u
-            total += term
-        return total / (2.0 * x)
-    n0 = 2 * round(0.5 * x / _DAWSON_H)
+    u = 0.5 / (x * x)
+    term = total = 1.0
+    for k in range(1, 7):       # (2k - 1)!! u^k < 1e-18 by k = 6 at x >= 50
+        term = term * ((2 * k - 1) * u)
+        total = total + term
+    n0 = 2.0 * np.round(0.5 * x / _DAWSON_H)
     xp = x - n0 * _DAWSON_H
-    return sum(math.exp(-(xp - n * _DAWSON_H) ** 2) / (n0 + n)
-               for n in _DAWSON_OFFSETS) / math.sqrt(math.pi)
+    n = np.array(_DAWSON_OFFSETS, dtype=float)[:, None]
+    # summed in offset order (cumsum is sequential), the same for any size of x
+    terms = np.exp(-(xp - n * _DAWSON_H) ** 2) / (n0 + n)
+    rybicki = np.cumsum(terms, axis=0)[-1] / math.sqrt(math.pi)
+    return np.where(x >= _DAWSON_ASYMPTOTIC, total / (2.0 * x), rybicki)
 
 
-def _gamma_dawson(i, z):
-    """gamma^(i)(z) for z > 0 as sum_j c_j J_j over the profile's u-powers.
-
-    J_j = e^{-a} int_0^1 xi^{2j} e^{a xi^2} dxi with a = z/4; then
-    J_0 = D(sqrt a)/sqrt a and, integrating by parts,
-    J_j = (1 - (2j - 1) J_{j-1}) / (2a).
-    """
-    a = z / 4.0
-    r = math.sqrt(a)
-    moments = [_dawson(r) / r]
-    for j in range(1, max(_PROFILE_POLY[i]) + 1):
-        moments.append((1.0 - (2 * j - 1) * moments[-1]) / (2.0 * a))
-    return sum(float(c) * moments[j] for j, c in _PROFILE_POLY[i].items())
+def _gamma(i, z):
+    """gamma^(i) at each entry of the array z: the Taylor series below z = 1; at and
+    above it sum_j c_j J_j over the profile's u-powers, J_j = e^{-a} int_0^1 xi^{2j}
+    e^{a xi^2} dxi with a = z/4, so J_0 = D(sqrt a)/sqrt a and, integrating by
+    parts, J_j = (1 - (2j - 1) J_{j-1}) / (2a)."""
+    out = np.empty_like(z)
+    low = z < 1.0
+    if low.any():
+        out[low] = _gamma_series(i, z[low])
+    if not low.all():
+        a = z[~low] / 4.0
+        r = np.sqrt(a)
+        moments = [_dawson(r) / r]
+        for j in range(1, max(_PROFILE_POLY[i]) + 1):
+            moments.append((1.0 - (2 * j - 1) * moments[-1]) / (2.0 * a))
+        out[~low] = sum(float(c) * moments[j] for j, c in _PROFILE_POLY[i].items())
+    return out
 
 
 def gamma_factor(i, z):
-    """Entire form factor gamma^(i)(z), absolute accuracy 1e-12.
+    """Entire form factor gamma^(i)(z) at one real z, absolute accuracy 1e-12.
 
     Taylor series below z = 1 (and for negative z); above it, the closed
     form in Dawson's function, which keeps the 1/z decay at any finite z.
@@ -149,9 +170,7 @@ def gamma_factor(i, z):
     z = float(z)
     if not math.isfinite(z):
         raise ValidationError(f"gamma argument z must be finite, got {z}")
-    if z < 1.0:
-        return _gamma_series(i, z)
-    return _gamma_dawson(i, z)
+    return float(_gamma(i, np.array([z]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +213,8 @@ class FourierBackground:
             if np.max(np.abs(pm[n])) > MAX_AMPLITUDE:
                 raise ValidationError(
                     f"potential mode {key!r} amplitude exceeds {MAX_AMPLITUDE:g}")
-        for n, amp in pm.items():
-            mn = tuple(-x for x in n)
-            other = pm.get(mn)
-            if other is None or np.max(np.abs(other - amp.conj().T)) > 1e-12:
-                raise ValidationError(
-                    "potential modes must satisfy Qhat(-n) = Qhat(n)^dagger")
+        _check_partners(pm, lambda amp: amp.conj().T,
+                        "potential modes must satisfy Qhat(-n) = Qhat(n)^dagger")
         object.__setattr__(self, "potential_modes", pm)
 
         cm = {}
@@ -216,13 +231,8 @@ class FourierBackground:
             if np.max(np.abs(b + b.transpose(1, 0, 2, 3))) > 1e-12:
                 raise ValidationError("curvature modes must be antisymmetric in base indices")
             cm[n] = b
-        for n, b in cm.items():
-            mn = tuple(-x for x in n)
-            other = cm.get(mn)
-            flip = -np.conj(b.transpose(0, 1, 3, 2))
-            if other is None or np.max(np.abs(other - flip)) > 1e-12:
-                raise ValidationError(
-                    "curvature modes must satisfy Rhat(-n) = -Rhat(n)^dagger")
+        _check_partners(cm, lambda b: -np.conj(b.transpose(0, 1, 3, 2)),
+                        "curvature modes must satisfy Rhat(-n) = -Rhat(n)^dagger")
         object.__setattr__(self, "curvature_modes", cm)
 
     def _mode(self, key, what):
@@ -255,7 +265,8 @@ def _channel_sums(bg, weight1, weight2):
     """Common mode-sum skeleton of h_functional and a2k2_coefficient.
 
     weight1(kk) multiplies tr(Qhat(-n) Qhat(n)); weight2(kk) multiplies the
-    transverse curvature contraction; kk = |k|^2.
+    transverse curvature contraction; kk = |k|^2.  The weights may return
+    arrays (one entry per t), and so does the sum.
     """
     total = 0.0
     for n in sorted(bg.potential_modes):
@@ -267,14 +278,9 @@ def _channel_sums(bg, weight1, weight2):
     for n in sorted(bg.curvature_modes):
         k = bg.wavevector(n)
         kk = float(k @ k)
-        rm = bg.curvature_modes[tuple(-x for x in n)]
-        rp = bg.curvature_modes[n]
-        contr = 0.0
-        for al in range(bg.m):
-            for be in range(bg.m):
-                w = k[al] * k[be] / kk
-                for ga in range(bg.m):
-                    contr += w * np.trace(rm[al, ga] @ rp[be, ga]).real
+        # sum over al, be, ga of k_al k_be / kk tr(Rhat(-n)_{al ga} Rhat(n)_{be ga})
+        contr = np.einsum("a,b,agij,bgji->", k, k, bg.curvature_modes[tuple(-x for x in n)],
+                          bg.curvature_modes[n]).real / kk
         total += 2.0 * weight2(kk) * contr
     return total
 
@@ -287,12 +293,12 @@ def h_functional(bg, t):
              nabla_beta R^{beta gamma} },
     evaluated as a lattice mode sum (box acts as -|k|^2 on mode k).
     """
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    ts = _as_t(t)
+    flat = np.atleast_1d(ts)
     pref = (4.0 * math.pi) ** (-bg.m / 2.0) * bg.volume / 2.0
-    return pref * _channel_sums(bg,
-                                lambda kk: gamma_factor(1, t * kk),
-                                lambda kk: gamma_factor(2, t * kk))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _channel_sums(bg, lambda kk: _gamma(1, flat * kk), lambda kk: _gamma(2, flat * kk))
+    return _like_t(ts, np.full(flat.shape, pref * sums))     # sums is 0.0 with no modes
 
 
 def a2k2_coefficient(bg, k):

@@ -37,6 +37,9 @@ one matrix product and one per-degree scale per k,
     a_k[beta] = k/(k + |beta|) sum_alpha M[beta, alpha] a_{k-1}[alpha],
 
 and the trace coefficients are A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
+
+HeatTraceExpansion.evaluate takes t as spectra's oracles do: a positive scalar
+gives a float, a non-empty 1-D array an array, any other t a ValidationError.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .spectra import _as_t, _like_t
 from .tensorcalc import (
     ModelGeometry,
     PotentialJet,
@@ -276,14 +280,13 @@ class HeatTraceExpansion:
             raise ValidationError("exponents must be strictly increasing")
 
     def evaluate(self, t):
-        if t <= 0:
-            raise ValidationError("t must be positive")
-        try:
-            val = sum(c * t ** e for e, c in self.terms)
-            val += sum(c * t ** e * math.log(t) for e, c in self.log_terms)
-        except OverflowError:
-            raise NumericError(f"heat-trace expansion overflows at t={t!r}") from None
-        return val
+        """The expansion at a scalar t (a float) or a t-array (an array); a
+        value that leaves the float range is a NumericError naming its t."""
+        ts = _as_t(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = sum(c * ts ** e for e, c in self.terms)
+            val = val + sum(c * ts ** e * np.log(ts) for e, c in self.log_terms)
+        return _like_t(ts, val, "heat-trace expansion")
 
     def coefficient(self, exponent):
         for e, c in self.terms:

@@ -4,6 +4,11 @@ These are the ground-truth side of every comparison in the package: interval
 and sphere eigenvalue sums, the Landau-level density, Fourier-matrix traces
 for circle/torus potentials, and a weighted least-squares fitter that turns
 oracle sums into expansion coefficients with honest error bars.
+
+Every trace, like every t-dependent evaluator in formfactors, hmds and
+symmspace, takes a positive scalar t and returns a float, or a non-empty 1-D
+t-array and returns an array, building the spectrum once for the whole grid.
+Any other t (zero, negative, not finite, empty, 2-D) is a ValidationError.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import NumericError, ResourceError, ValidationError
 
 _INTERVAL_CAP = 1_000_000        # eigenvalues in one interval partial sum
 _SPHERE_CAP = 2_000_000          # eigenvalue levels in one sphere partial sum
+_EXP_CHUNK = 1_000_000           # entries of one t x level block of exponentials
 
 # Input ranges of the interval and Fourier routes.  Inside them every squared
 # wavenumber (2 pi n / L)^2 and squared amplitude is a finite float, and every
@@ -27,21 +33,54 @@ MAX_MODE = 2 ** 53
 MAX_AMPLITUDE = 1e100
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """Eigenvalue enumerator plus an analytic tail bound.
+def _as_t(t):
+    """t as a float array of shape () or (n,), n >= 1, every entry positive and finite."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or ts.size == 0:
+        raise ValidationError("t must be a scalar or a non-empty 1-D array")
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValidationError("t must be positive and finite")
+    return ts
 
-    eigenvalues(count) returns the first `count` pairs (lambda, multiplicity)
-    in nondecreasing lambda order; tail_bound(t, count) bounds the trace mass
-    of everything beyond those, monotonically decreasing in count.
-    """
 
-    descriptor: str
-    eigenvalues: callable
-    tail_bound: callable
+def _like_t(ts, values, what=None):
+    """values as a float when ts is a scalar, else as the array.  With `what`,
+    a non-finite value is a NumericError "<what> overflows at t=<first such t>"."""
+    if what and not np.all(np.isfinite(values)):
+        first = np.atleast_1d(ts)[~np.isfinite(np.atleast_1d(values))][0]
+        raise NumericError(f"{what} overflows at t={float(first)!r}")
+    return float(np.ravel(values)[0]) if ts.ndim == 0 else values
 
-    def partial_trace(self, t, count):
-        return sum(mult * math.exp(-t * lam) for lam, mult in self.eigenvalues(count))
+
+def _exp_sum(ts, lam, mult=1.0):
+    """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts."""
+    rows = max(1, _EXP_CHUNK // lam.size)
+    with np.errstate(over="ignore"):
+        out = np.concatenate([(np.exp(np.multiply.outer(-ts[i:i + rows], lam)) * mult)
+                              .sum(axis=1) for i in range(0, ts.size, rows)])
+    return _like_t(ts, out, "spectral sum")
+
+
+def _certified_trace(t, what, cap, count, first, levels, tail, floor):
+    """sum mult exp(-t lam) over a spectrum at every t.  count(tmin) estimates the
+    levels needed at the smallest t, at most cap; first(count) sizes the first
+    sum of levels(n); n doubles until tail(ts, n) <= floor(total) at every t."""
+    ts = _as_t(t)
+    flat = np.atleast_1d(ts)
+    tmin = float(flat.min())
+    need = count(tmin)
+    if not need <= cap:
+        raise NumericError(f"{what} trace needs about {need:.3g} levels at t={tmin!r}, "
+                           f"over the cap of {cap}")
+    n = first(need)
+    total = _exp_sum(flat, *levels(n))
+    with np.errstate(over="ignore"):
+        while np.any(tail(flat, n) > floor(total)):
+            n *= 2
+            if n > cap:
+                raise NumericError(f"{what} trace did not converge")
+            total = _exp_sum(flat, *levels(n))
+    return _like_t(ts, total)
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +99,6 @@ def _robin_eigenvalues(L, S, count):
     from scipy.optimize import brentq
 
     lams = []
-
-    def even_f(k):
-        u = k * L / 2.0
-        return k * math.sin(u) + S * math.cos(u)
-
-    def odd_f(k):
-        u = k * L / 2.0
-        return k * math.cos(u) - S * math.sin(u)
-
-    def secular(k):
-        return (k * k - S * S) * math.sin(k * L) + 2.0 * S * k * math.cos(k * L)
-
     if S > 0:
         g = lambda x: x * math.tanh(x * L / 2.0) - S
         hi = S + 4.0 / L
@@ -100,19 +127,20 @@ def _robin_eigenvalues(L, S, count):
             lams.append((2.0 * u / L) ** 2)
         j += 1
 
-    lams.sort()
-    out = []
-    for lam in lams[:count]:
-        if lam > 0:
-            k = math.sqrt(lam)
-            scale = max(1.0, k * k + S * S)
-            if abs(secular(k)) > 1e-12 * scale * max(1.0, k):
-                raise NumericError(f"robin root residual too large at k={k}")
-        out.append((lam, 1))
-    return out
+    lams = np.sort(lams)[:count]
+    # residual of the secular function (k^2 - S^2) sin kL + 2 S k cos kL
+    k = np.sqrt(lams[lams > 0])
+    residual = np.abs((k * k - S * S) * np.sin(k * L) + 2.0 * S * k * np.cos(k * L))
+    bad = residual > 1e-12 * np.maximum(1.0, k * k + S * S) * np.maximum(1.0, k)
+    if np.any(bad):
+        raise NumericError(f"robin root residual too large at k={k[bad][0]}")
+    return lams
 
 
-def interval_model(L, bc, S=None):
+def _interval_levels(L, bc, S=None):
+    """(levels, tail) of the interval Laplacian with boundary condition bc: levels(n)
+    is the first n eigenvalues, nondecreasing, and their multiplicities as arrays;
+    tail(ts, n) bounds the trace mass past them at each t of ts."""
     if L <= 0:
         raise ValidationError("interval length must be positive")
     if not L >= MIN_LENGTH:
@@ -120,100 +148,76 @@ def interval_model(L, bc, S=None):
     bc = bc.upper() if bc.lower() != "robin" else "robin"
     c = (math.pi / L) ** 2
 
-    if bc == "DD":
-        ev = lambda n: [((j * math.pi / L) ** 2, 1) for j in range(1, n + 1)]
-    elif bc == "NN":
-        ev = lambda n: [((j * math.pi / L) ** 2, 1) for j in range(0, n)]
-    elif bc == "DN":
-        ev = lambda n: [(((j + 0.5) * math.pi / L) ** 2, 1) for j in range(0, n)]
+    first = {"DD": 1.0, "NN": 0.0, "DN": 0.5}.get(bc)
+    if first is not None:
+        levels = lambda n: (((np.arange(n) + first) * math.pi / L) ** 2, np.ones(n))
     elif bc == "robin":
         if S is None:
             raise ValidationError("robin boundary condition needs a constant S")
         S = float(S)
         if S == 0.0:
-            return interval_model(L, "NN")
-        ev = lambda n: _robin_eigenvalues(L, S, n)
+            return _interval_levels(L, "NN")
+        levels = lambda n: (_robin_eigenvalues(L, S, n), np.ones(n))
     else:
         raise ValidationError(f"unknown interval boundary condition {bc!r}")
 
-    def tail(t, n):
-        # lambda_j >= ((j-2) pi / L)^2 for every family above
-        J = max(n - 2, 0)
-        return math.exp(-t * c * J * J) + math.sqrt(math.pi / (4 * t * c)) \
-            * math.erfc(math.sqrt(t * c) * J)
+    def tail(ts, n):
+        # lambda_j >= ((j-2) pi / L)^2 for every family above; past J = n - 2 > 0
+        # the Gaussian integral is at most e^{-tc J^2} / (2 tc J)
+        tc, J = ts * c, n - 2
+        return np.exp(-tc * J * J) * (1.0 + 1.0 / (2.0 * tc * J))
 
-    return SpectralModel(descriptor=f"interval L={L} bc={bc}", eigenvalues=ev,
-                         tail_bound=tail)
+    return levels, tail
 
 
 def interval_trace(L, bc, t, S=None):
     """Sum of e^{-t lambda} over the interval spectrum with the given bc."""
-    if t <= 0:
-        raise ValidationError("t must be positive")
-    model = interval_model(L, bc, S)
-    count = L / math.pi * math.sqrt(60.0 / t)
-    if not count <= _INTERVAL_CAP:
-        raise NumericError(
-            f"interval trace needs about {count:.3g} eigenvalues at t={t!r}, "
-            f"over the cap of {_INTERVAL_CAP}")
-    n = max(8, int(count) + 4)
-    total = model.partial_trace(t, n)
-    while model.tail_bound(t, n) > 1e-15 * max(total, 1e-300):
-        n *= 2
-        total = model.partial_trace(t, n)
-        if n > _INTERVAL_CAP:
-            raise NumericError("interval trace did not converge")
-    return total
+    levels, tail = _interval_levels(L, bc, S)
+    return _certified_trace(t, "interval", _INTERVAL_CAP,
+                            lambda tmin: L / math.pi * math.sqrt(60.0 / tmin),
+                            lambda count: max(8, int(count) + 4), levels, tail,
+                            lambda total: 1e-15 * np.maximum(total, 1e-300))
 
 
 # ---------------------------------------------------------------------------
 # sphere spectra
 # ---------------------------------------------------------------------------
 
-def sphere_model(m, a):
+def _sphere_levels(m, a):
+    """(levels, tail) of the round m-sphere of radius a, as in _interval_levels."""
     if m not in (2, 3):
         raise ValidationError("sphere spectra implemented for m in {2, 3}")
     if a <= 0:
         raise ValidationError("radius must be positive")
     ia2 = 1.0 / (a * a)
     if m == 2:
-        ev = lambda n: [(l * (l + 1) * ia2, 2 * l + 1) for l in range(n)]
+        def levels(n):
+            l = np.arange(n)
+            return l * (l + 1) * ia2, 2.0 * l + 1.0
 
-        def tail(t, n):
-            c = t * ia2
-            return (2 * n + 1) * math.exp(-c * n * (n + 1)) \
-                + math.exp(-c * n * (n + 1)) / c
+        def tail(ts, n):
+            c = ts * ia2
+            x = np.exp(-c * n * (n + 1))
+            return (2 * n + 1) * x + x / c
     else:
-        ev = lambda n: [(l * (l + 2) * ia2, (l + 1) ** 2) for l in range(n)]
+        def levels(n):
+            l = np.arange(n)
+            return l * (l + 2) * ia2, (l + 1.0) ** 2
 
-        def tail(t, n):
-            c = t * ia2
+        def tail(ts, n):
+            # l(l+2) = u^2 - 1, u = l + 1: e^{c} (u^2 e^{-c u^2} + int_u^inf x^2 e^{-c x^2})
+            c = ts * ia2
             u = n + 1.0
-            gauss = u * math.exp(-c * u * u) / (2 * c) \
-                + math.sqrt(math.pi) / (4 * c ** 1.5) * math.erfc(math.sqrt(c) * u)
-            return math.exp(c) * (u * u * math.exp(-c * u * u) + gauss)
-    return SpectralModel(descriptor=f"sphere m={m} a={a}", eigenvalues=ev,
-                         tail_bound=tail)
+            return np.exp(-c * (u * u - 1.0)) * (u * u + u / (2.0 * c) + 1.0 / (4.0 * c * c * u))
+    return levels, tail
 
 
 def sphere_trace(m, a, t):
     """Exact heat trace of the round sphere Laplacian, tail below 1e-14."""
-    if t <= 0:
-        raise ValidationError("t must be positive")
-    model = sphere_model(m, a)
-    count = a * math.sqrt(40.0 / t)
-    if not count <= _SPHERE_CAP:
-        raise NumericError(
-            f"sphere trace needs about {count:.3g} eigenvalue levels at t={t!r}, "
-            f"over the cap of {_SPHERE_CAP}")
-    n = max(4, int(count) + 2)
-    total = model.partial_trace(t, n)
-    while model.tail_bound(t, n) > 1e-14 * max(total, 1.0):
-        n *= 2
-        total = model.partial_trace(t, n)
-        if n > _SPHERE_CAP:
-            raise NumericError("sphere trace did not converge")
-    return total
+    levels, tail = _sphere_levels(m, a)
+    return _certified_trace(t, "sphere", _SPHERE_CAP, lambda tmin: a * math.sqrt(40.0 / tmin),
+                            lambda count: max(4, int(count) + 2), levels, tail,
+                            lambda total: 1e-14 * np.maximum(total, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +231,11 @@ def landau_trace_density(B, t):
     written with x = e^{-tB} as B x / (2 pi (1 - x^2)) so that large tB
     underflows toward 0 instead of overflowing sinh.
     """
-    if B <= 0 or t <= 0:
-        raise ValidationError("landau density needs B > 0 and t > 0")
-    return B * math.exp(-t * B) / (2.0 * math.pi * -math.expm1(-2.0 * t * B))
+    if not B > 0:
+        raise ValidationError("landau density needs a field B > 0")
+    ts = _as_t(t)
+    with np.errstate(over="ignore"):
+        return _like_t(ts, B * np.exp(-ts * B) / (2.0 * math.pi * -np.expm1(-2.0 * ts * B)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,6 @@ def landau_trace_density(B, t):
 
 _MATRIX_BUDGET = 4097
 _TAIL_SHELLS = 100_000
-_EXP_CHUNK = 1_000_000
 
 
 def cosine_modes(n, q):
@@ -262,12 +267,17 @@ def _normalize_modes(modes, m):
         if abs(out[k]) > MAX_AMPLITUDE:
             raise ValidationError(f"potential mode {key!r} amplitude {amp!r} exceeds "
                                   f"{MAX_AMPLITUDE:g}")
-    for k, amp in out.items():
-        mk = tuple(-x for x in k)
-        if mk not in out or abs(out[mk] - amp.conjugate()) > 1e-12:
-            raise ValidationError(
-                "potential modes must satisfy q(-k) = conj(q(k)) (real potential)")
+    _check_partners(out, np.conj, "potential modes must satisfy q(-k) = conj(q(k)) "
+                    "(real potential)")
     return out
+
+
+def _check_partners(modes, flip, message):
+    """Every mode n needs a mode -n whose amplitude is flip(amplitude of n)."""
+    for n, amp in modes.items():
+        other = modes.get(tuple(-x for x in n))
+        if other is None or np.max(np.abs(other - flip(amp))) > 1e-12:
+            raise ValidationError(message)
 
 
 def _fourier_spectrum(periods, modes, cutoff):
@@ -352,11 +362,7 @@ def torus_potential_trace(periods, modes, cutoff, t):
     which returns an array.  The Gershgorin tail guard runs at the smallest
     t, where the discarded modes weigh most.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1 or ts.size == 0:
-        raise ValidationError("t must be a scalar or a non-empty 1-D array")
-    if not np.all(np.isfinite(ts) & (ts > 0)):
-        raise ValidationError("t must be positive and finite")
+    ts = _as_t(t)
     if isinstance(periods, (int, float)):
         periods = (float(periods),)
     periods = tuple(float(p) for p in periods)
@@ -393,11 +399,7 @@ def torus_potential_trace(periods, modes, cutoff, t):
         raise ResourceError(f"fourier matrix dimension {dim} exceeds budget {_MATRIX_BUDGET}")
 
     lam = _fourier_spectrum(periods, modes, cutoff)
-    flat = ts.ravel()
-    rows = max(1, _EXP_CHUNK // lam.size)
-    out = np.concatenate([np.exp(np.multiply.outer(-flat[i:i + rows], lam)).sum(axis=1)
-                          for i in range(0, flat.size, rows)])
-    return float(out[0]) if ts.ndim == 0 else out
+    return _like_t(ts, _exp_sum(np.atleast_1d(ts), lam))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +427,13 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     Error bars come from a residual bootstrap with a fixed RNG seed so output
     is reproducible byte for byte.
     """
-    samples = [(float(t), float(v)) for t, v in samples]
-    if any(t <= 0 for t, _ in samples):
+    data = np.array([(float(t), float(v)) for t, v in samples]).reshape(-1, 2)
+    if np.any(data[:, 0] <= 0):
         raise ValidationError("sample times must be positive")
     exponents = tuple(float(e) for e in exponents)
-    if len(samples) < 2 * len(exponents):
+    if len(data) < 2 * len(exponents):
         raise ValidationError("need at least twice as many samples as exponents")
-    ts = np.array([t for t, _ in samples])
-    order = np.argsort(ts)
-    ts = ts[order]
-    ys = np.array([v for _, v in samples])[order]
+    ts, ys = data[np.argsort(data[:, 0])].T
     ratios = ts[1:] / ts[:-1]
     if np.max(np.abs(ratios - ratios[0])) > 1e-9 * ratios[0]:
         raise ValidationError("t-grid must be geometric")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import gauss_hermite_average
+from .spectra import _as_t, _like_t
 from .tensorcalc import _basis, _pad, _times
 
 _K_MAX = 6
@@ -79,13 +80,12 @@ def nilpotent_trace_density(fs, t):
     Each factor is written with x = e^{-t B_j} as 2 t B_j x / (1 - x^2), so
     large t B_j underflows toward 0 instead of overflowing sinh.
     """
-    if t <= 0:
-        raise ValidationError("t must be positive")
-    qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(fs.Q))))
-    det = 1.0
-    for b in fs.rotation_frequencies():
-        det *= 2.0 * t * b * math.exp(-t * b) / -math.expm1(-2.0 * t * b)
-    return (4.0 * math.pi * t) ** (-fs.m / 2.0) * qtr * det
+    ts = _as_t(t)
+    with np.errstate(over="ignore"):
+        qtr = np.sum(np.exp(np.multiply.outer(-ts, np.linalg.eigvalsh(fs.Q))), axis=-1)
+        det = np.prod([2.0 * ts * b * np.exp(-ts * b) / -np.expm1(-2.0 * ts * b)
+                       for b in fs.rotation_frequencies()], axis=0)
+        return _like_t(ts, (4.0 * math.pi * ts) ** (-fs.m / 2.0) * qtr * det)
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +126,23 @@ class SymmetricSpaceData:
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "beta", beta)
 
+        # |D| <= p max|beta| max|E| entrywise and D_i D_k sums m such squares;
+        # these Python floats overflow to inf without a warning
+        dmax = self.p * float(np.max(np.abs(beta))) * float(np.max(np.abs(E), initial=0.0))
+        if not self.m * dmax * dmax <= 1e300:
+            raise ValidationError(f"holonomy data too large: D_i up to {dmax:.3g} overflow")
         D = -np.einsum("ik,kab->iab", beta, E)
         object.__setattr__(self, "D", D)
 
         # structure constants from [D_i, D_k] = F^j_{ik} D_j, least squares
-        # over the span of the D_j with an exactness check
+        # over the span of the D_j, exact to rounding at the scale of D_i D_k
         basis = D.reshape(self.p, -1).T
-        F = np.zeros((self.p, self.p, self.p))
-        for i in range(self.p):
-            for k in range(self.p):
-                br = (D[i] @ D[k] - D[k] @ D[i]).reshape(-1)
-                sol, *_ = np.linalg.lstsq(basis, br, rcond=None)
-                if np.max(np.abs(basis @ sol - br)) > 1e-12:
-                    raise ValidationError("holonomy brackets do not close on the D_i")
-                F[:, i, k] = sol
+        DD = np.einsum("iab,kbc->ikac", D, D)
+        br = (DD - DD.transpose(1, 0, 2, 3)).reshape(self.p * self.p, -1).T
+        sol, *_ = np.linalg.lstsq(basis, br, rcond=None)
+        if np.max(np.abs(basis @ sol - br)) > 1e-12 * np.max(np.abs(D)) ** 2:
+            raise ValidationError("holonomy brackets do not close on the D_i")
+        F = sol.reshape(self.p, self.p, self.p)
         object.__setattr__(self, "F", F)
 
         # adjoint matrices of the isometry algebra, basis (P_a, Q_i)
@@ -156,7 +159,7 @@ class SymmetricSpaceData:
         # [C_A, C_B] = C^X_{AB} C_X with C^X_{AB} = C[A, X, B]: Jacobi identity
         jac = np.einsum("aij,bjk->abik", C, C) - np.einsum("bij,ajk->abik", C, C) \
             - np.einsum("axb,xik->abik", C, C)
-        if np.max(np.abs(jac)) > 1e-12:
+        if np.max(np.abs(jac)) > 1e-12 * float(np.max(np.abs(C))) ** 2:
             raise ValidationError("Jacobi identities fail for the derived algebra")
 
         gamma = np.zeros((n, n))

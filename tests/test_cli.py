@@ -250,6 +250,9 @@ GRID = "[grid]\nstart = 0.1\n"
      "bad value for [operator] modes"),
     ("sphere", GRID + "[asymptotics]\nkmax = abc\n",
      "bad value for [asymptotics] kmax: 'abc'"),
+    ("sphere", GRID + "[asymptotics]\nkmax = -1\n",
+     "[asymptotics] kmax must be in [0, 4], got -1"),
+    ("sphere", GRID + "[asymptotics]\nkmax = 5\n", "[asymptotics] kmax must be in [0, 4], got 5"),
     ("landau", GRID + "geometric = maybe\n", "bad value for [grid] geometric"),
     ("landau", GRID + "[output]\npath = out%x.csv\n", "config parse error"),
     ("landau", GRID + "[operator]\nfield = nan\n", "bad value for [operator] field: 'nan'"),

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,16 @@ def test_reflection_identity():
     assert abs(dd + nn - circle) < 1e-13 * circle
 
 
+def partial_trace(levels, t, n):
+    """sum mult e^{-t lam} over the first n levels, at one t."""
+    lam, mult = levels(n)
+    return float(np.sum(mult * np.exp(-t * lam)))
+
+
 def test_dn_eigenvalues():
     L = 2.0
-    model = spectra.interval_model(L, "DN")
-    for j, (lam, mult) in enumerate(model.eigenvalues(6)):
+    levels, _ = spectra._interval_levels(L, "DN")
+    for j, (lam, mult) in enumerate(zip(*levels(6))):
         assert mult == 1
         assert abs(lam - ((j + 0.5) * math.pi / L) ** 2) < 1e-13
 
@@ -42,18 +49,18 @@ def test_interval_trace_matches_direct_sum():
 
 
 def test_partial_trace_monotone_in_count():
-    model = spectra.interval_model(math.pi, "DD")
-    vals = [model.partial_trace(0.3, n) for n in (2, 4, 8, 16)]
+    levels, _ = spectra._interval_levels(math.pi, "DD")
+    vals = [partial_trace(levels, 0.3, n) for n in (2, 4, 8, 16)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_interval_validation():
     with pytest.raises(ValidationError):
-        spectra.interval_model(-1.0, "DD")
+        spectra._interval_levels(-1.0, "DD")
     with pytest.raises(ValidationError):
-        spectra.interval_model(1.0, "XY")
+        spectra._interval_levels(1.0, "XY")
     with pytest.raises(ValidationError):
-        spectra.interval_model(1.0, "robin")       # S missing
+        spectra._interval_levels(1.0, "robin")     # S missing
     with pytest.raises(ValidationError):
         spectra.interval_trace(1.0, "DD", 0.0)
 
@@ -75,24 +82,24 @@ def robin_secular(L, S, lam):
 @settings(max_examples=25, deadline=None)
 def test_robin_roots_satisfy_secular_equation(S):
     L = math.pi
-    for lam, mult in spectra.interval_model(L, "robin", S=S).eigenvalues(20):
+    levels, _ = spectra._interval_levels(L, "robin", S=S)
+    for lam, mult in zip(*levels(20)):
         assert mult == 1
         scale = max(1.0, abs(lam) + S * S)
         assert abs(robin_secular(L, S, lam)) < 1e-9 * scale
 
 
 def test_robin_zero_reduces_to_neumann():
-    model = spectra.interval_model(1.0, "robin", S=0.0)
-    nn = spectra.interval_model(1.0, "NN")
-    assert model.eigenvalues(5) == nn.eigenvalues(5)
+    robin, _ = spectra._interval_levels(1.0, "robin", S=0.0)
+    nn, _ = spectra._interval_levels(1.0, "NN")
+    assert all(np.array_equal(a, b) for a, b in zip(robin(5), nn(5)))
 
 
 def test_robin_negative_mode_count():
     L = math.pi
     def negatives(S):
-        return sum(1 for lam, _ in
-                   spectra.interval_model(L, "robin", S=S).eigenvalues(10)
-                   if lam < 0)
+        lam, _ = spectra._interval_levels(L, "robin", S=S)[0](10)
+        return int(np.sum(lam < 0))
     assert negatives(-1.0) == 0
     assert negatives(0.5) == 1        # S L < 2: single bound state
     assert negatives(1.0) == 2        # S L > 2: both hyperbolic branches
@@ -101,8 +108,8 @@ def test_robin_negative_mode_count():
 def test_robin_interlaces_between_nn_and_dd():
     # positive robin eigenvalues sit between the Neumann and Dirichlet ones
     L, S = math.pi, 0.8
-    rob = [lam for lam, _ in
-           spectra.interval_model(L, "robin", S=S).eigenvalues(12) if lam > 0]
+    lam, _ = spectra._interval_levels(L, "robin", S=S)[0](12)
+    rob = lam[lam > 0]
     for j, lam in enumerate(rob[:8]):
         lo = (j * math.pi / L) ** 2
         hi = ((j + 2) * math.pi / L) ** 2
@@ -124,9 +131,9 @@ def test_sphere_trace_matches_direct_sums():
 
 def test_sphere_model_validation():
     with pytest.raises(ValidationError):
-        spectra.sphere_model(4, 1.0)
+        spectra._sphere_levels(4, 1.0)
     with pytest.raises(ValidationError):
-        spectra.sphere_model(2, 0.0)
+        spectra._sphere_levels(2, 0.0)
     with pytest.raises(ValidationError):
         spectra.sphere_trace(2, 1.0, -0.1)
 
@@ -144,12 +151,76 @@ def test_first_partial_sum_is_capped(trace):
 
 
 def test_sphere_tail_bound_is_a_bound():
-    model = spectra.sphere_model(2, 1.0)
+    levels, tail = spectra._sphere_levels(2, 1.0)
     t = 0.2
     full = spectra.sphere_trace(2, 1.0, t)
     for n in (5, 10, 20):
-        missing = full - model.partial_trace(t, n)
-        assert 0.0 <= missing <= model.tail_bound(t, n)
+        missing = full - partial_trace(levels, t, n)
+        assert 0.0 <= missing <= tail(np.array([t]), n)[0]
+
+
+@pytest.mark.parametrize("spectrum,full", [
+    (spectra._sphere_levels(3, 1.3), lambda t: spectra.sphere_trace(3, 1.3, t)),
+    (spectra._interval_levels(2.0, "DN"), lambda t: spectra.interval_trace(2.0, "DN", t)),
+    (spectra._interval_levels(1.0, "robin", S=0.7),
+     lambda t: spectra.interval_trace(1.0, "robin", t, S=0.7)),
+])
+def test_tail_bounds_hold_at_every_t(spectrum, full):
+    # the closed-form tails are bounds at each t of a grid, for every n
+    levels, tail = spectrum
+    ts = np.array([0.05, 0.2, 1.0])
+    for n in (4, 6, 12):
+        lam, mult = levels(n)
+        missing = full(ts) - np.sum(mult * np.exp(-np.multiply.outer(ts, lam)), axis=1)
+        assert np.all(missing >= -1e-15 * full(ts))
+        assert np.all(missing <= tail(ts, n))
+
+
+def fixture_grid(name):
+    from heatkern.cli import RunConfig
+    return np.array(RunConfig.from_ini(
+        Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini").grid)
+
+
+def mp_level_sum(mp, t, term):
+    """sum over l >= 0 of term(l) at 40 digits, to 1e-45 of the total."""
+    total, l = mp.mpf(0), 0
+    while True:
+        value = term(l)
+        total += value
+        if l > 10 and value < mp.mpf(10) ** -45 * total:
+            return total
+        l += 1
+
+
+def interval_level(mp, t, shift):
+    """e^{-t (pi (j + shift) / L)^2} on the fixtures' interval, L = math.pi."""
+    return lambda j: mp.exp(-t * (mp.pi * (j + shift) / mp.mpf(math.pi)) ** 2)
+
+
+@pytest.mark.parametrize("trace,reference", [
+    (lambda ts: spectra.sphere_trace(2, 1.0, ts),
+     lambda mp, t: mp_level_sum(mp, t, lambda l: (2 * l + 1) * mp.exp(-t * l * (l + 1)))),
+    (lambda ts: spectra.sphere_trace(3, 1.0, ts),
+     lambda mp, t: mp_level_sum(mp, t, lambda l: (l + 1) ** 2 * mp.exp(-t * l * (l + 2)))),
+    (lambda ts: spectra.interval_trace(math.pi, "DD", ts),
+     lambda mp, t: mp_level_sum(mp, t, interval_level(mp, t, 1))),
+    (lambda ts: spectra.interval_trace(math.pi, "NN", ts),
+     lambda mp, t: mp_level_sum(mp, t, interval_level(mp, t, 0))),
+    (lambda ts: spectra.interval_trace(math.pi, "DN", ts),
+     lambda mp, t: mp_level_sum(mp, t, interval_level(mp, t, 0.5))),
+], ids=["S2", "S3", "DD", "NN", "DN"])
+def test_traces_match_mpmath_on_fixture_grids(trace, reference):
+    # an independent 40-digit sum over the same spectra, on the t-grids of the
+    # sphere and interval fixtures
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ts = np.unique(np.concatenate([fixture_grid(n) for n in
+                                   ("sphere_s2", "sphere_tight", "interval_dd")]))
+    got = trace(ts)
+    want = [reference(mp, mp.mpf(float(t))) for t in ts]
+    rel = max(float(abs((mp.mpf(float(g)) - w) / w)) for g, w in zip(got, want))
+    assert rel <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,25 @@ def test_non_finite_inputs_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("fixture,radius", [("S3", 1e-10), ("S2", 1e-10), ("S3", 1e10)])
+def test_extreme_radius_scales_theta_series(fixture, radius):
+    # the closure and Jacobi checks are relative to the size of the products,
+    # so exact data at any scale passes and c_k scales as kappa^k
+    kappa = 1 / radius / radius
+    unit = ss.theta_series(ss.build_symmetric_space(fixture), order=4)
+    got = ss.theta_series(ss.build_symmetric_space(fixture, radius=radius), order=4)
+    assert np.all(np.isfinite(got))
+    for k in range(5):
+        assert abs(got[k] / kappa ** k - unit[k]) <= 1e-12 * abs(unit[k])
+
+
+@pytest.mark.parametrize("fixture", ["S2", "S3"])
+def test_radius_whose_products_overflow_is_rejected(fixture):
+    # kappa = 1e200: D_i D_k would overflow; no numpy warning, no NaN series
+    with pytest.raises(ValidationError, match="overflow"):
+        ss.build_symmetric_space(fixture, radius=1e-100)
+
+
 @pytest.mark.parametrize("fixture,a", [("S2", 1.0), ("S3", 1.0), ("S3", 1.7)])
 def test_riemann_is_constant_curvature(fixture, a):
     space = ss.build_symmetric_space(fixture, radius=a)
