@@ -7,6 +7,10 @@ Configs are flat INI files; see configs/ for the fixtures.  Four tasks:
 * compare: both, with per-t errors and a tolerance verdict as exit status;
 * report: a JSON summary of the assembled model.
 
+Every config key is one row of _KEYS.  A missing required key, a value its
+row rejects, and a section or key no row reads for the configured geometry
+kind are config errors.
+
 Exit codes: 0 success, 1 validation/config error, 2 tolerance breach.
 Output is byte-deterministic for a fixed config: floats are printed with
 %.17g and rows are written in grid order.
@@ -20,7 +24,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,109 +38,12 @@ from .symmspace import ConstantFieldStrength, nilpotent_trace_density
 from .tensorcalc import MAX_CUTOFF, PotentialJet, build_model_geometry
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
-_KINDS = ("sphere", "circle", "torus", "landau", "interval")
 _SCHEMA = "# heatkern-schema=1"
-_MAX_GRID = 1_000_000
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _fmt(x):
     return "%.17g" % float(x)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    task: str
-    kind: str
-    grid: tuple
-    out_format: str
-    out_path: str
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-6
-    geometry: dict = field(default_factory=dict)
-    operator: dict = field(default_factory=dict)
-    boundary: dict = field(default_factory=dict)
-    kmax: int = 3
-
-    @classmethod
-    def from_ini(cls, path):
-        parser = configparser.ConfigParser()
-        try:
-            with open(path) as fh:
-                parser.read_file(fh)
-            sections = {name: dict(parser.items(name)) for name in parser.sections()}
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}")
-        except configparser.Error as exc:
-            raise ValidationError(f"config parse error in {path}: {exc}")
-
-        def need(section, key, cast=str, fallback=None):
-            return _value(sections.get(section, {}), section, key, cast, fallback)
-
-        task = need("run", "task")
-        if task not in _TASKS:
-            raise ValidationError(f"unknown task {task!r}; expected one of {_TASKS}")
-        kind = need("geometry", "kind")
-        if kind not in _KINDS:
-            raise ValidationError(f"unknown geometry kind {kind!r}")
-
-        start = need("grid", "start", float)
-        stop = need("grid", "stop", float, fallback=start)
-        count = need("grid", "count", int, fallback=1)
-        geometric = need("grid", "geometric", _boolean, fallback=True)
-        if not 1 <= count <= _MAX_GRID:
-            raise ValidationError(f"grid count must be in [1, {_MAX_GRID}]")
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ValidationError("grid start and stop must be finite")
-        if start <= 0 or stop < start:
-            raise ValidationError("grid must satisfy 0 < start <= stop")
-        # both spacings return start and stop exactly as the end points
-        grid = tuple((np.geomspace if geometric else np.linspace)(start, stop, count).tolist())
-
-        abs_tol = need("tolerances", "abs", float, fallback=1e-12)
-        rel_tol = need("tolerances", "rel", float, fallback=1e-6)
-        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
-            raise ValidationError("tolerances must be positive and finite")
-
-        out_format = need("output", "format", fallback="csv")
-        if out_format not in ("csv", "json"):
-            raise ValidationError(f"unknown output format {out_format!r}")
-        out_path = need("output", "path", fallback=f"{task}.{out_format}")
-
-        # the jet to order 2 kmax is capped at tensorcalc.MAX_CUTOFF
-        kmax = need("asymptotics", "kmax", int, fallback=3)
-        if not 0 <= kmax <= MAX_CUTOFF // 2:
-            raise ValidationError(
-                f"[asymptotics] kmax must be in [0, {MAX_CUTOFF // 2}], got {kmax}")
-
-        return cls(task=task, kind=kind, grid=grid, out_format=out_format,
-                   out_path=out_path, abs_tol=abs_tol, rel_tol=rel_tol,
-                   geometry=sections.get("geometry", {}),
-                   operator=sections.get("operator", {}),
-                   boundary=sections.get("boundary", {}), kmax=kmax)
-
-
-def _value(items, section, key, cast=str, fallback=None):
-    """items[key] through `cast`, or `fallback` when the key is absent.
-
-    Every config value is read here, so a missing key or one that `cast`
-    rejects ends in a one-line ValidationError naming [section] key.
-    """
-    if key not in items:
-        if fallback is not None:
-            return fallback
-        raise ValidationError(f"missing [{section}] {key}")
-    raw = items[key]
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValidationError(f"bad value for [{section}] {key}: {raw!r}") from None
-
-
-def _boolean(raw):
-    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
-    if value is None:
-        raise ValueError(raw)
-    return value
 
 
 def _finite(raw):
@@ -164,6 +71,114 @@ def _parse_modes(raw):
     return modes
 
 
+# Rows (section, key, kinds, parse, default, allowed).  kinds: the geometry
+# kinds that read the key, None for all.  default: a value, _REQUIRED, or a
+# function of the common values read before it.  allowed: None, a tuple of
+# choices or a closed range (lo, hi); the library checks its own ranges.
+_REQUIRED = object()
+_POSITIVE = (math.ulp(0.0), math.inf)
+_EXPECTED = {int: "an integer", _finite: "a finite number",
+             _floats: "finite numbers 'a,b,...'", _parse_modes: "modes 'n1,n2:amp; ...'"}
+_KEYS = (
+    ("run", "task", None, str, _REQUIRED, _TASKS),
+    ("geometry", "kind", None, str, _REQUIRED,
+     ("sphere", "circle", "torus", "landau", "interval")),
+    ("grid", "start", None, _finite, _REQUIRED, _POSITIVE),
+    ("grid", "stop", None, _finite, lambda v: v["start"], _POSITIVE),
+    ("grid", "count", None, int, 1, (1, 1_000_000)),
+    ("grid", "geometric", None, str.lower, "true", tuple(_BOOLEANS)),
+    ("tolerances", "abs", None, _finite, 1e-12, _POSITIVE),
+    ("tolerances", "rel", None, _finite, 1e-6, _POSITIVE),
+    ("output", "format", None, str, "csv", ("csv", "json")),
+    ("output", "path", None, str, lambda v: f"{v['task']}.{v['format']}", None),
+    # the jet to order 2 kmax is capped at tensorcalc.MAX_CUTOFF
+    ("asymptotics", "kmax", None, int, 3, (0, MAX_CUTOFF // 2)),
+    # the jet's cost grows steeply with m; the oracle knows m = 2, 3 only
+    ("geometry", "dimension", ("sphere",), int, 2, (2, 4)),
+    ("geometry", "radius", ("sphere",), _finite, 1.0, None),
+    ("operator", "potential", ("sphere",), _finite, 0.0, None),
+    ("geometry", "length", ("circle",), _finite, 2.0 * math.pi, None),
+    ("operator", "mode", ("circle",), int, 1, None),
+    ("operator", "amplitude", ("circle",), _finite, 0.0, None),
+    ("operator", "cutoff", ("circle", "torus"), int, 64, None),
+    ("geometry", "periods", ("torus",), _floats, _REQUIRED, None),
+    ("operator", "modes", ("torus",), _parse_modes, {}, None),
+    ("operator", "field", ("landau",), _finite, 1.0, None),
+    ("geometry", "length", ("interval",), _finite, math.pi, None),
+    ("boundary", "bc", ("interval",), str, "DD", ("DD", "NN", "DN")),
+)
+
+
+def _read(row, items, values):
+    """The value of one row of _KEYS from its section's raw items, which it pops."""
+    section, key, _, parse, default, allowed = row
+    if key not in items:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing [{section}] {key}")
+        return default(values) if callable(default) else default
+    raw = items.pop(key)
+    choices = allowed is not None and isinstance(allowed[0], str)
+    try:
+        value = parse(raw)
+        if allowed is None or (value in allowed if choices else allowed[0] <= value <= allowed[1]):
+            return value
+    except (ValueError, ValidationError):
+        pass
+    expected = ("one of " + "/".join(allowed) if choices else _EXPECTED[parse]
+                + ("" if allowed is None else " in [%r, %r]" % allowed))
+    raise ValidationError(f"bad value for [{section}] {key}: {raw!r}; expected {expected}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A config's parsed values; params holds the kind-specific rows of _KEYS."""
+    task: str
+    kind: str
+    grid: tuple
+    out_format: str
+    out_path: str
+    abs_tol: float
+    rel_tol: float
+    kmax: int
+    params: dict
+
+    @classmethod
+    def from_ini(cls, path):
+        parser = configparser.ConfigParser()
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+            sections = {name: dict(parser.items(name)) for name in parser.sections()}
+        except OSError as exc:
+            raise ValidationError(f"cannot read config {path}: {exc}")
+        except configparser.Error as exc:
+            raise ValidationError(f"config parse error in {path}: {exc}")
+
+        values, params, known = {}, {}, set()
+        for row in _KEYS:
+            section, key, kinds = row[:3]
+            if kinds is None or values["kind"] in kinds:
+                known.add(section)
+                value = _read(row, sections.get(section, {}), values)
+                (values if kinds is None else params)[key] = value
+        for section, items in sections.items():
+            if section not in known:
+                raise ValidationError(f"unknown section [{section}] for kind {values['kind']!r}")
+            for key in items:
+                raise ValidationError(f"unknown key [{section}] {key} for kind {values['kind']!r}")
+
+        start, stop, count = values["start"], values["stop"], values["count"]
+        if stop < start:
+            raise ValidationError("grid must satisfy 0 < start <= stop")
+        # both spacings return start and stop exactly as the end points
+        spacing = np.geomspace if _BOOLEANS[values["geometric"]] else np.linspace
+        return cls(task=values["task"], kind=values["kind"],
+                   grid=tuple(spacing(start, stop, count).tolist()),
+                   out_format=values["format"], out_path=values["path"],
+                   abs_tol=values["abs"], rel_tol=values["rel"], kmax=values["kmax"],
+                   params=params)
+
+
 class _Model:
     """Asymptotic/oracle evaluator pair for one configured geometry.
 
@@ -171,18 +186,10 @@ class _Model:
     """
 
     def __init__(self, cfg):
-        kind, geo, op = cfg.kind, cfg.geometry, cfg.operator
+        kind, p = cfg.kind, cfg.params
         if kind == "sphere":
-            m = _value(geo, "geometry", "dimension", int, 2)
-            # the oracle knows S^2 and S^3; the jet alone is bounded by cost
-            top = 3 if cfg.task in ("compare", "oracle") else 4
-            if not 2 <= m <= top:
-                raise ValidationError(
-                    f"sphere dimension must be in [2, {top}] for task {cfg.task!r}, got {m}")
-            a = _value(geo, "geometry", "radius", _finite, 1.0)
-            q = _value(op, "operator", "potential", _finite, 0.0)
-            kmax = cfg.kmax
-            cut = 2 * kmax
+            m, a, q = p["dimension"], p["radius"], p["potential"]
+            kmax, cut = cfg.kmax, 2 * cfg.kmax
             geom = build_model_geometry("sphere", m, cutoff=cut, radius=a)
             pot = PotentialJet.constant(m, 1, q, cutoff=cut)
             jet = build_operator_jet(geom, pot, cutoff=cut)
@@ -193,47 +200,37 @@ class _Model:
                              "expansion": {str(e): c for e, c in expansion.terms}}
         elif kind in ("circle", "torus"):
             if kind == "circle":
-                periods = (_value(geo, "geometry", "length", _finite, 2.0 * math.pi),)
-                n = _value(op, "operator", "mode", int, 1)
-                qamp = _value(op, "operator", "amplitude", _finite, 0.0)
-                modes = cosine_modes(n, qamp)
+                periods = (p["length"],)
+                modes = cosine_modes(p["mode"], p["amplitude"])
             else:
-                periods = _value(geo, "geometry", "periods", _floats)
-                modes = _value(op, "operator", "modes", _parse_modes, {})
+                periods, modes = p["periods"], p["modes"]
             m = len(periods)
             bg = FourierBackground(m=m, periods=periods, d=1,
                                    potential_modes={k: [[v]] for k, v in modes.items()})
             vol = bg.volume
             pref = (4.0 * math.pi) ** (-m / 2.0)
             a2 = -pref * vol * float(np.real(modes.get((0,) * m, 0.0)))
-            cutoff = _value(op, "operator", "cutoff", int, 64)
             self.asymptotic = lambda ts: (pref * vol * ts ** (-m / 2.0)
                                           + a2 * ts ** (1.0 - m / 2.0)
                                           + ts ** (2.0 - m / 2.0) * h_functional(bg, ts))
-            self.oracle = partial(torus_potential_trace, periods, modes, cutoff)
+            self.oracle = partial(torus_potential_trace, periods, modes, p["cutoff"])
             self.describe = {"kind": kind, "periods": list(periods),
                              "modes": {",".join(map(str, k)): [v.real, v.imag]
                                        for k, v in sorted(modes.items())},
                              "A0": pref * vol, "A2": a2}
         elif kind == "landau":
-            B = _value(op, "operator", "field", _finite, 1.0)
+            B = p["field"]
             fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
             self.asymptotic = partial(nilpotent_trace_density, fs)
             self.oracle = partial(landau_trace_density, B)
             self.describe = {"kind": kind, "field": B}
-        elif kind == "interval":
-            L = _value(geo, "geometry", "length", _finite, math.pi)
-            bc = _value(cfg.boundary, "boundary", "bc", fallback="DD")
-            if bc not in ("DD", "NN", "DN"):
-                raise ValidationError(
-                    f"interval comparison supports bc DD/NN/DN, not {bc!r}")
+        else:
+            L, bc = p["length"], p["bc"]
             const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
             self.asymptotic = lambda ts: (4.0 * math.pi * ts) ** -0.5 * L + const
             self.oracle = partial(interval_trace, L, bc)
             self.describe = {"kind": kind, "length": L, "bc": bc,
                              "weyl": [(4.0 * math.pi) ** -0.5 * L, const]}
-        else:
-            raise ValidationError(f"unsupported geometry kind {kind!r}")
 
 
 def _column(model, column, ts):
@@ -270,8 +267,9 @@ def run(cfg):
 
     # compare
     asym, oracle = _column(model, "asymptotic", ts), _column(model, "oracle", ts)
-    abs_err = np.abs(asym - oracle)
-    rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
+    with np.errstate(over="ignore"):
+        abs_err = np.abs(asym - oracle)
+        rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
     fails = np.flatnonzero(~((abs_err <= cfg.abs_tol) | (rel_err <= cfg.rel_tol)))
     first_fail = cfg.grid[fails[0]] if fails.size else None
     max_abs, max_rel = float(abs_err.max()), float(rel_err.max())
@@ -321,7 +319,7 @@ def main(argv=None):
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_path=args.out)
         return run(cfg)
-    except HeatkernError as exc:
+    except (HeatkernError, OSError) as exc:   # OSError: the output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -186,9 +186,11 @@ def interval_trace(L, bc, t, S=None):
 def _sphere_levels(m, a):
     """(levels, tail) of the round m-sphere of radius a, as in _interval_levels."""
     if m not in (2, 3):
-        raise ValidationError("sphere spectra implemented for m in {2, 3}")
+        raise ValidationError(f"sphere spectra implemented for m in {{2, 3}}, not {m}")
     if a <= 0:
         raise ValidationError("radius must be positive")
+    if not (math.isfinite(a) and a * a > 0):
+        raise ValidationError(f"sphere radius {a!r} gives a non-finite 1/a^2")
     ia2 = 1.0 / (a * a)
     if m == 2:
         def levels(n):
@@ -224,18 +226,24 @@ def sphere_trace(m, a, t):
 # Landau levels
 # ---------------------------------------------------------------------------
 
+def _x_over_sinh(x):
+    """x / sinh x as 2x e^{-x} / (1 - e^{-2x}), so that large x underflows toward 0
+    instead of overflowing sinh; at x = 0, where t B may underflow, its limit 1."""
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0, 1.0, 2.0 * x * np.exp(-x) / -np.expm1(-2.0 * x))
+
+
 def landau_trace_density(B, t):
     """Per-area trace of the m=2 constant-field problem.
 
     (B/2 pi) sum_n e^{-tB(2n+1)} geometrically summed: (B/4 pi)/sinh(tB),
-    written with x = e^{-tB} as B x / (2 pi (1 - x^2)) so that large tB
-    underflows toward 0 instead of overflowing sinh.
+    written as (4 pi t)^{-1} tB/sinh(tB) through _x_over_sinh.
     """
     if not B > 0:
         raise ValidationError("landau density needs a field B > 0")
     ts = _as_t(t)
     with np.errstate(over="ignore"):
-        return _like_t(ts, B * np.exp(-ts * B) / (2.0 * math.pi * -np.expm1(-2.0 * ts * B)))
+        return _like_t(ts, _x_over_sinh(ts * B) / (4.0 * math.pi * ts))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import gauss_hermite_average
-from .spectra import _as_t, _like_t
-from .tensorcalc import _basis, _pad, _times
+from .spectra import _as_t, _like_t, _x_over_sinh
+from .tensorcalc import _basis, _pad, _series_log, _times
 
 _K_MAX = 6
 
@@ -75,16 +75,12 @@ class ConstantFieldStrength:
 
 
 def nilpotent_trace_density(fs, t):
-    """Diagonal density (4 pi t)^{-m/2} tr e^{-tQ} prod_j t B_j / sinh(t B_j).
-
-    Each factor is written with x = e^{-t B_j} as 2 t B_j x / (1 - x^2), so
-    large t B_j underflows toward 0 instead of overflowing sinh.
-    """
+    """Diagonal density (4 pi t)^{-m/2} tr e^{-tQ} prod_j t B_j / sinh(t B_j),
+    each factor from spectra._x_over_sinh."""
     ts = _as_t(t)
     with np.errstate(over="ignore"):
         qtr = np.sum(np.exp(np.multiply.outer(-ts, np.linalg.eigvalsh(fs.Q))), axis=-1)
-        det = np.prod([2.0 * ts * b * np.exp(-ts * b) / -np.expm1(-2.0 * ts * b)
-                       for b in fs.rotation_frequencies()], axis=0)
+        det = np.prod([_x_over_sinh(ts * b) for b in fs.rotation_frequencies()], axis=0)
         return _like_t(ts, (4.0 * math.pi * ts) ** (-fs.m / 2.0) * qtr * det)
 
 
@@ -197,15 +193,9 @@ def build_symmetric_space(fixture, radius=1.0):
 
 @lru_cache(maxsize=None)
 def _log_sinh_coeffs(kmax):
-    """Exact b_j with log(sinh x / x) = sum_j b_j x^{2j}, as Fractions."""
-    s = [Fraction(1, math.factorial(2 * n + 1)) for n in range(kmax + 1)]
-    b = [Fraction(0)] * (kmax + 1)
-    for n in range(1, kmax + 1):
-        acc = s[n]
-        for k in range(1, n):
-            acc -= Fraction(k, n) * b[k] * s[n - k]
-        b[n] = acc
-    return tuple(b)
+    """Exact b_j with log(sinh x / x) = sum_j b_j x^{2j}, as Fractions (b_0 = 0.0)."""
+    return tuple(_series_log([Fraction(1, math.factorial(2 * n + 1))
+                              for n in range(kmax + 1)], kmax + 1))
 
 
 def _traced_powers(B, mats, jmax):

@@ -199,12 +199,12 @@ class TaylorSeries:
 # ---------------------------------------------------------------------------
 
 def _series_log(a, n):
-    # a[0] must be 1
+    # a[0] must be 1; the weights j/k are exact, so Fraction series stay exact
     la = [0.0] * n
     for k in range(1, n):
         s = a[k]
         for j in range(1, k):
-            s -= (j / k) * la[j] * a[k - j]
+            s -= Fraction(j, k) * la[j] * a[k - j]
         la[k] = s
     return la
 
@@ -309,12 +309,8 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
             vol = math.inf
         if not math.isfinite(vol):
             raise ValidationError(f"sphere radius {radius!r} gives a non-finite volume")
-        for mu in range(m):
-            for al in range(m):
-                for nu in range(m):
-                    for be in range(m):
-                        riemann[mu, al, nu, be] = kappa * (
-                            (mu == nu) * (al == be) - (mu == be) * (al == nu))
+        pair = np.einsum("ac,bd->abcd", np.eye(m), np.eye(m))     # delta_ac delta_bd
+        riemann = kappa * (pair - pair.swapaxes(2, 3))
         ricci = kappa * (m - 1) * np.eye(m)
         R = kappa * m * (m - 1)
         per = None

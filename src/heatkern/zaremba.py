@@ -56,6 +56,15 @@ def _gauss_term(t, m, xdist2, rho, rhop, dtheta):
     return (4.0 * math.pi * t) ** (-m / 2.0) * math.exp(-expo) * math.erf(amp)
 
 
+def _kernel_pair(t, m, xdist2, rho, theta, rhop, thetap):
+    """Direct plus reflected term at (rho, theta) from the source (rhop, thetap).
+
+    Raw floats, not WedgePoints: the Neumann stencil steps past theta = -pi/2.
+    """
+    return (_gauss_term(t, m, xdist2, rho, rhop, theta - thetap)
+            + _gauss_term(t, m, xdist2, rho, rhop, -theta - thetap - math.pi))
+
+
 def wedge_kernel(t, p, pp):
     """Closed-form Zaremba kernel: direct term plus one reflected term."""
     if t <= 0:
@@ -64,8 +73,7 @@ def wedge_kernel(t, p, pp):
         raise ValidationError("tangential offsets must have equal dimension")
     m = 2 + len(p.xhat)
     xdist2 = sum((a - b) ** 2 for a, b in zip(p.xhat, pp.xhat))
-    return (_gauss_term(t, m, xdist2, p.rho, pp.rho, p.theta - pp.theta)
-            + _gauss_term(t, m, xdist2, p.rho, pp.rho, -p.theta - pp.theta - math.pi))
+    return _kernel_pair(t, m, xdist2, p.rho, p.theta, pp.rho, pp.theta)
 
 
 def wedge_diagonal(t, rho, theta, m=2):
@@ -200,16 +208,9 @@ def bc_residuals(t, samples=None):
             raise ValidationError("samples must be interior in rho")
         m = 2 + len(src.xhat)
         xd2 = sum(x * x for x in src.xhat)
-        d_val = abs(_gauss_term(t, m, xd2, rho_b, src.rho, _HALF_PI - src.theta)
-                    + _gauss_term(t, m, xd2, rho_b, src.rho,
-                                  -_HALF_PI - src.theta - math.pi))
-        plus = (_gauss_term(t, m, xd2, rho_b, src.rho, -_HALF_PI + h - src.theta)
-                + _gauss_term(t, m, xd2, rho_b, src.rho,
-                              _HALF_PI - h - src.theta - math.pi))
-        minus = (_gauss_term(t, m, xd2, rho_b, src.rho, -_HALF_PI - h - src.theta)
-                 + _gauss_term(t, m, xd2, rho_b, src.rho,
-                               _HALF_PI + h - src.theta - math.pi))
-        n_val = abs(plus - minus) / (2.0 * h)
+        at = lambda theta: _kernel_pair(t, m, xd2, rho_b, theta, src.rho, src.theta)
+        d_val = abs(at(_HALF_PI))
+        n_val = abs(at(-_HALF_PI + h) - at(-_HALF_PI - h)) / (2.0 * h)
         max_d = max(max_d, d_val)
         max_n = max(max_n, n_val)
     return max_d, max_n
@@ -225,15 +226,7 @@ def heat_residual(t, p, src, h_space=1e-2, h_time=None):
     h_time = h_time or 1e-2 * t
 
     def at(tt, rho, theta):
-        expo = (rho * rho + src.rho ** 2
-                - 2.0 * rho * src.rho * math.cos(theta - src.theta)) / (4.0 * tt)
-        amp = math.sqrt(rho * src.rho / tt) * math.cos(0.5 * (theta - src.theta))
-        v1 = math.exp(-expo) * math.erf(amp)
-        expo2 = (rho * rho + src.rho ** 2
-                 - 2.0 * rho * src.rho * math.cos(theta + src.theta + math.pi)) / (4.0 * tt)
-        amp2 = math.sqrt(rho * src.rho / tt) * math.cos(0.5 * (-theta - src.theta - math.pi))
-        v2 = math.exp(-expo2) * math.erf(amp2)
-        return (4.0 * math.pi * tt) ** -1.0 * (v1 + v2)
+        return _kernel_pair(tt, 2, 0.0, rho, theta, src.rho, src.theta)
 
     def d1(f, x, h):
         return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)

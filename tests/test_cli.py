@@ -1,14 +1,19 @@
 """Config-driven runner: exit codes, output schema, byte determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatkern import cli, spectra
 from heatkern.cli import RunConfig, main
@@ -77,7 +82,7 @@ def test_from_ini_full_roundtrip(tmp_path):
     assert max(ratios) - min(ratios) < 1e-12
     assert cfg.abs_tol == 1e-12 and cfg.rel_tol == 1e-6
     assert cfg.kmax == 3
-    assert cfg.operator["potential"] == "0.1"
+    assert cfg.params["potential"] == 0.1
 
 
 def test_from_ini_linear_grid_and_defaults(tmp_path):
@@ -118,9 +123,11 @@ start = 1e-2
 
 @pytest.mark.parametrize("mutation,needle", [
     ("[run]\n", "missing [run] task"),
-    ("[run]\ntask = melt\n", "unknown task"),
+    ("[run]\ntask = melt\n",
+     "bad value for [run] task: 'melt'; expected one of asymptotics/oracle/compare/report"),
     ("[run]\ntask = oracle\n[geometry]\nkind = klein\n[grid]\nstart = 0.1\n",
-     "unknown geometry kind"),
+     "bad value for [geometry] kind: 'klein'; "
+     "expected one of sphere/circle/torus/landau/interval"),
 ])
 def test_from_ini_validation(tmp_path, mutation, needle):
     path = write_ini(tmp_path, mutation)
@@ -251,8 +258,9 @@ GRID = "[grid]\nstart = 0.1\n"
     ("sphere", GRID + "[asymptotics]\nkmax = abc\n",
      "bad value for [asymptotics] kmax: 'abc'"),
     ("sphere", GRID + "[asymptotics]\nkmax = -1\n",
-     "[asymptotics] kmax must be in [0, 4], got -1"),
-    ("sphere", GRID + "[asymptotics]\nkmax = 5\n", "[asymptotics] kmax must be in [0, 4], got 5"),
+     "bad value for [asymptotics] kmax: '-1'; expected an integer in [0, 4]"),
+    ("sphere", GRID + "[asymptotics]\nkmax = 5\n",
+     "bad value for [asymptotics] kmax: '5'; expected an integer in [0, 4]"),
     ("landau", GRID + "geometric = maybe\n", "bad value for [grid] geometric"),
     ("landau", GRID + "[output]\npath = out%x.csv\n", "config parse error"),
     ("landau", GRID + "[operator]\nfield = nan\n", "bad value for [operator] field: 'nan'"),
@@ -277,6 +285,10 @@ GRID = "[grid]\nstart = 0.1\n"
     ("sphere", GRID + "[operator]\npotential = 1e300\n", "heat coefficient a_2 is not finite"),
     ("circle", "[grid]\nstart = 1e300\nstop = 1e300\n[operator]\namplitude = 0.5\n",
      "heat-trace expansion overflows at t=1e+300"),
+    ("sphere", "radus = 3.0\n" + GRID, "unknown key [geometry] radus for kind 'sphere'"),
+    ("sphere", GRID + "[operator]\npotental = 0.5\n",
+     "unknown key [operator] potental for kind 'sphere'"),
+    ("landau", GRID + "[opertor]\nfield = 3.0\n", "unknown section [opertor] for kind 'landau'"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
     path = write_ini(tmp_path,
@@ -300,8 +312,10 @@ def test_sphere_dimension_out_of_range_exits_1(tmp_path, capsys, task, dimension
     rc = main([task, "--config", path, "--out", str(tmp_path / "o.txt")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: sphere dimension must be in [2, ")
-    assert err.count("\n") == 1
+    # the table bounds the jet's dimension, the oracle bounds its own
+    assert err == ("error: sphere spectra implemented for m in {2, 3}, not 4\n" if dimension == 4
+                   else f"error: bad value for [geometry] dimension: '{dimension}'; "
+                   "expected an integer in [2, 4]\n")
 
 
 def test_sphere_dimension_9_exits_before_building_the_jet(tmp_path):
@@ -313,8 +327,29 @@ def test_sphere_dimension_9_exits_before_building_the_jet(tmp_path):
          "--out", str(tmp_path / "o.csv")],
         capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.returncode == 1
-    assert proc.stderr == ("error: sphere dimension must be in [2, 3] "
-                           "for task 'compare', got 9\n")
+    assert proc.stderr == ("error: bad value for [geometry] dimension: '9'; "
+                           "expected an integer in [2, 4]\n")
+
+
+def test_relative_error_overflow_is_one_breach_line(tmp_path, capsys):
+    # the oracle underflows to 0, so abs_err / 1e-300 overflows to an infinite rel_err
+    path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = sphere\n"
+                               "[operator]\npotential = 99999999999999999999999\n"
+                               "[grid]\nstart = 1e-2\nstop = 1e-1\ncount = 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["compare", "--config", path, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("tolerance breach at t=0.01 ") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
+    path = write_ini(tmp_path, "[run]\ntask = report\n[geometry]\nkind = landau\n"
+                               f"{GRID}[output]\npath = {tmp_path}\n")
+    assert main(["report", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
 def test_huge_interval_exits_1_without_building_the_spectrum(tmp_path):
@@ -353,6 +388,85 @@ path = {tmp_path / 'i.csv'}
     rc = main(["compare", "--config", path])
     assert rc == 1
     assert "DD/NN/DN" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz of main() generated from the key table
+# ---------------------------------------------------------------------------
+
+ADVERSARIAL = ("nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "0", "-1",
+               "12345678901234567890123", "abc", "", "1,nan", "1:nan;-1:nan")
+SIZE_CAPS = {"count": 16, "cutoff": 32}      # keeps every valid run small
+KINDS = next(row[5] for row in cli._KEYS if row[1] == "kind")
+
+
+def valid_values(key, parse, allowed):
+    """Raw values that the row of cli._KEYS for `key` accepts."""
+    if allowed is not None and isinstance(allowed[0], str):
+        return st.sampled_from(allowed)
+    if parse is int:
+        lo, hi = allowed or (0, 32)
+        return st.integers(lo, min(hi, SIZE_CAPS.get(key, 32))).map(str)
+    if parse is cli._finite:
+        return st.floats(0.05, 5.0).map(repr)
+    if parse is cli._floats:
+        return st.lists(st.floats(0.5, 8.0), min_size=1, max_size=2).map(
+            lambda xs: ",".join(map(repr, xs)))
+    if parse is cli._parse_modes:
+        return st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+                         st.floats(-0.2, 0.2)).map(
+            lambda p: "; ".join(",".join(str(s * n) for n in p[0]) + f":{p[1]!r}"
+                                for s in (1, -1)))
+    return st.just("out.csv")
+
+
+@st.composite
+def fuzz_configs(draw):
+    """(task, INI text): every row of cli._KEYS that the drawn kind reads holds a
+    valid value, except a few rows left absent or given an adversarial value;
+    sometimes a key or section that no row reads is added."""
+    task = draw(st.sampled_from(cli._TASKS))
+    kind = draw(st.sampled_from(KINDS))
+    rows = [row for row in cli._KEYS if row[2] is None or kind in row[2]]
+    keys = [row[1] for row in rows]       # unique within one kind
+    absent = draw(st.sets(st.sampled_from(keys), max_size=3))
+    bad = draw(st.sets(st.sampled_from(keys), max_size=2))
+    sections = {}
+    for section, key, _, parse, _, allowed in rows:
+        if key in bad:
+            value = draw(st.sampled_from(ADVERSARIAL))
+        elif key in absent:
+            continue
+        else:
+            value = {"task": task, "kind": kind}.get(key) or draw(
+                valid_values(key, parse, allowed))
+        sections.setdefault(section, {})[key] = value
+    extra = draw(st.sampled_from((None, None, None, ("geometry", "radus"), ("opertor", "field"))))
+    if extra:
+        sections.setdefault(extra[0], {})[extra[1]] = "1.0"
+    return task, "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                         for name, items in sections.items())
+
+
+@settings(max_examples=400, deadline=5000, derandomize=True, database=None)
+@given(fuzz_configs())
+def test_main_fuzz(case):
+    task, text = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # a numpy RuntimeWarning would be a second stderr line
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([task, "--config", path, "--out", os.path.join(tmp, "out")])
+    err = err.getvalue()
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

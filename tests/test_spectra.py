@@ -138,6 +138,13 @@ def test_sphere_model_validation():
         spectra.sphere_trace(2, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("radius", [1e-200, math.nan])
+def test_sphere_trace_rejects_radius_without_finite_curvature(radius):
+    # 1e-200 squares to 0: 1/a^2 once raised a bare ZeroDivisionError
+    with pytest.raises(ValidationError, match=r"gives a non-finite 1/a\^2"):
+        spectra.sphere_trace(2, radius, 0.1)
+
+
 @pytest.mark.parametrize("trace", [
     lambda: spectra.interval_trace(1e300, "DD", 0.01),
     lambda: spectra.interval_trace(3e5, "NN", 1e-3),

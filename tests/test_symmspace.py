@@ -1,6 +1,7 @@
 """Nilpotent closed forms and curved symmetric-space theta machinery."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,17 @@ def test_nilpotent_density_m2_matches_landau():
     for t in (0.05, 0.4, 2.0):
         want = spectra.landau_trace_density(B, t)
         assert abs(ss.nilpotent_trace_density(fs, t) - want) < 1e-14 * want
+
+
+def test_density_where_tb_underflows_to_zero():
+    # tB = 1e-600 is 0 in floats, where tB / sinh(tB) takes its limit 1
+    B = t = 1e-300
+    want = 1.0 / (4 * math.pi * t)
+    fs = ss.ConstantFieldStrength(2, planar_field(B))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in (spectra.landau_trace_density(B, t), ss.nilpotent_trace_density(fs, t)):
+            assert abs(got - want) < 1e-15 * want
 
 
 def test_nilpotent_density_m4_factorizes():
