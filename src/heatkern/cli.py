@@ -32,8 +32,8 @@ import numpy as np
 from .errors import HeatkernError, ValidationError
 from .formfactors import FourierBackground, h_functional
 from .hmds import build_operator_jet, hmds_coefficients, trace_expansion
-from .spectra import (_like_t, cosine_modes, interval_trace, landau_trace_density,
-                      sphere_trace, torus_potential_trace)
+from .spectra import (_like_t, interval_trace, landau_trace_density, sphere_trace,
+                      torus_potential_trace)
 from .symmspace import ConstantFieldStrength, nilpotent_trace_density
 from .tensorcalc import MAX_CUTOFF, PotentialJet, build_model_geometry
 
@@ -200,23 +200,21 @@ class _Model:
                              "expansion": {str(e): c for e, c in expansion.terms}}
         elif kind in ("circle", "torus"):
             if kind == "circle":
-                periods = (p["length"],)
-                modes = cosine_modes(p["mode"], p["amplitude"])
+                bg = FourierBackground.circle_cosine(p["length"], p["mode"], p["amplitude"])
             else:
-                periods, modes = p["periods"], p["modes"]
-            m = len(periods)
-            bg = FourierBackground(m=m, periods=periods, d=1,
-                                   potential_modes={k: [[v]] for k, v in modes.items()})
-            vol = bg.volume
+                bg = FourierBackground(len(p["periods"]), p["periods"],
+                                       potential_modes=p["modes"])
+            m, vol, modes = bg.m, bg.volume, bg.potential_modes
             pref = (4.0 * math.pi) ** (-m / 2.0)
-            a2 = -pref * vol * float(np.real(modes.get((0,) * m, 0.0)))
+            q0 = modes.get((0,) * m)
+            a2 = -pref * vol * (0.0 if q0 is None else float(q0[0, 0].real))
             self.asymptotic = lambda ts: (pref * vol * ts ** (-m / 2.0)
                                           + a2 * ts ** (1.0 - m / 2.0)
                                           + ts ** (2.0 - m / 2.0) * h_functional(bg, ts))
-            self.oracle = partial(torus_potential_trace, periods, modes, p["cutoff"])
-            self.describe = {"kind": kind, "periods": list(periods),
-                             "modes": {",".join(map(str, k)): [v.real, v.imag]
-                                       for k, v in sorted(modes.items())},
+            self.oracle = partial(torus_potential_trace, bg.periods, modes, p["cutoff"])
+            self.describe = {"kind": kind, "periods": list(bg.periods),
+                             "modes": {",".join(map(str, k)): [q[0, 0].real, q[0, 0].imag]
+                                       for k, q in sorted(modes.items())},
                              "A0": pref * vol, "A2": a2}
         elif kind == "landau":
             B = p["field"]
@@ -240,6 +238,18 @@ def _column(model, column, ts):
     return _like_t(ts, values, "heat-trace expansion" if column == "asymptotic" else "oracle")
 
 
+def _json(payload):
+    """payload as indented JSON text.  A non-finite float is written as the string
+    of its CSV spelling ("inf", "-inf", "nan"), so that strict parsers read it."""
+    def strict(x):
+        if isinstance(x, dict):
+            return {k: strict(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [strict(v) for v in x]
+        return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+    return json.dumps(strict(payload), sort_keys=True, indent=2) + "\n"
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -253,7 +263,7 @@ def run(cfg):
         payload = {"schema": 1, "task": cfg.task,
                    "grid": [float(t) for t in cfg.grid],
                    "model": model.describe}
-        _write_text(cfg.out_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(cfg.out_path, _json(payload))
         return 0
 
     ts = np.asarray(cfg.grid)
@@ -283,7 +293,7 @@ def run(cfg):
                    "summary": {"status": "ok" if first_fail is None else "fail",
                                "max_abs": max_abs, "max_rel": max_rel,
                                "first_failing_t": first_fail}}
-        _write_text(cfg.out_path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(cfg.out_path, _json(payload))
     else:
         lines = [_SCHEMA, "t,asymptotic,oracle,abs_err,rel_err"]
         lines += [",".join(_fmt(x) for x in row) for row in table]

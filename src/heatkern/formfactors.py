@@ -17,7 +17,8 @@ is a polynomial in xi^2, a closed form in Dawson's function D, which _dawson
 evaluates with numpy.  gamma_factor is its scalar entry point.
 
 h_functional resums the whole quadratic tower on flat torus backgrounds,
-where the mode decomposition makes every operator function diagonal.  As in
+where the mode decomposition makes every operator function diagonal.  The
+background is spectra.FourierBackground, also importable from here.  As in
 spectra, a scalar t gives a float, a 1-D t-array an array, and any other t
 is a ValidationError.
 """
@@ -25,13 +26,12 @@ is a ValidationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spectra import MAX_AMPLITUDE, MAX_MODE, MIN_LENGTH, _as_t, _check_partners, _like_t
+from .spectra import FourierBackground, _as_t, _like_t
 
 # profiles as polynomials in u = xi^2: {power of u: rational coefficient}
 _PROFILE_POLY = {
@@ -176,90 +176,6 @@ def gamma_factor(i, z):
 # ---------------------------------------------------------------------------
 # flat torus backgrounds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FourierBackground:
-    """Flat torus with a Hermitian potential and optional curvature modes.
-
-    potential_modes maps integer wavevector tuples n to (d, d) amplitude
-    blocks of Q(x) = sum_n Qhat_n e^{i k(n).x}, k(n) = 2 pi n / periods;
-    Hermiticity of Q forces Qhat_{-n} = Qhat_n^dagger.  curvature_modes maps
-    wavevectors to (m, m, d, d) blocks, antisymmetric in the base pair, with
-    Rhat_{-n} = -Rhat_n^dagger (the field is anti-Hermitian pointwise); the
-    zero mode is excluded because the curvature channel carries an explicit
-    1/box.
-    """
-
-    m: int
-    periods: tuple
-    d: int = 1
-    potential_modes: dict = field(default_factory=dict)
-    curvature_modes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        periods = tuple(float(p) for p in self.periods)
-        if len(periods) != self.m or not all(0 < p < math.inf for p in periods):
-            raise ValidationError("need m positive finite periods")
-        if min(periods) < MIN_LENGTH:
-            raise ValidationError(f"period {min(periods)!r} is below {MIN_LENGTH:g}")
-        object.__setattr__(self, "periods", periods)
-
-        pm = {}
-        for key, amp in self.potential_modes.items():
-            n = self._mode(key, "potential")
-            pm[n] = np.asarray(amp, dtype=complex).reshape(self.d, self.d)
-            if not np.all(np.isfinite(pm[n])):
-                raise ValidationError(f"potential mode {key!r} amplitude is not finite")
-            if np.max(np.abs(pm[n])) > MAX_AMPLITUDE:
-                raise ValidationError(
-                    f"potential mode {key!r} amplitude exceeds {MAX_AMPLITUDE:g}")
-        _check_partners(pm, lambda amp: amp.conj().T,
-                        "potential modes must satisfy Qhat(-n) = Qhat(n)^dagger")
-        object.__setattr__(self, "potential_modes", pm)
-
-        cm = {}
-        for key, blk in self.curvature_modes.items():
-            n = self._mode(key, "curvature")
-            if all(x == 0 for x in n):
-                raise ValidationError(
-                    "zero-mode curvature excluded: the curvature channel carries 1/box; "
-                    "constant field strength belongs to the symmspace route")
-            b = np.asarray(blk, dtype=complex).reshape(self.m, self.m, self.d, self.d)
-            if not np.max(np.abs(b), initial=0.0) <= MAX_AMPLITUDE:
-                raise ValidationError(f"curvature mode {key!r} amplitude is not finite "
-                                      f"or exceeds {MAX_AMPLITUDE:g}")
-            if np.max(np.abs(b + b.transpose(1, 0, 2, 3))) > 1e-12:
-                raise ValidationError("curvature modes must be antisymmetric in base indices")
-            cm[n] = b
-        _check_partners(cm, lambda b: -np.conj(b.transpose(0, 1, 3, 2)),
-                        "curvature modes must satisfy Rhat(-n) = -Rhat(n)^dagger")
-        object.__setattr__(self, "curvature_modes", cm)
-
-    def _mode(self, key, what):
-        n = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
-        if len(n) != self.m:
-            raise ValidationError(f"{what} mode {key!r} has wrong dimension")
-        if any(abs(x) > MAX_MODE for x in n):
-            raise ValidationError(f"{what} mode {key!r} exceeds {MAX_MODE} in magnitude")
-        return n
-
-    @classmethod
-    def circle_cosine(cls, length, n, q, d=1):
-        """Q(x) = q cos(2 pi n x / length) on a circle."""
-        eye = np.eye(d)
-        if n == 0:
-            modes = {(0,): q * eye}
-        else:
-            modes = {(n,): 0.5 * q * eye, (-n,): 0.5 * q * eye}
-        return cls(m=1, periods=(length,), d=d, potential_modes=modes)
-
-    @property
-    def volume(self):
-        return float(np.prod(self.periods))
-
-    def wavevector(self, n):
-        return np.array([2.0 * math.pi * ni / p for ni, p in zip(n, self.periods)])
-
 
 def _channel_sums(bg, weight1, weight2):
     """Common mode-sum skeleton of h_functional and a2k2_coefficient.

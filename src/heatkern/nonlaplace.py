@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (EllipticityError, ResourceError, StructureError,
                      ValidationError)
 from .quadrature import gauss_hermite_average
+from .spectra import _periods, _scalar_t
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -183,8 +184,7 @@ def a0_coefficient(spec, m, vol):
 
 def u0_trace(spec, m, t):
     """Pointwise leading trace sum_i d_i (4 pi t mu_i)^{-m/2}."""
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    t = _scalar_t(t)
     return sum(di * (4.0 * math.pi * t * mui) ** (-m / 2.0)
                for di, mui in zip(spec.mult, spec.mu))
 
@@ -245,12 +245,9 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=None, periods=None):
     growing the per-axis cutoff until the discarded tail (bounded per axis
     through the smallest slope) is below 1e-10.
     """
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    t = _scalar_t(t)
     m, d = sym.m, sym.d
-    periods = (1.0,) * m if periods is None else tuple(float(p) for p in periods)
-    if len(periods) != m or any(p <= 0 for p in periods):
-        raise ValidationError("need m positive periods")
+    periods = (1.0,) * m if periods is None else _periods(periods, m)
     if Q is None:
         Q = np.zeros((d, d), dtype=complex)
     Q = np.asarray(Q, dtype=complex).reshape(d, d)

@@ -135,13 +135,13 @@ def _prefactor(m):
     return (4.0 * math.pi) ** (-(m - 1) / 2.0)
 
 
-def _assemble(data, m, J):
+def _assemble(data, J):
     d = data.d
-    val = _prefactor(m) * 0.25 * (-np.eye(d) - 2.0 * data.Pi + 2.0 * J)
+    val = _prefactor(data.m) * 0.25 * (-np.eye(d) - 2.0 * data.Pi + 2.0 * J)
     return 0.5 * (val + val.conj().T)
 
 
-def a1_quadrature(data, m=None):
+def a1_quadrature(data):
     """First boundary coefficient from the Gaussian covector integral.
 
     (4 pi)^{-(m-1)/2} / 4 * { -I - 2 Pi
@@ -152,15 +152,14 @@ def a1_quadrature(data, m=None):
     Hermitian positive semidefinite only inside the ellipticity cone, and the
     integral diverges outside it.
     """
-    m = data.m if m is None else m
-    p = m - 1
+    p = data.m - 1
     verdict = strong_ellipticity(data)
     if not verdict.elliptic:
         raise DomainError(
             "integral divergent: strong ellipticity violated at direction "
             f"{verdict.violating_direction} (min eigenvalue {verdict.min_eigenvalue:.3e})")
     if not any(np.any(np.abs(g) > 0) for g in data.Gamma):
-        return _assemble(data, m, np.eye(data.d))   # exact Dirichlet/Neumann limit
+        return _assemble(data, np.eye(data.d))   # exact Dirichlet/Neumann limit
 
     # near-violation conditioning: |zeta|^2 I + (Gamma.zeta)^2 nearly singular
     gz = data.gamma_dot(boundary_directions(p))
@@ -176,12 +175,11 @@ def a1_quadrature(data, m=None):
         lam, V = np.linalg.eigh(M)
         return np.einsum("nab,nb,ncb->nac", V, np.exp(lam), V.conj())
 
-    return _assemble(data, m, gauss_hermite_average(p, (16, 32, 64, 128), integrand, 1e-9))
+    return _assemble(data, gauss_hermite_average(p, (16, 32, 64, 128), integrand, 1e-9))
 
 
-def a1_abelian(data, m=None):
+def a1_abelian(data):
     """Closed form for a commuting family: 2(I + Gamma^2)^{-1/2} branch."""
-    m = data.m if m is None else m
     for i, gi in enumerate(data.Gamma):
         for gj in data.Gamma[i + 1:]:
             if np.max(np.abs(gi @ gj - gj @ gi)) > 1e-12:
@@ -193,18 +191,17 @@ def a1_abelian(data, m=None):
             f"I + Gamma^2 singular (min eigenvalue {np.min(lam):.3e}); "
             "a1 diverges at the ellipticity boundary")
     J = (V * lam ** -0.5) @ V.conj().T
-    return _assemble(data, m, J)
+    return _assemble(data, J)
 
 
-def a1_clifford(data, m=None):
+def a1_clifford(data):
     """Closed form for a Clifford-like family.
 
     Requires Gamma^i Gamma^j + Gamma^j Gamma^i = 2 delta^{ij} Gamma^2/(m-1);
     then the covector integral collapses to a single radial one with value
     (I + Gamma^2/(m-1))^{-(m-1)/2}.
     """
-    m = data.m if m is None else m
-    p = m - 1
+    p = data.m - 1
     g2 = data.gamma_squared()
     for i, gi in enumerate(data.Gamma):
         for j, gj in enumerate(data.Gamma):
@@ -217,7 +214,7 @@ def a1_clifford(data, m=None):
         raise DomainError(
             f"I + Gamma^2/(m-1) singular (min eigenvalue {np.min(lam):.3e})")
     J = (V * lam ** (-p / 2.0)) @ V.conj().T
-    return _assemble(data, m, J)
+    return _assemble(data, J)
 
 
 def smooth_boundary_constants(bc, m, dimV, K=0.0):

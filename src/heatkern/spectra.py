@@ -5,6 +5,11 @@ and sphere eigenvalue sums, the Landau-level density, Fourier-matrix traces
 for circle/torus potentials, and a weighted least-squares fitter that turns
 oracle sums into expansion coefficients with honest error bars.
 
+FourierBackground is the one description of a flat torus with potential and
+curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
+check _periods is also the one for the torus geometry and the nonlaplace
+lattice oracle.
+
 Every trace, like every t-dependent evaluator in formfactors, hmds and
 symmspace, takes a positive scalar t and returns a float, or a non-empty 1-D
 t-array and returns an array, building the spectrum once for the whole grid.
@@ -13,9 +18,8 @@ Any other t (zero, negative, not finite, empty, 2-D) is a ValidationError.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +45,14 @@ def _as_t(t):
     if not np.all(np.isfinite(ts) & (ts > 0)):
         raise ValidationError("t must be positive and finite")
     return ts
+
+
+def _scalar_t(t):
+    """t as a positive finite float, for the routes that take one t per call."""
+    ts = _as_t(t)
+    if ts.ndim:
+        raise ValidationError("t must be a scalar")
+    return float(ts)
 
 
 def _like_t(ts, values, what=None):
@@ -254,38 +266,101 @@ _MATRIX_BUDGET = 4097
 _TAIL_SHELLS = 100_000
 
 
-def cosine_modes(n, q):
-    """Fourier modes of q cos(n x) on the circle."""
-    if n == 0:
-        return {(0,): complex(q)}
-    return {(n,): q / 2.0 + 0.0j, (-n,): q / 2.0 + 0.0j}
+def _periods(periods, m):
+    """periods as a tuple of m floats, each finite and at least MIN_LENGTH."""
+    periods = tuple(float(p) for p in periods)
+    if len(periods) != m:
+        raise ValidationError(f"need {m} periods, got {len(periods)}")
+    for p in periods:
+        if not 0 < p < math.inf:
+            raise ValidationError("periods must be positive and finite")
+        if p < MIN_LENGTH:
+            raise ValidationError(f"period {p!r} is below {MIN_LENGTH:g}")
+    return periods
 
 
-def _normalize_modes(modes, m):
+def _modes(modes, m, shape, what, flip, relation):
+    """modes as {m-tuple of ints: complex block of the given shape}.  Every key has
+    m entries of magnitude at most MAX_MODE, every block is finite with entries
+    of magnitude at most MAX_AMPLITUDE, and mode -n holds flip(block of mode n)."""
     out = {}
     for key, amp in modes.items():
-        k = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
-        if len(k) != m:
-            raise ValidationError(f"mode key {key!r} has wrong dimension")
-        if any(abs(x) > MAX_MODE for x in k):
-            raise ValidationError(f"mode key {key!r} exceeds {MAX_MODE} in magnitude")
-        out[k] = complex(amp)
-        if not cmath.isfinite(out[k]):
-            raise ValidationError(f"potential mode {key!r} amplitude {amp!r} is not finite")
-        if abs(out[k]) > MAX_AMPLITUDE:
-            raise ValidationError(f"potential mode {key!r} amplitude {amp!r} exceeds "
-                                  f"{MAX_AMPLITUDE:g}")
-    _check_partners(out, np.conj, "potential modes must satisfy q(-k) = conj(q(k)) "
-                    "(real potential)")
+        n = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
+        if len(n) != m:
+            raise ValidationError(f"{what} mode {key!r} has wrong dimension")
+        if any(abs(x) > MAX_MODE for x in n):
+            raise ValidationError(f"{what} mode {key!r} exceeds {MAX_MODE} in magnitude")
+        blk = np.asarray(amp, dtype=complex)
+        if blk.size != math.prod(shape):
+            raise ValidationError(f"{what} mode {key!r} is not a block of shape {shape}")
+        out[n] = blk = blk.reshape(shape)
+        if not np.all(np.isfinite(blk)):
+            raise ValidationError(f"{what} mode {key!r} amplitude is not finite")
+        if np.max(np.abs(blk)) > MAX_AMPLITUDE:
+            raise ValidationError(f"{what} mode {key!r} amplitude exceeds {MAX_AMPLITUDE:g}")
+    for n, blk in out.items():
+        other = out.get(tuple(-x for x in n))
+        if other is None or np.max(np.abs(other - flip(blk))) > 1e-12:
+            raise ValidationError(f"{what} modes must satisfy {relation}")
     return out
 
 
-def _check_partners(modes, flip, message):
-    """Every mode n needs a mode -n whose amplitude is flip(amplitude of n)."""
-    for n, amp in modes.items():
-        other = modes.get(tuple(-x for x in n))
-        if other is None or np.max(np.abs(other - flip(amp))) > 1e-12:
-            raise ValidationError(message)
+@dataclass(frozen=True)
+class FourierBackground:
+    """Flat torus with a Hermitian potential and optional curvature modes.
+
+    potential_modes maps integer wavevector tuples n to (d, d) amplitude
+    blocks of Q(x) = sum_n Qhat_n e^{i k(n).x}, k(n) = 2 pi n / periods;
+    Hermiticity of Q forces Qhat_{-n} = Qhat_n^dagger.  With d = 1 a block
+    may be a scalar.  curvature_modes maps wavevectors to (m, m, d, d)
+    blocks, antisymmetric in the base pair, with Rhat_{-n} = -Rhat_n^dagger
+    (the field is anti-Hermitian pointwise); the zero mode is excluded
+    because the curvature channel carries an explicit 1/box.  Every block is
+    stored as a complex array of its shape.
+    """
+
+    m: int
+    periods: tuple
+    d: int = 1
+    potential_modes: dict = field(default_factory=dict)
+    curvature_modes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        m, d = self.m, self.d
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (m, d)):
+            raise ValidationError(f"dimension m = {m!r} and fiber size d = {d!r} must be "
+                                  "positive integers")
+        object.__setattr__(self, "periods", _periods(self.periods, m))
+        object.__setattr__(self, "potential_modes", _modes(
+            self.potential_modes, m, (d, d), "potential", lambda q: q.conj().T,
+            "Qhat(-n) = Qhat(n)^dagger"))
+        cm = _modes(self.curvature_modes, m, (m, m, d, d), "curvature",
+                    lambda b: -np.conj(b.transpose(0, 1, 3, 2)), "Rhat(-n) = -Rhat(n)^dagger")
+        for n, b in cm.items():
+            if not any(n):
+                raise ValidationError(
+                    "zero-mode curvature excluded: the curvature channel carries 1/box; "
+                    "constant field strength belongs to the symmspace route")
+            if np.max(np.abs(b + b.transpose(1, 0, 2, 3))) > 1e-12:
+                raise ValidationError("curvature modes must be antisymmetric in base indices")
+        object.__setattr__(self, "curvature_modes", cm)
+
+    @classmethod
+    def circle_cosine(cls, length, n, q, d=1):
+        """Q(x) = q cos(2 pi n x / length) on a circle."""
+        eye = np.eye(d)
+        if n == 0:
+            modes = {(0,): q * eye}
+        else:
+            modes = {(n,): 0.5 * q * eye, (-n,): 0.5 * q * eye}
+        return cls(m=1, periods=(length,), d=d, potential_modes=modes)
+
+    @property
+    def volume(self):
+        return float(np.prod(self.periods))
+
+    def wavevector(self, n):
+        return np.array([2.0 * math.pi * ni / p for ni, p in zip(n, self.periods)])
 
 
 def _fourier_spectrum(periods, modes, cutoff):
@@ -311,7 +386,7 @@ def _fourier_spectrum(periods, modes, cutoff):
         src = np.flatnonzero(np.all(np.abs(coords + np.array(k)) <= cutoff, axis=1))
         couplings.append((amp, src, src + int(np.dot(k, strides))))
 
-    # _normalize_modes keeps -k beside every k, so the graph is undirected
+    # FourierBackground keeps -k beside every k, so the graph is undirected
     nbrs = [[] for _ in range(dim)]
     for _, src, dst in couplings:
         for j, i in zip(src.tolist(), dst.tolist()):
@@ -356,6 +431,9 @@ def _fourier_spectrum(periods, modes, cutoff):
 def torus_potential_trace(periods, modes, cutoff, t):
     """Trace of exp(-t(-Laplace + Q)) on a circle or torus.
 
+    periods and modes are those of a FourierBackground with d = 1, which
+    validates them: modes maps wavevector tuples to scalar amplitudes or to
+    1x1 blocks, so a background's own potential_modes can be passed.
     The operator is represented exactly on the Fourier modes |n|_inf <=
     cutoff: diagonal |k|^2 plus the convolution matrix of the potential
     modes; the trace of the matrix exponential is the partial spectral sum.
@@ -372,16 +450,12 @@ def torus_potential_trace(periods, modes, cutoff, t):
     """
     ts = _as_t(t)
     if isinstance(periods, (int, float)):
-        periods = (float(periods),)
-    periods = tuple(float(p) for p in periods)
-    if not all(0 < p < math.inf for p in periods):
-        raise ValidationError("periods must be positive and finite")
-    if min(periods) < MIN_LENGTH:
-        raise ValidationError(f"period {min(periods)!r} is below {MIN_LENGTH:g}")
+        periods = (periods,)
+    bg = FourierBackground(len(periods), periods, potential_modes=modes)
     if cutoff < 0:
         raise ValidationError("fourier cutoff must be >= 0")
-    m = len(periods)
-    modes = _normalize_modes(modes, m)
+    m, periods = bg.m, bg.periods
+    modes = {n: complex(q[0, 0]) for n, q in bg.potential_modes.items()}
 
     qnorm = sum(abs(a) for a in modes.values())
     lmax = max(periods)
@@ -454,13 +528,12 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
         raise NumericError(f"fit basis condition number {cond:.3e} exceeds 1e12")
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
 
-    resid = y - X @ coef
-    rng = np.random.default_rng(seed)
-    boots = np.empty((bootstrap, len(exponents)))
-    for b in range(bootstrap):
-        yb = X @ coef + rng.choice(resid, size=len(resid), replace=True)
-        boots[b], *_ = np.linalg.lstsq(X, yb, rcond=None)
-    errors = boots.std(axis=0, ddof=1)
+    fitted = X @ coef
+    resid = y - fitted
+    # one draw of every resample, one solve with a right-hand side per resample
+    draws = np.random.default_rng(seed).choice(resid, size=(bootstrap, len(resid)))
+    boots, *_ = np.linalg.lstsq(X, (fitted + draws).T, rcond=None)
+    errors = boots.std(axis=1, ddof=1)
 
     return FitResult(exponents=exponents, coefficients=coef, errors=errors,
                      condition_number=cond)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import gauss_hermite_average
-from .spectra import _as_t, _like_t, _x_over_sinh
+from .spectra import _as_t, _like_t, _scalar_t, _x_over_sinh
 from .tensorcalc import _basis, _pad, _series_log, _times
 
 _K_MAX = 6
@@ -172,9 +172,6 @@ class SymmetricSpaceData:
         object.__setattr__(self, "R_H", R_H)
         object.__setattr__(self, "R_G", R_G)
 
-    def riemann(self):
-        return np.einsum("ik,iab,kcd->abcd", self.beta, self.E, self.E)
-
 
 def build_symmetric_space(fixture, radius=1.0):
     """Holonomy data for the supported fixtures S2 and S3."""
@@ -291,8 +288,7 @@ def theta_quadrature(space, Q=None, t=0.01):
     nodes per axis for p = 1, (32, 64, 128) for p = 2 and (16, 32, 64)
     otherwise, to 1e-10 relative.
     """
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    t = _scalar_t(t)
     dnorm = math.sqrt(sum(np.linalg.norm(space.D[i], 2) ** 2 for i in range(space.p)))
     sigma = math.sqrt(2.0 * np.max(np.linalg.eigvalsh(np.linalg.inv(space.beta))))
     if math.sqrt(t) * dnorm * 6.0 * sigma >= math.pi:

@@ -23,6 +23,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ValidationError
+from .spectra import _periods
 
 MAX_CUTOFF = 8
 
@@ -317,17 +318,15 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
     elif kind == "torus":
         if periods is None:
             raise ValidationError("torus requires periods")
-        per = tuple(float(p) for p in periods)
-        if len(per) != m or any(p <= 0 for p in per):
-            raise ValidationError("torus needs m positive periods")
+        per = _periods(periods, m)
         profile = (1.0,)
         vol = float(np.prod(per))
         radius = None
     else:
         profile = (1.0,)
         vol = 1.0 if volume is None else float(volume)
-        if vol <= 0:
-            raise ValidationError("volume must be positive")
+        if not 0 < vol < math.inf:
+            raise ValidationError("volume must be positive and finite")
         per = None
         radius = None
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 from .hmds import HeatTraceExpansion
 from .oblique import smooth_boundary_constants
+from .spectra import _scalar_t
 
 _HALF_PI = math.pi / 2.0
 
@@ -67,8 +68,7 @@ def _kernel_pair(t, m, xdist2, rho, theta, rhop, thetap):
 
 def wedge_kernel(t, p, pp):
     """Closed-form Zaremba kernel: direct term plus one reflected term."""
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    t = _scalar_t(t)
     if len(p.xhat) != len(pp.xhat):
         raise ValidationError("tangential offsets must have equal dimension")
     m = 2 + len(p.xhat)
@@ -78,10 +78,15 @@ def wedge_kernel(t, p, pp):
 
 def wedge_diagonal(t, rho, theta, m=2):
     """Kernel diagonal; sign(theta) at theta = 0 is the theta -> 0+ limit."""
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    t = _scalar_t(t)
     if rho < 0:
         raise ValidationError("rho must be nonnegative")
+    return _diagonal(t, rho, theta, m)
+
+
+def _diagonal(t, rho, theta, m):
+    """wedge_diagonal without its checks, which the corner integrand, called some
+    5000 times at the fixed t = 1, would otherwise pay on every call."""
     sgn = -1.0 if theta < 0 else 1.0
     ct = math.cos(theta)
     gauss = math.exp(-rho * rho * ct * ct / t)
@@ -109,7 +114,7 @@ def _corner_integral_check():
         ct = math.cos(theta)
         face = (4.0 * math.pi * t) ** -1.0 * (
             1.0 - sgn * math.exp(-rho * rho * ct * ct / t))
-        return rho * (wedge_diagonal(t, rho, theta, m=2) - face)
+        return rho * (_diagonal(t, rho, theta, 2) - face)
 
     lower, el = dblquad(integrand, -_HALF_PI, 0.0, 0.0, 12.0,
                         epsabs=1e-12, epsrel=1e-12)
@@ -155,8 +160,7 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     """
     from scipy.special import ive
 
-    if t <= 0:
-        raise ValidationError("t must be positive")
+    t = _scalar_t(t)
     if terms < 1:
         raise ValidationError("need at least one mode")
     if p.xhat or pp.xhat:

@@ -344,6 +344,25 @@ def test_relative_error_overflow_is_one_breach_line(tmp_path, capsys):
     assert err.startswith("tolerance breach at t=0.01 ") and err.count("\n") == 1
 
 
+def test_json_compare_writes_non_finite_errors_as_csv_strings(tmp_path, capsys):
+    # strict JSON has no Infinity token: the overflowing rel_err is the string "inf"
+    out = tmp_path / "o.json"
+    path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = sphere\n"
+                               "[operator]\npotential = 99999999999999999999999\n"
+                               "[grid]\nstart = 1e-2\nstop = 1e-1\ncount = 4\n"
+                               "[output]\nformat = json\n")
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    assert main(["compare", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert payload["summary"]["max_rel"] == "inf"
+    assert [row["rel_err"] for row in payload["rows"]] == ["inf"] * 4
+    assert math.isfinite(payload["summary"]["max_abs"])
+
+
 def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
     path = write_ini(tmp_path, "[run]\ntask = report\n[geometry]\nkind = landau\n"
                                f"{GRID}[output]\npath = {tmp_path}\n")

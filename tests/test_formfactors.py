@@ -212,6 +212,24 @@ def test_background_rejects_out_of_range_inputs(kwargs, match):
         ff.FourierBackground(m=1, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(m=1, periods=(1.0,), potential_modes={(1,): np.eye(2), (-1,): np.eye(2)}),
+    dict(m=1, periods=(1.0,), d=2, potential_modes={(0,): [1.0, 2.0, 3.0]}),
+    dict(m=2, periods=(1.0, 1.0), curvature_modes={(1, 0): np.zeros((2, 1, 1)),
+                                                   (-1, 0): np.zeros((2, 1, 1))}),
+], ids=["potential-2x2-for-d-1", "potential-3-for-d-2", "curvature-2x1x1-for-m-2"])
+def test_background_rejects_blocks_of_the_wrong_shape(kwargs):
+    with pytest.raises(ValidationError, match="not a block of shape"):
+        ff.FourierBackground(**kwargs)
+
+
+@pytest.mark.parametrize("m,d", [(0, 1), (1, 0), (1, -1), (1.0, 1)])
+def test_background_needs_positive_integer_sizes(m, d):
+    with pytest.raises(ValidationError, match="positive integers"):
+        ff.FourierBackground(m=m, periods=(1.0,) * int(m), d=d,
+                             potential_modes={(0,) * int(m): 1.0})
+
+
 def test_background_curvature_amplitude_bound():
     m, d = 2, 1
     b = np.zeros((m, m, d, d), dtype=complex)

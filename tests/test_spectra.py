@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heatkern import nonlaplace as nl
 from heatkern import spectra
+from heatkern import tensorcalc as tc
 from heatkern.errors import NumericError, ResourceError, ValidationError
 
 
@@ -291,7 +293,8 @@ def test_torus_trace_matches_handmade_fourier_matrix():
             if abs(a - b) == n0:
                 H[i, j] += q / 2.0
     want = float(np.sum(np.exp(-t * np.linalg.eigvalsh(H))))
-    got = spectra.torus_potential_trace(L, spectra.cosine_modes(n0, q), cutoff=c, t=t)
+    modes = spectra.FourierBackground.circle_cosine(L, n0, q).potential_modes
+    got = spectra.torus_potential_trace(L, modes, cutoff=c, t=t)
     assert abs(got - want) < 1e-13 * want
 
 
@@ -349,10 +352,38 @@ def test_torus_trace_blocks_match_dense_matrix(problem):
     assert isinstance(scalar, float) and scalar == got[-1]
 
 
-def test_cosine_modes_layout():
-    assert spectra.cosine_modes(0, 2.0) == {(0,): 2.0 + 0.0j}
-    m = spectra.cosine_modes(3, 0.5)
-    assert m[(3,)] == 0.25 and m[(-3,)] == 0.25
+@pytest.mark.parametrize("periods,modes", [
+    ((2 * math.pi,), {(3,): 0.2, (-3,): 0.2}),
+    ((0.7, 0.9), {(1, 0): 0.4, (-1, 0): 0.4, (1, 1): 0.2 + 0.3j, (-1, -1): 0.2 - 0.3j}),
+], ids=["circle-cosine", "complex-phase-torus"])
+def test_torus_trace_takes_a_backgrounds_own_modes(periods, modes):
+    # the 1x1 blocks of FourierBackground.potential_modes and scalar amplitudes
+    # describe one potential, and give the same trace bit for bit
+    if len(periods) == 1:
+        bg = spectra.FourierBackground.circle_cosine(periods[0], 3, 0.4)
+    else:
+        bg = spectra.FourierBackground(2, periods, potential_modes=modes)
+    ts = guard_times(periods, 6, [35.0, 50.0])
+    got = spectra.torus_potential_trace(bg.periods, bg.potential_modes, 6, ts)
+    assert np.array_equal(got, spectra.torus_potential_trace(bg.periods, modes, 6, ts))
+
+
+TORUS_BUILDERS = {
+    "background": lambda periods: spectra.FourierBackground(len(periods), periods),
+    "fourier-trace": lambda periods: spectra.torus_potential_trace(periods, {}, 8, 0.5),
+    "geometry": lambda periods: tc.build_model_geometry("torus", len(periods), cutoff=2,
+                                                        periods=periods),
+    "lattice-oracle": lambda periods: nl.torus_oracle(nl.laplace_symbol(len(periods)),
+                                                      t=0.5, periods=periods),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_BUILDERS))
+@pytest.mark.parametrize("periods", [(math.nan,), (2.0, math.inf), (1.0, 1e-101), (1.0, -2.0)],
+                         ids=["nan", "inf", "below-min-length", "negative"])
+def test_every_torus_route_checks_periods_alike(name, periods):
+    with pytest.raises(ValidationError):
+        TORUS_BUILDERS[name](periods)
 
 
 def test_torus_trace_rejects_complex_potential():

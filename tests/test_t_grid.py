@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatkern import formfactors as ff
+from heatkern import nonlaplace as nl
 from heatkern import spectra, symmspace as ss
+from heatkern import zaremba as za
 from heatkern.errors import ValidationError
 from heatkern.hmds import HeatTraceExpansion
 
@@ -93,3 +95,29 @@ def test_gamma_array_matches_gamma_factor(i, zs):
 def test_gamma_factor_rejects_non_finite_z(z):
     with pytest.raises(ValidationError):
         ff.gamma_factor(1, z)
+
+
+# Routes that take one t per call: the same checks, and a float back.
+_A, _B = za.WedgePoint(0.7, 0.2), za.WedgePoint(0.9, -0.3)
+SCALAR_ROUTES = {
+    "u0_trace": lambda t: nl.u0_trace(nl.eigenstructure(nl.one_form_symbol(3, 0.4)), 3, t),
+    "torus_oracle": lambda t: nl.torus_oracle(nl.laplace_symbol(1), t=t,
+                                              periods=(2 * math.pi,)),
+    "wedge_kernel": lambda t: za.wedge_kernel(t, _A, _B),
+    "wedge_diagonal": lambda t: za.wedge_diagonal(t, 0.7, 0.2),
+    "bessel_oracle": lambda t: za.bessel_oracle(t, _A, _B, terms=60).value,
+    "theta_quadrature": lambda t: ss.theta_quadrature(ss.build_symmetric_space("S2"), t=t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ROUTES))
+def test_scalar_t_routes_return_floats(name):
+    assert isinstance(SCALAR_ROUTES[name](0.05), float)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ROUTES))
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0, np.array([0.05, 0.1])],
+                         ids=["nan", "inf", "zero", "negative", "1-D"])
+def test_scalar_t_routes_reject_bad_t(name, t):
+    with pytest.raises(ValidationError):
+        SCALAR_ROUTES[name](t)

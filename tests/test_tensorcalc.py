@@ -227,8 +227,9 @@ def test_geometry_validation():
         tc.build_model_geometry("torus", 2, periods=(1.0,))
     with pytest.raises(ValidationError):
         tc.build_model_geometry("torus", 2, periods=(1.0, -2.0))
-    with pytest.raises(ValidationError):
-        tc.build_model_geometry("flat", 2, volume=-1.0)
+    for volume in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            tc.build_model_geometry("flat", 2, volume=volume)
     with pytest.raises(ValidationError):
         tc.build_model_geometry("flat", 0)
 
