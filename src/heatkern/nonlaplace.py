@@ -10,7 +10,8 @@ approximately.
 
 The short-time data available at this level: the weighted volume term A_0,
 the pointwise trace u_0, and the endomorphism H that multiplies Q in the
-next coefficient.
+next coefficient.  torus_oracle, the exact lattice trace they are checked
+against, sums through spectra._certified_trace.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EllipticityError, ResourceError, StructureError,
-                     ValidationError)
+from .errors import EllipticityError, StructureError, ValidationError
 from .quadrature import gauss_hermite_average
-from .spectra import _periods, _scalar_t
+from .spectra import _certified_trace, _exp_sum, _periods, _scalar_t
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
+_LATTICE_CAP = 4_000_000         # eigenvalues in one lattice partial sum
+_EIG_CHUNK = 262_144             # lattice points per eigvalsh call
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class LeadingSymbol:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex).reshape(self.m, self.m, self.d, self.d)
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("a must be finite")
         if np.max(np.abs(a - a.transpose(1, 0, 2, 3))) > 1e-12:
             raise ValidationError("a must be symmetric in its base indices")
         if np.max(np.abs(a - a.conj().transpose(0, 1, 3, 2))) > 1e-12:
@@ -235,64 +239,41 @@ def y_tensor(sym, ricci, fiber_curvature=None):
     return Y
 
 
-_LATTICE_BUDGET = 4_000_000
-
-
-def torus_oracle(sym, Q=None, t=1e-3, cutoff=None, periods=None):
-    """Exact heat trace of a constant-coefficient operator on a flat torus.
-
-    Sums tr exp(-t(A(k) + Q)) over the dual lattice k = 2 pi n / periods,
-    growing the per-axis cutoff until the discarded tail (bounded per axis
-    through the smallest slope) is below 1e-10.
+def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
+    """Exact heat trace of a constant-coefficient operator on a flat torus, at a
+    scalar t or a 1-D t-array: tr exp(-t(A(k) + Q)) summed over the dual lattice
+    k = 2 pi n / periods, |n|_inf <= N.  N starts at cutoff and doubles, through
+    spectra._certified_trace, until the tail is below 1e-15 of the sum at every t.
     """
-    t = _scalar_t(t)
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
-    if Q is None:
-        Q = np.zeros((d, d), dtype=complex)
-    Q = np.asarray(Q, dtype=complex).reshape(d, d)
+    Q = np.asarray(np.zeros((d, d)) if Q is None else Q, dtype=complex).reshape(d, d)
+    if not np.all(np.isfinite(Q)):
+        raise ValidationError("Q must be finite")
     if np.max(np.abs(Q - Q.conj().T)) > 1e-12:
         raise ValidationError("Q must be Hermitian")
+    if not cutoff >= 1:
+        raise ValidationError("lattice cutoff must be at least 1")
 
-    spec = eigenstructure(sym)
-    mu_min = min(spec.mu)
-    qshift = float(np.min(np.linalg.eigvalsh(Q)))
+    mu_min = min(eigenstructure(sym).mu)
+    qmin = float(np.min(np.linalg.eigvalsh(Q)))
+    wave2 = (2.0 * math.pi / np.array(periods)) ** 2
 
-    def tail_bound(N):
-        # outside the box, e^{-t mu_min |k|^2 - t qmin} factorizes per axis
-        axis_full, axis_tail = [], []
-        for L in periods:
-            c = t * mu_min * (2.0 * math.pi / L) ** 2
-            ns = np.arange(1, N + 1)
-            axis_full.append(1.0 + 2.0 * float(np.sum(np.exp(-c * ns ** 2))))
-            r = math.exp(-c * N)
-            axis_tail.append(2.0 * math.exp(-c * N * (N + 1)) / (1.0 - r) if r < 1 else math.inf)
-        total = 0.0
-        for j in range(m):
-            prod = axis_tail[j]
-            for jp in range(m):
-                if jp != j:
-                    prod *= axis_full[jp]
-            total += prod
-        return d * math.exp(-t * qshift) * total
+    def partial(ts, N):
+        axes = [np.arange(-N, N + 1) * (2.0 * math.pi / L) for L in periods]
+        k = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        lam = np.concatenate([np.linalg.eigvalsh(sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q)
+                              for lo in range(0, len(k), _EIG_CHUNK)])
+        return _exp_sum(ts, lam.ravel())
 
-    N = int(cutoff) if cutoff is not None else 8
-    while tail_bound(N) >= 1e-10:
-        N = max(N + 4, int(N * 1.5))
-        if (2 * N + 1) ** m > _LATTICE_BUDGET:
-            raise ResourceError(
-                f"lattice tail bound unreachable within budget (cutoff {N}, "
-                f"{(2 * N + 1) ** m} points)")
-    if (2 * N + 1) ** m > _LATTICE_BUDGET:
-        raise ResourceError(f"lattice of {(2 * N + 1) ** m} points exceeds budget")
+    def tail(ts, N):
+        # e^{-t mu_min |k|^2 - t qmin} factorizes per axis: past the box on axis j, its
+        # tail past N times the other whole axis sums, each at most 1 + sqrt(pi / c)
+        c = np.multiply.outer(ts * mu_min, wave2)
+        whole = 1.0 + np.sqrt(math.pi / c)
+        past = 2.0 * np.exp(-c * N * (N + 1)) / -np.expm1(-c * N)
+        return d * np.exp(-ts * qmin) * np.prod(whole, axis=1) * np.sum(past / whole, axis=1)
 
-    axes = [np.arange(-N, N + 1) * (2.0 * math.pi / L) for L in periods]
-    grids = np.meshgrid(*axes, indexing="ij")
-    k = np.stack([g.ravel() for g in grids], axis=-1)
-    total = 0.0
-    for lo in range(0, k.shape[0], 262144):
-        kc = k[lo:lo + 262144]
-        A = sym.symbol_matrix(kc) + Q[None]
-        lam = np.linalg.eigvalsh(A)
-        total += float(np.sum(np.exp(-t * lam)))
-    return total
+    return _certified_trace(t, "lattice", lambda tmin: cutoff, _LATTICE_CAP, partial, tail,
+                            lambda total: 1e-15 * total,
+                            lambda N: d * (2 * min(N, _LATTICE_CAP) + 1) ** m)[0]

@@ -1,18 +1,21 @@
 """Exact-spectrum oracles and asymptotic-series fitting.
 
-These are the ground-truth side of every comparison in the package: interval
-and sphere eigenvalue sums, the Landau-level density, Fourier-matrix traces
-for circle/torus potentials, and a weighted least-squares fitter that turns
-oracle sums into expansion coefficients with honest error bars.
+These are the ground-truth side of every comparison in the package: interval,
+sphere and Landau level sums, Fourier-matrix traces for circle/torus
+potentials, and a weighted least-squares fitter that turns oracle sums into
+expansion coefficients with honest error bars.  _certified_trace is the one
+convergence loop of the level sums here, of the nonlaplace lattice oracle and
+of the zaremba Bessel modes: it doubles a partial sum until a tail bound
+certifies it, and refuses a sum past a cap with a ResourceError.
 
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
 check _periods is also the one for the torus geometry and the nonlaplace
 lattice oracle.
 
-Every trace, like every t-dependent evaluator in formfactors, hmds and
-symmspace, takes a positive scalar t and returns a float, or a non-empty 1-D
-t-array and returns an array, building the spectrum once for the whole grid.
+Every trace, the lattice oracle and every t-dependent evaluator in
+formfactors, hmds and symmspace take a positive scalar t and return a float,
+or a non-empty 1-D t-array and return an array, with one spectrum for the grid.
 Any other t (zero, negative, not finite, empty, 2-D) is a ValidationError.
 """
 
@@ -26,7 +29,8 @@ import numpy as np
 from .errors import NumericError, ResourceError, ValidationError
 
 _INTERVAL_CAP = 1_000_000        # eigenvalues in one interval partial sum
-_SPHERE_CAP = 2_000_000          # eigenvalue levels in one sphere partial sum
+_LEVEL_CAP = 2_000_000           # levels in one sphere or Landau partial sum
+_WORK_CAP = 100_000_000          # levels times t-grid points in one spectral sum
 _EXP_CHUNK = 1_000_000           # entries of one t x level block of exponentials
 
 # Input ranges of the interval and Fourier routes.  Inside them every squared
@@ -49,6 +53,8 @@ def _as_t(t):
 
 def _scalar_t(t):
     """t as a positive finite float, for the routes that take one t per call."""
+    if type(t) is float and 0.0 < t < math.inf:
+        return t
     ts = _as_t(t)
     if ts.ndim:
         raise ValidationError("t must be a scalar")
@@ -68,31 +74,33 @@ def _exp_sum(ts, lam, mult=1.0):
     """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts."""
     rows = max(1, _EXP_CHUNK // lam.size)
     with np.errstate(over="ignore"):
-        out = np.concatenate([(np.exp(np.multiply.outer(-ts[i:i + rows], lam)) * mult)
-                              .sum(axis=1) for i in range(0, ts.size, rows)])
-    return _like_t(ts, out, "spectral sum")
+        return np.concatenate([(np.exp(np.multiply.outer(-ts[i:i + rows], lam)) * mult)
+                               .sum(axis=1) for i in range(0, ts.size, rows)])
 
 
-def _certified_trace(t, what, cap, count, first, levels, tail, floor):
-    """sum mult exp(-t lam) over a spectrum at every t.  count(tmin) estimates the
-    levels needed at the smallest t, at most cap; first(count) sizes the first
-    sum of levels(n); n doubles until tail(ts, n) <= floor(total) at every t."""
+def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n):
+    """(sum at every t, the n it stopped at).  partial(ts, n) sums the first n terms at
+    each t of the 1-D array ts and tail(ts, n) bounds the rest; n starts at first(min
+    t) >= 1 and doubles until tail <= floor(sum) at every t.  Before each sum, size(n)
+    levels over cap, or over _WORK_CAP at all t, is a ResourceError."""
     ts = _as_t(t)
     flat = np.atleast_1d(ts)
     tmin = float(flat.min())
-    need = count(tmin)
-    if not need <= cap:
-        raise NumericError(f"{what} trace needs about {need:.3g} levels at t={tmin!r}, "
-                           f"over the cap of {cap}")
-    n = first(need)
-    total = _exp_sum(flat, *levels(n))
-    with np.errstate(over="ignore"):
-        while np.any(tail(flat, n) > floor(total)):
-            n *= 2
-            if n > cap:
-                raise NumericError(f"{what} trace did not converge")
-            total = _exp_sum(flat, *levels(n))
-    return _like_t(ts, total)
+    n = first(tmin)
+    while True:
+        levels = size(n)
+        if not levels <= cap:
+            raise ResourceError(f"{what} trace needs about {levels:.3g} levels at "
+                                f"t={tmin!r}, over the cap of {cap}")
+        if levels * flat.size > _WORK_CAP:
+            raise ResourceError(f"{what} trace needs {levels:.3g} levels at each of "
+                                f"{flat.size} times, over the work cap of {_WORK_CAP:.3g}")
+        n = int(n)
+        total = _like_t(flat, partial(flat, n), f"{what} sum")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if np.all(tail(flat, n) <= floor(total)):
+                return _like_t(ts, total), n
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +175,10 @@ def _interval_levels(L, bc, S=None):
         if S is None:
             raise ValidationError("robin boundary condition needs a constant S")
         S = float(S)
+        # brackets 1e-12 short of the tan and cot poles miss roots once |S| L > pi 1e12
+        if not (abs(S) <= MAX_AMPLITUDE and abs(S) * L <= 1e12):
+            raise ValidationError(f"robin constant S = {S!r} must be finite, with "
+                                  f"|S| <= {MAX_AMPLITUDE:g} and |S| L <= 1e12")
         if S == 0.0:
             return _interval_levels(L, "NN")
         levels = lambda n: (_robin_eigenvalues(L, S, n), np.ones(n))
@@ -185,10 +197,10 @@ def _interval_levels(L, bc, S=None):
 def interval_trace(L, bc, t, S=None):
     """Sum of e^{-t lambda} over the interval spectrum with the given bc."""
     levels, tail = _interval_levels(L, bc, S)
-    return _certified_trace(t, "interval", _INTERVAL_CAP,
-                            lambda tmin: L / math.pi * math.sqrt(60.0 / tmin),
-                            lambda count: max(8, int(count) + 4), levels, tail,
-                            lambda total: 1e-15 * np.maximum(total, 1e-300))
+    return _certified_trace(t, "interval",
+                            lambda tmin: max(np.floor(L / math.pi * math.sqrt(60.0 / tmin)) + 4, 8),
+                            _INTERVAL_CAP, lambda ts, n: _exp_sum(ts, *levels(n)), tail,
+                            lambda total: 1e-15 * np.maximum(total, 1e-300))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,33 +241,29 @@ def _sphere_levels(m, a):
 def sphere_trace(m, a, t):
     """Exact heat trace of the round sphere Laplacian, tail below 1e-14."""
     levels, tail = _sphere_levels(m, a)
-    return _certified_trace(t, "sphere", _SPHERE_CAP, lambda tmin: a * math.sqrt(40.0 / tmin),
-                            lambda count: max(4, int(count) + 2), levels, tail,
-                            lambda total: 1e-14 * np.maximum(total, 1.0))
+    return _certified_trace(t, "sphere",
+                            lambda tmin: max(np.floor(a * math.sqrt(40.0 / tmin)) + 2, 4),
+                            _LEVEL_CAP, lambda ts, n: _exp_sum(ts, *levels(n)), tail,
+                            lambda total: 1e-14 * np.maximum(total, 1.0))[0]
 
 
 # ---------------------------------------------------------------------------
 # Landau levels
 # ---------------------------------------------------------------------------
 
-def _x_over_sinh(x):
-    """x / sinh x as 2x e^{-x} / (1 - e^{-2x}), so that large x underflows toward 0
-    instead of overflowing sinh; at x = 0, where t B may underflow, its limit 1."""
-    with np.errstate(invalid="ignore"):
-        return np.where(x == 0, 1.0, 2.0 * x * np.exp(-x) / -np.expm1(-2.0 * x))
-
-
 def landau_trace_density(B, t):
-    """Per-area trace of the m=2 constant-field problem.
-
-    (B/2 pi) sum_n e^{-tB(2n+1)} geometrically summed: (B/4 pi)/sinh(tB),
-    written as (4 pi t)^{-1} tB/sinh(tB) through _x_over_sinh.
-    """
-    if not B > 0:
-        raise ValidationError("landau density needs a field B > 0")
-    ts = _as_t(t)
-    with np.errstate(over="ignore"):
-        return _like_t(ts, _x_over_sinh(ts * B) / (4.0 * math.pi * ts))
+    """Per-area trace of the m=2 constant-field problem, the Landau level sum
+    (B/2 pi) sum_n e^{-tB(2n+1)}; past n levels the rest is (B/2 pi) e^{-tB(2n+1)}
+    / (1 - e^{-2tB}).  Its closed form is symmspace.nilpotent_trace_density's."""
+    if not 0 < B < math.inf:
+        raise ValidationError("landau density needs a finite field B > 0")
+    c = B / (2.0 * math.pi)
+    # at n = 20 / tB the tail is e^{-40} of the sum
+    return _certified_trace(
+        t, "landau", lambda tmin: max(20.0 / (tmin * B), 1) if tmin * B else math.inf,
+        _LEVEL_CAP, lambda ts, n: c * _exp_sum(ts, B * (2.0 * np.arange(n) + 1.0)),
+        lambda ts, n: c * np.exp(-ts * B * (2 * n + 1)) / -np.expm1(-2.0 * ts * B),
+        lambda total: 1e-15 * np.maximum(total, 1e-300))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +450,8 @@ def torus_potential_trace(periods, modes, cutoff, t):
     zero potential gives 1x1 blocks, one circle cosine mode n0 gives n0
     chains.  Each block is diagonalised on its own, as a real symmetric
     matrix when every amplitude is real, and the spectrum is computed once
-    for all t.
-
-    t is a positive scalar, which returns a float, or a 1-D array of them,
-    which returns an array.  The Gershgorin tail guard runs at the smallest
-    t, where the discarded modes weigh most.
+    for all t.  The Gershgorin tail guard runs at the smallest t, where the
+    discarded modes weigh most.
     """
     ts = _as_t(t)
     if isinstance(periods, (int, float)):
@@ -479,9 +484,11 @@ def torus_potential_trace(periods, modes, cutoff, t):
     dim = (2 * cutoff + 1) ** m
     if dim > _MATRIX_BUDGET:
         raise ResourceError(f"fourier matrix dimension {dim} exceeds budget {_MATRIX_BUDGET}")
-
+    if dim * ts.size > _WORK_CAP:
+        raise ResourceError(f"fourier trace needs {dim} levels at each of {ts.size} times, "
+                            f"over the work cap of {_WORK_CAP:.3g}")
     lam = _fourier_spectrum(periods, modes, cutoff)
-    return _like_t(ts, _exp_sum(np.atleast_1d(ts), lam))
+    return _like_t(ts, _exp_sum(np.atleast_1d(ts), lam), "spectral sum")
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +517,8 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     is reproducible byte for byte.
     """
     data = np.array([(float(t), float(v)) for t, v in samples]).reshape(-1, 2)
+    if not np.all(np.isfinite(data)):
+        raise ValidationError("samples must be finite")
     if np.any(data[:, 0] <= 0):
         raise ValidationError("sample times must be positive")
     exponents = tuple(float(e) for e in exponents)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import gauss_hermite_average
-from .spectra import _as_t, _like_t, _scalar_t, _x_over_sinh
+from .spectra import _as_t, _like_t, _scalar_t
 from .tensorcalc import _basis, _pad, _series_log, _times
 
 _K_MAX = 6
@@ -74,9 +74,16 @@ class ConstantFieldStrength:
         return sorted(float(b) for b in ev.imag if b > 1e-12)
 
 
+def _x_over_sinh(x):
+    """x / sinh x as 2x e^{-x} / (1 - e^{-2x}), so that large x underflows toward 0
+    instead of overflowing sinh; at x = 0, where t B may underflow, its limit 1."""
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0, 1.0, 2.0 * x * np.exp(-x) / -np.expm1(-2.0 * x))
+
+
 def nilpotent_trace_density(fs, t):
     """Diagonal density (4 pi t)^{-m/2} tr e^{-tQ} prod_j t B_j / sinh(t B_j),
-    each factor from spectra._x_over_sinh."""
+    each factor from _x_over_sinh; spectra.landau_trace_density sums m = 2 by levels."""
     ts = _as_t(t)
     with np.errstate(over="ignore"):
         qtr = np.sum(np.exp(np.multiply.outer(-ts, np.linalg.eigvalsh(fs.Q))), axis=-1)

@@ -5,8 +5,8 @@ Coordinates: rho >= 0 radial, theta in [-pi/2, pi/2] angular, with the
 Dirichlet face at theta = +pi/2 and the Neumann face at theta = -pi/2;
 m - 2 flat tangential directions ride along.  The kernel is a two-term
 closed form (direct + reflected, each carrying an erf factor); the
-independent oracle expands in half-integer angular modes, which is exactly
-the most-regular branch at the corner.
+independent oracle expands in half-integer angular modes, exactly the
+most-regular branch at the corner, summed through spectra._certified_trace.
 
 S = 0 throughout.  The model's trace expansion carries no logarithms; the
 assembled expansion keeps the log slots of HeatTraceExpansion empty.
@@ -23,9 +23,10 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 from .hmds import HeatTraceExpansion
 from .oblique import smooth_boundary_constants
-from .spectra import _scalar_t
+from .spectra import _certified_trace, _scalar_t
 
 _HALF_PI = math.pi / 2.0
+_MODE_CAP = 100_000              # angular modes in one Bessel partial sum
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,6 @@ def wedge_diagonal(t, rho, theta, m=2):
     t = _scalar_t(t)
     if rho < 0:
         raise ValidationError("rho must be nonnegative")
-    return _diagonal(t, rho, theta, m)
-
-
-def _diagonal(t, rho, theta, m):
-    """wedge_diagonal without its checks, which the corner integrand, called some
-    5000 times at the fixed t = 1, would otherwise pay on every call."""
     sgn = -1.0 if theta < 0 else 1.0
     ct = math.cos(theta)
     gauss = math.exp(-rho * rho * ct * ct / t)
@@ -114,7 +109,7 @@ def _corner_integral_check():
         ct = math.cos(theta)
         face = (4.0 * math.pi * t) ** -1.0 * (
             1.0 - sgn * math.exp(-rho * rho * ct * ct / t))
-        return rho * (_diagonal(t, rho, theta, 2) - face)
+        return rho * (wedge_diagonal(t, rho, theta) - face)
 
     lower, el = dblquad(integrand, -_HALF_PI, 0.0, 0.0, 12.0,
                         epsabs=1e-12, epsrel=1e-12)
@@ -146,7 +141,7 @@ class BesselResult:
     value: float
     tail_bound: float
     terms: int
-    warning: str = None
+    warning: str = None          # always None: a tail above tol raises instead
 
 
 def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
@@ -155,33 +150,38 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     Psi = (1/(pi t)) e^{-(rho^2+rho'^2)/4t}
           sum_n sin(nu_n (pi/2 - theta)) sin(nu_n (pi/2 - theta')) I_{nu_n}(z),
     nu_n = n + 1/2, z = rho rho' / 2t.  Evaluated through the scaled Bessel
-    function ive to keep the Gaussian prefactor finite, with a geometric
-    tail bound from the monotone ratio I_{nu+1}/I_nu.
+    function ive to keep the Gaussian prefactor finite.  Past n modes the tail is
+    geometric in q = I_{n+1/2}/I_{n-1/2}, as I_{nu+1}/I_nu decreases in nu (Amos,
+    Math. Comp. 28 (1974) 239); n starts at terms and doubles, through
+    spectra._certified_trace, until that bound is at most tol.
     """
     from scipy.special import ive
 
     t = _scalar_t(t)
-    if terms < 1:
+    if not terms >= 1:
         raise ValidationError("need at least one mode")
+    if not tol > 0:
+        raise ValidationError(f"tolerance {tol!r} must be positive")
     if p.xhat or pp.xhat:
         raise ValidationError("mode oracle is the m = 2 slice")
     z = p.rho * pp.rho / (2.0 * t)
     # e^{-(rho^2+rho'^2)/4t} I_nu(z) = e^{-(rho-rho')^2/4t} * [e^{-z} I_nu(z)]
     pref = math.exp(-(p.rho - pp.rho) ** 2 / (4.0 * t)) / (math.pi * t)
-    total = 0.0
-    last = 0.0
-    for n in range(terms):
-        nu = n + 0.5
-        last = float(ive(nu, z))
-        total += (math.sin(nu * (_HALF_PI - p.theta))
-                  * math.sin(nu * (_HALF_PI - pp.theta)) * last)
-    q = float(ive(terms + 0.5, z)) / last if last > 0 else 0.0
-    tail = pref * last * (q / (1.0 - q)) if 0.0 < q < 1.0 else 0.0
-    warning = None
-    if tail > tol:
-        warning = f"tail bound {tail:.3e} above tolerance {tol:.1e}; increase terms"
-    return BesselResult(value=pref * total, tail_bound=tail, terms=terms,
-                        warning=warning)
+    a, b = _HALF_PI - p.theta, _HALF_PI - pp.theta
+
+    def partial(ts, n):
+        nu = np.arange(n) + 0.5
+        angular = np.array([math.sin(v * a) * math.sin(v * b) for v in nu.tolist()])
+        return pref * float(np.cumsum(angular * ive(nu, z))[-1])   # in mode order
+
+    def tail(ts, n):
+        last = float(ive(n - 0.5, z))
+        q = float(ive(n + 0.5, z)) / last if last > 0 else 0.0
+        return pref * last * (q / (1.0 - q)) if 0.0 < q < 1.0 else 0.0
+
+    value, n = _certified_trace(t, "Bessel mode", lambda tmin: terms, _MODE_CAP, partial,
+                                tail, lambda total: tol)
+    return BesselResult(value=value, tail_bound=tail(t, n), terms=n)
 
 
 def default_boundary_samples():

@@ -120,11 +120,11 @@ def test_criterion_06_symmetric_space_series():
 def test_criterion_07_nonlaplace_leading_trace():
     sym = nl.one_form_symbol(2, 1.0)
     t = 1e-3
-    trace = nl.torus_oracle(sym, t=t)   # internal lattice tail bound 1e-10
+    trace = nl.torus_oracle(sym, t=t)   # lattice tail below 1e-15 of the sum
     want = 3.0 / (8.0 * math.pi)
     err = abs(t * trace - want) / want
     _report(7, "|xi|^2 I + xi (x) xi leading trace 3/(8 pi)", err <= 1e-3,
-            f"rel err {err:.2e} (tol 1e-3, lattice tail < 1e-10)")
+            f"rel err {err:.2e} (tol 1e-3, lattice tail < 1e-15 relative)")
 
 
 def test_criterion_08_oblique_routes():

@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -384,6 +385,24 @@ def test_huge_interval_exits_1_without_building_the_spectrum(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind,blocks,start", [
+    ("sphere", "", "1e-9"),
+    ("torus", "periods = 1,1\n[operator]\ncutoff = 31\n", "0.01"),
+], ids=["sphere", "fourier"])
+def test_long_fine_grid_exits_1_before_summing(tmp_path, kind, blocks, start):
+    # a million t at about 2e5 sphere levels, or 3969 Fourier levels, each is
+    # refused up front; summed, they ran for most of an hour and about 70 s
+    path = write_ini(tmp_path, f"[run]\ntask = oracle\n[geometry]\nkind = {kind}\n{blocks}"
+                               f"[grid]\nstart = {start}\nstop = 1\ncount = 1000000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatkern.cli", "oracle", "--config", path,
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 1
+    assert "trace needs " in proc.stderr and "over the work cap" in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_interval_robin_rejected(tmp_path, capsys):
     path = write_ini(tmp_path, f"""
 [run]
@@ -605,6 +624,25 @@ rel = 1e-10
 path = {out}
 """)
     assert main(["compare", "--config", path]) == 0
+
+
+def test_landau_oracle_is_the_level_sum(monkeypatch):
+    # the oracle shares no code with the closed form it checks: with that form
+    # broken it still matches a 40-digit (B/4 pi)/sinh(tB) on the fixture grid
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    from heatkern import symmspace
+
+    def broken(x):
+        raise AssertionError("the oracle called the closed form")
+
+    monkeypatch.setattr(symmspace, "_x_over_sinh", broken)
+    cfg = RunConfig.from_ini(REPO_CONFIGS / "landau.ini")
+    B = cfg.params["field"]
+    got = cli._Model(cfg).oracle(np.asarray(cfg.grid))
+    for t, g in zip(cfg.grid, got):
+        want = mp.mpf(B) / (4 * mp.pi * mp.sinh(mp.mpf(t) * B))
+        assert abs((mp.mpf(float(g)) - want) / want) <= 1e-15
 
 
 def test_landau_compare_past_sinh_overflow(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from heatkern import nonlaplace as nl
 from heatkern import spectra
 from heatkern import tensorcalc as tc
+from heatkern import zaremba as za
 from heatkern.errors import NumericError, ResourceError, ValidationError
 
 
@@ -152,11 +153,27 @@ def test_sphere_trace_rejects_radius_without_finite_curvature(radius):
     lambda: spectra.interval_trace(3e5, "NN", 1e-3),
     lambda: spectra.sphere_trace(2, 1e100, 0.01),
     lambda: spectra.sphere_trace(3, 1e6, 1e-2),
+    lambda: spectra.landau_trace_density(1e-9, 0.3),
+    lambda: spectra.landau_trace_density(1e-300, 1e-300),      # tB underflows to 0
 ])
 def test_first_partial_sum_is_capped(trace):
     # the first eigenvalue count is checked against the cap before any list is built
-    with pytest.raises(NumericError, match="over the cap"):
+    with pytest.raises(ResourceError, match="over the cap"):
         trace()
+
+
+def test_partial_sums_are_capped_in_work():
+    # a million t at about 2e5 levels each is refused before any exponential
+    ts = np.geomspace(1e-9, 1.0, 10 ** 6)
+    with pytest.raises(ResourceError, match="over the work cap"):
+        spectra.sphere_trace(2, 1.0, ts)
+
+
+@pytest.mark.parametrize("S", [math.nan, -math.inf, math.inf, 1e300, -1e101, 2e12])
+def test_robin_constant_out_of_range_is_rejected(S):
+    # NaN, -inf and |S| L past the root brackets once looped without end
+    with pytest.raises(ValidationError, match="robin constant"):
+        spectra.interval_trace(1.0, "robin", 0.1, S=S)
 
 
 def test_sphere_tail_bound_is_a_bound():
@@ -245,12 +262,6 @@ def test_landau_density_matches_level_sum(tb):
     assert abs(got - want) < 1e-14 * want
 
 
-def test_landau_small_field_limit():
-    t = 0.3
-    got = spectra.landau_trace_density(1e-9, t)
-    assert abs(got - 1.0 / (4 * math.pi * t)) < 1e-9 / t
-
-
 def test_landau_density_large_tb_underflows():
     # (B/4pi)/sinh(tB) must not overflow past tB = 710; both forms agree
     B = 1.5
@@ -258,6 +269,19 @@ def test_landau_density_large_tb_underflows():
     want = B / (2 * math.pi) * sum(math.exp(-t * B * (2 * n + 1)) for n in range(4))
     assert abs(spectra.landau_trace_density(B, t) - want) < 1e-13 * want
     assert spectra.landau_trace_density(B, 800.0) == 0.0
+
+
+def test_landau_level_sum_matches_mpmath_closed_form():
+    # the level sum against a 40-digit (B/4 pi)/sinh(tB) for tB in [1e-3, 3]; past
+    # that the rounding of tB alone, magnified tB times, exceeds 1e-15
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    B = 1.5
+    ts = np.geomspace(1e-3, 3.0, 25) / B
+    got = spectra.landau_trace_density(B, ts)
+    for t, g in zip(ts, got):
+        want = mp.mpf(B) / (4 * mp.pi * mp.sinh(mp.mpf(float(t)) * B))
+        assert abs((mp.mpf(float(g)) - want) / want) <= 1e-15
 
 
 def test_landau_validation():
@@ -502,3 +526,27 @@ def test_fit_input_validation():
         spectra.fit_expansion([], m=2, exponents=(-1.0,))
     with pytest.raises(ValidationError):
         spectra.fit_expansion([(0.1, 1.0)], m=2, exponents=(-1.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# non-finite library inputs
+# ---------------------------------------------------------------------------
+
+_WEDGE = za.WedgePoint(1.0, 0.1)
+NON_FINITE_INPUTS = {
+    "torus-oracle-nan-Q": lambda: nl.torus_oracle(nl.laplace_symbol(1), Q=[[math.nan]], t=0.1),
+    "torus-oracle-inf-Q": lambda: nl.torus_oracle(nl.laplace_symbol(1), Q=[[math.inf]], t=0.1),
+    "leading-symbol-nan": lambda: nl.LeadingSymbol(m=1, d=1, a=[[[[math.nan]]]]),
+    "landau-inf-field": lambda: spectra.landau_trace_density(math.inf, 0.1),
+    "bessel-nan-tol": lambda: za.bessel_oracle(0.1, _WEDGE, _WEDGE, tol=math.nan),
+    "bessel-zero-tol": lambda: za.bessel_oracle(0.1, _WEDGE, _WEDGE, tol=0.0),
+    "bessel-negative-tol": lambda: za.bessel_oracle(0.1, _WEDGE, _WEDGE, tol=-1e-10),
+    "fit-nan-sample": lambda: spectra.fit_expansion(
+        [(t, 1.0 / t) for t in (0.1, 0.2, 0.4)] + [(0.8, math.nan)], m=2, exponents=(-1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_non_finite_inputs_are_validation_errors(name):
+    with pytest.raises(ValidationError):
+        NON_FINITE_INPUTS[name]()

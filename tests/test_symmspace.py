@@ -36,15 +36,21 @@ def test_nilpotent_density_m2_matches_landau():
         assert abs(ss.nilpotent_trace_density(fs, t) - want) < 1e-14 * want
 
 
+def test_nilpotent_small_field_limit():
+    t = 0.3
+    got = ss.nilpotent_trace_density(ss.ConstantFieldStrength(2, planar_field(1e-9)), t)
+    assert abs(got - 1.0 / (4 * math.pi * t)) < 1e-9 / t
+
+
 def test_density_where_tb_underflows_to_zero():
-    # tB = 1e-600 is 0 in floats, where tB / sinh(tB) takes its limit 1
+    # tB = 1e-600 is 0 in floats, where tB / sinh(tB) takes its limit 1; the
+    # Landau level sum is over its cap there (test_spectra)
     B = t = 1e-300
     want = 1.0 / (4 * math.pi * t)
     fs = ss.ConstantFieldStrength(2, planar_field(B))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for got in (spectra.landau_trace_density(B, t), ss.nilpotent_trace_density(fs, t)):
-            assert abs(got - want) < 1e-15 * want
+        assert abs(ss.nilpotent_trace_density(fs, t) - want) < 1e-15 * want
 
 
 def test_nilpotent_density_m4_factorizes():

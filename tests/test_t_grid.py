@@ -39,6 +39,8 @@ EVALUATORS = {
     "sphere-2": lambda t: spectra.sphere_trace(2, 1.2, t),
     "sphere-3": lambda t: spectra.sphere_trace(3, 0.8, t),
     "landau": lambda t: spectra.landau_trace_density(1.5, t),
+    "torus-oracle": lambda t: nl.torus_oracle(nl.one_form_symbol(2, 0.5), Q=np.diag([0.3, -0.2]),
+                                              t=t, periods=(2 * math.pi, 3.0)),
     "expansion": HeatTraceExpansion(
         m=3, terms=((-1.5, 0.3), (-1.0, 0.0), (-0.5, 0.1), (0.5, -0.02)),
         log_terms=((0.5, 0.01),)).evaluate,
@@ -101,8 +103,6 @@ def test_gamma_factor_rejects_non_finite_z(z):
 _A, _B = za.WedgePoint(0.7, 0.2), za.WedgePoint(0.9, -0.3)
 SCALAR_ROUTES = {
     "u0_trace": lambda t: nl.u0_trace(nl.eigenstructure(nl.one_form_symbol(3, 0.4)), 3, t),
-    "torus_oracle": lambda t: nl.torus_oracle(nl.laplace_symbol(1), t=t,
-                                              periods=(2 * math.pi,)),
     "wedge_kernel": lambda t: za.wedge_kernel(t, _A, _B),
     "wedge_diagonal": lambda t: za.wedge_diagonal(t, 0.7, 0.2),
     "bessel_oracle": lambda t: za.bessel_oracle(t, _A, _B, terms=60).value,

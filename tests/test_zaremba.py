@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from heatkern import zaremba as za
-from heatkern.errors import ValidationError
+from heatkern.errors import NumericError, ResourceError, ValidationError
 from heatkern.zaremba import WedgePoint
 
 HALF_PI = math.pi / 2.0
@@ -149,13 +149,26 @@ def test_bessel_oracle_dirichlet_source():
 
 
 def test_bessel_oracle_truncation_reporting():
+    # terms is the first mode count: from 3 the count doubles until the tail is below tol
     t, p, pp = 0.02, WedgePoint(1.0, 0.1), WedgePoint(1.0, -0.2)
     short = za.bessel_oracle(t, p, pp, terms=3)
-    assert short.warning is not None and short.tail_bound > 1e-10
-    a = za.bessel_oracle(t, p, pp, terms=60)
-    b = za.bessel_oracle(t, p, pp, terms=80)
-    assert a.warning is None
-    assert abs(a.value - b.value) < 1e-12 * max(abs(a.value), 1e-30)
+    full = za.bessel_oracle(t, p, pp, terms=60)
+    assert short.terms > 3 and short.terms in (3 * 2 ** k for k in range(1, 10))
+    assert short.tail_bound <= 1e-10 and full.tail_bound <= 1e-10
+    assert short.warning is None and full.warning is None
+    assert abs(short.value - full.value) < 1e-12 * abs(full.value)
+    # at t = 1e-9, z = 5e8 needs about 2e5 modes, past the cap
+    with pytest.raises(ResourceError, match="over the cap"):
+        za.bessel_oracle(1e-9, p, pp, terms=3)
+    with pytest.raises(ResourceError, match="over the cap"):
+        za.bessel_oracle(t, p, pp, terms=10 ** 9)
+
+
+def test_bessel_oracle_non_finite_sum_is_numeric_error():
+    # rho = 1e200 puts z = rho rho' / 2t past the float range
+    p = WedgePoint(1e200, 0.1)
+    with pytest.raises(NumericError):
+        za.bessel_oracle(0.1, p, p)
 
 
 def test_bessel_oracle_validation():
