@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityError, StructureError, ValidationError
-from .quadrature import gauss_hermite_average
+from .quadrature import sphere_average
 from .spectra import _certified_trace, _exp_sum, _periods, _scalar_t
 
 _CLUSTER_RTOL = 1e-8
@@ -52,9 +52,14 @@ class LeadingSymbol:
     def symbol_matrix(self, xi):
         """A(xi) = a^{mu nu} xi_mu xi_nu, one matrix or a batch."""
         xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 1:
-            return np.einsum("u,v,uvab->ab", xi, xi, self.a)
-        return np.einsum("nu,nv,uvab->nab", xi, xi, self.a)
+        m, d = self.m, self.d
+        outer = (xi[..., :, None] * xi[..., None, :]).reshape(xi.shape[:-1] + (m * m,))
+        a = self.a.reshape(m * m, d * d)
+        # two real products: a real-by-complex matmul does not reach BLAS
+        A = np.empty(outer.shape[:-1] + (d * d,), dtype=complex)
+        A.real = outer @ a.real
+        A.imag = outer @ a.imag
+        return A.reshape(xi.shape[:-1] + (d, d))
 
 
 def laplace_symbol(m, d=1):
@@ -196,19 +201,23 @@ def u0_trace(spec, m, t):
 def h_endomorphism(sym, spec):
     """H = -(4 pi)^{-m/2} sum_i mu_i^{-m/2} <Pi_i>, Gaussian xi-average.
 
-    The average pi^{-m/2} int e^{-|xi|^2} Pi_i(xi-hat) d xi is taken by
-    quadrature.gauss_hermite_average over (16, 32, 64, 128) nodes per axis
-    to 1e-10 absolute.  The slope weights are folded into the eigenvector
-    contraction, so no per-node projector array is built.
+    Pi_i depends on xi only through its direction, so the Gaussian average
+    pi^{-m/2} int e^{-|xi|^2} Pi_i(xi-hat) d xi is the average over the unit
+    sphere S^{m-1}, taken by quadrature.sphere_average at orders
+    (4, 8, 16, 32) to 1e-10 absolute.  Pi_i = prod_{j != i} (A(xi-hat) - mu_j)
+    / (mu_i - mu_j) is a polynomial of degree at most 2(s - 1) in xi-hat, so
+    order 4 is already exact for up to four slopes.  The slope weights are
+    folded into the eigenvector contraction, so no per-node projector array
+    is built.
     """
     m = sym.m
     weight = -(4.0 * math.pi) ** (-m / 2.0) * np.array(spec.mu) ** (-m / 2.0)
 
-    def integrand(xi):
-        V, labels = spec.eigenvectors(xi / np.linalg.norm(xi, axis=1, keepdims=True))
+    def integrand(omega):
+        V, labels = spec.eigenvectors(omega)
         return np.einsum("nak,nk,nbk->nab", V, weight[labels], V.conj())
 
-    H = gauss_hermite_average(m, (16, 32, 64, 128), integrand, 1e-10)
+    H = sphere_average(m, (4, 8, 16, 32), integrand, 1e-10)
     return 0.5 * (H + H.conj().T)
 
 
@@ -239,11 +248,23 @@ def y_tensor(sym, ricci, fiber_curvature=None):
     return Y
 
 
+def _half_box(m, N):
+    """The origin, then every n in [-N, N]^m whose first nonzero entry is positive."""
+    r = np.arange(-N, N + 1)
+    parts = [np.zeros((1, m))]
+    for j in range(m):
+        axes = [[0]] * j + [np.arange(1, N + 1)] + [r] * (m - j - 1)
+        parts.append(np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1))
+    return np.concatenate(parts)
+
+
 def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     """Exact heat trace of a constant-coefficient operator on a flat torus, at a
     scalar t or a 1-D t-array: tr exp(-t(A(k) + Q)) summed over the dual lattice
     k = 2 pi n / periods, |n|_inf <= N.  N starts at cutoff and doubles, through
     spectra._certified_trace, until the tail is below 1e-15 of the sum at every t.
+    A(k) is quadratic, so k and -k have the same eigenvalues: eigvalsh runs on
+    the origin and half the box, and the half is counted twice.
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
@@ -260,11 +281,12 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     wave2 = (2.0 * math.pi / np.array(periods)) ** 2
 
     def partial(ts, N):
-        axes = [np.arange(-N, N + 1) * (2.0 * math.pi / L) for L in periods]
-        k = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        k = _half_box(m, N) * (2.0 * math.pi / np.array(periods))
         lam = np.concatenate([np.linalg.eigvalsh(sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q)
                               for lo in range(0, len(k), _EIG_CHUNK)])
-        return _exp_sum(ts, lam.ravel())
+        mult = np.full(lam.shape, 2.0)
+        mult[0] = 1.0
+        return _exp_sum(ts, lam.ravel(), mult.ravel())
 
     def tail(ts, N):
         # e^{-t mu_min |k|^2 - t qmin} factorizes per axis: past the box on axis j, its

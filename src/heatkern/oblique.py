@@ -6,9 +6,9 @@ derivatives through anti-Hermitian matrices Gamma^i and projects a
 Dirichlet sector with Pi.  Everything here works in boundary normal
 coordinates where the induced metric at the frozen point is the identity.
 
-a1 is computed three ways: Gaussian quadrature of the xi-integrated
+a1 is computed three ways: a sphere average of the xi-integrated
 representation (general case), and two closed forms (commuting family,
-Clifford family) used as cross-checks and exact limits.  The quadrature
+Clifford family) used as cross-checks and exact limits.  The integral
 genuinely diverges outside the strong-ellipticity cone, so that case is a
 domain error, distinct from the conditioning error raised when the
 integrand is merely near-singular.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
-from .quadrature import gauss_hermite_average
+from .quadrature import sphere_average
 
 _HERM_TOL = 1e-12
 
@@ -145,12 +145,14 @@ def a1_quadrature(data):
     """First boundary coefficient from the Gaussian covector integral.
 
     (4 pi)^{-(m-1)/2} / 4 * { -I - 2 Pi
-        + 2 pi^{-(m-1)/2} int dzeta exp[-|zeta|^2 I - (Gamma . zeta)^2] },
-    by quadrature.gauss_hermite_average over (16, 32, 64, 128) nodes per
-    axis to 1e-9 absolute.  The factor exp(-|zeta|^2) is scalar and splits
-    off exactly; the remaining matrix exponent -(Gamma . zeta)^2 is
-    Hermitian positive semidefinite only inside the ellipticity cone, and the
-    integral diverges outside it.
+        + 2 pi^{-(m-1)/2} int dzeta exp[-|zeta|^2 I - (Gamma . zeta)^2] }.
+    With zeta = r omega the radial integral is closed, and the covector
+    integral is the average of (I + (Gamma . omega)^2)^{-p/2}, p = m - 1, over
+    the unit sphere S^{p-1}, taken by quadrature.sphere_average at orders
+    (4, 8, 16, 32) to 1e-9 absolute.  I + (Gamma . omega)^2 is positive
+    definite only inside the ellipticity cone, and the integral diverges
+    outside it; a rule node where its least eigenvalue is <= 1e-12 is a
+    DomainError.
     """
     p = data.m - 1
     verdict = strong_ellipticity(data)
@@ -169,13 +171,17 @@ def a1_quadrature(data):
             f"quadrature ill-conditioned: min eig(|zeta|^2 I + (Gamma.zeta)^2) "
             f"= {cond_min:.3e} < 1e-3 on the unit sphere")
 
-    def integrand(zeta):
-        gz = data.gamma_dot(zeta)
-        M = -np.einsum("nab,nbc->nac", gz, gz)      # -(Gamma.zeta)^2, Hermitian PSD
-        lam, V = np.linalg.eigh(M)
-        return np.einsum("nab,nb,ncb->nac", V, np.exp(lam), V.conj())
+    def integrand(omega):
+        gz = data.gamma_dot(omega)
+        lam, V = np.linalg.eigh(np.eye(data.d) + gz @ gz)
+        if np.min(lam) <= 1e-12:
+            k = int(np.argmin(np.min(lam, axis=1)))
+            raise DomainError(
+                f"integral divergent: min eig(I + (Gamma.omega)^2) = {np.min(lam):.3e} "
+                f"at direction {omega[k]}")
+        return np.einsum("nab,nb,ncb->nac", V, lam ** (-p / 2.0), V.conj())
 
-    return _assemble(data, gauss_hermite_average(p, (16, 32, 64, 128), integrand, 1e-9))
+    return _assemble(data, sphere_average(p, (4, 8, 16, 32), integrand, 1e-9))
 
 
 def a1_abelian(data):

@@ -107,47 +107,58 @@ def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n
 # interval spectra
 # ---------------------------------------------------------------------------
 
+def _bisect(f, lo, hi, width=0.0):
+    """Roots of the elementwise f, one in each bracket [lo, hi] where f changes sign,
+    all bisected at once until a bracket is `width` wide or has no float inside."""
+    neg = f(lo) < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (hi - lo > width) & (lo < mid) & (mid < hi)
+        if not open_.any():
+            return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
+        right = (f(mid) < 0) == neg
+        lo = np.where(open_ & right, mid, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+
+
+def _branch_roots(secular, L, j, lo, hi):
+    """k = 2u/L at the root u = j pi + delta, lo < delta < hi, of secular(k, delta) on
+    every branch j where it changes sign.  Bisecting the offset delta, not u, keeps
+    the brackets 1e-12 short of the tan and cot poles however large j pi is."""
+    f = lambda j, d: secular(2.0 * (j * math.pi + d) / L, d)
+    keep = (f(j, lo) < 0) != (f(j, hi) < 0)
+    j = j[keep]
+    delta = _bisect(lambda d: f(j, d), lo[keep], hi[keep], np.spacing(j * math.pi))
+    return 2.0 * (j * math.pi + delta) / L
+
+
 def _robin_eigenvalues(L, S, count):
     """Robin condition (d/dn + S)u = 0 with inward normal at both endpoints.
 
     The secular function factorizes into even/odd families about the
     midpoint: k tan(kL/2) = -S and k cot(kL/2) = S.  Each branch of tan/cot
-    carries exactly one root, which brentq brackets exactly; for S > 0 the
-    lowered spectrum admits one or two negative eigenvalues, found from the
-    hyperbolic counterparts kappa tanh(kappa L/2) = S, kappa coth = S.
+    carries exactly one root, and all of them are bisected in one pass; for
+    S > 0 the lowered spectrum admits one or two negative eigenvalues, found
+    from the hyperbolic counterparts kappa tanh(kappa L/2) = S, kappa coth = S.
     """
-    from scipy.optimize import brentq
-
     lams = []
     if S > 0:
-        g = lambda x: x * math.tanh(x * L / 2.0) - S
-        hi = S + 4.0 / L
-        lams.append(-brentq(g, 1e-14, hi, xtol=1e-15, rtol=8.9e-16) ** 2)
+        lo, hi = np.array([1e-14]), np.array([S + 4.0 / L])
+        lams.append(-_bisect(lambda x: x * np.tanh(x * L / 2.0) - S, lo, hi) ** 2)
         if S * L > 2.0:
-            h = lambda x: x / math.tanh(x * L / 2.0) - S
-            lams.append(-brentq(h, 1e-14, hi, xtol=1e-15, rtol=8.9e-16) ** 2)
+            lams.append(-_bisect(lambda x: x / np.tanh(x * L / 2.0) - S, lo, hi) ** 2)
 
+    # with |S| L <= 1e12 every branch j >= 1 changes sign, so j = 0..J-1 carry at least
+    # 2J - 2 >= count + 4 roots
     eps = 1e-12
-    j = 0
-    while len(lams) < count + 4:
-        # even branch: u in (j pi - pi/2, j pi + pi/2), k > 0
-        if j >= 1 or S < 0:
-            ulo = max(j * math.pi - math.pi / 2.0, 0.0) + eps
-            uhi = j * math.pi + math.pi / 2.0 - eps
-            f = lambda u: (2.0 * u / L) * math.tan(u) + S
-            if f(ulo) < 0 < f(uhi):
-                u = brentq(f, ulo, uhi, xtol=1e-15, rtol=8.9e-16)
-                lams.append((2.0 * u / L) ** 2)
-        # odd branch: u in (j pi, (j+1) pi); k cot(kL/2) decreasing there
-        ulo = j * math.pi + eps
-        uhi = (j + 1) * math.pi - eps
-        g = lambda u: (2.0 * u / L) / math.tan(u) - S
-        if g(ulo) > 0 > g(uhi):
-            u = brentq(g, ulo, uhi, xtol=1e-15, rtol=8.9e-16)
-            lams.append((2.0 * u / L) ** 2)
-        j += 1
-
-    lams = np.sort(lams)[:count]
+    j = np.arange(count // 2 + 4.0)
+    # even: kL/2 in (j pi - pi/2, j pi + pi/2), k > 0; odd: kL/2 in (j pi, (j+1) pi)
+    even = _branch_roots(lambda k, d: k * np.tan(d) + S, L, j,
+                         np.where(j >= 1, -math.pi / 2.0, 0.0) + eps,
+                         np.full(j.shape, math.pi / 2.0 - eps))
+    odd = _branch_roots(lambda k, d: k / np.tan(d) - S, L, j,
+                        np.full(j.shape, eps), np.full(j.shape, math.pi - eps))
+    lams = np.sort(np.concatenate(lams + [even ** 2, odd ** 2]))[:count]
     # residual of the secular function (k^2 - S^2) sin kL + 2 S k cos kL
     k = np.sqrt(lams[lams > 0])
     residual = np.abs((k * k - S * S) * np.sin(k * L) + 2.0 * S * k * np.cos(k * L))

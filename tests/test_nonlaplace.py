@@ -34,12 +34,17 @@ def test_symbol_constructor_validation():
 
 
 def test_symbol_matrix_batch_agrees_with_single():
-    sym = nl.one_form_symbol(3, 0.6)
     rng = np.random.default_rng(7)
+    # complex Hermitian blocks, symmetric in the base indices
+    b = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+    b = b + b.transpose(1, 0, 2, 3)
+    hermitian = nl.LeadingSymbol(m=3, d=2, a=b + b.conj().transpose(0, 1, 3, 2))
     xs = rng.standard_normal((5, 3))
-    batch = sym.symbol_matrix(xs)
-    for n, x in enumerate(xs):
-        assert np.allclose(batch[n], sym.symbol_matrix(x))
+    for sym in (nl.one_form_symbol(3, 0.6), hermitian):
+        batch = sym.symbol_matrix(xs)
+        for n, x in enumerate(xs):
+            assert np.allclose(batch[n], sym.symbol_matrix(x))
+            assert np.allclose(batch[n], np.einsum("u,v,uvab->ab", x, x, sym.a))
 
 
 def test_default_directions():

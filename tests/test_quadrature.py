@@ -1,4 +1,4 @@
-"""The shared Gauss-Hermite driver and the three routes that use it."""
+"""The shared averaging loop, its two rules and the three routes that use them."""
 
 import math
 from pathlib import Path
@@ -10,8 +10,8 @@ from heatkern import nonlaplace as nl
 from heatkern import oblique as ob
 from heatkern import quadrature
 from heatkern import symmspace as ss
-from heatkern.errors import NumericError
-from heatkern.quadrature import gauss_hermite_average
+from heatkern.errors import DomainError, NumericError, ValidationError
+from heatkern.quadrature import gauss_hermite_average, sphere_average, sphere_rule
 
 SIG = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
        np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
@@ -20,15 +20,20 @@ SIG = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
 
 @pytest.fixture
 def node_counts(monkeypatch):
-    """Record the per-axis node count of every rule the driver builds."""
+    """Record the count n of every Gauss-Hermite and sphere rule that is built."""
     counts = []
-    rule = np.polynomial.hermite.hermgauss
 
-    def recording(n):
-        counts.append(n)
-        return rule(n)
+    def record(module, name):
+        rule = getattr(module, name)
 
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
+        def recording(*args):
+            counts.append(args[-1])
+            return rule(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(np.polynomial.hermite, "hermgauss")
+    record(quadrature, "sphere_rule")
     return counts
 
 
@@ -92,14 +97,58 @@ def test_unsettled_average_raises_with_node_count():
         gauss_hermite_average(1, (4, 8), grows, 1e-10)
 
 
+def test_gauss_hermite_counts_must_be_even():
+    with pytest.raises(ValidationError, match="even, not 5"):
+        gauss_hermite_average(1, (4, 5), lambda x: x[:, 0], 1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_sphere_rule_moments(dim):
+    # uniform measure on S^{dim-1}: <x1^2> = 1/dim, <x1^4> = 3/(dim(dim+2)),
+    # <x1^2 x2^2> = 1/(dim(dim+2))
+    x, w = sphere_rule(dim, 4)
+    assert x.shape == (len(w), dim)
+    assert abs(w.sum() - 1.0) < 1e-15
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) < 1e-15
+    assert abs(w @ x[:, 0] ** 2 - 1.0 / dim) < 1e-15
+    assert abs(w @ x[:, -1] ** 4 - 3.0 / (dim * (dim + 2))) < 1e-15
+    if dim > 1:
+        assert abs(w @ (x[:, 0] ** 2 * x[:, -1] ** 2) - 1.0 / (dim * (dim + 2))) < 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_unsettled_sphere_average_raises_with_order(dim):
+    # the estimate counts the calls, so it never settles
+    calls = []
+
+    def grows(x):
+        calls.append(len(x))
+        return np.full(len(x), float(len(calls)))
+
+    with pytest.raises(NumericError, match=r"sphere average.*1e-10.*order 8.*1\.000e\+00"):
+        sphere_average(dim, (4, 8), grows, 1e-10)
+
+
 def test_hermgauss_only_in_the_driver():
     src = Path(quadrature.__file__).resolve().parent
     users = sorted(p.name for p in src.glob("*.py") if "hermgauss" in p.read_text())
     assert users == ["quadrature.py"]
 
 
+def test_direction_only_routes_use_no_gauss_hermite_rule(monkeypatch):
+    def refuse(n):
+        raise AssertionError("Gauss-Hermite rule built")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+    sym = nl.one_form_symbol(3, 0.7)
+    nl.h_endomorphism(sym, nl.eigenstructure(sym))
+    ob.a1_quadrature(ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                            Gamma=tuple(0.5j * s for s in SIG[:2])))
+
+
 # ---------------------------------------------------------------------------
-# the three routes, pinned to their values and node counts before the driver
+# the three routes, pinned to their values before the shared loop; H and a1 to
+# their sphere-rule orders, theta to its Gauss-Hermite node counts
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m,c,diag", [
@@ -109,21 +158,53 @@ def test_hermgauss_only_in_the_driver():
 def test_h_endomorphism_pinned(node_counts, m, c, diag):
     sym = nl.one_form_symbol(m, c)
     H = nl.h_endomorphism(sym, nl.eigenstructure(sym))
-    assert node_counts == [16, 32]
+    assert node_counts == [4, 8]
     assert np.max(np.abs(H - np.diag(diag))) < 1e-14
 
 
-@pytest.mark.parametrize("m,gammas,diag", [
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_h_endomorphism_one_form_closed_form(m):
+    # <xi-hat xi-hat^T> = I/m over S^{m-1}
+    c = 0.7
+    sym = nl.one_form_symbol(m, c)
+    H = nl.h_endomorphism(sym, nl.eigenstructure(sym))
+    want = -(4 * math.pi) ** (-m / 2) * ((1 - 1 / m) + (1 + c) ** (-m / 2) / m)
+    assert np.max(np.abs(H - want * np.eye(m))) < 1e-14
+
+
+@pytest.mark.parametrize("m,gammas,diag,counts", [
     (3, (np.diag([0.5j, -0.2j]), np.diag([0.1j, 0.4j])),
-     [0.026359097935612565, 0.02459079107708669]),
-    (3, tuple(0.5j * s for s in SIG[:2]), [0.03315727981081157] * 2),
-    (4, tuple(0.4j * s for s in SIG), [0.008967189228122379] * 2),
-])
-def test_a1_quadrature_pinned(node_counts, m, gammas, diag):
+     [0.026359097935612565, 0.02459079107708669], [4, 8, 16, 32]),
+    (3, tuple(0.5j * s for s in SIG[:2]), [0.03315727981081157] * 2, [4, 8]),
+    (4, tuple(0.4j * s for s in SIG), [0.008967189228122379] * 2, [4, 8]),
+], ids=["3-gammas0-diag0", "3-gammas1-diag1", "4-gammas2-diag2"])
+def test_a1_quadrature_pinned(node_counts, m, gammas, diag, counts):
     data = ob.ObliqueBoundaryData(m=m, d=2, Pi=np.zeros((2, 2)), Gamma=gammas)
     a1 = ob.a1_quadrature(data)
-    assert node_counts == [16, 32]
+    assert node_counts == counts
     assert np.max(np.abs(a1 - np.diag(diag))) < 1e-14
+
+
+@pytest.mark.parametrize("gammas", [
+    # m = 4: commuting, and (Gamma . omega)^2 varies over S^2
+    (np.diag([0.5j, -0.2j]), np.diag([0.1j, 0.4j]), np.diag([0.3j, 0.25j])),
+    # m = 2: S^0 is the two points +-1
+    (0.4j * SIG[0],),
+], ids=["m4-commuting", "m2-S0"])
+def test_a1_quadrature_commuting_closed_form(gammas):
+    data = ob.ObliqueBoundaryData(m=len(gammas) + 1, d=2, Pi=np.zeros((2, 2)), Gamma=gammas)
+    assert np.max(np.abs(ob.a1_quadrature(data) - ob.a1_abelian(data))) < 1e-14
+
+
+@pytest.mark.parametrize("a", [1.0 / math.sqrt(2.0), 0.7072])
+def test_a1_singular_rule_node_is_domain_error(a):
+    # I + (Gamma . omega)^2 = diag(1 - a^2 (w1 + w2)^2, 1) is singular (a = 1/sqrt 2)
+    # or indefinite (a > 1/sqrt 2) at omega = -(1, 1)/sqrt 2, a trapezoid node that
+    # the sampled ellipticity and conditioning checks miss
+    data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                  Gamma=(1j * np.diag([a, 0.0]), 1j * np.diag([a, 0.0])))
+    with pytest.raises(DomainError, match=r"min eig\(I \+ \(Gamma.omega\)\^2\)"):
+        ob.a1_quadrature(data)
 
 
 @pytest.mark.parametrize("fixture,radius,Q,t,counts,want", [

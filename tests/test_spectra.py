@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -106,6 +107,32 @@ def test_robin_negative_mode_count():
     assert negatives(-1.0) == 0
     assert negatives(0.5) == 1        # S L < 2: single bound state
     assert negatives(1.0) == 2        # S L > 2: both hyperbolic branches
+
+
+@pytest.mark.parametrize("L,S,t,want", [
+    # 40-digit mpmath values of the closed form below
+    (1000.0, -0.5, 1e-4, 28209.9735603982581589409),
+    (3.0, -1.0, 1e-7, 2676.685817504309718482973),
+    (10.0, 2.0, 1e-4, 282.6177654562159328191998),
+])
+def test_robin_trace_matches_half_line_closed_form(L, S, t, want):
+    # endpoints L >> sqrt(t) apart: each is a Robin half-line, and the trace is
+    # L / sqrt(4 pi t) - 1/2 + e^{S^2 t} erfc(-S sqrt t) up to terms like e^{-SL}
+    # and e^{-L^2/t}.  The first case sums about 2.5e5 roots, past the u = kL/2
+    # where a bracket 1e-12 short of a pole is below one ulp of u.
+    start = time.perf_counter()
+    got = spectra.interval_trace(L, "robin", t, S=S)
+    assert time.perf_counter() - start < 1.0
+    assert abs(got - want) < 1e-13 * want
+
+
+def test_robin_zero_mode_at_sl_equal_two():
+    # S L = 2 admits the linear mode u = 1 - 2x/L with eigenvalue 0, between the
+    # small positive (S L < 2) and small negative (S L > 2) eigenvalue it continues
+    lam = spectra._robin_eigenvalues(1.0, 2.0, 4)
+    assert lam[0] < 0 and abs(lam[1]) < 1e-14 and lam[2] > 30.0
+    near = [spectra.interval_trace(1.0, "robin", 0.1, S=S) for S in (2.0 - 1e-9, 2.0, 2.0 + 1e-9)]
+    assert max(near) - min(near) < 1e-8
 
 
 def test_robin_interlaces_between_nn_and_dd():
