@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 
 
 def average(rule, schedule, integrand, tol, relative, name, count):
@@ -48,8 +48,6 @@ def gauss_hermite_rule(p, n):
     """n-point Gauss-Hermite rule on every axis of R^p, weights normalised by
     pi^{-p/2}.  n must be even: an even rule has no node at the origin, where
     the direction x/|x| is undefined."""
-    if n % 2:
-        raise ValidationError(f"Gauss-Hermite node count must be even, not {n}")
     x, w = np.polynomial.hermite.hermgauss(n)
     nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * p), indexing="ij")], axis=-1)
     wts = np.ones(nodes.shape[0])
@@ -98,7 +96,8 @@ def sphere_rule(dim, n):
     return nodes, wts
 
 
-def sphere_average(dim, schedule, integrand, tol, relative=False):
-    """Average of f over the unit sphere S^{dim-1} by `average` on sphere_rule."""
+def sphere_average(dim, schedule, integrand, tol):
+    """Average of f over the unit sphere S^{dim-1} by `average` on sphere_rule,
+    to the absolute tolerance `tol`."""
     return average(lambda n: sphere_rule(dim, n), schedule, integrand, tol,
-                   relative, "sphere", "order {}")
+                   False, "sphere", "order {}")

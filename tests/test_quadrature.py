@@ -10,7 +10,7 @@ from heatkern import nonlaplace as nl
 from heatkern import oblique as ob
 from heatkern import quadrature
 from heatkern import symmspace as ss
-from heatkern.errors import DomainError, NumericError, ValidationError
+from heatkern.errors import DomainError, NumericError
 from heatkern.quadrature import gauss_hermite_average, sphere_average, sphere_rule
 
 SIG = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -95,11 +95,6 @@ def test_unsettled_average_raises_with_node_count():
 
     with pytest.raises(NumericError, match=r"1e-10.*8 nodes per axis.*4\.000e\+00"):
         gauss_hermite_average(1, (4, 8), grows, 1e-10)
-
-
-def test_gauss_hermite_counts_must_be_even():
-    with pytest.raises(ValidationError, match="even, not 5"):
-        gauss_hermite_average(1, (4, 5), lambda x: x[:, 0], 1e-10)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
