@@ -11,7 +11,8 @@ approximately.
 The short-time data available at this level: the weighted volume term A_0,
 the pointwise trace u_0, and the endomorphism H that multiplies Q in the
 next coefficient.  torus_oracle, the exact lattice trace they are checked
-against, sums through spectra._certified_trace.
+against, sums through spectra._certified_trace with spectra._lattice_tail,
+the same driver and tail bound as the circle/torus Fourier oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import EllipticityError, StructureError, ValidationError
 from .quadrature import sphere_average
-from .spectra import _certified_trace, _exp_sum, _periods, _scalar_t
+from .spectra import _certified_trace, _exp_sum, _lattice_tail, _periods, _scalar_t
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -107,10 +108,6 @@ class SymbolSpectrum:
     s: int
     mu: tuple
     mult: tuple
-
-    def projectors(self, direction):
-        """Eigenprojectors Pi_1..Pi_s of A(xi-hat) at one unit direction."""
-        return self.projectors_batch(np.asarray(direction, dtype=float)[None])[0]
 
     def eigenvectors(self, directions):
         """(N, d, d) eigenvectors of A at unit directions and the (N, d) slope
@@ -273,12 +270,9 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
         raise ValidationError("Q must be finite")
     if np.max(np.abs(Q - Q.conj().T)) > 1e-12:
         raise ValidationError("Q must be Hermitian")
-    if not cutoff >= 1:
-        raise ValidationError("lattice cutoff must be at least 1")
 
     mu_min = min(eigenstructure(sym).mu)
     qmin = float(np.min(np.linalg.eigvalsh(Q)))
-    wave2 = (2.0 * math.pi / np.array(periods)) ** 2
 
     def partial(ts, N):
         k = _half_box(m, N) * (2.0 * math.pi / np.array(periods))
@@ -288,14 +282,8 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
         mult[0] = 1.0
         return _exp_sum(ts, lam.ravel(), mult.ravel())
 
-    def tail(ts, N):
-        # e^{-t mu_min |k|^2 - t qmin} factorizes per axis: past the box on axis j, its
-        # tail past N times the other whole axis sums, each at most 1 + sqrt(pi / c)
-        c = np.multiply.outer(ts * mu_min, wave2)
-        whole = 1.0 + np.sqrt(math.pi / c)
-        past = 2.0 * np.exp(-c * N * (N + 1)) / -np.expm1(-c * N)
-        return d * np.exp(-ts * qmin) * np.prod(whole, axis=1) * np.sum(past / whole, axis=1)
-
+    # every eigenvalue at k is at least mu_min |k|^2 + qmin
+    tail = lambda ts, N: d * _lattice_tail(ts * mu_min, N, periods, qmin / mu_min)
     return _certified_trace(t, "lattice", lambda tmin: cutoff, _LATTICE_CAP, partial, tail,
                             lambda total: 1e-15 * total,
                             lambda N: d * (2 * min(N, _LATTICE_CAP) + 1) ** m)[0]

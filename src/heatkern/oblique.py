@@ -25,6 +25,7 @@ from .errors import ConditioningError, DomainError, ValidationError
 from .quadrature import sphere_average
 
 _HERM_TOL = 1e-12
+_ASCENT_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,8 @@ class ObliqueBoundaryData:
         object.__setattr__(self, "S", S)
 
     def gamma_dot(self, zeta):
-        """Gamma . zeta for one covector or a batch."""
-        z = np.asarray(zeta, dtype=float)
-        G = np.stack(self.Gamma) if self.Gamma else np.zeros((0, self.d, self.d))
-        if z.ndim == 1:
-            return np.einsum("i,iab->ab", z, G)
-        return np.einsum("ni,iab->nab", z, G)
+        """Gamma . zeta, contracted over the last axis of zeta."""
+        return np.einsum("...i,iab->...ab", np.asarray(zeta, dtype=float), np.stack(self.Gamma))
 
     def gamma_squared(self):
         """Gamma^2 = sum_i Gamma^i Gamma^i (identity boundary metric)."""
@@ -113,7 +110,15 @@ def boundary_directions(p, count=50):
 
 
 def strong_ellipticity(data, directions=None):
-    """Minimum-eigenvalue test of |zeta| I - i Gamma . zeta over the sphere."""
+    """Minimum-eigenvalue test of |zeta| I - i Gamma . zeta over the sphere.
+
+    That eigenvalue is 1 - lambda_max(i Gamma . omega).  Each sample and its
+    negative climb lambda_max as one batch for _ASCENT_STEPS steps of omega <-
+    a / |a|, a_i = v* (i Gamma^i) v with v the top eigenvector: lambda_max at
+    a / |a| is at least |a| >= a . omega, the old value, so no step lowers it
+    and a reported violation is always real.  The verdict reports the least
+    eigenvalue reached and its direction.
+    """
     p = data.m - 1
     if directions is None:
         directions = boundary_directions(p)
@@ -122,13 +127,16 @@ def strong_ellipticity(data, directions=None):
         raise ValidationError("need at least 50 boundary covectors")
     if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
         raise ValidationError("covectors must be unit length")
-    lam = np.linalg.eigvalsh(np.eye(data.d) - 1j * data.gamma_dot(dirs))[:, 0]
-    violating = np.flatnonzero(lam <= 1e-12)
-    if violating.size:
-        k = violating[0]
-        return EllipticityVerdict(False, float(lam[k]), dirs[k])
+    iG = 1j * np.stack(data.Gamma)
+    omega = np.concatenate([dirs, -dirs])
+    for _ in range(_ASCENT_STEPS):
+        v = np.linalg.eigh(np.einsum("ni,iab->nab", omega, iG))[1][:, :, -1]
+        a = np.einsum("na,iab,nb->ni", v.conj(), iG, v).real
+        norm = np.linalg.norm(a, axis=1, keepdims=True)
+        omega = np.divide(a, norm, out=omega, where=norm > 0)
+    lam = np.linalg.eigvalsh(np.eye(data.d) - 1j * data.gamma_dot(omega))[:, 0]
     k = int(np.argmin(lam))
-    return EllipticityVerdict(True, float(lam[k]), dirs[k])
+    return EllipticityVerdict(bool(lam[k] > 1e-12), float(lam[k]), omega[k])
 
 
 def _prefactor(m):
@@ -163,9 +171,11 @@ def a1_quadrature(data):
     if not any(np.any(np.abs(g) > 0) for g in data.Gamma):
         return _assemble(data, np.eye(data.d))   # exact Dirichlet/Neumann limit
 
-    # near-violation conditioning: |zeta|^2 I + (Gamma.zeta)^2 nearly singular
-    gz = data.gamma_dot(boundary_directions(p))
-    cond_min = float(np.min(np.linalg.eigvalsh(np.eye(data.d) + gz @ gz)))
+    # near-violation conditioning: |zeta|^2 I + (Gamma.zeta)^2 = I - (i Gamma.zeta)^2 at
+    # |zeta| = 1, and the spectrum of i Gamma.zeta is odd in zeta, so its least
+    # eigenvalue is 1 - (1 - lam)^2 with lam the verdict's least eigenvalue
+    lam = verdict.min_eigenvalue
+    cond_min = lam * (2.0 - lam)
     if cond_min < 1e-3:
         raise ConditioningError(
             f"quadrature ill-conditioned: min eig(|zeta|^2 I + (Gamma.zeta)^2) "

@@ -4,9 +4,11 @@ These are the ground-truth side of every comparison in the package: interval,
 sphere and Landau level sums, Fourier-matrix traces for circle/torus
 potentials, and a weighted least-squares fitter that turns oracle sums into
 expansion coefficients with honest error bars.  _certified_trace is the one
-convergence loop of the level sums here, of the nonlaplace lattice oracle and
-of the zaremba Bessel modes: it doubles a partial sum until a tail bound
-certifies it, and refuses a sum past a cap with a ResourceError.
+convergence loop of the level sums and the Fourier box here, of the
+nonlaplace lattice oracle and of the zaremba Bessel modes: it doubles a
+partial sum until a tail bound certifies it, and refuses a sum past a cap
+with a ResourceError.  _lattice_tail is the one tail bound of the two
+flat-torus oracles, the Fourier box and the nonlaplace lattice.
 
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
@@ -81,12 +83,15 @@ def _exp_sum(ts, lam, mult=1.0):
 def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n):
     """(sum at every t, the n it stopped at).  partial(ts, n) sums the first n terms at
     each t of the 1-D array ts and tail(ts, n) bounds the rest; n starts at first(min
-    t) >= 1 and doubles until tail <= floor(sum) at every t.  Before each sum, size(n)
-    levels over cap, or over _WORK_CAP at all t, is a ResourceError."""
+    t), which must be >= 1, rounded up, and doubles until tail <= floor(sum) at every
+    t.  Before each sum, size(n) levels over cap, or over _WORK_CAP at all t, is a
+    ResourceError."""
     ts = _as_t(t)
     flat = np.atleast_1d(ts)
     tmin = float(flat.min())
     n = first(tmin)
+    if not n >= 1:
+        raise ValidationError(f"{what} trace needs a first size of at least 1, not {n!r}")
     while True:
         levels = size(n)
         if not levels <= cap:
@@ -95,7 +100,7 @@ def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n
         if levels * flat.size > _WORK_CAP:
             raise ResourceError(f"{what} trace needs {levels:.3g} levels at each of "
                                 f"{flat.size} times, over the work cap of {_WORK_CAP:.3g}")
-        n = int(n)
+        n = math.ceil(n)
         total = _like_t(flat, partial(flat, n), f"{what} sum")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if np.all(tail(flat, n) <= floor(total)):
@@ -281,8 +286,7 @@ def landau_trace_density(B, t):
 # circle / torus with potential
 # ---------------------------------------------------------------------------
 
-_MATRIX_BUDGET = 4097
-_TAIL_SHELLS = 100_000
+_MATRIX_BUDGET = 4097          # Fourier modes in one box
 
 
 def _periods(periods, m):
@@ -447,59 +451,48 @@ def _fourier_spectrum(periods, modes, cutoff):
     return np.sort(np.concatenate(lams))
 
 
+def _lattice_tail(ts, N, periods, shift):
+    """Bound on sum e^{-t(|k|^2 + shift)} over k = 2 pi n / periods, |n|_inf > N, at
+    each t of the 1-D array ts.  e^{-t|k|^2} factorizes: the sum is at most the sum
+    over axes of the axis's part past N, 2 e^{-c N(N+1)} / (1 - e^{-c N}) with
+    c = t (2 pi / period)^2, times the other whole axes, each at most
+    1 + sqrt(pi / c).  The shift sits in the exponent, so it never overflows alone."""
+    c = np.multiply.outer(ts, (2.0 * math.pi / np.array(periods)) ** 2)
+    whole = 1.0 + np.sqrt(math.pi / c)
+    past = 2.0 * np.exp(-c * N * (N + 1) - (ts * shift)[:, None]) / -np.expm1(-c * N)
+    return np.prod(whole, axis=1) * np.sum(past / whole, axis=1)
+
+
 def torus_potential_trace(periods, modes, cutoff, t):
     """Trace of exp(-t(-Laplace + Q)) on a circle or torus.
 
     periods and modes are those of a FourierBackground with d = 1, which
     validates them: modes maps wavevector tuples to scalar amplitudes or to
     1x1 blocks, so a background's own potential_modes can be passed.
-    The operator is represented exactly on the Fourier modes |n|_inf <=
-    cutoff: diagonal |k|^2 plus the convolution matrix of the potential
-    modes; the trace of the matrix exponential is the partial spectral sum.
-    Q couples mode n only to n + k for its mode vectors k, so the matrix is
-    block diagonal over the connected components of that graph on the box:
-    zero potential gives 1x1 blocks, one circle cosine mode n0 gives n0
-    chains.  Each block is diagonalised on its own, as a real symmetric
-    matrix when every amplitude is real, and the spectrum is computed once
-    for all t.  The Gershgorin tail guard runs at the smallest t, where the
-    discarded modes weigh most.
+    The operator is represented exactly on the Fourier modes |n|_inf <= N:
+    diagonal |k|^2 plus the convolution matrix of the potential modes; the
+    trace of the matrix exponential is the partial spectral sum.  Q couples
+    mode n only to n + k for its mode vectors k, so the matrix is block
+    diagonal over the connected components of that graph on the box: zero
+    potential gives 1x1 blocks, one circle cosine mode n0 gives n0 chains.
+    Each block is diagonalised on its own, as a real symmetric matrix when
+    every amplitude is real, and the spectrum is computed once for all t.
+    N starts at cutoff and doubles, through _certified_trace, until the modes
+    outside the box weigh at most 1e-10 at every t: _lattice_tail, with every
+    |k|^2 lowered by sum |Qhat|, as far as Gershgorin lets Q move an eigenvalue.
+    A box of more than _MATRIX_BUDGET modes is a ResourceError.
     """
-    ts = _as_t(t)
     if isinstance(periods, (int, float)):
         periods = (periods,)
     bg = FourierBackground(len(periods), periods, potential_modes=modes)
-    if cutoff < 0:
-        raise ValidationError("fourier cutoff must be >= 0")
     m, periods = bg.m, bg.periods
     modes = {n: complex(q[0, 0]) for n, q in bg.potential_modes.items()}
-
     qnorm = sum(abs(a) for a in modes.values())
-    lmax = max(periods)
-    tmin = float(ts.min())
-    # Gershgorin: discarded modes have lambda >= (2 pi c'/lmax)^2 - qnorm
-    tail = 0.0
-    for cp in range(cutoff + 1, cutoff + 1 + _TAIL_SHELLS):
-        shell = (2 * cp + 1) ** m - (2 * cp - 1) ** m
-        lam = (2.0 * math.pi * cp / lmax) ** 2 - qnorm
-        term = shell * math.exp(-tmin * max(lam, 0.0))
-        tail += term
-        if term < 1e-16 * max(tail, 1e-300) or lam > 60.0 / tmin:
-            break
-    else:
-        raise NumericError(
-            f"fourier tail bound did not settle within {_TAIL_SHELLS} shells at t={tmin}")
-    if tail > 1e-10:
-        raise ValidationError(
-            f"fourier cutoff {cutoff} leaves tail bound {tail:.2e} > 1e-10 at t={tmin}")
-
-    dim = (2 * cutoff + 1) ** m
-    if dim > _MATRIX_BUDGET:
-        raise ResourceError(f"fourier matrix dimension {dim} exceeds budget {_MATRIX_BUDGET}")
-    if dim * ts.size > _WORK_CAP:
-        raise ResourceError(f"fourier trace needs {dim} levels at each of {ts.size} times, "
-                            f"over the work cap of {_WORK_CAP:.3g}")
-    lam = _fourier_spectrum(periods, modes, cutoff)
-    return _like_t(ts, _exp_sum(np.atleast_1d(ts), lam), "spectral sum")
+    return _certified_trace(t, "fourier", lambda tmin: cutoff, _MATRIX_BUDGET,
+                            lambda ts, N: _exp_sum(ts, _fourier_spectrum(periods, modes, N)),
+                            lambda ts, N: _lattice_tail(ts, N, periods, -qnorm),
+                            lambda total: 1e-10,
+                            lambda N: (2 * min(N, _MATRIX_BUDGET) + 1) ** m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,6 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     from scipy.special import ive
 
     t = _scalar_t(t)
-    if not terms >= 1:
-        raise ValidationError("need at least one mode")
     if not tol > 0:
         raise ValidationError(f"tolerance {tol!r} must be positive")
     if p.xhat or pp.xhat:

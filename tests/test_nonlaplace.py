@@ -102,7 +102,7 @@ def test_projectors_radial_channel():
     for _ in range(4):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        P = spec.projectors(v)
+        P = spec.projectors_batch(v[None])[0]
         assert np.max(np.abs(P[i_rad] - np.outer(v, v))) < 1e-10
 
 

@@ -80,20 +80,55 @@ def test_strong_ellipticity_pauli():
     assert abs(np.linalg.norm(v.violating_direction) - 1.0) < 1e-12
 
 
-def test_violating_direction_is_first_violating_sample():
+def test_violating_direction_violates():
     # I - i Gamma . zeta = diag(1 + 1.5 zeta_1, 1): violated wherever zeta_1 <= -2/3;
-    # the worst sample, -e_1, is moved last so the first violation is milder
+    # the worst sample, -e_1, is moved last, and the reported direction is the worst
     data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
                                   Gamma=(np.diag([1.5j, 0.0]), np.zeros((2, 2))))
     d = ob.boundary_directions(2)
     dirs = np.concatenate([d[2:], d[:2]])
-    lam = 1.0 + 1.5 * dirs[:, 0]
-    first = int(np.flatnonzero(lam <= 1e-12)[0])
-    assert lam[first] > np.min(lam) + 0.1
     v = ob.strong_ellipticity(data, directions=dirs)
     assert not v.elliptic
-    assert np.array_equal(v.violating_direction, dirs[first])
-    assert abs(v.min_eigenvalue - lam[first]) < 1e-12
+    there = np.linalg.eigvalsh(np.eye(2) - 1j * data.gamma_dot(v.violating_direction))[0]
+    assert v.min_eigenvalue <= 1e-12
+    assert abs(v.min_eigenvalue - there) < 1e-12
+    assert abs(v.min_eigenvalue + 0.5) < 1e-12
+
+
+def rotated_diagonal_data(a, angle):
+    # Gamma^i = i a w_i diag(1, 0), w = (cos - sin, sin + cos)(angle), |w| = sqrt 2: the
+    # least eigenvalue of I - i Gamma . omega is 1 - a sqrt 2, reached at omega = -w/sqrt 2;
+    # at a = 0.7072 it is negative only on an arc about 0.03 rad wide
+    c, s = math.cos(angle), math.sin(angle)
+    g = 1j * a * np.diag([1.0, 0.0])
+    return ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                  Gamma=((c - s) * g, (s + c) * g))
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.5, 1.0, 2.0, 2.5, 5.0])
+def test_strong_ellipticity_finds_an_arc_between_samples(angle):
+    # every one of the 50 samples misses the arc, so a verdict on the samples alone
+    # would call these elliptic
+    data = rotated_diagonal_data(0.7072, angle)
+    lam = np.linalg.eigvalsh(np.eye(2) - 1j * data.gamma_dot(ob.boundary_directions(2)))[:, 0]
+    assert np.min(lam) > 1e-4
+    v = ob.strong_ellipticity(data)
+    assert not v.elliptic
+    assert abs(v.min_eigenvalue - (1.0 - 0.7072 * math.sqrt(2.0))) < 1e-12
+    with pytest.raises(DomainError, match="strong ellipticity violated"):
+        ob.a1_quadrature(data)
+
+
+@pytest.mark.parametrize("angle", [0.1, 0.7, 1.3])
+def test_rank_one_gamma_past_the_cone_is_a_domain_error(angle):
+    # i Gamma . omega = -(1 + 1e-6) (u . omega) diag(1, 0): violated only near omega = -u
+    u = (math.cos(angle), math.sin(angle))
+    data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                  Gamma=tuple(1j * (1 + 1e-6) * x * np.diag([1.0, 0.0]) for x in u))
+    v = ob.strong_ellipticity(data)
+    assert not v.elliptic and abs(v.min_eigenvalue + 1e-6) < 1e-12
+    with pytest.raises(DomainError):
+        ob.a1_quadrature(data)
 
 
 def test_strong_ellipticity_direction_validation():

@@ -192,12 +192,16 @@ def test_a1_quadrature_commuting_closed_form(gammas):
 
 
 @pytest.mark.parametrize("a", [1.0 / math.sqrt(2.0), 0.7072])
-def test_a1_singular_rule_node_is_domain_error(a):
+def test_a1_singular_rule_node_is_domain_error(a, monkeypatch):
     # I + (Gamma . omega)^2 = diag(1 - a^2 (w1 + w2)^2, 1) is singular (a = 1/sqrt 2)
-    # or indefinite (a > 1/sqrt 2) at omega = -(1, 1)/sqrt 2, a trapezoid node that
-    # the sampled ellipticity and conditioning checks miss
+    # or indefinite (a > 1/sqrt 2) at omega = -(1, 1)/sqrt 2, a trapezoid node.  The
+    # verdict stops these inputs first; past an elliptic verdict the node guard does
     data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
                                   Gamma=(1j * np.diag([a, 0.0]), 1j * np.diag([a, 0.0])))
+    with pytest.raises(DomainError, match="strong ellipticity violated"):
+        ob.a1_quadrature(data)
+    monkeypatch.setattr(ob, "strong_ellipticity",
+                        lambda data: ob.EllipticityVerdict(True, 1.0, np.array([1.0, 0.0])))
     with pytest.raises(DomainError, match=r"min eig\(I \+ \(Gamma.omega\)\^2\)"):
         ob.a1_quadrature(data)
 

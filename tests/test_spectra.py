@@ -365,7 +365,7 @@ def dense_fourier_trace(periods, modes, cutoff, t):
 def hermitian_fourier_problem(draw):
     m = draw(st.sampled_from((1, 2)))
     periods = tuple(draw(st.floats(0.5, 1.0)) for _ in range(m))
-    cutoff = draw(st.integers(0, 6))
+    cutoff = draw(st.integers(1, 6))
     complex_amps = draw(st.booleans())
     modes = {}
     for _ in range(draw(st.integers(0, 3))):
@@ -379,10 +379,11 @@ def hermitian_fourier_problem(draw):
 
 
 def guard_times(periods, cutoff, scaled):
-    """t with t (2 pi (cutoff+1)/L_max)^2 = scaled: past the tail guard, and
+    """t with t (2 pi / L_max)^2 cutoff (cutoff+1) = scaled: the exponent of the
+    lattice tail bound, so the first box certifies and is the reference's box, and
     small enough that t lambda_max, and so the dense reference's own error
     eps t lambda_max, stays far below 1e-12."""
-    return np.array(scaled) * max(periods) ** 2 / (2 * math.pi * (cutoff + 1)) ** 2
+    return np.array(scaled) * max(periods) ** 2 / (4 * math.pi ** 2 * cutoff * (cutoff + 1))
 
 
 @given(hermitian_fourier_problem())
@@ -445,18 +446,64 @@ def test_torus_trace_rejects_complex_potential():
             2 * math.pi, {(1,): 1j, (-1,): 1j}, cutoff=8, t=0.5)
 
 
-def test_torus_trace_cutoff_tail_guard():
-    with pytest.raises(ValidationError):
-        spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=1e-4)
-    # the guard runs at the smallest t of a grid
-    with pytest.raises(ValidationError, match="t=0.0001"):
-        spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=np.array([1.0, 1e-4]))
+def test_torus_trace_small_cutoff_doubles():
+    # the box |n| <= 4 misses most of the weight at t = 1e-4, so it doubles until the
+    # modes outside weigh at most 1e-10; Jacobi's imaginary transformation gives the
+    # trace sqrt(pi/t) (1 + 2 sum_k e^{-pi^2 k^2 / t})
+    t = 1e-4
+    want = math.sqrt(math.pi / t) * (
+        1.0 + 2.0 * sum(math.exp(-math.pi ** 2 * k * k / t) for k in range(1, 4)))
+    got = spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=t)
+    assert abs(got - want) <= 1e-13 * want
+    # on a grid the box is sized for the smallest t
+    grid = spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=np.array([1.0, t]))
+    assert grid[1] == got
 
 
 def test_torus_trace_tail_loop_is_capped():
-    # at t = 1e-300 no shell term ever falls below the running tail
-    with pytest.raises(NumericError):
+    # at t = 1e-300 no box certifies; doubling stops at the matrix budget
+    with pytest.raises(ResourceError, match="over the cap of 4097"):
         spectra.torus_potential_trace(2 * math.pi, {}, cutoff=4, t=1e-300)
+
+
+def test_torus_trace_budget_is_checked_before_the_box(monkeypatch):
+    # boxes 9^2, 17^2 and 33^2 do not certify at t = 1e-4; 65^2 passes the budget and is
+    # refused before it is built
+    built = []
+    spectrum = spectra._fourier_spectrum
+    monkeypatch.setattr(spectra, "_fourier_spectrum",
+                        lambda periods, modes, N: built.append(N) or spectrum(periods, modes, N))
+    with pytest.raises(ResourceError, match="over the cap of 4097"):
+        spectra.torus_potential_trace((2 * math.pi, 2 * math.pi),
+                                      {(1, 0): 0.1, (-1, 0): 0.1}, cutoff=4, t=1e-4)
+    assert built == [4, 8, 16]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("unequal", [False, True], ids=["square", "unequal"])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_lattice_tail_bounds_the_modes_outside_the_box(m, unequal, N):
+    periods = (1.7, 1.0, 0.6)[:m] if unequal else (1.0,) * m
+    ts = np.array([0.01, 0.1, 1.0])
+    n = np.arange(-40, 41)        # e^{-t|k|^2} < e^{-200} past |n| = 40
+    k2 = sum(g.ravel() ** 2 for g in np.meshgrid(
+        *[2 * math.pi * n / p for p in periods], indexing="ij"))
+    outside = np.max(np.abs(np.stack(np.meshgrid(*[n] * m, indexing="ij"))), axis=0).ravel() > N
+    brute = np.exp(-np.multiply.outer(ts, k2[outside])).sum(axis=1)
+    for shift in (0.0, -0.7, 2.0):
+        bound = spectra._lattice_tail(ts, N, periods, shift)
+        assert np.all(bound >= brute * np.exp(-ts * shift))
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda: spectra.torus_potential_trace(2 * math.pi, {}, 0, 0.5),
+    lambda: nl.torus_oracle(nl.laplace_symbol(2), t=0.5, cutoff=0),
+    lambda: za.bessel_oracle(0.1, za.WedgePoint(1.0, 0.1), za.WedgePoint(1.0, 0.1), terms=0),
+], ids=["fourier", "lattice", "bessel"])
+def test_first_size_zero_is_rejected(oracle):
+    # a first size of 0 would double to 0 forever; the driver refuses it
+    with pytest.raises(ValidationError, match="first size of at least 1"):
+        oracle()
 
 
 @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.1, math.nan)])
