@@ -261,7 +261,8 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     k = 2 pi n / periods, |n|_inf <= N.  N starts at cutoff and doubles, through
     spectra._certified_trace, until the tail is below 1e-15 of the sum at every t.
     A(k) is quadratic, so k and -k have the same eigenvalues: eigvalsh runs on
-    the origin and half the box, and the half is counted twice.
+    the origin and half the box, and the half is counted twice, on real
+    symmetric matrices when a and Q are real.
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
@@ -273,11 +274,12 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
 
     mu_min = min(eigenstructure(sym).mu)
     qmin = float(np.min(np.linalg.eigvalsh(Q)))
+    real = not (np.any(sym.a.imag) or np.any(Q.imag))
 
     def partial(ts, N):
         k = _half_box(m, N) * (2.0 * math.pi / np.array(periods))
-        lam = np.concatenate([np.linalg.eigvalsh(sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q)
-                              for lo in range(0, len(k), _EIG_CHUNK)])
+        A = (sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q for lo in range(0, len(k), _EIG_CHUNK))
+        lam = np.concatenate([np.linalg.eigvalsh(a.real if real else a) for a in A])
         mult = np.full(lam.shape, 2.0)
         mult[0] = 1.0
         return _exp_sum(ts, lam.ravel(), mult.ravel())

@@ -4,9 +4,10 @@ The non-Laplace, oblique and symmetric-space routes each reduce a
 short-time coefficient to a Gaussian average pi^{-p/2} int_{R^p} e^{-|x|^2}
 f(x) dx.  Where f depends on x only through the direction x/|x|, that is the
 average of f over the unit sphere S^{p-1}, which a sphere rule takes with far
-fewer nodes.  Two rules are built here: the product Gauss-Hermite rule on
-R^p and sphere_rule on S^{p-1}.  Both return nodes and weights that sum to
-1, and `average` is the one place that decides convergence.
+fewer nodes; where f is Ad-invariant, a rule on a Cartan subalgebra does.
+Three rules are built here: the product Gauss-Hermite rule on R^p,
+cartan_rule and sphere_rule on S^{p-1}.  Each returns nodes and weights that
+sum to 1, and `average` is the one place that decides convergence.
 """
 
 from __future__ import annotations
@@ -56,10 +57,25 @@ def gauss_hermite_rule(p, n):
     return nodes, wts
 
 
-def gauss_hermite_average(p, schedule, integrand, tol, relative=False):
-    """pi^{-p/2} int_{R^p} e^{-|x|^2} f(x) dx by `average` on gauss_hermite_rule."""
-    return average(lambda n: gauss_hermite_rule(p, n), schedule, integrand, tol,
-                   relative, "Gauss-Hermite", "{} nodes per axis")
+def cartan_rule(ad, n):
+    """The Gaussian average on R^p of an Ad-invariant f, on a Cartan subalgebra.
+
+    ad is the (p, p, p) stack of skew ad(e_c) in an orthonormal basis.  The
+    nodes are U h, U (p x r) an orthonormal basis of the kernel of ad(g) for
+    one generic g and h on gauss_hermite_rule(r, n).  By Weyl's integration
+    formula each weight is multiplied by prod_alpha alpha(H)^2, the product of
+    the p - r largest singular values of ad(U h), and the weights are
+    normalised to sum 1, which absorbs the group volume.  ad = 0 gives r = p.
+    """
+    p = ad.shape[0]
+    g = np.random.default_rng(0).standard_normal(p)
+    _, s, vt = np.linalg.svd(np.tensordot(g, ad, 1))
+    r = int(np.sum(s <= 1e-10 * s[0]))
+    h, wts = gauss_hermite_rule(r, n)
+    nodes = h @ vt[p - r:]
+    jac = np.linalg.svd(np.tensordot(nodes, ad, 1), compute_uv=False)[:, :p - r]
+    wts = wts * np.prod(jac, axis=-1)
+    return nodes, wts / wts.sum()
 
 
 def _gegenbauer_rule(n, k):

@@ -479,7 +479,9 @@ def torus_potential_trace(periods, modes, cutoff, t):
     every amplitude is real, and the spectrum is computed once for all t.
     N starts at cutoff and doubles, through _certified_trace, until the modes
     outside the box weigh at most 1e-10 at every t: _lattice_tail, with every
-    |k|^2 lowered by sum |Qhat|, as far as Gershgorin lets Q move an eigenvalue.
+    |k|^2 shifted by Re Qhat_0, which moves the whole diagonal, and lowered by
+    sum_{k != 0} |Qhat_k|, as far as Gershgorin lets the couplings move an
+    eigenvalue.
     A box of more than _MATRIX_BUDGET modes is a ResourceError.
     """
     if isinstance(periods, (int, float)):
@@ -487,10 +489,10 @@ def torus_potential_trace(periods, modes, cutoff, t):
     bg = FourierBackground(len(periods), periods, potential_modes=modes)
     m, periods = bg.m, bg.periods
     modes = {n: complex(q[0, 0]) for n, q in bg.potential_modes.items()}
-    qnorm = sum(abs(a) for a in modes.values())
+    shift = modes.get((0,) * m, 0.0).real - sum(abs(a) for n, a in modes.items() if any(n))
     return _certified_trace(t, "fourier", lambda tmin: cutoff, _MATRIX_BUDGET,
                             lambda ts, N: _exp_sum(ts, _fourier_spectrum(periods, modes, N)),
-                            lambda ts, N: _lattice_tail(ts, N, periods, -qnorm),
+                            lambda ts, N: _lattice_tail(ts, N, periods, shift),
                             lambda total: 1e-10,
                             lambda N: (2 * min(N, _MATRIX_BUDGET) + 1) ** m)[0]
 

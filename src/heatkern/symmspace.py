@@ -8,7 +8,8 @@ Two regimes where the diagonal heat kernel closes algebraically:
   algebra of a ratio of sinh determinants, evaluated either as an asymptotic
   series in t (exact Gaussian moments of the expanded integrand, on the dense
   monomial basis shared with hmds) or by direct quadrature inside the
-  pole-free window.
+  pole-free window, over a Cartan subalgebra of the holonomy algebra
+  (quadrature.cartan_rule), since the integrand is Ad-invariant.
 
 The omega-integral is treated primarily as an asymptotic series: the 1/sinh
 factor has poles on the real axis, so the literal integral only makes sense
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .quadrature import gauss_hermite_average
+from .quadrature import average, cartan_rule
 from .spectra import _as_t, _like_t, _scalar_t
 from .tensorcalc import _basis, _pad, _series_log, _times
 
@@ -95,6 +96,14 @@ def nilpotent_trace_density(fs, t):
 # symmetric spaces
 # ---------------------------------------------------------------------------
 
+def _holonomy_ad(beta, F):
+    """L^T ad(omega(e_c)) L^{-T}, ad(omega)_{jk} = omega^i F^j_{ik}: ad in the
+    coordinates v of theta_quadrature, omega(v) = 2 L^{-T} v, L = chol(beta)."""
+    L = np.linalg.cholesky(beta)
+    Linv_T = np.linalg.inv(L).T
+    return 2.0 * np.tensordot(Linv_T.T, L.T @ F.transpose(1, 0, 2) @ Linv_T, 1)
+
+
 @dataclass(frozen=True)
 class SymmetricSpaceData:
     """Holonomy data of a symmetric space in an orthonormal frame.
@@ -147,6 +156,11 @@ class SymmetricSpaceData:
             raise ValidationError("holonomy brackets do not close on the D_i")
         F = sol.reshape(self.p, self.p, self.p)
         object.__setattr__(self, "F", F)
+
+        # beta is Ad-invariant, which theta_quadrature's Cartan reduction needs
+        ad = _holonomy_ad(beta, F)
+        if np.max(np.abs(ad + ad.transpose(0, 2, 1))) > 1e-12 * np.max(np.abs(ad)):
+            raise ValidationError("holonomy structure constants must be beta-antisymmetric")
 
         # adjoint matrices of the isometry algebra, basis (P_a, Q_i)
         n = self.m + self.p
@@ -291,9 +305,9 @@ def theta_quadrature(space, Q=None, t=0.01):
     Valid only while the Gaussian support stays clear of the first zero of
     the sinh determinant in the denominator; the guard requires
     sqrt(t) * ||D|| * 6 sigma < pi with sigma^2 = 2 lambda_max(beta^{-1}).
-    The average is quadrature.gauss_hermite_average over (64, 128, 256)
-    nodes per axis for p = 1, (32, 64, 128) for p = 2 and (16, 32, 64)
-    otherwise, to 1e-10 relative.
+    The integrand is Ad-invariant and F is beta-antisymmetric, so the average
+    is quadrature.average on quadrature.cartan_rule over (16, 32, 64) nodes
+    per axis of the rank-r Cartan subalgebra, to 1e-10 relative.
     """
     t = _scalar_t(t)
     dnorm = math.sqrt(sum(np.linalg.norm(space.D[i], 2) ** 2 for i in range(space.p)))
@@ -318,8 +332,9 @@ def theta_quadrature(space, Q=None, t=0.01):
             vals = vals * np.sqrt(_sinhc_det(Xf))
         return vals
 
-    schedule = {1: (64, 128, 256), 2: (32, 64, 128)}.get(space.p, (16, 32, 64))
-    avg = float(gauss_hermite_average(space.p, schedule, integrand, 1e-10, relative=True))
+    ad = _holonomy_ad(space.beta, space.F)
+    avg = float(average(lambda n: cartan_rule(ad, n), (16, 32, 64), integrand, 1e-10, True,
+                        "Cartan", "{} nodes per axis"))
 
     M = _fiber_matrix(space, Q)
     qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(M)))) / M.shape[0]

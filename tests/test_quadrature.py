@@ -1,5 +1,6 @@
-"""The shared averaging loop, its two rules and the three routes that use them."""
+"""The shared averaging loop, its three rules and the three routes that use them."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -8,10 +9,12 @@ import pytest
 
 from heatkern import nonlaplace as nl
 from heatkern import oblique as ob
-from heatkern import quadrature
+from heatkern import quadrature, spectra
 from heatkern import symmspace as ss
 from heatkern.errors import DomainError, NumericError
-from heatkern.quadrature import gauss_hermite_average, sphere_average, sphere_rule
+from heatkern.quadrature import (average, cartan_rule, gauss_hermite_rule, sphere_average,
+                                  sphere_rule)
+from heatkern.tensorcalc import sphere_volume
 
 SIG = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
        np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
@@ -53,7 +56,8 @@ def test_exact_gaussian_moments(p):
         return np.stack(cols, axis=-1)
 
     want = [1.0, 0.5, 0.75, 0.0] + [0.25, 0.0] * (p > 1) + [0.125] * (p > 2)
-    got = gauss_hermite_average(p, (4, 8), moments, 1e-14)
+    got = average(lambda n: gauss_hermite_rule(p, n), (4, 8), moments, 1e-14, False,
+                  "Gauss-Hermite", "{} nodes per axis")
     assert got.shape == (len(want),)
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -67,7 +71,8 @@ def test_matrix_valued_integrand():
         s = x.sum(axis=1)
         return np.einsum("ak,nk,bk->nab", V, np.exp(s[:, None] * lam), V)
 
-    got = gauss_hermite_average(2, (16, 32, 64), expm, 1e-12)
+    got = average(lambda n: gauss_hermite_rule(2, n), (16, 32, 64), expm, 1e-12, False,
+                  "Gauss-Hermite", "{} nodes per axis")
     assert got.shape == (2, 2)
     assert np.max(np.abs(got - (V * np.exp(lam ** 2 / 2.0)) @ V.T)) < 1e-12
 
@@ -79,11 +84,13 @@ def test_relative_stopping_rule(node_counts):
         return 1e6 * np.cos(3.0 * x[:, 0])
 
     exact = 1e6 * math.exp(-2.25)
-    rel = gauss_hermite_average(1, (4, 8, 16, 32), f, 2e-3, relative=True)
+    rel = average(lambda n: gauss_hermite_rule(1, n), (4, 8, 16, 32), f, 2e-3, True,
+                  "Gauss-Hermite", "{} nodes per axis")
     assert node_counts == [4, 8, 16]
     assert abs(rel - exact) < 1e-6
     node_counts.clear()
-    absolute = gauss_hermite_average(1, (4, 8, 16, 32), f, 2e-3)
+    absolute = average(lambda n: gauss_hermite_rule(1, n), (4, 8, 16, 32), f, 2e-3, False,
+                       "Gauss-Hermite", "{} nodes per axis")
     assert node_counts == [4, 8, 16, 32]
     assert abs(absolute - exact) < 1e-9
 
@@ -94,7 +101,8 @@ def test_unsettled_average_raises_with_node_count():
         return np.full(len(x), float(len(x)))
 
     with pytest.raises(NumericError, match=r"1e-10.*8 nodes per axis.*4\.000e\+00"):
-        gauss_hermite_average(1, (4, 8), grows, 1e-10)
+        average(lambda n: gauss_hermite_rule(1, n), (4, 8), grows, 1e-10, False,
+                "Gauss-Hermite", "{} nodes per axis")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -124,6 +132,30 @@ def test_unsettled_sphere_average_raises_with_order(dim):
         sphere_average(dim, (4, 8), grows, 1e-10)
 
 
+def s4_space(a):
+    """S^4 of radius a: holonomy so(4), p = 6, rank 2, generators e_x e_y^T - e_y e_x^T."""
+    E = []
+    for x, y in itertools.combinations(range(4), 2):
+        e = np.zeros((4, 4))
+        e[x, y], e[y, x] = 1.0, -1.0
+        E.append(e)
+    return ss.SymmetricSpaceData(m=4, p=6, E=np.array(E), beta=np.eye(6) / a ** 2)
+
+
+@pytest.mark.parametrize("space,rank", [(ss.build_symmetric_space("S2"), 1),
+                                        (ss.build_symmetric_space("S3"), 1),
+                                        (s4_space(1.0), 2)], ids=["S2", "S3", "S4"])
+def test_cartan_rule_gaussian_moments(space, rank):
+    # |v|^2 is Ad-invariant: E|v|^2 = p/2 and E|v|^4 = p(p+2)/4 under pi^{-p/2} e^{-|v|^2}
+    p = space.p
+    x, w = cartan_rule(ss._holonomy_ad(space.beta, space.F), 16)
+    assert x.shape == (16 ** rank, p) and np.linalg.matrix_rank(x) == rank
+    assert abs(w.sum() - 1.0) < 1e-15
+    r2 = np.sum(x * x, axis=1)
+    assert abs(w @ r2 - p / 2) < 1e-14 * p / 2
+    assert abs(w @ r2 ** 2 - p * (p + 2) / 4) < 1e-14 * p * (p + 2) / 4
+
+
 def test_hermgauss_only_in_the_driver():
     src = Path(quadrature.__file__).resolve().parent
     users = sorted(p.name for p in src.glob("*.py") if "hermgauss" in p.read_text())
@@ -141,9 +173,22 @@ def test_direction_only_routes_use_no_gauss_hermite_rule(monkeypatch):
                                             Gamma=tuple(0.5j * s for s in SIG[:2])))
 
 
+def test_theta_quadrature_uses_rank_one_rules_on_s3(monkeypatch):
+    dims = []
+    rule = quadrature.gauss_hermite_rule
+
+    def recording(p, n):
+        dims.append(p)
+        return rule(p, n)
+
+    monkeypatch.setattr(quadrature, "gauss_hermite_rule", recording)
+    ss.theta_quadrature(ss.build_symmetric_space("S3", radius=1.3), t=0.01)
+    assert dims and set(dims) == {1}
+
+
 # ---------------------------------------------------------------------------
 # the three routes, pinned to their values before the shared loop; H and a1 to
-# their sphere-rule orders, theta to its Gauss-Hermite node counts
+# their sphere-rule orders, theta to its Cartan-rule node counts
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m,c,diag", [
@@ -207,10 +252,32 @@ def test_a1_singular_rule_node_is_domain_error(a, monkeypatch):
 
 
 @pytest.mark.parametrize("fixture,radius,Q,t,counts,want", [
-    ("S2", 1.0, None, 0.05, [64, 128], 1.6183430714420433),
+    ("S2", 1.0, None, 0.05, [16, 32], 1.6183430714420433),
     ("S3", 1.3, np.array([[0.4]]), 0.02, [16, 32], 7.967194770169245),
 ])
 def test_theta_quadrature_pinned(node_counts, fixture, radius, Q, t, counts, want):
     got = ss.theta_quadrature(ss.build_symmetric_space(fixture, radius=radius), Q=Q, t=t)
     assert node_counts == counts
     assert abs(got - want) < 1e-14
+
+
+@pytest.mark.parametrize("fixture,m", [("S2", 2), ("S3", 3)])
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("t", [0.002, 0.01])
+def test_theta_quadrature_matches_sphere_spectrum(fixture, m, a, t):
+    got = ss.theta_quadrature(ss.build_symmetric_space(fixture, radius=a), t=t)
+    want = spectra.sphere_trace(m, a, t) / sphere_volume(m, a)
+    assert abs(got - want) < 1e-14 * want
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("t", [0.002, 0.005])
+def test_theta_quadrature_matches_s4_spectrum(a, t):
+    # rank 2 < p = 6 and a non-constant integrand: Weyl's Jacobian carries weight.
+    # S^4 levels l(l+3)/a^2 with multiplicity (l+1)(l+2)(2l+3)/6, volume 8 pi^2 a^4/3
+    lmax = int(a * math.sqrt(60.0 / t)) + 14
+    trace = math.fsum((l + 1) * (l + 2) * (2 * l + 3) / 6.0 * math.exp(-t * l * (l + 3) / a ** 2)
+                      for l in range(lmax + 1))
+    want = trace / (8.0 * math.pi ** 2 * a ** 4 / 3.0)
+    got = ss.theta_quadrature(s4_space(a), t=t)
+    assert abs(got - want) < 1e-13 * want

@@ -460,6 +460,16 @@ def test_torus_trace_small_cutoff_doubles():
     assert grid[1] == got
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_torus_trace_constant_potential_shifts_the_tail(m):
+    # Qhat_0 = 400 moves every eigenvalue up by 400, the modes outside the first box
+    # too, so that box certifies: the trace is e^{-200} times the free theta product
+    t = 0.5
+    got = spectra.torus_potential_trace((2 * math.pi,) * m, {(0,) * m: 400.0}, cutoff=8, t=t)
+    want = math.exp(-400.0 * t) * sum(math.exp(-t * n * n) for n in range(-60, 61)) ** m
+    assert abs(got - want) < 1e-13 * want
+
+
 def test_torus_trace_tail_loop_is_capped():
     # at t = 1e-300 no box certifies; doubling stops at the matrix budget
     with pytest.raises(ResourceError, match="over the cap of 4097"):

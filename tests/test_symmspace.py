@@ -123,6 +123,18 @@ def test_fixture_validation():
         ss.build_symmetric_space("S2", radius=0.0)
 
 
+@pytest.mark.parametrize("beta", [np.diag([1.0, 2.0, 3.0]),
+                                  [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+                         ids=["diagonal", "non-diagonal"])
+def test_beta_that_is_not_ad_invariant_is_rejected(beta):
+    # S^3 generators with a beta that no rotation of so(3) preserves: the F_i are
+    # not beta-antisymmetric, so the Cartan reduction of theta_quadrature would not hold
+    i, a, b = np.indices((3, 3, 3))
+    E = (i - a) * (a - b) * (b - i) / 2.0
+    with pytest.raises(ValidationError, match="beta-antisymmetric"):
+        ss.SymmetricSpaceData(m=3, p=3, E=E, beta=beta)
+
+
 @pytest.mark.parametrize("call", [
     lambda: ss.theta_series(ss.build_symmetric_space("S2"), Q=math.nan),
     lambda: ss.theta_quadrature(ss.build_symmetric_space("S2"), Q=np.array([[math.inf]])),
