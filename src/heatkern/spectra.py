@@ -8,7 +8,9 @@ convergence loop of the level sums and the Fourier box here, of the
 nonlaplace lattice oracle and of the zaremba Bessel modes: it doubles a
 partial sum until a tail bound certifies it, and refuses a sum past a cap
 with a ResourceError.  _lattice_tail is the one tail bound of the two
-flat-torus oracles, the Fourier box and the nonlaplace lattice.
+flat-torus oracles, the Fourier box and the nonlaplace lattice.  The Fourier
+box is a product of one trace per group of axes that its modes couple
+(_axis_groups), so a separable torus costs a few circle spectra.
 
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
@@ -463,6 +465,18 @@ def _lattice_tail(ts, N, periods, shift):
     return np.prod(whole, axis=1) * np.sum(past / whole, axis=1)
 
 
+def _axis_groups(m, modes):
+    """The axes 0..m-1 as sorted tuples, ordered by first axis: two axes share a
+    group when some mode k != 0 is nonzero on both, and an axis that no mode
+    touches is a group of its own."""
+    groups = [{a} for a in range(m)]
+    for k in modes:
+        touched = [g for g in groups if any(k[a] for a in g)]
+        if len(touched) > 1:
+            groups = [g for g in groups if g not in touched] + [set().union(*touched)]
+    return sorted(tuple(sorted(g)) for g in groups)
+
+
 def torus_potential_trace(periods, modes, cutoff, t):
     """Trace of exp(-t(-Laplace + Q)) on a circle or torus.
 
@@ -471,18 +485,27 @@ def torus_potential_trace(periods, modes, cutoff, t):
     1x1 blocks, so a background's own potential_modes can be passed.
     The operator is represented exactly on the Fourier modes |n|_inf <= N:
     diagonal |k|^2 plus the convolution matrix of the potential modes; the
-    trace of the matrix exponential is the partial spectral sum.  Q couples
-    mode n only to n + k for its mode vectors k, so the matrix is block
-    diagonal over the connected components of that graph on the box: zero
-    potential gives 1x1 blocks, one circle cosine mode n0 gives n0 chains.
-    Each block is diagonalised on its own, as a real symmetric matrix when
-    every amplitude is real, and the spectrum is computed once for all t.
+    trace of the matrix exponential is the partial spectral sum.  On the box
+    that matrix is a Kronecker sum over the axis groups of _axis_groups, and
+    Tr e^{-t(A (+) B)} = Tr e^{-tA} Tr e^{-tB} (Horn & Johnson, Topics in
+    Matrix Analysis, 1991, 4.4), so the partial sum is the product of one
+    trace per group, each on the group's axes and modes, with Re Qhat_0 on the
+    first group's diagonal.  Each factor is summed from its least eigenvalue,
+    and the least eigenvalues are added in one exponent, so no factor
+    overflows or underflows alone.  A box of one group (every circle, and a
+    torus whose modes couple all axes) is summed as it is.  Q couples mode n
+    only to n + k for its mode vectors k, so each group's matrix is block
+    diagonal over the connected components of that graph: zero potential
+    gives 1x1 blocks, one circle cosine mode n0 gives n0 chains.  Each block
+    is diagonalised on its own, as a real symmetric matrix when every
+    amplitude is real, and the spectrum is computed once for all t.
     N starts at cutoff and doubles, through _certified_trace, until the modes
-    outside the box weigh at most 1e-10 at every t: _lattice_tail, with every
-    |k|^2 shifted by Re Qhat_0, which moves the whole diagonal, and lowered by
-    sum_{k != 0} |Qhat_k|, as far as Gershgorin lets the couplings move an
-    eigenvalue.
-    A box of more than _MATRIX_BUDGET modes is a ResourceError.
+    outside the box weigh at most 1e-10 min(sum, 1) at every t: _lattice_tail
+    on the whole box, with every |k|^2 shifted by Re Qhat_0, which moves the
+    whole diagonal, and lowered by sum_{k != 0} |Qhat_k|, as far as Gershgorin
+    lets the couplings move an eigenvalue.
+    A box of more than _MATRIX_BUDGET modes, (2N+1)^m over all m axes however
+    they group, is a ResourceError.
     """
     if isinstance(periods, (int, float)):
         periods = (periods,)
@@ -490,10 +513,22 @@ def torus_potential_trace(periods, modes, cutoff, t):
     m, periods = bg.m, bg.periods
     modes = {n: complex(q[0, 0]) for n, q in bg.potential_modes.items()}
     shift = modes.get((0,) * m, 0.0).real - sum(abs(a) for n, a in modes.items() if any(n))
-    return _certified_trace(t, "fourier", lambda tmin: cutoff, _MATRIX_BUDGET,
-                            lambda ts, N: _exp_sum(ts, _fourier_spectrum(periods, modes, N)),
+    groups = [(tuple(periods[a] for a in g),
+               {tuple(n[a] for a in g): q for n, q in modes.items()
+                if any(n[a] for a in g) or (i == 0 and not any(n))})
+              for i, g in enumerate(_axis_groups(m, modes))]
+
+    def partial(ts, N):
+        if len(groups) == 1:
+            return _exp_sum(ts, _fourier_spectrum(periods, modes, N))
+        lams = [_fourier_spectrum(p, q, N) for p, q in groups]
+        with np.errstate(over="ignore"):
+            low = np.exp(-ts * sum(lam[0] for lam in lams))
+        return low * np.prod([_exp_sum(ts, lam - lam[0]) for lam in lams], axis=0)
+
+    return _certified_trace(t, "fourier", lambda tmin: cutoff, _MATRIX_BUDGET, partial,
                             lambda ts, N: _lattice_tail(ts, N, periods, shift),
-                            lambda total: 1e-10,
+                            lambda total: 1e-10 * np.minimum(total, 1.0),
                             lambda N: (2 * min(N, _MATRIX_BUDGET) + 1) ** m)[0]
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heatkern import cli
 from heatkern import nonlaplace as nl
 from heatkern import spectra
 from heatkern import tensorcalc as tc
@@ -351,25 +352,26 @@ def test_torus_trace_matches_handmade_fourier_matrix():
 
 def dense_fourier_trace(periods, modes, cutoff, t):
     """Reference: eigvalsh of the full complex matrix H[i, j] = q(n_i - n_j)."""
-    lattice = list(itertools.product(range(-cutoff, cutoff + 1), repeat=len(periods)))
-    H = np.zeros((len(lattice), len(lattice)), dtype=complex)
-    for i, ni in enumerate(lattice):
-        H[i, i] = sum((2 * math.pi * n / p) ** 2 for n, p in zip(ni, periods))
-        for j, nj in enumerate(lattice):
-            H[i, j] += modes.get(tuple(a - b for a, b in zip(ni, nj)), 0.0)
+    lattice = np.array(list(itertools.product(range(-cutoff, cutoff + 1),
+                                              repeat=len(periods))))
+    H = np.diag(np.sum((2 * math.pi * lattice / np.array(periods)) ** 2, axis=1)).astype(complex)
+    diff = lattice[:, None, :] - lattice[None, :, :]
+    for k, q in modes.items():
+        H[np.all(diff == np.array(k), axis=2)] += q
     lam = np.linalg.eigvalsh(H)
     return np.array([np.sum(np.exp(-tv * lam)) for tv in t])
 
 
 @st.composite
 def hermitian_fourier_problem(draw):
-    m = draw(st.sampled_from((1, 2)))
+    m = draw(st.sampled_from((1, 2, 3)))
     periods = tuple(draw(st.floats(0.5, 1.0)) for _ in range(m))
-    cutoff = draw(st.integers(1, 6))
+    cutoff = draw(st.integers(1, 3 if m == 3 else 6))
     complex_amps = draw(st.booleans())
     modes = {}
     for _ in range(draw(st.integers(0, 3))):
-        k = tuple(draw(st.integers(-3, 3)) for _ in range(m))
+        # an entry is 0 half the time, so the modes often leave axes apart
+        k = tuple(draw(st.integers(-3, 3)) if draw(st.booleans()) else 0 for _ in range(m))
         re = draw(st.floats(-0.5, 0.5))
         im = draw(st.floats(-0.5, 0.5)) if complex_amps and any(k) else 0.0
         modes[k] = complex(re, im)
@@ -393,6 +395,18 @@ def guard_times(periods, cutoff, scaled):
           5, guard_times((0.7, 0.9), 5, [40.0, 50.0])))
 @example(((0.6, 0.8), {(1, 1): 0.2 + 0.3j, (-1, -1): 0.2 - 0.3j, (0, 0): 0.5},
           6, guard_times((0.6, 0.8), 6, [45.0])))
+# a 3-D box whose third axis no mode touches
+@example(((0.7, 0.9, 0.8), {(1, 2, 0): 0.3 - 0.1j, (-1, -2, 0): 0.3 + 0.1j},
+          3, guard_times((0.7, 0.9, 0.8), 3, [35.0, 55.0])))
+# an (x, y)-coupled mode beside a z mode
+@example(((0.6, 0.9, 0.75), {(1, -1, 0): 0.4, (-1, 1, 0): 0.4, (0, 0, 2): 0.2j,
+                             (0, 0, -2): -0.2j}, 3, guard_times((0.6, 0.9, 0.75), 3, [40.0])))
+# separable modes with a zero mode, which sits on the first group only
+@example(((0.8, 0.6), {(2, 0): 0.3, (-2, 0): 0.3, (0, 1): -0.4, (0, -1): -0.4, (0, 0): 0.7},
+          5, guard_times((0.8, 0.6), 5, [35.0, 60.0])))
+# a complex amplitude on one axis of a 2-D box
+@example(((0.9, 0.5), {(0, 1): 0.2 + 0.3j, (0, -1): 0.2 - 0.3j},
+          4, guard_times((0.9, 0.5), 4, [38.0, 52.0])))
 @settings(max_examples=60, deadline=None)
 def test_torus_trace_blocks_match_dense_matrix(problem):
     periods, modes, cutoff, ts = problem
@@ -402,6 +416,27 @@ def test_torus_trace_blocks_match_dense_matrix(problem):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     scalar = spectra.torus_potential_trace(periods, modes, cutoff, float(ts[-1]))
     assert isinstance(scalar, float) and scalar == got[-1]
+
+
+@pytest.mark.parametrize("m,modes,groups", [
+    (1, {}, [(0,)]),
+    (1, {(0,): 2.0, (3,): 0.1, (-3,): 0.1}, [(0,)]),
+    (2, {}, [(0,), (1,)]),
+    (2, {(0, 0): 1.0}, [(0,), (1,)]),
+    (2, {(2, 0): 0.1, (-2, 0): 0.1, (0, 1): 0.1, (0, -1): 0.1}, [(0,), (1,)]),
+    (2, {(1, 1): 0.1, (-1, -1): 0.1}, [(0, 1)]),
+    (3, {(0, 1, 0): 0.1, (0, -1, 0): 0.1}, [(0,), (1,), (2,)]),
+    (3, {(1, 0, 1): 0.1, (-1, 0, -1): 0.1}, [(0, 2), (1,)]),
+    (3, {(0, 1, 1): 0.1, (0, -1, -1): 0.1, (1, 0, 0): 0.1, (-1, 0, 0): 0.1},
+     [(0,), (1, 2)]),
+    (3, {(1, 1, 0): 0.1, (-1, -1, 0): 0.1, (0, 1, 1): 0.1, (0, -1, -1): 0.1},
+     [(0, 1, 2)]),
+    (4, {(0, 0, 1, 1): 0.1, (0, 0, -1, -1): 0.1, (1, 0, 0, 1): 0.1, (-1, 0, 0, -1): 0.1},
+     [(0, 2, 3), (1,)]),
+], ids=["circle", "circle-modes", "free-2d", "zero-mode-2d", "separable-2d", "diagonal-2d",
+        "two-free-axes", "xz-and-free-y", "x-and-yz", "chain-xyz", "chain-through-w"])
+def test_axis_groups(m, modes, groups):
+    assert spectra._axis_groups(m, modes) == groups
 
 
 @pytest.mark.parametrize("periods,modes", [
@@ -470,6 +505,44 @@ def test_torus_trace_constant_potential_shifts_the_tail(m):
     assert abs(got - want) < 1e-13 * want
 
 
+def test_torus_trace_far_below_one_is_certified_relative_to_itself():
+    # Qhat_0 = 1e6 scales the trace by e^{-100}, so an absolute tail floor of 1e-10
+    # would certify the first box and miss 98% of it; 1e-10 times the sum does not
+    t = 1e-4
+    n = np.arange(-3000, 3001)    # e^{-t n^2} < e^{-900} past |n| = 3000
+    want = math.exp(-100.0) * math.fsum(np.exp(-t * n * n))
+    got = spectra.torus_potential_trace((2 * math.pi,), {(0,): 1e6}, 1, t)
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_torus_trace_group_factors_neither_overflow_nor_underflow():
+    # the x factor with Qhat_0 = 1000 is about e^{-1000} and the y factor with its
+    # 2 * 400 cos(y) about e^{+780}: alone, one underflows and the other overflows,
+    # while their product, about e^{-220}, is the trace of the whole box
+    modes = {(0, 0): 1000.0, (0, 1): 400.0, (0, -1): 400.0}
+    ts = np.array([0.5, 1.0])
+    got = spectra.torus_potential_trace((2 * math.pi, 2 * math.pi), modes, 8, ts)
+    want = dense_fourier_trace((2 * math.pi, 2 * math.pi), modes, 8, ts)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_separable_torus_fixture_oracle_is_the_dense_matrix(tmp_path):
+    # the fixture's modes leave the two axes apart, so its oracle is a product of two
+    # 1-D traces; the dense matrix on the same box does not factor
+    config = Path(__file__).resolve().parent.parent / "configs" / "torus_separable.ini"
+    cfg = cli.RunConfig.from_ini(config)
+    out = tmp_path / "torus_separable.csv"
+    assert cli.main([cfg.task, "--config", str(config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line[0].isdigit()]
+    ts = np.array([float(r[0]) for r in rows])
+    got = np.array([float(r[2]) for r in rows])
+    assert np.array_equal(ts, np.asarray(cfg.grid))
+    p = cfg.params
+    want = dense_fourier_trace(p["periods"], p["modes"], p["cutoff"], ts)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 def test_torus_trace_tail_loop_is_capped():
     # at t = 1e-300 no box certifies; doubling stops at the matrix budget
     with pytest.raises(ResourceError, match="over the cap of 4097"):
@@ -478,7 +551,8 @@ def test_torus_trace_tail_loop_is_capped():
 
 def test_torus_trace_budget_is_checked_before_the_box(monkeypatch):
     # boxes 9^2, 17^2 and 33^2 do not certify at t = 1e-4; 65^2 passes the budget and is
-    # refused before it is built
+    # refused before it is built.  The budget counts the whole box, although the modes
+    # leave the two axes apart and each box is built as two 1-D boxes.
     built = []
     spectrum = spectra._fourier_spectrum
     monkeypatch.setattr(spectra, "_fourier_spectrum",
@@ -486,7 +560,7 @@ def test_torus_trace_budget_is_checked_before_the_box(monkeypatch):
     with pytest.raises(ResourceError, match="over the cap of 4097"):
         spectra.torus_potential_trace((2 * math.pi, 2 * math.pi),
                                       {(1, 0): 0.1, (-1, 0): 0.1}, cutoff=4, t=1e-4)
-    assert built == [4, 8, 16]
+    assert list(dict.fromkeys(built)) == [4, 8, 16]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
