@@ -9,8 +9,8 @@ nonlaplace lattice oracle and of the zaremba Bessel modes: it doubles a
 partial sum until a tail bound certifies it, and refuses a sum past a cap
 with a ResourceError.  _lattice_tail is the one tail bound of the two
 flat-torus oracles, the Fourier box and the nonlaplace lattice.  The Fourier
-box is a product of one trace per group of axes that its modes couple
-(_axis_groups), so a separable torus costs a few circle spectra.
+box's spectrum is built from one spectrum per group of axes that its modes
+couple (_axis_groups), so a separable torus costs a few circle spectra.
 
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -77,9 +78,14 @@ def _like_t(ts, values, what=None):
 def _exp_sum(ts, lam, mult=1.0):
     """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts."""
     rows = max(1, _EXP_CHUNK // lam.size)
+    sums = []
     with np.errstate(over="ignore"):
-        return np.concatenate([(np.exp(np.multiply.outer(-ts[i:i + rows], lam)) * mult)
-                               .sum(axis=1) for i in range(0, ts.size, rows)])
+        for i in range(0, ts.size, rows):
+            block = np.multiply.outer(-ts[i:i + rows], lam)
+            np.exp(block, out=block)
+            block *= mult
+            sums.append(block.sum(axis=1))
+    return np.concatenate(sums)
 
 
 def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n):
@@ -487,21 +493,20 @@ def torus_potential_trace(periods, modes, cutoff, t):
     diagonal |k|^2 plus the convolution matrix of the potential modes; the
     trace of the matrix exponential is the partial spectral sum.  On the box
     that matrix is a Kronecker sum over the axis groups of _axis_groups, and
-    Tr e^{-t(A (+) B)} = Tr e^{-tA} Tr e^{-tB} (Horn & Johnson, Topics in
-    Matrix Analysis, 1991, 4.4), so the partial sum is the product of one
-    trace per group, each on the group's axes and modes, with Re Qhat_0 on the
-    first group's diagonal.  Each factor is summed from its least eigenvalue,
-    and the least eigenvalues are added in one exponent, so no factor
-    overflows or underflows alone.  A box of one group (every circle, and a
-    torus whose modes couple all axes) is summed as it is.  Q couples mode n
-    only to n + k for its mode vectors k, so each group's matrix is block
-    diagonal over the connected components of that graph: zero potential
-    gives 1x1 blocks, one circle cosine mode n0 gives n0 chains.  Each block
-    is diagonalised on its own, as a real symmetric matrix when every
-    amplitude is real, and the spectrum is computed once for all t.
+    the eigenvalues of a Kronecker sum A (+) B are the sums of one of A and
+    one of B (Horn & Johnson, Topics in Matrix Analysis, 1991, 4.4), so only
+    each group's matrix is diagonalised, on the group's axes and modes, with
+    Re Qhat_0 on the first group's diagonal.  A box of one group (every
+    circle, and a torus whose modes couple all axes) is that group's
+    spectrum.  Q couples mode n only to n + k for its mode vectors k, so each
+    group's matrix is block diagonal over the connected components of that
+    graph: zero potential gives 1x1 blocks, one circle cosine mode n0 gives n0
+    chains.  Each block is diagonalised on its own, as a real symmetric matrix
+    when every amplitude is real, and the spectrum is computed once for all t.
     N starts at cutoff and doubles, through _certified_trace, until the modes
-    outside the box weigh at most 1e-10 min(sum, 1) at every t: _lattice_tail
-    on the whole box, with every |k|^2 shifted by Re Qhat_0, which moves the
+    outside the box weigh at most 1e-10 min(sum, 1), and at most 1e-10 of the
+    least normal float where the sum underflows, at every t: _lattice_tail on
+    the whole box, with every |k|^2 shifted by Re Qhat_0, which moves the
     whole diagonal, and lowered by sum_{k != 0} |Qhat_k|, as far as Gershgorin
     lets the couplings move an eigenvalue.
     A box of more than _MATRIX_BUDGET modes, (2N+1)^m over all m axes however
@@ -518,17 +523,12 @@ def torus_potential_trace(periods, modes, cutoff, t):
                 if any(n[a] for a in g) or (i == 0 and not any(n))})
               for i, g in enumerate(_axis_groups(m, modes))]
 
-    def partial(ts, N):
-        if len(groups) == 1:
-            return _exp_sum(ts, _fourier_spectrum(periods, modes, N))
-        lams = [_fourier_spectrum(p, q, N) for p, q in groups]
-        with np.errstate(over="ignore"):
-            low = np.exp(-ts * sum(lam[0] for lam in lams))
-        return low * np.prod([_exp_sum(ts, lam - lam[0]) for lam in lams], axis=0)
-
+    # the eigenvalues of a Kronecker sum are the sums of one eigenvalue per group
+    partial = lambda ts, N: _exp_sum(ts, reduce(np.add.outer, [
+        _fourier_spectrum(p, q, N) for p, q in groups]).ravel())
     return _certified_trace(t, "fourier", lambda tmin: cutoff, _MATRIX_BUDGET, partial,
                             lambda ts, N: _lattice_tail(ts, N, periods, shift),
-                            lambda total: 1e-10 * np.minimum(total, 1.0),
+                            lambda total: 1e-10 * np.maximum(np.minimum(total, 1.0), np.finfo(float).tiny),
                             lambda N: (2 * min(N, _MATRIX_BUDGET) + 1) ** m)[0]
 
 

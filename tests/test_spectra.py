@@ -515,6 +515,33 @@ def test_torus_trace_far_below_one_is_certified_relative_to_itself():
     assert abs(got - want) <= 1e-10 * want
 
 
+def test_torus_trace_below_the_float_range_needs_a_box_that_resolves_it():
+    # Q = 1e6 (1 + cos x) on (2 pi, 2 pi): the least eigenvalue is about 707 (x box
+    # |n| <= 128), so the trace at t = 1 is about 1.5e-307, a normal float.  The boxes
+    # |n| <= 8 and 16 miss the ground state, their sums underflow to 0 and the tail
+    # bound does not reach 1e-10 of the least normal float before the box passes the
+    # budget; an absolute floor of 1e-10 returned 0.0 from the first box
+    tp = 2 * math.pi
+    with pytest.raises(ResourceError, match="over the cap of 4097"):
+        spectra.torus_potential_trace(
+            (tp, tp), {(0, 0): 1e6, (1, 0): 5e5, (-1, 0): 5e5}, cutoff=8, t=1.0)
+
+
+def test_torus_trace_sum_that_underflows_is_certified_at_the_least_normal_float(monkeypatch):
+    # the same potential on a circle at t = 1.05: the trace is about e^{-742}, below
+    # the normal floats, and the box |n| <= 26 sums to 0.  Its tail bound, about
+    # 1.5e-320, is under 1e-10 of the least normal float, so the first box certifies;
+    # a floor of 1e-10 times the sum, 0 here, would double the box
+    built = []
+    spectrum = spectra._fourier_spectrum
+    monkeypatch.setattr(spectra, "_fourier_spectrum",
+                        lambda periods, modes, N: built.append(N) or spectrum(periods, modes, N))
+    got = spectra.torus_potential_trace(
+        (2 * math.pi,), {(0,): 1e6, (1,): 5e5, (-1,): 5e5}, cutoff=26, t=1.05)
+    assert got == 0.0
+    assert built == [26]
+
+
 def test_torus_trace_group_factors_neither_overflow_nor_underflow():
     # the x factor with Qhat_0 = 1000 is about e^{-1000} and the y factor with its
     # 2 * 400 cos(y) about e^{+780}: alone, one underflows and the other overflows,
