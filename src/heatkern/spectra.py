@@ -526,9 +526,9 @@ def torus_potential_trace(periods, modes, cutoff, t):
     # the eigenvalues of a Kronecker sum are the sums of one eigenvalue per group
     partial = lambda ts, N: _exp_sum(ts, reduce(np.add.outer, [
         _fourier_spectrum(p, q, N) for p, q in groups]).ravel())
+    floor = lambda total: 1e-10 * np.maximum(np.minimum(total, 1.0), np.finfo(float).tiny)
     return _certified_trace(t, "fourier", lambda tmin: cutoff, _MATRIX_BUDGET, partial,
-                            lambda ts, N: _lattice_tail(ts, N, periods, shift),
-                            lambda total: 1e-10 * np.maximum(np.minimum(total, 1.0), np.finfo(float).tiny),
+                            lambda ts, N: _lattice_tail(ts, N, periods, shift), floor,
                             lambda N: (2 * min(N, _MATRIX_BUDGET) + 1) ** m)[0]
 
 
