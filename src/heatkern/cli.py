@@ -12,8 +12,9 @@ row rejects, and a section or key no row reads for the configured geometry
 kind are config errors.
 
 Exit codes: 0 success, 1 validation/config error, 2 tolerance breach.
-Output is byte-deterministic for a fixed config: floats are printed with
-%.17g and rows are written in grid order.
+The three table tasks write CSV or JSON, as [output] format says; report
+writes JSON only.  Output is byte-deterministic for a fixed config: floats
+are printed with %.17g and rows are written in grid order.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ _KEYS = (
     ("grid", "geometric", None, str.lower, "true", tuple(_BOOLEANS)),
     ("tolerances", "abs", None, _finite, 1e-12, _POSITIVE),
     ("tolerances", "rel", None, _finite, 1e-6, _POSITIVE),
-    ("output", "format", None, str, "csv", ("csv", "json")),
+    ("output", "format", None, str, lambda v: "json" if v["task"] == "report" else "csv",
+     ("csv", "json")),
     ("output", "path", None, str, lambda v: f"{v['task']}.{v['format']}", None),
     # the jet to order 2 kmax is capped at tensorcalc.MAX_CUTOFF
     ("asymptotics", "kmax", None, int, 3, (0, MAX_CUTOFF // 2)),
@@ -256,50 +258,43 @@ def _write_text(path, text):
 
 
 def run(cfg):
-    """Execute one task; returns the process exit status."""
+    """Execute one task in cfg.out_format; returns the process exit status."""
+    if cfg.task == "report" and cfg.out_format != "json":
+        raise ValidationError(f"[output] format = {cfg.out_format} is not available for "
+                              "the report task, which writes json")
     model = _Model(cfg)
-
     if cfg.task == "report":
-        payload = {"schema": 1, "task": cfg.task,
-                   "grid": [float(t) for t in cfg.grid],
-                   "model": model.describe}
-        _write_text(cfg.out_path, _json(payload))
+        _write_text(cfg.out_path, _json({"schema": 1, "task": cfg.task, "model": model.describe,
+                                         "grid": [float(t) for t in cfg.grid]}))
         return 0
 
     ts = np.asarray(cfg.grid)
-    if cfg.task in ("asymptotics", "oracle"):
-        column = "asymptotic" if cfg.task == "asymptotics" else "oracle"
-        values = _column(model, column, ts)
-        lines = [_SCHEMA, f"t,{column}"]
-        lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(cfg.grid, values)]
-        _write_text(cfg.out_path, "\n".join(lines) + "\n")
-        return 0
-
-    # compare
-    asym, oracle = _column(model, "asymptotic", ts), _column(model, "oracle", ts)
-    with np.errstate(over="ignore"):
-        abs_err = np.abs(asym - oracle)
-        rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
-    fails = np.flatnonzero(~((abs_err <= cfg.abs_tol) | (rel_err <= cfg.rel_tol)))
-    first_fail = cfg.grid[fails[0]] if fails.size else None
-    max_abs, max_rel = float(abs_err.max()), float(rel_err.max())
-    table = list(zip(cfg.grid, *(col.tolist() for col in (asym, oracle, abs_err, rel_err))))
+    names = {"asymptotics": ["asymptotic"], "oracle": ["oracle"],
+             "compare": ["asymptotic", "oracle"]}[cfg.task]
+    cols = {name: _column(model, name, ts) for name in names}
+    summary = first_fail = None
+    if cfg.task == "compare":
+        with np.errstate(over="ignore"):
+            cols["abs_err"] = abs_err = np.abs(cols["asymptotic"] - cols["oracle"])
+            cols["rel_err"] = rel_err = abs_err / np.maximum(np.abs(cols["oracle"]), 1e-300)
+        fails = np.flatnonzero(~((abs_err <= cfg.abs_tol) | (rel_err <= cfg.rel_tol)))
+        first_fail = cfg.grid[fails[0]] if fails.size else None
+        summary = {"status": "ok" if first_fail is None else "fail",
+                   "max_abs": float(abs_err.max()), "max_rel": float(rel_err.max()),
+                   "first_failing_t": first_fail}
+    table = list(zip(cfg.grid, *(col.tolist() for col in cols.values())))
 
     if cfg.out_format == "json":
-        payload = {"schema": 1, "task": "compare",
-                   "rows": [{"t": t, "asymptotic": a, "oracle": o,
-                             "abs_err": e, "rel_err": r}
-                            for t, a, o, e, r in table],
-                   "summary": {"status": "ok" if first_fail is None else "fail",
-                               "max_abs": max_abs, "max_rel": max_rel,
-                               "first_failing_t": first_fail}}
-        _write_text(cfg.out_path, _json(payload))
+        payload = {"schema": 1, "task": cfg.task,
+                   "rows": [dict(zip(["t", *cols], row)) for row in table]}
+        _write_text(cfg.out_path, _json(payload | ({"summary": summary} if summary else {})))
     else:
-        lines = [_SCHEMA, "t,asymptotic,oracle,abs_err,rel_err"]
+        lines = [_SCHEMA, ",".join(["t", *cols])]
         lines += [",".join(_fmt(x) for x in row) for row in table]
-        status = "ok" if first_fail is None else f"fail first_t={_fmt(first_fail)}"
-        lines.append(f"# summary: status={status} max_abs={_fmt(max_abs)} "
-                     f"max_rel={_fmt(max_rel)}")
+        if summary:
+            status = "ok" if first_fail is None else f"fail first_t={_fmt(first_fail)}"
+            lines.append(f"# summary: status={status} max_abs={_fmt(summary['max_abs'])} "
+                         f"max_rel={_fmt(summary['max_rel'])}")
         _write_text(cfg.out_path, "\n".join(lines) + "\n")
 
     if first_fail is not None:

@@ -53,8 +53,6 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .spectra import _as_t, _like_t
 from .tensorcalc import (
-    ModelGeometry,
-    PotentialJet,
     SymTensor,
     TaylorSeries,
     _Basis,
@@ -113,8 +111,6 @@ class OperatorJet:
     d: int
     cutoff: int
     M: np.ndarray = field(repr=False)
-    geometry: ModelGeometry = field(repr=False)
-    potential: PotentialJet = field(repr=False)
 
 
 def build_operator_jet(geom, pot, cutoff):
@@ -187,7 +183,7 @@ def build_operator_jet(geom, pot, cutoff):
     if np.any(np.abs(M[deg[:, None] + 2 < deg[None, :]]) > 1e-13):
         raise ValidationError("sparsity violation in operator jet (internal)")
 
-    return OperatorJet(m=m, d=d, cutoff=cutoff, M=M, geometry=geom, potential=pot)
+    return OperatorJet(m=m, d=d, cutoff=cutoff, M=M)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ approximately.
 
 The short-time data available at this level: the weighted volume term A_0,
 the pointwise trace u_0, and the endomorphism H that multiplies Q in the
-next coefficient.  torus_oracle, the exact lattice trace they are checked
-against, sums through spectra._certified_trace with spectra._lattice_tail,
-the same driver and tail bound as the circle/torus Fourier oracle.
+next coefficient.  H's sphere average and torus_oracle, the exact lattice
+trace they are checked against, run through quadrature.converge; the tail
+bound is spectra._lattice_tail, as for the circle/torus Fourier oracle.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def h_endomorphism(sym, spec):
 
     Pi_i depends on xi only through its direction, so the Gaussian average
     pi^{-m/2} int e^{-|xi|^2} Pi_i(xi-hat) d xi is the average over the unit
-    sphere S^{m-1}, taken by quadrature.sphere_average at orders
-    (4, 8, 16, 32) to 1e-10 absolute.  Pi_i = prod_{j != i} (A(xi-hat) - mu_j)
+    sphere S^{m-1}, taken by quadrature.sphere_average from order 4, doubling
+    to at most 32, to 1e-10 absolute.  Pi_i = prod_{j != i} (A(xi-hat) - mu_j)
     / (mu_i - mu_j) is a polynomial of degree at most 2(s - 1) in xi-hat, so
     order 4 is already exact for up to four slopes.  The slope weights are
     folded into the eigenvector contraction, so no per-node projector array
@@ -214,7 +214,7 @@ def h_endomorphism(sym, spec):
         V, labels = spec.eigenvectors(omega)
         return np.einsum("nak,nk,nbk->nab", V, weight[labels], V.conj())
 
-    H = sphere_average(m, (4, 8, 16, 32), integrand, 1e-10)
+    H = sphere_average(m, 4, 32, integrand, 1e-10)
     return 0.5 * (H + H.conj().T)
 
 
@@ -259,7 +259,7 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     """Exact heat trace of a constant-coefficient operator on a flat torus, at a
     scalar t or a 1-D t-array: tr exp(-t(A(k) + Q)) summed over the dual lattice
     k = 2 pi n / periods, |n|_inf <= N.  N starts at cutoff and doubles, through
-    spectra._certified_trace, until the tail is below 1e-15 of the sum at every t.
+    quadrature.converge, until the tail is below 1e-15 of the sum at every t.
     A(k) is quadratic, so k and -k have the same eigenvalues: eigvalsh runs on
     the origin and half the box, and the half is counted twice, on real
     symmetric matrices when a and Q are real.

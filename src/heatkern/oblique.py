@@ -156,8 +156,8 @@ def a1_quadrature(data):
         + 2 pi^{-(m-1)/2} int dzeta exp[-|zeta|^2 I - (Gamma . zeta)^2] }.
     With zeta = r omega the radial integral is closed, and the covector
     integral is the average of (I + (Gamma . omega)^2)^{-p/2}, p = m - 1, over
-    the unit sphere S^{p-1}, taken by quadrature.sphere_average at orders
-    (4, 8, 16, 32) to 1e-9 absolute.  I + (Gamma . omega)^2 is positive
+    the unit sphere S^{p-1}, taken by quadrature.sphere_average from order 4,
+    doubling to at most 32, to 1e-9 absolute.  I + (Gamma . omega)^2 is positive
     definite only inside the ellipticity cone, and the integral diverges
     outside it; a rule node where its least eigenvalue is <= 1e-12 is a
     DomainError.
@@ -191,7 +191,7 @@ def a1_quadrature(data):
                 f"at direction {omega[k]}")
         return np.einsum("nab,nb,ncb->nac", V, lam ** (-p / 2.0), V.conj())
 
-    return _assemble(data, sphere_average(p, (4, 8, 16, 32), integrand, 1e-9))
+    return _assemble(data, sphere_average(p, 4, 32, integrand, 1e-9))
 
 
 def a1_abelian(data):

@@ -1,13 +1,13 @@
-"""Averages over R^p and over spheres, with one node-doubling loop.
+"""One doubling driver, `converge`, for every certified sum and rule average.
 
-The non-Laplace, oblique and symmetric-space routes each reduce a
-short-time coefficient to a Gaussian average pi^{-p/2} int_{R^p} e^{-|x|^2}
-f(x) dx.  Where f depends on x only through the direction x/|x|, that is the
-average of f over the unit sphere S^{p-1}, which a sphere rule takes with far
-fewer nodes; where f is Ad-invariant, a rule on a Cartan subalgebra does.
-Three rules are built here: the product Gauss-Hermite rule on R^p,
-cartan_rule and sphere_rule on S^{p-1}.  Each returns nodes and weights that
-sum to 1, and `average` is the one place that decides convergence.
+spectra._certified_trace runs the spectral, lattice and Bessel mode sums
+through it, and `average` the rule averages.  The non-Laplace, oblique and
+symmetric-space routes each reduce a short-time coefficient to a Gaussian
+average pi^{-p/2} int_{R^p} e^{-|x|^2} f(x) dx.  Where f depends on x only
+through the direction x/|x|, that is the average of f over the unit sphere
+S^{p-1}, which a sphere rule takes with far fewer nodes; where f is
+Ad-invariant, a rule on a Cartan subalgebra does.  The three rules here have
+weights summing to 1: Gauss-Hermite on R^p, cartan_rule and sphere_rule.
 """
 
 from __future__ import annotations
@@ -16,33 +16,45 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ResourceError
 
 
-def average(rule, schedule, integrand, tol, relative, name, count):
-    """sum_j w_j f(x_j) over the rules rule(n), n in `schedule`, until it settles.
+def converge(n, cap, estimate, error, floor, refusal, size=lambda n: n):
+    """(est, n, err) at the first n, from a first n >= 1 and doubling, where
+    err = error(n, est, prev) <= floor(est) at every entry, prev being the
+    estimate at the n before (None at the first).  Before n is rounded up and
+    estimated, size(n) over cap is a ResourceError with the text
+    refusal(size=size(n), last=the last n estimated, err=its error)."""
+    prev, last, err = None, None, math.inf
+    while True:
+        if not size(n) <= cap:
+            raise ResourceError(refusal(size=size(n), last=last, err=err))
+        last = n = math.ceil(n)
+        est = estimate(n)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            err = error(n, est, prev)
+            if np.all(err <= floor(est)):
+                return est, n, err
+        prev, n = est, 2 * n
 
-    rule(n) returns (N, p) nodes and N weights that sum to 1; `integrand` is
-    called once on the whole node array and returns (N, ...) values.  The
-    first estimate within `tol` of the previous one (within `tol` times its
-    own largest entry when `relative`) is returned; otherwise NumericError
-    names the rule (`name`), the tolerance, the last count (formatted by the
-    template `count`) and the last change.
-    """
-    prev, delta = None, math.inf
-    for n in schedule:
+
+def average(rule, first, last, integrand, tol, relative, name, count):
+    """sum_j w_j f(x_j) on the rules rule(n), n = first, 2 first, ..., last, at
+    the first n within `tol` of the n before (of `tol` times its largest entry
+    when `relative`).  rule(n) returns (N, p) nodes and N weights summing to 1;
+    `integrand` maps the node array to (N, ...) values.  Past `last` a
+    ResourceError names the rule, the tolerance, the last count (the template
+    `count`, with a field {last}) and the last change."""
+    def estimate(n):
         nodes, wts = rule(n)
-        est = np.moveaxis(integrand(nodes), 0, -1) @ wts
-        if prev is not None:
-            delta = float(np.max(np.abs(est - prev)))
-            scale = float(np.max(np.abs(est))) if relative else 1.0
-            if delta <= tol * scale:
-                return est
-        prev = est
-    raise NumericError(
-        f"{name} average did not settle to {tol:g}"
-        f"{' relative' if relative else ''}: {count.format(n)}, last change "
-        f"{delta:.3e}")
+        return np.moveaxis(integrand(nodes), 0, -1) @ wts
+
+    return converge(
+        first, last, estimate,
+        lambda n, est, prev: math.nan if prev is None else float(np.max(np.abs(est - prev))),
+        lambda est: tol * (float(np.max(np.abs(est))) if relative else 1.0),
+        (f"{name} average did not settle to {tol:g}{' relative' if relative else ''}: "
+         f"{count}, last change {{err:.3e}}").format)[0]
 
 
 def gauss_hermite_rule(p, n):
@@ -50,11 +62,8 @@ def gauss_hermite_rule(p, n):
     pi^{-p/2}.  n must be even: an even rule has no node at the origin, where
     the direction x/|x| is undefined."""
     x, w = np.polynomial.hermite.hermgauss(n)
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * p), indexing="ij")], axis=-1)
-    wts = np.ones(nodes.shape[0])
-    for g in np.meshgrid(*([w / math.sqrt(math.pi)] * p), indexing="ij"):
-        wts = wts * g.ravel()
-    return nodes, wts
+    grid = lambda v: [g.ravel() for g in np.meshgrid(*([v] * p), indexing="ij")]
+    return np.stack(grid(x), axis=-1), np.prod(grid(w / math.sqrt(math.pi)), axis=0)
 
 
 def cartan_rule(ad, n):
@@ -112,8 +121,7 @@ def sphere_rule(dim, n):
     return nodes, wts
 
 
-def sphere_average(dim, schedule, integrand, tol):
-    """Average of f over the unit sphere S^{dim-1} by `average` on sphere_rule,
-    to the absolute tolerance `tol`."""
-    return average(lambda n: sphere_rule(dim, n), schedule, integrand, tol,
-                   False, "sphere", "order {}")
+def sphere_average(dim, first, last, integrand, tol):
+    """`average` of f on sphere_rule(dim, n) over S^{dim-1}, to the absolute `tol`."""
+    return average(lambda n: sphere_rule(dim, n), first, last, integrand, tol,
+                   False, "sphere", "order {last}")

@@ -3,11 +3,12 @@
 These are the ground-truth side of every comparison in the package: interval,
 sphere and Landau level sums, Fourier-matrix traces for circle/torus
 potentials, and a weighted least-squares fitter that turns oracle sums into
-expansion coefficients with honest error bars.  _certified_trace is the one
-convergence loop of the level sums and the Fourier box here, of the
-nonlaplace lattice oracle and of the zaremba Bessel modes: it doubles a
-partial sum until a tail bound certifies it, and refuses a sum past a cap
-with a ResourceError.  _lattice_tail is the one tail bound of the two
+expansion coefficients with honest error bars.  _certified_trace runs the
+level sums and the Fourier box here, the nonlaplace lattice oracle and the
+zaremba Bessel modes through quadrature.converge: it doubles a partial sum
+until a tail bound holds, and refuses a sum past a cap with a ResourceError.
+For the Fourier box that bound covers only the modes outside the box, not
+the box's own eigenvalues.  _lattice_tail is the one tail bound of the two
 flat-torus oracles, the Fourier box and the nonlaplace lattice.  The Fourier
 box's spectrum is built from one spectrum per group of axes that its modes
 couple (_axis_groups), so a separable torus costs a few circle spectra.
@@ -31,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import NumericError, ResourceError, ValidationError
+from .errors import NumericError, ValidationError
+from .quadrature import converge
 
 _INTERVAL_CAP = 1_000_000        # eigenvalues in one interval partial sum
 _LEVEL_CAP = 2_000_000           # levels in one sphere or Landau partial sum
@@ -89,31 +91,24 @@ def _exp_sum(ts, lam, mult=1.0):
 
 
 def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n):
-    """(sum at every t, the n it stopped at).  partial(ts, n) sums the first n terms at
-    each t of the 1-D array ts and tail(ts, n) bounds the rest; n starts at first(min
-    t), which must be >= 1, rounded up, and doubles until tail <= floor(sum) at every
-    t.  Before each sum, size(n) levels over cap, or over _WORK_CAP at all t, is a
-    ResourceError."""
+    """(sum, the n it stopped at, certified tail), sum and tail at every t, through
+    quadrature.converge.  partial(ts, n) sums the first n terms at each t of the 1-D
+    array ts and tail(ts, n) bounds the rest; n starts at first(min t), which must be
+    >= 1.  size(n) levels over cap, or over _WORK_CAP at all t, is a ResourceError."""
     ts = _as_t(t)
     flat = np.atleast_1d(ts)
     tmin = float(flat.min())
     n = first(tmin)
     if not n >= 1:
         raise ValidationError(f"{what} trace needs a first size of at least 1, not {n!r}")
-    while True:
-        levels = size(n)
-        if not levels <= cap:
-            raise ResourceError(f"{what} trace needs about {levels:.3g} levels at "
-                                f"t={tmin!r}, over the cap of {cap}")
-        if levels * flat.size > _WORK_CAP:
-            raise ResourceError(f"{what} trace needs {levels:.3g} levels at each of "
-                                f"{flat.size} times, over the work cap of {_WORK_CAP:.3g}")
-        n = math.ceil(n)
-        total = _like_t(flat, partial(flat, n), f"{what} sum")
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if np.all(tail(flat, n) <= floor(total)):
-                return _like_t(ts, total), n
-        n *= 2
+    refusal = lambda size, **_: (
+        f"{what} trace needs about {size:.3g} levels at t={tmin!r}, over the cap of {cap}"
+        if not size <= cap else f"{what} trace needs {size:.3g} levels at each of "
+        f"{flat.size} times, over the work cap of {_WORK_CAP:.3g}")
+    total, n, err = converge(n, min(cap, _WORK_CAP / flat.size),
+                             lambda n: _like_t(flat, partial(flat, n), f"{what} sum"),
+                             lambda n, total, prev: tail(flat, n), floor, refusal, size)
+    return _like_t(ts, total), n, _like_t(ts, err)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +503,11 @@ def torus_potential_trace(periods, modes, cutoff, t):
     least normal float where the sum underflows, at every t: _lattice_tail on
     the whole box, with every |k|^2 shifted by Re Qhat_0, which moves the
     whole diagonal, and lowered by sum_{k != 0} |Qhat_k|, as far as Gershgorin
-    lets the couplings move an eigenvalue.
+    lets the couplings move an eigenvalue.  That bound covers only the modes
+    outside the box, not the box's own eigenvalues, which lie above the true
+    ones until the box resolves the low-lying eigenvectors (see ROADMAP,
+    "Certify the Fourier box itself"): Q = 100 (1 + cos x) on the circle of
+    length 2 pi gives 1.650e-7 from cutoff 4 at t = 2, a 1201-mode box 8.183e-7.
     A box of more than _MATRIX_BUDGET modes, (2N+1)^m over all m axes however
     they group, is a ResourceError.
     """
@@ -542,12 +541,6 @@ class FitResult:
     coefficients: np.ndarray
     errors: np.ndarray
     condition_number: float
-
-    def coefficient(self, exponent):
-        for e, c in zip(self.exponents, self.coefficients):
-            if abs(e - exponent) < 1e-12:
-                return float(c)
-        raise ValidationError(f"exponent {exponent} not in fit")
 
 
 def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):

@@ -122,7 +122,6 @@ class SymmetricSpaceData:
     D: np.ndarray = field(init=False)
     F: np.ndarray = field(init=False)
     C: np.ndarray = field(init=False)
-    gamma_metric: np.ndarray = field(init=False)
     R: float = field(init=False)
     R_H: float = field(init=False)
     R_G: float = field(init=False)
@@ -182,7 +181,6 @@ class SymmetricSpaceData:
         gamma = np.zeros((n, n))
         gamma[:self.m, :self.m] = np.eye(self.m)
         gamma[self.m:, self.m:] = beta
-        object.__setattr__(self, "gamma_metric", gamma)
 
         R = float(np.einsum("ik,iab,kab->", beta, E, E))
         beta_inv = np.linalg.inv(beta)
@@ -306,8 +304,8 @@ def theta_quadrature(space, Q=None, t=0.01):
     the sinh determinant in the denominator; the guard requires
     sqrt(t) * ||D|| * 6 sigma < pi with sigma^2 = 2 lambda_max(beta^{-1}).
     The integrand is Ad-invariant and F is beta-antisymmetric, so the average
-    is quadrature.average on quadrature.cartan_rule over (16, 32, 64) nodes
-    per axis of the rank-r Cartan subalgebra, to 1e-10 relative.
+    is quadrature.average on quadrature.cartan_rule from 16 nodes per axis of
+    the rank-r Cartan subalgebra, doubling to at most 64, to 1e-10 relative.
     """
     t = _scalar_t(t)
     dnorm = math.sqrt(sum(np.linalg.norm(space.D[i], 2) ** 2 for i in range(space.p)))
@@ -333,8 +331,8 @@ def theta_quadrature(space, Q=None, t=0.01):
         return vals
 
     ad = _holonomy_ad(space.beta, space.F)
-    avg = float(average(lambda n: cartan_rule(ad, n), (16, 32, 64), integrand, 1e-10, True,
-                        "Cartan", "{} nodes per axis"))
+    avg = float(average(lambda n: cartan_rule(ad, n), 16, 64, integrand, 1e-10, True,
+                        "Cartan", "{last} nodes per axis"))
 
     M = _fiber_matrix(space, Q)
     qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(M)))) / M.shape[0]

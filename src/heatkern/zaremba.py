@@ -6,7 +6,7 @@ Dirichlet face at theta = +pi/2 and the Neumann face at theta = -pi/2;
 m - 2 flat tangential directions ride along.  The kernel is a two-term
 closed form (direct + reflected, each carrying an erf factor); the
 independent oracle expands in half-integer angular modes, exactly the
-most-regular branch at the corner, summed through spectra._certified_trace.
+most-regular branch at the corner, summed through quadrature.converge.
 
 S = 0 throughout.  The model's trace expansion carries no logarithms; the
 assembled expansion keeps the log slots of HeatTraceExpansion empty.
@@ -153,7 +153,7 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     function ive to keep the Gaussian prefactor finite.  Past n modes the tail is
     geometric in q = I_{n+1/2}/I_{n-1/2}, as I_{nu+1}/I_nu decreases in nu (Amos,
     Math. Comp. 28 (1974) 239); n starts at terms and doubles, through
-    spectra._certified_trace, until that bound is at most tol.
+    quadrature.converge, until that bound, returned as tail_bound, is at most tol.
     """
     from scipy.special import ive
 
@@ -177,9 +177,9 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
         q = float(ive(n + 0.5, z)) / last if last > 0 else 0.0
         return pref * last * (q / (1.0 - q)) if 0.0 < q < 1.0 else 0.0
 
-    value, n = _certified_trace(t, "Bessel mode", lambda tmin: terms, _MODE_CAP, partial,
-                                tail, lambda total: tol)
-    return BesselResult(value=value, tail_bound=tail(t, n), terms=n)
+    value, n, bound = _certified_trace(t, "Bessel mode", lambda tmin: terms, _MODE_CAP,
+                                       partial, tail, lambda total: tol)
+    return BesselResult(value=value, tail_bound=bound, terms=n)
 
 
 def default_boundary_samples():

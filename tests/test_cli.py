@@ -764,6 +764,46 @@ path = {out}
     assert exp["-0.5"] == 0.0 and exp["0.5"] == 0.0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("task", cli._TASKS)
+def test_each_task_writes_the_format_it_names(tmp_path, capsys, task, fmt):
+    out = tmp_path / f"out.{fmt}"
+    path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = landau\n"
+                               "[grid]\nstart = 0.1\nstop = 0.2\ncount = 3\n"
+                               f"[output]\nformat = {fmt}\npath = {out}\n")
+    rc = main([task, "--config", path])
+    err = capsys.readouterr().err
+    if (task, fmt) == ("report", "csv"):
+        assert rc == 1 and not out.exists()
+        assert err == ("error: [output] format = csv is not available for the report task, "
+                       "which writes json\n")
+        return
+    assert rc == 0 and err == ""
+    text = out.read_text()
+    columns = ["t"] + {"asymptotics": ["asymptotic"], "oracle": ["oracle"], "report": [],
+                       "compare": ["asymptotic", "oracle", "abs_err", "rel_err"]}[task]
+    if fmt == "csv":
+        lines = text.splitlines()
+        assert lines[:2] == ["# heatkern-schema=1", ",".join(columns)]
+        assert len(lines) == 5 + (task == "compare")
+        return
+    payload = json.loads(text)
+    assert payload["schema"] == 1 and payload["task"] == task
+    assert ("summary" in payload) == (task == "compare")
+    if task == "report":
+        assert payload["model"] == {"kind": "landau", "field": 1.0}
+    else:
+        assert [sorted(row) for row in payload["rows"]] == [sorted(columns)] * 3
+        assert [row["t"] for row in payload["rows"]] == list(RunConfig.from_ini(path).grid)
+
+
+def test_report_defaults_to_json(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_ini(tmp_path, f"[run]\ntask = report\n[geometry]\nkind = landau\n{GRID}")
+    assert main(["report", "--config", path]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["task"] == "report"
+
+
 def test_out_flag_overrides_config(tmp_path):
     configured = tmp_path / "configured.csv"
     actual = tmp_path / "actual.csv"

@@ -1,4 +1,5 @@
-"""The shared averaging loop, its three rules and the three routes that use them."""
+"""The doubling driver, the averaging loop on it, its three rules and the three
+routes that use them."""
 
 import itertools
 import math
@@ -11,7 +12,8 @@ from heatkern import nonlaplace as nl
 from heatkern import oblique as ob
 from heatkern import quadrature, spectra
 from heatkern import symmspace as ss
-from heatkern.errors import DomainError, NumericError
+from heatkern import zaremba as za
+from heatkern.errors import DomainError, ResourceError
 from heatkern.quadrature import (average, cartan_rule, gauss_hermite_rule, sphere_average,
                                   sphere_rule)
 from heatkern.tensorcalc import sphere_volume
@@ -44,6 +46,68 @@ def node_counts(monkeypatch):
 # the driver
 # ---------------------------------------------------------------------------
 
+def test_converge_returns_the_first_size_settled_at_every_entry():
+    # the first entry's change 1/n settles at n = 128, the second's 2/n at 256
+    seen = []
+
+    def estimate(n):
+        seen.append(n)
+        return np.array([1.0, 2.0]) / n
+
+    est, n, err = quadrature.converge(
+        4, 1024, estimate, lambda n, est, prev: np.inf if prev is None else np.abs(est - prev),
+        lambda est: 0.01, "{size}".format)
+    assert seen == [4, 8, 16, 32, 64, 128, 256] and n == 256
+    assert list(est) == [1 / 256, 2 / 256] and list(err) == [1 / 256, 2 / 256]
+
+
+def test_converge_refuses_a_size_over_the_cap_before_estimating_it():
+    seen = []
+
+    def never(first, cap):
+        return quadrature.converge(first, cap, lambda n: seen.append(n) or float(n),
+                                   lambda n, est, prev: 0.5, lambda est: 0.0,
+                                   "size {size}, last {last}, change {err:.3e}".format,
+                                   lambda n: n * n)
+
+    with pytest.raises(ResourceError, match=r"^size 256, last 8, change 5\.000e-01$"):
+        never(4, 100)
+    assert seen == [4, 8]
+    seen.clear()
+    with pytest.raises(ResourceError, match=r"^size 144, last None, change inf$"):
+        never(12, 100)
+    assert seen == []
+
+
+def test_converge_rounds_a_fractional_first_size_up_before_doubling(monkeypatch):
+    # Landau's first size 20 / (t B) is 2.5 at t B = 8: the sizes are 3, 6, 12, not 3, 5, 10
+    seen = []
+    est, n, err = quadrature.converge(20 / 8, 100, lambda n: seen.append(n) or n,
+                                      lambda n, est, prev: 1.0 / n, lambda est: 0.1,
+                                      "{size}".format)
+    assert seen == [3, 6, 12] and (est, n, err) == (12, 12, 1 / 12)
+    sizes = []
+    exp_sum = spectra._exp_sum
+    monkeypatch.setattr(spectra, "_exp_sum",
+                        lambda ts, lam, *mult: sizes.append(lam.size) or exp_sum(ts, lam, *mult))
+    spectra.landau_trace_density(10.0, 0.8)
+    assert sizes == [3]
+
+
+def test_bessel_tail_bound_is_the_drivers_certified_error(monkeypatch):
+    results = []
+
+    def recording(*args):
+        results.append(quadrature.converge(*args))
+        return results[-1]
+
+    monkeypatch.setattr(spectra, "converge", recording)
+    res = za.bessel_oracle(0.02, za.WedgePoint(1.0, 0.1), za.WedgePoint(1.0, -0.2), terms=3)
+    ((_, n, err),) = results
+    assert res.terms == n > 3 and res.tail_bound == err
+    assert 0.0 < res.tail_bound <= 1e-10
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_exact_gaussian_moments(p):
     # weight pi^{-p/2} e^{-|x|^2}: independent axes of variance 1/2
@@ -56,8 +120,8 @@ def test_exact_gaussian_moments(p):
         return np.stack(cols, axis=-1)
 
     want = [1.0, 0.5, 0.75, 0.0] + [0.25, 0.0] * (p > 1) + [0.125] * (p > 2)
-    got = average(lambda n: gauss_hermite_rule(p, n), (4, 8), moments, 1e-14, False,
-                  "Gauss-Hermite", "{} nodes per axis")
+    got = average(lambda n: gauss_hermite_rule(p, n), 4, 8, moments, 1e-14, False,
+                  "Gauss-Hermite", "{last} nodes per axis")
     assert got.shape == (len(want),)
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -71,8 +135,8 @@ def test_matrix_valued_integrand():
         s = x.sum(axis=1)
         return np.einsum("ak,nk,bk->nab", V, np.exp(s[:, None] * lam), V)
 
-    got = average(lambda n: gauss_hermite_rule(2, n), (16, 32, 64), expm, 1e-12, False,
-                  "Gauss-Hermite", "{} nodes per axis")
+    got = average(lambda n: gauss_hermite_rule(2, n), 16, 64, expm, 1e-12, False,
+                  "Gauss-Hermite", "{last} nodes per axis")
     assert got.shape == (2, 2)
     assert np.max(np.abs(got - (V * np.exp(lam ** 2 / 2.0)) @ V.T)) < 1e-12
 
@@ -84,13 +148,13 @@ def test_relative_stopping_rule(node_counts):
         return 1e6 * np.cos(3.0 * x[:, 0])
 
     exact = 1e6 * math.exp(-2.25)
-    rel = average(lambda n: gauss_hermite_rule(1, n), (4, 8, 16, 32), f, 2e-3, True,
-                  "Gauss-Hermite", "{} nodes per axis")
+    rel = average(lambda n: gauss_hermite_rule(1, n), 4, 32, f, 2e-3, True,
+                  "Gauss-Hermite", "{last} nodes per axis")
     assert node_counts == [4, 8, 16]
     assert abs(rel - exact) < 1e-6
     node_counts.clear()
-    absolute = average(lambda n: gauss_hermite_rule(1, n), (4, 8, 16, 32), f, 2e-3, False,
-                       "Gauss-Hermite", "{} nodes per axis")
+    absolute = average(lambda n: gauss_hermite_rule(1, n), 4, 32, f, 2e-3, False,
+                       "Gauss-Hermite", "{last} nodes per axis")
     assert node_counts == [4, 8, 16, 32]
     assert abs(absolute - exact) < 1e-9
 
@@ -100,9 +164,9 @@ def test_unsettled_average_raises_with_node_count():
     def grows(x):
         return np.full(len(x), float(len(x)))
 
-    with pytest.raises(NumericError, match=r"1e-10.*8 nodes per axis.*4\.000e\+00"):
-        average(lambda n: gauss_hermite_rule(1, n), (4, 8), grows, 1e-10, False,
-                "Gauss-Hermite", "{} nodes per axis")
+    with pytest.raises(ResourceError, match=r"1e-10.*8 nodes per axis.*4\.000e\+00"):
+        average(lambda n: gauss_hermite_rule(1, n), 4, 8, grows, 1e-10, False,
+                "Gauss-Hermite", "{last} nodes per axis")
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -128,8 +192,8 @@ def test_unsettled_sphere_average_raises_with_order(dim):
         calls.append(len(x))
         return np.full(len(x), float(len(calls)))
 
-    with pytest.raises(NumericError, match=r"sphere average.*1e-10.*order 8.*1\.000e\+00"):
-        sphere_average(dim, (4, 8), grows, 1e-10)
+    with pytest.raises(ResourceError, match=r"sphere average.*1e-10.*order 8.*1\.000e\+00"):
+        sphere_average(dim, 4, 8, grows, 1e-10)
 
 
 def s4_space(a):
