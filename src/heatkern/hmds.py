@@ -27,6 +27,14 @@ gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
 y^alpha, which also makes the parallel-transport factor P identically 1, and
 the Van Vleck factor in normal coordinates is Delta^{1/2} = det(g)^{-1/4}.
 
+The metric enters as series in w = |y|^2: g_ij = f delta_ij + (1 - f) y_i y_j / w,
+so det(g) = f^{m-1} and, with h = (1 - f^{-1})/w,
+
+    sqrt(g) g^{mu nu} G_nu = sqrt(g) f^{-1} G_mu + y^mu sqrt(g) h sum_nu y^nu G_nu.
+
+L multiplies by det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h with Horner's rule
+in w and by y^mu with one gather; Delta^{+-1/2} commute with Q and cancel on it.
+
 The recursion itself is
 
     a_0 = I,     (1 + D/k) a_k = L a_{k-1},
@@ -58,6 +66,7 @@ from .tensorcalc import (
     _Basis,
     _basis,
     _pad,
+    _radial_times,
     _series_pow,
     _times,
 )
@@ -81,25 +90,16 @@ def _cov(B, conn, mu, P):
     out = B.up_weight[mu, :, None, None] * _pad(P)[..., B.up[mu, :B.N], :, :]
     return out if conn is None else out + _times(B, conn[mu], P)
 
-def _metric_polynomials(geom, B):
-    """det(g)^{1/2}, det(g)^{-1/2}, det(g)^{1/4}, det(g)^{-1/4} and g^{mu nu} on B.
-
-    Each is a scalar polynomial (N,), exact through degree B.deg; the last is
-    an m x m nested list of them.  det(g)^{-1/4} is the Van Vleck factor
-    Delta^{1/2}.
-    """
-    m = geom.m
-    nser = B.deg // 2 + 1
+def _metric_series(geom, deg):
+    """det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as series in w = |y|^2,
+    exact through degree deg in y."""
+    m, nser = geom.m, deg // 2 + 1
     if len(geom.radial_profile) < nser and geom.kind == "sphere":
         raise ValidationError("geometry radial profile too short for requested cutoff")
     prof = list(geom.radial_profile) + [0.0] * nser
-    powers = [B.radial(_series_pow(prof, s * (m - 1), nser)) for s in (0.5, -0.5, 0.25, -0.25)]
-    # g^{mu nu} = f^{-1} delta + ((1 - 1/f)/w) y^mu y^nu
-    inv_prof = _series_pow(prof, -1.0, nser)
-    outer_inv = np.append(B.radial([-c for c in inv_prof[1:nser]]), 0.0)
-    ginv = [[(B.radial(inv_prof) if mu == nu else 0.0) + outer_inv[B.quot[B.up[nu, B.up[mu, 0]]]]
-             for nu in range(m)] for mu in range(m)]
-    return (*powers, ginv)
+    sqrtg, diag, vanvleck = (_series_pow(prof, s, nser)
+                             for s in ((m - 1) / 2, (m - 3) / 2, (1 - m) / 4))
+    return vanvleck, diag, [a - b for a, b in zip(sqrtg[1:], diag[1:])]
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def build_operator_jet(geom, pot, cutoff):
     m, d = geom.m, pot.d
     B = _basis(m, cutoff + 2)
 
-    sqrtg, inv_sqrtg, gq, ginvq, ginv = _metric_polynomials(geom, B)
+    vanvleck, flux_diag, flux_outer = _metric_series(geom, B.deg)
     conn = None
     if np.any(pot.curvature):
         # A_mu = -1/2 R_{mu alpha} y^alpha; y^alpha sits at position 1 + alpha
@@ -138,16 +138,16 @@ def build_operator_jet(geom, pot, cutoff):
     if conn is None and not Q.imag.any():
         Q = Q.real                        # then every polynomial is real
 
+    def times_y(nu, P):
+        return _pad(P)[..., B.down[nu, :B.N], :, :]
+
     def apply_L(phi):
-        u = _times(B, ginvq, phi)
+        u = _radial_times(B, vanvleck, phi)
         G = [_cov(B, conn, nu, u) for nu in range(m)]
-        flux = 0.0
-        for mu in range(m):
-            s = 0.0
-            for nu in range(m):
-                s = s + _times(B, ginv[mu][nu], G[nu])
-            flux = flux + _cov(B, conn, mu, _times(B, sqrtg, s))
-        return _times(B, gq, _times(B, Q, u) - _times(B, inv_sqrtg, flux))
+        hS = _radial_times(B, flux_outer, sum(times_y(nu, G[nu]) for nu in range(m)))
+        flux = sum(_cov(B, conn, mu, _radial_times(B, flux_diag, G[mu]) + times_y(mu, hS))
+                   for mu in range(m))
+        return _times(B, Q, phi) - _radial_times(B, vanvleck, flux)
 
     # L = sum_{|gamma| <= 2} K_gamma d^gamma, so K_gamma is c, b^mu, a^{mu mu} or
     # 2 a^{mu nu} (mu < nu).  Apply L to the test monomials y^gamma (the first nt
@@ -171,9 +171,10 @@ def build_operator_jet(geom, pot, cutoff):
     M = np.zeros((N, N, d, d), dtype=K.dtype)
     M[:, :nt] = Lphi[:N, :N].swapaxes(0, 1)
     Kpad = _pad(K)
+    live = [t for t in range(nt) if K[t].any()]        # a zero K_gamma adds nothing
     for n in range(3, cutoff + 1):
         lo, hi = B.offsets[n], B.offsets[n + 1]
-        for t in range(nt):
+        for t in live:
             w = _falling(B.expo[lo:hi], gam[t])
             cols = np.minimum(B.quot[t, lo:hi], B.N - 1)      # alpha - gamma
             M[:, lo:hi] += w[None, :, None, None] * Kpad[t, B.quot[cols, :N].T]

@@ -215,20 +215,20 @@ def _log_sinh_coeffs(kmax):
 
 
 def _traced_powers(B, mats, jmax):
-    """tr((x . M)^{2j}) for j = 0..jmax as scalar (N, 1, 1) polynomials on B."""
+    """tr((x . M)^{2j}) for j = 0..jmax as scalar (N,) polynomials on B."""
     P = np.eye(B.N, 1)[:, :, None] * np.eye(mats.shape[1])       # (x . M)^0
     traces = [np.trace(P, axis1=1, axis2=2)]
     for n in range(1, 2 * jmax + 1):
         P = sum(_pad(P)[B.down[i, :B.N]] @ mats[i] for i in range(len(mats)))
         if n % 2 == 0:
             traces.append(np.trace(P, axis1=1, axis2=2))
-    return np.array(traces)[:, :, None, None]
+    return np.array(traces)
 
 
 def _graded_exp(B, s):
     """Grades G_0..G_K (K = B.deg // 2) of exp(sum_j s_j) as a (K + 1, N) array.
 
-    s_j = s[j - 1] is a scalar (N, 1, 1) polynomial of grade j, and 0 past the
+    s_j = s[j - 1] is a scalar (N,) polynomial of grade j, and 0 past the
     end of s; k G_k = sum_j j s_j G_{k-j}.
     """
     G = [np.eye(B.N, 1)[:, :, None]]
@@ -246,7 +246,7 @@ def _normal_moments(B, cov):
     """
     quad = np.zeros(B.N + 1)
     np.add.at(quad, B.up[:, B.up[:, 0]], cov / 2.0)
-    return B.fact * _graded_exp(B, [quad[:B.N, None, None]]).sum(axis=0)
+    return B.fact * _graded_exp(B, [quad[:B.N]]).sum(axis=0)
 
 
 def _fiber_matrix(space, Q):

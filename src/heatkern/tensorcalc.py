@@ -5,8 +5,9 @@ coordinates y centered there.  Monomials of order n are listed by their
 nondecreasing multi-indices, `multi_indices(m, n)`.  `_Basis` is the one
 polynomial algebra of the package: dense coefficient arrays over every
 monomial of degree <= deg in that order, multiplied by index gathers
-(`_times`).  `hmds` builds the operator jet on it, and `symmspace` the theta
-series in the holonomy variables.  A SymTensor stores a
+(`_times`), or by a series in w = |y|^2 with Horner's rule (`_radial_times`).
+`hmds` builds the operator jet on it, and `symmspace` the theta series in the
+holonomy variables.  A SymTensor stores a
 jet component densely over those multi-indices, with complex d x d fiber
 blocks even for scalar problems (then d = 1); the stored entry of <n|f> is
 alpha! times the y^alpha Taylor coefficient of f.
@@ -56,7 +57,8 @@ class _Basis:
     A polynomial is an array (batch..., N, d, d) of monomial coefficients, or
     (N,) for a scalar one; its order-n slice is in a SymTensor's lower-index
     order.  Index maps use N for "outside the basis", and column N maps N to
-    N: `down[mu]` takes alpha to alpha - e_mu and `up[mu]` to alpha + e_mu.
+    N: `down[mu]` takes alpha to alpha - e_mu, `up[mu]` to alpha + e_mu and
+    `square[mu]` (no column N) to alpha - 2 e_mu.
     `quot[j, k]` is the position of y^{alpha_k} / y^{alpha_j}: the product
     pair map read backwards, so a gather through row j of a zero-padded array
     multiplies by y^{alpha_j} and truncates at `deg`.
@@ -79,12 +81,7 @@ class _Basis:
                                  for k in ks]
             self.up[mu, self.down[mu, ks]] = ks
         self.up_weight = (self.expo.T + 1).astype(float)      # (m, N): alpha_mu + 1
-        # |y|^{2k} = sum over even alpha of the multinomial (k; alpha/2) y^alpha
-        self._even = np.all(self.expo % 2 == 0, axis=1)
-        self._half = self.degree[self._even] // 2
-        self._multinomial = np.array(
-            [math.factorial(sum(r) // 2) // math.prod(math.factorial(e // 2) for e in r)
-             for r in self.expo[self._even].tolist()], dtype=float)
+        self.square = np.take_along_axis(self.down, self.down[:, :N], axis=1)
         # dividing by y^{alpha_i} is dividing by y^{alpha_i - e_mu}, then by y_mu
         quot = np.empty((N, N + 1), dtype=np.min_scalar_type(N))
         quot[0] = np.arange(N + 1)
@@ -92,15 +89,6 @@ class _Basis:
             mu = next(a for a, e in enumerate(rows[i]) if e)
             quot[i] = self.down[mu, quot[self.down[mu, i]]]
         self.quot = quot[:, :N]
-
-    def radial(self, series):
-        """sum_k series[k] |y|^{2k} as a scalar polynomial (N,)."""
-        coeffs = np.zeros(self.deg // 2 + 1)
-        coeffs[:len(series)] = series[:len(coeffs)]
-        out = np.zeros(self.N)
-        out[self._even] = coeffs[self._half] * self._multinomial
-        return out
-
 
 @lru_cache(maxsize=8)
 def _basis(m, deg):
@@ -125,6 +113,17 @@ def _times(B, C, P):
         lo = B.offsets[B.degree[j]]
         shifted = Ppad[..., B.quot[j, lo:], :, :]
         out[..., lo:, :, :] += C[j] * shifted if C.ndim == 1 else C[j] @ shifted
+    return out
+
+
+def _radial_times(B, series, P):
+    """sum_k series[k] |y|^{2k} P, truncated at deg, by Horner's rule in w = |y|^2:
+    out = c_k P + sum_mu y_mu^2 out, after dropping trailing zero coefficients."""
+    c = np.trim_zeros(np.asarray(series[:B.deg // 2 + 1], dtype=float), "b")
+    out = c[-1] * P if len(c) else np.zeros_like(P)
+    for ck in c[-2::-1]:
+        pad = _pad(out)
+        out = ck * P + sum(pad[..., B.square[mu], :, :] for mu in range(B.m))
     return out
 
 

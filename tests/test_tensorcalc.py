@@ -89,6 +89,40 @@ def test_dense_product_matches_brute_force(m, deg, d, scalar):
     assert np.max(np.abs(tc._times(B, C, P) - want)) < 1e-13
 
 
+def radial_polynomial(B, series):
+    """sum_k series[k] |y|^{2k} as a scalar polynomial (N,) on B, by the
+    multinomial theorem: |y|^{2k} = sum_{|beta| = k} (k; beta) y^{2 beta}."""
+    out = np.zeros(B.N)
+    for i, e in enumerate(B.expo.tolist()):
+        k = sum(e) // 2
+        if all(x % 2 == 0 for x in e) and k < len(series):
+            out[i] = series[k] * (math.factorial(k) // math.prod(math.factorial(x // 2) for x in e))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["full", "trailing zeros", "constant", "too long"])
+@pytest.mark.parametrize("m,deg,d,cplx", [(1, 6, 1, False), (1, 5, 2, True), (2, 6, 1, True),
+                                          (2, 5, 2, False), (3, 6, 1, False), (3, 5, 2, True),
+                                          (4, 5, 1, True), (4, 4, 2, False)])
+def test_radial_product_matches_dense_product(m, deg, d, cplx, shape):
+    # the Horner product in w = |y|^2 against _times by the expanded polynomial,
+    # on a (batch, N, d, d) array
+    B = tc._basis(m, deg)
+    rng = np.random.default_rng(5 * m + deg + d)
+    n = {"full": deg // 2 + 1, "trailing zeros": deg // 2 + 1, "constant": 1,
+         "too long": deg // 2 + 3}[shape]
+    series = rng.uniform(-1.0, 1.0, n)
+    if shape == "trailing zeros":
+        series[1:] = 0.0
+        series[1] = 0.5
+    P = rng.standard_normal((3, B.N, d, d))
+    if cplx:
+        P = P + 1j * rng.standard_normal(P.shape)
+    got = tc._radial_times(B, list(series), P)
+    assert got.shape == P.shape and got.dtype == P.dtype
+    assert np.max(np.abs(got - tc._times(B, radial_polynomial(B, series), P))) < 1e-13
+
+
 def test_dense_basis_follows_multi_indices_and_is_built_lazily():
     B = tc._basis(3, 4)
     for n in range(5):
@@ -106,15 +140,16 @@ def test_dense_basis_follows_multi_indices_and_is_built_lazily():
 # geometry jets against the embedded exponential map
 # ---------------------------------------------------------------------------
 
-def metric_polynomials(geom):
-    """The jet's det(g)^{1/2, -1/2, 1/4, -1/4} and g^{mu nu} at cutoff geom.cutoff."""
-    B = hmds._basis(geom.m, geom.cutoff + 2)
-    return B, hmds._metric_polynomials(geom, B)
+def metric_series(geom):
+    """The jet's det(g)^{-1/4}, det(g)^{1/2} f^{-1} and det(g)^{1/2} h, series in
+    w = |y|^2 exact through degree geom.cutoff + 2."""
+    return hmds._metric_series(geom, geom.cutoff + 2)
 
 
-def poly_value(B, P, y):
-    """sum_alpha P[alpha] y^alpha for a scalar polynomial on the dense basis."""
-    return float(np.prod(y ** B.expo, axis=1) @ P)
+def series_value(series, y):
+    """sum_k series[k] |y|^{2k}."""
+    w = float(y @ y)
+    return sum(c * w ** k for k, c in enumerate(series))
 
 
 def embedded_sphere_metric(radius, y):
@@ -143,52 +178,58 @@ def embedded_sphere_metric(radius, y):
 
 @pytest.mark.parametrize("m,radius,seed", [(2, 1.0, 11), (2, 1.7, 12), (3, 1.0, 13)])
 def test_sphere_metric_jets_match_embedding(m, radius, seed):
-    # the inverse metric polynomials the operator jet reads, against the
-    # inverse of the embedded metric
+    # the inverse metric the operator jet reads, det(g)^{-1/2} (det(g)^{1/2} f^{-1}
+    # delta + det(g)^{1/2} h y y), against the inverse of the embedded metric
     geom = tc.build_model_geometry("sphere", m, cutoff=6, radius=radius)
-    B, (*_, ginv) = metric_polynomials(geom)
+    vanvleck, diag, outer = metric_series(geom)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         y = rng.standard_normal(m)
         y *= 0.3 * radius / np.linalg.norm(y)
         want = np.linalg.inv(embedded_sphere_metric(radius, y))
-        got = np.array([[poly_value(B, ginv[i][j], y) for j in range(m)] for i in range(m)])
+        got = series_value(vanvleck, y) ** 2 * (series_value(diag, y) * np.eye(m)
+                                                + series_value(outer, y) * np.outer(y, y))
         assert np.max(np.abs(got - want)) < 1e-8
 
 
 @pytest.mark.parametrize("m,radius", [(2, 1.0), (3, 1.3)])
 def test_vanvleck_jets_match_det_quarter_root(m, radius):
-    # det(g)^{1/2}, det(g)^{-1/2}, det(g)^{1/4} and det(g)^{-1/4} = Delta^{1/2}
-    # against powers of the embedded metric's determinant
+    # det(g)^{-1/4} = Delta^{1/2}, and det(g)^{1/2} = sqrt(g) g^{mu nu} yhat_mu yhat_nu
+    # (g is 1 along y), against powers of the embedded metric's determinant
     geom = tc.build_model_geometry("sphere", m, cutoff=6, radius=radius)
-    B, (*powers, _) = metric_polynomials(geom)
+    vanvleck, diag, outer = metric_series(geom)
     rng = np.random.default_rng(31)
     for _ in range(4):
         y = rng.standard_normal(m)
         y *= 0.25 * radius / np.linalg.norm(y)
         det = np.linalg.det(embedded_sphere_metric(radius, y))
-        for P, s in zip(powers, (0.5, -0.5, 0.25, -0.25)):
-            assert abs(poly_value(B, P, y) - det ** s) < 1e-8
+        assert abs(series_value(vanvleck, y) - det ** -0.25) < 1e-8
+        assert abs(series_value(diag, y) + series_value(outer, y) * (y @ y) - det ** 0.5) < 1e-8
 
 
 def test_flat_jets_are_constant():
     geom = tc.build_model_geometry("flat", 3, cutoff=4, volume=2.5)
-    B, (*powers, ginv) = metric_polynomials(geom)
-    one = np.eye(1, B.N)[0]
-    for P in powers:
-        assert np.array_equal(P, one)
-    for i in range(3):
-        for j in range(3):
-            assert np.array_equal(ginv[i][j], one * (i == j))
+    vanvleck, diag, outer = metric_series(geom)
+    assert np.array_equal(vanvleck, np.eye(1, 4)[0])
+    assert np.array_equal(diag, np.eye(1, 4)[0])
+    assert not np.any(outer)
     assert geom.scalar_curvature == 0.0
     assert geom.volume == 2.5
 
 
 def test_sphere_jets_have_even_parity():
+    # every metric factor, g^{mu nu}'s y^mu y^nu term included, is an even
+    # polynomial with no coefficient dropped from its series
     geom = tc.build_model_geometry("sphere", 2, cutoff=6, radius=1.0)
-    B, (*powers, ginv) = metric_polynomials(geom)
+    B = hmds._basis(2, geom.cutoff + 2)
+    one = np.eye(B.N, 1)[:, :, None]
+    series = metric_series(geom)
+    polys = [tc._radial_times(B, s, one)[:, 0, 0] for s in series]
+    polys.append(tc._pad(tc._radial_times(B, series[2], one))[B.down[0, B.down[1, :B.N]], 0, 0])
     odd = B.degree % 2 == 1
-    for P in powers + [g for row in ginv for g in row]:
+    for s in series:
+        assert all(s)
+    for P in polys:
         assert not P[odd].any()
         assert P[~odd].any()
 
