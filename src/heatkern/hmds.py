@@ -15,10 +15,13 @@ Polynomials are dense arrays over the monomials y^alpha of degree <= cutoff + 2
 degree <= cutoff,
 
     M[beta, alpha] = coefficient of y^beta in L y^alpha
-                   = sum_gamma alpha!/(alpha - gamma)! K_gamma[beta - alpha + gamma],
+                   = sum_gamma W[gamma, alpha] K_gamma[beta - alpha + gamma],
 
 where K_gamma is the coefficient of d^gamma in L (c, b^mu, a^{mu mu} or
-2 a^{mu nu}), filled by index gathers.  L takes two derivatives, so a, b and c
+2 a^{mu nu}) and W[gamma, alpha] = alpha!/(alpha - gamma)! is one integer table
+over |gamma| <= 2 and the whole basis, 0 unless alpha >= gamma.  W peels the
+K_gamma off L applied to the test monomials y^gamma, and each K_gamma fills
+every column it reaches with one gather.  L takes two derivatives, so a, b and c
 stay exact through degree cutoff, which is every coefficient M reads; and
 M[beta, alpha] vanishes unless |alpha| <= |beta| + 2.
 
@@ -76,15 +79,6 @@ from .tensorcalc import (
 # operator jet
 # ---------------------------------------------------------------------------
 
-def _falling(alpha, gamma):
-    """alpha!/(alpha - gamma)!, the coefficient of d^gamma y^alpha; 0 unless alpha >= gamma."""
-    out = np.ones(alpha.shape[:-1])
-    for mu, g in enumerate(gamma):
-        for i in range(g):
-            out = out * (alpha[..., mu] - i)
-    return out
-
-
 def _cov(B, conn, mu, P):
     """(d_mu + A_mu) P."""
     out = B.up_weight[mu, :, None, None] * _pad(P)[..., B.up[mu, :B.N], :, :]
@@ -132,9 +126,7 @@ def build_operator_jet(geom, pot, cutoff):
         conn = np.zeros((m, B.N, d, d), dtype=complex)
         conn[:, 1:m + 1] = -0.5 * pot.curvature
     Q = np.zeros((B.N, d, d), dtype=complex)
-    for n, jet in enumerate(pot.Q_jets[:B.deg + 1]):
-        s = slice(B.offsets[n], B.offsets[n + 1])
-        Q[s] = jet.entries[0] / B.fact[s, None, None]     # y^alpha coefficient
+    Q[:len(pot.Q)] = pot.Q[:B.N]
     if conn is None and not Q.imag.any():
         Q = Q.real                        # then every polynomial is real
 
@@ -151,33 +143,32 @@ def build_operator_jet(geom, pot, cutoff):
 
     # L = sum_{|gamma| <= 2} K_gamma d^gamma, so K_gamma is c, b^mu, a^{mu mu} or
     # 2 a^{mu nu} (mu < nu).  Apply L to the test monomials y^gamma (the first nt
-    # basis elements) and peel off the lower orders.
+    # basis elements) and peel off the lower orders.  W[gamma, alpha] =
+    # alpha!/(alpha - gamma)! has at most two factors per axis: gamma_mu <= 2.
     nt = B.offsets[3]
-    gam = B.expo[:nt]
+    gam, expo = B.expo[:nt, None], B.expo[None]
+    W = np.prod(np.where(gam > 0, expo, 1) * np.where(gam > 1, expo - 1, 1), axis=-1)
     Lphi = apply_L((np.eye(nt, B.N)[:, :, None, None] * np.eye(d)).astype(Q.dtype))
     K = Lphi.copy()
     for t in range(nt):
         for s in range(t):
-            if B.quot[s, t] < B.N:                 # y^gamma_s divides y^gamma_t
-                K[t] -= _falling(gam[t], gam[s]) * _pad(K[s])[B.quot[B.quot[s, t]]]
-        K[t] /= _falling(gam[t], gam[t])
+            if W[s, t]:                                # y^gamma_s divides y^gamma_t
+                K[t] -= W[s, t] * _pad(K[s])[B.quot[B.quot[s, t]]]
+        K[t] /= W[t, t]
 
-    # Columns of order <= 2 are the test monomials' images L y^gamma; the
-    # others sum over gamma, one order at a time.  A nonzero weight needs
-    # alpha >= gamma, so beta - alpha + gamma = beta / y^{alpha-gamma} has
-    # degree <= |beta| <= cutoff, where K is exact; columns with weight 0 read
-    # an arbitrary quot row.
+    # Columns of order <= 2 are the test monomials' images L y^gamma; each
+    # other column alpha sums W[gamma, alpha] K_gamma[beta - alpha + gamma]
+    # over the gamma <= alpha, in gamma order.  beta - alpha + gamma =
+    # beta / y^{alpha-gamma} has degree <= |beta| <= cutoff, where K is exact.
     N = B.offsets[cutoff + 1]
     M = np.zeros((N, N, d, d), dtype=K.dtype)
     M[:, :nt] = Lphi[:N, :N].swapaxes(0, 1)
     Kpad = _pad(K)
-    live = [t for t in range(nt) if K[t].any()]        # a zero K_gamma adds nothing
-    for n in range(3, cutoff + 1):
-        lo, hi = B.offsets[n], B.offsets[n + 1]
-        for t in live:
-            w = _falling(B.expo[lo:hi], gam[t])
-            cols = np.minimum(B.quot[t, lo:hi], B.N - 1)      # alpha - gamma
-            M[:, lo:hi] += w[None, :, None, None] * Kpad[t, B.quot[cols, :N].T]
+    for t in np.flatnonzero(K.any(axis=(1, 2, 3))):   # a zero K_gamma adds nothing
+        alpha = nt + np.flatnonzero(W[t, nt:N])
+        image = Kpad[t, B.quot[B.quot[t, alpha], :N].T]
+        image *= W[t, alpha, None, None]
+        M[:, alpha] += image
 
     # sparsity: degree counting makes M[beta, alpha] vanish for |alpha| > |beta| + 2
     deg = B.degree[:N]
@@ -194,18 +185,22 @@ def build_operator_jet(geom, pot, cutoff):
 @dataclass(frozen=True)
 class HmdsCoefficient:
     """a_k exact through degree `cutoff`: coeffs[i] (d, d) multiplies y^{alpha_i}
-    of `basis`, and diagonal = coeffs[0] is a_k at the base point."""
+    of `basis`."""
 
     order: int
     cutoff: int
     coeffs: np.ndarray = field(repr=False)
-    diagonal: np.ndarray = field(repr=False)
     basis: _Basis = field(repr=False, compare=False)
+
+    @property
+    def diagonal(self):
+        """a_k at the base point, as a complex (d, d) array."""
+        return self.coeffs[0].astype(complex)
 
     @cached_property
     def series(self):
         """a_k as a TaylorSeries: component n holds alpha! times each y^alpha coefficient."""
-        B, d = self.basis, self.diagonal.shape[0]
+        B, d = self.basis, self.coeffs.shape[-1]
         taylor = B.fact[:len(self.coeffs), None, None] * self.coeffs
         comps = tuple(SymTensor(B.m, 0, n, d, taylor[None, B.offsets[n]:B.offsets[n + 1]])
                       for n in range(self.cutoff + 1))
@@ -220,14 +215,10 @@ def hmds_coefficients(jet, kmax, cutoff):
         raise ValidationError(
             f"need jet capacity {cutoff + 2 * kmax}, operator jet has {jet.cutoff}")
     B = _basis(jet.m, jet.cutoff + 2)
-
-    def coefficient(k, cut, a):
-        return HmdsCoefficient(k, cut, a, a[0].astype(complex), B)
-
     cut = cutoff + 2 * kmax
     a = np.zeros((B.offsets[cut + 1], jet.d, jet.d), dtype=jet.M.dtype)
     a[0] = np.eye(jet.d)
-    out = [coefficient(0, cut, a)]
+    out = [HmdsCoefficient(0, cut, a, B)]
     for k in range(1, kmax + 1):
         cut -= 2
         nr = B.offsets[cut + 1]
@@ -235,7 +226,7 @@ def hmds_coefficients(jet, kmax, cutoff):
             * np.einsum("baij,ajk->bik", jet.M[:nr, :len(a)], a)
         if not np.all(np.isfinite(a)):
             raise NumericError(f"heat coefficient a_{k} is not finite")
-        out.append(coefficient(k, cut, a))
+        out.append(HmdsCoefficient(k, cut, a, B))
     return out
 
 
@@ -251,7 +242,7 @@ def b_lambda(k, lam, coeffs):
     cut = min(have[n].cutoff for n in range(k + 1))
     size = have[0].basis.offsets[cut + 1]
     b = sum(math.comb(k, n) * (-lam) ** (k - n) * have[n].coeffs[:size] for n in range(k + 1))
-    return HmdsCoefficient(k, cut, b, b[0].astype(complex), have[0].basis)
+    return HmdsCoefficient(k, cut, b, have[0].basis)
 
 
 # ---------------------------------------------------------------------------

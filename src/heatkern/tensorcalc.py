@@ -7,10 +7,12 @@ polynomial algebra of the package: dense coefficient arrays over every
 monomial of degree <= deg in that order, multiplied by index gathers
 (`_times`), or by a series in w = |y|^2 with Horner's rule (`_radial_times`).
 `hmds` builds the operator jet on it, and `symmspace` the theta series in the
-holonomy variables.  A SymTensor stores a
-jet component densely over those multi-indices, with complex d x d fiber
-blocks even for scalar problems (then d = 1); the stored entry of <n|f> is
-alpha! times the y^alpha Taylor coefficient of f.
+holonomy variables.  Taylor data are coefficient arrays on this basis: a
+PotentialJet holds Q as the plain y^alpha coefficients.  SymTensor and
+TaylorSeries serve only `HmdsCoefficient.series`, which stores a component
+densely over those multi-indices, with complex d x d fiber blocks even for
+scalar problems (then d = 1); the stored entry of <n|f> is alpha! times the
+y^alpha Taylor coefficient of f.
 """
 
 from __future__ import annotations
@@ -157,12 +159,6 @@ class SymTensor:
         if not np.all(np.isfinite(e)):
             raise ValidationError("non-finite entry block")
         object.__setattr__(self, "entries", e)
-
-    @classmethod
-    def zeros(cls, m, p, q, d=1):
-        nu = len(multi_indices(m, p))
-        nl = len(multi_indices(m, q))
-        return cls(m, p, q, d, np.zeros((nu, nl, d, d), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +337,30 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
 
 @dataclass(frozen=True)
 class PotentialJet:
-    """Jets of the endomorphism Q plus a covariantly constant curvature.
+    """Taylor coefficients of the endomorphism Q plus a covariantly constant curvature.
 
-    curvature has shape (m, m, d, d): antisymmetric in the two base indices,
-    anti-Hermitian in the fiber.  Q_jets[n] is the symmetrized n-th
-    derivative <n|Q> as a SymTensor(p=0, q=n).
+    Q has shape (N, d, d), N = comb(m + cutoff, m): Q[i] is the y^{alpha_i}
+    Taylor coefficient of Q on `_basis(m, cutoff)`.  curvature has shape
+    (m, m, d, d): antisymmetric in the two base indices, anti-Hermitian in
+    the fiber.
     """
 
     m: int
     d: int
     cutoff: int
-    Q_jets: tuple
+    Q: np.ndarray = field(repr=False)
     curvature: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.Q_jets) != self.cutoff + 1:
-            raise ValidationError("Q jet list length must be cutoff + 1")
-        for n, t in enumerate(self.Q_jets):
-            if t.q != n or t.p != 0 or t.m != self.m or t.d != self.d:
-                raise ValidationError(f"Q jet {n} has wrong orders")
+        if self.cutoff < 0:
+            raise ValidationError("potential cutoff must be nonnegative")
+        Q = np.asarray(self.Q, dtype=complex)
+        shape = (math.comb(self.m + self.cutoff, self.m), self.d, self.d)
+        if Q.shape != shape:
+            raise ValidationError(f"Q shape {Q.shape} != {shape} "
+                                  f"for (m={self.m}, cutoff={self.cutoff}, d={self.d})")
+        if not np.all(np.isfinite(Q)):
+            raise ValidationError("non-finite Q coefficient")
         curv = np.asarray(self.curvature, dtype=complex)
         if curv.shape != (self.m, self.m, self.d, self.d):
             raise ValidationError("curvature must have shape (m, m, d, d)")
@@ -368,20 +369,21 @@ class PotentialJet:
         ah = curv + np.conj(curv.transpose(0, 1, 3, 2))
         if np.max(np.abs(ah)) > 1e-12:
             raise ValidationError("curvature fiber blocks must be anti-Hermitian")
-        Q0 = self.Q_jets[0].entries[0, 0]
-        if np.max(np.abs(Q0 - np.conj(Q0.T))) > 1e-12:
+        if np.max(np.abs(Q[0] - np.conj(Q[0].T))) > 1e-12:
             raise ValidationError("Q at the base point must be Hermitian")
+        object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "curvature", curv)
-        object.__setattr__(self, "Q_jets", tuple(self.Q_jets))
 
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):
-        Q0 = np.asarray(Q0, dtype=complex).reshape(d, d)
-        jets = [SymTensor(m, 0, 0, d, Q0.reshape(1, 1, d, d))]
-        jets += [SymTensor.zeros(m, 0, n, d) for n in range(1, cutoff + 1)]
+        Q0 = np.asarray(Q0, dtype=complex)
+        if Q0.size != d * d:
+            raise ValidationError(f"Q0 of shape {Q0.shape} does not fit the fiber shape {(d, d)}")
+        Q = np.zeros((math.comb(m + max(cutoff, 0), m), d, d), dtype=complex)
+        Q[0] = Q0.reshape(d, d)
         if curvature is None:
             curvature = np.zeros((m, m, d, d), dtype=complex)
-        return cls(m, d, cutoff, tuple(jets), np.asarray(curvature, dtype=complex))
+        return cls(m, d, cutoff, Q, np.asarray(curvature, dtype=complex))
 
     @classmethod
     def zero(cls, m, d=1, cutoff=6):

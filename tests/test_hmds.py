@@ -51,7 +51,7 @@ def test_recursion_residuals(kind, m, q, geo):
 @pytest.mark.parametrize("kind,m,q,geo", FIXTURES)
 def test_a1_is_potential_minus_sixth_curvature(kind, m, q, geo):
     geom, pot, _, coeffs = make_fixture(kind, m, q=q, **geo)
-    want = pot.Q_jets[0].entries[0, 0] - geom.scalar_curvature / 6.0 * np.eye(pot.d)
+    want = pot.Q[0] - geom.scalar_curvature / 6.0 * np.eye(pot.d)
     assert np.max(np.abs(coeffs[1].diagonal - want)) < 1e-12
 
 
@@ -319,24 +319,22 @@ def symbolic_operator_jet(m, cutoff, radius, q, field):
 
 
 def polynomial_potential(m, cutoff, q, curvature=None):
-    """PotentialJet of a scalar polynomial Q: <n|Q>[alpha] = alpha! x its y^alpha coefficient."""
+    """PotentialJet of a scalar polynomial Q: its y^alpha coefficients on the basis."""
     sp = pytest.importorskip("sympy")
     ys = sp.symbols(f"y0:{m}")
     coeffs = sp.Poly(sp.sympify(q, locals={str(y): y for y in ys}), *ys).as_dict()
-    jets = []
-    for n in range(cutoff + 1):
-        lows = [tc.exponents(L, m) for L in tc.multi_indices(m, n)]
-        E = [float(coeffs.get(al, 0)) * math.prod(map(math.factorial, al)) for al in lows]
-        jets.append(tc.SymTensor(m, 0, n, 1, np.array(E).reshape(1, -1, 1, 1)))
+    Q = [float(coeffs.get(tc.exponents(L, m), 0)) for n in range(cutoff + 1)
+         for L in tc.multi_indices(m, n)]
     if curvature is None:
         curvature = np.zeros((m, m, 1, 1), dtype=complex)
-    return tc.PotentialJet(m, 1, cutoff, tuple(jets), curvature)
+    return tc.PotentialJet(m, 1, cutoff, np.reshape(Q, (-1, 1, 1)), curvature)
 
 
 @pytest.mark.parametrize("m,cutoff,radius,q,field", [
     (2, 4, "1.3", "1/5", None),                       # round S^2
     (2, 4, None, "3/10", "0.8"),                      # flat R^2 with curvature i B eps
     (2, 4, None, "3/10 + y0/5 - y0*y1/10 + y1**3/7", "0.8"),   # and a polynomial Q
+    (3, 3, "1.3", "1/5 + y2/3 - y0*y1/4", None),      # S^3: degree-3 columns
 ])
 def test_operator_jet_matches_symbolic_expansion(m, cutoff, radius, q, field):
     kind, geo = ("flat", dict(volume=1.0)) if radius is None else \
@@ -389,6 +387,26 @@ def test_flat_m3_matrix_potential_tower_is_exact():
         assert np.max(np.abs(c.diagonal - np.linalg.matrix_power(Q0, k))) < 1e-12
         for n in range(1, c.series.cutoff + 1):
             assert not np.any(c.series.component(n).entries)
+
+
+def test_flat_matrix_potential_second_coefficient():
+    # flat m = 2, Q = Q0 + Q1 y0 + Q2 y0 y1 + Q3 y1^2 with non-commuting blocks:
+    # a_1^diag = Q0 and a_2^diag = Q0^2 - Delta Q / 3 = Q0^2 - (2/3) Q3
+    m, d, kmax = 2, 2, 2
+    Q0 = np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, -0.2]])
+    Q1 = np.array([[0.1, 0.7j], [-0.7j, 0.4]])
+    Q2 = np.array([[-0.3, 0.2], [0.2, 0.6]])
+    Q3 = np.array([[0.0, 1 - 1j], [1 + 1j, 0.2]])
+    cap = 2 * kmax
+    B = hmds._basis(m, cap)
+    Q = np.zeros((B.N, d, d), dtype=complex)
+    for e, block in [((0, 0), Q0), ((1, 0), Q1), ((1, 1), Q2), ((0, 2), Q3)]:
+        Q[B.expo.tolist().index(list(e))] = block
+    pot = tc.PotentialJet(m, d, cap, Q, np.zeros((m, m, d, d)))
+    geom = tc.build_model_geometry("flat", m, cutoff=cap)
+    coeffs = hmds.hmds_coefficients(hmds.build_operator_jet(geom, pot, cap), kmax, 0)
+    assert np.max(np.abs(coeffs[1].diagonal - Q0)) < 1e-13
+    assert np.max(np.abs(coeffs[2].diagonal - (Q0 @ Q0 - 2.0 / 3.0 * Q3))) < 1e-13
 
 
 @pytest.mark.parametrize("kind,m,d,cutoff,geo", [

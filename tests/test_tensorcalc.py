@@ -65,7 +65,7 @@ def test_basis_pairing_orthonormal(n, np_):
     for i in range(B.offsets[np_], B.offsets[np_ + 1]):
         coeffs = np.zeros((B.offsets[5], 1, 1))
         coeffs[i] = 1.0
-        series = hmds.HmdsCoefficient(0, 4, coeffs, coeffs[0], B).series
+        series = hmds.HmdsCoefficient(0, 4, coeffs, B).series
         want = np.zeros(B.N)
         want[i] = B.fact[i]
         assert np.array_equal(series.component(n).entries[0, :, 0, 0], want[lows])
@@ -299,11 +299,23 @@ def test_torus_volume_is_period_product():
 def test_potential_constant_and_zero():
     Q = tc.PotentialJet.constant(2, 2, [[1.0, 0.5], [0.5, -1.0]], cutoff=4)
     assert Q.cutoff == 4
-    assert np.allclose(Q.Q_jets[0].entries[0, 0], [[1.0, 0.5], [0.5, -1.0]])
-    for n in range(1, 5):
-        assert not Q.Q_jets[n].entries.any()
+    assert Q.Q.shape == (15, 2, 2)
+    assert np.allclose(Q.Q[0], [[1.0, 0.5], [0.5, -1.0]])
+    assert not Q.Q[1:].any()
     Z = tc.PotentialJet.zero(3, cutoff=2)
-    assert Z.d == 1 and not Z.Q_jets[0].entries.any()
+    assert Z.d == 1 and not Z.Q.any()
+
+
+def test_potential_rejects_malformed_q():
+    with pytest.raises(ValidationError, match=r"\(2, 2\)"):
+        tc.PotentialJet.constant(2, 2, [1.0, 2.0, 3.0], cutoff=2)
+    curv = np.zeros((2, 2, 2, 2))
+    with pytest.raises(ValidationError, match=r"\(6, 2, 2\)"):
+        tc.PotentialJet(2, 2, 2, np.zeros((10, 2, 2)), curv)     # a cutoff-3 array
+    with pytest.raises(ValidationError, match="non-finite"):
+        tc.PotentialJet(2, 2, 2, np.full((6, 2, 2), np.nan), curv)
+    with pytest.raises(ValidationError, match="cutoff"):
+        tc.PotentialJet.constant(2, 1, [[0.3]], cutoff=-1)
 
 
 def test_potential_rejects_non_hermitian_base():
