@@ -1,7 +1,10 @@
 """Error taxonomy shared by all heatkern modules.
 
 Every failure mode raised on purpose derives from HeatkernError so callers
-(and the CLI) can distinguish our diagnostics from genuine bugs.
+(and the CLI) can distinguish our diagnostics from genuine bugs.  A malformed
+array input (the wrong size, an entry that is not a number or not finite, or
+a broken symmetry) is a ValidationError naming the argument: every matrix-valued
+input is read by spectra._array and checked by spectra._require.
 """
 
 

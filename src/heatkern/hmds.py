@@ -251,16 +251,14 @@ def b_lambda(k, lam, coeffs):
 
 @dataclass(frozen=True)
 class HeatTraceExpansion:
-    """Sum of coefficient * t^exponent terms, optionally with log terms.
+    """Sum of coefficient * t^exponent terms.
 
     terms is a tuple of (exponent, coefficient) with strictly increasing
-    half-integer exponents; log_terms, when present, pairs each exponent with
-    the coefficient of t^exponent * log t.
+    half-integer exponents.
     """
 
     m: int
     terms: tuple
-    log_terms: tuple = ()
 
     def __post_init__(self):
         ex = [e for e, _ in self.terms]
@@ -273,7 +271,6 @@ class HeatTraceExpansion:
         ts = _as_t(t)
         with np.errstate(over="ignore", invalid="ignore"):
             val = sum(c * ts ** e for e, c in self.terms)
-            val = val + sum(c * ts ** e * np.log(ts) for e, c in self.log_terms)
         return _like_t(ts, val, "heat-trace expansion")
 
     def coefficient(self, exponent):

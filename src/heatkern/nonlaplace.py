@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityError, StructureError, ValidationError
-from .quadrature import sphere_average
-from .spectra import _certified_trace, _exp_sum, _lattice_tail, _periods, _scalar_t
+from .quadrature import sphere_average, unit_directions
+from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _periods, _require,
+                      _scalar_t)
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -41,13 +42,9 @@ class LeadingSymbol:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex).reshape(self.m, self.m, self.d, self.d)
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("a must be finite")
-        if np.max(np.abs(a - a.transpose(1, 0, 2, 3))) > 1e-12:
-            raise ValidationError("a must be symmetric in its base indices")
-        if np.max(np.abs(a - a.conj().transpose(0, 1, 3, 2))) > 1e-12:
-            raise ValidationError("blocks of a must be Hermitian")
+        a = _array(self.a, (self.m, self.m, self.d, self.d), "a")
+        _require(a, a.transpose(1, 0, 2, 3), "a must be symmetric in its base indices")
+        _require(a, a.conj().transpose(0, 1, 3, 2), "blocks of a must be Hermitian")
         object.__setattr__(self, "a", a)
 
     def symbol_matrix(self, xi):
@@ -81,23 +78,6 @@ def one_form_symbol(m, c):
                          + 0.5 * c * (np.outer(eye[mu], eye[nu])
                                       + np.outer(eye[nu], eye[mu])))
     return LeadingSymbol(m=m, d=m, a=a)
-
-
-def default_directions(m, count=24):
-    """Deterministic well-spread unit directions: axes plus seeded samples."""
-    dirs = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        dirs.append(e.copy())
-        dirs.append(-e)
-    rng = np.random.default_rng(20260416)
-    while len(dirs) < count:
-        v = rng.standard_normal(m)
-        n = np.linalg.norm(v)
-        if n > 1e-3:
-            dirs.append(v / n)
-    return np.array(dirs)
 
 
 @dataclass(frozen=True)
@@ -135,7 +115,7 @@ def eigenstructure(sym, directions=None):
     agreement to 1e-10 across all directions.
     """
     if directions is None:
-        directions = default_directions(sym.m)
+        directions = unit_directions(sym.m, 24, 20260416)
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[0] < 20 or dirs.shape[1] != sym.m:
         raise ValidationError("need at least 20 unit directions of dimension m")
@@ -219,15 +199,15 @@ def h_endomorphism(sym, spec):
 
 
 def a2_potential_part(H, Q, vol):
-    """Potential channel of the subleading coefficient: vol tr(H Q)."""
-    H = np.asarray(H, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
-    return float(vol * np.trace(H @ Q).real)
+    """Potential channel of the subleading coefficient: vol tr(H Q), for a
+    square H and a Q of the same size in any layout."""
+    H = _array(H, None, "H")
+    return float(vol * np.trace(H @ _array(Q, H.shape, "Q")).real)
 
 
 def x_tensor(sym, riemann):
     """X^{mu nu}_{alpha beta} = -1/3 a^{lambda(mu} R^{nu)}_{(alpha|lambda|beta)}."""
-    R = np.asarray(riemann, dtype=float)
+    R = _array(riemann, (sym.m,) * 4, "riemann", float)
     sym_R = 0.5 * (R + R.transpose(0, 3, 2, 1))
     T = np.einsum("lmij,nalb->mnabij", sym.a, sym_R)
     return -(T + T.transpose(1, 0, 2, 3, 4, 5)) / 6.0
@@ -235,11 +215,11 @@ def x_tensor(sym, riemann):
 
 def y_tensor(sym, ricci, fiber_curvature=None):
     """Y^mu_alpha = 2/3 a^{mu lambda} R_{lambda alpha} - (1/2){R_{alpha nu}, a^{mu nu}}."""
-    ric = np.asarray(ricci, dtype=float)
     m, d = sym.m, sym.d
+    ric = _array(ricci, (m, m), "ricci", float)
     Y = (2.0 / 3.0) * np.einsum("ulij,la->uaij", sym.a, ric)
     if fiber_curvature is not None:
-        fc = np.asarray(fiber_curvature, dtype=complex).reshape(m, m, d, d)
+        fc = _array(fiber_curvature, (m, m, d, d), "fiber_curvature")
         Y = Y - 0.5 * (np.einsum("avij,uvjk->uaik", fc, sym.a)
                        + np.einsum("uvij,avjk->uaik", sym.a, fc))
     return Y
@@ -266,11 +246,8 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
-    Q = np.asarray(np.zeros((d, d)) if Q is None else Q, dtype=complex).reshape(d, d)
-    if not np.all(np.isfinite(Q)):
-        raise ValidationError("Q must be finite")
-    if np.max(np.abs(Q - Q.conj().T)) > 1e-12:
-        raise ValidationError("Q must be Hermitian")
+    Q = _array(np.zeros((d, d)) if Q is None else Q, (d, d), "Q")
+    _require(Q, Q.conj().T, "Q must be Hermitian")
 
     mu_min = min(eigenstructure(sym).mu)
     qmin = float(np.min(np.linalg.eigvalsh(Q)))

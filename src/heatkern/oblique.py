@@ -22,15 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
-from .quadrature import sphere_average
+from .quadrature import sphere_average, unit_directions
+from .spectra import _array, _require
 
-_HERM_TOL = 1e-12
 _ASCENT_STEPS = 20
 
 
 @dataclass(frozen=True)
 class ObliqueBoundaryData:
-    """Boundary condition data (Pi, Gamma^i, S) with the block constraints."""
+    """Boundary condition data (Pi, Gamma^i, S) with the block constraints.
+
+    Pi and S are d x d; Gamma holds the m - 1 matrices Gamma^i, d x d each,
+    and is stored as a tuple of them.
+    """
 
     m: int
     d: int
@@ -39,32 +43,24 @@ class ObliqueBoundaryData:
     S: np.ndarray = None
 
     def __post_init__(self):
-        if self.m < 2:
+        m, d = self.m, self.d
+        if m < 2:
             raise ValidationError("need m >= 2 for a boundary problem")
-        Pi = np.asarray(self.Pi, dtype=complex).reshape(self.d, self.d)
-        if np.max(np.abs(Pi - Pi.conj().T)) > _HERM_TOL:
-            raise ValidationError("Pi must be Hermitian")
-        if np.max(np.abs(Pi @ Pi - Pi)) > _HERM_TOL:
-            raise ValidationError("Pi must be idempotent")
+        Pi = _array(self.Pi, (d, d), "Pi")
+        _require(Pi, Pi.conj().T, "Pi must be Hermitian")
+        _require(Pi @ Pi, Pi, "Pi must be idempotent")
         object.__setattr__(self, "Pi", Pi)
 
-        gam = tuple(np.asarray(g, dtype=complex).reshape(self.d, self.d)
-                    for g in self.Gamma)
-        if len(gam) != self.m - 1:
-            raise ValidationError("need m-1 tangential matrices Gamma^i")
-        for g in gam:
-            if np.max(np.abs(g + g.conj().T)) > _HERM_TOL:
-                raise ValidationError("Gamma^i must be anti-Hermitian")
-            if np.max(np.abs(Pi @ g)) > _HERM_TOL or np.max(np.abs(g @ Pi)) > _HERM_TOL:
-                raise ValidationError("Gamma^i must annihilate the Pi sector")
-        object.__setattr__(self, "Gamma", gam)
+        G = _array(self.Gamma, (m - 1, d, d), "Gamma")
+        _require(G, -G.conj().transpose(0, 2, 1), "Gamma^i must be anti-Hermitian")
+        _require(Pi @ G, 0.0, "Gamma^i must annihilate the Pi sector")
+        _require(G @ Pi, 0.0, "Gamma^i must annihilate the Pi sector")
+        object.__setattr__(self, "Gamma", tuple(G))
 
-        S = np.zeros((self.d, self.d), dtype=complex) if self.S is None \
-            else np.asarray(self.S, dtype=complex).reshape(self.d, self.d)
-        if np.max(np.abs(S - S.conj().T)) > _HERM_TOL:
-            raise ValidationError("S must be Hermitian")
-        if np.max(np.abs(Pi @ S)) > _HERM_TOL or np.max(np.abs(S @ Pi)) > _HERM_TOL:
-            raise ValidationError("S must annihilate the Pi sector")
+        S = _array(np.zeros((d, d)) if self.S is None else self.S, (d, d), "S")
+        _require(S, S.conj().T, "S must be Hermitian")
+        _require(Pi @ S, 0.0, "S must annihilate the Pi sector")
+        _require(S @ Pi, 0.0, "S must annihilate the Pi sector")
         object.__setattr__(self, "S", S)
 
     def gamma_dot(self, zeta):
@@ -86,29 +82,6 @@ class EllipticityVerdict:
     violating_direction: np.ndarray = None
 
 
-def boundary_directions(p, count=50):
-    """Deterministic unit covectors on the boundary cotangent sphere.
-
-    For p = 1 the sphere is just {-1, +1}; repetition fills the count.
-    """
-    dirs = []
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = 1.0
-        dirs.append(e.copy())
-        dirs.append(-e)
-    rng = np.random.default_rng(20260417)
-    while len(dirs) < count:
-        if p == 1:
-            dirs.append(dirs[len(dirs) % 2].copy())
-        else:
-            v = rng.standard_normal(p)
-            n = np.linalg.norm(v)
-            if n > 1e-3:
-                dirs.append(v / n)
-    return np.array(dirs)
-
-
 def strong_ellipticity(data, directions=None):
     """Minimum-eigenvalue test of |zeta| I - i Gamma . zeta over the sphere.
 
@@ -121,7 +94,7 @@ def strong_ellipticity(data, directions=None):
     """
     p = data.m - 1
     if directions is None:
-        directions = boundary_directions(p)
+        directions = unit_directions(p, 50, 20260417)
     dirs = np.asarray(directions, dtype=float).reshape(-1, p)
     if dirs.shape[0] < 50:
         raise ValidationError("need at least 50 boundary covectors")
@@ -198,8 +171,7 @@ def a1_abelian(data):
     """Closed form for a commuting family: 2(I + Gamma^2)^{-1/2} branch."""
     for i, gi in enumerate(data.Gamma):
         for gj in data.Gamma[i + 1:]:
-            if np.max(np.abs(gi @ gj - gj @ gi)) > 1e-12:
-                raise ValidationError("Gamma family does not commute")
+            _require(gi @ gj, gj @ gi, "Gamma family does not commute")
     g2 = data.gamma_squared()
     lam, V = np.linalg.eigh(np.eye(data.d) + g2)
     if np.min(lam) <= 1e-12:

@@ -57,6 +57,19 @@ def average(rule, first, last, integrand, tol, relative, name, count):
          f"{count}, last change {{err:.3e}}").format)[0]
 
 
+def unit_directions(p, count, seed):
+    """count unit vectors in R^p: the axes +-e_i, then standard normal draws of
+    norm above 1e-3 from the generator seeded with `seed`, normalised."""
+    dirs = [s * e for e in np.eye(p) for s in (1.0, -1.0)]
+    rng = np.random.default_rng(seed)
+    while len(dirs) < count:
+        v = rng.standard_normal(p)
+        n = np.linalg.norm(v)
+        if n > 1e-3:
+            dirs.append(v / n)
+    return np.array(dirs)
+
+
 def gauss_hermite_rule(p, n):
     """n-point Gauss-Hermite rule on every axis of R^p, weights normalised by
     pi^{-p/2}.  n must be even: an even rule has no node at the origin, where

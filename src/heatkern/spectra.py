@@ -16,7 +16,10 @@ couple (_axis_groups), so a separable torus costs a few circle spectra.
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
 check _periods is also the one for the torus geometry and the nonlaplace
-lattice oracle.
+lattice oracle.  _array and _require are the one array check of the package:
+every matrix-valued input of tensorcalc, spectra, nonlaplace, oblique and
+symmspace is read by _array (size, numbers, finite) and its symmetries are
+tested by _require, so a malformed array is always a ValidationError.
 
 Every trace, the lattice oracle and every t-dependent evaluator in
 formfactors, hmds and symmspace take a positive scalar t and return a float,
@@ -305,6 +308,41 @@ def _periods(periods, m):
     return periods
 
 
+def _array(x, shape, what, dtype=complex):
+    """x, any layout of prod(shape) numbers, as a finite array of that shape and
+    dtype (complex or float); shape None is a square matrix of x's own size, a
+    scalar being 1 x 1.  Anything else (a shape that is not nonnegative
+    integers, the wrong size, an entry that is not a number, not finite, or not
+    real for a float dtype) is a ValidationError naming `what`."""
+    if shape is not None and not all(isinstance(n, (int, np.integer)) and n >= 0
+                                     for n in shape):
+        raise ValidationError(f"{what} needs a shape of nonnegative integers, not {shape}")
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} is not an array of numbers") from None
+    if shape is None:
+        shape = a.shape or (1, 1)
+        if len(shape) != 2 or shape[0] != shape[1] or not a.size:
+            raise ValidationError(f"{what} of shape {a.shape} is not a square matrix")
+    if a.size != math.prod(shape):
+        raise ValidationError(f"{what} of shape {a.shape} is not a block of shape {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} is not finite")
+    if dtype is float:
+        if np.any(a.imag):
+            raise ValidationError(f"{what} is not real")
+        a = np.ascontiguousarray(a.real)
+    return a.reshape(shape)
+
+
+def _require(a, b, message):
+    """A ValidationError(message) unless a and b agree to 1e-12 at every entry;
+    a NaN entry never agrees."""
+    if not np.max(np.abs(a - b), initial=0.0) <= 1e-12:
+        raise ValidationError(message)
+
+
 def _modes(modes, m, shape, what, flip, relation):
     """modes as {m-tuple of ints: complex block of the given shape}.  Every key has
     m entries of magnitude at most MAX_MODE, every block is finite with entries
@@ -316,18 +354,13 @@ def _modes(modes, m, shape, what, flip, relation):
             raise ValidationError(f"{what} mode {key!r} has wrong dimension")
         if any(abs(x) > MAX_MODE for x in n):
             raise ValidationError(f"{what} mode {key!r} exceeds {MAX_MODE} in magnitude")
-        blk = np.asarray(amp, dtype=complex)
-        if blk.size != math.prod(shape):
-            raise ValidationError(f"{what} mode {key!r} is not a block of shape {shape}")
-        out[n] = blk = blk.reshape(shape)
-        if not np.all(np.isfinite(blk)):
-            raise ValidationError(f"{what} mode {key!r} amplitude is not finite")
+        out[n] = blk = _array(amp, shape, f"{what} mode {key!r}")
         if np.max(np.abs(blk)) > MAX_AMPLITUDE:
             raise ValidationError(f"{what} mode {key!r} amplitude exceeds {MAX_AMPLITUDE:g}")
     for n, blk in out.items():
-        other = out.get(tuple(-x for x in n))
-        if other is None or np.max(np.abs(other - flip(blk))) > 1e-12:
-            raise ValidationError(f"{what} modes must satisfy {relation}")
+        # a missing partner reads as NaN, which never agrees
+        _require(out.get(tuple(-x for x in n), math.nan), flip(blk),
+                 f"{what} modes must satisfy {relation}")
     return out
 
 
@@ -367,8 +400,8 @@ class FourierBackground:
                 raise ValidationError(
                     "zero-mode curvature excluded: the curvature channel carries 1/box; "
                     "constant field strength belongs to the symmspace route")
-            if np.max(np.abs(b + b.transpose(1, 0, 2, 3))) > 1e-12:
-                raise ValidationError("curvature modes must be antisymmetric in base indices")
+            _require(b, -b.transpose(1, 0, 2, 3),
+                     "curvature modes must be antisymmetric in base indices")
         object.__setattr__(self, "curvature_modes", cm)
 
     @classmethod

@@ -28,24 +28,17 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import average, cartan_rule
-from .spectra import _as_t, _like_t, _scalar_t
+from .spectra import _array, _as_t, _like_t, _require, _scalar_t
 from .tensorcalc import _basis, _pad, _series_log, _times
 
 _K_MAX = 6
 
 
-def _finite(a, what):
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{what} must be finite")
-    return a
-
-
 def _endomorphism(Q):
-    """Q as a finite Hermitian matrix; None is the 1 x 1 zero."""
-    q = np.zeros((1, 1), dtype=complex) if Q is None else np.asarray(Q, dtype=complex)
-    q = _finite(q.reshape(1, 1) if q.ndim == 0 else q, "endomorphism")
-    if np.max(np.abs(q - q.conj().T)) > 1e-12:
-        raise ValidationError("endomorphism must be Hermitian")
+    """Q as a finite Hermitian square matrix, a scalar being 1 x 1; None is the
+    1 x 1 zero.  A flat array is not reshaped."""
+    q = _array(0.0 if Q is None else Q, None, "endomorphism")
+    _require(q, q.conj().T, "endomorphism must be Hermitian")
     return q
 
 
@@ -62,10 +55,8 @@ class ConstantFieldStrength:
     Q: np.ndarray = None
 
     def __post_init__(self):
-        r = _finite(np.asarray(self.rhat, dtype=float).reshape(self.m, self.m),
-                    "field strength")
-        if np.max(np.abs(r + r.T)) > 1e-12:
-            raise ValidationError("field strength must be antisymmetric")
+        r = _array(self.rhat, (self.m, self.m), "field strength", float)
+        _require(r, -r.T, "field strength must be antisymmetric")
         object.__setattr__(self, "rhat", r)
         object.__setattr__(self, "Q", _endomorphism(self.Q))
 
@@ -127,12 +118,11 @@ class SymmetricSpaceData:
     R_G: float = field(init=False)
 
     def __post_init__(self):
-        E = _finite(np.asarray(self.E, dtype=float).reshape(self.p, self.m, self.m),
-                    "holonomy generators")
-        beta = _finite(np.asarray(self.beta, dtype=float).reshape(self.p, self.p), "beta")
-        if np.max(np.abs(E + E.transpose(0, 2, 1))) > 1e-12:
-            raise ValidationError("holonomy generators must be antisymmetric")
-        if np.max(np.abs(beta - beta.T)) > 1e-12 or np.any(np.linalg.eigvalsh(beta) <= 0):
+        E = _array(self.E, (self.p, self.m, self.m), "holonomy generators", float)
+        beta = _array(self.beta, (self.p, self.p), "beta", float)
+        _require(E, -E.transpose(0, 2, 1), "holonomy generators must be antisymmetric")
+        _require(beta, beta.T, "beta must be symmetric positive definite")
+        if np.any(np.linalg.eigvalsh(beta) <= 0):
             raise ValidationError("beta must be symmetric positive definite")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "beta", beta)

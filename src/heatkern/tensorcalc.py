@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import _periods
+from .spectra import _array, _periods, _require
 
 MAX_CUTOFF = 8
 
@@ -149,16 +149,9 @@ class SymTensor:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        nu = len(multi_indices(self.m, self.p))
-        nl = len(multi_indices(self.m, self.q))
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (nu, nl, self.d, self.d):
-            raise ValidationError(
-                f"entries shape {e.shape} != {(nu, nl, self.d, self.d)} "
-                f"for (m={self.m}, p={self.p}, q={self.q}, d={self.d})")
-        if not np.all(np.isfinite(e)):
-            raise ValidationError("non-finite entry block")
-        object.__setattr__(self, "entries", e)
+        shape = (len(multi_indices(self.m, self.p)), len(multi_indices(self.m, self.q)),
+                 self.d, self.d)
+        object.__setattr__(self, "entries", _array(self.entries, shape, "SymTensor entries"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,36 +347,24 @@ class PotentialJet:
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValidationError("potential cutoff must be nonnegative")
-        Q = np.asarray(self.Q, dtype=complex)
-        shape = (math.comb(self.m + self.cutoff, self.m), self.d, self.d)
-        if Q.shape != shape:
-            raise ValidationError(f"Q shape {Q.shape} != {shape} "
-                                  f"for (m={self.m}, cutoff={self.cutoff}, d={self.d})")
-        if not np.all(np.isfinite(Q)):
-            raise ValidationError("non-finite Q coefficient")
-        curv = np.asarray(self.curvature, dtype=complex)
-        if curv.shape != (self.m, self.m, self.d, self.d):
-            raise ValidationError("curvature must have shape (m, m, d, d)")
-        if np.max(np.abs(curv + curv.transpose(1, 0, 2, 3))) > 1e-12:
-            raise ValidationError("curvature must be antisymmetric in base indices")
-        ah = curv + np.conj(curv.transpose(0, 1, 3, 2))
-        if np.max(np.abs(ah)) > 1e-12:
-            raise ValidationError("curvature fiber blocks must be anti-Hermitian")
-        if np.max(np.abs(Q[0] - np.conj(Q[0].T))) > 1e-12:
-            raise ValidationError("Q at the base point must be Hermitian")
+        m, d = self.m, self.d
+        Q = _array(self.Q, (math.comb(m + self.cutoff, m), d, d), "Q")
+        curv = _array(self.curvature, (m, m, d, d), "curvature")
+        _require(curv, -curv.transpose(1, 0, 2, 3),
+                 "curvature must be antisymmetric in base indices")
+        _require(curv, -np.conj(curv.transpose(0, 1, 3, 2)),
+                 "curvature fiber blocks must be anti-Hermitian")
+        _require(Q[0], np.conj(Q[0].T), "Q at the base point must be Hermitian")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "curvature", curv)
 
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):
-        Q0 = np.asarray(Q0, dtype=complex)
-        if Q0.size != d * d:
-            raise ValidationError(f"Q0 of shape {Q0.shape} does not fit the fiber shape {(d, d)}")
         Q = np.zeros((math.comb(m + max(cutoff, 0), m), d, d), dtype=complex)
-        Q[0] = Q0.reshape(d, d)
+        Q[0] = _array(Q0, (d, d), "Q0")
         if curvature is None:
             curvature = np.zeros((m, m, d, d), dtype=complex)
-        return cls(m, d, cutoff, Q, np.asarray(curvature, dtype=complex))
+        return cls(m, d, cutoff, Q, curvature)
 
     @classmethod
     def zero(cls, m, d=1, cutoff=6):

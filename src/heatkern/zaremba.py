@@ -8,8 +8,7 @@ closed form (direct + reflected, each carrying an erf factor); the
 independent oracle expands in half-integer angular modes, exactly the
 most-regular branch at the corner, summed through quadrature.converge.
 
-S = 0 throughout.  The model's trace expansion carries no logarithms; the
-assembled expansion keeps the log slots of HeatTraceExpansion empty.
+S = 0 throughout.  The model's trace expansion carries no logarithms.
 """
 
 from __future__ import annotations
@@ -250,8 +249,7 @@ def wedge_trace_expansion(m, dimV, interior_volume, dirichlet_area,
     """Heat trace expansion through k = 2 for a flat Zaremba wedge domain.
 
     Interior Weyl term, the two smooth-face terms (flat faces, K = 0), and
-    the corner term; the log slots stay empty -- this model produces no
-    logarithmic terms.
+    the corner term; this model produces no logarithmic terms.
     """
     b1_d = smooth_boundary_constants("dirichlet", m, dimV)[1]
     b1_n = smooth_boundary_constants("neumann", m, dimV)[1]
@@ -260,4 +258,4 @@ def wedge_trace_expansion(m, dimV, interior_volume, dirichlet_area,
         ((1.0 - m) / 2.0, b1_d * dirichlet_area + b1_n * neumann_area),
         ((2.0 - m) / 2.0, corner_coefficient(m, dimV) * corner_volume),
     )
-    return HeatTraceExpansion(m=m, terms=terms, log_terms=())
+    return HeatTraceExpansion(m=m, terms=terms)

@@ -11,6 +11,7 @@ import pytest
 from heatkern import (formfactors, hmds, nonlaplace as nl, oblique as ob,
                       spectra, symmspace as ss, tensorcalc as tc, zaremba as za)
 from heatkern.errors import DomainError
+from heatkern.quadrature import unit_directions
 
 
 def _report(num, label, ok, detail):
@@ -226,7 +227,7 @@ def test_criterion_11_algebraic_residual_suites():
     for sym in (nl.laplace_symbol(3, d=2), nl.one_form_symbol(2, 1.0),
                 nl.one_form_symbol(3, 0.6)):
         spec = nl.eigenstructure(sym)
-        dirs = nl.default_directions(sym.m)
+        dirs = unit_directions(sym.m, 24, 20260416)
         P = spec.projectors_batch(dirs)
         eye = np.eye(sym.d)
         for n in range(dirs.shape[0]):

@@ -227,13 +227,6 @@ def test_expansion_overflow_is_numeric_error():
         exp.evaluate(1e300)
 
 
-def test_expansion_log_terms_slot():
-    exp = hmds.HeatTraceExpansion(m=2, terms=((-1.0, 1.0),),
-                                  log_terms=((0.0, 0.5),))
-    want = 1.0 / 0.2 + 0.5 * math.log(0.2)
-    assert abs(exp.evaluate(0.2) - want) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # operator jet against an exact symbolic expansion
 # ---------------------------------------------------------------------------

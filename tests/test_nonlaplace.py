@@ -8,6 +8,7 @@ import pytest
 from heatkern import nonlaplace as nl
 from heatkern.errors import (EllipticityError, ResourceError, StructureError,
                              ValidationError)
+from heatkern.quadrature import unit_directions
 
 
 def striped_symbol():
@@ -48,12 +49,12 @@ def test_symbol_matrix_batch_agrees_with_single():
 
 
 def test_default_directions():
-    dirs = nl.default_directions(3)
+    dirs = unit_directions(3, 24, 20260416)
     assert dirs.shape == (24, 3)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
     assert np.allclose(dirs[:6], np.array(
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]))
-    assert np.array_equal(dirs, nl.default_directions(3))
+    assert np.array_equal(dirs, unit_directions(3, 24, 20260416))
 
 
 def test_eigenstructure_laplace():
@@ -87,7 +88,7 @@ def test_eigenstructure_direction_validation():
     sym = nl.laplace_symbol(2)
     with pytest.raises(ValidationError):
         nl.eigenstructure(sym, directions=np.eye(2))      # too few
-    bad = nl.default_directions(2).copy()
+    bad = unit_directions(2, 24, 20260416).copy()
     bad[5] *= 1.5
     with pytest.raises(ValidationError):
         nl.eigenstructure(sym, directions=bad)
@@ -109,7 +110,7 @@ def test_projectors_radial_channel():
 def test_projector_algebra_residuals():
     sym = nl.one_form_symbol(3, 0.5)
     spec = nl.eigenstructure(sym)
-    dirs = nl.default_directions(3)
+    dirs = unit_directions(3, 24, 20260416)
     P = spec.projectors_batch(dirs)
     eye = np.eye(3)
     for n in range(dirs.shape[0]):
@@ -128,7 +129,7 @@ def test_projectors_reject_foreign_spectrum():
     alien = nl.SymbolSpectrum(symbol=striped_symbol(), s=spec.s,
                               mu=spec.mu, mult=spec.mult)
     with pytest.raises(StructureError):
-        alien.projectors_batch(nl.default_directions(2))
+        alien.projectors_batch(unit_directions(2, 24, 20260416))
 
 
 # ---------------------------------------------------------------------------

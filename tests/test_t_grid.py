@@ -42,8 +42,7 @@ EVALUATORS = {
     "torus-oracle": lambda t: nl.torus_oracle(nl.one_form_symbol(2, 0.5), Q=np.diag([0.3, -0.2]),
                                               t=t, periods=(2 * math.pi, 3.0)),
     "expansion": HeatTraceExpansion(
-        m=3, terms=((-1.5, 0.3), (-1.0, 0.0), (-0.5, 0.1), (0.5, -0.02)),
-        log_terms=((0.5, 0.01),)).evaluate,
+        m=3, terms=((-1.5, 0.3), (-1.0, 0.0), (-0.5, 0.1), (0.5, -0.02))).evaluate,
     # |k|^2 = 9 puts t |k|^2 on both sides of the gamma branch point z = 1
     "h-circle": lambda t: ff.h_functional(ff.FourierBackground.circle_cosine(
         2 * math.pi, 3, 0.2), t),

@@ -312,7 +312,7 @@ def test_potential_rejects_malformed_q():
     curv = np.zeros((2, 2, 2, 2))
     with pytest.raises(ValidationError, match=r"\(6, 2, 2\)"):
         tc.PotentialJet(2, 2, 2, np.zeros((10, 2, 2)), curv)     # a cutoff-3 array
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match="not finite"):
         tc.PotentialJet(2, 2, 2, np.full((6, 2, 2), np.nan), curv)
     with pytest.raises(ValidationError, match="cutoff"):
         tc.PotentialJet.constant(2, 1, [[0.3]], cutoff=-1)

@@ -213,7 +213,6 @@ def test_heat_residual_small():
 def test_wedge_trace_expansion_m2():
     exp = za.wedge_trace_expansion(2, 1, interior_volume=2.0,
                                    dirichlet_area=1.5, neumann_area=2.5)
-    assert exp.log_terms == ()
     by_exp = dict(exp.terms)
     assert abs(by_exp[-1.0] - 2.0 / (4 * math.pi)) < 1e-16
     b1 = (4 * math.pi) ** -0.5 / 4.0
