@@ -31,6 +31,7 @@ _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
 _LATTICE_CAP = 4_000_000         # eigenvalues in one lattice partial sum
 _EIG_CHUNK = 262_144             # lattice points per eigvalsh call
+_DIRECTIONS = (24, 20260416)     # count and seed of eigenstructure's default sample
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def eigenstructure(sym, directions=None):
     agreement to 1e-10 across all directions.
     """
     if directions is None:
-        directions = unit_directions(sym.m, 24, 20260416)
+        directions = unit_directions(sym.m, *_DIRECTIONS)
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[0] < 20 or dirs.shape[1] != sym.m:
         raise ValidationError("need at least 20 unit directions of dimension m")

@@ -26,6 +26,7 @@ from .quadrature import sphere_average, unit_directions
 from .spectra import _array, _require
 
 _ASCENT_STEPS = 20
+_DIRECTIONS = (50, 20260417)    # count and seed of strong_ellipticity's default sample
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def strong_ellipticity(data, directions=None):
     """
     p = data.m - 1
     if directions is None:
-        directions = unit_directions(p, 50, 20260417)
+        directions = unit_directions(p, *_DIRECTIONS)
     dirs = np.asarray(directions, dtype=float).reshape(-1, p)
     if dirs.shape[0] < 50:
         raise ValidationError("need at least 50 boundary covectors")

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, ValidationError
 
 
 def converge(n, cap, estimate, error, floor, refusal, size=lambda n: n):
@@ -60,6 +60,8 @@ def average(rule, first, last, integrand, tol, relative, name, count):
 def unit_directions(p, count, seed):
     """count unit vectors in R^p: the axes +-e_i, then standard normal draws of
     norm above 1e-3 from the generator seeded with `seed`, normalised."""
+    if not (isinstance(p, (int, np.integer)) and p >= 1):
+        raise ValidationError(f"unit directions need a dimension p >= 1, not {p!r}")
     dirs = [s * e for e in np.eye(p) for s in (1.0, -1.0)]
     rng = np.random.default_rng(seed)
     while len(dirs) < count:

@@ -311,12 +311,12 @@ def _periods(periods, m):
 def _array(x, shape, what, dtype=complex):
     """x, any layout of prod(shape) numbers, as a finite array of that shape and
     dtype (complex or float); shape None is a square matrix of x's own size, a
-    scalar being 1 x 1.  Anything else (a shape that is not nonnegative
-    integers, the wrong size, an entry that is not a number, not finite, or not
-    real for a float dtype) is a ValidationError naming `what`."""
-    if shape is not None and not all(isinstance(n, (int, np.integer)) and n >= 0
+    scalar being 1 x 1.  Anything else (a shape that is not positive integers,
+    the wrong size, an entry that is not a number, not finite, or not real for a
+    float dtype) is a ValidationError naming `what`."""
+    if shape is not None and not all(isinstance(n, (int, np.integer)) and n >= 1
                                      for n in shape):
-        raise ValidationError(f"{what} needs a shape of nonnegative integers, not {shape}")
+        raise ValidationError(f"{what} needs a shape of positive integers, not {shape}")
     try:
         a = np.asarray(x, dtype=complex)
     except (TypeError, ValueError, OverflowError):

@@ -151,7 +151,13 @@ class SymTensor:
     def __post_init__(self):
         shape = (len(multi_indices(self.m, self.p)), len(multi_indices(self.m, self.q)),
                  self.d, self.d)
-        object.__setattr__(self, "entries", _array(self.entries, shape, "SymTensor entries"))
+        e = _array(self.entries, shape, "SymTensor entries")
+        # _array reads any layout; a misordered block of the right size is refused here
+        if np.shape(self.entries) != shape:
+            raise ValidationError(
+                f"entries shape {np.shape(self.entries)} != {shape} "
+                f"for (m={self.m}, p={self.p}, q={self.q}, d={self.d})")
+        object.__setattr__(self, "entries", e)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +354,16 @@ class PotentialJet:
         if self.cutoff < 0:
             raise ValidationError("potential cutoff must be nonnegative")
         m, d = self.m, self.d
-        Q = _array(self.Q, (math.comb(m + self.cutoff, m), d, d), "Q")
+        # curvature first: its shape check vets m and d before math.comb sees them
         curv = _array(self.curvature, (m, m, d, d), "curvature")
+        shape = (math.comb(m + self.cutoff, m), d, d)
+        Q = _array(self.Q, shape, "Q")
+        # _array reads any layout; a (d, d, N) Q or a transposed curvature is refused here
+        if np.shape(self.Q) != shape:
+            raise ValidationError(f"Q shape {np.shape(self.Q)} != {shape} "
+                                  f"for (m={m}, cutoff={self.cutoff}, d={d})")
+        if np.shape(self.curvature) != curv.shape:
+            raise ValidationError("curvature must have shape (m, m, d, d)")
         _require(curv, -curv.transpose(1, 0, 2, 3),
                  "curvature must be antisymmetric in base indices")
         _require(curv, -np.conj(curv.transpose(0, 1, 3, 2)),

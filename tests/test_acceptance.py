@@ -227,7 +227,7 @@ def test_criterion_11_algebraic_residual_suites():
     for sym in (nl.laplace_symbol(3, d=2), nl.one_form_symbol(2, 1.0),
                 nl.one_form_symbol(3, 0.6)):
         spec = nl.eigenstructure(sym)
-        dirs = unit_directions(sym.m, 24, 20260416)
+        dirs = unit_directions(sym.m, *nl._DIRECTIONS)
         P = spec.projectors_batch(dirs)
         eye = np.eye(sym.d)
         for n in range(dirs.shape[0]):

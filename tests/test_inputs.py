@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heatkern import nonlaplace as nl, oblique as ob, spectra, symmspace as ss, tensorcalc as tc
+from heatkern import (nonlaplace as nl, oblique as ob, quadrature, spectra, symmspace as ss,
+                      tensorcalc as tc)
 from heatkern.errors import ValidationError
 
 Z2 = np.zeros((2, 2))
@@ -85,12 +86,43 @@ def test_probe_is_validation_error(site, value):
 @pytest.mark.parametrize("call", [
     lambda: nl.LeadingSymbol(-1, 1, [1.0]),
     lambda: nl.LeadingSymbol(2.0, 1, np.eye(2)),
+    lambda: nl.LeadingSymbol(0, 1, []),
+    lambda: nl.laplace_symbol(0),
+    lambda: nl.LeadingSymbol(2, 0, []),
     lambda: ob.ObliqueBoundaryData(2, -1, [0.0], [0.0]),
+    lambda: ob.ObliqueBoundaryData(2, 0, [], []),
     lambda: ss.ConstantFieldStrength(-2, [0.0] * 4),
-], ids=["symbol-m-negative", "symbol-m-float", "oblique-d-negative", "field-m-negative"])
+    lambda: ss.ConstantFieldStrength(0, []),
+    lambda: ss.SymmetricSpaceData(m=2, p=0, E=[], beta=[]),
+    lambda: tc.PotentialJet(-1, 1, 2, [[[0.0]]], [[[[0.0]]]]),
+], ids=["symbol-m-negative", "symbol-m-float", "symbol-m-zero", "laplace-m-zero",
+        "symbol-d-zero", "oblique-d-negative", "oblique-d-zero", "field-m-negative",
+        "field-m-zero", "symmetric-p-zero", "potential-m-negative"])
 def test_bad_sizes_are_validation_errors(call):
-    # the sizes reach numpy's reshape, where they were a bare ValueError or TypeError
-    with pytest.raises(ValidationError, match="nonnegative integers"):
+    # the sizes reach numpy's reshape, where they were a bare ValueError or
+    # TypeError; a zero size would pass a check of an empty array
+    with pytest.raises(ValidationError, match="positive integers"):
+        call()
+
+
+def test_unit_directions_need_a_dimension():
+    # at p = 0 every normal draw has norm 0, so the sampler would never finish
+    with pytest.raises(ValidationError, match="p >= 1"):
+        quadrature.unit_directions(0, 24, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tc.PotentialJet(2, 2, 2, np.zeros((2, 2, 6)), np.zeros((2, 2, 2, 2))),
+    lambda: tc.PotentialJet(2, 2, 1, np.zeros(12), np.zeros((2, 2, 2, 2))),
+    lambda: tc.PotentialJet(3, 2, 0, np.zeros((1, 2, 2)), np.zeros((2, 2, 3, 3))),
+    lambda: tc.SymTensor(2, 0, 1, 1, np.zeros((2, 1, 1, 1))),
+    lambda: tc.SymTensor(2, 0, 1, 1, np.zeros(2)),
+], ids=["Q-fiber-first", "Q-flat", "curvature-transposed", "entries-misordered",
+        "entries-flat"])
+def test_taylor_arrays_need_their_exact_shape(call):
+    # these hold Taylor coefficients by position: a block of the right size in
+    # another layout would be misread, so it is refused, not reshaped
+    with pytest.raises(ValidationError, match="shape"):
         call()
 
 

@@ -49,12 +49,12 @@ def test_symbol_matrix_batch_agrees_with_single():
 
 
 def test_default_directions():
-    dirs = unit_directions(3, 24, 20260416)
+    dirs = unit_directions(3, *nl._DIRECTIONS)
     assert dirs.shape == (24, 3)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
     assert np.allclose(dirs[:6], np.array(
         [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]))
-    assert np.array_equal(dirs, unit_directions(3, 24, 20260416))
+    assert np.array_equal(dirs, unit_directions(3, *nl._DIRECTIONS))
 
 
 def test_eigenstructure_laplace():
@@ -88,7 +88,7 @@ def test_eigenstructure_direction_validation():
     sym = nl.laplace_symbol(2)
     with pytest.raises(ValidationError):
         nl.eigenstructure(sym, directions=np.eye(2))      # too few
-    bad = unit_directions(2, 24, 20260416).copy()
+    bad = unit_directions(2, *nl._DIRECTIONS).copy()
     bad[5] *= 1.5
     with pytest.raises(ValidationError):
         nl.eigenstructure(sym, directions=bad)
@@ -110,7 +110,7 @@ def test_projectors_radial_channel():
 def test_projector_algebra_residuals():
     sym = nl.one_form_symbol(3, 0.5)
     spec = nl.eigenstructure(sym)
-    dirs = unit_directions(3, 24, 20260416)
+    dirs = unit_directions(3, *nl._DIRECTIONS)
     P = spec.projectors_batch(dirs)
     eye = np.eye(3)
     for n in range(dirs.shape[0]):
@@ -129,7 +129,7 @@ def test_projectors_reject_foreign_spectrum():
     alien = nl.SymbolSpectrum(symbol=striped_symbol(), s=spec.s,
                               mu=spec.mu, mult=spec.mult)
     with pytest.raises(StructureError):
-        alien.projectors_batch(unit_directions(2, 24, 20260416))
+        alien.projectors_batch(unit_directions(2, *nl._DIRECTIONS))
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,13 @@ def test_constructor_validation():
 
 
 def test_boundary_directions():
-    d1 = unit_directions(1, 50, 20260417)
+    d1 = unit_directions(1, *ob._DIRECTIONS)
     assert d1.shape == (50, 1)
     assert set(np.unique(d1)) == {-1.0, 1.0}
-    d2 = unit_directions(2, 50, 20260417)
+    d2 = unit_directions(2, *ob._DIRECTIONS)
     assert d2.shape == (50, 2)
     assert np.allclose(np.linalg.norm(d2, axis=1), 1.0)
-    assert np.array_equal(d2, unit_directions(2, 50, 20260417))
+    assert np.array_equal(d2, unit_directions(2, *ob._DIRECTIONS))
 
 
 def test_strong_ellipticity_pauli():
@@ -86,7 +86,7 @@ def test_violating_direction_violates():
     # the worst sample, -e_1, is moved last, and the reported direction is the worst
     data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
                                   Gamma=(np.diag([1.5j, 0.0]), np.zeros((2, 2))))
-    d = unit_directions(2, 50, 20260417)
+    d = unit_directions(2, *ob._DIRECTIONS)
     dirs = np.concatenate([d[2:], d[:2]])
     v = ob.strong_ellipticity(data, directions=dirs)
     assert not v.elliptic
@@ -111,7 +111,7 @@ def test_strong_ellipticity_finds_an_arc_between_samples(angle):
     # every one of the 50 samples misses the arc, so a verdict on the samples alone
     # would call these elliptic
     data = rotated_diagonal_data(0.7072, angle)
-    omega = unit_directions(2, 50, 20260417)
+    omega = unit_directions(2, *ob._DIRECTIONS)
     lam = np.linalg.eigvalsh(np.eye(2) - 1j * data.gamma_dot(omega))[:, 0]
     assert np.min(lam) > 1e-4
     v = ob.strong_ellipticity(data)
@@ -136,7 +136,7 @@ def test_rank_one_gamma_past_the_cone_is_a_domain_error(angle):
 def test_strong_ellipticity_direction_validation():
     with pytest.raises(ValidationError):
         ob.strong_ellipticity(pauli_data(0.3), directions=np.eye(2))
-    bad = unit_directions(2, 50, 20260417).copy()
+    bad = unit_directions(2, *ob._DIRECTIONS).copy()
     bad[7] *= 2.0
     with pytest.raises(ValidationError):
         ob.strong_ellipticity(pauli_data(0.3), directions=bad)
