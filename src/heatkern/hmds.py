@@ -6,24 +6,15 @@ about the base point.  The conjugated operator
     L = P^{-1} Delta^{-1/2} F Delta^{1/2} P,
     F f = -g^{-1/2} (d_mu + A_mu) (g^{1/2} g^{mu nu} (d_nu + A_nu) f) + Q f,
 
-is second order, L = a^{mu nu} d_mu d_nu + b^mu d_mu + c.  Applying L once,
-batched, to the test monomials 1, y_mu, y_mu y_nu gives a, b and c (c = L 1,
-b^mu = L y_mu - c y_mu, ...).
+is second order, so the degree-<= c part of L P reads the degree-<= c + 2
+part of P only.
 
 Polynomials are dense arrays over the monomials y^alpha of degree <= cutoff + 2
-(`tensorcalc._Basis`), and the operator jet is one matrix on the monomials of
-degree <= cutoff,
-
-    M[beta, alpha] = coefficient of y^beta in L y^alpha
-                   = sum_gamma W[gamma, alpha] K_gamma[beta - alpha + gamma],
-
-where K_gamma is the coefficient of d^gamma in L (c, b^mu, a^{mu mu} or
-2 a^{mu nu}) and W[gamma, alpha] = alpha!/(alpha - gamma)! is one integer table
-over |gamma| <= 2 and the whole basis, 0 unless alpha >= gamma.  W peels the
-K_gamma off L applied to the test monomials y^gamma, and each K_gamma fills
-every column it reaches with one gather.  L takes two derivatives, so a, b and c
-stay exact through degree cutoff, which is every coefficient M reads; and
-M[beta, alpha] vanishes unless |alpha| <= |beta| + 2.
+(`tensorcalc._Basis`), and the operator jet is L itself on that basis:
+`OperatorJet.apply` holds the metric series, the connection and Q, and applies
+L to a batch of polynomials at once.  Its metric series are exact through
+degree cutoff + 2, so L P is exact through degree cutoff whenever P is exact
+through cutoff + 2.
 
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
@@ -43,11 +34,12 @@ The recursion itself is
     a_0 = I,     (1 + D/k) a_k = L a_{k-1},
 
 with D the Euler (degree-counting) operator.  On monomial coefficients it is
-one matrix product and one per-degree scale per k,
+one application of L and one per-degree scale per k,
 
-    a_k[beta] = k/(k + |beta|) sum_alpha M[beta, alpha] a_{k-1}[alpha],
+    a_k[beta] = k/(k + |beta|) (L a_{k-1})[beta],
 
-and the trace coefficients are A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
+so a_{k-1} exact through degree c + 2 gives a_k exact through c, and the trace
+coefficients are A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
 
 HeatTraceExpansion.evaluate takes t as spectra's oracles do: a positive scalar
 gives a float, a non-empty 1-D array an array, any other t a ValidationError.
@@ -84,6 +76,10 @@ def _cov(B, conn, mu, P):
     out = B.up_weight[mu, :, None, None] * _pad(P)[..., B.up[mu, :B.N], :, :]
     return out if conn is None else out + _times(B, conn[mu], P)
 
+def _times_y(B, mu, P):
+    """y^mu P."""
+    return _pad(P)[..., B.down[mu, :B.N], :, :]
+
 def _metric_series(geom, deg):
     """det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as series in w = |y|^2,
     exact through degree deg in y."""
@@ -98,17 +94,42 @@ def _metric_series(geom, deg):
 
 @dataclass(frozen=True)
 class OperatorJet:
-    """L on the monomials of degree <= cutoff: M[beta, alpha] is the y^beta
-    coefficient of L y^alpha, shape (N, N, d, d) in `_Basis` order."""
+    """L on polynomials over `basis` = `_basis(m, cutoff + 2)`.
+
+    `series` holds det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as w-series
+    without trailing zeros; `connection` is None or the (m, N_B, d, d)
+    coefficients of A_mu; Q is (N_B, d, d), complex when a connection is
+    present or Q is, real otherwise.
+    """
 
     m: int
     d: int
     cutoff: int
-    M: np.ndarray = field(repr=False)
+    series: tuple = field(repr=False)
+    connection: np.ndarray | None = field(repr=False)
+    Q: np.ndarray = field(repr=False)
+    basis: _Basis = field(repr=False, compare=False)
+
+    def apply(self, P):
+        """L P for coefficient arrays P of shape (..., N_B, d, d); the result
+        is exact through degree cutoff when P is exact through cutoff + 2."""
+        B, conn, m = self.basis, self.connection, self.m
+        P = np.asarray(P)
+        if P.shape[-3:] != (B.N, self.d, self.d):
+            raise ValidationError(f"operator jet acts on (..., {B.N}, {self.d}, {self.d}) "
+                                  f"arrays, not {P.shape}")
+        P = P.astype(np.result_type(P, self.Q), copy=False)
+        vanvleck, flux_diag, flux_outer = self.series
+        u = _radial_times(B, vanvleck, P)
+        G = [_cov(B, conn, nu, u) for nu in range(m)]
+        hS = _radial_times(B, flux_outer, sum(_times_y(B, nu, G[nu]) for nu in range(m)))
+        flux = sum(_cov(B, conn, mu, _radial_times(B, flux_diag, G[mu]) + _times_y(B, mu, hS))
+                   for mu in range(m))
+        return _times(B, self.Q, P) - _radial_times(B, vanvleck, flux)
 
 
 def build_operator_jet(geom, pot, cutoff):
-    """Matrix of the conjugated operator on the given geometry."""
+    """The conjugated operator on the given geometry, exact through `cutoff`."""
     if geom.m != pot.m:
         raise ValidationError("geometry and potential dimensions differ")
     if cutoff < 0:
@@ -118,8 +139,9 @@ def build_operator_jet(geom, pot, cutoff):
             f"input jets support order {min(geom.cutoff, pot.cutoff)} < requested {cutoff}")
     m, d = geom.m, pot.d
     B = _basis(m, cutoff + 2)
-
-    vanvleck, flux_diag, flux_outer = _metric_series(geom, B.deg)
+    # trimmed once here, so no Horner step of `apply` multiplies by a zero
+    series = tuple(np.trim_zeros(np.asarray(s, dtype=float), "b")
+                   for s in _metric_series(geom, B.deg))
     conn = None
     if np.any(pot.curvature):
         # A_mu = -1/2 R_{mu alpha} y^alpha; y^alpha sits at position 1 + alpha
@@ -129,53 +151,7 @@ def build_operator_jet(geom, pot, cutoff):
     Q[:len(pot.Q)] = pot.Q[:B.N]
     if conn is None and not Q.imag.any():
         Q = Q.real                        # then every polynomial is real
-
-    def times_y(nu, P):
-        return _pad(P)[..., B.down[nu, :B.N], :, :]
-
-    def apply_L(phi):
-        u = _radial_times(B, vanvleck, phi)
-        G = [_cov(B, conn, nu, u) for nu in range(m)]
-        hS = _radial_times(B, flux_outer, sum(times_y(nu, G[nu]) for nu in range(m)))
-        flux = sum(_cov(B, conn, mu, _radial_times(B, flux_diag, G[mu]) + times_y(mu, hS))
-                   for mu in range(m))
-        return _times(B, Q, phi) - _radial_times(B, vanvleck, flux)
-
-    # L = sum_{|gamma| <= 2} K_gamma d^gamma, so K_gamma is c, b^mu, a^{mu mu} or
-    # 2 a^{mu nu} (mu < nu).  Apply L to the test monomials y^gamma (the first nt
-    # basis elements) and peel off the lower orders.  W[gamma, alpha] =
-    # alpha!/(alpha - gamma)! has at most two factors per axis: gamma_mu <= 2.
-    nt = B.offsets[3]
-    gam, expo = B.expo[:nt, None], B.expo[None]
-    W = np.prod(np.where(gam > 0, expo, 1) * np.where(gam > 1, expo - 1, 1), axis=-1)
-    Lphi = apply_L((np.eye(nt, B.N)[:, :, None, None] * np.eye(d)).astype(Q.dtype))
-    K = Lphi.copy()
-    for t in range(nt):
-        for s in range(t):
-            if W[s, t]:                                # y^gamma_s divides y^gamma_t
-                K[t] -= W[s, t] * _pad(K[s])[B.quot[B.quot[s, t]]]
-        K[t] /= W[t, t]
-
-    # Columns of order <= 2 are the test monomials' images L y^gamma; each
-    # other column alpha sums W[gamma, alpha] K_gamma[beta - alpha + gamma]
-    # over the gamma <= alpha, in gamma order.  beta - alpha + gamma =
-    # beta / y^{alpha-gamma} has degree <= |beta| <= cutoff, where K is exact.
-    N = B.offsets[cutoff + 1]
-    M = np.zeros((N, N, d, d), dtype=K.dtype)
-    M[:, :nt] = Lphi[:N, :N].swapaxes(0, 1)
-    Kpad = _pad(K)
-    for t in np.flatnonzero(K.any(axis=(1, 2, 3))):   # a zero K_gamma adds nothing
-        alpha = nt + np.flatnonzero(W[t, nt:N])
-        image = Kpad[t, B.quot[B.quot[t, alpha], :N].T]
-        image *= W[t, alpha, None, None]
-        M[:, alpha] += image
-
-    # sparsity: degree counting makes M[beta, alpha] vanish for |alpha| > |beta| + 2
-    deg = B.degree[:N]
-    if np.any(np.abs(M[deg[:, None] + 2 < deg[None, :]]) > 1e-13):
-        raise ValidationError("sparsity violation in operator jet (internal)")
-
-    return OperatorJet(m=m, d=d, cutoff=cutoff, M=M)
+    return OperatorJet(m=m, d=d, cutoff=cutoff, series=series, connection=conn, Q=Q, basis=B)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +190,19 @@ def hmds_coefficients(jet, kmax, cutoff):
     if cutoff + 2 * kmax > jet.cutoff:
         raise ValidationError(
             f"need jet capacity {cutoff + 2 * kmax}, operator jet has {jet.cutoff}")
-    B = _basis(jet.m, jet.cutoff + 2)
+    B = jet.basis
     cut = cutoff + 2 * kmax
-    a = np.zeros((B.offsets[cut + 1], jet.d, jet.d), dtype=jet.M.dtype)
+    a = np.zeros((B.offsets[cut + 1], jet.d, jet.d), dtype=jet.Q.dtype)
     a[0] = np.eye(jet.d)
     out = [HmdsCoefficient(0, cut, a, B)]
     for k in range(1, kmax + 1):
         cut -= 2
         nr = B.offsets[cut + 1]
-        a = (k / (k + B.degree[:nr]))[:, None, None] \
-            * np.einsum("baij,ajk->bik", jet.M[:nr, :len(a)], a)
+        padded = np.zeros((B.N, jet.d, jet.d), dtype=a.dtype)
+        padded[:len(a)] = a
+        # an overflow is reported once, as the NumericError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (k / (k + B.degree[:nr]))[:, None, None] * jet.apply(padded)[:nr]
         if not np.all(np.isfinite(a)):
             raise NumericError(f"heat coefficient a_{k} is not finite")
         out.append(HmdsCoefficient(k, cut, a, B))

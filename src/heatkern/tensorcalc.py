@@ -120,8 +120,9 @@ def _times(B, C, P):
 
 def _radial_times(B, series, P):
     """sum_k series[k] |y|^{2k} P, truncated at deg, by Horner's rule in w = |y|^2:
-    out = c_k P + sum_mu y_mu^2 out, after dropping trailing zero coefficients."""
-    c = np.trim_zeros(np.asarray(series[:B.deg // 2 + 1], dtype=float), "b")
+    out = c_k P + sum_mu y_mu^2 out.  Each trailing zero of the series costs a
+    step, so a caller that reuses a series trims it once."""
+    c = np.asarray(series[:B.deg // 2 + 1], dtype=float)
     out = c[-1] * P if len(c) else np.zeros_like(P)
     for ck in c[-2::-1]:
         pad = _pad(out)

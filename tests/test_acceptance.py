@@ -12,6 +12,7 @@ from heatkern import (formfactors, hmds, nonlaplace as nl, oblique as ob,
                       spectra, symmspace as ss, tensorcalc as tc, zaremba as za)
 from heatkern.errors import DomainError
 from heatkern.quadrature import unit_directions
+from test_hmds import jet_matrix
 
 
 def _report(num, label, ok, detail):
@@ -215,11 +216,11 @@ def test_criterion_11_algebraic_residual_suites():
         pot = tc.PotentialJet.constant(m, 1, q * np.eye(1), cutoff=cap)
         jet = hmds.build_operator_jet(geom, pot, cap)
         coeffs = hmds.hmds_coefficients(jet, kmax, cutoff)
-        expo = hmds._basis(m, cap + 2).expo
+        expo, M = jet.basis.expo, jet_matrix(jet)
         for prev, cur in zip(coeffs, coeffs[1:]):
             a, b = prev.coeffs, cur.coeffs
             lhs = (1.0 + expo[:len(b)].sum(axis=1) / cur.order)[:, None, None] * b
-            rhs = np.matmul(jet.M[:len(b), :len(a)], a[None]).sum(axis=1)
+            rhs = np.matmul(M[:len(b), :len(a)], a[None]).sum(axis=1)
             worst_rec = max(worst_rec, float(np.max(np.abs(lhs - rhs))))
 
     # nonlaplace projector algebra on every fixture

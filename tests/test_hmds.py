@@ -1,6 +1,7 @@
 """Recursion residuals, frozen sphere coefficients, and shift identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,14 +29,24 @@ FIXTURES = [
 ]
 
 
+def jet_matrix(jet):
+    """M[beta, alpha], the y^beta coefficient of L y^alpha over the monomials of
+    degree <= jet.cutoff, shape (N, N, d, d): column alpha is `jet.apply` on
+    the unit monomial y^alpha (times the identity block)."""
+    B, d = jet.basis, jet.d
+    N = B.offsets[jet.cutoff + 1]
+    units = np.eye(N, B.N)[:, :, None, None] * np.eye(d)
+    return jet.apply(units)[:, :N].swapaxes(0, 1)
+
+
 def recursion_residual(jet, coeffs):
     """max |(1 + D/k) a_k - L a_{k-1}| over k and every stored monomial coefficient."""
-    expo = hmds._basis(jet.m, jet.cutoff + 2).expo
+    expo, M = jet.basis.expo, jet_matrix(jet)
     worst = 0.0
     for prev, cur in zip(coeffs, coeffs[1:]):
         a, b = prev.coeffs, cur.coeffs
         lhs = (1.0 + expo[:len(b)].sum(axis=1) / cur.order)[:, None, None] * b
-        rhs = np.matmul(jet.M[:len(b), :len(a)], a[None]).sum(axis=1)
+        rhs = np.matmul(M[:len(b), :len(a)], a[None]).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -130,8 +141,8 @@ def test_flat_matrix_potential_exponentiates():
 
 
 def degree_gap(jet):
-    """|alpha| - |beta| at every entry M[beta, alpha]."""
-    deg = hmds._basis(jet.m, jet.cutoff + 2).degree[:len(jet.M)]
+    """|alpha| - |beta| at every entry M[beta, alpha] of `jet_matrix`."""
+    deg = jet.basis.degree[:jet.basis.offsets[jet.cutoff + 1]]
     return deg[None, :] - deg[:, None]
 
 
@@ -142,9 +153,9 @@ def test_operator_jet_band_structure():
     geom = tc.build_model_geometry("flat", 2, cutoff=cap)
     pot = tc.PotentialJet.constant(2, 1, [[0.7]], cutoff=cap)
     jet = hmds.build_operator_jet(geom, pot, cap)
-    band = degree_gap(jet)
-    assert not jet.M[(band != 0) & (band != 2)].any()
-    assert jet.M[band == 0].any() and jet.M[band == 2].any()
+    band, M = degree_gap(jet), jet_matrix(jet)
+    assert not M[(band != 0) & (band != 2)].any()
+    assert M[band == 0].any() and M[band == 2].any()
 
 
 def test_sphere_band_respects_sparsity():
@@ -152,7 +163,7 @@ def test_sphere_band_respects_sparsity():
     geom = tc.build_model_geometry("sphere", 2, cutoff=cap, radius=1.0)
     pot = tc.PotentialJet.zero(2, cutoff=cap)
     jet = hmds.build_operator_jet(geom, pot, cap)
-    assert not jet.M[degree_gap(jet) > 2].any()
+    assert not jet_matrix(jet)[degree_gap(jet) > 2].any()
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +352,9 @@ def test_operator_jet_matches_symbolic_expansion(m, cutoff, radius, q, field):
     pot = polynomial_potential(m, cutoff, q, curvature=curv)
     jet = hmds.build_operator_jet(geom, pot, cutoff)
     want = symbolic_operator_jet(m, cutoff, radius, q, field)
-    assert jet.M.shape == want.shape + (1, 1)
-    got = jet.M[:, :, 0, 0]
+    got = jet_matrix(jet)
+    assert got.shape == want.shape + (1, 1)
+    got = got[:, :, 0, 0]
     offsets = hmds._basis(m, cutoff + 2).offsets
     # entry by entry, relative to its block of degrees (|beta|, |alpha|), or to
     # the whole matrix for a block that is exactly 0
@@ -408,8 +420,8 @@ def test_flat_matrix_potential_second_coefficient():
     ("flat", 2, 2, 3, dict(volume=1.0, field=0.7)),
 ])
 def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
-    # the jet is one matrix M[beta, alpha] over the N monomials of degree <=
-    # cutoff; it is real unless a connection is present
+    # the jet applies L to (..., N_B, d, d) arrays over the monomials of degree
+    # <= cutoff + 2; L P is real unless a connection is present
     geo = dict(geo)
     field = geo.pop("field", None)
     curv = None
@@ -420,8 +432,54 @@ def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
     geom = tc.build_model_geometry(kind, m, cutoff=cutoff, **geo)
     pot = tc.PotentialJet.constant(m, d, 0.4 * np.eye(d), curvature=curv, cutoff=cutoff)
     jet = hmds.build_operator_jet(geom, pot, cutoff)
-    N = sum(len(tc.multi_indices(m, n)) for n in range(cutoff + 1))
-    assert (jet.m, jet.d, jet.cutoff) == (m, d, cutoff)
-    assert jet.M.shape == (N, N, d, d)
-    assert jet.M.dtype == (float if field is None else complex)
-    assert jet.M.flags.c_contiguous
+    N = sum(len(tc.multi_indices(m, n)) for n in range(cutoff + 3))
+    assert (jet.m, jet.d, jet.cutoff, jet.basis.N) == (m, d, cutoff, N)
+    P = np.ones((3, N, d, d))
+    LP = jet.apply(P)
+    assert LP.shape == P.shape
+    assert LP.dtype == (float if field is None else complex)
+    with pytest.raises(ValidationError, match="operator jet acts on"):
+        jet.apply(P[:, 1:])
+
+
+@pytest.mark.parametrize("kind,m,d,kmax,geo", [
+    ("sphere", 2, 1, 4, dict(radius=1.0)),
+    ("sphere", 3, 1, 4, dict(radius=1.4)),
+    ("sphere", 4, 1, 4, dict(radius=0.9)),
+    ("torus", 2, 1, 4, dict(periods=(2 * math.pi, 4.0))),
+    ("flat", 2, 2, 3, dict(volume=1.0, field=0.7)),
+])
+def test_recursion_is_the_matrix_product(kind, m, d, kmax, geo):
+    # a_k = k/(k + |beta|) M a_{k-1}, with M assembled column by column, to
+    # rounding on every stored coefficient
+    geo = dict(geo)
+    field = geo.pop("field", None)
+    curv = None
+    if field is not None:
+        curv = np.zeros((m, m, d, d), dtype=complex)
+        curv[0, 1] = 1j * field * np.eye(d)
+        curv[1, 0] = -curv[0, 1]
+    Q0 = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]])[:d, :d]
+    cap = 2 * kmax
+    geom = tc.build_model_geometry(kind, m, cutoff=cap, **geo)
+    pot = tc.PotentialJet.constant(m, d, Q0, curvature=curv, cutoff=cap)
+    jet = hmds.build_operator_jet(geom, pot, cap)
+    coeffs = hmds.hmds_coefficients(jet, kmax, 0)
+    M, degree = jet_matrix(jet), jet.basis.degree
+    for prev, cur in zip(coeffs, coeffs[1:]):
+        a, b = prev.coeffs, cur.coeffs
+        want = (cur.order / (cur.order + degree[:len(b)]))[:, None, None] \
+            * np.matmul(M[:len(b), :len(a)], a[None]).sum(axis=1)
+        assert np.max(np.abs(b - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_overflowing_potential_is_one_numeric_error():
+    # a_2 = Q^2 leaves the float range: the recursion reports that once, as a
+    # NumericError, and numpy warns nothing
+    geom = tc.build_model_geometry("flat", 2, cutoff=4)
+    pot = tc.PotentialJet.constant(2, 1, [[1e300]], cutoff=4)
+    jet = hmds.build_operator_jet(geom, pot, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="a_2 is not finite"):
+            hmds.hmds_coefficients(jet, kmax=2, cutoff=0)
