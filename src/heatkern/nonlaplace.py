@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EllipticityError, StructureError, ValidationError
 from .quadrature import sphere_average, unit_directions
 from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _periods, _require,
-                      _scalar_t)
+                      _scalar_t, _vectors)
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -117,8 +117,8 @@ def eigenstructure(sym, directions=None):
     """
     if directions is None:
         directions = unit_directions(sym.m, *_DIRECTIONS)
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[0] < 20 or dirs.shape[1] != sym.m:
+    dirs = _vectors(directions, sym.m, "directions")
+    if len(dirs) < 20:
         raise ValidationError("need at least 20 unit directions of dimension m")
     norms = np.linalg.norm(dirs, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-12:

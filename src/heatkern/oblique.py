@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
 from .quadrature import sphere_average, unit_directions
-from .spectra import _array, _require
+from .spectra import _array, _require, _vectors
 
 _ASCENT_STEPS = 20
 _DIRECTIONS = (50, 20260417)    # count and seed of strong_ellipticity's default sample
@@ -96,8 +96,8 @@ def strong_ellipticity(data, directions=None):
     p = data.m - 1
     if directions is None:
         directions = unit_directions(p, *_DIRECTIONS)
-    dirs = np.asarray(directions, dtype=float).reshape(-1, p)
-    if dirs.shape[0] < 50:
+    dirs = _vectors(directions, p, "directions")
+    if len(dirs) < 50:
         raise ValidationError("need at least 50 boundary covectors")
     if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
         raise ValidationError("covectors must be unit length")

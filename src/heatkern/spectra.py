@@ -308,15 +308,20 @@ def _periods(periods, m):
     return periods
 
 
+def _sizes(sizes, what):
+    """A ValidationError naming `what` unless every size is a positive integer."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
+        raise ValidationError(f"{what} needs a shape of positive integers, not {tuple(sizes)}")
+
+
 def _array(x, shape, what, dtype=complex):
     """x, any layout of prod(shape) numbers, as a finite array of that shape and
     dtype (complex or float); shape None is a square matrix of x's own size, a
     scalar being 1 x 1.  Anything else (a shape that is not positive integers,
     the wrong size, an entry that is not a number, not finite, or not real for a
     float dtype) is a ValidationError naming `what`."""
-    if shape is not None and not all(isinstance(n, (int, np.integer)) and n >= 1
-                                     for n in shape):
-        raise ValidationError(f"{what} needs a shape of positive integers, not {shape}")
+    if shape is not None:
+        _sizes(shape, what)
     try:
         a = np.asarray(x, dtype=complex)
     except (TypeError, ValueError, OverflowError):
@@ -336,6 +341,16 @@ def _array(x, shape, what, dtype=complex):
     return a.reshape(shape)
 
 
+def _vectors(x, dim, what):
+    """x, a sequence of vectors of dim numbers each, as a finite real (count, dim)
+    array; anything else is a ValidationError naming `what`."""
+    try:
+        count = len(x)
+    except TypeError:                     # a scalar is at most one vector
+        count = 1
+    return _array(x, (max(count, 1), dim), what, float)
+
+
 def _require(a, b, message):
     """A ValidationError(message) unless a and b agree to 1e-12 at every entry;
     a NaN entry never agrees."""
@@ -349,7 +364,10 @@ def _modes(modes, m, shape, what, flip, relation):
     of magnitude at most MAX_AMPLITUDE, and mode -n holds flip(block of mode n)."""
     out = {}
     for key, amp in modes.items():
-        n = (key,) if isinstance(key, int) else tuple(int(x) for x in key)
+        n = key if isinstance(key, tuple) else (key,)
+        if not all(isinstance(x, (int, np.integer)) for x in n):
+            raise ValidationError(f"{what} mode {key!r} is not a tuple of integers")
+        n = tuple(int(x) for x in n)
         if len(n) != m:
             raise ValidationError(f"{what} mode {key!r} has wrong dimension")
         if any(abs(x) > MAX_MODE for x in n):

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ValidationError
-from .spectra import _array, _periods, _require
+from .spectra import _array, _periods, _require, _sizes
 
 MAX_CUTOFF = 8
 
@@ -375,6 +375,7 @@ class PotentialJet:
 
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):
+        _sizes((m, d), "PotentialJet")        # before math.comb and np.zeros read them
         Q = np.zeros((math.comb(m + max(cutoff, 0), m), d, d), dtype=complex)
         Q[0] = _array(Q0, (d, d), "Q0")
         if curvature is None:

@@ -52,6 +52,10 @@ SITES = {
                                                                         beta=[[1.0]])),
     "SymmetricSpaceData.beta": ((1, 1), lambda v: ss.SymmetricSpaceData(m=2, p=1, E=EPS[None],
                                                                         beta=v)),
+    "eigenstructure.directions": ((20, 2), lambda v: nl.eigenstructure(nl.laplace_symbol(2),
+                                                                       directions=v)),
+    "strong_ellipticity.directions": ((50, 1), lambda v: ob.strong_ellipticity(
+        ob.ObliqueBoundaryData(2, 2, Z2, (Z2,)), directions=v)),
 }
 
 # inputs that once ended in a bare numpy ValueError or LinAlgError, or that NaN got through
@@ -73,6 +77,8 @@ PROBES = [
     ("ObliqueBoundaryData.S", np.diag([0.0, NAN])),
     ("PotentialJet.curvature", np.full((2, 2, 2, 2), NAN)),
     ("ConstantFieldStrength.Q", [1.0, 2.0]),
+    ("eigenstructure.directions", "x"),
+    ("strong_ellipticity.directions", "x"),
 ]
 
 
@@ -95,14 +101,24 @@ def test_probe_is_validation_error(site, value):
     lambda: ss.ConstantFieldStrength(0, []),
     lambda: ss.SymmetricSpaceData(m=2, p=0, E=[], beta=[]),
     lambda: tc.PotentialJet(-1, 1, 2, [[[0.0]]], [[[[0.0]]]]),
+    lambda: tc.PotentialJet.constant(-1, 1, [[0.0]]),
+    lambda: tc.PotentialJet.constant(2.5, 1, [[0.0]]),
 ], ids=["symbol-m-negative", "symbol-m-float", "symbol-m-zero", "laplace-m-zero",
         "symbol-d-zero", "oblique-d-negative", "oblique-d-zero", "field-m-negative",
-        "field-m-zero", "symmetric-p-zero", "potential-m-negative"])
+        "field-m-zero", "symmetric-p-zero", "potential-m-negative", "constant-m-negative",
+        "constant-m-float"])
 def test_bad_sizes_are_validation_errors(call):
     # the sizes reach numpy's reshape, where they were a bare ValueError or
     # TypeError; a zero size would pass a check of an empty array
     with pytest.raises(ValidationError, match="positive integers"):
         call()
+
+
+@pytest.mark.parametrize("modes", [{(1.5,): 1.0, (-1.5,): 1.0}, {("x",): 1.0}])
+def test_mode_keys_are_integers(modes):
+    # int() once read 1.5 as the mode 1, and "x" ended in its bare ValueError
+    with pytest.raises(ValidationError, match="not a tuple of integers"):
+        spectra.FourierBackground(1, (1.0,), potential_modes=modes)
 
 
 def test_unit_directions_need_a_dimension():
