@@ -9,12 +9,11 @@ about the base point.  The conjugated operator
 is second order, so the degree-<= c part of L P reads the degree-<= c + 2
 part of P only.
 
-Polynomials are dense arrays over the monomials y^alpha of degree <= cutoff + 2
-(`tensorcalc._Basis`), and the operator jet is L itself on that basis:
-`OperatorJet.apply` holds the metric series, the connection and Q, and applies
-L to a batch of polynomials at once.  Its metric series are exact through
-degree cutoff + 2, so L P is exact through degree cutoff whenever P is exact
-through cutoff + 2.
+Polynomials are dense arrays over the monomials y^alpha of degree <= c
+(`tensorcalc._Basis`, a prefix of the one of degree cutoff + 2), and the
+operator jet is L itself: `OperatorJet.apply` holds the metric series, the
+connection and Q, and applies L to a batch of polynomials at once, exact
+through degree c - 2 whenever P is exact through c.
 
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
@@ -27,7 +26,7 @@ so det(g) = f^{m-1} and, with h = (1 - f^{-1})/w,
     sqrt(g) g^{mu nu} G_nu = sqrt(g) f^{-1} G_mu + y^mu sqrt(g) h sum_nu y^nu G_nu.
 
 L multiplies by det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h with Horner's rule
-in w and by y^mu with one gather; Delta^{+-1/2} commute with Q and cancel on it.
+in w and by y^mu with one gather for all mu; Delta^{+-1/2} commute with Q and cancel on it.
 
 The recursion itself is
 
@@ -38,8 +37,9 @@ one application of L and one per-degree scale per k,
 
     a_k[beta] = k/(k + |beta|) (L a_{k-1})[beta],
 
-so a_{k-1} exact through degree c + 2 gives a_k exact through c, and the trace
-coefficients are A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
+so a_{k-1} exact through degree c + 2 gives a_k exact through c, and L runs
+on that shrinking prefix only.  The trace coefficients are
+A_{2k} = (4 pi)^{-m/2} ((-1)^k / k!) vol tr a_k^diag.
 
 HeatTraceExpansion.evaluate takes t as spectra's oracles do: a positive scalar
 gives a float, a non-empty 1-D array an array, any other t a ValidationError.
@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spectra import _as_t, _like_t
+from .spectra import _as_t, _like_t, _sizes
 from .tensorcalc import (
     SymTensor,
     TaylorSeries,
@@ -62,7 +62,8 @@ from .tensorcalc import (
     _basis,
     _pad,
     _radial_times,
-    _series_pow,
+    _series_exp,
+    _series_log,
     _times,
 )
 
@@ -71,14 +72,18 @@ from .tensorcalc import (
 # operator jet
 # ---------------------------------------------------------------------------
 
-def _cov(B, conn, mu, P):
-    """(d_mu + A_mu) P."""
-    out = B.up_weight[mu, :, None, None] * _pad(P)[..., B.up[mu, :B.N], :, :]
-    return out if conn is None else out + _times(B, conn[mu], P)
+def _gather(table, P, diag=False):
+    """P through each row mu of an (m, N + 1) index map such as `down` (y^mu P),
+    stacked on axis -4; with diag, P is such a stack and row mu reads entry mu."""
+    at = (np.arange(len(table))[:, None],) if diag else ()
+    return _pad(P)[(..., *at, table[:, :-1], slice(None), slice(None))]
 
-def _times_y(B, mu, P):
-    """y^mu P."""
-    return _pad(P)[..., B.down[mu, :B.N], :, :]
+def _cov(B, conn, P, diag=False):
+    """(d_mu + A_mu) P for mu = 0..m-1, stacked as `_gather` does."""
+    out = B.up_weight[:, :, None, None] * _gather(B.up, P, diag)
+    for mu in range(B.m) if conn is not None else ():
+        out[..., mu, :, :, :] += _times(B, conn[mu, :B.N], P[..., mu, :, :, :] if diag else P)
+    return out
 
 def _metric_series(geom, deg):
     """det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as series in w = |y|^2,
@@ -87,14 +92,15 @@ def _metric_series(geom, deg):
     if len(geom.radial_profile) < nser and geom.kind == "sphere":
         raise ValidationError("geometry radial profile too short for requested cutoff")
     prof = list(geom.radial_profile) + [0.0] * nser
-    sqrtg, diag, vanvleck = (_series_pow(prof, s, nser)
+    log_f = _series_log(prof, nser)
+    sqrtg, diag, vanvleck = (_series_exp([s * c for c in log_f], nser)
                              for s in ((m - 1) / 2, (m - 3) / 2, (1 - m) / 4))
     return vanvleck, diag, [a - b for a, b in zip(sqrtg[1:], diag[1:])]
 
 
 @dataclass(frozen=True)
 class OperatorJet:
-    """L on polynomials over `basis` = `_basis(m, cutoff + 2)`.
+    """L on polynomials over each prefix of `basis` = `_basis(m, cutoff + 2)`.
 
     `series` holds det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as w-series
     without trailing zeros; `connection` is None or the (m, N_B, d, d)
@@ -111,29 +117,31 @@ class OperatorJet:
     basis: _Basis = field(repr=False, compare=False)
 
     def apply(self, P):
-        """L P for coefficient arrays P of shape (..., N_B, d, d); the result
-        is exact through degree cutoff when P is exact through cutoff + 2."""
-        B, conn, m = self.basis, self.connection, self.m
+        """L P for arrays P of shape (..., N_c, d, d) over `basis.prefix(c)`, N_c =
+        basis.offsets[c + 1]: exact through degree c - 2 when P is exact through c."""
+        offsets, m = self.basis.offsets, self.m
         P = np.asarray(P)
-        if P.shape[-3:] != (B.N, self.d, self.d):
-            raise ValidationError(f"operator jet acts on (..., {B.N}, {self.d}, {self.d}) "
-                                  f"arrays, not {P.shape}")
+        n = P.shape[-3] if P.ndim >= 3 else 0
+        if n not in offsets[1:] or P.shape[-2:] != (self.d, self.d):
+            raise ValidationError(f"operator jet acts on (..., N, {self.d}, {self.d}) arrays "
+                                  f"with N in {offsets[1:].tolist()}, not {P.shape}")
+        B, conn = self.basis.prefix(int(np.searchsorted(offsets, n)) - 1), self.connection
         P = P.astype(np.result_type(P, self.Q), copy=False)
         vanvleck, flux_diag, flux_outer = self.series
         u = _radial_times(B, vanvleck, P)
-        G = [_cov(B, conn, nu, u) for nu in range(m)]
-        hS = _radial_times(B, flux_outer, sum(_times_y(B, nu, G[nu]) for nu in range(m)))
-        flux = sum(_cov(B, conn, mu, _radial_times(B, flux_diag, G[mu]) + _times_y(B, mu, hS))
-                   for mu in range(m))
-        return _times(B, self.Q, P) - _radial_times(B, vanvleck, flux)
+        G = _cov(B, conn, u)
+        Y = _gather(B.down, G, diag=True)
+        hS = _radial_times(B, flux_outer, sum(Y[..., nu, :, :, :] for nu in range(m)))
+        T = _cov(B, conn, _radial_times(B, flux_diag, G) + _gather(B.down, hS), diag=True)
+        flux = sum(T[..., mu, :, :, :] for mu in range(m))
+        return _times(B, self.Q[:n], P) - _radial_times(B, vanvleck, flux)
 
 
 def build_operator_jet(geom, pot, cutoff):
     """The conjugated operator on the given geometry, exact through `cutoff`."""
     if geom.m != pot.m:
         raise ValidationError("geometry and potential dimensions differ")
-    if cutoff < 0:
-        raise ValidationError("cutoff must be nonnegative")
+    _sizes((cutoff,), "operator jet cutoff", least=0)
     if geom.cutoff < cutoff or pot.cutoff < cutoff:
         raise ValidationError(
             f"input jets support order {min(geom.cutoff, pot.cutoff)} < requested {cutoff}")
@@ -185,8 +193,7 @@ class HmdsCoefficient:
 
 def hmds_coefficients(jet, kmax, cutoff):
     """Solve the recursion; coefficient k is exact to order cutoff + 2(kmax-k)."""
-    if kmax < 0 or cutoff < 0:
-        raise ValidationError("kmax and cutoff must be nonnegative")
+    _sizes((kmax, cutoff), "hmds_coefficients (kmax, cutoff)", least=0)
     if cutoff + 2 * kmax > jet.cutoff:
         raise ValidationError(
             f"need jet capacity {cutoff + 2 * kmax}, operator jet has {jet.cutoff}")
@@ -198,11 +205,9 @@ def hmds_coefficients(jet, kmax, cutoff):
     for k in range(1, kmax + 1):
         cut -= 2
         nr = B.offsets[cut + 1]
-        padded = np.zeros((B.N, jet.d, jet.d), dtype=a.dtype)
-        padded[:len(a)] = a
         # an overflow is reported once, as the NumericError below
         with np.errstate(over="ignore", invalid="ignore"):
-            a = (k / (k + B.degree[:nr]))[:, None, None] * jet.apply(padded)[:nr]
+            a = (k / (k + B.degree[:nr]))[:, None, None] * jet.apply(a)[:nr]
         if not np.all(np.isfinite(a)):
             raise NumericError(f"heat coefficient a_{k} is not finite")
         out.append(HmdsCoefficient(k, cut, a, B))

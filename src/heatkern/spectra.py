@@ -308,10 +308,11 @@ def _periods(periods, m):
     return periods
 
 
-def _sizes(sizes, what):
-    """A ValidationError naming `what` unless every size is a positive integer."""
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in sizes):
-        raise ValidationError(f"{what} needs a shape of positive integers, not {tuple(sizes)}")
+def _sizes(sizes, what, least=1):
+    """A ValidationError naming `what` unless every size is an integer >= least."""
+    if not all(isinstance(n, (int, np.integer)) and n >= least for n in sizes):
+        want = "a shape of positive" if least else "nonnegative"
+        raise ValidationError(f"{what} needs {want} integers, not {tuple(sizes)}")
 
 
 def _array(x, shape, what, dtype=complex):

@@ -91,6 +91,27 @@ class _Basis:
             mu = next(a for a, e in enumerate(rows[i]) if e)
             quot[i] = self.down[mu, quot[self.down[mu, i]]]
         self.quot = quot[:, :N]
+        self._prefixes = {}
+
+    def prefix(self, c):
+        """The basis of degree c <= deg, cut from this one's tables: their first
+        N_c = offsets[c + 1] rows and columns, with every position past them
+        remapped to the outside marker N_c.  Kept per instance, so a prefix
+        lives as long as the basis it was cut from."""
+        if c == self.deg:
+            return self
+        if c not in self._prefixes:
+            n = int(self.offsets[c + 1])
+            p = _Basis.__new__(_Basis)
+            p.m, p.deg, p.N, p._prefixes = self.m, c, n, {}
+            p.expo, p.degree, p.fact = self.expo[:n], self.degree[:n], self.fact[:n]
+            p.offsets, p.up_weight = self.offsets[:c + 2], self.up_weight[:, :n]
+            p.down, p.up = (np.minimum(t[:, :n + 1], n) for t in (self.down, self.up))
+            p.down[:, n] = n                  # the parent's column n is a monomial
+            p.square = np.minimum(self.square[:, :n], n)
+            p.quot = np.minimum(self.quot[:n, :n], n).astype(np.min_scalar_type(n))
+            self._prefixes[c] = p
+        return self._prefixes[c]
 
 @lru_cache(maxsize=8)
 def _basis(m, deg):
@@ -214,9 +235,6 @@ def _series_exp(a, n):
             s += j * a[j] * ea[k - j]
         ea[k] = s / k
     return ea
-
-def _series_pow(a, alpha, n):
-    return _series_exp([alpha * c for c in _series_log(a, n)], n)
 
 
 def _sphere_profile(radius, nterms):
@@ -352,8 +370,7 @@ class PotentialJet:
     curvature: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValidationError("potential cutoff must be nonnegative")
+        _sizes((self.cutoff,), "PotentialJet cutoff", least=0)
         m, d = self.m, self.d
         # curvature first: its shape check vets m and d before math.comb sees them
         curv = _array(self.curvature, (m, m, d, d), "curvature")
@@ -376,7 +393,8 @@ class PotentialJet:
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):
         _sizes((m, d), "PotentialJet")        # before math.comb and np.zeros read them
-        Q = np.zeros((math.comb(m + max(cutoff, 0), m), d, d), dtype=complex)
+        _sizes((cutoff,), "PotentialJet cutoff", least=0)
+        Q = np.zeros((math.comb(m + cutoff, m), d, d), dtype=complex)
         Q[0] = _array(Q0, (d, d), "Q0")
         if curvature is None:
             curvature = np.zeros((m, m, d, d), dtype=complex)

@@ -442,28 +442,34 @@ def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
         jet.apply(P[:, 1:])
 
 
-@pytest.mark.parametrize("kind,m,d,kmax,geo", [
+TOWERS = [
     ("sphere", 2, 1, 4, dict(radius=1.0)),
     ("sphere", 3, 1, 4, dict(radius=1.4)),
     ("sphere", 4, 1, 4, dict(radius=0.9)),
     ("torus", 2, 1, 4, dict(periods=(2 * math.pi, 4.0))),
     ("flat", 2, 2, 3, dict(volume=1.0, field=0.7)),
-])
-def test_recursion_is_the_matrix_product(kind, m, d, kmax, geo):
-    # a_k = k/(k + |beta|) M a_{k-1}, with M assembled column by column, to
-    # rounding on every stored coefficient
-    geo = dict(geo)
-    field = geo.pop("field", None)
+]
+
+
+def field_jet(kind, m, d, cap, field=None, **geo):
+    """The operator jet of fixed test data, with a constant field i B eps_{01}
+    (times the identity block) when `field` is given."""
     curv = None
     if field is not None:
         curv = np.zeros((m, m, d, d), dtype=complex)
         curv[0, 1] = 1j * field * np.eye(d)
         curv[1, 0] = -curv[0, 1]
     Q0 = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]])[:d, :d]
-    cap = 2 * kmax
     geom = tc.build_model_geometry(kind, m, cutoff=cap, **geo)
     pot = tc.PotentialJet.constant(m, d, Q0, curvature=curv, cutoff=cap)
-    jet = hmds.build_operator_jet(geom, pot, cap)
+    return hmds.build_operator_jet(geom, pot, cap)
+
+
+@pytest.mark.parametrize("kind,m,d,kmax,geo", TOWERS)
+def test_recursion_is_the_matrix_product(kind, m, d, kmax, geo):
+    # a_k = k/(k + |beta|) M a_{k-1}, with M assembled column by column, to
+    # rounding on every stored coefficient
+    jet = field_jet(kind, m, d, 2 * kmax, **geo)
     coeffs = hmds.hmds_coefficients(jet, kmax, 0)
     M, degree = jet_matrix(jet), jet.basis.degree
     for prev, cur in zip(coeffs, coeffs[1:]):
@@ -471,6 +477,60 @@ def test_recursion_is_the_matrix_product(kind, m, d, kmax, geo):
         want = (cur.order / (cur.order + degree[:len(b)]))[:, None, None] \
             * np.matmul(M[:len(b), :len(a)], a[None]).sum(axis=1)
         assert np.max(np.abs(b - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind,m,d,geo", [
+    ("sphere", 3, 1, dict(radius=1.2)),
+    ("flat", 2, 2, dict(volume=1.0, field=0.7)),
+])
+def test_apply_on_a_prefix_is_apply_on_the_padded_array(kind, m, d, geo):
+    # P over the degree-c prefix gives, bit for bit through degree c - 2, what
+    # the whole basis gives on P padded with zeros
+    jet = field_jet(kind, m, d, 4, **geo)
+    B = jet.basis
+    rng = np.random.default_rng(3)
+    full = rng.standard_normal((2, B.N, d, d)) + 1j * rng.standard_normal((2, B.N, d, d))
+    for c in range(B.deg + 1):
+        n = B.offsets[c + 1]
+        padded = np.zeros_like(full)
+        padded[:, :n] = full[:, :n]
+        got, want = jet.apply(full[:, :n]), jet.apply(padded)
+        assert got.shape == (2, n, d, d)
+        keep = B.offsets[c - 1] if c >= 1 else 0
+        assert np.array_equal(got[:, :keep], want[:, :keep]), c
+        for bad in (n - 1, n + 1):
+            if bad not in B.offsets[1:] and bad > 0:
+                with pytest.raises(ValidationError, match="operator jet acts on"):
+                    jet.apply(np.zeros((2, bad, d, d)))
+    with pytest.raises(ValidationError, match="operator jet acts on"):
+        jet.apply(np.zeros((2, B.N, d, d + 1)))
+
+
+def padded_recursion(jet, kmax, cutoff):
+    """a_0..a_kmax with every a_{k-1} zero-padded to the whole basis before L."""
+    B, d = jet.basis, jet.d
+    cut = cutoff + 2 * kmax
+    a = np.zeros((B.offsets[cut + 1], d, d), dtype=jet.Q.dtype)
+    a[0] = np.eye(d)
+    out = [a]
+    for k in range(1, kmax + 1):
+        cut -= 2
+        nr = B.offsets[cut + 1]
+        padded = np.zeros((B.N, d, d), dtype=a.dtype)
+        padded[:len(a)] = a
+        a = (k / (k + B.degree[:nr]))[:, None, None] * jet.apply(padded)[:nr]
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("kind,m,d,kmax,geo", TOWERS)
+def test_recursion_on_prefixes_is_the_padded_recursion(kind, m, d, kmax, geo):
+    # running each order on its own prefix changes no bit of any coefficient
+    jet = field_jet(kind, m, d, 2 * kmax, **geo)
+    got = hmds.hmds_coefficients(jet, kmax, 0)
+    want = padded_recursion(jet, kmax, 0)
+    for a, b in zip(got, want, strict=True):
+        assert a.coeffs.dtype == b.dtype and np.array_equal(a.coeffs, b)
 
 
 def test_overflowing_potential_is_one_numeric_error():

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heatkern import (nonlaplace as nl, oblique as ob, quadrature, spectra, symmspace as ss,
-                      tensorcalc as tc)
+from heatkern import (hmds, nonlaplace as nl, oblique as ob, quadrature, spectra,
+                      symmspace as ss, tensorcalc as tc)
 from heatkern.errors import ValidationError
 
 Z2 = np.zeros((2, 2))
@@ -111,6 +111,27 @@ def test_bad_sizes_are_validation_errors(call):
     # the sizes reach numpy's reshape, where they were a bare ValueError or
     # TypeError; a zero size would pass a check of an empty array
     with pytest.raises(ValidationError, match="positive integers"):
+        call()
+
+
+def _sphere_jet():
+    geom = tc.build_model_geometry("sphere", 2, cutoff=4, radius=1.0)
+    pot = tc.PotentialJet.zero(2, cutoff=4)
+    return geom, pot, hmds.build_operator_jet(geom, pot, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tc.PotentialJet.constant(2, 1, [[0.0]], cutoff=2.5),
+    lambda: tc.PotentialJet(2, 1, 1.0, np.zeros((3, 1, 1)), np.zeros((2, 2, 1, 1))),
+    lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 2.5),
+    lambda: hmds.hmds_coefficients(_sphere_jet()[2], 1.5, 0),
+    lambda: hmds.hmds_coefficients(_sphere_jet()[2], 1, 0.5),
+    lambda: hmds.hmds_coefficients(_sphere_jet()[2], -1, 0),
+], ids=["constant-cutoff-float", "potential-cutoff-float", "jet-cutoff-float",
+        "recursion-kmax-float", "recursion-cutoff-float", "recursion-kmax-negative"])
+def test_orders_are_nonnegative_integers(call):
+    # a float order once reached math.comb (TypeError) or an offsets lookup (IndexError)
+    with pytest.raises(ValidationError, match="nonnegative integers"):
         call()
 
 

@@ -123,6 +123,26 @@ def test_radial_product_matches_dense_product(m, deg, d, cplx, shape):
     assert np.max(np.abs(got - tc._times(B, radial_polynomial(B, series), P))) < 1e-13
 
 
+BASIS_TABLES = ("expo", "degree", "offsets", "fact", "up_weight", "down", "up", "square", "quot")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_basis_prefix_is_the_lower_degree_basis(m):
+    # every table of a prefix, outside markers included, is that of the basis
+    # built for its own degree
+    fresh = [tc._Basis(m, D) for D in range(tc.MAX_CUTOFF + 3)]
+    for B in fresh:
+        for c in range(B.deg + 1):
+            P = B.prefix(c)
+            assert (P.m, P.deg, P.N) == (m, c, fresh[c].N)
+            for name in BASIS_TABLES:
+                got, want = getattr(P, name), getattr(fresh[c], name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (B.deg, c, name)
+    B = fresh[-1]
+    assert B.prefix(B.deg) is B and B.prefix(3) is B.prefix(3)
+    assert np.shares_memory(B.prefix(3).expo, B.expo)
+
+
 def test_dense_basis_follows_multi_indices_and_is_built_lazily():
     B = tc._basis(3, 4)
     for n in range(5):
