@@ -26,7 +26,8 @@ so det(g) = f^{m-1} and, with h = (1 - f^{-1})/w,
     sqrt(g) g^{mu nu} G_nu = sqrt(g) f^{-1} G_mu + y^mu sqrt(g) h sum_nu y^nu G_nu.
 
 L multiplies by det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h with Horner's rule
-in w and by y^mu with one gather for all mu; Delta^{+-1/2} commute with Q and cancel on it.
+in w and by y^mu with one gather for all mu; Delta^{+-1/2} commute with Q
+and cancel on it.
 
 The recursion itself is
 
