@@ -9,11 +9,11 @@ about the base point.  The conjugated operator
 is second order, so the degree-<= c part of L P reads the degree-<= c + 2
 part of P only.
 
-Polynomials are dense arrays over the monomials y^alpha of degree <= c
-(`tensorcalc._Basis`, a prefix of the one of degree cutoff + 2), and the
-operator jet is L itself: `OperatorJet.apply` holds the metric series, the
-connection and Q, and applies L to a batch of polynomials at once, exact
-through degree c - 2 whenever P is exact through c.
+Polynomials are dense arrays over the monomials y^alpha of degree <= c, the
+first rows of `tensorcalc._Basis` of degree cutoff + 2, each truncated at its
+own length.  The operator jet is L itself: `OperatorJet.apply` holds the
+metric series, the connection and Q, and applies L to a batch of polynomials
+at once, exact through degree c - 2 whenever P is exact through c.
 
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
@@ -75,15 +75,17 @@ from .tensorcalc import (
 
 def _gather(table, P, diag=False):
     """P through each row mu of an (m, N + 1) index map such as `down` (y^mu P),
-    stacked on axis -4; with diag, P is such a stack and row mu reads entry mu."""
+    truncated at P's length n and stacked on axis -4; with diag, P is such a
+    stack and row mu reads entry mu."""
+    n = P.shape[-3]
     at = (np.arange(len(table))[:, None],) if diag else ()
-    return _pad(P)[(..., *at, table[:, :-1], slice(None), slice(None))]
+    return _pad(P)[(..., *at, np.minimum(table[:, :n], n), slice(None), slice(None))]
 
 def _cov(B, conn, P, diag=False):
     """(d_mu + A_mu) P for mu = 0..m-1, stacked as `_gather` does."""
-    out = B.up_weight[:, :, None, None] * _gather(B.up, P, diag)
+    out = B.up_weight[:, :P.shape[-3], None, None] * _gather(B.up, P, diag)
     for mu in range(B.m) if conn is not None else ():
-        out[..., mu, :, :, :] += _times(B, conn[mu, :B.N], P[..., mu, :, :, :] if diag else P)
+        out[..., mu, :, :, :] += _times(B, conn[mu], P[..., mu, :, :, :] if diag else P)
     return out
 
 def _metric_series(geom, deg):
@@ -101,7 +103,7 @@ def _metric_series(geom, deg):
 
 @dataclass(frozen=True)
 class OperatorJet:
-    """L on polynomials over each prefix of `basis` = `_basis(m, cutoff + 2)`.
+    """L on polynomials over `basis` = `_basis(m, cutoff + 2)`, each cut at its own degree.
 
     `series` holds det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as w-series
     without trailing zeros; `connection` is None or the (m, N_B, d, d)
@@ -118,15 +120,14 @@ class OperatorJet:
     basis: _Basis = field(repr=False, compare=False)
 
     def apply(self, P):
-        """L P for arrays P of shape (..., N_c, d, d) over `basis.prefix(c)`, N_c =
-        basis.offsets[c + 1]: exact through degree c - 2 when P is exact through c."""
-        offsets, m = self.basis.offsets, self.m
+        """L P for arrays P of shape (..., N_c, d, d), N_c = basis.offsets[c + 1], each
+        truncated at degree c: exact through degree c - 2 when P is exact through c."""
+        B, conn, m = self.basis, self.connection, self.m
         P = np.asarray(P)
         n = P.shape[-3] if P.ndim >= 3 else 0
-        if n not in offsets[1:] or P.shape[-2:] != (self.d, self.d):
+        if n not in B.offsets[1:] or P.shape[-2:] != (self.d, self.d):
             raise ValidationError(f"operator jet acts on (..., N, {self.d}, {self.d}) arrays "
-                                  f"with N in {offsets[1:].tolist()}, not {P.shape}")
-        B, conn = self.basis.prefix(int(np.searchsorted(offsets, n)) - 1), self.connection
+                                  f"with N in {B.offsets[1:].tolist()}, not {P.shape}")
         P = P.astype(np.result_type(P, self.Q), copy=False)
         vanvleck, flux_diag, flux_outer = self.series
         u = _radial_times(B, vanvleck, P)
@@ -135,7 +136,7 @@ class OperatorJet:
         hS = _radial_times(B, flux_outer, sum(Y[..., nu, :, :, :] for nu in range(m)))
         T = _cov(B, conn, _radial_times(B, flux_diag, G) + _gather(B.down, hS), diag=True)
         flux = sum(T[..., mu, :, :, :] for mu in range(m))
-        return _times(B, self.Q[:n], P) - _radial_times(B, vanvleck, flux)
+        return _times(B, self.Q, P) - _radial_times(B, vanvleck, flux)
 
 
 def build_operator_jet(geom, pot, cutoff):
@@ -218,8 +219,7 @@ def hmds_coefficients(jet, kmax, cutoff):
 def b_lambda(k, lam, coeffs):
     """Shifted coefficient b_k(lambda) = sum_n C(k,n) (-lambda)^{k-n} a_n, as an
     HmdsCoefficient of order k exact through the smallest cutoff of a_0..a_k."""
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError("order k must be a nonnegative integer")
+    _sizes((k,), "b_lambda order k", least=0)
     have = {c.order: c for c in coeffs}
     missing = [n for n in range(k + 1) if n not in have]
     if missing:
@@ -272,7 +272,7 @@ def trace_expansion(geom, coeffs):
     m = geom.m
     pref = (4.0 * math.pi) ** (-m / 2.0) * geom.volume
     terms = []
-    kmax = max(c.order for c in coeffs)
+    kmax = max((c.order for c in coeffs), default=0)
     by_order = {c.order: c for c in coeffs}
     for k in range(kmax + 1):
         c = by_order.get(k)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .quadrature import average, cartan_rule
 from .spectra import _array, _as_t, _like_t, _require, _scalar_t
-from .tensorcalc import _basis, _pad, _series_log, _times
+from .tensorcalc import _basis, _pad, _series_log, _take, _times
 
 _K_MAX = 6
 
@@ -209,7 +209,8 @@ def _traced_powers(B, mats, jmax):
     P = np.eye(B.N, 1)[:, :, None] * np.eye(mats.shape[1])       # (x . M)^0
     traces = [np.trace(P, axis1=1, axis2=2)]
     for n in range(1, 2 * jmax + 1):
-        P = sum(_pad(P)[B.down[i, :B.N]] @ mats[i] for i in range(len(mats)))
+        pad = _pad(P)
+        P = sum(_take(pad, B.down[i, :B.N]) @ mats[i] for i in range(len(mats)))
         if n % 2 == 0:
             traces.append(np.trace(P, axis1=1, axis2=2))
     return np.array(traces)

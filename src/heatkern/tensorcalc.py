@@ -64,6 +64,11 @@ class _Basis:
     `quot[j, k]` is the position of y^{alpha_k} / y^{alpha_j}: the product
     pair map read backwards, so a gather through row j of a zero-padded array
     multiplies by y^{alpha_j} and truncates at `deg`.
+
+    The basis is graded: its first N_c = offsets[c + 1] monomials are those of
+    degree <= c, whose tables are `_Basis(m, c)`'s once any position >= N_c
+    reads as outside.  So an array P of n rows is truncated at its own length:
+    every gather reads `_pad(P)`, with any position >= n sent to its zero row.
     """
 
     def __init__(self, m, deg):
@@ -85,33 +90,14 @@ class _Basis:
         self.up_weight = (self.expo.T + 1).astype(float)      # (m, N): alpha_mu + 1
         self.square = np.take_along_axis(self.down, self.down[:, :N], axis=1)
         # dividing by y^{alpha_i} is dividing by y^{alpha_i - e_mu}, then by y_mu
+        # (mu the first nonzero axis), for all alpha_i of one degree at once
         quot = np.empty((N, N + 1), dtype=np.min_scalar_type(N))
         quot[0] = np.arange(N + 1)
-        for i in range(1, N):
-            mu = next(a for a, e in enumerate(rows[i]) if e)
-            quot[i] = self.down[mu, quot[self.down[mu, i]]]
+        mu = np.argmax(self.expo != 0, axis=1)
+        prev, flat = self.down[mu, np.arange(N)], self.down.astype(quot.dtype).ravel()
+        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+            quot[lo:hi] = flat[(N + 1) * mu[lo:hi, None] + quot[prev[lo:hi]]]
         self.quot = quot[:, :N]
-        self._prefixes = {}
-
-    def prefix(self, c):
-        """The basis of degree c <= deg, cut from this one's tables: their first
-        N_c = offsets[c + 1] rows and columns, with every position past them
-        remapped to the outside marker N_c.  Kept per instance, so a prefix
-        lives as long as the basis it was cut from."""
-        if c == self.deg:
-            return self
-        if c not in self._prefixes:
-            n = int(self.offsets[c + 1])
-            p = _Basis.__new__(_Basis)
-            p.m, p.deg, p.N, p._prefixes = self.m, c, n, {}
-            p.expo, p.degree, p.fact = self.expo[:n], self.degree[:n], self.fact[:n]
-            p.offsets, p.up_weight = self.offsets[:c + 2], self.up_weight[:, :n]
-            p.down, p.up = (np.minimum(t[:, :n + 1], n) for t in (self.down, self.up))
-            p.down[:, n] = n                  # the parent's column n is a monomial
-            p.square = np.minimum(self.square[:, :n], n)
-            p.quot = np.minimum(self.quot[:n, :n], n).astype(np.min_scalar_type(n))
-            self._prefixes[c] = p
-        return self._prefixes[c]
 
 @lru_cache(maxsize=8)
 def _basis(m, deg):
@@ -123,31 +109,39 @@ def _pad(P):
     return np.concatenate([P, zero], axis=-3)
 
 
-def _times(B, C, P):
-    """C P for a scalar (N,) or matrix (N, d, d) polynomial C, truncated at deg.
+def _take(Ppad, index):
+    """Rows `index` of a padded polynomial `_pad(P)`: a position >= len(P) reads
+    the zero row, so P is truncated at its own length."""
+    return Ppad.take(index, axis=-3, mode="clip")
 
-    Sums C_j y^{alpha_j} P over C's support in basis order, so each
+
+def _times(B, C, P):
+    """C P for a scalar or matrix (d, d) polynomial C, truncated at P's length n.
+
+    Sums C_j y^{alpha_j} P over the support of C[:n] in basis order, so each
     coefficient is accumulated in a fixed order; y^{alpha_j} P starts at
     degree |alpha_j|, so only that tail of the output is touched.
     """
-    Ppad = _pad(P)
+    n = P.shape[-3]
+    C, Ppad = C[:n], _pad(P)
     out = np.zeros_like(P)
     for j in np.flatnonzero(C if C.ndim == 1 else np.any(C, axis=(1, 2))):
         lo = B.offsets[B.degree[j]]
-        shifted = Ppad[..., B.quot[j, lo:], :, :]
+        shifted = _take(Ppad, B.quot[j, lo:n])
         out[..., lo:, :, :] += C[j] * shifted if C.ndim == 1 else C[j] @ shifted
     return out
 
 
 def _radial_times(B, series, P):
-    """sum_k series[k] |y|^{2k} P, truncated at deg, by Horner's rule in w = |y|^2:
-    out = c_k P + sum_mu y_mu^2 out.  Each trailing zero of the series costs a
-    step, so a caller that reuses a series trims it once."""
-    c = np.asarray(series[:B.deg // 2 + 1], dtype=float)
+    """sum_k series[k] |y|^{2k} P, truncated at P's length n, by Horner's rule in
+    w = |y|^2: out = c_k P + sum_mu y_mu^2 out.  Each trailing zero of the series
+    costs a step, so a caller that reuses a series trims it once."""
+    n = P.shape[-3]
+    c = np.asarray(series[:B.degree[n - 1] // 2 + 1], dtype=float)
     out = c[-1] * P if len(c) else np.zeros_like(P)
     for ck in c[-2::-1]:
         pad = _pad(out)
-        out = ck * P + sum(pad[..., B.square[mu], :, :] for mu in range(B.m))
+        out = ck * P + sum(_take(pad, B.square[mu, :n]) for mu in range(B.m))
     return out
 
 
@@ -302,10 +296,11 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
     """
     if kind not in ("flat", "torus", "sphere"):
         raise ValidationError(f"unsupported geometry kind {kind!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError("dimension m must be a positive integer")
-    if not isinstance(cutoff, int) or cutoff < 0 or cutoff > MAX_CUTOFF:
+    _sizes((m,), "geometry dimension m")
+    _sizes((cutoff,), "geometry cutoff", least=0)
+    if cutoff > MAX_CUTOFF:
         raise ValidationError(f"cutoff must lie in 0..{MAX_CUTOFF}")
+    m, cutoff = int(m), int(cutoff)
 
     nterms = cutoff // 2 + 2
     riemann = np.zeros((m, m, m, m))

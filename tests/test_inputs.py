@@ -103,10 +103,12 @@ def test_probe_is_validation_error(site, value):
     lambda: tc.PotentialJet(-1, 1, 2, [[[0.0]]], [[[[0.0]]]]),
     lambda: tc.PotentialJet.constant(-1, 1, [[0.0]]),
     lambda: tc.PotentialJet.constant(2.5, 1, [[0.0]]),
+    lambda: tc.build_model_geometry("flat", 0),
+    lambda: tc.build_model_geometry("flat", 2.0),
 ], ids=["symbol-m-negative", "symbol-m-float", "symbol-m-zero", "laplace-m-zero",
         "symbol-d-zero", "oblique-d-negative", "oblique-d-zero", "field-m-negative",
         "field-m-zero", "symmetric-p-zero", "potential-m-negative", "constant-m-negative",
-        "constant-m-float"])
+        "constant-m-float", "geometry-m-zero", "geometry-m-float"])
 def test_bad_sizes_are_validation_errors(call):
     # the sizes reach numpy's reshape, where they were a bare ValueError or
     # TypeError; a zero size would pass a check of an empty array
@@ -120,19 +122,46 @@ def _sphere_jet():
     return geom, pot, hmds.build_operator_jet(geom, pot, 4)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: tc.PotentialJet.constant(2, 1, [[0.0]], cutoff=2.5),
-    lambda: tc.PotentialJet(2, 1, 1.0, np.zeros((3, 1, 1)), np.zeros((2, 2, 1, 1))),
-    lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 2.5),
-    lambda: hmds.hmds_coefficients(_sphere_jet()[2], 1.5, 0),
-    lambda: hmds.hmds_coefficients(_sphere_jet()[2], 1, 0.5),
-    lambda: hmds.hmds_coefficients(_sphere_jet()[2], -1, 0),
+def _coefficients():
+    geom, _, jet = _sphere_jet()
+    return geom, hmds.hmds_coefficients(jet, 1, 0)
+
+
+ORDERS = "nonnegative integers"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: tc.PotentialJet.constant(2, 1, [[0.0]], cutoff=2.5), ORDERS),
+    (lambda: tc.PotentialJet(2, 1, 1.0, np.zeros((3, 1, 1)), np.zeros((2, 2, 1, 1))), ORDERS),
+    (lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 2.5), ORDERS),
+    (lambda: hmds.hmds_coefficients(_sphere_jet()[2], 1.5, 0), ORDERS),
+    (lambda: hmds.hmds_coefficients(_sphere_jet()[2], 1, 0.5), ORDERS),
+    (lambda: hmds.hmds_coefficients(_sphere_jet()[2], -1, 0), ORDERS),
+    (lambda: tc.build_model_geometry("flat", 2, cutoff=2.0), ORDERS),
+    (lambda: tc.build_model_geometry("flat", 2, cutoff=-1), ORDERS),
+    (lambda: tc.build_model_geometry("flat", 2, cutoff=tc.MAX_CUTOFF + 1),
+     f"cutoff must lie in 0..{tc.MAX_CUTOFF}"),
+    (lambda: hmds.b_lambda(1.0, 0.5, _coefficients()[1]), ORDERS),
+    (lambda: hmds.b_lambda(-1, 0.5, _coefficients()[1]), ORDERS),
+    (lambda: hmds.trace_expansion(_coefficients()[0], []), "missing coefficient order 0"),
 ], ids=["constant-cutoff-float", "potential-cutoff-float", "jet-cutoff-float",
-        "recursion-kmax-float", "recursion-cutoff-float", "recursion-kmax-negative"])
-def test_orders_are_nonnegative_integers(call):
-    # a float order once reached math.comb (TypeError) or an offsets lookup (IndexError)
-    with pytest.raises(ValidationError, match="nonnegative integers"):
+        "recursion-kmax-float", "recursion-cutoff-float", "recursion-kmax-negative",
+        "geometry-cutoff-float", "geometry-cutoff-negative", "geometry-cutoff-too-large",
+        "b-lambda-k-float", "b-lambda-k-negative", "trace-no-coefficients"])
+def test_orders_are_nonnegative_integers(call, message):
+    # a float order once reached math.comb (TypeError) or an offsets lookup
+    # (IndexError), and an empty coefficient list max() (ValueError)
+    with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    # the size checks read numpy integers as the ints they are
+    geom = tc.build_model_geometry("flat", np.int64(2), cutoff=np.int64(2))
+    assert (geom.m, geom.cutoff) == (2, 2) and type(geom.m) is int
+    coeffs = _coefficients()[1]
+    assert np.array_equal(hmds.b_lambda(np.int64(1), 0.5, coeffs).coeffs,
+                          hmds.b_lambda(1, 0.5, coeffs).coeffs)
 
 
 @pytest.mark.parametrize("modes", [{(1.5,): 1.0, (-1.5,): 1.0}, {("x",): 1.0}])

@@ -123,24 +123,46 @@ def test_radial_product_matches_dense_product(m, deg, d, cplx, shape):
     assert np.max(np.abs(got - tc._times(B, radial_polynomial(B, series), P))) < 1e-13
 
 
-BASIS_TABLES = ("expo", "degree", "offsets", "fact", "up_weight", "down", "up", "square", "quot")
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_basis_prefix_is_the_lower_degree_basis(m):
-    # every table of a prefix, outside markers included, is that of the basis
-    # built for its own degree
+    # the basis is graded: the first N_c rows and columns of every table are
+    # those of the basis built for degree c, once each position >= N_c (outside
+    # that basis) reads as N_c -- the rule that truncates an array of N_c rows
     fresh = [tc._Basis(m, D) for D in range(tc.MAX_CUTOFF + 3)]
     for B in fresh:
-        for c in range(B.deg + 1):
-            P = B.prefix(c)
-            assert (P.m, P.deg, P.N) == (m, c, fresh[c].N)
-            for name in BASIS_TABLES:
-                got, want = getattr(P, name), getattr(fresh[c], name)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (B.deg, c, name)
-    B = fresh[-1]
-    assert B.prefix(B.deg) is B and B.prefix(3) is B.prefix(3)
-    assert np.shares_memory(B.prefix(3).expo, B.expo)
+        for small in fresh[:B.deg + 1]:
+            c, n = small.deg, small.N
+            assert n == B.offsets[c + 1] and np.array_equal(B.offsets[:c + 2], small.offsets)
+            cut = {"expo": B.expo[:n], "degree": B.degree[:n], "fact": B.fact[:n],
+                   "up_weight": B.up_weight[:, :n], "down": np.minimum(B.down[:, :n], n),
+                   "up": np.minimum(B.up[:, :n], n), "square": np.minimum(B.square[:, :n], n),
+                   "quot": np.minimum(B.quot[:n, :n], n)}
+            for name, got in cut.items():
+                want = getattr(small, name)
+                want = want[:, :n] if name in ("down", "up") else want
+                assert np.array_equal(got, want), (B.deg, c, name)
+
+
+@pytest.mark.parametrize("m,deg", [(1, 8), (2, 6), (3, 5), (4, 4)])
+def test_products_on_a_prefix_are_those_of_the_lower_degree_basis(m, deg):
+    # an array of N_c rows, multiplied through the degree-deg tables, is the
+    # same product on the degree-c basis, bit for bit
+    B = tc._basis(m, deg)
+    rng = np.random.default_rng(23 + m)
+    series = list(rng.uniform(-1.0, 1.0, deg // 2 + 1))
+    scalar = rng.standard_normal(B.N)
+    scalar[rng.random(B.N) < 0.5] = 0.0
+    matrix = rng.standard_normal((B.N, 2, 2)) + 1j * rng.standard_normal((B.N, 2, 2))
+    matrix[rng.random(B.N) < 0.5] = 0.0
+    for c in range(deg + 1):
+        small, n = tc._basis(m, c), B.offsets[c + 1]
+        for C, shape in ((scalar, (3, n, 2, 2)), (matrix, (3, n, 2, 2)), (matrix, (n, 2, 2))):
+            P = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for got, want in ((tc._times(B, C, P), tc._times(small, C[:n], P)),
+                              (tc._radial_times(B, series, P),
+                               tc._radial_times(small, series, P))):
+                assert got.shape == P.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want), (c, C.ndim, shape)
 
 
 def test_dense_basis_follows_multi_indices_and_is_built_lazily():
