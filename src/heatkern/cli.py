@@ -93,12 +93,12 @@ _KEYS = (
     ("output", "format", None, str, lambda v: "json" if v["task"] == "report" else "csv",
      ("csv", "json")),
     ("output", "path", None, str, lambda v: f"{v['task']}.{v['format']}", None),
-    # the jet to order 2 kmax is capped at tensorcalc.MAX_CUTOFF
-    ("asymptotics", "kmax", None, int, 3, (0, MAX_CUTOFF // 2)),
     # the jet's cost grows steeply with m; the oracle knows m = 2, 3 only
     ("geometry", "dimension", ("sphere",), int, 2, (2, 4)),
     ("geometry", "radius", ("sphere",), _finite, 1.0, None),
     ("operator", "potential", ("sphere",), _finite, 0.0, None),
+    # the jet to order 2 kmax is capped at tensorcalc.MAX_CUTOFF
+    ("asymptotics", "kmax", ("sphere",), int, 3, (0, MAX_CUTOFF // 2)),
     ("geometry", "length", ("circle",), _finite, 2.0 * math.pi, None),
     ("operator", "mode", ("circle",), int, 1, None),
     ("operator", "amplitude", ("circle",), _finite, 0.0, None),
@@ -141,7 +141,6 @@ class RunConfig:
     out_path: str
     abs_tol: float
     rel_tol: float
-    kmax: int
     params: dict
 
     @classmethod
@@ -177,8 +176,7 @@ class RunConfig:
         return cls(task=values["task"], kind=values["kind"],
                    grid=tuple(spacing(start, stop, count).tolist()),
                    out_format=values["format"], out_path=values["path"],
-                   abs_tol=values["abs"], rel_tol=values["rel"], kmax=values["kmax"],
-                   params=params)
+                   abs_tol=values["abs"], rel_tol=values["rel"], params=params)
 
 
 class _Model:
@@ -190,8 +188,8 @@ class _Model:
     def __init__(self, cfg):
         kind, p = cfg.kind, cfg.params
         if kind == "sphere":
-            m, a, q = p["dimension"], p["radius"], p["potential"]
-            kmax, cut = cfg.kmax, 2 * cfg.kmax
+            m, a, q, kmax = p["dimension"], p["radius"], p["potential"], p["kmax"]
+            cut = 2 * kmax
             geom = build_model_geometry("sphere", m, cutoff=cut, radius=a)
             pot = PotentialJet.constant(m, 1, q, cutoff=cut)
             jet = build_operator_jet(geom, pot, cutoff=cut)

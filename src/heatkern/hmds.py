@@ -13,7 +13,8 @@ Polynomials are dense arrays over the monomials y^alpha of degree <= c, the
 first rows of `tensorcalc._Basis` of degree cutoff + 2, each truncated at its
 own length.  The operator jet is L itself: `OperatorJet.apply` holds the
 metric series, the connection and Q, and applies L to a batch of polynomials
-at once, exact through degree c - 2 whenever P is exact through c.
+at once, exact through degree c - 2 whenever P is exact through c.  Only
+`build_operator_jet` casts to float: on Fraction data L is exact.
 
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
@@ -49,6 +50,7 @@ gives a float, a non-empty 1-D array an array, any other t a ValidationError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,9 +63,9 @@ from .tensorcalc import (
     TaylorSeries,
     _Basis,
     _basis,
+    _graded_exp,
     _pad,
     _radial_times,
-    _series_exp,
     _series_log,
     _times,
 )
@@ -83,21 +85,25 @@ def _gather(table, P, diag=False):
 
 def _cov(B, conn, P, diag=False):
     """(d_mu + A_mu) P for mu = 0..m-1, stacked as `_gather` does."""
-    out = B.up_weight[:, :P.shape[-3], None, None] * _gather(B.up, P, diag)
+    out = (B.expo[:P.shape[-3]].T + 1)[:, :, None, None] * _gather(B.up, P, diag)
     for mu in range(B.m) if conn is not None else ():
         out[..., mu, :, :, :] += _times(B, conn[mu], P[..., mu, :, :, :] if diag else P)
     return out
 
 def _metric_series(geom, deg):
     """det(g)^{-1/4}, sqrt(g) f^{-1} and sqrt(g) h as series in w = |y|^2,
-    exact through degree deg in y."""
+    exact through degree deg in y.  Nothing is cast, so a profile of Fractions
+    gives Fraction series: the scales (m - 1)/2, (m - 3)/2 and (1 - m)/4 of
+    log f divide by their power of 2 last, which rounds a float as the
+    half-integer factor would."""
     m, nser = geom.m, deg // 2 + 1
     if len(geom.radial_profile) < nser and geom.kind == "sphere":
         raise ValidationError("geometry radial profile too short for requested cutoff")
-    prof = list(geom.radial_profile) + [0.0] * nser
-    log_f = _series_log(prof, nser)
-    sqrtg, diag, vanvleck = (_series_exp([s * c for c in log_f], nser)
-                             for s in ((m - 1) / 2, (m - 3) / 2, (1 - m) / 4))
+    prof = list(geom.radial_profile)
+    # the profile's own zero: Python 0s make a float profile's log Fractions, 9x slower
+    log_f = _series_log(prof + [0 * prof[0]] * nser, nser)[1:]
+    sqrtg, diag, vanvleck = (_graded_exp([p * c / q for c in log_f], nser - 1, 1, operator.mul)
+                             for p, q in ((m - 1, 2), (m - 3, 2), (1 - m, 4)))
     return vanvleck, diag, [a - b for a, b in zip(sqrtg[1:], diag[1:])]
 
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import average, cartan_rule
 from .spectra import _array, _as_t, _like_t, _require, _scalar_t
-from .tensorcalc import _basis, _pad, _series_log, _take, _times
+from .tensorcalc import _basis, _graded_exp, _pad, _series_log, _take, _times
 
 _K_MAX = 6
 
@@ -199,7 +199,7 @@ def build_symmetric_space(fixture, radius=1.0):
 
 @lru_cache(maxsize=None)
 def _log_sinh_coeffs(kmax):
-    """Exact b_j with log(sinh x / x) = sum_j b_j x^{2j}, as Fractions (b_0 = 0.0)."""
+    """Exact b_j with log(sinh x / x) = sum_j b_j x^{2j}, as Fractions (b_0 = 0)."""
     return tuple(_series_log([Fraction(1, math.factorial(2 * n + 1))
                               for n in range(kmax + 1)], kmax + 1))
 
@@ -216,19 +216,6 @@ def _traced_powers(B, mats, jmax):
     return np.array(traces)
 
 
-def _graded_exp(B, s):
-    """Grades G_0..G_K (K = B.deg // 2) of exp(sum_j s_j) as a (K + 1, N) array.
-
-    s_j = s[j - 1] is a scalar (N,) polynomial of grade j, and 0 past the
-    end of s; k G_k = sum_j j s_j G_{k-j}.
-    """
-    G = [np.eye(B.N, 1)[:, :, None]]
-    for k in range(1, B.deg // 2 + 1):
-        G.append(sum(j * _times(B, s[j - 1], G[k - j])
-                     for j in range(1, min(k, len(s)) + 1)) / k)
-    return np.array(G)[:, :, 0, 0]
-
-
 def _normal_moments(B, cov):
     """E[x^alpha] = alpha! [x^alpha] exp(x^T cov x / 2) for x ~ N(0, cov), on B.
 
@@ -237,7 +224,8 @@ def _normal_moments(B, cov):
     """
     quad = np.zeros(B.N + 1)
     np.add.at(quad, B.up[:, B.up[:, 0]], cov / 2.0)
-    return B.fact * _graded_exp(B, [quad[:B.N]]).sum(axis=0)
+    G = _graded_exp([quad[:B.N]], B.deg // 2, np.eye(B.N, 1)[:, :, None], partial(_times, B))
+    return B.fact * sum(G)[:, 0, 0]
 
 
 def _fiber_matrix(space, Q):
@@ -270,8 +258,9 @@ def theta_series(space, Q=None, order=4):
     tr = _traced_powers(B, sigma * space.F.transpose(1, 0, 2), K) \
         - _traced_powers(B, sigma * space.D, K)
     # log integrand = sum_j t^j s_j(x)
-    G = _graded_exp(B, [float(bcoef[j]) / 2.0 / 4 ** j * tr[j] for j in range(1, K + 1)])
-    gamma = (G @ _normal_moments(B, cov / (sigma * sigma))).tolist()
+    G = _graded_exp([float(bcoef[j]) / 2.0 / 4 ** j * tr[j] for j in range(1, K + 1)], K,
+                    np.eye(B.N, 1)[:, :, None], partial(_times, B))
+    gamma = (np.array(G)[:, :, 0, 0] @ _normal_moments(B, cov / (sigma * sigma))).tolist()
 
     # fiber factor tr e^{-tM} / d = sum_a t^a tr (-M)^a / (a! d)
     lam = np.linalg.eigvalsh(_fiber_matrix(space, Q))

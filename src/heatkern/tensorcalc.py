@@ -7,12 +7,15 @@ polynomial algebra of the package: dense coefficient arrays over every
 monomial of degree <= deg in that order, multiplied by index gathers
 (`_times`), or by a series in w = |y|^2 with Horner's rule (`_radial_times`).
 `hmds` builds the operator jet on it, and `symmspace` the theta series in the
-holonomy variables.  Taylor data are coefficient arrays on this basis: a
-PotentialJet holds Q as the plain y^alpha coefficients.  SymTensor and
-TaylorSeries serve only `HmdsCoefficient.series`, which stores a component
-densely over those multi-indices, with complex d x d fiber blocks even for
-scalar problems (then d = 1); the stored entry of <n|f> is alpha! times the
-y^alpha Taylor coefficient of f.
+holonomy variables.  `_graded_exp` is the one exponential recurrence, for a
+w-series and for polynomials on the basis alike.  Nothing in the algebra
+casts to float: on object arrays of Fractions every product stays exact.
+Taylor data are coefficient arrays on this basis: a PotentialJet holds Q as
+the plain y^alpha coefficients.  SymTensor and TaylorSeries serve only
+`HmdsCoefficient.series`, which stores a component densely over those
+multi-indices, with complex d x d fiber blocks even for scalar problems (then
+d = 1); the stored entry of <n|f> is alpha! times the y^alpha Taylor
+coefficient of f.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ class _Basis:
             self.down[mu, ks] = [position[rows[k][:mu] + (rows[k][mu] - 1,) + rows[k][mu + 1:]]
                                  for k in ks]
             self.up[mu, self.down[mu, ks]] = ks
-        self.up_weight = (self.expo.T + 1).astype(float)      # (m, N): alpha_mu + 1
         self.square = np.take_along_axis(self.down, self.down[:, :N], axis=1)
         # dividing by y^{alpha_i} is dividing by y^{alpha_i - e_mu}, then by y_mu
         # (mu the first nonzero axis), for all alpha_i of one degree at once
@@ -137,7 +139,7 @@ def _radial_times(B, series, P):
     w = |y|^2: out = c_k P + sum_mu y_mu^2 out.  Each trailing zero of the series
     costs a step, so a caller that reuses a series trims it once."""
     n = P.shape[-3]
-    c = np.asarray(series[:B.degree[n - 1] // 2 + 1], dtype=float)
+    c = np.asarray(series[:B.degree[n - 1] // 2 + 1])
     out = c[-1] * P if len(c) else np.zeros_like(P)
     for ck in c[-2::-1]:
         pad = _pad(out)
@@ -206,12 +208,12 @@ class TaylorSeries:
 
 
 # ---------------------------------------------------------------------------
-# scalar power series helpers (series in w = |y|^2)
+# power series: the w-series logarithm and the graded exponential
 # ---------------------------------------------------------------------------
 
 def _series_log(a, n):
     # a[0] must be 1; the weights j/k are exact, so Fraction series stay exact
-    la = [0.0] * n
+    la = [0] * n
     for k in range(1, n):
         s = a[k]
         for j in range(1, k):
@@ -219,16 +221,19 @@ def _series_log(a, n):
         la[k] = s
     return la
 
-def _series_exp(a, n):
-    # a[0] must be 0
-    ea = [0.0] * n
-    ea[0] = 1.0
-    for k in range(1, n):
-        s = 0.0
-        for j in range(1, k + 1):
-            s += j * a[j] * ea[k - j]
-        ea[k] = s / k
-    return ea
+
+def _graded_exp(s, K, one, times):
+    """Grades G_0..G_K of exp(sum_j s_j), s_j = s[j - 1] of grade j and 0 past
+    the end of s: G_0 = one and k G_k = sum_j times(j s_j, G_{k-j}).
+
+    `times` is the algebra's product: scalar multiplication for a w-series,
+    `_times` on a basis for polynomials.  The weights j and k are integers, so
+    a Fraction series stays exact.
+    """
+    G = [one]
+    for k in range(1, K + 1):
+        G.append(sum(times(j * s[j - 1], G[k - j]) for j in range(1, min(k, len(s)) + 1)) / k)
+    return G
 
 
 def _sphere_profile(radius, nterms):

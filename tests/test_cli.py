@@ -82,7 +82,7 @@ def test_from_ini_full_roundtrip(tmp_path):
     ratios = [cfg.grid[i + 1] / cfg.grid[i] for i in range(7)]
     assert max(ratios) - min(ratios) < 1e-12
     assert cfg.abs_tol == 1e-12 and cfg.rel_tol == 1e-6
-    assert cfg.kmax == 3
+    assert cfg.params["kmax"] == 3
     assert cfg.params["potential"] == 0.1
 
 
@@ -290,6 +290,8 @@ GRID = "[grid]\nstart = 0.1\n"
     ("sphere", GRID + "[operator]\npotental = 0.5\n",
      "unknown key [operator] potental for kind 'sphere'"),
     ("landau", GRID + "[opertor]\nfield = 3.0\n", "unknown section [opertor] for kind 'landau'"),
+    ("circle", GRID + "[asymptotics]\nkmax = 2\n",
+     "unknown section [asymptotics] for kind 'circle'"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, needle):
     path = write_ini(tmp_path,

@@ -6,6 +6,7 @@ spectra._require.  Each site below puts one fuzzed value in one argument and
 valid values everywhere else.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heatkern import (hmds, nonlaplace as nl, oblique as ob, quadrature, spectra,
-                      symmspace as ss, tensorcalc as tc)
-from heatkern.errors import ValidationError
+from heatkern import (formfactors as ff, hmds, nonlaplace as nl, oblique as ob, quadrature,
+                      spectra, symmspace as ss, tensorcalc as tc, zaremba as zw)
+from heatkern.errors import HeatkernError, ValidationError
 
 Z2 = np.zeros((2, 2))
 EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -162,6 +163,44 @@ def test_numpy_integer_sizes_are_accepted():
     coeffs = _coefficients()[1]
     assert np.array_equal(hmds.b_lambda(np.int64(1), 0.5, coeffs).coeffs,
                           hmds.b_lambda(1, 0.5, coeffs).coeffs)
+
+
+GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
+
+
+# one case per guard that no other test reaches
+@pytest.mark.parametrize("call,message", [
+    (lambda: spectra.fit_expansion([(-0.1, 1.0)] + GEOMETRIC_T, 2, (-1.0,)),
+     "sample times must be positive"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T + [(1.0, 1.0)], 2, (-1.0,)),
+     "t-grid must be geometric"),
+    (lambda: hmds.build_operator_jet(_sphere_jet()[0], tc.PotentialJet.zero(3, cutoff=4), 4),
+     "geometry and potential dimensions differ"),
+    (lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 6),
+     "input jets support order 4 < requested 6"),
+    (lambda: hmds.build_operator_jet(dataclasses.replace(_sphere_jet()[0], radial_profile=(1.0,)),
+                                     _sphere_jet()[1], 4), "radial profile too short"),
+    (lambda: hmds.trace_expansion(dataclasses.replace(_coefficients()[0], kind="hyperbolic"),
+                                  _coefficients()[1]), "needs a homogeneous model geometry"),
+    (lambda: hmds.trace_expansion(_coefficients()[0], [hmds.HmdsCoefficient(
+        0, 0, np.array([[[1j]]]), tc._basis(2, 0))]), "coefficient trace is not real"),
+    (lambda: ff.f_profile(6, 0.5), "family index i must be in 1..5"),
+    (lambda: ff.f_profile(1, 1.5), r"xi must lie in \[0, 1\]"),
+    (lambda: tc.build_model_geometry("torus", 2), "torus requires periods"),
+    (lambda: tc.build_model_geometry("sphere", 4, cutoff=0, radius=1e100),
+     "gives a non-finite volume"),
+    (lambda: tc.TaylorSeries(2, 1, 1, ()), r"component list length must be cutoff \+ 1"),
+    (lambda: tc.TaylorSeries(2, 1, 0, (None,)), "component 0 has wrong type or order"),
+    (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho must be nonnegative"),
+    (lambda: ob.a1_abelian(ob.ObliqueBoundaryData(2, 2, Z2, (1j * np.diag([1.0, -1.0]),))),
+     r"I \+ Gamma\^2 singular"),
+], ids=["fit-t-negative", "fit-t-not-geometric", "jet-dimensions-differ", "jet-too-short",
+        "jet-profile-too-short", "trace-not-homogeneous", "trace-not-real", "f-profile-i",
+        "f-profile-xi", "torus-no-periods", "sphere-volume-overflow", "taylor-length",
+        "taylor-component", "wedge-rho-negative", "a1-abelian-singular"])
+def test_guards_raise_their_message(call, message):
+    with pytest.raises(HeatkernError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("modes", [{(1.5,): 1.0, (-1.5,): 1.0}, {("x",): 1.0}])

@@ -134,9 +134,8 @@ def test_basis_prefix_is_the_lower_degree_basis(m):
             c, n = small.deg, small.N
             assert n == B.offsets[c + 1] and np.array_equal(B.offsets[:c + 2], small.offsets)
             cut = {"expo": B.expo[:n], "degree": B.degree[:n], "fact": B.fact[:n],
-                   "up_weight": B.up_weight[:, :n], "down": np.minimum(B.down[:, :n], n),
-                   "up": np.minimum(B.up[:, :n], n), "square": np.minimum(B.square[:, :n], n),
-                   "quot": np.minimum(B.quot[:n, :n], n)}
+                   "down": np.minimum(B.down[:, :n], n), "up": np.minimum(B.up[:, :n], n),
+                   "square": np.minimum(B.square[:, :n], n), "quot": np.minimum(B.quot[:n, :n], n)}
             for name, got in cut.items():
                 want = getattr(small, name)
                 want = want[:, :n] if name in ("down", "up") else want
