@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spectra import FourierBackground, _as_t, _like_t
+from .spectra import FourierBackground, _as_t, _like_t, _sizes
 
 # profiles as polynomials in u = xi^2: {power of u: rational coefficient}
 _PROFILE_POLY = {
@@ -47,8 +47,8 @@ def f_universal(i, k):
     """Exact rational constant f^(i)_k of the quadratic trace coefficients."""
     if i not in (1, 2, 3, 4, 5):
         raise ValidationError("family index i must be in 1..5")
-    if not isinstance(k, int) or k < 2:
-        raise ValidationError("order k must be an integer >= 2")
+    _sizes((k,), "order k", least=2)
+    k = int(k)
     if i == 1:
         return Fraction(1)
     if i == 2:
@@ -224,8 +224,7 @@ def a2k2_coefficient(bg, k):
     the bracketed invariants, with operator powers evaluated on the positive
     operator (+|k|^2)^{k-2}; the Ricci-channel terms vanish identically here.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValidationError("order k must be an integer >= 2")
+    _sizes((k,), "order k", least=2)
     f1 = float(f_universal(1, k))
     f2 = float(f_universal(2, k))
     pref = ((4.0 * math.pi) ** (-bg.m / 2.0) * (-1.0) ** k

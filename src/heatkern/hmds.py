@@ -14,7 +14,7 @@ first rows of `tensorcalc._Basis` of degree cutoff + 2, each truncated at its
 own length.  The operator jet is L itself: `OperatorJet.apply` holds the
 metric series, the connection and Q, and applies L to a batch of polynomials
 at once, exact through degree c - 2 whenever P is exact through c.  Only
-`build_operator_jet` casts to float: on Fraction data L is exact.
+`build_operator_jet` casts to float: on Fraction data L and its tower are exact.
 
 Two simplifications are exact here: the connection one-form in the radial
 gauge for a covariantly constant curvature is A_mu(y) = -1/2 R_{mu alpha}
@@ -207,17 +207,18 @@ def hmds_coefficients(jet, kmax, cutoff):
             f"need jet capacity {cutoff + 2 * kmax}, operator jet has {jet.cutoff}")
     B = jet.basis
     cut = cutoff + 2 * kmax
+    one = (jet.Q.flat[0] * 0 + 1).real          # 1.0, or Fraction(1) on a Fraction jet
     a = np.zeros((B.offsets[cut + 1], jet.d, jet.d), dtype=jet.Q.dtype)
-    a[0] = np.eye(jet.d)
+    a[0] = np.eye(jet.d, dtype=int) * one
     out = [HmdsCoefficient(0, cut, a, B)]
     for k in range(1, kmax + 1):
         cut -= 2
         nr = B.offsets[cut + 1]
         # an overflow is reported once, as the NumericError below
         with np.errstate(over="ignore", invalid="ignore"):
-            a = (k / (k + B.degree[:nr]))[:, None, None] * jet.apply(a)[:nr]
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"heat coefficient a_{k} is not finite")
+            a = ((k * one) / (k + B.degree[:nr]))[:, None, None] * jet.apply(a)[:nr]
+            if not np.all(np.abs(a) < np.inf):
+                raise NumericError(f"heat coefficient a_{k} is not finite")
         out.append(HmdsCoefficient(k, cut, a, B))
     return out
 

@@ -63,21 +63,14 @@ class LeadingSymbol:
 
 def laplace_symbol(m, d=1):
     """a^{mu nu} = delta^{mu nu} I."""
-    a = np.zeros((m, m, d, d), dtype=complex)
-    for mu in range(m):
-        a[mu, mu] = np.eye(d)
-    return LeadingSymbol(m=m, d=d, a=a)
+    return LeadingSymbol(m=m, d=d, a=np.einsum("mn,ab->mnab", np.eye(m), np.eye(d)))
 
 
 def one_form_symbol(m, c):
     """A(xi) = |xi|^2 I + c xi (x) xi on the cotangent fiber, d = m."""
-    a = np.zeros((m, m, m, m), dtype=complex)
     eye = np.eye(m)
-    for mu in range(m):
-        for nu in range(m):
-            a[mu, nu] = (eye[mu, nu] * eye
-                         + 0.5 * c * (np.outer(eye[mu], eye[nu])
-                                      + np.outer(eye[nu], eye[mu])))
+    pair = np.einsum("ma,nb->mnab", eye, eye)          # a[mu, nu] = e_mu (x) e_nu
+    a = np.einsum("mn,ab->mnab", eye, eye) + 0.5 * c * (pair + pair.transpose(1, 0, 2, 3))
     return LeadingSymbol(m=m, d=m, a=a)
 
 

@@ -70,10 +70,7 @@ class ObliqueBoundaryData:
 
     def gamma_squared(self):
         """Gamma^2 = sum_i Gamma^i Gamma^i (identity boundary metric)."""
-        g2 = np.zeros((self.d, self.d), dtype=complex)
-        for g in self.Gamma:
-            g2 += g @ g
-        return g2
+        return sum((g @ g for g in self.Gamma), np.zeros((self.d, self.d), dtype=complex))
 
 
 @dataclass(frozen=True)

@@ -311,8 +311,9 @@ def _periods(periods, m):
 def _sizes(sizes, what, least=1):
     """A ValidationError naming `what` unless every size is an integer >= least."""
     if not all(isinstance(n, (int, np.integer)) and n >= least for n in sizes):
-        want = "a shape of positive" if least else "nonnegative"
-        raise ValidationError(f"{what} needs {want} integers, not {tuple(sizes)}")
+        want = {0: "nonnegative integers", 1: "a shape of positive integers"}
+        raise ValidationError(f"{what} needs {want.get(least, f'integers >= {least}')}, "
+                              f"not {tuple(sizes)}")
 
 
 def _array(x, shape, what, dtype=complex):
@@ -405,9 +406,7 @@ class FourierBackground:
 
     def __post_init__(self):
         m, d = self.m, self.d
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (m, d)):
-            raise ValidationError(f"dimension m = {m!r} and fiber size d = {d!r} must be "
-                                  "positive integers")
+        _sizes((m, d), "FourierBackground (m, d)")
         object.__setattr__(self, "periods", _periods(self.periods, m))
         object.__setattr__(self, "potential_modes", _modes(
             self.potential_modes, m, (d, d), "potential", lambda q: q.conj().T,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import average, cartan_rule
-from .spectra import _array, _as_t, _like_t, _require, _scalar_t
+from .spectra import _array, _as_t, _like_t, _require, _scalar_t, _sizes
 from .tensorcalc import _basis, _graded_exp, _pad, _series_log, _take, _times
 
 _K_MAX = 6
@@ -244,11 +244,10 @@ def theta_series(space, Q=None, order=4):
     graded series G_k; the moments of the Gaussian with covariance 2 beta^{-1}
     are the graded exponential of its quadratic form, and c_k pairs the two.
     """
-    if not isinstance(order, int) or order < 0:
-        raise ValidationError("order must be a nonnegative integer")
+    _sizes((order,), "theta_series order", least=0)
     if order > _K_MAX:
         raise ValidationError(f"order must be <= {_K_MAX}")
-    K = order
+    K = int(order)
     B = _basis(space.p, 2 * K)
     # polynomials in x = omega / sigma, sigma a power of 2 near the Gaussian
     # width, so that rescaling is exact and nothing overflows at extreme radii

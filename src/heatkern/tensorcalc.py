@@ -6,6 +6,7 @@ nondecreasing multi-indices, `multi_indices(m, n)`.  `_Basis` is the one
 polynomial algebra of the package: dense coefficient arrays over every
 monomial of degree <= deg in that order, multiplied by index gathers
 (`_times`), or by a series in w = |y|^2 with Horner's rule (`_radial_times`).
+Every basis and jet checks its size N against BASIS_BUDGET before it allocates.
 `hmds` builds the operator jet on it, and `symmspace` the theta series in the
 holonomy variables.  `_graded_exp` is the one exponential recurrence, for a
 w-series and for polynomials on the basis alike.  Nothing in the algebra
@@ -28,10 +29,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 from .spectra import _array, _periods, _require, _sizes
 
-MAX_CUTOFF = 8
+# comb(14, 4): the m = 4, degree-10 basis of an S^4 kmax-4 tower
+BASIS_BUDGET = 1001
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,19 @@ MAX_CUTOFF = 8
 def multi_indices(m, n):
     """All nondecreasing multi-indices of order n in dimension m."""
     return tuple(combinations_with_replacement(range(m), n))
+
+
+def _basis_size(m, deg, what):
+    """N = comb(m + deg, m), the monomials of degree <= deg in m variables, or a
+    ResourceError naming `what` once N passes BASIS_BUDGET.  comb(m + deg, j) grows
+    with j <= min(m, deg), so the running product stops at the budget."""
+    N = 1
+    for j in range(1, min(m, deg) + 1):
+        N = N * (m + deg + 1 - j) // j
+        if N > BASIS_BUDGET:
+            raise ResourceError(f"{what}: N = comb({m + deg}, {m}) monomials of degree <= "
+                                f"{deg} in m = {m} pass BASIS_BUDGET = {BASIS_BUDGET}")
+    return N
 
 
 def exponents(idx, m):
@@ -76,10 +91,10 @@ class _Basis:
 
     def __init__(self, m, deg):
         self.m, self.deg = m, deg
+        self.N = N = _basis_size(m, deg, "monomial basis")
         rows = [exponents(idx, m) for n in range(deg + 1) for idx in multi_indices(m, n)]
         position = {r: i for i, r in enumerate(rows)}
-        self.expo = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-        self.N = N = len(rows)
+        self.expo = np.array(rows, dtype=np.int64).reshape(N, m)
         self.degree = self.expo.sum(axis=1)
         self.offsets = np.cumsum([0] + [len(multi_indices(m, n)) for n in range(deg + 1)])
         self.fact = np.array([math.prod(map(math.factorial, r)) for r in rows], dtype=float)
@@ -286,8 +301,8 @@ def sphere_volume(m, radius):
 def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=None):
     """Construct a flat, torus, or sphere ModelGeometry good to order `cutoff`.
 
-    The radial profile carries enough terms for polynomials of degree
-    cutoff + 2, which is what an operator jet of that cutoff reads.
+    The radial profile carries enough terms for polynomials of degree cutoff + 2,
+    the basis an operator jet of that cutoff reads; BASIS_BUDGET bounds it.
 
     The sphere metric in normal coordinates about any point is
         g_ij(y) = f(w) delta_ij + (1 - f(w)) y_i y_j / w,
@@ -303,9 +318,8 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
         raise ValidationError(f"unsupported geometry kind {kind!r}")
     _sizes((m,), "geometry dimension m")
     _sizes((cutoff,), "geometry cutoff", least=0)
-    if cutoff > MAX_CUTOFF:
-        raise ValidationError(f"cutoff must lie in 0..{MAX_CUTOFF}")
     m, cutoff = int(m), int(cutoff)
+    _basis_size(m, cutoff + 2, f"cutoff-{cutoff} geometry")
 
     nterms = cutoff // 2 + 2
     riemann = np.zeros((m, m, m, m))
@@ -372,9 +386,9 @@ class PotentialJet:
     def __post_init__(self):
         _sizes((self.cutoff,), "PotentialJet cutoff", least=0)
         m, d = self.m, self.d
-        # curvature first: its shape check vets m and d before math.comb sees them
+        # curvature first: its shape check vets m and d before the basis size reads them
         curv = _array(self.curvature, (m, m, d, d), "curvature")
-        shape = (math.comb(m + self.cutoff, m), d, d)
+        shape = (_basis_size(m, self.cutoff, "PotentialJet"), d, d)
         Q = _array(self.Q, shape, "Q")
         # _array reads any layout; a (d, d, N) Q or a transposed curvature is refused here
         if np.shape(self.Q) != shape:
@@ -392,10 +406,11 @@ class PotentialJet:
 
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):
-        _sizes((m, d), "PotentialJet")        # before math.comb and np.zeros read them
+        _sizes((m, d), "PotentialJet")        # before the basis size and np.zeros read them
         _sizes((cutoff,), "PotentialJet cutoff", least=0)
-        Q = np.zeros((math.comb(m + cutoff, m), d, d), dtype=complex)
-        Q[0] = _array(Q0, (d, d), "Q0")
+        Q0 = _array(Q0, (d, d), "Q0")
+        Q = np.zeros((_basis_size(m, cutoff, "PotentialJet"), d, d), dtype=complex)
+        Q[0] = Q0
         if curvature is None:
             curvature = np.zeros((m, m, d, d), dtype=complex)
         return cls(m, d, cutoff, Q, curvature)

@@ -202,19 +202,16 @@ def bc_residuals(t, samples=None):
     if samples is None:
         samples = default_boundary_samples()
     h = 1e-5
-    max_d = 0.0
-    max_n = 0.0
+    residuals = [(0.0, 0.0)]
     for rho_b, src in samples:
         if rho_b <= 0 or src.rho <= 0:
             raise ValidationError("samples must be interior in rho")
         m = 2 + len(src.xhat)
         xd2 = sum(x * x for x in src.xhat)
         at = lambda theta: _kernel_pair(t, m, xd2, rho_b, theta, src.rho, src.theta)
-        d_val = abs(at(_HALF_PI))
-        n_val = abs(at(-_HALF_PI + h) - at(-_HALF_PI - h)) / (2.0 * h)
-        max_d = max(max_d, d_val)
-        max_n = max(max_n, n_val)
-    return max_d, max_n
+        neumann = abs(at(-_HALF_PI + h) - at(-_HALF_PI - h)) / (2.0 * h)
+        residuals.append((abs(at(_HALF_PI)), neumann))
+    return tuple(map(max, zip(*residuals)))
 
 
 def heat_residual(t, p, src, h_space=1e-2, h_time=None):

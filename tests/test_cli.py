@@ -306,8 +306,12 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, 
     assert err.count("\n") == 1
 
 
+BUDGET_M5 = ("error: cutoff-6 geometry: N = comb(13, 5) monomials of degree <= 8 in m = 5 "
+             "pass BASIS_BUDGET = 1001\n")
+
+
 @pytest.mark.parametrize("task,dimension", [
-    ("compare", 4), ("oracle", 4), ("compare", 1), ("asymptotics", 5), ("report", 1),
+    ("compare", 4), ("oracle", 4), ("compare", 1), ("asymptotics", 5),
 ])
 def test_sphere_dimension_out_of_range_exits_1(tmp_path, capsys, task, dimension):
     path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = sphere\n"
@@ -315,14 +319,13 @@ def test_sphere_dimension_out_of_range_exits_1(tmp_path, capsys, task, dimension
     rc = main([task, "--config", path, "--out", str(tmp_path / "o.txt")])
     err = capsys.readouterr().err
     assert rc == 1
-    # the table bounds the jet's dimension, the oracle bounds its own
-    assert err == ("error: sphere spectra implemented for m in {2, 3}, not 4\n" if dimension == 4
-                   else f"error: bad value for [geometry] dimension: '{dimension}'; "
-                   "expected an integer in [2, 4]\n")
+    # the library's basis budget bounds the jet's dimension, the oracle bounds its own
+    assert err == (BUDGET_M5 if dimension == 5
+                   else f"error: sphere spectra implemented for m in {{2, 3}}, not {dimension}\n")
 
 
 def test_sphere_dimension_9_exits_before_building_the_jet(tmp_path):
-    # the jet's cost grows steeply with m, so the bound is checked before it is built
+    # the basis budget is checked when the geometry is built, before any jet array
     path = write_ini(tmp_path, "[run]\ntask = compare\n[geometry]\nkind = sphere\n"
                                f"dimension = 9\n{GRID}")
     proc = subprocess.run(
@@ -330,8 +333,23 @@ def test_sphere_dimension_9_exits_before_building_the_jet(tmp_path):
          "--out", str(tmp_path / "o.csv")],
         capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.returncode == 1
-    assert proc.stderr == ("error: bad value for [geometry] dimension: '9'; "
-                           "expected an integer in [2, 4]\n")
+    assert proc.stderr == ("error: cutoff-6 geometry: N = comb(17, 9) monomials of degree <= 8 "
+                           "in m = 9 pass BASIS_BUDGET = 1001\n")
+
+
+def test_sphere_m1_report_is_the_circle(tmp_path):
+    # a circle of radius a has the trace sqrt(pi) a t^{-1/2} e^{-tq} up to
+    # exponentially small terms, so A_2k = sqrt(pi) a (-q)^k / k!
+    out = tmp_path / "report.json"
+    path = write_ini(tmp_path, "[run]\ntask = report\n[geometry]\nkind = sphere\ndimension = 1\n"
+                               "radius = 2.0\n[operator]\npotential = 0.5\n[asymptotics]\n"
+                               f"kmax = 4\n{GRID}")
+    assert main(["report", "--config", path, "--out", str(out)]) == 0
+    terms = json.loads(out.read_text())["model"]["expansion"]
+    want = {k - 0.5: math.sqrt(math.pi) * 2.0 * (-0.5) ** k / math.factorial(k) for k in range(5)}
+    assert {float(e) for e in terms} == {e / 2 for e in range(-1, 8)}
+    for e, c in terms.items():
+        assert c == pytest.approx(want.get(float(e), 0.0), rel=1e-14, abs=0.0)
 
 
 def test_relative_error_overflow_is_one_breach_line(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Exact rational HMDS towers through the production operator.
 
-The jet algebra is dtype-neutral: `OperatorJet.apply` on object arrays of
-Fractions, with the metric series that `hmds._metric_series` builds from a
-Fraction radial profile, computes every coefficient exactly.  These towers pin
+The jet algebra and the recursion are dtype-neutral: `OperatorJet.apply` and
+`hmds.hmds_coefficients` on object arrays of Fractions, with the metric series
+that `hmds._metric_series` builds from a Fraction radial profile, compute every
+coefficient exactly.  These towers pin
 the recursion to closed forms with Fraction equality, and pin the float
 towers to them at a tolerance measured per order k.
 """
@@ -21,14 +22,14 @@ from heatkern import tensorcalc as tc
 def exact_geometry(kind, m, cutoff, r2=None, **geo):
     """`build_model_geometry`'s geometry with an exact radial profile through the
     degree cutoff + 2 that an operator jet of that cutoff reads; a sphere takes
-    its radius squared r2 as a Fraction.  The cutoff may pass MAX_CUTOFF."""
+    its radius squared r2 as a Fraction."""
     profile = (Fraction(1),)
     if kind == "sphere":
         geo["radius"] = math.sqrt(r2)
         profile = tuple(Fraction((-1) ** k * 2 ** (2 * k + 1), math.factorial(2 * k + 2)) / r2 ** k
                         for k in range(cutoff // 2 + 2))
-    geom = tc.build_model_geometry(kind, m, cutoff=min(cutoff, tc.MAX_CUTOFF), **geo)
-    return dataclasses.replace(geom, cutoff=cutoff, radial_profile=profile)
+    geom = tc.build_model_geometry(kind, m, cutoff=cutoff, **geo)
+    return dataclasses.replace(geom, radial_profile=profile)
 
 
 def exact_jet(geom, cutoff, Q=(), curvature=None, d=1):
@@ -46,24 +47,9 @@ def exact_jet(geom, cutoff, Q=(), curvature=None, d=1):
                             connection=conn, Q=Qx, basis=B)
 
 
-def exact_tower(jet, kmax):
-    """a_0..a_kmax as HmdsCoefficients, a_k[beta] = k/(k + |beta|) (L a_{k-1})[beta]
-    exact through degree jet.cutoff - 2k."""
-    B, cut = jet.basis, jet.cutoff
-    a = np.zeros((B.offsets[cut + 1], jet.d, jet.d), dtype=object) + Fraction(0)
-    a[0] += np.eye(jet.d, dtype=int)
-    tower = [hmds.HmdsCoefficient(0, cut, a, B)]
-    for k in range(1, kmax + 1):
-        cut -= 2
-        n = B.offsets[cut + 1]
-        weight = np.array([Fraction(k, k + int(b)) for b in B.degree[:n]])[:, None, None]
-        a = weight * jet.apply(a)[:n]
-        tower.append(hmds.HmdsCoefficient(k, cut, a, B))
-    return tower
-
-
 def exact_sphere_diagonal(m, r2, kmax):
-    tower = exact_tower(exact_jet(exact_geometry("sphere", m, 2 * kmax, r2), 2 * kmax), kmax)
+    jet = exact_jet(exact_geometry("sphere", m, 2 * kmax, r2), 2 * kmax)
+    tower = hmds.hmds_coefficients(jet, kmax, 0)
     values = [c.coeffs[0, 0, 0] for c in tower]
     assert all(type(v) is Fraction for v in values)
     return values
@@ -86,7 +72,7 @@ def test_unit_s4_diagonal():
 
 def test_unit_s2_diagonal_through_k6():
     # Mulholland's rationals, (-1)^k k! times the t^k coefficient of the S^2
-    # heat kernel diagonal; a cutoff-12 jet, past MAX_CUTOFF
+    # heat kernel diagonal; a cutoff-12 jet
     want = [1, Fraction(-1, 3), Fraction(2, 15), Fraction(-8, 105), Fraction(8, 105),
             Fraction(-32, 231), Fraction(6112, 15015)]
     assert exact_sphere_diagonal(2, Fraction(1), 6) == want
@@ -101,8 +87,8 @@ def test_constant_potential_is_undone_by_b_lambda():
     # Q = q shifts L by q, so b_q(k) of the tower with Q is the tower without it
     q, kmax = Fraction(3, 10), 3
     geom = exact_geometry("sphere", 2, 2 * kmax, Fraction(3, 2))
-    plain = exact_tower(exact_jet(geom, 2 * kmax), kmax)
-    tower = exact_tower(exact_jet(geom, 2 * kmax, Q=[q]), kmax)
+    plain = hmds.hmds_coefficients(exact_jet(geom, 2 * kmax), kmax, 0)
+    tower = hmds.hmds_coefficients(exact_jet(geom, 2 * kmax, Q=[q]), kmax, 0)
     for k in range(kmax + 1):
         assert np.array_equal(hmds.b_lambda(k, q, tower).coeffs, plain[k].coeffs)
 
@@ -152,7 +138,7 @@ CASES = {
 def test_float_tower_matches_the_exact_tower(name):
     kind, m, kmax, cutoff, kw = CASES[name]
     exact, floats = jet_pair(kind, m, cutoff + 2 * kmax, **kw)
-    exact, floats = exact_tower(exact, kmax), hmds.hmds_coefficients(floats, kmax, cutoff)
+    exact, floats = (hmds.hmds_coefficients(jet, kmax, cutoff) for jet in (exact, floats))
     lam = Fraction(7, 10)
     pairs = [(c.coeffs, a.coeffs, FLOAT_TOL[k]) for k, (c, a) in enumerate(zip(floats, exact))]
     pairs.append((hmds.b_lambda(kmax, float(lam), floats).coeffs,

@@ -3,11 +3,13 @@
 Every constructor and function that takes a matrix on the fibre (or a base
 tensor) reads it through spectra._array and tests its symmetries with
 spectra._require.  Each site below puts one fuzzed value in one argument and
-valid values everywhere else.
+valid values everywhere else.  A size whose monomial basis passes
+tensorcalc.BASIS_BUDGET is a ResourceError, raised before anything is allocated.
 """
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from heatkern import (formfactors as ff, hmds, nonlaplace as nl, oblique as ob, quadrature,
                       spectra, symmspace as ss, tensorcalc as tc, zaremba as zw)
-from heatkern.errors import HeatkernError, ValidationError
+from heatkern.errors import HeatkernError, ResourceError, ValidationError
 
 Z2 = np.zeros((2, 2))
 EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -140,15 +142,13 @@ ORDERS = "nonnegative integers"
     (lambda: hmds.hmds_coefficients(_sphere_jet()[2], -1, 0), ORDERS),
     (lambda: tc.build_model_geometry("flat", 2, cutoff=2.0), ORDERS),
     (lambda: tc.build_model_geometry("flat", 2, cutoff=-1), ORDERS),
-    (lambda: tc.build_model_geometry("flat", 2, cutoff=tc.MAX_CUTOFF + 1),
-     f"cutoff must lie in 0..{tc.MAX_CUTOFF}"),
     (lambda: hmds.b_lambda(1.0, 0.5, _coefficients()[1]), ORDERS),
     (lambda: hmds.b_lambda(-1, 0.5, _coefficients()[1]), ORDERS),
     (lambda: hmds.trace_expansion(_coefficients()[0], []), "missing coefficient order 0"),
 ], ids=["constant-cutoff-float", "potential-cutoff-float", "jet-cutoff-float",
         "recursion-kmax-float", "recursion-cutoff-float", "recursion-kmax-negative",
-        "geometry-cutoff-float", "geometry-cutoff-negative", "geometry-cutoff-too-large",
-        "b-lambda-k-float", "b-lambda-k-negative", "trace-no-coefficients"])
+        "geometry-cutoff-float", "geometry-cutoff-negative", "b-lambda-k-float",
+        "b-lambda-k-negative", "trace-no-coefficients"])
 def test_orders_are_nonnegative_integers(call, message):
     # a float order once reached math.comb (TypeError) or an offsets lookup
     # (IndexError), and an empty coefficient list max() (ValueError)
@@ -163,6 +163,58 @@ def test_numpy_integer_sizes_are_accepted():
     coeffs = _coefficients()[1]
     assert np.array_equal(hmds.b_lambda(np.int64(1), 0.5, coeffs).coeffs,
                           hmds.b_lambda(1, 0.5, coeffs).coeffs)
+    s2 = ss.build_symmetric_space("S2")
+    assert ss.theta_series(s2, order=np.int64(2)) == ss.theta_series(s2, order=2)
+    assert ff.f_universal(5, np.int64(3)) == ff.f_universal(5, 3)
+    assert type(ff.f_universal(5, np.int64(3)).denominator) is int
+    bg = spectra.FourierBackground(np.int64(1), (1.0,), potential_modes={(1,): 0.1, (-1,): 0.1})
+    assert ff.a2k2_coefficient(bg, np.int64(3)) == ff.a2k2_coefficient(bg, 3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ss.theta_series(ss.build_symmetric_space("S2"), order=-1),
+     r"theta_series order needs nonnegative integers, not \(-1,\)"),
+    (lambda: ss.theta_series(ss.build_symmetric_space("S2"), order=2.0), "nonnegative integers"),
+    (lambda: ff.f_universal(1, 1), r"order k needs integers >= 2, not \(1,\)"),
+    (lambda: ff.f_universal(1, 3.0), "integers >= 2"),
+], ids=["theta-order-negative", "theta-order-float", "f-universal-k-1", "f-universal-k-float"])
+def test_integer_arguments_are_checked(call, message):
+    # the order checks read through spectra._sizes, which words any least size
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+# the unit S^5: holonomy so(5), p = 10, spanned by the e_a wedge e_b
+WEDGES = [np.outer(u, v) - np.outer(v, u)
+          for i, u in enumerate(np.eye(5)) for v in np.eye(5)[i + 1:]]
+P10 = ss.SymmetricSpaceData(m=5, p=10, E=WEDGES, beta=np.eye(10))
+BUDGET = "pass BASIS_BUDGET = 1001"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: tc.build_model_geometry("flat", 9, cutoff=8),
+     r"cutoff-8 geometry: N = comb\(19, 9\) monomials of degree <= 10 in m = 9"),
+    (lambda: tc.build_model_geometry("flat", 10**9, cutoff=10**9), "cutoff-1000000000 geometry"),
+    (lambda: tc.PotentialJet.constant(4, 1, [[0.0]], cutoff=10**4),
+     r"PotentialJet: N = comb\(10004, 4\)"),
+    (lambda: tc._Basis(9, 10), r"monomial basis: N = comb\(19, 9\)"),
+    (lambda: ss.theta_series(P10, order=6), r"monomial basis: N = comb\(22, 10\)"),
+], ids=["geometry-m9-cutoff8", "geometry-huge", "constant-cutoff-huge", "basis-m9-deg10",
+        "theta-series-p10"])
+def test_basis_budget_is_a_resource_error(call, message):
+    # each size is refused before anything is allocated, and without forming the
+    # binomial: math.comb(2 * 10**9, 10**9) alone would take far longer than this bound
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=message) as info:
+        call()
+    assert time.perf_counter() - start < 0.5
+    assert BUDGET in str(info.value) and "\n" not in str(info.value)
+
+
+def test_constant_reads_q0_before_sizing_the_jet():
+    # Q0 of the wrong size once reached np.zeros((28, 10**5, 10**5)), 4 TiB
+    with pytest.raises(ValidationError, match="Q0 of shape"):
+        tc.PotentialJet.constant(2, 10**5, [[0.0]])
 
 
 GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]

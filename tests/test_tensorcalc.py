@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from heatkern import hmds
 from heatkern import tensorcalc as tc
-from heatkern.errors import ValidationError
+from heatkern.errors import ResourceError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_basis_prefix_is_the_lower_degree_basis(m):
     # the basis is graded: the first N_c rows and columns of every table are
     # those of the basis built for degree c, once each position >= N_c (outside
     # that basis) reads as N_c -- the rule that truncates an array of N_c rows
-    fresh = [tc._Basis(m, D) for D in range(tc.MAX_CUTOFF + 3)]
+    fresh = [tc._Basis(m, D) for D in range(11)]     # N = BASIS_BUDGET at m = 4, D = 10
     for B in fresh:
         for small in fresh[:B.deg + 1]:
             c, n = small.deg, small.N
@@ -303,8 +303,8 @@ def test_geometry_validation():
         tc.build_model_geometry("hyperbolic", 2)
     with pytest.raises(ValidationError):
         tc.build_model_geometry("sphere", 2)               # radius missing
-    with pytest.raises(ValidationError):
-        tc.build_model_geometry("sphere", 2, cutoff=9, radius=1.0)
+    with pytest.raises(ResourceError, match="BASIS_BUDGET"):
+        tc.build_model_geometry("sphere", 5, cutoff=7, radius=1.0)
     with pytest.raises(ValidationError):
         tc.build_model_geometry("torus", 2, periods=(1.0,))
     with pytest.raises(ValidationError):
