@@ -31,12 +31,8 @@ from functools import partial
 import numpy as np
 
 from .errors import HeatkernError, ValidationError
-from .formfactors import FourierBackground, h_functional
-from .hmds import build_operator_jet, hmds_coefficients, trace_expansion
-from .spectra import (_like_t, interval_trace, landau_trace_density, sphere_trace,
-                      torus_potential_trace)
-from .symmspace import ConstantFieldStrength, nilpotent_trace_density
-from .tensorcalc import PotentialJet, build_model_geometry
+from .spectra import (FourierBackground, _like_t, interval_trace, landau_trace_density,
+                      sphere_trace, torus_potential_trace)
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
 _SCHEMA = "# heatkern-schema=1"
@@ -179,62 +175,80 @@ class RunConfig:
                    abs_tol=values["abs"], rel_tol=values["rel"], params=params)
 
 
-class _Model:
-    """Asymptotic/oracle evaluator pair for one configured geometry.
+# Each kind's model: {"asymptotic", "oracle", "describe"}; the evaluators take the
+# whole t-grid as one array and return an array.  A builder imports the library
+# modules only its kind reads, so a cold process loads no other.
 
-    Both evaluators take the whole t-grid as one array, and return an array.
-    """
+def _sphere(cfg):
+    """The sphere's oracle, plus its HMDS expansion unless the task is oracle."""
+    p = cfg.params
+    m, a, q, kmax = p["dimension"], p["radius"], p["potential"], p["kmax"]
+    model = {"oracle": lambda ts: sphere_trace(m, a, ts) * np.exp(-ts * q)}
+    if cfg.task == "oracle":
+        return model
+    from .hmds import build_operator_jet, hmds_coefficients, trace_expansion
+    from .tensorcalc import PotentialJet, build_model_geometry
+    cut = 2 * kmax
+    geom = build_model_geometry("sphere", m, cutoff=cut, radius=a)
+    pot = PotentialJet.constant(m, 1, q, cutoff=cut)
+    jet = build_operator_jet(geom, pot, cutoff=cut)
+    expansion = trace_expansion(geom, hmds_coefficients(jet, kmax, cutoff=0))
+    model["asymptotic"] = expansion.evaluate
+    model["describe"] = {"kind": "sphere", "m": m, "radius": a, "potential": q,
+                         "expansion": {str(e): c for e, c in expansion.terms}}
+    return model
 
-    def __init__(self, cfg):
-        kind, p = cfg.kind, cfg.params
-        if kind == "sphere":
-            m, a, q, kmax = p["dimension"], p["radius"], p["potential"], p["kmax"]
-            cut = 2 * kmax
-            geom = build_model_geometry("sphere", m, cutoff=cut, radius=a)
-            pot = PotentialJet.constant(m, 1, q, cutoff=cut)
-            jet = build_operator_jet(geom, pot, cutoff=cut)
-            expansion = trace_expansion(geom, hmds_coefficients(jet, kmax, cutoff=0))
-            self.asymptotic = expansion.evaluate
-            self.oracle = lambda ts: sphere_trace(m, a, ts) * np.exp(-ts * q)
-            self.describe = {"kind": kind, "m": m, "radius": a, "potential": q,
-                             "expansion": {str(e): c for e, c in expansion.terms}}
-        elif kind in ("circle", "torus"):
-            if kind == "circle":
-                bg = FourierBackground.circle_cosine(p["length"], p["mode"], p["amplitude"])
-            else:
-                bg = FourierBackground(len(p["periods"]), p["periods"],
-                                       potential_modes=p["modes"])
-            m, vol, modes = bg.m, bg.volume, bg.potential_modes
-            pref = (4.0 * math.pi) ** (-m / 2.0)
-            q0 = modes.get((0,) * m)
-            a2 = -pref * vol * (0.0 if q0 is None else float(q0[0, 0].real))
-            self.asymptotic = lambda ts: (pref * vol * ts ** (-m / 2.0)
-                                          + a2 * ts ** (1.0 - m / 2.0)
-                                          + ts ** (2.0 - m / 2.0) * h_functional(bg, ts))
-            self.oracle = partial(torus_potential_trace, bg.periods, modes, p["cutoff"])
-            self.describe = {"kind": kind, "periods": list(bg.periods),
-                             "modes": {",".join(map(str, k)): [q[0, 0].real, q[0, 0].imag]
-                                       for k, q in sorted(modes.items())},
-                             "A0": pref * vol, "A2": a2}
-        elif kind == "landau":
-            B = p["field"]
-            fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
-            self.asymptotic = partial(nilpotent_trace_density, fs)
-            self.oracle = partial(landau_trace_density, B)
-            self.describe = {"kind": kind, "field": B}
-        else:
-            L, bc = p["length"], p["bc"]
-            const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
-            self.asymptotic = lambda ts: (4.0 * math.pi * ts) ** -0.5 * L + const
-            self.oracle = partial(interval_trace, L, bc)
-            self.describe = {"kind": kind, "length": L, "bc": bc,
-                             "weyl": [(4.0 * math.pi) ** -0.5 * L, const]}
+
+def _fourier(cfg):
+    """A circle or a flat torus: the form-factor resummation and the Fourier oracle."""
+    from .formfactors import h_functional
+    p = cfg.params
+    if cfg.kind == "circle":
+        bg = FourierBackground.circle_cosine(p["length"], p["mode"], p["amplitude"])
+    else:
+        bg = FourierBackground(len(p["periods"]), p["periods"], potential_modes=p["modes"])
+    m, vol, modes = bg.m, bg.volume, bg.potential_modes
+    pref = (4.0 * math.pi) ** (-m / 2.0)
+    q0 = modes.get((0,) * m)
+    a2 = -pref * vol * (0.0 if q0 is None else float(q0[0, 0].real))
+    return {"asymptotic": lambda ts: (pref * vol * ts ** (-m / 2.0)
+                                      + a2 * ts ** (1.0 - m / 2.0)
+                                      + ts ** (2.0 - m / 2.0) * h_functional(bg, ts)),
+            "oracle": partial(torus_potential_trace, bg.periods, modes, p["cutoff"]),
+            "describe": {"kind": cfg.kind, "periods": list(bg.periods),
+                         "modes": {",".join(map(str, k)): [q[0, 0].real, q[0, 0].imag]
+                                   for k, q in sorted(modes.items())},
+                         "A0": pref * vol, "A2": a2}}
+
+
+def _landau(cfg):
+    """The constant-field plane: the nilpotent closed form and the Landau levels."""
+    from .symmspace import ConstantFieldStrength, nilpotent_trace_density
+    B = cfg.params["field"]
+    fs = ConstantFieldStrength(m=2, rhat=[[0.0, B], [-B, 0.0]])
+    return {"asymptotic": partial(nilpotent_trace_density, fs),
+            "oracle": partial(landau_trace_density, B),
+            "describe": {"kind": "landau", "field": B}}
+
+
+def _interval(cfg):
+    """The interval: Weyl's two terms and the Dirichlet/Neumann spectrum."""
+    L, bc = cfg.params["length"], cfg.params["bc"]
+    const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
+    return {"asymptotic": lambda ts: (4.0 * math.pi * ts) ** -0.5 * L + const,
+            "oracle": partial(interval_trace, L, bc),
+            "describe": {"kind": "interval", "length": L, "bc": bc,
+                         "weyl": [(4.0 * math.pi) ** -0.5 * L, const]}}
+
+
+_MODELS = {"sphere": _sphere, "circle": _fourier, "torus": _fourier, "landau": _landau,
+           "interval": _interval}
 
 
 def _column(model, column, ts):
-    """model.<column>(ts), a non-finite value a NumericError naming its t."""
+    """model[column](ts), a non-finite value a NumericError naming its t."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = getattr(model, column)(ts)
+        values = model[column](ts)
     return _like_t(ts, values, "heat-trace expansion" if column == "asymptotic" else "oracle")
 
 
@@ -260,9 +274,9 @@ def run(cfg):
     if cfg.task == "report" and cfg.out_format != "json":
         raise ValidationError(f"[output] format = {cfg.out_format} is not available for "
                               "the report task, which writes json")
-    model = _Model(cfg)
+    model = _MODELS[cfg.kind](cfg)
     if cfg.task == "report":
-        _write_text(cfg.out_path, _json({"schema": 1, "task": cfg.task, "model": model.describe,
+        _write_text(cfg.out_path, _json({"schema": 1, "task": cfg.task, "model": model["describe"],
                                          "grid": [float(t) for t in cfg.grid]}))
         return 0
 

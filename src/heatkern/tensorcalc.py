@@ -409,10 +409,14 @@ class PotentialJet:
         _sizes((m, d), "PotentialJet")        # before the basis size and np.zeros read them
         _sizes((cutoff,), "PotentialJet cutoff", least=0)
         Q0 = _array(Q0, (d, d), "Q0")
-        Q = np.zeros((_basis_size(m, cutoff, "PotentialJet"), d, d), dtype=complex)
-        Q[0] = Q0
+        N = _basis_size(m, cutoff, "PotentialJet")
         if curvature is None:
+            # m^2 zero blocks: m must be one whose degree-2 basis, the least a
+            # geometry of dimension m builds, is within the budget
+            _basis_size(m, 2, "PotentialJet curvature")
             curvature = np.zeros((m, m, d, d), dtype=complex)
+        Q = np.zeros((N, d, d), dtype=complex)
+        Q[0] = Q0
         return cls(m, d, cutoff, Q, curvature)
 
     @classmethod

@@ -311,7 +311,7 @@ BUDGET_M5 = ("error: cutoff-6 geometry: N = comb(13, 5) monomials of degree <= 8
 
 
 @pytest.mark.parametrize("task,dimension", [
-    ("compare", 4), ("oracle", 4), ("compare", 1), ("asymptotics", 5),
+    ("compare", 4), ("oracle", 4), ("compare", 1), ("asymptotics", 5), ("oracle", 5),
 ])
 def test_sphere_dimension_out_of_range_exits_1(tmp_path, capsys, task, dimension):
     path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = sphere\n"
@@ -319,8 +319,9 @@ def test_sphere_dimension_out_of_range_exits_1(tmp_path, capsys, task, dimension
     rc = main([task, "--config", path, "--out", str(tmp_path / "o.txt")])
     err = capsys.readouterr().err
     assert rc == 1
-    # the library's basis budget bounds the jet's dimension, the oracle bounds its own
-    assert err == (BUDGET_M5 if dimension == 5
+    # the library's basis budget bounds the jet's dimension, the oracle bounds its
+    # own; an oracle task builds no jet
+    assert err == (BUDGET_M5 if dimension == 5 and task != "oracle"
                    else f"error: sphere spectra implemented for m in {{2, 3}}, not {dimension}\n")
 
 
@@ -659,7 +660,7 @@ def test_landau_oracle_is_the_level_sum(monkeypatch):
     monkeypatch.setattr(symmspace, "_x_over_sinh", broken)
     cfg = RunConfig.from_ini(REPO_CONFIGS / "landau.ini")
     B = cfg.params["field"]
-    got = cli._Model(cfg).oracle(np.asarray(cfg.grid))
+    got = cli._MODELS["landau"](cfg)["oracle"](np.asarray(cfg.grid))
     for t, g in zip(cfg.grid, got):
         want = mp.mpf(B) / (4 * mp.pi * mp.sinh(mp.mpf(t) * B))
         assert abs((mp.mpf(float(g)) - want) / want) <= 1e-15
@@ -877,6 +878,43 @@ def test_circle_compare_loads_no_scipy(tmp_path):
     assert _loaded_scipy_modules(
         "from heatkern.cli import main\n"
         f"assert main(['compare', '--config', {cfg!r}, '--out', {out!r}]) == 0") == "[]"
+
+
+# the heatkern modules each fixture's cold `python -m heatkern.cli` process imports,
+# besides heatkern.cli itself, which runs as __main__
+CORE = {"heatkern", "heatkern.errors", "heatkern.spectra", "heatkern.quadrature"}
+JET = CORE | {"heatkern.hmds", "heatkern.tensorcalc"}
+FOURIER = CORE | {"heatkern.formfactors"}
+KIND_MODULES = {
+    "interval_dd": CORE,
+    "sphere_s2": JET, "sphere_tight": JET, "sphere_report": JET,
+    "circle_gamma": FOURIER, "torus_separable": FOURIER,
+    # symmspace imports tensorcalc's basis at the top of the module
+    "landau": CORE | {"heatkern.symmspace", "heatkern.tensorcalc"},
+    "sphere_oracle": CORE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_MODULES))
+def test_each_kind_imports_only_its_modules(tmp_path, name):
+    # a cold process pays each module's compile and set-up, so a module-level
+    # import of a layer the kind never reads would show here
+    if name == "sphere_oracle":
+        text = (REPO_CONFIGS / "sphere_s2.ini").read_text().replace("task = compare",
+                                                                    "task = oracle")
+        cfg = write_ini(tmp_path, text)
+    else:
+        cfg = str(REPO_CONFIGS / f"{name}.ini")
+    task = RunConfig.from_ini(cfg).task
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "heatkern.cli", task, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=_subprocess_env())
+    # the run went through every layer it reads: 2 is sphere_tight's tolerance breach
+    assert proc.returncode in (0, 2), proc.stderr
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {n for n in imported if n.split(".")[0] == "heatkern"} == KIND_MODULES[name]
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -197,10 +197,13 @@ BUDGET = "pass BASIS_BUDGET = 1001"
     (lambda: tc.build_model_geometry("flat", 10**9, cutoff=10**9), "cutoff-1000000000 geometry"),
     (lambda: tc.PotentialJet.constant(4, 1, [[0.0]], cutoff=10**4),
      r"PotentialJet: N = comb\(10004, 4\)"),
+    # a cutoff-0 jet has N = 1 for every m, but its default curvature has m^2 blocks
+    (lambda: tc.PotentialJet.constant(10**5, 1, [[0.0]], cutoff=0),
+     r"PotentialJet curvature: N = comb\(100002, 100000\)"),
     (lambda: tc._Basis(9, 10), r"monomial basis: N = comb\(19, 9\)"),
     (lambda: ss.theta_series(P10, order=6), r"monomial basis: N = comb\(22, 10\)"),
-], ids=["geometry-m9-cutoff8", "geometry-huge", "constant-cutoff-huge", "basis-m9-deg10",
-        "theta-series-p10"])
+], ids=["geometry-m9-cutoff8", "geometry-huge", "constant-cutoff-huge", "constant-m-huge",
+        "basis-m9-deg10", "theta-series-p10"])
 def test_basis_budget_is_a_resource_error(call, message):
     # each size is refused before anything is allocated, and without forming the
     # binomial: math.comb(2 * 10**9, 10**9) alone would take far longer than this bound
