@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -255,6 +254,8 @@ def _column(model, column, ts):
 def _json(payload):
     """payload as indented JSON text.  A non-finite float is written as the string
     of its CSV spelling ("inf", "-inf", "nan"), so that strict parsers read it."""
+    import json
+
     def strict(x):
         if isinstance(x, dict):
             return {k: strict(v) for k, v in x.items()}

@@ -491,7 +491,7 @@ def _fourier_spectrum(periods, modes, cutoff):
     real = all(amp.imag == 0 for amp, _, _ in couplings)
     slot = np.empty(len(blocks), dtype=int)
     lams = []
-    for s in np.unique(sizes):
+    for s in sorted(set(sizes.tolist())):
         ids = np.flatnonzero(sizes == s)
         slot[ids] = np.arange(len(ids))
         index = np.array([blocks[b] for b in ids])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .quadrature import average, cartan_rule
 from .spectra import _array, _as_t, _like_t, _require, _scalar_t, _sizes
-from .tensorcalc import _basis, _graded_exp, _pad, _series_log, _take, _times
 
 _K_MAX = 6
 
@@ -197,15 +195,20 @@ def build_symmetric_space(fixture, radius=1.0):
     raise ValidationError(f"unsupported fixture {fixture!r}; use 'S2' or 'S3'")
 
 
+# the theta-series helpers import tensorcalc where they use it: the nilpotent
+# closed form, all that a Landau CLI run reads, needs neither it nor fractions
 @lru_cache(maxsize=None)
 def _log_sinh_coeffs(kmax):
     """Exact b_j with log(sinh x / x) = sum_j b_j x^{2j}, as Fractions (b_0 = 0)."""
+    from fractions import Fraction
+    from .tensorcalc import _series_log
     return tuple(_series_log([Fraction(1, math.factorial(2 * n + 1))
                               for n in range(kmax + 1)], kmax + 1))
 
 
 def _traced_powers(B, mats, jmax):
     """tr((x . M)^{2j}) for j = 0..jmax as scalar (N,) polynomials on B."""
+    from .tensorcalc import _pad, _take
     P = np.eye(B.N, 1)[:, :, None] * np.eye(mats.shape[1])       # (x . M)^0
     traces = [np.trace(P, axis1=1, axis2=2)]
     for n in range(1, 2 * jmax + 1):
@@ -222,6 +225,7 @@ def _normal_moments(B, cov):
     At degree 0 the quadratic lies off the basis, where B.up points at N, so
     it is built with one extra slot.
     """
+    from .tensorcalc import _graded_exp, _times
     quad = np.zeros(B.N + 1)
     np.add.at(quad, B.up[:, B.up[:, 0]], cov / 2.0)
     G = _graded_exp([quad[:B.N]], B.deg // 2, np.eye(B.N, 1)[:, :, None], partial(_times, B))
@@ -244,6 +248,7 @@ def theta_series(space, Q=None, order=4):
     graded series G_k; the moments of the Gaussian with covariance 2 beta^{-1}
     are the graded exponential of its quadratic form, and c_k pairs the two.
     """
+    from .tensorcalc import _basis, _graded_exp, _times
     _sizes((order,), "theta_series order", least=0)
     if order > _K_MAX:
         raise ValidationError(f"order must be <= {_K_MAX}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -227,12 +226,13 @@ class TaylorSeries:
 # ---------------------------------------------------------------------------
 
 def _series_log(a, n):
-    # a[0] must be 1; the weights j/k are exact, so Fraction series stay exact
+    # a[0] must be 1: the weight a[0] j / k is exact on a Fraction series, and on a
+    # float one the correctly rounded j / k
     la = [0] * n
     for k in range(1, n):
         s = a[k]
         for j in range(1, k):
-            s -= Fraction(j, k) * la[j] * a[k - j]
+            s -= a[0] * j / k * la[j] * a[k - j]
         la[k] = s
     return la
 
@@ -254,12 +254,12 @@ def _graded_exp(s, K, one, times):
 def _sphere_profile(radius, nterms):
     """Series coefficients of f(w) = sin^2(sqrt(w)/a)/(w/a^2) in w = |y|^2.
 
-    sin^2(x)/x^2 = sum_k (-1)^k 2^{2k+1}/(2k+2)! x^{2k}; exact rationals,
-    floated once, scaled by a^{-2k}.  A radius for which a^{2k} leaves the
+    sin^2(x)/x^2 = sum_k (-1)^k 2^{2k+1}/(2k+2)! x^{2k}; each rational is one
+    correctly rounded integer quotient, scaled by a^{-2k}.  A radius for which a^{2k} leaves the
     float range is rejected.
     """
     try:
-        terms = tuple(float(Fraction((-1) ** k * 2 ** (2 * k + 1), math.factorial(2 * k + 2)))
+        terms = tuple((-1) ** k * 2 ** (2 * k + 1) / math.factorial(2 * k + 2)
                       / radius ** (2 * k) for k in range(nterms))
     except (OverflowError, ZeroDivisionError):
         terms = (math.inf,)

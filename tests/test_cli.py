@@ -1,6 +1,7 @@
 """Config-driven runner: exit codes, output schema, byte determinism."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -889,10 +890,33 @@ KIND_MODULES = {
     "interval_dd": CORE,
     "sphere_s2": JET, "sphere_tight": JET, "sphere_report": JET,
     "circle_gamma": FOURIER, "torus_separable": FOURIER,
-    # symmspace imports tensorcalc's basis at the top of the module
-    "landau": CORE | {"heatkern.symmspace", "heatkern.tensorcalc"},
+    "landau": CORE | {"heatkern.symmspace"},
     "sphere_oracle": CORE,
 }
+# the stdlib modules only some fixtures read: formfactors' exact profile table
+# and the JSON output
+STDLIB_KINDS = {"fractions": {"circle_gamma", "torus_separable"}, "json": {"sphere_report"}}
+
+
+def _imported_from_heatkern(log):
+    """The modules of a `-X importtime` log from the import of heatkern on: the
+    package's own subtree, printed just before its line, and every line after,
+    so that nothing a site hook loads first is read."""
+    rows = [line.split("|")[-1] for line in log.splitlines() if line.startswith("import time:")]
+    start = next(i for i, row in enumerate(rows) if row.strip() == "heatkern")
+    indent = rows[start][:-len("heatkern")]
+    while start and rows[start - 1].startswith(indent + " "):
+        start -= 1
+    return {row.strip() for row in rows[start:]}
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_numpy_modules():
+    """What `import numpy` loads on its own, which no heatkern module can drop."""
+    proc = subprocess.run([sys.executable, "-c", "import sys, numpy; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=120, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
 
 
 @pytest.mark.parametrize("name", sorted(KIND_MODULES))
@@ -912,9 +936,13 @@ def test_each_kind_imports_only_its_modules(tmp_path, name):
         capture_output=True, text=True, timeout=120, env=_subprocess_env())
     # the run went through every layer it reads: 2 is sphere_tight's tolerance breach
     assert proc.returncode in (0, 2), proc.stderr
-    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = _imported_from_heatkern(proc.stderr)
     assert {n for n in imported if n.split(".")[0] == "heatkern"} == KIND_MODULES[name]
+    bare = _bare_numpy_modules()
+    extra = imported - bare
+    assert not {n for n in extra if n.split(".")[:2] == ["numpy", "ma"]}
+    for module, kinds in STDLIB_KINDS.items():
+        assert (module in extra) == (name in kinds and module not in bare)
 
 
 def test_module_entrypoint_subprocess(tmp_path):

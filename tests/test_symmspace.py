@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heatkern import spectra, symmspace as ss
+from heatkern import hmds, spectra, symmspace as ss
 from heatkern import tensorcalc as tc
 from heatkern.errors import DomainError, ValidationError
 
@@ -306,6 +306,29 @@ def test_theta_series_s2_matches_spectral_fit():
     assert abs(fit.coefficients[2] - c[2]) < 1e-6
     assert abs(fit.coefficients[3] - c[3]) < 1e-5
     assert abs(fit.coefficients[4] - c[4]) < 1e-3
+
+
+# the worst |c_k(hmds) - c_k(theta)| / ((1/a^2 + q)^k / k!) over the cases below
+# was 0, 1.6e-16, 4.6e-16, 1.4e-15, 3.4e-15, 5.6e-15 and 3.1e-14 for k = 0..6,
+# the last from HMDS on the unit S^3; each bound is 2 to 3 times that
+HMDS_THETA_TOL = [0.0, 4e-16, 1e-15, 3e-15, 8e-15, 1.5e-14, 7e-14]
+
+
+@pytest.mark.parametrize("fixture,m", [("S2", 2), ("S3", 3)])
+@pytest.mark.parametrize("a", [1.0, 1.7])
+@pytest.mark.parametrize("q", [0.0, 0.3])
+def test_theta_series_matches_the_hmds_tower(fixture, m, a, q):
+    # two routes to one diagonal: c_k = (-1)^k a_k / k!.  The gap is measured on
+    # the scale (1/a^2 + q)^k / k! of the terms that cancel: on S^3 at a = 1.7,
+    # q = 0.3, c_k = (1/a^2 - q)^k / k! is far below it
+    K = len(HMDS_THETA_TOL) - 1
+    geom = tc.build_model_geometry("sphere", m, cutoff=2 * K, radius=a)
+    pot = tc.PotentialJet.constant(m, 1, q * np.eye(1), cutoff=2 * K)
+    tower = hmds.hmds_coefficients(hmds.build_operator_jet(geom, pot, 2 * K), K, 0)
+    theta = ss.theta_series(ss.build_symmetric_space(fixture, a), Q=[[q]], order=K)
+    for k, (ak, ck, tol) in enumerate(zip(tower, theta, HMDS_THETA_TOL)):
+        scale = (1 / a ** 2 + q) ** k / math.factorial(k)
+        assert abs((-1) ** k * ak.coeffs[0, 0, 0] / math.factorial(k) - ck) <= tol * scale, k
 
 
 def test_theta_series_order_cap():

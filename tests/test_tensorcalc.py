@@ -5,6 +5,7 @@ import itertools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,62 @@ def test_sphere_radius_out_of_float_range_rejected(m, radius):
     if radius < 1:
         with pytest.raises(ValidationError, match="non-finite curvature series"):
             tc._sphere_profile(radius, 3)
+
+
+def fraction_profile(radius, nterms):
+    """The sphere profile with each rational floated through Fraction, then scaled
+    by a^{-2k}; None where a^{2k} or a term leaves the float range."""
+    try:
+        terms = tuple(float(Fraction((-1) ** k * 2 ** (2 * k + 1), math.factorial(2 * k + 2)))
+                      / radius ** (2 * k) for k in range(nterms))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return terms if all(math.isfinite(c) for c in terms) else None
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.7, 0.37, 3.3e5, 1e-20, 1e20, 1e-160, 1e160, 5e-324])
+def test_sphere_profile_is_the_fraction_profile_bit_for_bit(radius):
+    # an integer quotient p / q is correctly rounded, as float(Fraction(p, q)) is
+    for nterms in (1, 5, 20, 40):
+        want = fraction_profile(radius, nterms)
+        if want is None:
+            with pytest.raises(ValidationError, match="non-finite curvature series"):
+                tc._sphere_profile(radius, nterms)
+        else:
+            assert [c.hex() for c in tc._sphere_profile(radius, nterms)] == \
+                [c.hex() for c in want]
+
+
+def fraction_weighted_log(a, n):
+    """log of the series a, a[0] = 1, through n terms, each weight the Fraction j/k."""
+    la = [0] * n
+    for k in range(1, n):
+        s = a[k]
+        for j in range(1, k):
+            s -= Fraction(j, k) * la[j] * a[k - j]
+        la[k] = s
+    return la
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.7, 0.37])
+def test_series_log_of_a_float_series_is_the_fraction_weighted_log(radius):
+    # the weight 1.0 * j / k is the correctly rounded j/k that float(Fraction(j, k))
+    # is; the Python 0s that pad hmds' profile must neither change a bit nor
+    # make a term a Fraction
+    noise = [1.0] + np.random.default_rng(7).normal(size=11).tolist()
+    heads = (list(tc._sphere_profile(radius, 6)), [1.0])     # a sphere's and a flat profile
+    for a, ref in [(noise, noise)] + [(h + [0] * 8, h + [0.0] * 8) for h in heads]:
+        got = tc._series_log(a, len(a))
+        assert not any(isinstance(c, Fraction) for c in got)
+        assert [float(c).hex() for c in got] == \
+            [float(c).hex() for c in fraction_weighted_log(ref, len(ref))]
+
+
+def test_series_log_of_a_fraction_series_stays_exact():
+    a = [Fraction(1, math.factorial(2 * n + 1)) for n in range(10)]    # sinh x / x
+    got = tc._series_log(a, 10)
+    assert all(type(c) is Fraction for c in got[1:])
+    assert got == fraction_weighted_log(a, 10)
 
 
 def test_torus_volume_is_period_product():
