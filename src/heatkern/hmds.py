@@ -58,8 +58,17 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .spectra import _as_t, _like_t, _sizes
-from .tensorcalc import (SymTensor, TaylorSeries, _Basis, _basis, _graded_exp, _pad,
-                         _radial_times, _series_log, _times)
+from .tensorcalc import (
+    SymTensor,
+    TaylorSeries,
+    _Basis,
+    _basis,
+    _graded_exp,
+    _pad,
+    _radial_times,
+    _series_log,
+    _times,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +100,8 @@ def _metric_series(geom, deg):
     if len(geom.radial_profile) < nser and geom.kind == "sphere":
         raise ValidationError("geometry radial profile too short for requested cutoff")
     prof = list(geom.radial_profile)
-    log_f = _series_log(prof + [0] * nser, nser)[1:]
+    # the profile's own zero: a Python 0 would float a one-term Fraction profile's series
+    log_f = _series_log(prof + [0 * prof[0]] * nser, nser)[1:]
     sqrtg, diag, vanvleck = (_graded_exp([p * c / q for c in log_f], nser - 1, 1, operator.mul)
                              for p, q in ((m - 1, 2), (m - 3, 2), (1 - m, 4)))
     return vanvleck, diag, [a - b for a, b in zip(sqrtg[1:], diag[1:])]

@@ -195,8 +195,7 @@ def build_symmetric_space(fixture, radius=1.0):
     raise ValidationError(f"unsupported fixture {fixture!r}; use 'S2' or 'S3'")
 
 
-# the theta-series helpers import tensorcalc where they use it: the nilpotent
-# closed form, all that a Landau CLI run reads, needs neither it nor fractions
+# tensorcalc and fractions are imported where used: a Landau CLI run reads neither
 @lru_cache(maxsize=None)
 def _log_sinh_coeffs(kmax):
     """Exact b_j with log(sinh x / x) = sum_j b_j x^{2j}, as Fractions (b_0 = 0)."""

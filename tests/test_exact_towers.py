@@ -139,6 +139,7 @@ def test_float_tower_matches_the_exact_tower(name):
     kind, m, kmax, cutoff, kw = CASES[name]
     exact, floats = jet_pair(kind, m, cutoff + 2 * kmax, **kw)
     exact, floats = (hmds.hmds_coefficients(jet, kmax, cutoff) for jet in (exact, floats))
+    assert all(type(v) in (int, Fraction) for c in exact for v in c.coeffs.flat)
     lam = Fraction(7, 10)
     pairs = [(c.coeffs, a.coeffs, FLOAT_TOL[k]) for k, (c, a) in enumerate(zip(floats, exact))]
     pairs.append((hmds.b_lambda(kmax, float(lam), floats).coeffs,
