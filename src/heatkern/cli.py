@@ -30,8 +30,8 @@ from functools import partial
 import numpy as np
 
 from .errors import HeatkernError, ValidationError
-from .spectra import (FourierBackground, _like_t, interval_trace, landau_trace_density,
-                      sphere_trace, torus_potential_trace)
+from .spectra import (FourierBackground, _length, _like_t, interval_trace,
+                      landau_trace_density, sphere_trace, torus_potential_trace)
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
 _SCHEMA = "# heatkern-schema=1"
@@ -232,7 +232,7 @@ def _landau(cfg):
 
 def _interval(cfg):
     """The interval: Weyl's two terms and the Dirichlet/Neumann spectrum."""
-    L, bc = cfg.params["length"], cfg.params["bc"]
+    L, bc = _length(cfg.params["length"], "interval length"), cfg.params["bc"]
     const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
     return {"asymptotic": lambda ts: (4.0 * math.pi * ts) ** -0.5 * L + const,
             "oracle": partial(interval_trace, L, bc),

@@ -16,7 +16,9 @@ couple (_axis_groups), so a separable torus costs a few circle spectra.
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
 check _periods is also the one for the torus geometry and the nonlaplace
-lattice oracle.  _array and _require are the one array check of the package:
+lattice oracle.  _length is the one length check: every period, interval
+length and sphere radius of spectra, tensorcalc, symmspace and the CLI goes
+through it.  _array and _require are the one array check of the package:
 every matrix-valued input of tensorcalc, spectra, nonlaplace, oblique and
 symmspace is read by _array (size, numbers, finite) and its symmetries are
 tested by _require, so a malformed array is always a ValidationError.
@@ -43,12 +45,23 @@ _LEVEL_CAP = 2_000_000           # levels in one sphere or Landau partial sum
 _WORK_CAP = 100_000_000          # levels times t-grid points in one spectral sum
 _EXP_CHUNK = 1_000_000           # entries of one t x level block of exponentials
 
-# Input ranges of the interval and Fourier routes.  Inside them every squared
-# wavenumber (2 pi n / L)^2 and squared amplitude is a finite float, and every
-# mode number is exact as a float and as an int64 offset.
+# Input ranges of the interval, sphere and Fourier routes.  Inside them every
+# squared wavenumber (2 pi n / L)^2, 1/a^2 and squared amplitude is a finite
+# float, and every mode number is exact as a float and as an int64 offset.
 MIN_LENGTH = 1e-100
 MAX_MODE = 2 ** 53
 MAX_AMPLITUDE = 1e100
+
+
+def _length(x, what):
+    """float(x), or a ValidationError naming `what` unless MIN_LENGTH <= x < inf."""
+    try:
+        value = float(x)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not MIN_LENGTH <= value < math.inf:
+        raise ValidationError(f"{what} {x!r} is below {MIN_LENGTH:g} or not finite")
+    return value
 
 
 def _as_t(t):
@@ -183,10 +196,7 @@ def _interval_levels(L, bc, S=None):
     """(levels, tail) of the interval Laplacian with boundary condition bc: levels(n)
     is the first n eigenvalues, nondecreasing, and their multiplicities as arrays;
     tail(ts, n) bounds the trace mass past them at each t of ts."""
-    if L <= 0:
-        raise ValidationError("interval length must be positive")
-    if not L >= MIN_LENGTH:
-        raise ValidationError(f"interval length {L!r} is below {MIN_LENGTH:g}")
+    L = _length(L, "interval length")
     bc = bc.upper() if bc.lower() != "robin" else "robin"
     c = (math.pi / L) ** 2
 
@@ -233,10 +243,7 @@ def _sphere_levels(m, a):
     """(levels, tail) of the round m-sphere of radius a, as in _interval_levels."""
     if m not in (2, 3):
         raise ValidationError(f"sphere spectra implemented for m in {{2, 3}}, not {m}")
-    if a <= 0:
-        raise ValidationError("radius must be positive")
-    if not (math.isfinite(a) and a * a > 0):
-        raise ValidationError(f"sphere radius {a!r} gives a non-finite 1/a^2")
+    a = _length(a, "sphere radius")
     ia2 = 1.0 / (a * a)
     if m == 2:
         def levels(n):
@@ -297,14 +304,9 @@ _MATRIX_BUDGET = 4097          # Fourier modes in one box
 
 def _periods(periods, m):
     """periods as a tuple of m floats, each finite and at least MIN_LENGTH."""
-    periods = tuple(float(p) for p in periods)
+    periods = tuple(_length(p, "period") for p in periods)
     if len(periods) != m:
         raise ValidationError(f"need {m} periods, got {len(periods)}")
-    for p in periods:
-        if not 0 < p < math.inf:
-            raise ValidationError("periods must be positive and finite")
-        if p < MIN_LENGTH:
-            raise ValidationError(f"period {p!r} is below {MIN_LENGTH:g}")
     return periods
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .quadrature import average, cartan_rule
-from .spectra import _array, _as_t, _like_t, _require, _scalar_t, _sizes
+from .spectra import _array, _as_t, _length, _like_t, _require, _scalar_t, _sizes
 
 _K_MAX = 6
 
@@ -182,9 +182,8 @@ class SymmetricSpaceData:
 
 def build_symmetric_space(fixture, radius=1.0):
     """Holonomy data for the supported fixtures S2 and S3."""
-    if not 0 < radius < math.inf:
-        raise ValidationError("radius must be positive and finite")
-    kappa = 1.0 / radius / radius     # 0 or inf off the float range: beta rejects it
+    radius = _length(radius, "sphere radius")
+    kappa = 1.0 / radius / radius     # 0 at a large enough radius: beta rejects it
     if fixture == "S2":
         eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
         return SymmetricSpaceData(m=2, p=1, E=eps[None], beta=[[kappa]])

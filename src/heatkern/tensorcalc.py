@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .spectra import _array, _periods, _require, _sizes
+from .spectra import _array, _length, _periods, _require, _sizes
 
 # comb(14, 4): the m = 4, degree-10 basis of an S^4 kmax-4 tower
 BASIS_BUDGET = 1001
@@ -278,19 +278,13 @@ class ModelGeometry:
 
     radial_profile holds the series coefficients (in w = |y|^2) of the
     profile f with g_ij(y) = f(w) delta_ij + (1 - f(w))/w * y_i y_j; flat and
-    torus geometries have profile (1,).  The frame is orthonormal at the base
-    point, so index placement on the stored curvature arrays is immaterial.
+    torus geometries have profile (1,).
     """
 
     kind: str
     m: int
     cutoff: int
     volume: float
-    radius: float | None
-    periods: tuple | None
-    scalar_curvature: float
-    ricci: np.ndarray = field(repr=False)
-    riemann: np.ndarray = field(repr=False)
     radial_profile: tuple = (1.0,)
 
 
@@ -321,46 +315,27 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
     m, cutoff = int(m), int(cutoff)
     _basis_size(m, cutoff + 2, f"cutoff-{cutoff} geometry")
 
-    nterms = cutoff // 2 + 2
-    riemann = np.zeros((m, m, m, m))
-    ricci = np.zeros((m, m))
-    R = 0.0
-
     if kind == "sphere":
-        if radius is None or not radius > 0:
-            raise ValidationError("sphere requires radius > 0")
-        profile = _sphere_profile(float(radius), nterms)
+        radius = _length(radius, "sphere radius")
+        profile = _sphere_profile(radius, cutoff // 2 + 2)
         try:
-            kappa = 1.0 / float(radius) ** 2
-            vol = sphere_volume(m, float(radius))
+            vol = sphere_volume(m, radius)
         except OverflowError:
             vol = math.inf
         if not math.isfinite(vol):
             raise ValidationError(f"sphere radius {radius!r} gives a non-finite volume")
-        pair = np.einsum("ac,bd->abcd", np.eye(m), np.eye(m))     # delta_ac delta_bd
-        riemann = kappa * (pair - pair.swapaxes(2, 3))
-        ricci = kappa * (m - 1) * np.eye(m)
-        R = kappa * m * (m - 1)
-        per = None
     elif kind == "torus":
         if periods is None:
             raise ValidationError("torus requires periods")
-        per = _periods(periods, m)
         profile = (1.0,)
-        vol = float(np.prod(per))
-        radius = None
+        vol = float(np.prod(_periods(periods, m)))
     else:
         profile = (1.0,)
         vol = 1.0 if volume is None else float(volume)
         if not 0 < vol < math.inf:
             raise ValidationError("volume must be positive and finite")
-        per = None
-        radius = None
 
-    return ModelGeometry(kind=kind, m=m, cutoff=cutoff, volume=vol,
-                         radius=None if radius is None else float(radius),
-                         periods=per, scalar_curvature=float(R), ricci=ricci,
-                         riemann=riemann, radial_profile=tuple(profile))
+    return ModelGeometry(kind=kind, m=m, cutoff=cutoff, volume=vol, radial_profile=tuple(profile))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ Q0_D2 = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 5)]]
 def jet_pair(kind, m, cap, r2=None, periods=None, Q=(), curvature=None, d=1):
     """The exact jet, and `build_operator_jet`'s float jet, of one geometry and potential."""
     geom = exact_geometry(kind, m, cap, r2, periods=periods)
-    fgeom = tc.build_model_geometry(kind, m, cutoff=cap, radius=geom.radius, periods=periods)
+    radius = None if r2 is None else math.sqrt(r2)
+    fgeom = tc.build_model_geometry(kind, m, cutoff=cap, radius=radius, periods=periods)
     Qf = np.zeros((math.comb(m + cap, m), d, d))
     Qf[:len(Q)] = np.array(Q, dtype=float).reshape(-1, d, d)
     curv = np.zeros((m, m, d, d)) if curvature is None else np.array(curvature, dtype=float)

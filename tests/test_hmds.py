@@ -61,8 +61,9 @@ def test_recursion_residuals(kind, m, q, geo):
 
 @pytest.mark.parametrize("kind,m,q,geo", FIXTURES)
 def test_a1_is_potential_minus_sixth_curvature(kind, m, q, geo):
-    geom, pot, _, coeffs = make_fixture(kind, m, q=q, **geo)
-    want = pot.Q[0] - geom.scalar_curvature / 6.0 * np.eye(pot.d)
+    _, pot, _, coeffs = make_fixture(kind, m, q=q, **geo)
+    R = m * (m - 1) / geo["radius"] ** 2 if kind == "sphere" else 0.0
+    want = pot.Q[0] - R / 6.0 * np.eye(pot.d)
     assert np.max(np.abs(coeffs[1].diagonal - want)) < 1e-12
 
 

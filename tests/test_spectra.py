@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from heatkern import cli
 from heatkern import nonlaplace as nl
 from heatkern import spectra
+from heatkern import symmspace as ss
 from heatkern import tensorcalc as tc
 from heatkern import zaremba as za
 from heatkern.errors import NumericError, ResourceError, ValidationError
@@ -172,8 +174,20 @@ def test_sphere_model_validation():
 @pytest.mark.parametrize("radius", [1e-200, math.nan])
 def test_sphere_trace_rejects_radius_without_finite_curvature(radius):
     # 1e-200 squares to 0: 1/a^2 once raised a bare ZeroDivisionError
-    with pytest.raises(ValidationError, match=r"gives a non-finite 1/a\^2"):
+    with pytest.raises(ValidationError,
+                       match=f"sphere radius {radius!r} is below 1e-100 or not finite"):
         spectra.sphere_trace(2, radius, 0.1)
+
+
+def test_sphere_radius_edge_is_accepted():
+    # at a = MIN_LENGTH, 1/a^2 = 1e200 is finite; below it 1e-154 once overflowed
+    # l(l + 1)/a^2 with a RuntimeWarning and 1e-160 ended in a NumericError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectra.sphere_trace(2, spectra.MIN_LENGTH, 0.1) == 1.0
+        for radius in (1e-154, 1e-160):
+            with pytest.raises(ValidationError, match="is below 1e-100 or not finite"):
+                spectra.sphere_trace(2, radius, 0.1)
 
 
 @pytest.mark.parametrize("trace", [
@@ -634,14 +648,30 @@ def test_torus_trace_rejects_bad_periods_and_times(periods, t):
 
 
 @pytest.mark.parametrize("periods,modes,match", [
-    ((1e-300,), {}, "period 1e-300 is below 1e-100"),
-    ((1.0, 1e-101), {}, "period 1e-101 is below 1e-100"),
+    ((1e-300,), {}, "period 1e-300 is below 1e-100 or not finite"),
+    ((1.0, 1e-101), {}, "period 1e-101 is below 1e-100 or not finite"),
     ((1.0,), {(10 ** 21,): 0.1, (-10 ** 21,): 0.1}, "exceeds 9007199254740992"),
     ((1.0,), {(1,): 1e101, (-1,): 1e101}, "exceeds 1e\\+100"),
 ])
 def test_torus_trace_rejects_out_of_range_inputs(periods, modes, match):
     with pytest.raises(ValidationError, match=match):
         spectra.torus_potential_trace(periods, modes, cutoff=4, t=0.5)
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, math.inf, 1e-101])
+@pytest.mark.parametrize("call,what", [
+    (lambda x: spectra._periods((1.0, x), 2), "period"),
+    (lambda x: spectra.interval_trace(x, "DD", 0.1), "interval length"),
+    (lambda x: spectra.sphere_trace(2, x, 0.1), "sphere radius"),
+    (lambda x: tc.build_model_geometry("sphere", 2, cutoff=2, radius=x), "sphere radius"),
+    (lambda x: ss.build_symmetric_space("S2", x), "sphere radius"),
+], ids=["periods", "interval_trace", "sphere_trace", "build_model_geometry",
+        "build_symmetric_space"])
+def test_every_length_has_the_one_check(call, what, x):
+    # periods, interval lengths and sphere radii all go through spectra._length
+    message = f"{what} {x!r} is below 1e-100 or not finite"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(x)
 
 
 def test_fourier_and_interval_range_edges_are_accepted():
