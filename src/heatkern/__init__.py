@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConditioningError,
-    ConsistencyError,
     DomainError,
     EllipticityError,
     HeatkernError,
@@ -23,7 +22,6 @@ from .errors import (
 
 __all__ = [
     "ConditioningError",
-    "ConsistencyError",
     "DomainError",
     "EllipticityError",
     "HeatkernError",

@@ -42,7 +42,3 @@ class NumericError(HeatkernError):
 class ResourceError(HeatkernError):
     """Honest evaluation would exceed the configured size budget."""
 
-
-class ConsistencyError(HeatkernError):
-    """An internal cross-check between two independent evaluation routes
-    disagreed beyond tolerance."""

@@ -122,6 +122,11 @@ class SymmetricSpaceData:
         _require(beta, beta.T, "beta must be symmetric positive definite")
         if np.any(np.linalg.eigvalsh(beta) <= 0):
             raise ValidationError("beta must be symmetric positive definite")
+        # theta_series and theta_quadrature average over a Gaussian of covariance
+        # 2 beta^{-1}; as a Python float it overflows to inf without a warning
+        beta_inv = np.linalg.inv(beta)
+        if not math.isfinite(2.0 * float(np.max(np.abs(beta_inv)))):
+            raise ValidationError("beta too small: the covariance 2 beta^{-1} overflows")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "beta", beta)
 
@@ -171,7 +176,6 @@ class SymmetricSpaceData:
         gamma[self.m:, self.m:] = beta
 
         R = float(np.einsum("ik,iab,kab->", beta, E, E))
-        beta_inv = np.linalg.inv(beta)
         R_H = -0.25 * float(np.einsum("ik,mil,lkm->", beta_inv, F, F))
         gamma_inv = np.linalg.inv(gamma)
         R_G = -0.25 * float(np.einsum("ab,acd,bdc->", gamma_inv, C, C))

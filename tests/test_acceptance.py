@@ -13,6 +13,7 @@ from heatkern import (formfactors, hmds, nonlaplace as nl, oblique as ob,
 from heatkern.errors import DomainError
 from heatkern.quadrature import unit_directions
 from test_hmds import jet_matrix
+from test_zaremba import corner_integral_check
 
 
 def _report(num, label, ok, detail):
@@ -168,7 +169,7 @@ def test_criterion_08_oblique_routes():
 
 
 def test_criterion_09_zaremba_corner_and_kernel():
-    got, expected, rel, _ = za._corner_integral_check()
+    got, expected, rel, _ = corner_integral_check()
     kernel_worst = 0.0
     points = [
         (0.05, za.WedgePoint(1.0, -0.9), za.WedgePoint(0.85, 0.4)),

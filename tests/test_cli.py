@@ -894,6 +894,15 @@ def test_core_imports_load_no_scipy():
         "\n".join(f"import heatkern.{name}" for name in names)) == "[]"
 
 
+def test_zaremba_corner_loads_no_scipy():
+    # the corner coefficient is a closed form; its quadrature check lives in the tests
+    assert _loaded_scipy_modules(
+        "from heatkern import zaremba\n"
+        "zaremba.corner_coefficient(2)\n"
+        "zaremba.corner_coefficient(3)\n"
+        "zaremba.wedge_trace_expansion(2, 1, 1.0, 1.0, 1.0)") == "[]"
+
+
 def test_circle_compare_loads_no_scipy(tmp_path):
     # circle_gamma's grid puts t |k|^2 on both sides of the gamma branch point z = 1
     cfg = str(REPO_CONFIGS / "circle_gamma.ini")

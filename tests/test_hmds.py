@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heatkern import hmds
+from heatkern import hmds, symmspace
 from heatkern import tensorcalc as tc
 from heatkern.errors import NumericError, ValidationError
 
@@ -124,6 +124,34 @@ def test_constant_magnetic_field_matches_landau_series():
     assert abs(coeffs[1].diagonal[0, 0]) < 1e-12
     assert abs(coeffs[2].diagonal[0, 0] - (-B ** 2 / 3.0)) < 1e-12
     assert abs(coeffs[3].diagonal[0, 0]) < 1e-12
+
+    # flat R^4 with rotation frequencies 0.7 and 1.3 and q = 0.2 (N = 1001, the
+    # whole basis budget): (-1)^k a_k / k! are the t^k coefficients of
+    # e^{-tq} prod_j tB_j / sinh(tB_j), as is symmspace's closed-form density
+    sp = pytest.importorskip("sympy")
+    freqs, q, kmax = (0.7, 1.3), 0.2, 4
+    m = 4
+    curv = np.zeros((m, m, d, d), dtype=complex)
+    rhat = np.zeros((m, m))
+    for j, b in enumerate(freqs):
+        curv[2 * j, 2 * j + 1], curv[2 * j + 1, 2 * j] = 1j * b, -1j * b
+        rhat[2 * j, 2 * j + 1], rhat[2 * j + 1, 2 * j] = b, -b
+    _, _, jet, coeffs = make_fixture("flat", m, q=q, d=d, curvature=curv,
+                                     kmax=kmax, cutoff=0, volume=1.0)
+    assert jet.basis.N == 1001
+    t = sp.Symbol("t")
+    closed = sp.exp(-t * sp.nsimplify(q)) * sp.Mul(
+        *[t * sp.nsimplify(b) / sp.sinh(t * sp.nsimplify(b)) for b in freqs])
+    series = sp.series(closed, t, 0, kmax + 1).removeO()
+    want = [float(series.coeff(t, k)) for k in range(kmax + 1)]
+    for k in range(kmax + 1):
+        got = (-1) ** k * coeffs[k].diagonal[0, 0] / math.factorial(k)
+        assert abs(got - want[k]) < 5e-16
+    ts = 1e-3
+    fs = symmspace.ConstantFieldStrength(m=m, rhat=rhat, Q=[[q]])
+    density = symmspace.nilpotent_trace_density(fs, ts) * (4 * math.pi * ts) ** 2
+    partial = sum(c * ts ** k for k, c in enumerate(want))
+    assert abs(density - partial) < 1e-15 * abs(partial)
 
 
 def test_flat_matrix_potential_exponentiates():

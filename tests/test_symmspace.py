@@ -168,9 +168,14 @@ def test_extreme_radius_scales_theta_series(fixture, radius):
 
 @pytest.mark.parametrize("fixture", ["S2", "S3"])
 def test_radius_whose_products_overflow_is_rejected(fixture):
-    # kappa = 1e200: D_i D_k would overflow; no numpy warning, no NaN series
-    with pytest.raises(ValidationError, match="overflow"):
-        ss.build_symmetric_space(fixture, radius=1e-100)
+    # kappa = 1e200: D_i D_k would overflow; from radius about 9.5e153 the
+    # covariance 2 beta^{-1} does; no numpy warning, no NaN series
+    for radius in (1e-100, 1e154, 1e160):
+        with pytest.raises(ValidationError, match="overflow"):
+            ss.build_symmetric_space(fixture, radius=radius)
+    space = ss.build_symmetric_space(fixture, radius=9e153)
+    assert np.all(np.isfinite(ss.theta_series(space, order=4)))
+    assert math.isfinite(ss.theta_quadrature(space, t=0.1))
 
 
 @pytest.mark.parametrize("fixture,a", [("S2", 1.0), ("S3", 1.0), ("S3", 1.7)])
