@@ -12,7 +12,10 @@ The short-time data available at this level: the weighted volume term A_0,
 the pointwise trace u_0, and the endomorphism H that multiplies Q in the
 next coefficient.  H's sphere average and torus_oracle, the exact lattice
 trace they are checked against, run through quadrature.converge; the tail
-bound is spectra._lattice_tail, as for the circle/torus Fourier oracle.
+bound is spectra._lattice_tail, as for the circle/torus Fourier oracle.  The
+lattice oracle diagonalises only the box points whose Weyl lower bound
+mu_min |k|^2 + qmin can reach its floor, and adds the bound on the others to
+that tail.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _period
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
 _LATTICE_CAP = 4_000_000         # eigenvalues in one lattice partial sum
+_LATTICE_FLOOR = 1e-15           # bound on the lattice tail, relative to the sum
 _EIG_CHUNK = 262_144             # lattice points per eigvalsh call
 _DIRECTIONS = (24, 20260416)     # count and seed of eigenstructure's default sample
 
@@ -232,11 +236,16 @@ def _half_box(m, N):
 def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     """Exact heat trace of a constant-coefficient operator on a flat torus, at a
     scalar t or a 1-D t-array: tr exp(-t(A(k) + Q)) summed over the dual lattice
-    k = 2 pi n / periods, |n|_inf <= N.  N starts at cutoff and doubles, through
+    k = 2 pi n / periods, |n|_inf <= N.  cutoff is the first N; N doubles, through
     quadrature.converge, until the tail is below 1e-15 of the sum at every t.
     A(k) is quadratic, so k and -k have the same eigenvalues: eigvalsh runs on
     the origin and half the box, and the half is counted twice, on real
-    symmetric matrices when a and Q are real.
+    symmetric matrices when a and Q are real.  By Weyl's inequality every
+    eigenvalue at k is at least low(k) = mu_min |k|^2 + qmin, and the sum is at
+    least e^{-t qmin}, so a box point with low(k) past qmin + ln(2dM/eps)/tmin
+    (M half-box points, eps 1e-3 of the floor) adds under eps of the sum at each t of
+    the call: such points are bounded, not summed, and their bound 2d e^{-t low(k)} is in
+    the tail.  The cap and its refusal count the whole box.
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
@@ -246,17 +255,23 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     mu_min = min(eigenstructure(sym).mu)
     qmin = float(np.min(np.linalg.eigvalsh(Q)))
     real = not (np.any(sym.a.imag) or np.any(Q.imag))
+    pruned = {}                  # N -> the bound on its box points left unsummed
 
     def partial(ts, N):
         k = _half_box(m, N) * (2.0 * math.pi / np.array(periods))
+        low = mu_min * np.einsum("ij,ij->i", k, k) + qmin
+        # the origin (low = qmin, counted once below) is always kept
+        keep = low <= qmin + math.log(2 * d * len(k) / (1e-3 * _LATTICE_FLOOR)) / ts.min()
+        pruned[N] = 0.0 if keep.all() else _exp_sum(ts, low[~keep], 2.0 * d)
+        k = k[keep]
         A = (sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q for lo in range(0, len(k), _EIG_CHUNK))
         lam = np.concatenate([np.linalg.eigvalsh(a.real if real else a) for a in A])
         mult = np.full(lam.shape, 2.0)
         mult[0] = 1.0
         return _exp_sum(ts, lam.ravel(), mult.ravel())
 
-    # every eigenvalue at k is at least mu_min |k|^2 + qmin
-    tail = lambda ts, N: d * _lattice_tail(ts * mu_min, N, periods, qmin / mu_min)
+    # the lattice past N, plus the box points partial(ts, N) left out
+    tail = lambda ts, N: d * _lattice_tail(ts * mu_min, N, periods, qmin / mu_min) + pruned[N]
     return _certified_trace(t, "lattice", lambda tmin: cutoff, _LATTICE_CAP, partial, tail,
-                            lambda total: 1e-15 * total,
+                            lambda total: _LATTICE_FLOOR * total,
                             lambda N: d * (2 * min(N, _LATTICE_CAP) + 1) ** m)[0]

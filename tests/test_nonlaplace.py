@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatkern import nonlaplace as nl
+from heatkern import spectra
 from heatkern.errors import (EllipticityError, ResourceError, StructureError,
                              ValidationError)
 from heatkern.quadrature import unit_directions
@@ -238,6 +239,100 @@ def test_a2_potential_part_matches_torus_slope():
     ys = np.array([t * nl.torus_oracle(sym, Q=Q, t=t) for t in ts])
     slope = np.polyfit(ts, ys, 1)[0]
     assert abs(slope - want) < 5e-3 * abs(want)
+
+
+def test_torus_oracle_m3_one_form_matches_theta_products():
+    # |k|^2 I + c k (x) k has (1 + c)|k|^2 once and |k|^2 twice
+    c, q, periods = 0.8, 0.3, (1.0, 1.2, 0.9)
+    sym = nl.one_form_symbol(3, c)
+    for t in (0.01, 0.02):
+        got = nl.torus_oracle(sym, Q=q * np.eye(3), t=t, periods=periods)
+        want = math.exp(-t * q) * (math.prod(circle_theta(t * (1 + c), L) for L in periods)
+                                   + 2 * math.prod(circle_theta(t, L) for L in periods))
+        assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Every (sum, N, tail) that torus_oracle certifies while the test runs."""
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(spectra._certified_trace(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(nl, "_certified_trace", record)
+    return seen
+
+
+def box_trace(sym, Q, ts, N, periods):
+    """sum of e^{-t lam} over every eigenvalue of A(k) + Q at every k = 2 pi n / periods
+    of the whole box |n|_inf <= N, with no pruning and no k <-> -k pairing."""
+    m = sym.m
+    n = np.stack(np.meshgrid(*[np.arange(-N, N + 1)] * m, indexing="ij"), axis=-1)
+    k = 2 * math.pi * n.reshape(-1, m) / np.array(periods)
+    lam = np.linalg.eigvalsh(np.einsum("mnab,im,in->iab", sym.a, k, k) + Q).ravel()
+    return np.array([math.fsum(np.exp(-t * lam)) for t in ts])
+
+
+COMPLEX_Q_CASES = {
+    "m3": (nl.one_form_symbol(3, 0.7),
+           np.array([[0.4, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, -0.3, 0.05j], [0.0, -0.05j, 0.1]]),
+           np.array([0.02, 0.05]), (1.0, 1.1, 0.9)),
+    "m2": (nl.one_form_symbol(2, 0.5), np.array([[0.3, 0.1j], [-0.1j, -0.2]]),
+           np.array([0.01, 0.1, 5.0]), (2 * math.pi, 3.0)),
+}
+
+
+def test_torus_oracle_matches_the_whole_box_with_complex_q(certificates):
+    # the pruned points are left out of the sum, and they change it by less than rounding
+    sym, Q, ts, periods = COMPLEX_Q_CASES["m3"]
+    got = nl.torus_oracle(sym, Q=Q, t=ts, periods=periods)
+    N = certificates[-1][1]
+    want = box_trace(sym, Q, ts, N, periods)
+    assert np.all(np.abs(got - want) <= 5e-16 * want)
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX_Q_CASES))
+def test_torus_oracle_tail_bounds_the_sum_past_it(case, certificates):
+    sym, Q, ts, periods = COMPLEX_Q_CASES[case]
+    nl.torus_oracle(sym, Q=Q, t=ts, periods=periods)
+    got, N, tail = certificates[-1]
+    past = box_trace(sym, Q, ts, 2 * N, periods)
+    ulp = np.array([math.ulp(s) for s in got])
+    assert np.all(np.abs(past - got) <= tail + 4 * ulp)
+
+
+def test_torus_oracle_diagonalises_only_what_can_reach_the_floor(monkeypatch, certificates):
+    sym, laplace = nl.one_form_symbol(3, 0.9), nl.laplace_symbol(2)
+    # computed ahead, so every eigvalsh batch counted below is a lattice one
+    specs = {3: nl.eigenstructure(sym), 2: nl.eigenstructure(laplace)}
+    monkeypatch.setattr(nl, "eigenstructure", lambda s: specs[s.m])
+    eigvalsh = np.linalg.eigvalsh
+    rows = []
+
+    def counted(a):
+        if a.ndim == 3:
+            rows.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(nl.np.linalg, "eigvalsh", counted)
+    nl.torus_oracle(sym, Q=0.2 * np.eye(3), t=0.02, cutoff=12)
+    assert 0 < sum(rows) < 7813 / 4           # the half box at N = 12 has 7813 points
+    # the lattice past N = 12 adds about 3e-53 of the sum: the tail is the pruned
+    # points' bound, which the cut keeps under 1e-3 of the 1e-15 floor
+    total, N, tail = certificates[-1]
+    assert N == 12 and 1e-40 * total < tail <= 1e-18 * total
+
+    # the cap counts the whole box, so a refused box never reaches eigvalsh
+    rows.clear()
+    with pytest.raises(ResourceError):
+        nl.torus_oracle(laplace, t=0.1, cutoff=2000)
+    assert rows == []
+    with pytest.raises(ResourceError, match="over the cap"):
+        nl.torus_oracle(laplace, t=1e-9)
+    # nothing is pruned at t = 1e-9; N = 8, ..., 512 are summed and N = 1024 is refused
+    assert sum(rows) == sum(((2 * N + 1) ** 2 + 1) // 2 for N in (8, 16, 32, 64, 128, 256, 512))
 
 
 def test_torus_oracle_validation_and_budget():
