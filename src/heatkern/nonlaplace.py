@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,17 +41,23 @@ _DIRECTIONS = (24, 20260416)     # count and seed of eigenstructure's default sa
 
 @dataclass(frozen=True)
 class LeadingSymbol:
-    """Constant coefficient array a^{mu nu} of d x d Hermitian blocks."""
+    """Constant coefficient array a^{mu nu} of d x d Hermitian blocks, a read-only copy."""
 
     m: int
     d: int
     a: np.ndarray
 
     def __post_init__(self):
-        a = _array(self.a, (self.m, self.m, self.d, self.d), "a")
+        a = _array(self.a, (self.m, self.m, self.d, self.d), "a").copy()
         _require(a, a.transpose(1, 0, 2, 3), "a must be symmetric in its base indices")
         _require(a, a.conj().transpose(0, 1, 3, 2), "blocks of a must be Hermitian")
+        a.flags.writeable = False
         object.__setattr__(self, "a", a)
+
+    @cached_property
+    def spectrum(self):
+        """eigenstructure at the default sample, detected on first use and kept."""
+        return eigenstructure(self, unit_directions(self.m, *_DIRECTIONS))
 
     def symbol_matrix(self, xi):
         """A(xi) = a^{mu nu} xi_mu xi_nu, one matrix or a batch."""
@@ -108,17 +115,17 @@ class SymbolSpectrum:
 def eigenstructure(sym, directions=None):
     """Detect the slope/multiplicity structure of a leading symbol.
 
-    Samples A over unit directions, clusters eigenvalues per direction at
-    relative gap 1e-8, and requires identical multiplicities and slope
-    agreement to 1e-10 across all directions.
+    Samples A over unit directions, clusters eigenvalues per direction at relative
+    gap 1e-8, and requires identical multiplicities and slope agreement to 1e-10
+    across all directions.  Without directions it returns sym.spectrum: the
+    default sample's structure, detected once per symbol and kept on it.
     """
     if directions is None:
-        directions = unit_directions(sym.m, *_DIRECTIONS)
+        return sym.spectrum
     dirs = _vectors(directions, sym.m, "directions")
     if len(dirs) < 20:
         raise ValidationError("need at least 20 unit directions of dimension m")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-12:
+    if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
         raise ValidationError("directions must be unit vectors")
 
     w = np.linalg.eigvalsh(sym.symbol_matrix(dirs))
@@ -245,14 +252,15 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     least e^{-t qmin}, so a box point with low(k) past qmin + ln(2dM/eps)/tmin
     (M half-box points, eps 1e-3 of the floor) adds under eps of the sum at each t of
     the call: such points are bounded, not summed, and their bound 2d e^{-t low(k)} is in
-    the tail.  The cap and its refusal count the whole box.
+    the tail.  The cap and its refusal count the whole box.  mu_min is read from
+    sym.spectrum, so the slopes are detected once per symbol, not once per call.
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
     Q = _array(np.zeros((d, d)) if Q is None else Q, (d, d), "Q")
     _require(Q, Q.conj().T, "Q must be Hermitian")
 
-    mu_min = min(eigenstructure(sym).mu)
+    mu_min = min(sym.spectrum.mu)
     qmin = float(np.min(np.linalg.eigvalsh(Q)))
     real = not (np.any(sym.a.imag) or np.any(Q.imag))
     pruned = {}                  # N -> the bound on its box points left unsummed
@@ -262,7 +270,7 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
         low = mu_min * np.einsum("ij,ij->i", k, k) + qmin
         # the origin (low = qmin, counted once below) is always kept
         keep = low <= qmin + math.log(2 * d * len(k) / (1e-3 * _LATTICE_FLOOR)) / ts.min()
-        pruned[N] = 0.0 if keep.all() else _exp_sum(ts, low[~keep], 2.0 * d)
+        pruned[N] = _exp_sum(ts, low[~keep], 2.0 * d)
         k = k[keep]
         A = (sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q for lo in range(0, len(k), _EIG_CHUNK))
         lam = np.concatenate([np.linalg.eigvalsh(a.real if real else a) for a in A])

@@ -26,6 +26,7 @@ from .quadrature import sphere_average, unit_directions
 from .spectra import _array, _require, _vectors
 
 _ASCENT_STEPS = 20
+_SETTLED_ULPS = 4               # a rise of lambda_max within this many ulp is no rise
 _DIRECTIONS = (50, 20260417)    # count and seed of strong_ellipticity's default sample
 
 
@@ -83,12 +84,13 @@ class EllipticityVerdict:
 def strong_ellipticity(data, directions=None):
     """Minimum-eigenvalue test of |zeta| I - i Gamma . zeta over the sphere.
 
-    That eigenvalue is 1 - lambda_max(i Gamma . omega).  Each sample and its
-    negative climb lambda_max as one batch for _ASCENT_STEPS steps of omega <-
-    a / |a|, a_i = v* (i Gamma^i) v with v the top eigenvector: lambda_max at
-    a / |a| is at least |a| >= a . omega, the old value, so no step lowers it
-    and a reported violation is always real.  The verdict reports the least
-    eigenvalue reached and its direction.
+    That eigenvalue is 1 - lambda_max(i Gamma . omega).  Each sample and its negative
+    climb lambda_max as one batch by steps omega <- a / |a|, a_i = v* (i Gamma^i) v with v
+    the top eigenvector: lambda_max at a / |a| is at least |a| >= a . omega, the old value,
+    with equality only at a / |a| = omega.  So no step lowers it, a reported violation is
+    always real, and the climb ends at the first step where no lambda_max rose by over
+    _SETTLED_ULPS ulp of the largest |lambda_max| (every later step would repeat omega), or
+    after _ASCENT_STEPS steps.  The verdict reports the least eigenvalue and its direction.
     """
     p = data.m - 1
     if directions is None:
@@ -100,8 +102,12 @@ def strong_ellipticity(data, directions=None):
         raise ValidationError("covectors must be unit length")
     iG = 1j * np.stack(data.Gamma)
     omega = np.concatenate([dirs, -dirs])
+    top = -np.inf
     for _ in range(_ASCENT_STEPS):
-        v = np.linalg.eigh(np.einsum("ni,iab->nab", omega, iG))[1][:, :, -1]
+        w, V = np.linalg.eigh(np.einsum("ni,iab->nab", omega, iG))
+        if np.all(w[:, -1] - top <= _SETTLED_ULPS * np.spacing(np.abs(w[:, -1]).max())):
+            break
+        top, v = w[:, -1], V[:, :, -1]
         a = np.einsum("na,iab,nb->ni", v.conj(), iG, v).real
         norm = np.linalg.norm(a, axis=1, keepdims=True)
         omega = np.divide(a, norm, out=omega, where=norm > 0)
@@ -110,13 +116,9 @@ def strong_ellipticity(data, directions=None):
     return EllipticityVerdict(bool(lam[k] > 1e-12), float(lam[k]), omega[k])
 
 
-def _prefactor(m):
-    return (4.0 * math.pi) ** (-(m - 1) / 2.0)
-
-
 def _assemble(data, J):
     d = data.d
-    val = _prefactor(data.m) * 0.25 * (-np.eye(d) - 2.0 * data.Pi + 2.0 * J)
+    val = (4.0 * math.pi) ** (-(data.m - 1) / 2.0) * 0.25 * (-np.eye(d) - 2.0 * data.Pi + 2.0 * J)
     return 0.5 * (val + val.conj().T)
 
 

@@ -94,8 +94,8 @@ def _like_t(ts, values, what=None):
 
 
 def _exp_sum(ts, lam, mult=1.0):
-    """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts."""
-    rows = max(1, _EXP_CHUNK // lam.size)
+    """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts; 0 for no lam."""
+    rows = max(1, _EXP_CHUNK // max(1, lam.size))
     sums = []
     with np.errstate(over="ignore"):
         for i in range(0, ts.size, rows):

@@ -35,6 +35,15 @@ def test_symbol_constructor_validation():
         nl.LeadingSymbol(m=1, d=2, a=bad)
 
 
+def test_symbol_keeps_a_read_only_copy():
+    a = np.einsum("mn,ab->mnab", np.eye(2), np.eye(2)).astype(complex)
+    sym = nl.LeadingSymbol(m=2, d=2, a=a)
+    with pytest.raises(ValueError):
+        sym.a[0, 0, 0, 0] = 2.0
+    a[0, 0, 0, 0] = 2.0           # the caller's array stays writable and apart
+    assert sym.a[0, 0, 0, 0] == 1.0
+
+
 def test_symbol_matrix_batch_agrees_with_single():
     rng = np.random.default_rng(7)
     # complex Hermitian blocks, symmetric in the base indices
@@ -71,6 +80,22 @@ def test_eigenstructure_one_form(m, c):
     want = sorted([(1.0, m - 1), (1.0 + c, 1)])
     for (mu, d), (mu0, d0) in zip(pairs, want):
         assert abs(mu - mu0) < 1e-12 and d == d0
+
+
+def test_eigenstructure_is_detected_once_per_symbol(monkeypatch):
+    built = []
+    spectrum = nl.SymbolSpectrum
+    monkeypatch.setattr(nl, "SymbolSpectrum",
+                        lambda *args, **kwargs: built.append(1) or spectrum(*args, **kwargs))
+    sym = nl.one_form_symbol(2, 0.8)
+    spec = nl.eigenstructure(sym)
+    for t in (0.01, 0.02):
+        nl.torus_oracle(sym, Q=0.3 * np.eye(2), t=t)
+    assert len(built) == 1 and nl.eigenstructure(sym) is spec is sym.spectrum
+    # explicit directions, even the default ones, detect again
+    again = nl.eigenstructure(sym, directions=unit_directions(2, *nl._DIRECTIONS))
+    assert len(built) == 2 and again is not spec
+    assert (again.mu, again.mult) == (spec.mu, spec.mult)
 
 
 def test_eigenstructure_rejects_direction_dependence():
@@ -305,9 +330,9 @@ def test_torus_oracle_tail_bounds_the_sum_past_it(case, certificates):
 
 def test_torus_oracle_diagonalises_only_what_can_reach_the_floor(monkeypatch, certificates):
     sym, laplace = nl.one_form_symbol(3, 0.9), nl.laplace_symbol(2)
-    # computed ahead, so every eigvalsh batch counted below is a lattice one
-    specs = {3: nl.eigenstructure(sym), 2: nl.eigenstructure(laplace)}
-    monkeypatch.setattr(nl, "eigenstructure", lambda s: specs[s.m])
+    # detected ahead and kept on the symbols, so every eigvalsh batch counted below
+    # is a lattice one
+    nl.eigenstructure(sym), nl.eigenstructure(laplace)
     eigvalsh = np.linalg.eigvalsh
     rows = []
 
@@ -331,7 +356,9 @@ def test_torus_oracle_diagonalises_only_what_can_reach_the_floor(monkeypatch, ce
     assert rows == []
     with pytest.raises(ResourceError, match="over the cap"):
         nl.torus_oracle(laplace, t=1e-9)
-    # nothing is pruned at t = 1e-9; N = 8, ..., 512 are summed and N = 1024 is refused
+    # nothing is pruned at t = 1e-9, and the empty bound is zeros at every t;
+    # N = 8, ..., 512 are summed and N = 1024 is refused
+    assert np.array_equal(spectra._exp_sum(np.array([1e-9, 0.5]), np.array([]), 4.0), [0, 0])
     assert sum(rows) == sum(((2 * N + 1) ** 2 + 1) // 2 for N in (8, 16, 32, 64, 128, 256, 512))
 
 

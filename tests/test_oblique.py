@@ -121,16 +121,64 @@ def test_strong_ellipticity_finds_an_arc_between_samples(angle):
         ob.a1_quadrature(data)
 
 
-@pytest.mark.parametrize("angle", [0.1, 0.7, 1.3])
-def test_rank_one_gamma_past_the_cone_is_a_domain_error(angle):
+def rank_one_data(angle):
     # i Gamma . omega = -(1 + 1e-6) (u . omega) diag(1, 0): violated only near omega = -u
     u = (math.cos(angle), math.sin(angle))
-    data = ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+    return ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
                                   Gamma=tuple(1j * (1 + 1e-6) * x * np.diag([1.0, 0.0]) for x in u))
+
+
+@pytest.mark.parametrize("angle", [0.1, 0.7, 1.3])
+def test_rank_one_gamma_past_the_cone_is_a_domain_error(angle):
+    data = rank_one_data(angle)
     v = ob.strong_ellipticity(data)
     assert not v.elliptic and abs(v.min_eigenvalue + 1e-6) < 1e-12
     with pytest.raises(DomainError):
         ob.a1_quadrature(data)
+
+
+def family_data(family, m, gamma):
+    # the commuting (sigma_3 on one axis) and Clifford (sigma_1, sigma_2, sigma_3) families
+    s3 = np.diag([1.0, -1.0]).astype(complex)
+    if family == "commuting":
+        gammas = (1j * gamma * s3,) + (np.zeros((2, 2)),) * (m - 2)
+    else:
+        gammas = tuple(1j * gamma * s for s in (SIG1, SIG2, s3)[:m - 1])
+    return ob.ObliqueBoundaryData(m=m, d=2, Pi=np.zeros((2, 2)), Gamma=gammas)
+
+
+ASCENT_CASES = {
+    **{f"{fam}_m{m}_{g}": (lambda fam=fam, m=m, g=g: family_data(fam, m, g))
+       for fam in ("commuting", "clifford") for m in (3, 4) for g in (0.45, 1.5)},
+    **{f"pauli_{g}": (lambda g=g: pauli_data(g)) for g in (0.5, 1.0, 1.5)},
+    **{f"arc_{a}": (lambda a=a: rotated_diagonal_data(0.7072, a)) for a in (0.0, 1.0, 2.5)},
+    **{f"rank_one_{a}": (lambda a=a: rank_one_data(a)) for a in (0.1, 0.7, 1.3)},
+}
+
+
+def fixed_ascent(data, steps=20):
+    """(elliptic, least eigenvalue) after a fixed number of ascent steps, with no stop."""
+    iG = 1j * np.stack(data.Gamma)
+    dirs = unit_directions(data.m - 1, *ob._DIRECTIONS)
+    omega = np.concatenate([dirs, -dirs])
+    for _ in range(steps):
+        v = np.linalg.eigh(np.einsum("ni,iab->nab", omega, iG))[1][:, :, -1]
+        a = np.einsum("na,iab,nb->ni", v.conj(), iG, v).real
+        norm = np.linalg.norm(a, axis=1, keepdims=True)
+        omega = np.divide(a, norm, out=omega, where=norm > 0)
+    least = np.min(np.linalg.eigvalsh(np.eye(data.d) - 1j * data.gamma_dot(omega))[:, 0])
+    return bool(least > 1e-12), float(least)
+
+
+@pytest.mark.parametrize("case", sorted(ASCENT_CASES))
+def test_ascent_stops_at_its_fixed_point(case, monkeypatch):
+    data = ASCENT_CASES[case]()
+    elliptic, least = fixed_ascent(data)
+    eigh, batches = np.linalg.eigh, []
+    monkeypatch.setattr(ob.np.linalg, "eigh", lambda a: batches.append(len(a)) or eigh(a))
+    v = ob.strong_ellipticity(data)
+    assert 2 <= len(batches) <= 3 and set(batches) == {100}
+    assert v.elliptic == elliptic and abs(v.min_eigenvalue - least) < 1e-12
 
 
 def test_strong_ellipticity_direction_validation():
