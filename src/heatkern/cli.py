@@ -100,7 +100,7 @@ _KEYS = (
     ("operator", "cutoff", ("circle", "torus"), int, 64, None),
     ("geometry", "periods", ("torus",), _floats, _REQUIRED, None),
     ("operator", "modes", ("torus",), _parse_modes, {}, None),
-    ("operator", "field", ("landau",), _finite, 1.0, None),
+    ("operator", "field", ("landau",), _finite, 1.0, _POSITIVE),
     ("geometry", "length", ("interval",), _finite, math.pi, None),
     ("boundary", "bc", ("interval",), str, "DD", ("DD", "NN", "DN")),
 )

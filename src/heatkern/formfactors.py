@@ -14,7 +14,12 @@ related order by order through
 _gamma evaluates gamma^(i) on an array of z: that Taylor series below z = 1,
 with float coefficients built once per order; above it, since each profile
 is a polynomial in xi^2, a closed form in Dawson's function D, which _dawson
-evaluates with numpy.  gamma_factor is its scalar entry point.
+evaluates with numpy.  gamma_factor is the scalar entry point: it runs its
+one z on Python floats through the same operations in the same order, and so
+returns _gamma's value at np.array([z]) bit for bit.  The two paths share the
+float profile table, the series length, the asymptotic Dawson series and the
+J_j recursion (_profile_sum); only the Taylor sum and Rybicki's sum are
+written twice, and neither is Python's sum, which compensates from 3.12 on.
 
 h_functional resums the whole quadratic tower on flat torus backgrounds,
 where the mode decomposition makes every operator function diagonal.  The
@@ -78,6 +83,9 @@ def _beta_moment(j, n):
     return num / den
 
 
+# the profile coefficients as floats, in increasing power of u
+_PROFILE_FLOATS = {i: tuple((j, float(c)) for j, c in sorted(poly.items()))
+                   for i, poly in _PROFILE_POLY.items()}
 _series_table = {i: np.empty(0) for i in _PROFILE_POLY}
 
 
@@ -90,21 +98,47 @@ def _series_moments(i, count):
     return _series_table[i][:count]
 
 
-def _gamma_series(i, z, tol=1e-18, nmax=250):
-    """Taylor series sum_n M_n s_n, s_n = (-z/4)^n / n!, at each entry of the array z:
-    sequential sums, each stopped at its first n with |s_{n+1}| < tol max(1, |sum|),
-    which every entry has reached once (max|z|/4)^n / n! < tol."""
-    count, s, zmax = 1, 1.0, float(np.max(np.abs(z), initial=0.0)) / 4.0
-    while s >= tol and count < nmax:
+# the Taylor sums stop at their first n with |s_{n+1}| < _SERIES_TOL max(1, |sum|),
+# and take at most _SERIES_TERMS terms
+_SERIES_TOL = 1e-18
+_SERIES_TERMS = 250
+
+
+def _series_length(zmax):
+    """Terms the Taylor series needs at |z| <= 4 zmax: the first count with
+    zmax^(count-1) / (count-1)! < _SERIES_TOL, at most _SERIES_TERMS."""
+    count, s = 1, 1.0
+    while s >= _SERIES_TOL and count < _SERIES_TERMS:
         s, count = s * zmax / count, count + 1
+    return count
+
+
+def _gamma_series(i, z):
+    """Taylor series sum_n M_n s_n, s_n = (-z/4)^n / n!, at each entry of the array z:
+    sequential sums, each stopped at its first n with |s_{n+1}| < _SERIES_TOL
+    max(1, |sum|), which every entry has reached once (max|z|/4)^n / n! < _SERIES_TOL."""
+    count = _series_length(float(np.max(np.abs(z), initial=0.0)) / 4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         steps = (-z / 4.0) / np.arange(1.0, count + 1)[:, None]
         scale = np.cumprod(np.vstack([np.ones_like(z), steps]), axis=0)
         acc = np.cumsum(scale[:-1] * _series_moments(i, count)[:, None], axis=0)
-        done = np.abs(scale[1:]) < tol * np.maximum(1.0, np.abs(acc))
+        done = np.abs(scale[1:]) < _SERIES_TOL * np.maximum(1.0, np.abs(acc))
     if not np.all(done.any(axis=0)):
         raise NumericError(f"gamma series did not converge for i={i}, z={z.min()}")
     return acc[done.argmax(axis=0), np.arange(z.size)]
+
+
+def _gamma_series_one(i, z):
+    """_gamma_series at one float z, on Python floats: the same count, products and
+    sums in the same order, so the same bits."""
+    count = _series_length(abs(z) / 4.0)
+    step, acc, scale = -z / 4.0, 0.0, 1.0
+    for n, moment in enumerate(_series_moments(i, count).tolist()):
+        acc = acc + scale * moment
+        scale = scale * (step / (n + 1))
+        if abs(scale) < _SERIES_TOL * max(1.0, abs(acc)):
+            return acc
+    raise NumericError(f"gamma series did not converge for i={i}, z={z}")
 
 
 # Rybicki's sampling-theorem sum for Dawson's function (Computers in Physics
@@ -114,9 +148,20 @@ def _gamma_series(i, z, tol=1e-18, nmax=250):
 # e^{-64}.
 _DAWSON_H = 0.2
 _DAWSON_OFFSETS = tuple(range(-39, 40, 2))
+_DAWSON_N = np.array(_DAWSON_OFFSETS, dtype=float)
 # above this x the asymptotic series 1/(2x) sum_k (2k-1)!! / (2x^2)^k is
 # exact to rounding within a few terms, and x - n0 h would lose digits
 _DAWSON_ASYMPTOTIC = 50.0
+
+
+def _dawson_asymptotic(x):
+    """The asymptotic series of D(x), on a float or an array."""
+    u = 0.5 / (x * x)
+    term = total = 1.0
+    for k in range(1, 7):       # (2k - 1)!! u^k < 1e-18 by k = 6 at x >= 50
+        term = term * ((2 * k - 1) * u)
+        total = total + term
+    return total / (2.0 * x)
 
 
 def _dawson(x):
@@ -125,18 +170,40 @@ def _dawson(x):
     Relative error about 1e-16.  Both forms are evaluated at every x, which
     costs less than splitting x and stays finite on either side of the switch.
     """
-    u = 0.5 / (x * x)
-    term = total = 1.0
-    for k in range(1, 7):       # (2k - 1)!! u^k < 1e-18 by k = 6 at x >= 50
-        term = term * ((2 * k - 1) * u)
-        total = total + term
     n0 = 2.0 * np.round(0.5 * x / _DAWSON_H)
     xp = x - n0 * _DAWSON_H
-    n = np.array(_DAWSON_OFFSETS, dtype=float)[:, None]
+    n = _DAWSON_N[:, None]
     # summed in offset order (cumsum is sequential), the same for any size of x
     terms = np.exp(-(xp - n * _DAWSON_H) ** 2) / (n0 + n)
     rybicki = np.cumsum(terms, axis=0)[-1] / math.sqrt(math.pi)
-    return np.where(x >= _DAWSON_ASYMPTOTIC, total / (2.0 * x), rybicki)
+    return np.where(x >= _DAWSON_ASYMPTOTIC, _dawson_asymptotic(x), rybicki)
+
+
+def _dawson_one(x):
+    """_dawson at one float x >= 0.5, the same bits: the same np.exp over the 40
+    offsets, whose terms are then added in offset order on Python floats."""
+    if x >= _DAWSON_ASYMPTOTIC:
+        return _dawson_asymptotic(x)
+    n0 = 2.0 * round(0.5 * x / _DAWSON_H)
+    xp = x - n0 * _DAWSON_H
+    terms = (np.exp(-(xp - _DAWSON_N * _DAWSON_H) ** 2) / (n0 + _DAWSON_N)).tolist()
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total / math.sqrt(math.pi)
+
+
+def _profile_sum(i, a, j0):
+    """sum_j c_j J_j over the profile's u-powers from J_0 = j0, by the recursion
+    J_j = (1 - (2j - 1) J_{j-1}) / (2a), the terms added in order of j: plain
+    arithmetic on floats or on arrays, with the same bits either way."""
+    moments = [j0]
+    for j in range(1, _PROFILE_FLOATS[i][-1][0] + 1):
+        moments.append((1.0 - (2 * j - 1) * moments[-1]) / (2.0 * a))
+    total = 0.0
+    for j, c in _PROFILE_FLOATS[i]:
+        total = total + c * moments[j]
+    return total
 
 
 def _gamma(i, z):
@@ -151,10 +218,7 @@ def _gamma(i, z):
     if not low.all():
         a = z[~low] / 4.0
         r = np.sqrt(a)
-        moments = [_dawson(r) / r]
-        for j in range(1, max(_PROFILE_POLY[i]) + 1):
-            moments.append((1.0 - (2 * j - 1) * moments[-1]) / (2.0 * a))
-        out[~low] = sum(float(c) * moments[j] for j, c in _PROFILE_POLY[i].items())
+        out[~low] = _profile_sum(i, a, _dawson(r) / r)
     return out
 
 
@@ -163,14 +227,21 @@ def gamma_factor(i, z):
 
     Taylor series below z = 1 (and for negative z); above it, the closed
     form in Dawson's function, which keeps the 1/z decay at any finite z.
-    Non-finite z is a ValidationError.
+    The one z runs on Python floats through the same operations, in the
+    same order, as _gamma, so the value is bit for bit _gamma's at
+    np.array([z]); only the Taylor sum and the Rybicki sum are loops of
+    their own.  Non-finite z is a ValidationError.
     """
     if i not in (1, 2, 3, 4, 5):
         raise ValidationError("family index i must be in 1..5")
     z = float(z)
     if not math.isfinite(z):
         raise ValidationError(f"gamma argument z must be finite, got {z}")
-    return float(_gamma(i, np.array([z]))[0])
+    if z < 1.0:
+        return _gamma_series_one(i, z)
+    a = z / 4.0
+    r = math.sqrt(a)
+    return _profile_sum(i, a, _dawson_one(r) / r)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def _metric_series(geom, deg):
     return vanvleck, diag, [a - b for a, b in zip(sqrtg[1:], diag[1:])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorJet:
     """L on polynomials over `basis` = `_basis(m, cutoff + 2)`, each cut at its own degree.
 
@@ -123,7 +123,7 @@ class OperatorJet:
     series: tuple = field(repr=False)
     connection: np.ndarray | None = field(repr=False)
     Q: np.ndarray = field(repr=False)
-    basis: _Basis = field(repr=False, compare=False)
+    basis: _Basis = field(repr=False)
 
     def apply(self, P):
         """L P for arrays P of shape (..., N_c, d, d), N_c = basis.offsets[c + 1], each
@@ -174,7 +174,7 @@ def build_operator_jet(geom, pot, cutoff):
 # the recursion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmdsCoefficient:
     """a_k exact through degree `cutoff`: coeffs[i] (d, d) multiplies y^{alpha_i}
     of `basis`."""
@@ -182,7 +182,7 @@ class HmdsCoefficient:
     order: int
     cutoff: int
     coeffs: np.ndarray = field(repr=False)
-    basis: _Basis = field(repr=False, compare=False)
+    basis: _Basis = field(repr=False)
 
     @property
     def diagonal(self):

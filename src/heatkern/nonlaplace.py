@@ -39,7 +39,7 @@ _EIG_CHUNK = 262_144             # lattice points per eigvalsh call
 _DIRECTIONS = (24, 20260416)     # count and seed of eigenstructure's default sample
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeadingSymbol:
     """Constant coefficient array a^{mu nu} of d x d Hermitian blocks, a read-only copy."""
 

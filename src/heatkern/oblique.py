@@ -30,7 +30,7 @@ _SETTLED_ULPS = 4               # a rise of lambda_max within this many ulp is n
 _DIRECTIONS = (50, 20260417)    # count and seed of strong_ellipticity's default sample
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObliqueBoundaryData:
     """Boundary condition data (Pi, Gamma^i, S) with the block constraints.
 
@@ -74,7 +74,7 @@ class ObliqueBoundaryData:
         return sum((g @ g for g in self.Gamma), np.zeros((self.d, self.d), dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipticityVerdict:
     elliptic: bool
     min_eigenvalue: float

@@ -164,13 +164,17 @@ def _robin_eigenvalues(L, S, count):
     carries exactly one root, and all of them are bisected in one pass; for
     S > 0 the lowered spectrum admits one or two negative eigenvalues, found
     from the hyperbolic counterparts kappa tanh(kappa L/2) = S, kappa coth = S.
+    The two roots that vanish with S, the tanh root for S > 0 and the j = 0
+    even root for S < 0 (both near lambda = -2S/L), are bracketed from 0,
+    where their secular function is -S or S, so no |S| is too small to bracket.
     """
     lams = []
     if S > 0:
-        lo, hi = np.array([1e-14]), np.array([S + 4.0 / L])
-        lams.append(-_bisect(lambda x: x * np.tanh(x * L / 2.0) - S, lo, hi) ** 2)
+        hi = np.array([S + 4.0 / L])
+        lams.append(-_bisect(lambda x: x * np.tanh(x * L / 2.0) - S, np.zeros(1), hi) ** 2)
         if S * L > 2.0:
-            lams.append(-_bisect(lambda x: x / np.tanh(x * L / 2.0) - S, lo, hi) ** 2)
+            lams.append(-_bisect(lambda x: x / np.tanh(x * L / 2.0) - S, np.array([1e-14]),
+                                 hi) ** 2)
 
     # with |S| L <= 1e12 every branch j >= 1 changes sign, so j = 0..J-1 carry at least
     # 2J - 2 >= count + 4 roots
@@ -178,17 +182,20 @@ def _robin_eigenvalues(L, S, count):
     j = np.arange(count // 2 + 4.0)
     # even: kL/2 in (j pi - pi/2, j pi + pi/2), k > 0; odd: kL/2 in (j pi, (j+1) pi)
     even = _branch_roots(lambda k, d: k * np.tan(d) + S, L, j,
-                         np.where(j >= 1, -math.pi / 2.0, 0.0) + eps,
+                         np.where(j >= 1, eps - math.pi / 2.0, 0.0),
                          np.full(j.shape, math.pi / 2.0 - eps))
     odd = _branch_roots(lambda k, d: k / np.tan(d) - S, L, j,
                         np.full(j.shape, eps), np.full(j.shape, math.pi - eps))
     lams = np.sort(np.concatenate(lams + [even ** 2, odd ** 2]))[:count]
-    # residual of the secular function (k^2 - S^2) sin kL + 2 S k cos kL
-    k = np.sqrt(lams[lams > 0])
-    residual = np.abs((k * k - S * S) * np.sin(k * L) + 2.0 * S * k * np.cos(k * L))
+    # residual of the secular function (k^2 - S^2) sin kL + 2 S k cos kL; at k = i x
+    # of its continuation over cosh xL, (x^2 + S^2) tanh xL - 2 S x
+    k = np.sqrt(np.abs(lams))
+    residual = np.abs(np.where(lams >= 0,
+                               (k * k - S * S) * np.sin(k * L) + 2.0 * S * k * np.cos(k * L),
+                               (k * k + S * S) * np.tanh(k * L) - 2.0 * S * k))
     bad = residual > 1e-12 * np.maximum(1.0, k * k + S * S) * np.maximum(1.0, k)
     if np.any(bad):
-        raise NumericError(f"robin root residual too large at k={k[bad][0]}")
+        raise NumericError(f"robin root residual too large at lambda={lams[bad][0]}")
     return lams
 
 
@@ -386,7 +393,7 @@ def _modes(modes, m, shape, what, flip, relation):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierBackground:
     """Flat torus with a Hermitian potential and optional curvature modes.
 
@@ -588,7 +595,7 @@ def torus_potential_trace(periods, modes, cutoff, t):
 # asymptotic fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     exponents: tuple
     coefficients: np.ndarray

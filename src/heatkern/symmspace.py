@@ -44,7 +44,7 @@ def _endomorphism(Q):
 # nilpotent algebra: flat space, constant field strength
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantFieldStrength:
     """Constant curvature 2-form (fiber-scalar) plus a constant endomorphism."""
 
@@ -93,7 +93,7 @@ def _holonomy_ad(beta, F):
     return 2.0 * np.tensordot(Linv_T.T, L.T @ F.transpose(1, 0, 2) @ Linv_T, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricSpaceData:
     """Holonomy data of a symmetric space in an orthonormal frame.
 

@@ -165,7 +165,7 @@ def _radial_times(B, series, P):
 # SymTensor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymTensor:
     """Symmetric tensor with p upper and q lower slots and d x d fiber blocks.
 
@@ -342,7 +342,7 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
 # potential jets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialJet:
     """Taylor coefficients of the endomorphism Q plus a covariantly constant curvature.
 

@@ -266,6 +266,9 @@ GRID = "[grid]\nstart = 0.1\n"
     ("landau", GRID + "geometric = maybe\n", "bad value for [grid] geometric"),
     ("landau", GRID + "[output]\npath = out%x.csv\n", "config parse error"),
     ("landau", GRID + "[operator]\nfield = nan\n", "bad value for [operator] field: 'nan'"),
+    ("landau", GRID + "[operator]\nfield = 0\n",
+     "bad value for [operator] field: '0'; expected a finite number in [5e-324, inf]"),
+    ("landau", GRID + "[operator]\nfield = -1\n", "bad value for [operator] field: '-1'"),
     ("interval", "length = nan\n" + GRID, "bad value for [geometry] length: 'nan'"),
     ("sphere", "radius = inf\n" + GRID, "bad value for [geometry] radius: 'inf'"),
     ("sphere", GRID + "[operator]\npotential = nan\n",
@@ -315,6 +318,16 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, kind, blocks, 
 def test_every_task_refuses_a_bad_length_alike(tmp_path, capsys, kind, line):
     # a sphere oracle checks its radius in sphere_trace, the other sphere tasks in
     # the geometry; all go through the one length check
+    assert_every_task_refuses_alike(tmp_path, capsys, kind, line)
+
+
+@pytest.mark.parametrize("field", ["0", "-1", "-0.0"])
+def test_every_task_refuses_a_nonpositive_field_alike(tmp_path, capsys, field):
+    # the config row refuses B <= 0 before any task reads it
+    assert_every_task_refuses_alike(tmp_path, capsys, "landau", f"[operator]\nfield = {field}")
+
+
+def assert_every_task_refuses_alike(tmp_path, capsys, kind, line):
     errs = set()
     for task in ("asymptotics", "oracle", "compare", "report"):
         path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = {kind}\n"

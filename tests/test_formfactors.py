@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heatkern import formfactors as ff
-from heatkern.errors import ValidationError
+from heatkern.errors import NumericError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,25 @@ def test_dawson_vs_scipy():
                          np.geomspace(1e4, 1e150, 60)])
     rel = np.max(np.abs(ff._dawson(xs) - dawsn(xs)) / dawsn(xs))
     assert rel < 1e-14
+
+
+# both sides of z = 1, both sides of the asymptotic switch at x = sqrt(z/4) = 50
+SCALAR_GRID = ([-6.0, -3.7, -1.0, -1e-9, 0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]
+               + list(np.linspace(1.5, 40.0, 12)) + [1e4 - 1e-9, 1e4, 2.5e5, 1e300])
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
+def test_gamma_factor_is_the_array_kernel_bit_for_bit(i):
+    for z in SCALAR_GRID:
+        assert ff.gamma_factor(i, z) == ff._gamma(i, np.array([z]))[0], z
+
+
+def test_gamma_series_failure_is_the_same_on_both_paths():
+    with pytest.raises(NumericError) as scalar:
+        ff.gamma_factor(1, -1e4)
+    with pytest.raises(NumericError) as array:
+        ff._gamma(1, np.array([-1e4]))
+    assert str(scalar.value) == str(array.value)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])

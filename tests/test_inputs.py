@@ -8,7 +8,9 @@ tensorcalc.BASIS_BUDGET is a ResourceError, raised before anything is allocated.
 """
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import time
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heatkern
 from heatkern import (formfactors as ff, hmds, nonlaplace as nl, oblique as ob, quadrature,
                       spectra, symmspace as ss, tensorcalc as tc, zaremba as zw)
 from heatkern.errors import HeatkernError, ResourceError, ValidationError
@@ -350,3 +353,47 @@ def test_matrix_inputs_succeed_or_raise_validation_error(case):
         SITES[site][1](value)
     except ValidationError:
         pass
+
+
+def _jet():
+    geom = tc.build_model_geometry("flat", 2, cutoff=2)
+    return hmds.build_operator_jet(geom, tc.PotentialJet.constant(2, 1, [[0.3]], cutoff=2), 2)
+
+
+# every frozen dataclass that holds arrays, each made twice with equal contents
+ARRAY_HOLDERS = {
+    tc.SymTensor: lambda: tc.SymTensor(2, 0, 1, 1, np.ones((1, 2, 1, 1))),
+    tc.PotentialJet: lambda: tc.PotentialJet.constant(2, 2, Z2, cutoff=1),
+    hmds.OperatorJet: _jet,
+    hmds.HmdsCoefficient: lambda: hmds.hmds_coefficients(_jet(), kmax=1, cutoff=0)[1],
+    spectra.FourierBackground: lambda: spectra.FourierBackground(
+        1, (1.0,), d=2, potential_modes={(1,): EPS, (-1,): EPS.T}),
+    spectra.FitResult: lambda: spectra.FitResult((0.0,), np.ones(2), np.zeros(2), 1.0),
+    ss.ConstantFieldStrength: lambda: ss.ConstantFieldStrength(m=2, rhat=EPS),
+    ss.SymmetricSpaceData: lambda: ss.build_symmetric_space("S2"),
+    nl.LeadingSymbol: lambda: nl.laplace_symbol(2),
+    ob.ObliqueBoundaryData: lambda: ob.ObliqueBoundaryData(m=2, d=2, Pi=Z2, Gamma=(0.3j * np.diag([1.0, -1.0]),)),
+    ob.EllipticityVerdict: lambda: ob.EllipticityVerdict(True, 1.0, np.array([1.0, 0.0])),
+}
+
+
+def test_array_holders_are_every_dataclass_with_an_array_field():
+    modules = [importlib.import_module(f"heatkern.{info.name}")
+               for info in pkgutil.iter_modules(heatkern.__path__)]
+    classes = {obj for mod in modules for obj in vars(mod).values()
+               if dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__}
+    with_arrays = {cls for cls in classes
+                   if any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert with_arrays <= set(ARRAY_HOLDERS) <= classes
+
+
+@pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda cls: cls.__name__)
+def test_array_holders_compare_and_hash_by_identity(cls):
+    # the generated field-wise == would ask numpy for the truth value of an array,
+    # and the generated __hash__ would hash one
+    a, b = ARRAY_HOLDERS[cls](), ARRAY_HOLDERS[cls]()
+    assert type(a) is cls
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

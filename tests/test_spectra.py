@@ -138,6 +138,23 @@ def test_robin_zero_mode_at_sl_equal_two():
     assert max(near) - min(near) < 1e-8
 
 
+@pytest.mark.parametrize("L", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("S", [1e-8, 1e-20, 1e-28, 1e-29, 1e-30, 1e-100, 1e-310, 5e-324])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_robin_near_zero_stays_next_to_neumann(L, S, sign):
+    # to first order in S each level moves by -S (u(0)^2 + u(L)^2), that is by -2S/L
+    # for the constant mode and -4S/L for the others, so the trace moves by at most
+    # 2 (2t|S|/L) times itself: no root is lost (trace about NN - 1) or invented
+    # (about NN + e^{16t/L^2})
+    S, t = sign * S, 0.1
+    nn = spectra.interval_trace(L, "NN", t)
+    robin = spectra.interval_trace(L, "robin", t, S=S)
+    assert abs(robin - nn) <= 2.0 * (2.0 * t * abs(S) / L) * nn + 1e-14 * nn
+    lam = spectra._robin_eigenvalues(L, S, 3)
+    # the lowest level is -2S/L, which may round to 0 at the subnormal floor
+    assert np.sign(lam[0]) != np.sign(S) and abs(lam[0]) <= 2.0 * (2.0 * abs(S) / L)
+
+
 def test_robin_interlaces_between_nn_and_dd():
     # positive robin eigenvalues sit between the Neumann and Dirichlet ones
     L, S = math.pi, 0.8
