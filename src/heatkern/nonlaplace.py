@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EllipticityError, StructureError, ValidationError
-from .quadrature import sphere_average, unit_directions
+from .quadrature import _read_only, sphere_average, unit_directions
 from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _periods, _require,
                       _scalar_t, _vectors)
 
@@ -48,11 +48,10 @@ class LeadingSymbol:
     a: np.ndarray
 
     def __post_init__(self):
-        a = _array(self.a, (self.m, self.m, self.d, self.d), "a").copy()
+        a = _array(self.a, (self.m, self.m, self.d, self.d), "a")
         _require(a, a.transpose(1, 0, 2, 3), "a must be symmetric in its base indices")
         _require(a, a.conj().transpose(0, 1, 3, 2), "blocks of a must be Hermitian")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _read_only(a))
 
     @cached_property
     def spectrum(self):

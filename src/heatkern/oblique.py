@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
-from .quadrature import sphere_average, unit_directions
+from .quadrature import _read_only, sphere_average, unit_directions
 from .spectra import _array, _require, _vectors
 
 _ASCENT_STEPS = 20
@@ -51,19 +51,19 @@ class ObliqueBoundaryData:
         Pi = _array(self.Pi, (d, d), "Pi")
         _require(Pi, Pi.conj().T, "Pi must be Hermitian")
         _require(Pi @ Pi, Pi, "Pi must be idempotent")
-        object.__setattr__(self, "Pi", Pi)
+        object.__setattr__(self, "Pi", _read_only(Pi))
 
         G = _array(self.Gamma, (m - 1, d, d), "Gamma")
         _require(G, -G.conj().transpose(0, 2, 1), "Gamma^i must be anti-Hermitian")
         _require(Pi @ G, 0.0, "Gamma^i must annihilate the Pi sector")
         _require(G @ Pi, 0.0, "Gamma^i must annihilate the Pi sector")
-        object.__setattr__(self, "Gamma", tuple(G))
+        object.__setattr__(self, "Gamma", tuple(_read_only(G)))
 
         S = _array(np.zeros((d, d)) if self.S is None else self.S, (d, d), "S")
         _require(S, S.conj().T, "S must be Hermitian")
         _require(Pi @ S, 0.0, "S must annihilate the Pi sector")
         _require(S @ Pi, 0.0, "S must annihilate the Pi sector")
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", _read_only(S))
 
     def gamma_dot(self, zeta):
         """Gamma . zeta, contracted over the last axis of zeta."""

@@ -8,11 +8,18 @@ through the direction x/|x|, that is the average of f over the unit sphere
 S^{p-1}, which a sphere rule takes with far fewer nodes; where f is
 Ad-invariant, a rule on a Cartan subalgebra does.  The three rules here have
 weights summing to 1: Gauss-Hermite on R^p, cartan_rule and sphere_rule.
+
+The Gauss-Hermite and sphere rules and the direction samples depend only on a
+few ints, so each is built once per argument tuple, on its first call, and the
+one result is shared read-only by every later call.  cartan_rule, keyed by an
+array, is rebuilt on each call from the shared Gauss-Hermite rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,11 +64,25 @@ def average(rule, first, last, integrand, tol, relative, name, count):
          f"{count}, last change {{err:.3e}}").format)[0]
 
 
+def _read_only(a):
+    """A read-only copy of the array `a`, which stays as it was: a cached rule, or
+    a checked field of a caller's array, cannot change once it is built."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def unit_directions(p, count, seed):
     """count unit vectors in R^p: the axes +-e_i, then standard normal draws of
-    norm above 1e-3 from the generator seeded with `seed`, normalised."""
+    norm above 1e-3 from the generator seeded with `seed`, normalised.  The
+    read-only result is built once per (p, count, seed)."""
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise ValidationError(f"unit directions need a dimension p >= 1, not {p!r}")
+    return _unit_directions(int(p), operator.index(count), operator.index(seed))
+
+
+@lru_cache(maxsize=None)
+def _unit_directions(p, count, seed):
     dirs = [s * e for e in np.eye(p) for s in (1.0, -1.0)]
     rng = np.random.default_rng(seed)
     while len(dirs) < count:
@@ -69,16 +90,18 @@ def unit_directions(p, count, seed):
         n = np.linalg.norm(v)
         if n > 1e-3:
             dirs.append(v / n)
-    return np.array(dirs)
+    return _read_only(dirs)
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite_rule(p, n):
     """n-point Gauss-Hermite rule on every axis of R^p, weights normalised by
-    pi^{-p/2}.  n must be even: an even rule has no node at the origin, where
-    the direction x/|x| is undefined."""
+    pi^{-p/2}, built once per (p, n) and read-only.  n must be even: an even
+    rule has no node at the origin, where the direction x/|x| is undefined."""
     x, w = np.polynomial.hermite.hermgauss(n)
     grid = lambda v: [g.ravel() for g in np.meshgrid(*([v] * p), indexing="ij")]
-    return np.stack(grid(x), axis=-1), np.prod(grid(w / math.sqrt(math.pi)), axis=0)
+    return (_read_only(np.stack(grid(x), axis=-1)),
+            _read_only(np.prod(grid(w / math.sqrt(math.pi)), axis=0)))
 
 
 def cartan_rule(ad, n):
@@ -115,8 +138,10 @@ def _gegenbauer_rule(n, k):
     return x, w / w.sum()
 
 
+@lru_cache(maxsize=None)
 def sphere_rule(dim, n):
-    """Nodes on the unit sphere S^{dim-1} in R^dim and weights summing to 1.
+    """Nodes on the unit sphere S^{dim-1} in R^dim and weights summing to 1,
+    built once per (dim, n) and read-only.
 
     S^0 is the two points +-1 and S^1 the 2n-point trapezoid rule.  S^{k+1}
     is built from S^k: the n-point Gauss rule in the new first coordinate x
@@ -125,7 +150,7 @@ def sphere_rule(dim, n):
     degree < 2n exactly.
     """
     if dim == 1:
-        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+        return _read_only([[1.0], [-1.0]]), _read_only([0.5, 0.5])
     phi = np.arange(2 * n) * (math.pi / n)
     nodes, wts = np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(2 * n, 0.5 / n)
     for k in range(1, dim - 1):
@@ -133,7 +158,7 @@ def sphere_rule(dim, n):
         polar = np.broadcast_to(x[:, None, None], (n, len(wts), 1))
         rest = np.sqrt((1.0 - x) * (1.0 + x))[:, None, None] * nodes[None]
         nodes, wts = np.concatenate([polar, rest], axis=-1).reshape(-1, k + 2), np.kron(w, wts)
-    return nodes, wts
+    return _read_only(nodes), _read_only(wts)
 
 
 def sphere_average(dim, first, last, integrand, tol):

@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .quadrature import average, cartan_rule
+from .quadrature import _read_only, average, cartan_rule
 from .spectra import _array, _as_t, _length, _like_t, _require, _scalar_t, _sizes
 
 _K_MAX = 6
@@ -55,8 +55,8 @@ class ConstantFieldStrength:
     def __post_init__(self):
         r = _array(self.rhat, (self.m, self.m), "field strength", float)
         _require(r, -r.T, "field strength must be antisymmetric")
-        object.__setattr__(self, "rhat", r)
-        object.__setattr__(self, "Q", _endomorphism(self.Q))
+        object.__setattr__(self, "rhat", _read_only(r))
+        object.__setattr__(self, "Q", _read_only(_endomorphism(self.Q)))
 
     def rotation_frequencies(self):
         """Positive frequencies B_j, one per +iB_j eigenvalue of rhat."""
@@ -127,8 +127,8 @@ class SymmetricSpaceData:
         beta_inv = np.linalg.inv(beta)
         if not math.isfinite(2.0 * float(np.max(np.abs(beta_inv)))):
             raise ValidationError("beta too small: the covariance 2 beta^{-1} overflows")
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "E", _read_only(E))
+        object.__setattr__(self, "beta", _read_only(beta))
 
         # |D| <= p max|beta| max|E| entrywise and D_i D_k sums m such squares;
         # these Python floats overflow to inf without a warning
@@ -209,16 +209,23 @@ def _log_sinh_coeffs(kmax):
 
 
 def _traced_powers(B, mats, jmax):
-    """tr((x . M)^{2j}) for j = 0..jmax as scalar (N,) polynomials on B."""
+    """tr((x . M)^{2j}) for j = 0..jmax as scalar (N,) polynomials on B.
+
+    (x . M)^n is homogeneous of degree n, so only its degree block, rows
+    B.offsets[n] to B.offsets[n + 1], is built, from the block of degree n - 1;
+    every other row of the traces is zero."""
     from .tensorcalc import _pad, _take
-    P = np.eye(B.N, 1)[:, :, None] * np.eye(mats.shape[1])       # (x . M)^0
-    traces = [np.trace(P, axis1=1, axis2=2)]
+    off = B.offsets
+    P = np.eye(mats.shape[1])[None]                               # (x . M)^0
+    traces = np.zeros((jmax + 1, B.N), dtype=np.result_type(P, mats))
+    traces[0, 0] = np.trace(P[0])
     for n in range(1, 2 * jmax + 1):
         pad = _pad(P)
-        P = sum(_take(pad, B.down[i, :B.N]) @ mats[i] for i in range(len(mats)))
+        P = sum(_take(pad, B.down[i, off[n]:off[n + 1]] - off[n - 1]) @ mats[i]
+                for i in range(len(mats)))
         if n % 2 == 0:
-            traces.append(np.trace(P, axis1=1, axis2=2))
-    return np.array(traces)
+            traces[n // 2, off[n]:off[n + 1]] = np.trace(P, axis1=1, axis2=2)
+    return traces
 
 
 def _normal_moments(B, cov):

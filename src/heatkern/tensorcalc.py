@@ -29,6 +29,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ResourceError, ValidationError
+from .quadrature import _read_only
 from .spectra import _array, _length, _periods, _require, _sizes
 
 # comb(14, 4): the m = 4, degree-10 basis of an S^4 kmax-4 tower
@@ -376,8 +377,8 @@ class PotentialJet:
         _require(curv, -np.conj(curv.transpose(0, 1, 3, 2)),
                  "curvature fiber blocks must be anti-Hermitian")
         _require(Q[0], np.conj(Q[0].T), "Q at the base point must be Hermitian")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "curvature", curv)
+        object.__setattr__(self, "Q", _read_only(Q))
+        object.__setattr__(self, "curvature", _read_only(curv))
 
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):

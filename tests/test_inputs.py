@@ -269,9 +269,11 @@ def test_mode_keys_are_integers(modes):
 
 
 def test_unit_directions_need_a_dimension():
-    # at p = 0 every normal draw has norm 0, so the sampler would never finish
-    with pytest.raises(ValidationError, match="p >= 1"):
-        quadrature.unit_directions(0, 24, 1)
+    # at p = 0 every normal draw has norm 0, so the sampler would never finish; a
+    # float or a list p is refused before it reaches the sample cache's key
+    for p in (0, 2.5, [3]):
+        with pytest.raises(ValidationError, match="p >= 1"):
+            quadrature.unit_directions(p, 24, 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -397,3 +399,42 @@ def test_array_holders_compare_and_hash_by_identity(cls):
     assert a != b and not a == b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+# name -> (the caller's arrays, the holder built from them, its checked fields); the
+# caller's arrays are complex where _array may keep them without a copy
+def _frozen_cases():
+    q = np.array([[0.3 + 0j]])
+    rhat = EPS.copy()
+    E, beta = EPS[None].copy(), np.array([[1.0]])
+    jq, curv = np.zeros((3, 2, 2), dtype=complex), np.zeros((2, 2, 2, 2), dtype=complex)
+    Pi = np.diag([1.0, 0.0]).astype(complex)
+    G = np.array([np.diag([0.0, 0.3j])])
+    S = np.diag([0.0, 0.5]).astype(complex)
+    return {
+        "ConstantFieldStrength": ((rhat, q), ss.ConstantFieldStrength(2, rhat, q), ("rhat", "Q")),
+        "SymmetricSpaceData": ((E, beta), ss.SymmetricSpaceData(m=2, p=1, E=E, beta=beta),
+                               ("E", "beta")),
+        "PotentialJet": ((jq, curv), tc.PotentialJet(2, 2, 1, jq, curv), ("Q", "curvature")),
+        "ObliqueBoundaryData": ((Pi, G, S), ob.ObliqueBoundaryData(m=2, d=2, Pi=Pi, Gamma=G, S=S),
+                                ("Pi", "Gamma", "S")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_frozen_cases()))
+def test_checked_arrays_are_read_only_copies(name):
+    # an array that passed its checks cannot change afterwards, and the caller's
+    # own array stays writeable and apart from it
+    given, holder, fields = _frozen_cases()[name]
+    kept = {f: np.array(getattr(holder, f)) for f in fields}
+    for f in fields:
+        value = getattr(holder, f)
+        for a in value if isinstance(value, tuple) else (value,):
+            assert not a.flags.writeable, f
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 7.0
+    for a in given:
+        assert a.flags.writeable
+        a.flat[0] = 7.0
+    for f in fields:
+        assert np.array_equal(np.array(getattr(holder, f)), kept[f]), f

@@ -25,20 +25,21 @@ SIG = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
 
 @pytest.fixture
 def node_counts(monkeypatch):
-    """Record the count n of every Gauss-Hermite and sphere rule that is built."""
+    """Record the count n of every Gauss-Hermite and sphere rule that is requested,
+    whether it is built or read from the rule cache."""
     counts = []
 
-    def record(module, name):
-        rule = getattr(module, name)
+    def record(name):
+        rule = getattr(quadrature, name)
 
         def recording(*args):
             counts.append(args[-1])
             return rule(*args)
 
-        monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(quadrature, name, recording)
 
-    record(np.polynomial.hermite, "hermgauss")
-    record(quadrature, "sphere_rule")
+    record("gauss_hermite_rule")
+    record("sphere_rule")
     return counts
 
 
@@ -148,12 +149,12 @@ def test_relative_stopping_rule(node_counts):
         return 1e6 * np.cos(3.0 * x[:, 0])
 
     exact = 1e6 * math.exp(-2.25)
-    rel = average(lambda n: gauss_hermite_rule(1, n), 4, 32, f, 2e-3, True,
+    rel = average(lambda n: quadrature.gauss_hermite_rule(1, n), 4, 32, f, 2e-3, True,
                   "Gauss-Hermite", "{last} nodes per axis")
     assert node_counts == [4, 8, 16]
     assert abs(rel - exact) < 1e-6
     node_counts.clear()
-    absolute = average(lambda n: gauss_hermite_rule(1, n), 4, 32, f, 2e-3, False,
+    absolute = average(lambda n: quadrature.gauss_hermite_rule(1, n), 4, 32, f, 2e-3, False,
                        "Gauss-Hermite", "{last} nodes per axis")
     assert node_counts == [4, 8, 16, 32]
     assert abs(absolute - exact) < 1e-9
@@ -196,6 +197,37 @@ def test_unsettled_sphere_average_raises_with_order(dim):
         sphere_average(dim, 4, 8, grows, 1e-10)
 
 
+# ---------------------------------------------------------------------------
+# the rule cache
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build,args", [
+    (quadrature._unit_directions, (3, 24, 1)),
+    (quadrature.gauss_hermite_rule, (2, 16)),
+    (quadrature.sphere_rule, (1, 4)),
+    (quadrature.sphere_rule, (2, 8)),
+    (quadrature.sphere_rule, (4, 8)),
+], ids=["directions", "gauss-hermite", "sphere-S0", "sphere-S1", "sphere-S3"])
+def test_rules_are_built_once_and_shared_read_only(build, args):
+    first = build(*args)
+    assert build(*args) is first
+    got = first if isinstance(first, tuple) else (first,)
+    fresh = build.__wrapped__(*args)
+    fresh = fresh if isinstance(fresh, tuple) else (fresh,)
+    assert len(got) == len(fresh)
+    for a, b in zip(got, fresh):
+        assert not a.flags.writeable
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_unit_directions_share_one_sample_per_int_key():
+    dirs = quadrature.unit_directions(3, 24, 1)
+    assert quadrature.unit_directions(np.int64(3), 24, 1) is dirs
+    assert not dirs.flags.writeable
+
+
 def s4_space(a):
     """S^4 of radius a: holonomy so(4), p = 6, rank 2, generators e_x e_y^T - e_y e_x^T."""
     E = []
@@ -227,10 +259,10 @@ def test_hermgauss_only_in_the_driver():
 
 
 def test_direction_only_routes_use_no_gauss_hermite_rule(monkeypatch):
-    def refuse(n):
-        raise AssertionError("Gauss-Hermite rule built")
+    def refuse(p, n):
+        raise AssertionError("Gauss-Hermite rule requested")
 
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+    monkeypatch.setattr(quadrature, "gauss_hermite_rule", refuse)
     sym = nl.one_form_symbol(3, 0.7)
     nl.h_endomorphism(sym, nl.eigenstructure(sym))
     ob.a1_quadrature(ob.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),

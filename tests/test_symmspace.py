@@ -336,6 +336,34 @@ def test_theta_series_matches_the_hmds_tower(fixture, m, a, q):
         assert abs((-1) ** k * ak.coeffs[0, 0, 0] / math.factorial(k) - ck) <= tol * scale, k
 
 
+def full_basis_traced_powers(B, mats, jmax):
+    """tr((x . M)^{2j}) with every power built on all N rows of B: the loop
+    that _traced_powers replaced, kept as its reference."""
+    P = np.eye(B.N, 1)[:, :, None] * np.eye(mats.shape[1])
+    traces = [np.trace(P, axis1=1, axis2=2)]
+    for n in range(1, 2 * jmax + 1):
+        pad = tc._pad(P)
+        P = sum(tc._take(pad, B.down[i, :B.N]) @ mats[i] for i in range(len(mats)))
+        if n % 2 == 0:
+            traces.append(np.trace(P, axis1=1, axis2=2))
+    return np.array(traces)
+
+
+@pytest.mark.parametrize("fixture", ["S2", "S3"])
+@pytest.mark.parametrize("a", [0.7, 1.0, 3.0])
+def test_traced_powers_on_the_degree_block_match_the_full_basis(fixture, a):
+    # the block build makes the same float operations in the same order, so the
+    # traces agree bit for bit, zero rows included
+    space = ss.build_symmetric_space(fixture, radius=a)
+    for order in range(7):
+        B = tc._basis(space.p, 2 * order)
+        for mats in (space.F.transpose(1, 0, 2), space.D):
+            got = ss._traced_powers(B, mats, order)
+            want = full_basis_traced_powers(B, mats, order)
+            assert np.array_equal(got, want), order
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), order
+
+
 def test_theta_series_order_cap():
     space = ss.build_symmetric_space("S2")
     ss.theta_series(space, order=6)
