@@ -27,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EllipticityError, StructureError, ValidationError
-from .quadrature import _read_only, sphere_average, unit_directions
-from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _periods, _require,
-                      _scalar_t, _vectors)
+from .quadrature import sphere_average, unit_directions
+from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _periods, _read_only,
+                      _require, _scalar_t, _vectors)
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
-from .quadrature import _read_only, sphere_average, unit_directions
-from .spectra import _array, _require, _vectors
+from .quadrature import sphere_average, unit_directions
+from .spectra import _array, _read_only, _require, _vectors
 
 _ASCENT_STEPS = 20
 _SETTLED_ULPS = 4               # a rise of lambda_max within this many ulp is no rise

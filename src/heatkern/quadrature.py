@@ -11,8 +11,11 @@ weights summing to 1: Gauss-Hermite on R^p, cartan_rule and sphere_rule.
 
 The Gauss-Hermite and sphere rules and the direction samples depend only on a
 few ints, so each is built once per argument tuple, on its first call, and the
-one result is shared read-only by every later call.  cartan_rule, keyed by an
-array, is rebuilt on each call from the shared Gauss-Hermite rule.
+one result is shared read-only by every later call.  No key holds an
+integrand's data: it is a dimension, a node count on the doubling ladder, or a
+caller's fixed (count, seed), so a call on new data in a dimension already
+seen finds its rules built.  cartan_rule, keyed by an array, is rebuilt on
+each call from the shared Gauss-Hermite rule.
 """
 
 from __future__ import annotations
@@ -64,12 +67,12 @@ def average(rule, first, last, integrand, tol, relative, name, count):
          f"{count}, last change {{err:.3e}}").format)[0]
 
 
-def _read_only(a):
-    """A read-only copy of the array `a`, which stays as it was: a cached rule, or
-    a checked field of a caller's array, cannot change once it is built."""
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
+def _shared(*arrays):
+    """The freshly built arrays of one cached result, made read-only in place:
+    every later call shares them, so none may change."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def unit_directions(p, count, seed):
@@ -90,7 +93,7 @@ def _unit_directions(p, count, seed):
         n = np.linalg.norm(v)
         if n > 1e-3:
             dirs.append(v / n)
-    return _read_only(dirs)
+    return _shared(np.array(dirs))[0]
 
 
 @lru_cache(maxsize=None)
@@ -100,8 +103,7 @@ def gauss_hermite_rule(p, n):
     rule has no node at the origin, where the direction x/|x| is undefined."""
     x, w = np.polynomial.hermite.hermgauss(n)
     grid = lambda v: [g.ravel() for g in np.meshgrid(*([v] * p), indexing="ij")]
-    return (_read_only(np.stack(grid(x), axis=-1)),
-            _read_only(np.prod(grid(w / math.sqrt(math.pi)), axis=0)))
+    return _shared(np.stack(grid(x), axis=-1), np.prod(grid(w / math.sqrt(math.pi)), axis=0))
 
 
 def cartan_rule(ad, n):
@@ -150,7 +152,7 @@ def sphere_rule(dim, n):
     degree < 2n exactly.
     """
     if dim == 1:
-        return _read_only([[1.0], [-1.0]]), _read_only([0.5, 0.5])
+        return _shared(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
     phi = np.arange(2 * n) * (math.pi / n)
     nodes, wts = np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(2 * n, 0.5 / n)
     for k in range(1, dim - 1):
@@ -158,7 +160,7 @@ def sphere_rule(dim, n):
         polar = np.broadcast_to(x[:, None, None], (n, len(wts), 1))
         rest = np.sqrt((1.0 - x) * (1.0 + x))[:, None, None] * nodes[None]
         nodes, wts = np.concatenate([polar, rest], axis=-1).reshape(-1, k + 2), np.kron(w, wts)
-    return _read_only(nodes), _read_only(wts)
+    return _shared(nodes, wts)
 
 
 def sphere_average(dim, first, last, integrand, tol):

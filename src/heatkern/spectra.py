@@ -352,6 +352,15 @@ def _array(x, shape, what, dtype=complex):
     return a.reshape(shape)
 
 
+def _read_only(a):
+    """A read-only copy of the checked array `a`: the copy cannot change after its
+    checks ran, and the caller's own array, which _array may return as it is,
+    stays writeable."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def _vectors(x, dim, what):
     """x, a sequence of vectors of dim numbers each, as a finite real (count, dim)
     array; anything else is a ValidationError naming `what`."""

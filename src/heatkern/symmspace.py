@@ -26,8 +26,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .quadrature import _read_only, average, cartan_rule
-from .spectra import _array, _as_t, _length, _like_t, _require, _scalar_t, _sizes
+from .quadrature import average, cartan_rule
+from .spectra import (_array, _as_t, _length, _like_t, _read_only, _require, _scalar_t,
+                      _sizes)
 
 _K_MAX = 6
 
@@ -136,7 +137,7 @@ class SymmetricSpaceData:
         if not self.m * dmax * dmax <= 1e300:
             raise ValidationError(f"holonomy data too large: D_i up to {dmax:.3g} overflow")
         D = -np.einsum("ik,kab->iab", beta, E)
-        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "D", _read_only(D))
 
         # structure constants from [D_i, D_k] = F^j_{ik} D_j, least squares
         # over the span of the D_j, exact to rounding at the scale of D_i D_k
@@ -147,7 +148,7 @@ class SymmetricSpaceData:
         if np.max(np.abs(basis @ sol - br)) > 1e-12 * np.max(np.abs(D)) ** 2:
             raise ValidationError("holonomy brackets do not close on the D_i")
         F = sol.reshape(self.p, self.p, self.p)
-        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "F", _read_only(F))
 
         # beta is Ad-invariant, which theta_quadrature's Cartan reduction needs
         ad = _holonomy_ad(beta, F)
@@ -163,7 +164,7 @@ class SymmetricSpaceData:
         for i in range(self.p):
             C[self.m + i, :self.m, :self.m] = D[i]
             C[self.m + i, self.m:, self.m:] = F[:, i, :]
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "C", _read_only(C))
 
         # [C_A, C_B] = C^X_{AB} C_X with C^X_{AB} = C[A, X, B]: Jacobi identity
         jac = np.einsum("aij,bjk->abik", C, C) - np.einsum("bij,ajk->abik", C, C) \

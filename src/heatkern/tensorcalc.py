@@ -29,8 +29,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .quadrature import _read_only
-from .spectra import _array, _length, _periods, _require, _sizes
+from .spectra import _array, _length, _periods, _read_only, _require, _sizes
 
 # comb(14, 4): the m = 4, degree-10 basis of an S^4 kmax-4 tower
 BASIS_BUDGET = 1001

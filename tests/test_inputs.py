@@ -414,7 +414,7 @@ def _frozen_cases():
     return {
         "ConstantFieldStrength": ((rhat, q), ss.ConstantFieldStrength(2, rhat, q), ("rhat", "Q")),
         "SymmetricSpaceData": ((E, beta), ss.SymmetricSpaceData(m=2, p=1, E=E, beta=beta),
-                               ("E", "beta")),
+                               ("E", "beta", "D", "F", "C")),
         "PotentialJet": ((jq, curv), tc.PotentialJet(2, 2, 1, jq, curv), ("Q", "curvature")),
         "ObliqueBoundaryData": ((Pi, G, S), ob.ObliqueBoundaryData(m=2, d=2, Pi=Pi, Gamma=G, S=S),
                                 ("Pi", "Gamma", "S")),
