@@ -193,7 +193,8 @@ class HmdsCoefficient:
     def series(self):
         """a_k as a TaylorSeries: component n holds alpha! times each y^alpha coefficient."""
         B, d = self.basis, self.coeffs.shape[-1]
-        taylor = B.fact[:len(self.coeffs), None, None] * self.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):     # SymTensor refuses inf alpha!
+            taylor = B.fact[:len(self.coeffs), None, None] * self.coeffs
         comps = tuple(SymTensor(B.m, 0, n, d, taylor[None, B.offsets[n]:B.offsets[n + 1]])
                       for n in range(self.cutoff + 1))
         return TaylorSeries(B.m, d, self.cutoff, comps)

@@ -1,10 +1,11 @@
-"""Multi-index bookkeeping, dense polynomials, jet containers, and model geometries.
+"""The monomial basis, dense polynomials, jet containers, and model geometries.
 
 Everything downstream works with jets at a single base point x', in normal
 coordinates y centered there.  Monomials of order n are listed by their
-nondecreasing multi-indices, `multi_indices(m, n)`.  `_Basis` is the one
-polynomial algebra of the package: dense coefficient arrays over every
-monomial of degree <= deg in that order, multiplied by index gathers
+nondecreasing multi-indices; `_Basis` builds them as integer exponent rows, a
+degree at a time from those of the degree below.  It is the one polynomial
+algebra of the package: dense coefficient arrays over every monomial of
+degree <= deg in that order, multiplied by index gathers
 (`_times`), or by a series in w = |y|^2 with Horner's rule (`_radial_times`).
 Every basis and jet checks its size N against BASIS_BUDGET before it allocates.
 `hmds` builds the operator jet on it, and `symmspace` the theta series in the
@@ -22,9 +23,9 @@ coefficient of f.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -36,14 +37,8 @@ BASIS_BUDGET = 1001
 
 
 # ---------------------------------------------------------------------------
-# multi-index bookkeeping
+# dense polynomials over the graded monomial basis
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def multi_indices(m, n):
-    """All nondecreasing multi-indices of order n in dimension m."""
-    return tuple(combinations_with_replacement(range(m), n))
-
 
 def _basis_size(m, deg, what):
     """N = comb(m + deg, m), the monomials of degree <= deg in m variables, or a
@@ -58,20 +53,9 @@ def _basis_size(m, deg, what):
     return N
 
 
-def exponents(idx, m):
-    """Multi-index as a per-axis exponent vector."""
-    e = [0] * m
-    for i in idx:
-        e[i] += 1
-    return tuple(e)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over the graded monomial basis
-# ---------------------------------------------------------------------------
-
 class _Basis:
-    """Monomials y^alpha with |alpha| <= deg, by degree and in multi_indices order.
+    """Monomials y^alpha with |alpha| <= deg, by degree and in the order of their
+    nondecreasing multi-indices.
 
     A polynomial is an array (batch..., N, d, d) of monomial coefficients, or
     (N,) for a scalar one; its order-n slice is in a SymTensor's lower-index
@@ -86,33 +70,44 @@ class _Basis:
     degree <= c, whose tables are `_Basis(m, c)`'s once any position >= N_c
     reads as outside.  So an array P of n rows is truncated at its own length:
     every gather reads `_pad(P)`, with any position >= n sent to its zero row.
+
+    The rows of degree n are built at once from those of degree n - 1: each
+    parent times y_mu for every mu from its last nonzero axis on, in order.
+    `down[mu, child]` is then the parent, and `down[nu, child]` for another nu
+    is `up[mu, down[nu, parent]]`, set a degree earlier.
     """
 
     def __init__(self, m, deg):
         self.m, self.deg = m, deg
         self.N = N = _basis_size(m, deg, "monomial basis")
-        rows = [exponents(idx, m) for n in range(deg + 1) for idx in multi_indices(m, n)]
-        position = {r: i for i, r in enumerate(rows)}
-        self.expo = np.array(rows, dtype=np.int64).reshape(N, m)
-        self.degree = self.expo.sum(axis=1)
-        self.offsets = np.cumsum([0] + [len(multi_indices(m, n)) for n in range(deg + 1)])
-        self.fact = np.array([math.prod(map(math.factorial, r)) for r in rows], dtype=float)
-        self.down = np.full((m, N + 1), N)
-        self.up = np.full((m, N + 1), N)
-        for mu in range(m):
-            ks = [k for k, r in enumerate(rows) if r[mu]]
-            self.down[mu, ks] = [position[rows[k][:mu] + (rows[k][mu] - 1,) + rows[k][mu + 1:]]
-                                 for k in ks]
-            self.up[mu, self.down[mu, ks]] = ks
-        self.square = np.take_along_axis(self.down, self.down[:, :N], axis=1)
-        # dividing by y^{alpha_i} is dividing by y^{alpha_i - e_mu}, then by y_mu
-        # (mu the first nonzero axis), for all alpha_i of one degree at once
+        expo, last = np.zeros((N, m), dtype=np.int64), np.zeros(N, dtype=np.int64)
+        down, up = np.full((2, m, N + 1), N)
+        offsets, factorials, f = [0, 1], [1.0], 1
+        for n in range(1, deg + 1):
+            lo, hi = offsets[-2:]
+            count = m - last[lo:hi]           # mu = last, ..., m - 1; last[0] = 0 for y^0
+            parent = np.repeat(np.arange(lo, hi), count)
+            offsets.append(hi + len(parent))
+            child = np.arange(hi, offsets[-1])
+            last[child] = mu = np.arange(len(parent)) - np.repeat(np.cumsum(count) - m, count)
+            expo[child] = expo[parent] + (np.arange(m) == mu[:, None])
+            down[:, child] = up[mu, down[:, parent]]
+            down[mu, child], up[mu, parent] = parent, child
+            f *= n
+            factorials.append(float(f) if f <= sys.float_info.max else math.inf)  # past 170!
+        nu, k = np.nonzero(down[:, :N] < N)
+        up[nu, down[nu, k]] = k
+        self.expo, self.degree, self.offsets = expo, expo.sum(axis=1), np.array(offsets)
+        self.down, self.up = down, up
+        self.fact = np.array(factorials)[expo].prod(axis=1)
+        self.square = np.take_along_axis(down, down[:, :N], axis=1)
+        # dividing by y^{alpha_i} is dividing by its parent's monomial, then by
+        # y_mu (mu its last axis), for all alpha_i of one degree at once
         quot = np.empty((N, N + 1), dtype=np.min_scalar_type(N))
         quot[0] = np.arange(N + 1)
-        mu = np.argmax(self.expo != 0, axis=1)
-        prev, flat = self.down[mu, np.arange(N)], self.down.astype(quot.dtype).ravel()
-        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
-            quot[lo:hi] = flat[(N + 1) * mu[lo:hi, None] + quot[prev[lo:hi]]]
+        prev, flat = down[last, np.arange(N)], down.astype(quot.dtype).ravel()
+        for lo, hi in zip(offsets[1:-1], offsets[2:]):
+            quot[lo:hi] = flat[(N + 1) * last[lo:hi, None] + quot[prev[lo:hi]]]
         self.quot = quot[:, :N]
 
 @lru_cache(maxsize=8)
@@ -181,7 +176,9 @@ class SymTensor:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = (len(multi_indices(self.m, self.p)), len(multi_indices(self.m, self.q)),
+        _sizes((self.m, self.d), "SymTensor (m, d)")
+        _sizes((self.p, self.q), "SymTensor (p, q)", least=0)
+        shape = (math.comb(self.m + self.p - 1, self.p), math.comb(self.m + self.q - 1, self.q),
                  self.d, self.d)
         e = _array(self.entries, shape, "SymTensor entries")
         # _array reads any layout; a misordered block of the right size is refused here

@@ -8,7 +8,8 @@ import pytest
 
 from heatkern import hmds, symmspace
 from heatkern import tensorcalc as tc
-from heatkern.errors import NumericError, ValidationError
+from heatkern.errors import HeatkernError, NumericError, ValidationError
+from test_tensorcalc import reference_monomials
 
 
 def make_fixture(kind, m, q=0.0, d=1, curvature=None, kmax=3, cutoff=2, **geo):
@@ -343,7 +344,7 @@ def symbolic_operator_jet(m, cutoff, radius, q, field):
             flux += cov(mu, trunc(g_half * s))
         return trunc(g_quarter * trunc(-g_mhalf * flux + Q * inner))
 
-    monomials = [tc.exponents(U, m) for n in range(cutoff + 1) for U in tc.multi_indices(m, n)]
+    monomials = [e for n in range(cutoff + 1) for e in reference_monomials(m, n)]
     M = np.zeros((len(monomials), len(monomials)), dtype=complex)
     for i, alpha in enumerate(monomials):
         image = apply_L(poly(sp.Mul(*[y ** e for y, e in zip(ys, alpha)]))).as_dict()
@@ -356,8 +357,7 @@ def polynomial_potential(m, cutoff, q, curvature=None):
     sp = pytest.importorskip("sympy")
     ys = sp.symbols(f"y0:{m}")
     coeffs = sp.Poly(sp.sympify(q, locals={str(y): y for y in ys}), *ys).as_dict()
-    Q = [float(coeffs.get(tc.exponents(L, m), 0)) for n in range(cutoff + 1)
-         for L in tc.multi_indices(m, n)]
+    Q = [float(coeffs.get(e, 0)) for n in range(cutoff + 1) for e in reference_monomials(m, n)]
     if curvature is None:
         curvature = np.zeros((m, m, 1, 1), dtype=complex)
     return tc.PotentialJet(m, 1, cutoff, np.reshape(Q, (-1, 1, 1)), curvature)
@@ -423,6 +423,25 @@ def test_flat_m3_matrix_potential_tower_is_exact():
             assert not np.any(c.series.component(n).entries)
 
 
+@pytest.mark.parametrize("cutoff", [200, 998])
+def test_deep_flat_line_tower_is_exact(cutoff):
+    # flat m = 1, constant Q: a_k = Q^k at any depth the budget allows, though
+    # alpha! = n! leaves the float range at n = 171; the Taylor view of such a
+    # coefficient is refused as not finite, with no numpy warning
+    q, kmax = 0.3, 4
+    geom = tc.build_model_geometry("flat", 1, cutoff=cutoff)
+    pot = tc.PotentialJet.constant(1, 1, [[q]], cutoff=cutoff)
+    coeffs = hmds.hmds_coefficients(hmds.build_operator_jet(geom, pot, cutoff), kmax,
+                                    cutoff - 2 * kmax)
+    for k, c in enumerate(coeffs):
+        assert abs(c.diagonal[0, 0] - q ** k) < 1e-15
+        assert not np.any(c.coeffs[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HeatkernError, match="not finite"):
+            coeffs[1].series
+
+
 def test_flat_matrix_potential_second_coefficient():
     # flat m = 2, Q = Q0 + Q1 y0 + Q2 y0 y1 + Q3 y1^2 with non-commuting blocks:
     # a_1^diag = Q0 and a_2^diag = Q0^2 - Delta Q / 3 = Q0^2 - (2/3) Q3
@@ -461,7 +480,7 @@ def test_operator_jet_table_contract(kind, m, d, cutoff, geo):
     geom = tc.build_model_geometry(kind, m, cutoff=cutoff, **geo)
     pot = tc.PotentialJet.constant(m, d, 0.4 * np.eye(d), curvature=curv, cutoff=cutoff)
     jet = hmds.build_operator_jet(geom, pot, cutoff)
-    N = sum(len(tc.multi_indices(m, n)) for n in range(cutoff + 3))
+    N = sum(len(reference_monomials(m, n)) for n in range(cutoff + 3))
     assert (jet.m, jet.d, jet.cutoff, jet.basis.N) == (m, d, cutoff, N)
     P = np.ones((3, N, d, d))
     LP = jet.apply(P)

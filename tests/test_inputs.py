@@ -111,10 +111,13 @@ def test_probe_is_validation_error(site, value):
     lambda: tc.PotentialJet.constant(2.5, 1, [[0.0]]),
     lambda: tc.build_model_geometry("flat", 0),
     lambda: tc.build_model_geometry("flat", 2.0),
+    lambda: tc.SymTensor(0, 0, 0, 1, np.zeros((1, 1, 1, 1))),
+    lambda: tc.SymTensor(2.0, 0, 1, 1, np.zeros((1, 2, 1, 1))),
 ], ids=["symbol-m-negative", "symbol-m-float", "symbol-m-zero", "laplace-m-zero",
         "symbol-d-zero", "oblique-d-negative", "oblique-d-zero", "field-m-negative",
         "field-m-zero", "symmetric-p-zero", "potential-m-negative", "constant-m-negative",
-        "constant-m-float", "geometry-m-zero", "geometry-m-float"])
+        "constant-m-float", "geometry-m-zero", "geometry-m-float", "symtensor-m-zero",
+        "symtensor-m-float"])
 def test_bad_sizes_are_validation_errors(call):
     # the sizes reach numpy's reshape, where they were a bare ValueError or
     # TypeError; a zero size would pass a check of an empty array
@@ -148,10 +151,11 @@ ORDERS = "nonnegative integers"
     (lambda: hmds.b_lambda(1.0, 0.5, _coefficients()[1]), ORDERS),
     (lambda: hmds.b_lambda(-1, 0.5, _coefficients()[1]), ORDERS),
     (lambda: hmds.trace_expansion(_coefficients()[0], []), "missing coefficient order 0"),
+    (lambda: tc.SymTensor(2, 0, -1, 1, np.zeros((1, 0, 1, 1))), ORDERS),
 ], ids=["constant-cutoff-float", "potential-cutoff-float", "jet-cutoff-float",
         "recursion-kmax-float", "recursion-cutoff-float", "recursion-kmax-negative",
         "geometry-cutoff-float", "geometry-cutoff-negative", "b-lambda-k-float",
-        "b-lambda-k-negative", "trace-no-coefficients"])
+        "b-lambda-k-negative", "trace-no-coefficients", "symtensor-q-negative"])
 def test_orders_are_nonnegative_integers(call, message):
     # a float order once reached math.comb (TypeError) or an offsets lookup
     # (IndexError), and an empty coefficient list max() (ValueError)

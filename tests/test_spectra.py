@@ -166,6 +166,21 @@ def test_robin_interlaces_between_nn_and_dd():
         assert lo < lam < hi
 
 
+@pytest.mark.parametrize("L", [1.0, 3.0])
+@pytest.mark.parametrize("bc,S", [("DD", None), ("NN", None), ("DN", None), ("robin", 0.7),
+                                  ("robin", -0.4)])
+def test_interval_trace_is_invariant_under_scaling(L, bc, S):
+    # L -> 1.7 L, t -> 1.7^2 t and S -> S / 1.7 keep every t lambda, so the trace
+    # is the same; the worst relative gap over these cases was 4.9e-16.  L stays
+    # >= 1: at L = 0.3 and t = 0.35 the DD trace is e^{-38}, and the rounding of
+    # t lambda, magnified by its size, gave a gap of 1.4e-14 (DN 3.6e-15)
+    lam = 1.7
+    ts = np.geomspace(0.01, 1.0 / lam ** 2, 12)
+    want = spectra.interval_trace(L, bc, ts, S=S)
+    got = spectra.interval_trace(lam * L, bc, lam ** 2 * ts, S=None if S is None else S / lam)
+    assert np.max(np.abs(got - want) / want) < 1.5e-15
+
+
 # ---------------------------------------------------------------------------
 # sphere spectra
 # ---------------------------------------------------------------------------
@@ -353,6 +368,17 @@ def test_landau_level_sum_matches_mpmath_closed_form():
     for t, g in zip(ts, got):
         want = mp.mpf(B) / (4 * mp.pi * mp.sinh(mp.mpf(float(t)) * B))
         assert abs((mp.mpf(float(g)) - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("B", [0.3, 1.0, 5.0])
+def test_landau_density_scales_with_the_field(B):
+    # B -> 1.7 B and t -> t / 1.7 keep every t B (2n + 1), so only the prefactor
+    # B / 2 pi scales, by 1.7; the worst relative gap over these cases was 6.6e-16
+    lam = 1.7
+    ts = np.geomspace(0.01 * lam, 1.0, 12)
+    want = lam * spectra.landau_trace_density(B, ts)
+    got = spectra.landau_trace_density(lam * B, ts / lam)
+    assert np.max(np.abs(got - want) / want) < 2e-15
 
 
 def test_landau_validation():

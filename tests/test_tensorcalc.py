@@ -1,5 +1,5 @@
-"""Multi-index bookkeeping, the dense monomial basis and model-geometry
-polynomials against brute-force oracles."""
+"""The dense monomial basis against the tuple builder it replaced, and its
+products and the model-geometry polynomials against brute-force oracles."""
 
 import itertools
 import math
@@ -19,12 +19,89 @@ from heatkern.errors import ResourceError, ValidationError
 
 
 # ---------------------------------------------------------------------------
-# multi-index bookkeeping
+# the monomial basis against the tuple builder it replaced
 # ---------------------------------------------------------------------------
+
+def reference_monomials(m, n):
+    """Exponent tuples of the monomials of degree n, in the order of their
+    nondecreasing multi-indices."""
+    rows = []
+    for idx in itertools.combinations_with_replacement(range(m), n):
+        e = [0] * m
+        for i in idx:
+            e[i] += 1
+        rows.append(tuple(e))
+    return rows
+
+
+def reference_basis(m, deg):
+    """The basis tables built from exponent tuples and a position dict, each
+    entry from its definition, and `fact` as exact integers."""
+    blocks = [reference_monomials(m, n) for n in range(deg + 1)]
+    rows = [r for block in blocks for r in block]
+    N = len(rows)
+    position = {r: i for i, r in enumerate(rows)}
+    expo = np.array(rows, dtype=np.int64).reshape(N, m)
+
+    def shifted(by):
+        # alpha -> alpha + by e_mu, N outside the basis, and column N to N
+        table = np.full((m, N + 1), N)
+        for mu in range(m):
+            for k, r in enumerate(rows):
+                table[mu, k] = position.get(r[:mu] + (r[mu] + by,) + r[mu + 1:], N)
+        return table
+
+    quot = np.full((N, N), N, dtype=np.min_scalar_type(N))
+    for j in range(N):
+        q = expo - expo[j]                  # y^{alpha_k} / y^{alpha_j}, where it divides
+        ok = np.flatnonzero((q >= 0).all(axis=1))
+        quot[j, ok] = [position[tuple(e)] for e in q[ok].tolist()]
+    return {"expo": expo, "degree": expo.sum(axis=1),
+            "offsets": np.cumsum([0] + [len(block) for block in blocks]),
+            "down": shifted(-1), "up": shifted(1), "square": shifted(-2)[:, :N], "quot": quot,
+            "fact": [math.prod(map(math.factorial, r)) for r in rows]}
+
+
+def degree_prefix(ref, c):
+    """The reference tables of degree c, cut from those of a higher degree: the
+    first n = offsets[c + 1] monomials, with each position past them read as n."""
+    n = ref["offsets"][c + 1]
+    out = {"expo": ref["expo"][:n], "degree": ref["degree"][:n], "fact": ref["fact"][:n],
+           "offsets": ref["offsets"][:c + 2], "square": np.minimum(ref["square"][:, :n], n),
+           "quot": np.minimum(ref["quot"][:n, :n], n).astype(np.min_scalar_type(n))}
+    for name in ("down", "up"):
+        out[name] = np.pad(np.minimum(ref[name][:, :n], n), ((0, 0), (0, 1)), constant_values=n)
+    return out
+
+
+@pytest.mark.parametrize("m,top", [(1, 1000), (2, 43), (3, 16), (4, 10), (10, 4), (20, 2),
+                                   (43, 2)])
+def test_basis_tables_are_the_tuple_builders(m, top):
+    # every table but fact byte for byte, and fact within 1 ulp of the exact
+    # alpha! (inf past the float range), at every degree up to the budget; at
+    # m = 1 on a sample of degrees, since its 1001 bases take seconds to build
+    with pytest.raises(ResourceError):
+        tc._basis_size(m, top + 1, "basis")
+    ref = reference_basis(m, top)
+    degrees = range(top + 1) if m > 1 else [*range(44), 169, 170, 171, 172, 999, 1000]
+    for c in degrees:
+        B, want = tc._Basis(m, c), degree_prefix(ref, c)
+        for name in ("expo", "degree", "offsets", "down", "up", "square", "quot"):
+            got = getattr(B, name)
+            assert (got.dtype, got.shape) == (want[name].dtype, want[name].shape), (c, name)
+            assert got.tobytes() == want[name].tobytes(), (c, name)
+        assert B.fact.dtype == float
+        for got, exact in zip(B.fact.tolist(), want["fact"], strict=True):
+            if exact > sys.float_info.max:
+                assert got == math.inf, c
+            else:
+                assert abs(got - float(exact)) <= math.ulp(float(exact)), c
+
 
 @pytest.mark.parametrize("m,n", [(1, 0), (1, 4), (2, 3), (3, 2), (4, 5)])
 def test_multi_index_count(m, n):
-    assert len(tc.multi_indices(m, n)) == math.comb(m + n - 1, n)
+    assert np.diff(tc._basis(m, n).offsets).tolist() == [math.comb(m + k - 1, k)
+                                                         for k in range(n + 1)]
 
 
 def multinomial(expo):
@@ -35,26 +112,19 @@ def multinomial(expo):
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
 def test_multiplicities_partition_ordered_tuples(m, n):
     # orderings summed over the canonical classes must exhaust all m^n tuples
-    assert sum(multinomial(tc.exponents(K, m)) for K in tc.multi_indices(m, n)) == m ** n
+    B = tc._basis(m, n)
+    assert sum(multinomial(e) for e in B.expo[B.offsets[n]:].tolist()) == m ** n
 
 
 @given(st.lists(st.integers(0, 3), min_size=0, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_multiplicity_counts_distinct_orderings(idx):
-    idx = tuple(idx)
-    e = tc.exponents(idx, 4)
-    assert multinomial(e) == len(set(itertools.permutations(idx)))
-    assert e == tc.exponents(tuple(sorted(idx)), 4)
-
-
-@given(st.lists(st.integers(0, 2), min_size=0, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_exponents_round_trip(idx):
-    m = 3
-    e = tc.exponents(tuple(idx), m)
-    assert sum(e) == len(idx)
-    rebuilt = tuple(sorted(sum(([i] * k for i, k in enumerate(e)), [])))
-    assert rebuilt == tuple(sorted(idx))
+    # a multi-index's row sits at its sorted tuple's place in its degree block
+    B, n = tc._basis(4, 6), len(idx)
+    order = list(itertools.combinations_with_replacement(range(4), n))
+    row = B.expo[B.offsets[n] + order.index(tuple(sorted(idx)))].tolist()
+    assert row == [idx.count(i) for i in range(4)]
+    assert multinomial(row) == len(set(itertools.permutations(idx)))
 
 
 @pytest.mark.parametrize("n,np_", [(n, np_) for n in range(5) for np_ in range(5)])
@@ -169,7 +239,7 @@ def test_dense_basis_follows_multi_indices_and_is_built_lazily():
     B = tc._basis(3, 4)
     for n in range(5):
         block = B.expo[B.offsets[n]:B.offsets[n + 1]]
-        assert [tuple(e) for e in block] == [tc.exponents(i, 3) for i in tc.multi_indices(3, n)]
+        assert [tuple(e) for e in block.tolist()] == reference_monomials(3, n)
     src = str(Path(tc.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, %r); import heatkern.cli; "
             "from heatkern import tensorcalc as tc; print(tc._basis.cache_info().currsize)" % src)
