@@ -302,8 +302,8 @@ def run(cfg):
                    "rows": [dict(zip(["t", *cols], row)) for row in table]}
         _write_text(cfg.out_path, _json(payload | ({"summary": summary} if summary else {})))
     else:
-        lines = [_SCHEMA, ",".join(["t", *cols])]
-        lines += [",".join(_fmt(x) for x in row) for row in table]
+        row_fmt = ",".join(["%.17g"] * (1 + len(cols)))     # _fmt's spelling, one % per row
+        lines = [_SCHEMA, ",".join(["t", *cols]), *[row_fmt % row for row in table]]
         if summary:
             status = "ok" if first_fail is None else f"fail first_t={_fmt(first_fail)}"
             lines.append(f"# summary: status={status} max_abs={_fmt(summary['max_abs'])} "

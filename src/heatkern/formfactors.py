@@ -253,22 +253,27 @@ def _channel_sums(bg, weight1, weight2):
 
     weight1(kk) multiplies tr(Qhat(-n) Qhat(n)); weight2(kk) multiplies the
     transverse curvature contraction; kk = |k|^2.  The weights may return
-    arrays (one entry per t), and so does the sum.
+    arrays (one entry per t), and so does the sum.  Each weight runs once per
+    distinct kk, kept in a dict of this call; terms are added in sorted mode order.
     """
-    total = 0.0
+    total, w1, w2 = 0.0, {}, {}
     for n in sorted(bg.potential_modes):
         k = bg.wavevector(n)
         kk = float(k @ k)
+        if kk not in w1:
+            w1[kk] = weight1(kk)
         qq = np.trace(bg.potential_modes[tuple(-x for x in n)]
                       @ bg.potential_modes[n]).real
-        total += weight1(kk) * qq
+        total += w1[kk] * qq
     for n in sorted(bg.curvature_modes):
         k = bg.wavevector(n)
         kk = float(k @ k)
+        if kk not in w2:
+            w2[kk] = weight2(kk)
         # sum over al, be, ga of k_al k_be / kk tr(Rhat(-n)_{al ga} Rhat(n)_{be ga})
         contr = np.einsum("a,b,agij,bgji->", k, k, bg.curvature_modes[tuple(-x for x in n)],
                           bg.curvature_modes[n]).real / kk
-        total += 2.0 * weight2(kk) * contr
+        total += 2.0 * w2[kk] * contr
     return total
 
 
@@ -278,7 +283,8 @@ def h_functional(bg, t):
     H(t) = (4 pi)^{-m/2} (1/2) int tr { Q gamma^(1)(-t box) Q
            + 2 R^{alpha}_{gamma} nabla_alpha box^{-1} gamma^(2)(-t box)
              nabla_beta R^{beta gamma} },
-    evaluated as a lattice mode sum (box acts as -|k|^2 on mode k).
+    evaluated as a lattice mode sum (box acts as -|k|^2 on mode k), each
+    gamma^(i) evaluated on the whole t-array once per distinct |k|^2.
     """
     ts = _as_t(t)
     flat = np.atleast_1d(ts)

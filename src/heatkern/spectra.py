@@ -574,9 +574,9 @@ def torus_potential_trace(periods, modes, cutoff, t):
     whole diagonal, and lowered by sum_{k != 0} |Qhat_k|, as far as Gershgorin
     lets the couplings move an eigenvalue.  That bound covers only the modes
     outside the box, not the box's own eigenvalues, which lie above the true
-    ones until the box resolves the low-lying eigenvectors (see ROADMAP,
-    "Certify the Fourier box itself"): Q = 100 (1 + cos x) on the circle of
-    length 2 pi gives 1.650e-7 from cutoff 4 at t = 2, a 1201-mode box 8.183e-7.
+    ones until the box resolves the low-lying eigenvectors (ROADMAP item 1, "Certify
+    the Fourier box with a two-sided enclosure"): Q = 100 (1 + cos x) on the circle
+    of length 2 pi gives 1.650e-7 from cutoff 4 at t = 2, a 1201-mode box 8.183e-7.
     A box of more than _MATRIX_BUDGET modes, (2N+1)^m over all m axes however
     they group, is a ResourceError.
     """

@@ -402,6 +402,37 @@ def test_relative_error_overflow_is_one_breach_line(tmp_path, capsys):
     assert err.startswith("tolerance breach at t=0.01 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("task,columns", [
+    ("asymptotics", ["asymptotic"]),
+    ("oracle", ["oracle"]),
+    ("compare", ["asymptotic", "oracle", "abs_err", "rel_err"]),
+])
+def test_csv_rows_spell_each_value_as_fmt(tmp_path, monkeypatch, task, columns):
+    # each data row is written with one "%.17g,...,%.17g" format sized to its columns:
+    # it must spell -0.0, a subnormal and the rel_err that overflows (oracle 0) as _fmt does
+    grid = (0.1, 0.25, 1 / 3)
+    values = {"asymptotic": np.array([-0.0, 1e10, 1 / 7]), "oracle": np.array([-0.0, 0.0, 1e-320])}
+    monkeypatch.setitem(cli._MODELS, "landau", lambda cfg: {
+        name: (lambda ts, col=col: col) for name, col in values.items()})
+    out = tmp_path / "o.csv"
+    rc = cli.run(RunConfig(task=task, kind="landau", grid=grid, out_format="csv",
+                           out_path=str(out), abs_tol=1e-12, rel_tol=1e-6, params={}))
+    with np.errstate(over="ignore"):
+        values["abs_err"] = np.abs(values["asymptotic"] - values["oracle"])
+        values["rel_err"] = values["abs_err"] / np.maximum(np.abs(values["oracle"]), 1e-300)
+    lines = out.read_text().split("\n")
+    rows = list(zip(grid, *(values[name].tolist() for name in columns)))
+    assert lines[:2] == ["# heatkern-schema=1", ",".join(["t", *columns])]
+    assert lines[2:5] == [",".join(cli._fmt(x) for x in row) for row in rows]
+    assert lines[2].split(",")[1] == "-0"
+    if task == "compare":
+        assert rc == 2 and lines[3].endswith(",inf")
+        assert lines[5:] == ["# summary: status=fail first_t=0.25 max_abs=10000000000 "
+                             "max_rel=inf", ""]
+    else:
+        assert rc == 0 and lines[5:] == [""]
+
+
 def test_json_compare_writes_non_finite_errors_as_csv_strings(tmp_path, capsys):
     # strict JSON has no Infinity token: the overflowing rel_err is the string "inf"
     out = tmp_path / "o.json"

@@ -1,12 +1,14 @@
 """Universal constants, form-factor branches, and the quadratic functional."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heatkern import formfactors as ff
+from heatkern import hmds, tensorcalc as tc
 from heatkern.errors import NumericError, ValidationError
 
 
@@ -341,6 +343,92 @@ def test_h_functional_validation():
 
 
 # ---------------------------------------------------------------------------
+# the mode sum: one weight evaluation per distinct |k|^2
+# ---------------------------------------------------------------------------
+
+def reference_channel_sums(bg, weight1, weight2):
+    """The mode sum with one weight call per mode: the reference that ff._channel_sums,
+    which calls each weight once per distinct |k|^2, must match bit for bit."""
+    total = 0.0
+    for n in sorted(bg.potential_modes):
+        k = bg.wavevector(n)
+        kk = float(k @ k)
+        qq = np.trace(bg.potential_modes[tuple(-x for x in n)]
+                      @ bg.potential_modes[n]).real
+        total += weight1(kk) * qq
+    for n in sorted(bg.curvature_modes):
+        k = bg.wavevector(n)
+        kk = float(k @ k)
+        contr = np.einsum("a,b,agij,bgji->", k, k, bg.curvature_modes[tuple(-x for x in n)],
+                          bg.curvature_modes[n]).real / kk
+        total += 2.0 * weight2(kk) * contr
+    return total
+
+
+def hermitian(half):
+    """{n: q, -n: conj(q)} for each n of `half`."""
+    return half | {tuple(-x for x in n): np.conj(q) for n, q in half.items()}
+
+
+def square_torus(lam=1.0):
+    """Potential modes (+-1, 0) and (0, +-1) at |k|^2 = 1/lam^2, (+-1, +-1) at 2/lam^2,
+    on the square torus of side 2 pi lam, with the amplitudes divided by lam^2."""
+    half = {(1, 0): 0.3, (0, 1): 0.2 - 0.1j, (1, 1): 0.1 + 0.05j, (1, -1): -0.15}
+    modes = hermitian({n: q / lam ** 2 for n, q in half.items()})
+    return ff.FourierBackground(2, (2 * math.pi * lam,) * 2, potential_modes=modes)
+
+
+def curved_torus():
+    """Curvature modes +-(1, 0) and +-(0, 1), all at |k|^2 = 1, and potential modes
+    +-(1, 0) at the same |k|^2, on the square torus of side 2 pi."""
+    curvature = {}
+    for n, c in (((1, 0), 0.25), ((0, 1), 0.1 + 0.2j)):
+        b = np.zeros((2, 2, 1, 1), dtype=complex)
+        b[0, 1], b[1, 0] = c, -c
+        curvature[n] = b
+        curvature[tuple(-x for x in n)] = -np.conj(b.transpose(0, 1, 3, 2))
+    return ff.FourierBackground(2, (2 * math.pi,) * 2, potential_modes=hermitian({(1, 0): 0.2}),
+                                curvature_modes=curvature)
+
+
+# each background's _gamma calls per h_functional: {family i: distinct |k|^2 in its channel}
+SHARED_KK = [
+    (lambda: ff.FourierBackground.circle_cosine(2 * math.pi, 3, 0.1), {1: 1}),
+    (square_torus, {1: 2}),
+    (curved_torus, {1: 1, 2: 1}),
+]
+
+
+@pytest.mark.parametrize("make_bg", [bg for bg, _ in SHARED_KK], ids=["circle", "torus", "curved"])
+def test_mode_sum_matches_one_call_per_mode_bit_for_bit(make_bg, monkeypatch):
+    # t up to 3 puts t |k|^2 on both sides of _gamma's switch at z = 1
+    bg = make_bg()
+    ts = np.geomspace(0.01, 3.0, 9)
+
+    def values():
+        return ([ff.h_functional(bg, t) for t in (0.05, 2.5, ts)]
+                + [ff.a2k2_coefficient(bg, k) for k in range(2, 7)])
+    got = values()
+    monkeypatch.setattr(ff, "_channel_sums", reference_channel_sums)
+    want = values()
+    assert [type(x) for x in got[:3]] == [float, float, np.ndarray]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+@pytest.mark.parametrize("make_bg,calls", SHARED_KK, ids=["circle", "torus", "curved"])
+def test_each_form_factor_runs_once_per_distinct_kk(make_bg, calls, monkeypatch):
+    bg, seen, gamma = make_bg(), Counter(), ff._gamma
+
+    def counted(i, z):
+        seen[i] += 1
+        return gamma(i, z)
+    monkeypatch.setattr(ff, "_gamma", counted)
+    ff.h_functional(bg, np.geomspace(0.01, 3.0, 9))
+    assert seen == calls
+
+
+# ---------------------------------------------------------------------------
 # coefficient resummation
 # ---------------------------------------------------------------------------
 
@@ -370,3 +458,73 @@ def test_a2k2_validation():
     bg = ff.FourierBackground.circle_cosine(1.0, 1, 0.1)
     with pytest.raises(ValidationError):
         ff.a2k2_coefficient(bg, 1)
+
+
+# ---------------------------------------------------------------------------
+# invariances of the form-factor column, and HMDS against the form factors
+# ---------------------------------------------------------------------------
+
+def test_h_functional_is_invariant_under_scaling():
+    """periods -> lam periods, Qhat -> Qhat / lam^2 and t -> lam^2 t keep every t |k|^2
+    and multiply vol |Qhat|^2 by lam^-2, so t^{2 - m/2} H(t) = t H(t) is the same at
+    m = 2.  t |k|^2 runs from 0.01 to 2, over both branches of _gamma.  Scaling keeps
+    each t |k|^2 up to rounding, which is the whole gap: the worst was 4.0e-16."""
+    lam = 1.7
+    ts = np.geomspace(0.01, 1.0, 8)
+    want = ts * ff.h_functional(square_torus(), ts)
+    got = lam ** 2 * ts * ff.h_functional(square_torus(lam), lam ** 2 * ts)
+    assert np.max(np.abs(got - want) / want) < 1.5e-15
+
+
+def test_h_functional_is_invariant_under_translation():
+    """Q(x) -> Q(x + x0) sends Qhat_n -> e^{i k_n . x0} Qhat_n, which leaves every
+    tr(Qhat_{-n} Qhat_n) and so H(t) unchanged up to the rounding of the phases.  The
+    worst relative gap was 2.3e-16."""
+    bg, x0 = square_torus(), np.array([0.3, -1.1])
+    moved = ff.FourierBackground(2, bg.periods, potential_modes={
+        n: np.exp(1j * bg.wavevector(n) @ x0) * q for n, q in bg.potential_modes.items()})
+    ts = np.geomspace(0.01, 3.0, 9)
+    want = ff.h_functional(bg, ts)
+    assert np.max(np.abs(ff.h_functional(moved, ts) - want) / want) < 1e-15
+
+
+def hmds_quadratic_part(bg, kmax):
+    """The eps^2 part of (4 pi)^{-1/2} (-1)^k / k! int tr a_k for k <= kmax on the circle
+    `bg` with Q scaled by eps, from the HMDS recursion at base points x.
+
+    The jet of Q at x holds eps sum_n Qhat_n e^{i k_n x} (i k_n)^j / j! (real: the +-n
+    terms are conjugate).  a_k is a trigonometric polynomial of degree at most
+    k n_max in x, so the trapezoid rule on 4 kmax n_max + 1 points integrates it
+    exactly, and it is a polynomial of degree k in eps, so kmax + 1 values of eps
+    fit it exactly."""
+    L = bg.periods[0]
+    modes = [(bg.wavevector(n)[0], q[0, 0]) for n, q in bg.potential_modes.items()]
+    points = 4 * kmax * max(abs(n[0]) for n in bg.potential_modes) + 1
+    cap = 2 * kmax
+    geom = tc.build_model_geometry("torus", 1, cutoff=cap, periods=(L,))
+    j = np.arange(cap + 1)
+    fact = np.array([math.factorial(i) for i in j], dtype=float)
+    eps = np.linspace(-0.5, 0.5, kmax + 1)
+    integrals = np.zeros((kmax + 1, kmax + 1))
+    for x in L * np.arange(points) / points:
+        jet = sum(q * np.exp(1j * k * x) * (1j * k) ** j / fact for k, q in modes)
+        for row, e in enumerate(eps):
+            pot = tc.PotentialJet(1, 1, cap, (e * jet.real)[:, None, None], np.zeros((1, 1, 1, 1)))
+            coeffs = hmds.hmds_coefficients(hmds.build_operator_jet(geom, pot, cap), kmax, 0)
+            integrals[row] += [c.diagonal[0, 0].real * L / points for c in coeffs]
+    pref = [(4 * math.pi) ** -0.5 * (-1) ** k / math.factorial(k) for k in range(kmax + 1)]
+    return np.linalg.solve(np.vander(eps, increasing=True), integrals * pref)[2]
+
+
+# worst relative gaps over k = 2..5: 1.1e-15 (cosine) and 1.5e-15 (two modes)
+@pytest.mark.parametrize("bg", [
+    ff.FourierBackground.circle_cosine(2 * math.pi, 1, 0.3),
+    ff.FourierBackground(1, (3.0,), potential_modes=hermitian({(2,): 0.2 + 0.1j, (1,): 0.1})),
+], ids=["cosine", "two-modes"])
+def test_hmds_quadratic_part_is_a2k2_coefficient(bg):
+    """Barvinsky-Vilkovisky (Nucl. Phys. B 333 (1990) 471): the part of A_2k quadratic
+    in Q from the HMDS recursion is the form factors' a2k2_coefficient, k = 2..5."""
+    kmax = 5
+    got = hmds_quadratic_part(bg, kmax)[2:]
+    want = np.array([ff.a2k2_coefficient(bg, k) for k in range(2, kmax + 1)])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 5e-15
