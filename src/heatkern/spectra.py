@@ -463,8 +463,9 @@ def _fourier_spectrum(periods, modes, cutoff):
 
     Each block is the principal submatrix of the dense matrix on one
     connected component of the coupling graph n -> n + k, with the dense
-    matrix's entry layout (H[n + k, n] = q(k)).  Blocks of equal size are
-    stacked into one eigvalsh call.
+    matrix's entry layout (H[n + k, n] = q(k)).  Components are labelled by
+    their least point, and one stable sort by size, then label, stacks the
+    blocks of equal size, members ascending, into one eigvalsh call.
     """
     m = len(periods)
     side = 2 * cutoff + 1
@@ -481,44 +482,33 @@ def _fourier_spectrum(periods, modes, cutoff):
         src = np.flatnonzero(np.all(np.abs(coords + np.array(k)) <= cutoff, axis=1))
         couplings.append((amp, src, src + int(np.dot(k, strides))))
 
-    # FourierBackground keeps -k beside every k, so the graph is undirected
-    nbrs = [[] for _ in range(dim)]
-    for _, src, dst in couplings:
-        for j, i in zip(src.tolist(), dst.tolist()):
-            nbrs[j].append(i)
-    label = [-1] * dim
-    blocks = []
-    for seed in range(dim):
-        if label[seed] >= 0:
-            continue
-        label[seed] = len(blocks)
-        members, stack = [seed], [seed]
-        while stack:
-            for i in nbrs[stack.pop()]:
-                if label[i] < 0:
-                    label[i] = label[seed]
-                    members.append(i)
-                    stack.append(i)
-        blocks.append(sorted(members))
+    # root[i] ends as the least point of i's block: hook each point onto its least
+    # neighbouring root, then jump pointers (Shiloach & Vishkin, J. Algorithms 3 (1982)
+    # 57).  FourierBackground keeps -k beside k, so after r rounds each root is at most
+    # the least point within r edges, and a round within diameter + 1 <= dim changes nothing.
+    root, prev = np.arange(dim), None
+    while prev is None or not np.array_equal(root, prev):
+        prev = root.copy()
+        for _, src, dst in couplings:
+            np.minimum.at(root, dst, prev[src])
+        root = root[root]
 
-    label = np.array(label)
-    sizes = np.array([len(b) for b in blocks])
-    pos = np.empty(dim, dtype=int)
-    for b in blocks:
-        pos[b] = np.arange(len(b))
+    # by block size, then block (stable): size class s is order[lo:hi] in rows of s
+    size = np.bincount(root, minlength=dim)[root]
+    order = np.lexsort((root, size))
+    rank = np.empty(dim, dtype=int)
+    rank[order] = np.arange(dim)
+    count = np.bincount(size)
     real = all(amp.imag == 0 for amp, _, _ in couplings)
-    slot = np.empty(len(blocks), dtype=int)
-    lams = []
-    for s in sorted(set(sizes.tolist())):
-        ids = np.flatnonzero(sizes == s)
-        slot[ids] = np.arange(len(ids))
-        index = np.array([blocks[b] for b in ids])
-        H = np.zeros((len(ids), s, s), dtype=float if real else complex)
-        H[:, np.arange(s), np.arange(s)] = diag[index]
+    lams, hi = [], 0
+    for s in np.flatnonzero(count).tolist():
+        lo, hi = hi, hi + int(count[s])
+        H = np.zeros(((hi - lo) // s, s, s), dtype=float if real else complex)
+        H[:, np.arange(s), np.arange(s)] = diag[order[lo:hi].reshape(-1, s)]
         for amp, src, dst in couplings:
-            keep = sizes[label[src]] == s
-            H[slot[label[src[keep]]], pos[dst[keep]], pos[src[keep]]] = \
-                amp.real if real else amp
+            keep = size[src] == s
+            a, b = rank[src[keep]] - lo, rank[dst[keep]] - lo
+            H[a // s, b % s, a % s] = amp.real if real else amp
         lams.append(np.linalg.eigvalsh(H).ravel())
     return np.sort(np.concatenate(lams))
 

@@ -25,12 +25,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericError, ResourceError, ValidationError
 from .quadrature import average, cartan_rule
 from .spectra import (_array, _as_t, _length, _like_t, _read_only, _require, _scalar_t,
                       _sizes)
-
-_K_MAX = 6
 
 
 def _endomorphism(Q):
@@ -247,6 +245,7 @@ def _fiber_matrix(space, Q):
     return q - (space.R / 8.0 + space.R_H / 6.0) * np.eye(q.shape[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a c_k that overflows is refused
 def theta_series(space, Q=None, order=4):
     """Small-t coefficients c_0..c_order of the diagonal heat kernel.
 
@@ -257,13 +256,15 @@ def theta_series(space, Q=None, order=4):
     are expanded through t^order via log(sinh x / x) and exponentiated as a
     graded series G_k; the moments of the Gaussian with covariance 2 beta^{-1}
     are the graded exponential of its quadratic form, and c_k pairs the two.
+    An order whose basis passes BASIS_BUDGET or has an alpha! past the float
+    range is a ResourceError, and a c_k that overflows a NumericError.
     """
     from .tensorcalc import _basis, _graded_exp, _times
     _sizes((order,), "theta_series order", least=0)
-    if order > _K_MAX:
-        raise ValidationError(f"order must be <= {_K_MAX}")
     K = int(order)
     B = _basis(space.p, 2 * K)
+    if not np.isfinite(B.fact).all():
+        raise ResourceError(f"theta_series order {K} needs alpha! past the float range")
     # polynomials in x = omega / sigma, sigma a power of 2 near the Gaussian
     # width, so that rescaling is exact and nothing overflows at extreme radii
     cov = 2.0 * np.linalg.inv(space.beta)
@@ -279,7 +280,11 @@ def theta_series(space, Q=None, order=4):
     # fiber factor tr e^{-tM} / d = sum_a t^a tr (-M)^a / (a! d)
     lam = np.linalg.eigvalsh(_fiber_matrix(space, Q))
     fib = [float(np.mean((-lam) ** a)) / math.factorial(a) for a in range(K + 1)]
-    return [sum(fib[a] * gamma[k - a] for a in range(k + 1)) for k in range(K + 1)]
+    c = [sum(fib[a] * gamma[k - a] for a in range(k + 1)) for k in range(K + 1)]
+    bad = next((k for k in range(K + 1) if not math.isfinite(c[k])), None)
+    if bad is not None:
+        raise NumericError(f"theta_series overflows at c_{bad}")
+    return c
 
 
 def _sinhc_det(X):

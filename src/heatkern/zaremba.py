@@ -27,6 +27,14 @@ _HALF_PI = math.pi / 2.0
 _MODE_CAP = 100_000              # angular modes in one Bessel partial sum
 
 
+def _check_wedge(rho, theta):
+    """The one check of a wedge point: 0 <= rho < inf and -pi/2 <= theta <= pi/2."""
+    if not 0 <= rho < math.inf:
+        raise ValidationError("rho must be finite and nonnegative")
+    if not -_HALF_PI <= theta <= _HALF_PI:
+        raise ValidationError("theta must lie in [-pi/2, pi/2]")
+
+
 @dataclass(frozen=True)
 class WedgePoint:
     rho: float
@@ -34,10 +42,7 @@ class WedgePoint:
     xhat: tuple = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.rho) or self.rho < 0:
-            raise ValidationError("rho must be finite and nonnegative")
-        if not -_HALF_PI <= self.theta <= _HALF_PI:
-            raise ValidationError("theta must lie in [-pi/2, pi/2]")
+        _check_wedge(self.rho, self.theta)
         object.__setattr__(self, "xhat", tuple(float(x) for x in self.xhat))
 
     @property
@@ -78,8 +83,7 @@ def wedge_kernel(t, p, pp):
 def wedge_diagonal(t, rho, theta, m=2):
     """Kernel diagonal; sign(theta) at theta = 0 is the theta -> 0+ limit."""
     t = _scalar_t(t)
-    if rho < 0:
-        raise ValidationError("rho must be nonnegative")
+    _check_wedge(rho, theta)
     sgn = -1.0 if theta < 0 else 1.0
     ct = math.cos(theta)
     gauss = math.exp(-rho * rho * ct * ct / t)

@@ -253,7 +253,7 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
      "gives a non-finite volume"),
     (lambda: tc.TaylorSeries(2, 1, 1, ()), r"component list length must be cutoff \+ 1"),
     (lambda: tc.TaylorSeries(2, 1, 0, (None,)), "component 0 has wrong type or order"),
-    (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho must be nonnegative"),
+    (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho must be finite and nonnegative"),
     (lambda: ob.a1_abelian(ob.ObliqueBoundaryData(2, 2, Z2, (1j * np.diag([1.0, -1.0]),))),
      r"I \+ Gamma\^2 singular"),
 ], ids=["fit-t-negative", "fit-t-not-geometric", "jet-dimensions-differ", "jet-too-short",
@@ -263,6 +263,19 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
 def test_guards_raise_their_message(call, message):
     with pytest.raises(HeatkernError, match=message):
         call()
+
+
+@pytest.mark.parametrize("rho,theta,message", [
+    (math.nan, 0.5, "rho must be finite"), (math.inf, 0.5, "rho must be finite"),
+    (1.0, math.nan, "theta must lie"), (1.0, 5.0, "theta must lie"),
+], ids=["rho-nan", "rho-inf", "theta-nan", "theta-outside"])
+def test_wedge_diagonal_refuses_points_outside_the_wedge(rho, theta, message):
+    # wedge_diagonal once returned nan for a NaN coordinate, 0.4399 at theta = 5.0 and
+    # 0.7958 at rho = inf; it runs the one check WedgePoint runs
+    with pytest.raises(ValidationError, match=message):
+        zw.wedge_diagonal(0.1, rho, theta)
+    with pytest.raises(ValidationError, match=message):
+        zw.WedgePoint(rho, theta)
 
 
 @pytest.mark.parametrize("modes", [{(1.5,): 1.0, (-1.5,): 1.0}, {("x",): 1.0}])

@@ -639,6 +639,169 @@ def test_separable_torus_fixture_oracle_is_the_dense_matrix(tmp_path):
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
+def stack_walk_fourier_spectrum(periods, modes, cutoff):
+    """Reference: the box spectrum with its blocks found by a stack walk over
+    adjacency lists, each block's members sorted, and blocks of equal size stacked
+    in the order of their least member: the same matrices spectra._fourier_spectrum
+    hands to eigvalsh, built by Python loops over points and blocks."""
+    m = len(periods)
+    side = 2 * cutoff + 1
+    coords = np.indices((side,) * m).reshape(m, -1).T - cutoff
+    dim = len(coords)
+    kvecs = 2.0 * math.pi * coords / np.array(periods)
+    diag = np.sum(kvecs * kvecs, axis=1) + modes.get((0,) * m, 0.0).real
+
+    strides = side ** np.arange(m - 1, -1, -1)
+    couplings = []
+    for k, amp in modes.items():
+        if not any(k):
+            continue
+        src = np.flatnonzero(np.all(np.abs(coords + np.array(k)) <= cutoff, axis=1))
+        couplings.append((amp, src, src + int(np.dot(k, strides))))
+
+    nbrs = [[] for _ in range(dim)]
+    for _, src, dst in couplings:
+        for j, i in zip(src.tolist(), dst.tolist()):
+            nbrs[j].append(i)
+    label = [-1] * dim
+    blocks = []
+    for seed in range(dim):
+        if label[seed] >= 0:
+            continue
+        label[seed] = len(blocks)
+        members, stack = [seed], [seed]
+        while stack:
+            for i in nbrs[stack.pop()]:
+                if label[i] < 0:
+                    label[i] = label[seed]
+                    members.append(i)
+                    stack.append(i)
+        blocks.append(sorted(members))
+
+    label = np.array(label)
+    sizes = np.array([len(b) for b in blocks])
+    pos = np.empty(dim, dtype=int)
+    for b in blocks:
+        pos[b] = np.arange(len(b))
+    real = all(amp.imag == 0 for amp, _, _ in couplings)
+    slot = np.empty(len(blocks), dtype=int)
+    lams = []
+    for s in sorted(set(sizes.tolist())):
+        ids = np.flatnonzero(sizes == s)
+        slot[ids] = np.arange(len(ids))
+        index = np.array([blocks[b] for b in ids])
+        H = np.zeros((len(ids), s, s), dtype=float if real else complex)
+        H[:, np.arange(s), np.arange(s)] = diag[index]
+        for amp, src, dst in couplings:
+            keep = sizes[label[src]] == s
+            H[slot[label[src[keep]]], pos[dst[keep]], pos[src[keep]]] = \
+                amp.real if real else amp
+        lams.append(np.linalg.eigvalsh(H).ravel())
+    return np.sort(np.concatenate(lams))
+
+
+def seeded_fourier_box(seed):
+    """A box of m = 1..3 axes with up to three mode pairs, an entry of each mode 0
+    half the time, complex amplitudes half the time and a zero mode half the time."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    periods = tuple(rng.uniform(0.5, 2.0, m).tolist())
+    cutoff = int(rng.integers(0, 4 if m == 3 else 8))
+    complex_amps = bool(rng.integers(2))
+    modes = {}
+    for _ in range(int(rng.integers(0, 4))):
+        k = tuple(int(rng.integers(-3, 4)) if rng.integers(2) else 0 for _ in range(m))
+        re = float(rng.uniform(-0.5, 0.5))
+        im = float(rng.uniform(-0.5, 0.5)) if complex_amps and any(k) else 0.0
+        modes[k] = complex(re, im)
+        modes[tuple(-x for x in k)] = complex(re, -im)
+    if rng.integers(2):
+        modes[(0,) * m] = complex(float(rng.uniform(-1.0, 1.0)))
+    return periods, modes, cutoff
+
+
+FOURIER_BOXES = {
+    "free-2d": ((0.8, 1.1), {}, 5),
+    "real-circle-zero-mode": ((2 * math.pi,), {(0,): 0.7 + 0j, (2,): 0.3 + 0j,
+                                              (-2,): 0.3 + 0j}, 6),
+    "complex-circle": ((0.7,), {(1,): 0.3 + 0.2j, (-1,): 0.3 - 0.2j}, 6),
+    "complex-2d-zero-mode": ((0.6, 0.8), {(1, 1): 0.2 + 0.3j, (-1, -1): 0.2 - 0.3j,
+                                          (0, 0): 0.5 + 0j}, 6),
+    "real-3d": ((0.6, 0.9, 0.75), {(1, -1, 0): 0.4 + 0j, (-1, 1, 0): 0.4 + 0j,
+                                   (0, 1, 2): 0.2 + 0j, (0, -1, -2): 0.2 + 0j}, 3),
+    "complex-3d": ((0.7, 0.9, 0.8), {(1, 2, 0): 0.3 - 0.1j, (-1, -2, 0): 0.3 + 0.1j,
+                                     (0, 0, 1): 0.1j, (0, 0, -1): -0.1j}, 3),
+    # the box edge cuts the cosets of (3, 1) into chains of unequal length
+    "edge-splits-cosets": ((1.0, 1.3), {(3, 1): 0.2 + 0.1j, (-3, -1): 0.2 - 0.1j}, 2),
+    "chain-401": ((2 * math.pi,), {(1,): 0.2 + 0j, (-1,): 0.2 + 0j}, 200),
+}
+FOURIER_BOXES.update({f"seeded-{s}": seeded_fourier_box(s) for s in range(40)})
+
+
+@pytest.mark.parametrize("box", FOURIER_BOXES.values(), ids=FOURIER_BOXES.keys())
+def test_fourier_spectrum_equals_the_stack_walk_bit_for_bit(box):
+    # the labelling and the sort give each block the same members in the same order,
+    # and each size class its blocks in the same order, so eigvalsh sees the same
+    # matrices
+    want = stack_walk_fourier_spectrum(*box)
+    got = spectra._fourier_spectrum(*box)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# torus_separable's periods and modes, and a torus of one group with the same periods
+SEPARABLE = ((2 * math.pi, 6.5), {(2, 0): 0.004, (-2, 0): 0.004, (0, 1): 0.003,
+                                  (0, -1): 0.003})
+ONE_GROUP = ((2 * math.pi, 6.5), {(1, 1): 0.2, (-1, -1): 0.2, (1, -1): 0.1, (-1, 1): 0.1})
+FIXTURE_T = np.geomspace(0.2, 0.5, 10)
+
+
+@pytest.mark.parametrize("torus,bound", [(SEPARABLE, 3e-14), (ONE_GROUP, 8e-14)],
+                         ids=["separable", "one-group"])
+def test_torus_trace_is_invariant_under_translation(torus, bound):
+    """Q(x) -> Q(x + x0) sends Qhat_n -> e^{i k_n . x0} Qhat_n, a unitary change of
+    the box matrix, so the complex eigvalsh path must give the real path's trace.
+    Both round their eigenvalues to about eps lambda_max, and t lambda_max is at most
+    about 150 here: the worst relative gaps were 8.6e-15 (separable) and 2.0e-14
+    (one group)."""
+    (periods, modes), x0 = torus, np.array([0.3, -1.1])
+    moved = {n: complex(np.exp(1j * (2 * math.pi * np.array(n) / periods) @ x0) * q)
+             for n, q in modes.items()}
+    want = spectra.torus_potential_trace(periods, modes, 12, FIXTURE_T)
+    got = spectra.torus_potential_trace(periods, moved, 12, FIXTURE_T)
+    assert np.max(np.abs(got - want) / want) < bound
+
+
+@pytest.mark.parametrize("zero,bound", [(0.0, 1.5e-15), (0.5, 1e-14)],
+                         ids=["no-zero-mode", "zero-mode"])
+def test_torus_trace_is_invariant_under_swapping_the_axes(zero, bound):
+    """Swapping the periods and every mode's entries reorders _axis_groups' groups, and
+    Re Qhat_0 moves to the other axis's spectrum.  The worst relative gaps were 3.3e-16
+    without a zero mode and 2.8e-15 with one."""
+    periods, modes = SEPARABLE
+    modes = {**modes, (0, 0): zero}
+    want = spectra.torus_potential_trace(periods, modes, 12, FIXTURE_T)
+    got = spectra.torus_potential_trace(periods[::-1], {n[::-1]: q for n, q in modes.items()},
+                                        12, FIXTURE_T)
+    assert np.max(np.abs(got - want) / want) < bound
+
+
+@pytest.mark.parametrize("torus,bound", [(SEPARABLE, 1e-13), (ONE_GROUP, 2e-13)],
+                         ids=["separable", "one-group"])
+def test_torus_trace_is_invariant_under_scaling(torus, bound):
+    """periods -> lam periods, Qhat -> Qhat / lam^2 and t -> lam^2 t divide the box
+    matrix by lam^2 and keep the tail's exponents, so the trace is the same: the box
+    and the tail run at a new scale.  Scaling keeps the box matrix up to that factor,
+    so a box too small to resolve the low-lying eigenvectors (ROADMAP item 1) is as
+    wrong at both scales, and this test cannot catch it.  The worst relative gaps
+    were 2.9e-14 (separable) and 4.9e-14 (one group)."""
+    (periods, modes), lam = torus, 1.7
+    want = spectra.torus_potential_trace(periods, modes, 12, FIXTURE_T)
+    got = spectra.torus_potential_trace(tuple(lam * p for p in periods),
+                                        {n: q / lam ** 2 for n, q in modes.items()},
+                                        12, lam ** 2 * FIXTURE_T)
+    assert np.max(np.abs(got - want) / want) < bound
+
+
 def test_torus_trace_tail_loop_is_capped():
     # at t = 1e-300 no box certifies; doubling stops at the matrix budget
     with pytest.raises(ResourceError, match="over the cap of 4097"):

@@ -9,7 +9,8 @@ import pytest
 
 from heatkern import hmds, spectra, symmspace as ss
 from heatkern import tensorcalc as tc
-from heatkern.errors import DomainError, ValidationError
+from heatkern.errors import DomainError, NumericError, ResourceError, ValidationError
+from test_exact_towers import exact_sphere_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +366,55 @@ def test_traced_powers_on_the_degree_block_match_the_full_basis(fixture, a):
 
 
 def test_theta_series_order_cap():
-    space = ss.build_symmetric_space("S2")
-    ss.theta_series(space, order=6)
+    # the basis budget and a finite alpha! are the only bounds on the order: S^2
+    # (p = 1) runs to order 85, whose moments reach 170!, and S^3 (p = 3) to order 8,
+    # whose degree-16 basis has comb(19, 3) = 969 rows.  Each refusal comes before
+    # any product, and with no numpy warning
+    s2, s3 = ss.build_symmetric_space("S2"), ss.build_symmetric_space("S3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(map(math.isfinite, ss.theta_series(s2, order=85)))
+        with pytest.raises(ResourceError, match="order 86 needs alpha! past the float range"):
+            ss.theta_series(s2, order=86)
+        with pytest.raises(ResourceError, match=r"comb\(21, 3\) .* pass BASIS_BUDGET"):
+            ss.theta_series(s3, order=9)
     with pytest.raises(ValidationError):
-        ss.theta_series(space, order=7)
-    with pytest.raises(ValidationError):
-        ss.theta_series(space, order=-1)
+        ss.theta_series(s2, order=-1)
+
+
+@pytest.mark.parametrize("radius,Q,order,k", [(1e-3, None, 85, 47), (1.0, 1e100, 4, 4)],
+                         ids=["small-radius", "large-potential"])
+def test_theta_series_that_overflows_is_refused(radius, Q, order, k):
+    # c_k of S^2 is a^{-2k} times the unit sphere's, and the fiber factor grows like
+    # Q^k / k!: an evaluation that leaves the float range is a NumericError naming the
+    # first such k, not a NaN after a numpy RuntimeWarning.  At a = 1e-3 the products
+    # overflow at c_47, although c_47 (8.3e293) and c_48 (4.0e300) are floats
+    space = ss.build_symmetric_space("S2", radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"overflows at c_{k}$"):
+            ss.theta_series(space, Q=Q, order=order)
+
+
+def test_deep_s2_theta_series_is_the_exact_tower():
+    # c_k = (-1)^k a_k / k! against the Fraction HMDS tower of the unit S^2 through
+    # k = 10 (a cutoff-20 jet, 0.25 s); the worst relative gap was 5.7e-16
+    exact = exact_sphere_diagonal(2, Fraction(1), 10)
+    c = ss.theta_series(ss.build_symmetric_space("S2"), order=10)
+    for k, (ak, ck) in enumerate(zip(exact, c)):
+        want = float((-1) ** k * ak / math.factorial(k))
+        assert abs(ck - want) <= 2e-15 * abs(want), k
+
+
+@pytest.mark.parametrize("a", [1.0, 1.7])
+def test_deep_s3_theta_series_is_exponential(a):
+    # with Q = 0 the S^3 diagonal is (4 pi t)^{-3/2} e^{t/a^2}, c_k = a^{-2k} / k!,
+    # through order 8, the deepest the basis budget allows at p = 3; the worst
+    # relative gap was 3.0e-14, at k = 8 on the unit sphere
+    c = ss.theta_series(ss.build_symmetric_space("S3", radius=a), order=8)
+    for k, ck in enumerate(c):
+        want = a ** (-2 * k) / math.factorial(k)
+        assert abs(ck - want) <= 1e-13 * want, k
 
 
 # ---------------------------------------------------------------------------
