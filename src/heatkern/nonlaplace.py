@@ -13,16 +13,18 @@ the pointwise trace u_0, and the endomorphism H that multiplies Q in the
 next coefficient.  H's sphere average and torus_oracle, the exact lattice
 trace they are checked against, run through quadrature.converge; the tail
 bound is spectra._lattice_tail, as for the circle/torus Fourier oracle.  The
-lattice oracle diagonalises only the box points whose Weyl lower bound
-mu_min |k|^2 + qmin can reach its floor, and adds the bound on the others to
-that tail.
+lattice oracle builds and diagonalises only the box points whose Weyl lower
+bound mu_min |k|^2 + qmin can reach its floor, and adds the bound on the
+others to that tail.  A symbol with a real coefficient array has real symbol
+matrices, so every eigvalsh and eigh here runs in real arithmetic unless a
+(or, in the lattice oracle, Q) is complex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -59,11 +61,13 @@ class LeadingSymbol:
         return eigenstructure(self, unit_directions(self.m, *_DIRECTIONS))
 
     def symbol_matrix(self, xi):
-        """A(xi) = a^{mu nu} xi_mu xi_nu, one matrix or a batch."""
+        """A(xi) = a^{mu nu} xi_mu xi_nu, one matrix or a batch; real when a is."""
         xi = np.asarray(xi, dtype=float)
         m, d = self.m, self.d
         outer = (xi[..., :, None] * xi[..., None, :]).reshape(xi.shape[:-1] + (m * m,))
         a = self.a.reshape(m * m, d * d)
+        if not a.imag.any():
+            return (outer @ a.real).reshape(xi.shape[:-1] + (d, d))
         # two real products: a real-by-complex matmul does not reach BLAS
         A = np.empty(outer.shape[:-1] + (d * d,), dtype=complex)
         A.real = outer @ a.real
@@ -229,14 +233,26 @@ def y_tensor(sym, ricci, fiber_curvature=None):
     return Y
 
 
-def _half_box(m, N):
-    """The origin, then every n in [-N, N]^m whose first nonzero entry is positive."""
+def _kept_half_box(N, scale, mu_min, qmin, cut):
+    """(k, low) on the half box: the origin, then every n in [-N, N]^m whose first
+    nonzero entry is positive, in that order.  k = n scale at the points whose Weyl
+    bound low = mu_min |k|^2 + qmin is at most cut, the origin always among them,
+    and low at the others.  The points n_a = 0 for a < j, n_j > 0 are one block
+    per j, and their |k|^2 an outer sum of per-axis squares, so k is built only
+    for the kept points."""
+    m = len(scale)
     r = np.arange(-N, N + 1)
-    parts = [np.zeros((1, m))]
+    ks, lows = [np.zeros((1, m))], []
     for j in range(m):
-        axes = [[0]] * j + [np.arange(1, N + 1)] + [r] * (m - j - 1)
-        parts.append(np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1))
-    return np.concatenate(parts)
+        axes = [np.arange(1, N + 1)] + [r] * (m - j - 1)
+        low = mu_min * reduce(np.add.outer, [(n * s) ** 2 for n, s in zip(axes, scale[j:])]) + qmin
+        keep = low <= cut
+        lows.append(low[~keep])
+        k = np.zeros((np.count_nonzero(keep), m))
+        for a, (n, i) in enumerate(zip(axes, np.unravel_index(np.flatnonzero(keep), low.shape))):
+            k[:, j + a] = n[i] * scale[j + a]
+        ks.append(k)
+    return np.concatenate(ks), np.concatenate(lows)
 
 
 def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
@@ -246,13 +262,16 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     quadrature.converge, until the tail is below 1e-15 of the sum at every t.
     A(k) is quadratic, so k and -k have the same eigenvalues: eigvalsh runs on
     the origin and half the box, and the half is counted twice, on real
-    symmetric matrices when a and Q are real.  By Weyl's inequality every
-    eigenvalue at k is at least low(k) = mu_min |k|^2 + qmin, and the sum is at
-    least e^{-t qmin}, so a box point with low(k) past qmin + ln(2dM/eps)/tmin
-    (M half-box points, eps 1e-3 of the floor) adds under eps of the sum at each t of
-    the call: such points are bounded, not summed, and their bound 2d e^{-t low(k)} is in
-    the tail.  The cap and its refusal count the whole box.  mu_min is read from
-    sym.spectrum, so the slopes are detected once per symbol, not once per call.
+    symmetric matrices when a and Q are real (A(k) + Q is then built real).
+    By Weyl's inequality every eigenvalue at k is at least
+    low(k) = mu_min |k|^2 + qmin, and the sum is at least e^{-t qmin}, so a box
+    point with low(k) past qmin + ln(2dM/eps)/tmin (M half-box points, eps 1e-3
+    of the floor) adds under eps of the sum at each t of the call: such points
+    are bounded, not summed, and their bound 2d e^{-t low(k)} is in the tail.
+    _kept_half_box forms low from per-axis squares and builds k only for the
+    points kept.  The cap and its refusal count the whole box.  mu_min is read
+    from sym.spectrum, so the slopes are detected once per symbol, not once per
+    call.
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
@@ -261,18 +280,17 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
 
     mu_min = min(sym.spectrum.mu)
     qmin = float(np.min(np.linalg.eigvalsh(Q)))
-    real = not (np.any(sym.a.imag) or np.any(Q.imag))
+    Q = Q if Q.imag.any() else Q.real
+    scale = 2.0 * math.pi / np.array(periods)
     pruned = {}                  # N -> the bound on its box points left unsummed
 
     def partial(ts, N):
-        k = _half_box(m, N) * (2.0 * math.pi / np.array(periods))
-        low = mu_min * np.einsum("ij,ij->i", k, k) + qmin
-        # the origin (low = qmin, counted once below) is always kept
-        keep = low <= qmin + math.log(2 * d * len(k) / (1e-3 * _LATTICE_FLOOR)) / ts.min()
-        pruned[N] = _exp_sum(ts, low[~keep], 2.0 * d)
-        k = k[keep]
-        A = (sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q for lo in range(0, len(k), _EIG_CHUNK))
-        lam = np.concatenate([np.linalg.eigvalsh(a.real if real else a) for a in A])
+        half = ((2 * N + 1) ** m + 1) // 2
+        cut = qmin + math.log(2 * d * half / (1e-3 * _LATTICE_FLOOR)) / ts.min()
+        k, low = _kept_half_box(N, scale, mu_min, qmin, cut)
+        pruned[N] = _exp_sum(ts, low, 2.0 * d)
+        lam = np.concatenate([np.linalg.eigvalsh(sym.symbol_matrix(k[lo:lo + _EIG_CHUNK]) + Q)
+                              for lo in range(0, len(k), _EIG_CHUNK)])
         mult = np.full(lam.shape, 2.0)
         mult[0] = 1.0
         return _exp_sum(ts, lam.ravel(), mult.ravel())

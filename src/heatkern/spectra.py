@@ -32,6 +32,7 @@ Any other t (zero, negative, not finite, empty, 2-D) is a ValidationError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -117,8 +118,11 @@ def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n
     n = first(tmin)
     if not n >= 1:
         raise ValidationError(f"{what} trace needs a first size of at least 1, not {n!r}")
+    # a size past the float range is spelled as a bound, not as "inf"
+    levels = lambda size: (f"about {size:.3g}" if math.isfinite(size)
+                           else f"more than {sys.float_info.max:.3g}")
     refusal = lambda size, **_: (
-        f"{what} trace needs about {size:.3g} levels at t={tmin!r}, over the cap of {cap}"
+        f"{what} trace needs {levels(size)} levels at t={tmin!r}, over the cap of {cap}"
         if not size <= cap else f"{what} trace needs {size:.3g} levels at each of "
         f"{flat.size} times, over the work cap of {_WORK_CAP:.3g}")
     total, n, err = converge(n, min(cap, _WORK_CAP / flat.size),

@@ -256,8 +256,10 @@ def theta_series(space, Q=None, order=4):
     are expanded through t^order via log(sinh x / x) and exponentiated as a
     graded series G_k; the moments of the Gaussian with covariance 2 beta^{-1}
     are the graded exponential of its quadratic form, and c_k pairs the two.
-    An order whose basis passes BASIS_BUDGET or has an alpha! past the float
-    range is a ResourceError, and a c_k that overflows a NumericError.
+    The average runs in curvature units and the fiber factor in units of its
+    largest eigenvalue, both powers of 2, so the rescaling is exact.  An order
+    whose basis passes BASIS_BUDGET or has an alpha! past the float range is a
+    ResourceError, and a c_k with a term past the float range a NumericError.
     """
     from .tensorcalc import _basis, _graded_exp, _times
     _sizes((order,), "theta_series order", least=0)
@@ -265,22 +267,28 @@ def theta_series(space, Q=None, order=4):
     B = _basis(space.p, 2 * K)
     if not np.isfinite(B.fact).all():
         raise ResourceError(f"theta_series order {K} needs alpha! past the float range")
-    # polynomials in x = omega / sigma, sigma a power of 2 near the Gaussian
-    # width, so that rescaling is exact and nothing overflows at extreme radii
+    # curvature units: sigma = 2^e is the power of 2 near the Gaussian width, and
+    # s = sigma^-2 the curvature scale; the unit problem (beta, D, F) / s has a
+    # covariance in [1/2, 2), and its gamma_j are gamma_j / s^j exactly, in a range
+    # where no product overflows or underflows on the way
     cov = 2.0 * np.linalg.inv(space.beta)
-    sigma = 2.0 ** (math.frexp(np.max(np.abs(cov)))[1] // 2)
+    e = math.frexp(np.max(np.abs(cov)))[1] // 2
     bcoef = _log_sinh_coeffs(K)
-    tr = _traced_powers(B, sigma * space.F.transpose(1, 0, 2), K) \
-        - _traced_powers(B, sigma * space.D, K)
-    # log integrand = sum_j t^j s_j(x)
+    tr = _traced_powers(B, np.ldexp(space.F.transpose(1, 0, 2), 2 * e), K) \
+        - _traced_powers(B, np.ldexp(space.D, 2 * e), K)
+    # log integrand = sum_j t^j s_j(x), x = omega / sigma
     G = _graded_exp([float(bcoef[j]) / 2.0 / 4 ** j * tr[j] for j in range(1, K + 1)], K,
                     np.eye(B.N, 1)[:, :, None], partial(_times, B))
-    gamma = (np.array(G)[:, :, 0, 0] @ _normal_moments(B, cov / (sigma * sigma))).tolist()
+    gamma = (np.array(G)[:, :, 0, 0] @ _normal_moments(B, np.ldexp(cov, -2 * e))).tolist()
 
-    # fiber factor tr e^{-tM} / d = sum_a t^a tr (-M)^a / (a! d)
+    # fiber factor tr e^{-tM} / d = sum_a t^a tr (-M)^a / (a! d), in units r = 2^q of
+    # its largest eigenvalue; the term fib_a gamma_{k-a} of c_k is r^a s^(k-a) times
+    # its unit value, applied by ldexp, so c_k overflows only where a term does
     lam = np.linalg.eigvalsh(_fiber_matrix(space, Q))
-    fib = [float(np.mean((-lam) ** a)) / math.factorial(a) for a in range(K + 1)]
-    c = [sum(fib[a] * gamma[k - a] for a in range(k + 1)) for k in range(K + 1)]
+    q = math.frexp(np.max(np.abs(lam)))[1]
+    fib = [float(np.mean(np.ldexp(-lam, -q) ** a)) / math.factorial(a) for a in range(K + 1)]
+    c = [float(sum(np.ldexp(fib[a] * gamma[k - a], q * a - 2 * e * (k - a))
+                   for a in range(k + 1))) for k in range(K + 1)]
     bad = next((k for k in range(K + 1) if not math.isfinite(c[k])), None)
     if bad is not None:
         raise NumericError(f"theta_series overflows at c_{bad}")

@@ -327,6 +327,18 @@ def test_every_task_refuses_a_nonpositive_field_alike(tmp_path, capsys, field):
     assert_every_task_refuses_alike(tmp_path, capsys, "landau", f"[operator]\nfield = {field}")
 
 
+@pytest.mark.parametrize("task", ["oracle", "compare"])
+def test_a_subnormal_field_is_refused_in_finite_words(tmp_path, capsys, task):
+    # B = 1e-320 passes the config row; the level sum's first size, 20 / (t B),
+    # overflows, and the refusal names a bound in place of "inf"
+    path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = landau\n"
+                               f"[operator]\nfield = 1e-320\n{GRID}")
+    rc = main([task, "--config", path, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert "needs more than 1.8e+308 levels" in err and "inf" not in err
+
+
 def assert_every_task_refuses_alike(tmp_path, capsys, kind, line):
     errs = set()
     for task in ("asymptotics", "oracle", "compare", "report"):

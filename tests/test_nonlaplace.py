@@ -9,7 +9,7 @@ from heatkern import nonlaplace as nl
 from heatkern import spectra
 from heatkern.errors import (EllipticityError, ResourceError, StructureError,
                              ValidationError)
-from heatkern.quadrature import unit_directions
+from heatkern.quadrature import sphere_average, unit_directions
 
 
 def striped_symbol():
@@ -56,6 +56,29 @@ def test_symbol_matrix_batch_agrees_with_single():
         for n, x in enumerate(xs):
             assert np.allclose(batch[n], sym.symbol_matrix(x))
             assert np.allclose(batch[n], np.einsum("u,v,uvab->ab", x, x, sym.a))
+
+
+def complex_frame(sym, seed):
+    """sym in a random complex unitary frame U: a -> U a U^dagger, so the slopes and
+    multiplicities are sym's and the blocks are complex Hermitian."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((sym.d, sym.d))
+                     + 1j * rng.standard_normal((sym.d, sym.d)))[0]
+    return nl.LeadingSymbol(m=sym.m, d=sym.d, a=U @ sym.a @ U.conj().T)
+
+
+def test_symbol_matrix_is_real_for_a_real_symbol():
+    # a real a takes one real product, so eigvalsh and eigh run on real matrices;
+    # a complex a keeps the complex batch, with the same values as one einsum
+    xs = np.random.default_rng(11).standard_normal((6, 3))
+    real = nl.one_form_symbol(3, 0.6)
+    A = real.symbol_matrix(xs)
+    assert A.dtype == np.float64 and real.symbol_matrix(xs[0]).dtype == np.float64
+    assert np.allclose(A, np.einsum("nu,nv,uvab->nab", xs, xs, real.a).real, rtol=0, atol=1e-14)
+    hermitian = complex_frame(real, 12)
+    A = hermitian.symbol_matrix(xs)
+    assert A.dtype == np.complex128 and np.any(A.imag)
+    assert np.allclose(A, np.einsum("nu,nv,uvab->nab", xs, xs, hermitian.a), rtol=0, atol=1e-14)
 
 
 def test_default_directions():
@@ -203,6 +226,35 @@ def test_h_endomorphism_one_form_m3():
     H = nl.h_endomorphism(sym, nl.eigenstructure(sym))
     scalar = -(4 * math.pi) ** -1.5 * (2.0 / 3.0 + (1 + c) ** -1.5 / 3.0)
     assert np.max(np.abs(H - scalar * np.eye(3))) < 1e-9 * abs(scalar)
+
+
+def complex_h_endomorphism(sym, spec):
+    """h_endomorphism with each symbol matrix made complex before eigh, as every
+    symbol was before real symbols took real arithmetic."""
+    mu = np.array(spec.mu)
+    weight = -(4.0 * math.pi) ** (-sym.m / 2.0) * mu ** (-sym.m / 2.0)
+
+    def integrand(omega):
+        w, V = np.linalg.eigh(sym.symbol_matrix(omega).astype(complex))
+        labels = np.argmin(np.abs(w[..., None] - mu), axis=-1)
+        return np.einsum("nak,nk,nbk->nab", V, weight[labels], V.conj())
+
+    H = sphere_average(sym.m, 4, 32, integrand, 1e-10)
+    return 0.5 * (H + H.conj().T)
+
+
+# real and complex eigh give eigenvectors that differ in their last bits; the worst
+# entry gap of H over the cases below was 3.5e-18
+@pytest.mark.parametrize("sym", [nl.laplace_symbol(3, 2), nl.one_form_symbol(2, 1.0),
+                                 nl.one_form_symbol(3, 0.7), nl.one_form_symbol(3, -0.4),
+                                 nl.one_form_symbol(4, 0.5)],
+                         ids=["laplace-m3", "m2", "m3", "m3-negative-c", "m4"])
+def test_h_endomorphism_of_a_real_symbol_is_the_complex_one(sym):
+    spec = nl.eigenstructure(sym)
+    H = nl.h_endomorphism(sym, spec)
+    want = complex_h_endomorphism(sym, spec)
+    assert H.dtype == np.float64
+    assert np.max(np.abs(H - want)) <= 1e-15
 
 
 def test_a2_potential_part_is_trace_pairing():
@@ -360,6 +412,59 @@ def test_torus_oracle_diagonalises_only_what_can_reach_the_floor(monkeypatch, ce
     # N = 8, ..., 512 are summed and N = 1024 is refused
     assert np.array_equal(spectra._exp_sum(np.array([1e-9, 0.5]), np.array([]), 4.0), [0, 0])
     assert sum(rows) == sum(((2 * N + 1) ** 2 + 1) // 2 for N in (8, 16, 32, 64, 128, 256, 512))
+
+
+def half_box(m, N):
+    """The origin, then every n in [-N, N]^m whose first nonzero entry is positive,
+    as one array: the whole half box that torus_oracle once built."""
+    r = np.arange(-N, N + 1)
+    parts = [np.zeros((1, m))]
+    for j in range(m):
+        axes = [[0]] * j + [np.arange(1, N + 1)] + [r] * (m - j - 1)
+        parts.append(np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1))
+    return np.concatenate(parts)
+
+
+def whole_half_box_kept(N, scale, mu_min, qmin, cut):
+    """nl._kept_half_box from the whole half box, its Weyl bounds by one einsum."""
+    k = half_box(len(scale), N) * scale
+    low = mu_min * np.einsum("ij,ij->i", k, k) + qmin
+    keep = low <= cut
+    return k[keep], low[~keep]
+
+
+def enumeration_case(seed):
+    """A seeded torus_oracle call: m = 1, 2, 3 in turn, a real or complex symbol
+    and Q, periods near 1, and t from 0.02 / m up to 0.5 / m."""
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 3
+    sym = nl.one_form_symbol(m, rng.uniform(-0.5, 1.0)) if m > 1 else nl.laplace_symbol(1, 2)
+    Q = rng.standard_normal((sym.d, sym.d)) + 1j * rng.standard_normal((sym.d, sym.d)) * (seed % 2)
+    if seed % 4 >= 2:
+        sym = complex_frame(sym, seed)
+    ts = np.append(0.02, rng.uniform(0.02, 0.5, 2)) / m
+    return sym, 0.3 * (Q + Q.conj().T), ts, rng.uniform(0.8, 1.25, m)
+
+
+# the pruned points' Weyl bounds sum their squares in another order than einsum
+# did; over 300 random boxes (m = 1..3, N = 1..24) they differed by at most 2 ulps
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_kept_half_box_is_the_whole_half_box_pruned(seed, monkeypatch):
+    sym, Q, ts, periods = enumeration_case(seed)
+    calls = []
+    kept = nl._kept_half_box
+    monkeypatch.setattr(nl, "_kept_half_box", lambda *args: calls.append(args) or kept(*args))
+    got = nl.torus_oracle(sym, Q=Q, t=ts, cutoff=2 + seed % 3, periods=periods)
+    # N doubles at least once, and some points are pruned
+    assert len(calls) >= 2 and any(len(kept(*args)[1]) for args in calls)
+    for args in calls:
+        k, low = kept(*args)
+        want_k, want_low = whole_half_box_kept(*args)
+        assert np.array_equal(k, want_k)
+        assert np.all(np.abs(low - want_low) <= 2 * np.spacing(want_low))
+    monkeypatch.setattr(nl, "_kept_half_box", whole_half_box_kept)
+    want = nl.torus_oracle(sym, Q=Q, t=ts, cutoff=2 + seed % 3, periods=periods)
+    assert got.tobytes() == want.tobytes()
 
 
 # periods -> 1.7 periods, Q -> Q / 1.7^2, t -> 1.7^2 t scales every level by 1 / 1.7^2,

@@ -248,6 +248,17 @@ def test_first_partial_sum_is_capped(trace):
         trace()
 
 
+@pytest.mark.parametrize("trace", [
+    lambda: spectra.landau_trace_density(1e-320, 0.1),         # 20 / (tB) overflows
+    lambda: spectra.landau_trace_density(1e-300, 1e-300),      # tB underflows to 0
+])
+def test_a_first_size_past_the_float_range_is_spelled_as_a_bound(trace):
+    # the refusal once read "needs about inf levels"
+    with pytest.raises(ResourceError, match=r"needs more than 1\.8e\+308 levels") as info:
+        trace()
+    assert "inf" not in str(info.value)
+
+
 def test_partial_sums_are_capped_in_work():
     # a million t at about 2e5 levels each is refused before any exponential
     ts = np.geomspace(1e-9, 1.0, 10 ** 6)
@@ -800,6 +811,28 @@ def test_torus_trace_is_invariant_under_scaling(torus, bound):
                                         {n: q / lam ** 2 for n, q in modes.items()},
                                         12, lam ** 2 * FIXTURE_T)
     assert np.max(np.abs(got - want) / want) < bound
+
+
+def mathieu_trace(q, t, levels=240):
+    """Trace of exp(-t(-d^2/dx^2 + 2q cos 2x)) on the circle of length 2 pi from
+    scipy's Mathieu characteristic values: sum_{n>=0} e^{-t a_n(q)} plus
+    sum_{n>=1} e^{-t b_n(q)}, the pi- and 2 pi-periodic levels together."""
+    from scipy.special import mathieu_a, mathieu_b
+    n = np.arange(levels)
+    return math.fsum(np.exp(-t * np.concatenate([mathieu_a(n, q), mathieu_b(n[1:], q)])))
+
+
+# each bound is about 3 times the relative gap measured when the test was written
+# (3.2e-14, 6.0e-15 and 2.9e-13); a box too small for its potential, such as
+# cutoff 4 at q = 50 (off by 2.4e-7, ROADMAP item 1), is left to that item
+@pytest.mark.parametrize("q,t,cutoff,bound", [(50.0, 0.5, 64, 1e-13), (5.0, 0.2, 16, 2e-14),
+                                              (0.5, 1.0, 8, 1e-12)],
+                         ids=["q50", "q5", "q0.5"])
+def test_circle_trace_is_the_mathieu_sum(q, t, cutoff, bound):
+    """The Fourier box against an exact spectrum that does not come from a box."""
+    got = spectra.torus_potential_trace(2 * math.pi, {(2,): q, (-2,): q}, cutoff, t)
+    want = mathieu_trace(q, t)
+    assert abs(got - want) <= bound * want
 
 
 def test_torus_trace_tail_loop_is_capped():

@@ -382,18 +382,35 @@ def test_theta_series_order_cap():
         ss.theta_series(s2, order=-1)
 
 
-@pytest.mark.parametrize("radius,Q,order,k", [(1e-3, None, 85, 47), (1.0, 1e100, 4, 4)],
+@pytest.mark.parametrize("radius,Q,order,k", [(1e-3, None, 85, 50), (1.0, 1e100, 4, 4)],
                          ids=["small-radius", "large-potential"])
 def test_theta_series_that_overflows_is_refused(radius, Q, order, k):
     # c_k of S^2 is a^{-2k} times the unit sphere's, and the fiber factor grows like
-    # Q^k / k!: an evaluation that leaves the float range is a NumericError naming the
-    # first such k, not a NaN after a numpy RuntimeWarning.  At a = 1e-3 the products
-    # overflow at c_47, although c_47 (8.3e293) and c_48 (4.0e300) are floats
+    # Q^k / k!: a c_k that leaves the float range is a NumericError naming the first
+    # such k, not a NaN after a numpy RuntimeWarning.  At a = 1e-3, c_49 = 1.96e307 is
+    # the last float and c_50 = 9.8e313 is not
     space = ss.build_symmetric_space("S2", radius)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=f"overflows at c_{k}$"):
             ss.theta_series(space, Q=Q, order=order)
+
+
+# theta_series runs in curvature units, so at a radius of 1e-3 no product overflows
+# before c_k does, and at 1e3 none underflows while c_k is a normal float (before,
+# a = 1e-3 was refused at c_47, and at a = 1e3 c_41..c_48 lost their partial
+# products to underflow, c_48 coming out 2.8e10 times too small).  kappa = 1 / a / a
+# is rounded twice and c_48 holds kappa^48; the worst relative gaps were 8.6e-16
+# (a = 1e-3) and 4.2e-15 (a = 1e3)
+@pytest.mark.parametrize("radius", [1e-3, 1e3])
+def test_s2_theta_series_at_extreme_radii_is_the_exact_tower(radius):
+    kappa = Fraction(radius) ** -2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = ss.theta_series(ss.build_symmetric_space("S2", radius), order=48)
+    for k, (ck, unit) in enumerate(zip(c, s2_exact_coefficients(48))):
+        want = unit * kappa ** k
+        assert abs(Fraction(ck) - want) <= Fraction(1e-14) * want, k
 
 
 def test_deep_s2_theta_series_is_the_exact_tower():
@@ -415,6 +432,17 @@ def test_deep_s3_theta_series_is_exponential(a):
     for k, ck in enumerate(c):
         want = a ** (-2 * k) / math.factorial(k)
         assert abs(ck - want) <= 1e-13 * want, k
+
+
+# the worst relative gaps were 4.6e-14 (a = 1e-3) and 9.0e-14 (a = 1e3), at k = 8
+@pytest.mark.parametrize("a", [1e-3, 1e3])
+def test_s3_theta_series_at_extreme_radii_is_exponential(a):
+    want = [Fraction(a) ** (-2 * k) / math.factorial(k) for k in range(9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = ss.theta_series(ss.build_symmetric_space("S3", radius=a), order=8)
+    for k, (ck, w) in enumerate(zip(c, want)):
+        assert abs(Fraction(ck) - w) <= Fraction(2e-13) * w, k
 
 
 # ---------------------------------------------------------------------------
