@@ -128,7 +128,7 @@ class OperatorJet:
     def apply(self, P):
         """L P for arrays P of shape (..., N_c, d, d), N_c = basis.offsets[c + 1], each
         truncated at degree c: exact through degree c - 2 when P is exact through c."""
-        B, conn, m = self.basis, self.connection, self.m
+        B, conn = self.basis, self.connection
         P = np.asarray(P)
         n = P.shape[-3] if P.ndim >= 3 else 0
         if n not in B.offsets[1:] or P.shape[-2:] != (self.d, self.d):
@@ -139,9 +139,9 @@ class OperatorJet:
         u = _radial_times(B, vanvleck, P)
         G = _cov(B, conn, u)
         Y = _gather(B.down, G, diag=True)
-        hS = _radial_times(B, flux_outer, sum(Y[..., nu, :, :, :] for nu in range(m)))
+        hS = _radial_times(B, flux_outer, np.add.reduce(Y, axis=-4, initial=0))
         T = _cov(B, conn, _radial_times(B, flux_diag, G) + _gather(B.down, hS), diag=True)
-        flux = sum(T[..., mu, :, :, :] for mu in range(m))
+        flux = np.add.reduce(T, axis=-4, initial=0)
         return _times(B, self.Q, P) - _radial_times(B, vanvleck, flux)
 
 

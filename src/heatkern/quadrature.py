@@ -43,7 +43,7 @@ def converge(n, cap, estimate, error, floor, refusal, size=lambda n: n):
         est = estimate(n)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             err = error(n, est, prev)
-            if np.all(err <= floor(est)):
+            if np.less_equal(err, floor(est)).all():
                 return est, n, err
         prev, n = est, 2 * n
 

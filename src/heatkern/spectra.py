@@ -66,11 +66,14 @@ def _length(x, what):
 
 
 def _as_t(t):
-    """t as a float array of shape () or (n,), n >= 1, every entry positive and finite."""
+    """t as a float array of shape () or (n,), n >= 1, every entry positive and finite;
+    a positive finite Python float needs no further test."""
     ts = np.asarray(t, dtype=float)
+    if type(t) is float and 0.0 < t < math.inf:
+        return ts
     if ts.ndim > 1 or ts.size == 0:
         raise ValidationError("t must be a scalar or a non-empty 1-D array")
-    if not np.all(np.isfinite(ts) & (ts > 0)):
+    if not (np.isfinite(ts) & (ts > 0)).all():
         raise ValidationError("t must be positive and finite")
     return ts
 
@@ -88,23 +91,24 @@ def _scalar_t(t):
 def _like_t(ts, values, what=None):
     """values as a float when ts is a scalar, else as the array.  With `what`,
     a non-finite value is a NumericError "<what> overflows at t=<first such t>"."""
-    if what and not np.all(np.isfinite(values)):
+    if what and not np.isfinite(values).all():
         first = np.atleast_1d(ts)[~np.isfinite(np.atleast_1d(values))][0]
         raise NumericError(f"{what} overflows at t={float(first)!r}")
     return float(np.ravel(values)[0]) if ts.ndim == 0 else values
 
 
 def _exp_sum(ts, lam, mult=1.0):
-    """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts; 0 for no lam."""
+    """sum_j mult_j exp(-t lam_j), pairwise, at each t of the 1-D array ts; 0 for no lam.
+    Blocks of at most _EXP_CHUNK exponentials fill one preallocated result."""
     rows = max(1, _EXP_CHUNK // max(1, lam.size))
-    sums = []
+    sums = np.empty(ts.size)
     with np.errstate(over="ignore"):
         for i in range(0, ts.size, rows):
             block = np.multiply.outer(-ts[i:i + rows], lam)
             np.exp(block, out=block)
             block *= mult
-            sums.append(block.sum(axis=1))
-    return np.concatenate(sums)
+            block.sum(axis=1, out=sums[i:i + rows])
+    return sums
 
 
 def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n):
@@ -113,7 +117,7 @@ def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n
     array ts and tail(ts, n) bounds the rest; n starts at first(min t), which must be
     >= 1.  size(n) levels over cap, or over _WORK_CAP at all t, is a ResourceError."""
     ts = _as_t(t)
-    flat = np.atleast_1d(ts)
+    flat = ts.reshape(-1)
     tmin = float(flat.min())
     n = first(tmin)
     if not n >= 1:
@@ -609,9 +613,12 @@ class FitResult:
 def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     """Weighted least squares of trace samples onto the basis t^e.
 
-    Weights are 1/|value| (relative residuals); the t-grid must be geometric.
-    Error bars come from a residual bootstrap with a fixed RNG seed so output
-    is reproducible byte for byte.
+    Weights are 1/|value| (relative residuals); the t-grid must be geometric and
+    each exponent finite.  One thin SVD of the weighted design X gives its
+    condition number and, once that is at most 1e12 (every singular value above
+    lstsq's cutoff), the pseudo-inverse that solves for the coefficients and for
+    every resample of a residual bootstrap, whose fixed RNG seed makes the error
+    bars reproducible byte for byte.
     """
     data = np.array([(float(t), float(v)) for t, v in samples]).reshape(-1, 2)
     if not np.all(np.isfinite(data)):
@@ -619,6 +626,8 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     if np.any(data[:, 0] <= 0):
         raise ValidationError("sample times must be positive")
     exponents = tuple(float(e) for e in exponents)
+    if not exponents or not all(math.isfinite(e) for e in exponents):
+        raise ValidationError(f"need at least one exponent, each finite, not {exponents}")
     if len(data) < 2 * len(exponents):
         raise ValidationError("need at least twice as many samples as exponents")
     ts, ys = data[np.argsort(data[:, 0])].T
@@ -629,17 +638,18 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     w = 1.0 / np.maximum(np.abs(ys), 1e-300)
     X = np.power.outer(ts, np.array(exponents)) * w[:, None]
     y = ys * w
-    cond = float(np.linalg.cond(X))
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
     if cond > 1e12:
         raise NumericError(f"fit basis condition number {cond:.3e} exceeds 1e12")
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    pinv = (Vt.T / s) @ U.T
+    coef = pinv @ y
 
     fitted = X @ coef
     resid = y - fitted
-    # one draw of every resample, one solve with a right-hand side per resample
+    # one draw of every resample, one product with a column per resample
     draws = np.random.default_rng(seed).choice(resid, size=(bootstrap, len(resid)))
-    boots, *_ = np.linalg.lstsq(X, (fitted + draws).T, rcond=None)
-    errors = boots.std(axis=1, ddof=1)
+    errors = (pinv @ (fitted + draws).T).std(axis=1, ddof=1)
 
     return FitResult(exponents=exponents, coefficients=coef, errors=errors,
                      condition_number=cond)

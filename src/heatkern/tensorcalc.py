@@ -145,14 +145,19 @@ def _times(B, C, P):
 
 def _radial_times(B, series, P):
     """sum_k series[k] |y|^{2k} P, truncated at P's length n, by Horner's rule in
-    w = |y|^2: out = c_k P + sum_mu y_mu^2 out.  Each trailing zero of the series
-    costs a step, so a caller that reuses a series trims it once."""
+    w = |y|^2: out = c_k P + sum_mu y_mu^2 out, over any leading batch axes of P.
+    out sits in the first n rows of a zero buffer, so a step is one gather through
+    `square[:, :n]`, one sum over mu from 0 (as Python's `sum`) and one multiply-add.
+    Each trailing zero of the series costs a step: a caller reusing a series trims it."""
     n = P.shape[-3]
     c = np.asarray(series[:B.degree[n - 1] // 2 + 1])
-    out = c[-1] * P if len(c) else np.zeros_like(P)
+    if len(c) < 2:
+        return c[-1] * P if len(c) else np.zeros_like(P)
+    buf = np.zeros(P.shape[:-3] + (n + 1,) + P.shape[-2:], dtype=np.result_type(c, P))
+    out = np.multiply(c[-1], P, out=buf[..., :n, :, :])
     for ck in c[-2::-1]:
-        pad = _pad(out)
-        out = ck * P + sum(_take(pad, B.square[mu, :n]) for mu in range(B.m))
+        gathered = buf.take(B.square[:, :n], axis=-3, mode="clip")
+        np.add(ck * P, np.add.reduce(gathered, axis=-4, initial=0), out=out)
     return out
 
 

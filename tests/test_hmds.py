@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -591,3 +592,92 @@ def test_overflowing_potential_is_one_numeric_error():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="a_2 is not finite"):
             hmds.hmds_coefficients(jet, kmax=2, cutoff=0)
+
+
+# ---------------------------------------------------------------------------
+# the buffered operator step against the per-axis loop
+# ---------------------------------------------------------------------------
+
+def loop_radial_times(B, series, P):
+    """Horner's rule in w as a loop over the axes: each step pads `out` and
+    gathers y_mu^2 out once per mu, summed with Python's `sum`."""
+    n = P.shape[-3]
+    c = np.asarray(series[:B.degree[n - 1] // 2 + 1])
+    out = c[-1] * P if len(c) else np.zeros_like(P)
+    for ck in c[-2::-1]:
+        pad = tc._pad(out)
+        out = ck * P + sum(tc._take(pad, B.square[mu, :n]) for mu in range(B.m))
+    return out
+
+
+def loop_apply(jet, P):
+    """`OperatorJet.apply` with `loop_radial_times` and Python `sum`s over the
+    stacks of `_cov` and `_gather`."""
+    B, conn, m = jet.basis, jet.connection, jet.m
+    P = np.asarray(P)
+    P = P.astype(np.result_type(P, jet.Q), copy=False)
+    vanvleck, flux_diag, flux_outer = jet.series
+    u = loop_radial_times(B, vanvleck, P)
+    G = hmds._cov(B, conn, u)
+    Y = hmds._gather(B.down, G, diag=True)
+    hS = loop_radial_times(B, flux_outer, sum(Y[..., nu, :, :, :] for nu in range(m)))
+    T = hmds._cov(B, conn, loop_radial_times(B, flux_diag, G) + hmds._gather(B.down, hS),
+                  diag=True)
+    flux = sum(T[..., mu, :, :, :] for mu in range(m))
+    return tc._times(B, jet.Q, P) - loop_radial_times(B, vanvleck, flux)
+
+
+def sparse_signed(rng, shape, cplx):
+    """Normal entries, a third of them +0.0 and a sixth -0.0, so a sum that
+    starts from its first term in place of 0 shows in the sign of a zero."""
+    P = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0.0)
+    u = rng.random(shape)
+    P[u < 0.5] = 0.0
+    P[u < 1.0 / 6.0] = -0.0
+    return P
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["sphere", "flat", "torus"])
+def test_operator_step_is_the_axis_loop_bit_for_bit(kind, m, d):
+    # with and without the constant-curvature connection; d = 2 has a complex Q
+    geo = {"sphere": dict(radius=0.9), "flat": dict(volume=1.0),
+           "torus": dict(periods=(2 * math.pi, 4.0, 3.0, 5.0)[:m])}[kind]
+    rng = np.random.default_rng(100 * m + 10 * d + len(kind))
+    for field in (None, 0.7) if m >= 2 else (None,):
+        jet = field_jet(kind, m, d, 4, field=field, **geo)
+        B = jet.basis
+        for batch in ((), (3,), (2, 3)):           # leading axes, as a batch of base points
+            for cplx in (False, True):
+                P = sparse_signed(rng, batch + (B.N, d, d), cplx)
+                assert same_bytes(jet.apply(P), loop_apply(jet, P)), (field, batch, cplx)
+                for c in range(B.deg + 1):
+                    Pc = P[..., :B.offsets[c + 1], :, :]
+                    for series in jet.series:
+                        assert same_bytes(tc._radial_times(B, series, Pc),
+                                          loop_radial_times(B, series, Pc)), (field, batch, c)
+
+
+def test_operator_step_on_fractions_is_the_axis_loop_exactly():
+    # a Fraction jet stays exact: every entry is a Fraction equal to the loop's
+    from test_exact_towers import exact_geometry, exact_jet
+    curvature = np.zeros((2, 2, 1, 1), dtype=object)
+    curvature[0, 1, 0, 0], curvature[1, 0, 0, 0] = Fraction(1, 3), -Fraction(1, 3)
+    jet = exact_jet(exact_geometry("sphere", 2, 4, Fraction(3, 2)), 4, Q=[Fraction(1, 5)],
+                    curvature=curvature)
+    B = jet.basis
+    rng = np.random.default_rng(8)
+    P = np.array([Fraction(int(k), 7) for k in rng.integers(-9, 10, 2 * B.N)],
+                 dtype=object).reshape(2, B.N, 1, 1)
+    got, want = jet.apply(P), loop_apply(jet, P)
+    assert got.shape == want.shape and all(type(v) is Fraction for v in got.flat)
+    assert (got == want).all()
+    for series in jet.series:
+        got = tc._radial_times(B, series, P)
+        assert all(type(v) is Fraction for v in got.flat)
+        assert (got == loop_radial_times(B, series, P)).all()

@@ -236,6 +236,9 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
      "sample times must be positive"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T + [(1.0, 1.0)], 2, (-1.0,)),
      "t-grid must be geometric"),
+    (lambda: spectra.fit_expansion([(0.1, 1.0)], 2, ()), "need at least one exponent"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T[:2], 2, ()), "need at least one exponent"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (math.nan,)), "each finite"),
     (lambda: hmds.build_operator_jet(_sphere_jet()[0], tc.PotentialJet.zero(3, cutoff=4), 4),
      "geometry and potential dimensions differ"),
     (lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 6),
@@ -256,7 +259,8 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
     (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho must be finite and nonnegative"),
     (lambda: ob.a1_abelian(ob.ObliqueBoundaryData(2, 2, Z2, (1j * np.diag([1.0, -1.0]),))),
      r"I \+ Gamma\^2 singular"),
-], ids=["fit-t-negative", "fit-t-not-geometric", "jet-dimensions-differ", "jet-too-short",
+], ids=["fit-t-negative", "fit-t-not-geometric", "fit-one-sample-no-exponents",
+        "fit-no-exponents", "fit-nan-exponent", "jet-dimensions-differ", "jet-too-short",
         "jet-profile-too-short", "trace-not-homogeneous", "trace-not-real", "f-profile-i",
         "f-profile-xi", "torus-no-periods", "sphere-volume-overflow", "taylor-length",
         "taylor-component", "wedge-rho-negative", "a1-abelian-singular"])

@@ -299,6 +299,26 @@ def test_tail_bounds_hold_at_every_t(spectrum, full):
         assert np.all(missing <= tail(ts, n))
 
 
+def test_level_sums_are_summed_past_their_certificates(past_certificate):
+    # conftest's fixture keeps every interval, sphere and Landau sum, and no other,
+    # and sums each again at 4n; here it runs by hand
+    spectra.interval_trace(1.0, "robin", np.array([0.01, 0.1]), S=0.7)
+    spectra.sphere_trace(2, 1.0, 0.05)
+    spectra.landau_trace_density(1.0, 0.3)
+    spectra.torus_potential_trace(2 * math.pi, {(1,): 0.1, (-1,): 0.1}, 4, 0.5)
+    kept = [(what, n) for what, *_, n in past_certificate.sums]
+    assert [what for what, _ in kept] == ["interval", "sphere", "landau"]
+    past_certificate.check()
+    assert past_certificate.checked[-3:] == kept and not past_certificate.sums
+    # a sum that still moves past n fails the check; the fixture reads the oracle's
+    # name from its caller's `what`, as _certified_trace names it
+    what = "sphere"  # noqa: F841
+    spectra.converge(1, 100, lambda n: np.array([1.0 - 1.0 / n]), lambda n, est, prev: 0.0,
+                     lambda est: 1e-14 * est, str)
+    with pytest.raises(AssertionError, match="sphere sum moves by 7.500e-01 from n = 1 to 4"):
+        past_certificate.check()
+
+
 def fixture_grid(name):
     from heatkern.cli import RunConfig
     return np.array(RunConfig.from_ini(

@@ -39,6 +39,14 @@ EVALUATORS = {
     "sphere-2": lambda t: spectra.sphere_trace(2, 1.2, t),
     "sphere-3": lambda t: spectra.sphere_trace(3, 0.8, t),
     "landau": lambda t: spectra.landau_trace_density(1.5, t),
+    # each Fourier box settles at its cutoff for every t >= 1e-3, so a grid and its
+    # scalar calls sum one box: a box doubled for a grid's smallest t moves the
+    # entries at large t by up to its 1e-10 floor, and past it (ROADMAP item 1)
+    "fourier-circle": lambda t: spectra.torus_potential_trace(
+        2 * math.pi, ff.FourierBackground.circle_cosine(2 * math.pi, 2, 0.4).potential_modes,
+        160, t),
+    "fourier-torus": lambda t: spectra.torus_potential_trace(
+        (0.3, 0.4), {(1, 1): 0.2 + 0.1j, (-1, -1): 0.2 - 0.1j, (0, 0): 0.3}, 10, t),
     "torus-oracle": lambda t: nl.torus_oracle(nl.one_form_symbol(2, 0.5), Q=np.diag([0.3, -0.2]),
                                               t=t, periods=(2 * math.pi, 3.0)),
     "expansion": HeatTraceExpansion(
@@ -65,6 +73,19 @@ def test_array_entries_match_scalar_calls(name, ts):
         scalar = evaluate(float(t))
         assert isinstance(scalar, float)
         assert abs(value - scalar) <= 1e-15 * abs(scalar)
+
+
+# the oracles whose sums run through spectra._certified_trace
+CERTIFIED = ["fourier-circle", "fourier-torus", "interval-DD", "interval-DN", "interval-NN",
+             "interval-robin", "landau", "sphere-2", "sphere-3", "torus-oracle"]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+@pytest.mark.parametrize("t", [1e-3, 0.05, 1.0, 7.5])
+def test_scalar_call_is_the_one_entry_array_call_bit_for_bit(name, t):
+    scalar, array = EVALUATORS[name](t), EVALUATORS[name](np.array([t]))
+    assert type(scalar) is float and array.shape == (1,)
+    assert np.array([scalar]).tobytes() == array.tobytes()
 
 
 BAD_T = [0.0, -0.5, math.nan, math.inf, -math.inf, np.array([]), np.ones((2, 2)),
