@@ -620,12 +620,20 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     every resample of a residual bootstrap, whose fixed RNG seed makes the error
     bars reproducible byte for byte.
     """
-    data = np.array([(float(t), float(v)) for t, v in samples]).reshape(-1, 2)
+    if not (isinstance(bootstrap, (int, np.integer)) and bootstrap >= 2):
+        raise ValidationError(f"bootstrap must be an integer >= 2, not {bootstrap!r}")
+    try:
+        data = np.array([(float(t), float(v)) for t, v in samples]).reshape(-1, 2)
+    except (TypeError, ValueError):
+        raise ValidationError("samples must be (t, value) pairs of real numbers") from None
     if not np.all(np.isfinite(data)):
         raise ValidationError("samples must be finite")
     if np.any(data[:, 0] <= 0):
         raise ValidationError("sample times must be positive")
-    exponents = tuple(float(e) for e in exponents)
+    try:
+        exponents = tuple(float(e) for e in exponents)
+    except (TypeError, ValueError):
+        raise ValidationError(f"exponents must be real numbers, not {exponents!r}") from None
     if not exponents or not all(math.isfinite(e) for e in exponents):
         raise ValidationError(f"need at least one exponent, each finite, not {exponents}")
     if len(data) < 2 * len(exponents):

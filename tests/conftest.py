@@ -1,16 +1,17 @@
-"""Every interval, sphere and Landau level sum the suite makes is summed past its
-certificate.
+"""Every interval, sphere and Landau level sum and every Bessel mode sum the suite
+makes is summed past its certificate.
 
-spectra._certified_trace stops a level sum at the first n, through
+spectra._certified_trace stops a level or mode sum at the first n, through
 quadrature.converge, whose tail bound is within the oracle's floor of the sum.
 The autouse fixture below wraps `converge` as bound in `spectra`, keeps each
 such sum, and after the test evaluates it again at 4n, wherever 4n stays under
 the sum's cap: |S(4n) - S(n)| must be within the same floor of S(4n), the
 oracle's own (1e-15 relative for the interval and Landau sums, 1e-14 for the
-sphere).  The sums are evaluated again only after the test and its own
-monkeypatches are done, so a test that counts an oracle's work sees its own
-calls alone.  The Fourier box is left out: its certificate does not cover the
-box's own eigenvalues (ROADMAP item 1).
+sphere, the caller's absolute tol for the Bessel modes, whose cap counts the
+orders zaremba._scaled_half_bessel runs over).  The sums are evaluated again
+only after the test and its own monkeypatches are done, so a test that counts
+an oracle's work sees its own calls alone.  The Fourier box is left out: its
+certificate does not cover the box's own eigenvalues (ROADMAP item 1).
 """
 
 import sys
@@ -20,7 +21,7 @@ import pytest
 
 from heatkern import spectra
 
-SUMMED_PAST = ("interval", "sphere", "landau")
+SUMMED_PAST = ("interval", "sphere", "landau", "Bessel mode")
 
 
 class PastCertificate:

@@ -950,13 +950,40 @@ def test_core_imports_load_no_scipy():
         "\n".join(f"import heatkern.{name}" for name in names)) == "[]"
 
 
-def test_zaremba_corner_loads_no_scipy():
-    # the corner coefficient is a closed form; its quadrature check lives in the tests
-    assert _loaded_scipy_modules(
-        "from heatkern import zaremba\n"
-        "zaremba.corner_coefficient(2)\n"
-        "zaremba.corner_coefficient(3)\n"
-        "zaremba.wedge_trace_expansion(2, 1, 1.0, 1.0, 1.0)") == "[]"
+def test_quadrature_routes_run_without_scipy():
+    # scipy is a test dependency only: with its import blocked, every library route the
+    # quadratures benchmark workload drives runs, the Bessel oracle from 3 and 60 modes
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from heatkern import formfactors, nonlaplace, oblique, symmspace, zaremba
+W = zaremba.WedgePoint
+p, pp = W(1.0, 0.1), W(1.0, -0.2)
+for terms in (3, 60):
+    res = zaremba.bessel_oracle(0.02, p, pp, terms=terms)
+    assert abs(res.value - zaremba.wedge_kernel(0.02, p, pp)) <= res.tail_bound
+assert zaremba.corner_coefficient(2) == -1 / 16
+zaremba.wedge_trace_expansion(2, 1, 1.0, 1.0, 1.0)
+assert max(zaremba.bc_residuals(0.1)) < 1e-6
+space = symmspace.build_symmetric_space("S2", 1.0)
+symmspace.theta_quadrature(space, Q=0.2, t=0.01)
+symmspace.theta_series(space, Q=0.2, order=4)
+sym = nonlaplace.one_form_symbol(2, 0.8)
+nonlaplace.h_endomorphism(sym, nonlaplace.eigenstructure(sym))
+nonlaplace.torus_oracle(sym, Q=0.2 * np.eye(2), t=0.01, cutoff=12, periods=[1.0, 1.0])
+s3 = np.diag([1.0, -1.0]).astype(complex)
+data = oblique.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                   Gamma=(0.4j * s3, np.zeros((2, 2))))
+oblique.a1_quadrature(data), oblique.a1_abelian(data)
+s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+oblique.a1_clifford(oblique.ObliqueBoundaryData(m=3, d=2, Pi=np.zeros((2, 2)),
+                                                Gamma=(0.4j * s1, 0.4j * s3)))
+formfactors.gamma_factor(2, 0.5), formfactors.gamma_factor(2, 20.0)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_circle_compare_loads_no_scipy(tmp_path):

@@ -239,6 +239,19 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
     (lambda: spectra.fit_expansion([(0.1, 1.0)], 2, ()), "need at least one exponent"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T[:2], 2, ()), "need at least one exponent"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (math.nan,)), "each finite"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, ("x",)), "exponents must be real numbers"),
+    (lambda: spectra.fit_expansion([("a", 1.0)] + GEOMETRIC_T, 2, (-1.0,)),
+     r"samples must be \(t, value\) pairs"),
+    (lambda: spectra.fit_expansion([(1.0,)] + GEOMETRIC_T, 2, (-1.0,)),
+     r"samples must be \(t, value\) pairs"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=0),
+     "bootstrap must be an integer >= 2, not 0"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=1),
+     "bootstrap must be an integer >= 2, not 1"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=-1),
+     "bootstrap must be an integer >= 2, not -1"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=2.5),
+     "bootstrap must be an integer >= 2, not 2.5"),
     (lambda: hmds.build_operator_jet(_sphere_jet()[0], tc.PotentialJet.zero(3, cutoff=4), 4),
      "geometry and potential dimensions differ"),
     (lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 6),
@@ -260,7 +273,9 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
     (lambda: ob.a1_abelian(ob.ObliqueBoundaryData(2, 2, Z2, (1j * np.diag([1.0, -1.0]),))),
      r"I \+ Gamma\^2 singular"),
 ], ids=["fit-t-negative", "fit-t-not-geometric", "fit-one-sample-no-exponents",
-        "fit-no-exponents", "fit-nan-exponent", "jet-dimensions-differ", "jet-too-short",
+        "fit-no-exponents", "fit-nan-exponent", "fit-exponent-not-number", "fit-t-not-number",
+        "fit-sample-not-pair", "fit-bootstrap-0", "fit-bootstrap-1", "fit-bootstrap-negative",
+        "fit-bootstrap-float", "jet-dimensions-differ", "jet-too-short",
         "jet-profile-too-short", "trace-not-homogeneous", "trace-not-real", "f-profile-i",
         "f-profile-xi", "torus-no-periods", "sphere-volume-overflow", "taylor-length",
         "taylor-component", "wedge-rho-negative", "a1-abelian-singular"])

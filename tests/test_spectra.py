@@ -300,16 +300,17 @@ def test_tail_bounds_hold_at_every_t(spectrum, full):
 
 
 def test_level_sums_are_summed_past_their_certificates(past_certificate):
-    # conftest's fixture keeps every interval, sphere and Landau sum, and no other,
-    # and sums each again at 4n; here it runs by hand
+    # conftest's fixture keeps every interval, sphere and Landau sum and every Bessel
+    # mode sum, and no other, and sums each again at 4n; here it runs by hand
     spectra.interval_trace(1.0, "robin", np.array([0.01, 0.1]), S=0.7)
     spectra.sphere_trace(2, 1.0, 0.05)
     spectra.landau_trace_density(1.0, 0.3)
     spectra.torus_potential_trace(2 * math.pi, {(1,): 0.1, (-1,): 0.1}, 4, 0.5)
+    za.bessel_oracle(0.02, za.WedgePoint(1.0, 0.1), za.WedgePoint(1.0, -0.2), terms=3)
     kept = [(what, n) for what, *_, n in past_certificate.sums]
-    assert [what for what, _ in kept] == ["interval", "sphere", "landau"]
+    assert [what for what, _ in kept] == ["interval", "sphere", "landau", "Bessel mode"]
     past_certificate.check()
-    assert past_certificate.checked[-3:] == kept and not past_certificate.sums
+    assert past_certificate.checked[-4:] == kept and not past_certificate.sums
     # a sum that still moves past n fails the check; the fixture reads the oracle's
     # name from its caller's `what`, as _certified_trace names it
     what = "sphere"  # noqa: F841

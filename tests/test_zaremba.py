@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import erfc
+from scipy.special import erfc, ive
 
 from heatkern import zaremba as za
 from heatkern.errors import NumericError, ResourceError, ValidationError
@@ -161,6 +161,7 @@ BESSEL_POINTS = [
     (0.20, WedgePoint(1.2, 1.0), WedgePoint(1.1, -1.2)),
     (0.08, WedgePoint(0.5, 0.0), WedgePoint(0.6, 0.7)),
     (0.15, WedgePoint(1.0, 1.4), WedgePoint(0.8, 1.3)),
+    (0.10, WedgePoint(1e-160, 0.3), WedgePoint(0.9, -0.2)),     # z = 4.5e-160
 ]
 
 
@@ -192,6 +193,41 @@ def test_bessel_oracle_truncation_reporting():
         za.bessel_oracle(1e-9, p, pp, terms=3)
     with pytest.raises(ResourceError, match="over the cap"):
         za.bessel_oracle(t, p, pp, terms=10 ** 9)
+
+
+# three times the worst relative gap to scipy's ive measured over the grid below,
+# 7.7e-13 at z = 4.6e4, order 3000; never widen it
+HALF_BESSEL_BOUND = 3e-12
+
+
+def test_scaled_half_bessel_matches_scipy():
+    # the last z is a wedge point at rho = 1e-160 against one at rho = 0.9, t = 0.1
+    worst = 0.0
+    for z in [*np.geomspace(1e-3, 1e6, 28), 1e-160 * 0.9 / 0.2]:
+        for n in (1, 60, 300, 3000):
+            got = za._scaled_half_bessel(n, float(z))
+            assert got.size > n and np.isfinite(got).all()
+            want = ive(np.arange(n + 1) + 0.5, z)
+            keep = want > 1e-290
+            worst = max(worst, float(np.max(np.abs(got[:n + 1][keep] - want[keep]) / want[keep])))
+    assert worst <= HALF_BESSEL_BOUND <= za._HALF_BESSEL_REL
+    # at the least subnormal z only order 1/2, sqrt(2z/pi), is inside the float range
+    tiny = za._scaled_half_bessel(3, 5e-324)
+    assert tiny[0] == pytest.approx(math.sqrt(2.0 / math.pi) * math.sqrt(5e-324), rel=1e-15)
+    assert not tiny[1:].any()
+    assert not za._scaled_half_bessel(3, 0.0).any()
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-4, 1e-5])
+def test_bessel_oracle_bound_covers_the_rounding(t):
+    # the partial sum cancels down to the kernel (8e-95 at t = 1e-4, 0 at 1e-5), so
+    # its rounding, not its truncation, sets the gap; tail_bound carries both
+    p, pp = WedgePoint(1.0, 0.1), WedgePoint(1.0, -0.2)
+    res = za.bessel_oracle(t, p, pp, terms=3, tol=1e-6)
+    assert abs(res.value - za.wedge_kernel(t, p, pp)) <= res.tail_bound <= 1e-6
+    # the rounding bound only grows with n: above tol it is refused at once
+    with pytest.raises(NumericError, match="rounding bound .* is above the tolerance 1e-10"):
+        za.bessel_oracle(t, p, pp, terms=3)
 
 
 def test_bessel_oracle_non_finite_sum_is_numeric_error():
