@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import HeatkernError, ValidationError
-from .spectra import (FourierBackground, _length, _like_t, interval_trace,
+from .spectra import (MIN_LENGTH, FourierBackground, _like_t, _number, interval_trace,
                       landau_trace_density, sphere_trace, torus_potential_trace)
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
@@ -42,11 +42,7 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-def _finite(raw):
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
+_finite = partial(_number, what="value")
 
 
 def _floats(raw):
@@ -232,7 +228,7 @@ def _landau(cfg):
 
 def _interval(cfg):
     """The interval: Weyl's two terms and the Dirichlet/Neumann spectrum."""
-    L, bc = _length(cfg.params["length"], "interval length"), cfg.params["bc"]
+    L, bc = _number(cfg.params["length"], "interval length", MIN_LENGTH), cfg.params["bc"]
     const = {"DD": -0.5, "NN": 0.5, "DN": 0.0}[bc]
     return {"asymptotic": lambda ts: (4.0 * math.pi * ts) ** -0.5 * L + const,
             "oracle": partial(interval_trace, L, bc),

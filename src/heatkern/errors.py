@@ -2,9 +2,10 @@
 
 Every failure mode raised on purpose derives from HeatkernError so callers
 (and the CLI) can distinguish our diagnostics from genuine bugs.  A malformed
-array input (the wrong size, an entry that is not a number or not finite, or
-a broken symmetry) is a ValidationError naming the argument: every matrix-valued
-input is read by spectra._array and checked by spectra._require.
+input is a ValidationError naming the argument: a matrix (the wrong size, an
+entry that is not a number or not finite, a broken symmetry) through
+spectra._array and spectra._require, a real scalar (not a number, not finite,
+out of its range) through spectra._number.
 """
 
 

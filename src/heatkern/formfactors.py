@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spectra import FourierBackground, _as_t, _like_t, _sizes
+from .spectra import FourierBackground, _as_t, _like_t, _number, _sizes
 
 # profiles as polynomials in u = xi^2: {power of u: rational coefficient}
 _PROFILE_POLY = {
@@ -48,10 +48,14 @@ _PROFILE_POLY = {
 }
 
 
+def _family(i):
+    if i not in (1, 2, 3, 4, 5):
+        raise ValidationError(f"family index i must be in 1..5, not {i!r}")
+
+
 def f_universal(i, k):
     """Exact rational constant f^(i)_k of the quadratic trace coefficients."""
-    if i not in (1, 2, 3, 4, 5):
-        raise ValidationError("family index i must be in 1..5")
+    _family(i)
     _sizes((k,), "order k", least=2)
     k = int(k)
     if i == 1:
@@ -67,10 +71,8 @@ def f_universal(i, k):
 
 def f_profile(i, xi):
     """Profile function f^(i)(xi) on [0, 1]."""
-    if i not in (1, 2, 3, 4, 5):
-        raise ValidationError("family index i must be in 1..5")
-    if not 0.0 <= xi <= 1.0:
-        raise ValidationError("xi must lie in [0, 1]")
+    _family(i)
+    xi = _number(xi, "xi", 0.0, 1.0)
     u = xi * xi
     return float(sum(c * u ** j for j, c in _PROFILE_POLY[i].items()))
 
@@ -232,11 +234,8 @@ def gamma_factor(i, z):
     np.array([z]); only the Taylor sum and the Rybicki sum are loops of
     their own.  Non-finite z is a ValidationError.
     """
-    if i not in (1, 2, 3, 4, 5):
-        raise ValidationError("family index i must be in 1..5")
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValidationError(f"gamma argument z must be finite, got {z}")
+    _family(i)
+    z = _number(z, "gamma argument z")
     if z < 1.0:
         return _gamma_series_one(i, z)
     a = z / 4.0

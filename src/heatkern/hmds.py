@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .spectra import _as_t, _like_t, _sizes
+from .spectra import _as_t, _like_t, _number, _sizes
 from .tensorcalc import (
     SymTensor,
     TaylorSeries,
@@ -228,6 +228,7 @@ def b_lambda(k, lam, coeffs):
     """Shifted coefficient b_k(lambda) = sum_n C(k,n) (-lambda)^{k-n} a_n, as an
     HmdsCoefficient of order k exact through the smallest cutoff of a_0..a_k."""
     _sizes((k,), "b_lambda order k", least=0)
+    _number(lam, "b_lambda shift lam")           # a Fraction lam is kept exact
     have = {c.order: c for c in coeffs}
     missing = [n for n in range(k + 1) if n not in have]
     if missing:
@@ -254,6 +255,8 @@ class HeatTraceExpansion:
     terms: tuple
 
     def __post_init__(self):
+        for e, c in self.terms:         # read, not stored: a coefficient keeps its own type
+            _number(e, "terms exponent"), _number(c, "terms coefficient")
         ex = [e for e, _ in self.terms]
         if any(b <= a for a, b in zip(ex, ex[1:])):
             raise ValidationError("exponents must be strictly increasing")

@@ -28,10 +28,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import EllipticityError, StructureError, ValidationError
+from .errors import EllipticityError, StructureError
 from .quadrature import sphere_average, unit_directions
-from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _periods, _read_only,
-                      _require, _scalar_t, _vectors)
+from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _number, _periods,
+                      _read_only, _require, _scalar_t, _sizes, _unit_vectors)
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -125,11 +125,7 @@ def eigenstructure(sym, directions=None):
     """
     if directions is None:
         return sym.spectrum
-    dirs = _vectors(directions, sym.m, "directions")
-    if len(dirs) < 20:
-        raise ValidationError("need at least 20 unit directions of dimension m")
-    if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
-        raise ValidationError("directions must be unit vectors")
+    dirs = _unit_vectors(directions, sym.m, 20, "directions")
 
     w = np.linalg.eigvalsh(sym.symbol_matrix(dirs))
     if np.min(w) <= 1e-12:
@@ -172,7 +168,7 @@ def eigenstructure(sym, directions=None):
 
 def a0_coefficient(spec, m, vol):
     """Leading trace coefficient (4 pi)^{-m/2} vol sum_i d_i mu_i^{-m/2}."""
-    return ((4.0 * math.pi) ** (-m / 2.0) * vol
+    return ((4.0 * math.pi) ** (-m / 2.0) * _number(vol, "vol", math.ulp(0.0))
             * sum(di * mui ** (-m / 2.0) for di, mui in zip(spec.mult, spec.mu)))
 
 
@@ -210,7 +206,7 @@ def a2_potential_part(H, Q, vol):
     """Potential channel of the subleading coefficient: vol tr(H Q), for a
     square H and a Q of the same size in any layout."""
     H = _array(H, None, "H")
-    return float(vol * np.trace(H @ _array(Q, H.shape, "Q")).real)
+    return float(_number(vol, "vol", math.ulp(0.0)) * np.trace(H @ _array(Q, H.shape, "Q")).real)
 
 
 def x_tensor(sym, riemann):
@@ -275,6 +271,7 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
+    _sizes((cutoff,), "lattice cutoff")
     Q = _array(np.zeros((d, d)) if Q is None else Q, (d, d), "Q")
     _require(Q, Q.conj().T, "Q must be Hermitian")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
 from .quadrature import sphere_average, unit_directions
-from .spectra import _array, _read_only, _require, _vectors
+from .spectra import _array, _number, _read_only, _require, _unit_vectors
 
 _ASCENT_STEPS = 20
 _SETTLED_ULPS = 4               # a rise of lambda_max within this many ulp is no rise
@@ -95,11 +95,7 @@ def strong_ellipticity(data, directions=None):
     p = data.m - 1
     if directions is None:
         directions = unit_directions(p, *_DIRECTIONS)
-    dirs = _vectors(directions, p, "directions")
-    if len(dirs) < 50:
-        raise ValidationError("need at least 50 boundary covectors")
-    if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
-        raise ValidationError("covectors must be unit length")
+    dirs = _unit_vectors(directions, p, 50, "boundary covectors")
     iG = 1j * np.stack(data.Gamma)
     omega = np.concatenate([dirs, -dirs])
     top = -np.inf
@@ -216,5 +212,5 @@ def smooth_boundary_constants(bc, m, dimV, K=0.0):
     sign = -1.0 if bc == "dirichlet" else 1.0
     b0 = 0.0
     b1 = sign * (4.0 * math.pi) ** (-(m - 1) / 2.0) * dimV / 4.0
-    b2 = (4.0 * math.pi) ** (-m / 2.0) * dimV * K / 3.0
+    b2 = (4.0 * math.pi) ** (-m / 2.0) * dimV * _number(K, "extrinsic curvature K") / 3.0
     return b0, b1, b2

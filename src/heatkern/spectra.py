@@ -16,11 +16,12 @@ couple (_axis_groups), so a separable torus costs a few circle spectra.
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
 check _periods is also the one for the torus geometry and the nonlaplace
-lattice oracle.  _length is the one length check: every period, interval
-length and sphere radius of spectra, tensorcalc, symmspace and the CLI goes
-through it.  _array and _require are the one array check of the package:
-every matrix-valued input of tensorcalc, spectra, nonlaplace, oblique and
-symmspace is read by _array (size, numbers, finite) and its symmetries are
+lattice oracle.  _number, the scalar sibling of _array, reads every real scalar
+input: a period, length or radius (at least MIN_LENGTH), field, volume,
+amplitude, constant or tolerance is a finite float in its range, or else a
+ValidationError naming it.  _array and _require are the one array check of the
+package: every matrix-valued input of tensorcalc, spectra, nonlaplace, oblique
+and symmspace is read by _array (size, numbers, finite) and its symmetries are
 tested by _require, so a malformed array is always a ValidationError.
 
 Every trace, the lattice oracle and every t-dependent evaluator in
@@ -54,21 +55,26 @@ MAX_MODE = 2 ** 53
 MAX_AMPLITUDE = 1e100
 
 
-def _length(x, what):
-    """float(x), or a ValidationError naming `what` unless MIN_LENGTH <= x < inf."""
+def _number(x, what, lo=-math.inf, hi=math.inf):
+    """float(x), or a ValidationError naming `what` unless x is a finite real number
+    with lo <= x <= hi.  It runs on Python floats only, with no numpy."""
     try:
         value = float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
-    if not MIN_LENGTH <= value < math.inf:
-        raise ValidationError(f"{what} {x!r} is below {MIN_LENGTH:g} or not finite")
+    if not (lo <= value <= hi and -math.inf < value < math.inf):
+        limits = [f"below {lo:g}"] * (lo > -math.inf) + [f"above {hi:g}"] * (hi < math.inf)
+        raise ValidationError(f"{what} {x!r} is {' or '.join(limits + ['not finite'])}")
     return value
 
 
 def _as_t(t):
     """t as a float array of shape () or (n,), n >= 1, every entry positive and finite;
     a positive finite Python float needs no further test."""
-    ts = np.asarray(t, dtype=float)
+    try:
+        ts = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):         # "x" or 1j is no positive finite t either
+        ts = np.array(math.nan)
     if type(t) is float and 0.0 < t < math.inf:
         return ts
     if ts.ndim > 1 or ts.size == 0:
@@ -120,8 +126,6 @@ def _certified_trace(t, what, first, cap, partial, tail, floor, size=lambda n: n
     flat = ts.reshape(-1)
     tmin = float(flat.min())
     n = first(tmin)
-    if not n >= 1:
-        raise ValidationError(f"{what} trace needs a first size of at least 1, not {n!r}")
     # a size past the float range is spelled as a bound, not as "inf"
     levels = lambda size: (f"about {size:.3g}" if math.isfinite(size)
                            else f"more than {sys.float_info.max:.3g}")
@@ -211,21 +215,18 @@ def _interval_levels(L, bc, S=None):
     """(levels, tail) of the interval Laplacian with boundary condition bc: levels(n)
     is the first n eigenvalues, nondecreasing, and their multiplicities as arrays;
     tail(ts, n) bounds the trace mass past them at each t of ts."""
-    L = _length(L, "interval length")
-    bc = bc.upper() if bc.lower() != "robin" else "robin"
+    L = _number(L, "interval length", MIN_LENGTH)
+    bc = str(bc).upper()
     c = (math.pi / L) ** 2
 
     first = {"DD": 1.0, "NN": 0.0, "DN": 0.5}.get(bc)
     if first is not None:
         levels = lambda n: (((np.arange(n) + first) * math.pi / L) ** 2, np.ones(n))
-    elif bc == "robin":
-        if S is None:
-            raise ValidationError("robin boundary condition needs a constant S")
-        S = float(S)
+    elif bc == "ROBIN":
+        S = _number(S, "robin constant S", -MAX_AMPLITUDE, MAX_AMPLITUDE)
         # brackets 1e-12 short of the tan and cot poles miss roots once |S| L > pi 1e12
-        if not (abs(S) <= MAX_AMPLITUDE and abs(S) * L <= 1e12):
-            raise ValidationError(f"robin constant S = {S!r} must be finite, with "
-                                  f"|S| <= {MAX_AMPLITUDE:g} and |S| L <= 1e12")
+        if abs(S) * L > 1e12:
+            raise ValidationError(f"robin constant S = {S!r} needs |S| L <= 1e12")
         if S == 0.0:
             return _interval_levels(L, "NN")
         levels = lambda n: (_robin_eigenvalues(L, S, n), np.ones(n))
@@ -258,7 +259,7 @@ def _sphere_levels(m, a):
     """(levels, tail) of the round m-sphere of radius a, as in _interval_levels."""
     if m not in (2, 3):
         raise ValidationError(f"sphere spectra implemented for m in {{2, 3}}, not {m}")
-    a = _length(a, "sphere radius")
+    a = _number(a, "sphere radius", MIN_LENGTH)
     ia2 = 1.0 / (a * a)
     if m == 2:
         def levels(n):
@@ -299,8 +300,7 @@ def landau_trace_density(B, t):
     """Per-area trace of the m=2 constant-field problem, the Landau level sum
     (B/2 pi) sum_n e^{-tB(2n+1)}; past n levels the rest is (B/2 pi) e^{-tB(2n+1)}
     / (1 - e^{-2tB}).  Its closed form is symmspace.nilpotent_trace_density's."""
-    if not 0 < B < math.inf:
-        raise ValidationError("landau density needs a finite field B > 0")
+    B = _number(B, "landau field B", math.ulp(0.0))
     c = B / (2.0 * math.pi)
     # at n = 20 / tB the tail is e^{-40} of the sum
     return _certified_trace(
@@ -319,7 +319,7 @@ _MATRIX_BUDGET = 4097          # Fourier modes in one box
 
 def _periods(periods, m):
     """periods as a tuple of m floats, each finite and at least MIN_LENGTH."""
-    periods = tuple(_length(p, "period") for p in periods)
+    periods = tuple(_number(p, "period", MIN_LENGTH) for p in periods)
     if len(periods) != m:
         raise ValidationError(f"need {m} periods, got {len(periods)}")
     return periods
@@ -369,14 +369,18 @@ def _read_only(a):
     return a
 
 
-def _vectors(x, dim, what):
-    """x, a sequence of vectors of dim numbers each, as a finite real (count, dim)
-    array; anything else is a ValidationError naming `what`."""
+def _unit_vectors(x, dim, least, what):
+    """x, a sequence of at least `least` vectors of dim numbers each, every one of
+    norm 1 to 1e-12, as a finite real (count, dim) array; anything else is a
+    ValidationError naming `what`."""
     try:
         count = len(x)
     except TypeError:                     # a scalar is at most one vector
         count = 1
-    return _array(x, (max(count, 1), dim), what, float)
+    dirs = _array(x, (max(count, 1), dim), what, float)
+    if len(dirs) < least or np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > 1e-12:
+        raise ValidationError(f"{what} must be at least {least} unit vectors of dimension {dim}")
+    return dirs
 
 
 def _require(a, b, message):
@@ -451,11 +455,11 @@ class FourierBackground:
     @classmethod
     def circle_cosine(cls, length, n, q, d=1):
         """Q(x) = q cos(2 pi n x / length) on a circle."""
-        eye = np.eye(d)
+        block = _number(q, "circle_cosine amplitude q") * np.eye(d)
         if n == 0:
-            modes = {(0,): q * eye}
+            modes = {(0,): block}
         else:
-            modes = {(n,): 0.5 * q * eye, (-n,): 0.5 * q * eye}
+            modes = {(n,): 0.5 * block, (-n,): 0.5 * block}
         return cls(m=1, periods=(length,), d=d, potential_modes=modes)
 
     @property
@@ -581,6 +585,7 @@ def torus_potential_trace(periods, modes, cutoff, t):
     if isinstance(periods, (int, float)):
         periods = (periods,)
     bg = FourierBackground(len(periods), periods, potential_modes=modes)
+    _sizes((cutoff,), "Fourier cutoff")
     m, periods = bg.m, bg.periods
     modes = {n: complex(q[0, 0]) for n, q in bg.potential_modes.items()}
     shift = modes.get((0,) * m, 0.0).real - sum(abs(a) for n, a in modes.items() if any(n))

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError, ValidationError
 from .quadrature import average, cartan_rule
-from .spectra import (_array, _as_t, _length, _like_t, _read_only, _require, _scalar_t,
-                      _sizes)
+from .spectra import (MIN_LENGTH, _array, _as_t, _like_t, _number, _read_only, _require,
+                      _scalar_t, _sizes)
 
 
 def _endomorphism(Q):
@@ -185,7 +185,7 @@ class SymmetricSpaceData:
 
 def build_symmetric_space(fixture, radius=1.0):
     """Holonomy data for the supported fixtures S2 and S3."""
-    radius = _length(radius, "sphere radius")
+    radius = _number(radius, "sphere radius", MIN_LENGTH)
     kappa = 1.0 / radius / radius     # 0 at a large enough radius: beta rejects it
     if fixture == "S2":
         eps = np.array([[0.0, 1.0], [-1.0, 0.0]])

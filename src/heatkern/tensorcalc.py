@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .spectra import _array, _length, _periods, _read_only, _require, _sizes
+from .spectra import MIN_LENGTH, _array, _number, _periods, _read_only, _require, _sizes
 
 # comb(14, 4): the m = 4, degree-10 basis of an S^4 kmax-4 tower
 BASIS_BUDGET = 1001
@@ -318,7 +318,7 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
     _basis_size(m, cutoff + 2, f"cutoff-{cutoff} geometry")
 
     if kind == "sphere":
-        radius = _length(radius, "sphere radius")
+        radius = _number(radius, "sphere radius", MIN_LENGTH)
         profile = _sphere_profile(radius, cutoff // 2 + 2)
         try:
             vol = sphere_volume(m, radius)
@@ -333,9 +333,7 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
         vol = float(np.prod(_periods(periods, m)))
     else:
         profile = (1.0,)
-        vol = 1.0 if volume is None else float(volume)
-        if not 0 < vol < math.inf:
-            raise ValidationError("volume must be positive and finite")
+        vol = 1.0 if volume is None else _number(volume, "volume", math.ulp(0.0))
 
     return ModelGeometry(kind=kind, m=m, cutoff=cutoff, volume=vol, radial_profile=tuple(profile))
 

@@ -21,20 +21,12 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .hmds import HeatTraceExpansion
 from .oblique import smooth_boundary_constants
-from .spectra import _certified_trace, _scalar_t
+from .spectra import _certified_trace, _number, _scalar_t, _sizes
 
 _HALF_PI = math.pi / 2.0
 _MODE_CAP = 100_000              # Bessel orders summed, or run over, in one oracle call
 _HALF_BESSEL_REL = 3e-12         # _scaled_half_bessel's relative error, pinned by the tests
 _EPS = float(np.finfo(float).eps)
-
-
-def _check_wedge(rho, theta):
-    """The one check of a wedge point: 0 <= rho < inf and -pi/2 <= theta <= pi/2."""
-    if not 0 <= rho < math.inf:
-        raise ValidationError("rho must be finite and nonnegative")
-    if not -_HALF_PI <= theta <= _HALF_PI:
-        raise ValidationError("theta must lie in [-pi/2, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -44,8 +36,9 @@ class WedgePoint:
     xhat: tuple = ()
 
     def __post_init__(self):
-        _check_wedge(self.rho, self.theta)
-        object.__setattr__(self, "xhat", tuple(float(x) for x in self.xhat))
+        object.__setattr__(self, "rho", _number(self.rho, "rho", 0.0))
+        object.__setattr__(self, "theta", _number(self.theta, "theta", -_HALF_PI, _HALF_PI))
+        object.__setattr__(self, "xhat", tuple(_number(x, "xhat") for x in self.xhat))
 
     @property
     def r(self):
@@ -85,12 +78,12 @@ def wedge_kernel(t, p, pp):
 def wedge_diagonal(t, rho, theta, m=2):
     """Kernel diagonal; sign(theta) at theta = 0 is the theta -> 0+ limit."""
     t = _scalar_t(t)
-    _check_wedge(rho, theta)
-    sgn = -1.0 if theta < 0 else 1.0
-    ct = math.cos(theta)
-    gauss = math.exp(-rho * rho * ct * ct / t)
-    val = (1.0 - sgn * gauss - math.erfc(rho / math.sqrt(t))
-           + sgn * gauss * math.erfc(rho * abs(math.sin(theta)) / math.sqrt(t)))
+    p = WedgePoint(rho, theta)              # the one check of a wedge point
+    sgn = -1.0 if p.theta < 0 else 1.0
+    ct = math.cos(p.theta)
+    gauss = math.exp(-p.rho * p.rho * ct * ct / t)
+    val = (1.0 - sgn * gauss - math.erfc(p.rho / math.sqrt(t))
+           + sgn * gauss * math.erfc(p.rho * abs(math.sin(p.theta)) / math.sqrt(t)))
     return (4.0 * math.pi * t) ** (-m / 2.0) * val
 
 
@@ -101,6 +94,7 @@ def corner_coefficient(m, dimV=1):
     bulk prefactor, from int_0^infty rho erfc(rho) drho = 1/4 (Avramidi, Math.
     Phys. Anal. Geom. 7 (2004) 9); the tests confirm it by quadrature.
     """
+    _sizes((m, dimV), "corner_coefficient (m, dimV)")
     return -(4.0 * math.pi) ** (-(m - 2) / 2.0) * dimV / 16.0
 
 
@@ -163,8 +157,8 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     the call raises NumericError; a z past the float range does too.
     """
     t = _scalar_t(t)
-    if not tol > 0:
-        raise ValidationError(f"tolerance {tol!r} must be positive")
+    _sizes((terms,), "Bessel terms")
+    tol = _number(tol, "tolerance tol", math.ulp(0.0))
     if p.xhat or pp.xhat:
         raise ValidationError("mode oracle is the m = 2 slice")
     z = p.rho * pp.rho / (2.0 * t)
@@ -221,20 +215,27 @@ def bc_residuals(t, samples=None):
 
     Dirichlet: |Psi| on the theta = +pi/2 face.  Neumann: central
     difference of d/dtheta across theta = -pi/2 with step 1e-5 (the closed
-    form continues analytically past the face).
+    form continues analytically past the face).  samples are (rho, WedgePoint)
+    pairs, both radii positive; a residual that is not finite is a NumericError.
     """
+    t = _scalar_t(t)
     if samples is None:
         samples = default_boundary_samples()
     h = 1e-5
     residuals = [(0.0, 0.0)]
-    for rho_b, src in samples:
-        if rho_b <= 0 or src.rho <= 0:
-            raise ValidationError("samples must be interior in rho")
+    for sample in samples:
+        rho_b, src = sample if isinstance(sample, tuple) and len(sample) == 2 else (0, None)
+        if not isinstance(src, WedgePoint):
+            raise ValidationError(f"sample {sample!r} is not a (rho, WedgePoint) pair")
+        rho_b = _number(rho_b, "sample rho", math.ulp(0.0))
+        _number(src.rho, "sample source rho", math.ulp(0.0))
         m = 2 + len(src.xhat)
         xd2 = sum(x * x for x in src.xhat)
         at = lambda theta: _kernel_pair(t, m, xd2, rho_b, theta, src.rho, src.theta)
         neumann = abs(at(-_HALF_PI + h) - at(-_HALF_PI - h)) / (2.0 * h)
         residuals.append((abs(at(_HALF_PI)), neumann))
+        if not sum(residuals[-1]) < math.inf:           # max would drop a NaN
+            raise NumericError(f"boundary residual at sample {sample!r} is not finite")
     return tuple(map(max, zip(*residuals)))
 
 
@@ -245,11 +246,14 @@ def wedge_trace_expansion(m, dimV, interior_volume, dirichlet_area,
     Interior Weyl term, the two smooth-face terms (flat faces, K = 0), and
     the corner term; this model produces no logarithmic terms.
     """
+    vol, d_area, n_area, c_vol = (_number(x, what, 0.0) for x, what in (
+        (interior_volume, "interior_volume"), (dirichlet_area, "dirichlet_area"),
+        (neumann_area, "neumann_area"), (corner_volume, "corner_volume")))
     b1_d = smooth_boundary_constants("dirichlet", m, dimV)[1]
     b1_n = smooth_boundary_constants("neumann", m, dimV)[1]
     terms = (
-        (-m / 2.0, (4.0 * math.pi) ** (-m / 2.0) * dimV * interior_volume),
-        ((1.0 - m) / 2.0, b1_d * dirichlet_area + b1_n * neumann_area),
-        ((2.0 - m) / 2.0, corner_coefficient(m, dimV) * corner_volume),
+        (-m / 2.0, (4.0 * math.pi) ** (-m / 2.0) * dimV * vol),
+        ((1.0 - m) / 2.0, b1_d * d_area + b1_n * n_area),
+        ((2.0 - m) / 2.0, corner_coefficient(m, dimV) * c_vol),
     )
     return HeatTraceExpansion(m=m, terms=terms)

@@ -1,9 +1,11 @@
-"""Malformed matrix-valued inputs end in a ValidationError, never another exception.
+"""Malformed matrix-valued and scalar inputs end in a ValidationError, never another
+exception.
 
 Every constructor and function that takes a matrix on the fibre (or a base
 tensor) reads it through spectra._array and tests its symmetries with
-spectra._require.  Each site below puts one fuzzed value in one argument and
-valid values everywhere else.  A size whose monomial basis passes
+spectra._require; every real scalar goes through spectra._number and every
+integer size through spectra._sizes.  Each site below puts one fuzzed value in
+one argument and valid values everywhere else.  A size whose monomial basis passes
 tensorcalc.BASIS_BUDGET is a ResourceError, raised before anything is allocated.
 """
 
@@ -11,6 +13,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 import time
 
 import numpy as np
@@ -263,30 +266,44 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
     (lambda: hmds.trace_expansion(_coefficients()[0], [hmds.HmdsCoefficient(
         0, 0, np.array([[[1j]]]), tc._basis(2, 0))]), "coefficient trace is not real"),
     (lambda: ff.f_profile(6, 0.5), "family index i must be in 1..5"),
-    (lambda: ff.f_profile(1, 1.5), r"xi must lie in \[0, 1\]"),
+    (lambda: ff.f_profile(1, 1.5), "xi 1.5 is below 0 or above 1 or not finite"),
     (lambda: tc.build_model_geometry("torus", 2), "torus requires periods"),
     (lambda: tc.build_model_geometry("sphere", 4, cutoff=0, radius=1e100),
      "gives a non-finite volume"),
     (lambda: tc.TaylorSeries(2, 1, 1, ()), r"component list length must be cutoff \+ 1"),
     (lambda: tc.TaylorSeries(2, 1, 0, (None,)), "component 0 has wrong type or order"),
-    (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho must be finite and nonnegative"),
+    (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho -1.0 is below 0 or not finite"),
     (lambda: ob.a1_abelian(ob.ObliqueBoundaryData(2, 2, Z2, (1j * np.diag([1.0, -1.0]),))),
      r"I \+ Gamma\^2 singular"),
+    (lambda: zw.bc_residuals(-1.0), "t must be positive and finite"),
+    (lambda: zw.bc_residuals(0.0), "t must be positive and finite"),
+    (lambda: zw.bc_residuals(NAN), "t must be positive and finite"),
+    (lambda: zw.bc_residuals(0.1, [(NAN, zw.WedgePoint(1.0, 0.1))]), "sample rho nan"),
+    (lambda: zw.bc_residuals(0.1, [(math.inf, zw.WedgePoint(1.0, 0.1))]), "sample rho inf"),
+    (lambda: zw.bc_residuals(0.1, [(1.0, zw.WedgePoint(0.0, 0.1))]), "sample source rho 0.0"),
+    (lambda: zw.bc_residuals(0.1, [1, 2]), r"sample 1 is not a \(rho, WedgePoint\) pair"),
+    (lambda: zw.bc_residuals(0.1, [(1e300, zw.WedgePoint(1e300, 0.1))]),
+     r"boundary residual at sample .* is not finite"),
+    (lambda: spectra.interval_trace(1.0, 5, 0.1), "unknown interval boundary condition '5'"),
 ], ids=["fit-t-negative", "fit-t-not-geometric", "fit-one-sample-no-exponents",
         "fit-no-exponents", "fit-nan-exponent", "fit-exponent-not-number", "fit-t-not-number",
         "fit-sample-not-pair", "fit-bootstrap-0", "fit-bootstrap-1", "fit-bootstrap-negative",
         "fit-bootstrap-float", "jet-dimensions-differ", "jet-too-short",
         "jet-profile-too-short", "trace-not-homogeneous", "trace-not-real", "f-profile-i",
         "f-profile-xi", "torus-no-periods", "sphere-volume-overflow", "taylor-length",
-        "taylor-component", "wedge-rho-negative", "a1-abelian-singular"])
+        "taylor-component", "wedge-rho-negative", "a1-abelian-singular", "bc-t-negative",
+        "bc-t-zero", "bc-t-nan", "bc-rho-nan", "bc-rho-inf", "bc-source-corner",
+        "bc-sample-not-pair", "bc-residual-not-finite", "interval-bc-not-text"])
 def test_guards_raise_their_message(call, message):
     with pytest.raises(HeatkernError, match=message):
         call()
 
 
 @pytest.mark.parametrize("rho,theta,message", [
-    (math.nan, 0.5, "rho must be finite"), (math.inf, 0.5, "rho must be finite"),
-    (1.0, math.nan, "theta must lie"), (1.0, 5.0, "theta must lie"),
+    (math.nan, 0.5, "rho nan is below 0 or not finite"),
+    (math.inf, 0.5, "rho inf is below 0 or not finite"),
+    (1.0, math.nan, "theta nan is below -1.5708 or above 1.5708 or not finite"),
+    (1.0, 5.0, "theta 5.0 is below -1.5708 or above 1.5708 or not finite"),
 ], ids=["rho-nan", "rho-inf", "theta-nan", "theta-outside"])
 def test_wedge_diagonal_refuses_points_outside_the_wedge(rho, theta, message):
     # wedge_diagonal once returned nan for a NaN coordinate, 0.4399 at theta = 5.0 and
@@ -391,6 +408,134 @@ def test_matrix_inputs_succeed_or_raise_validation_error(case):
         SITES[site][1](value)
     except ValidationError:
         pass
+
+
+TWO_PI = 2 * math.pi
+W1, W2 = zw.WedgePoint(1.0, 0.1), zw.WedgePoint(0.8, -0.3)
+AREAS = ("interior_volume", "dirichlet_area", "neumann_area", "corner_volume")
+
+# name -> (the call with the value v in one scalar argument, a valid value, a value
+# outside the argument's range or None, the name its ValidationError gives)
+SCALARS = {
+    "interval_trace.L": (lambda v: spectra.interval_trace(v, "DD", 0.1), 2.0, 1e-300,
+                         "interval length"),
+    "interval_trace.S": (lambda v: spectra.interval_trace(1.0, "robin", 0.1, S=v), 0.7, 1e101,
+                         "robin constant S"),
+    "sphere_trace.a": (lambda v: spectra.sphere_trace(2, v, 0.1), 1.3, 0.0, "sphere radius"),
+    "landau_trace_density.B": (lambda v: spectra.landau_trace_density(v, 0.3), 1.5, 0.0,
+                               "landau field B"),
+    "torus_potential_trace.periods": (
+        lambda v: spectra.torus_potential_trace((v,), {(1,): 0.2, (-1,): 0.2}, 8, 0.5), 2.0,
+        -1.0, "period"),
+    "torus_potential_trace.cutoff": (
+        lambda v: spectra.torus_potential_trace((TWO_PI,), {(1,): 0.2, (-1,): 0.2}, v, 0.5), 8,
+        0, "Fourier cutoff"),
+    "circle_cosine.q": (lambda v: spectra.torus_potential_trace(
+        TWO_PI, spectra.FourierBackground.circle_cosine(TWO_PI, 2, v).potential_modes, 8, 0.5),
+        0.4, None, "amplitude q"),
+    "build_model_geometry.radius": (lambda v: tc.build_model_geometry(
+        "sphere", 2, cutoff=2, radius=v).radial_profile[1], 1.3, 1e-101, "sphere radius"),
+    "build_model_geometry.volume": (lambda v: tc.build_model_geometry(
+        "flat", 2, cutoff=2, volume=v).volume, 2.5, 0.0, "volume"),
+    "build_symmetric_space.radius": (lambda v: ss.build_symmetric_space("S2", v).R, 1.3, -1.0,
+                                     "sphere radius"),
+    "gamma_factor.z": (lambda v: ff.gamma_factor(2, v), 3.0, None, "gamma argument z"),
+    "f_profile.xi": (lambda v: ff.f_profile(5, v), 0.3, 1.5, "xi"),
+    "b_lambda.lam": (lambda v: float(hmds.b_lambda(1, v, _coefficients()[1]).coeffs[0, 0, 0]),
+                     0.5, None, "lam"),
+    "HeatTraceExpansion.exponent": (
+        lambda v: hmds.HeatTraceExpansion(2, ((v, 2.0),)).evaluate(0.3), -1.0, None,
+        "terms exponent"),
+    "HeatTraceExpansion.coefficient": (
+        lambda v: hmds.HeatTraceExpansion(2, ((-1.0, v), (0.0, 1.0))).evaluate(0.3), 2.0, None,
+        "terms coefficient"),
+    "a0_coefficient.vol": (lambda v: nl.a0_coefficient(nl.eigenstructure(nl.laplace_symbol(2)),
+                                                       2, v), 2.5, 0.0, "vol"),
+    "a2_potential_part.vol": (lambda v: nl.a2_potential_part(np.eye(2), np.eye(2), v), 3.0, -1.0,
+                              "vol"),
+    "torus_oracle.cutoff": (lambda v: nl.torus_oracle(nl.laplace_symbol(1), t=0.5, cutoff=v), 8,
+                            0, "lattice cutoff"),
+    "smooth_boundary_constants.K": (lambda v: ob.smooth_boundary_constants("neumann", 3, 2, K=v)[2],
+                                    1.5, None, "K"),
+    "WedgePoint.rho": (lambda v: zw.WedgePoint(v, 0.1).r, 1.2, -1.0, "rho"),
+    "WedgePoint.theta": (lambda v: zw.WedgePoint(1.2, v).y, 0.1, 2.0, "theta"),
+    "WedgePoint.xhat": (lambda v: zw.wedge_kernel(0.1, zw.WedgePoint(1.0, 0.1, (v,)),
+                                                  zw.WedgePoint(1.0, 0.2, (0.3,))), 0.5, None,
+                        "xhat"),
+    "wedge_diagonal.rho": (lambda v: zw.wedge_diagonal(0.1, v, 0.3), 0.4, -1.0, "rho"),
+    "wedge_diagonal.theta": (lambda v: zw.wedge_diagonal(0.1, 0.4, v), 0.3, -2.0, "theta"),
+    "bessel_oracle.terms": (lambda v: zw.bessel_oracle(0.1, W1, W2, terms=v).value, 40, 0,
+                            "Bessel terms"),
+    "bessel_oracle.tol": (lambda v: zw.bessel_oracle(0.1, W1, W2, tol=v).value, 1e-10, 0.0,
+                          "tol"),
+    "bc_residuals.t": (lambda v: sum(zw.bc_residuals(v)), 0.1, 0.0, "t"),
+    "bc_residuals.samples": (lambda v: sum(zw.bc_residuals(0.1, [(v, zw.WedgePoint(1.3, -1.2))])),
+                             1.1, 0.0, "sample rho"),
+    "corner_coefficient.m": (lambda v: zw.corner_coefficient(v), 3, 0, "(m, dimV)"),
+    "corner_coefficient.dimV": (lambda v: zw.corner_coefficient(3, v), 2, 0, "(m, dimV)"),
+    **{f"wedge_trace_expansion.{area}": (
+        lambda v, i=i: zw.wedge_trace_expansion(3, 2, *(v if j == i else 1.5 for j in range(4)))
+        .evaluate(0.2), 2.0, -1.0, area) for i, area in enumerate(AREAS)},
+}
+
+# each valid call's value, pinned bit for bit as it was before these reads went
+# through spectra._number
+SCALAR_BITS = {
+    "HeatTraceExpansion.coefficient": "0x1.eaaaaaaaaaaabp+2",
+    "HeatTraceExpansion.exponent": "0x1.aaaaaaaaaaaabp+2",
+    "WedgePoint.rho": "0x1.31aa4fc31a7dap+0",
+    "WedgePoint.theta": "0x1.eab3827748d68p-4",
+    "WedgePoint.xhat": "0x1.40bf019e8958dp-1",
+    "a0_coefficient.vol": "0x1.976fc893c3aa4p-3",
+    "a2_potential_part.vol": "0x1.8000000000000p+2",
+    "b_lambda.lam": "-0x1.aaaaaaaaaaaaap-1",
+    "bc_residuals.samples": "0x1.86a000000ffffp-36",
+    "bc_residuals.t": "0x1.86a1fffffffffp-39",
+    "bessel_oracle.terms": "0x1.0cdc7dc4ad3ebp-1",
+    "bessel_oracle.tol": "0x1.0cdc7dc4ad3ebp-1",
+    "build_model_geometry.radius": "-0x1.93f1dca7a317bp-3",
+    "build_model_geometry.volume": "0x1.4000000000000p+1",
+    "build_symmetric_space.radius": "0x1.2ef5657dba51cp+0",
+    "circle_cosine.q": "0x1.432da0c80a327p+1",
+    "corner_coefficient.dimV": "-0x1.20dd750429b6dp-5",
+    "corner_coefficient.m": "-0x1.20dd750429b6dp-6",
+    "f_profile.xi": "0x1.a27525460aa65p-5",
+    "gamma_factor.z": "0x1.01aa5d93c504fp-3",
+    "interval_trace.L": "0x1.48bc5baae18d0p+0",
+    "interval_trace.S": "0x1.b3533533cf2f6p+0",
+    "landau_trace_density.B": "0x1.06ab4e03365b1p-2",
+    "smooth_boundary_constants.K": "0x1.6fcb5f827b97fp-6",
+    "sphere_trace.a": "0x1.13cc1374010cdp+4",
+    "torus_oracle.cutoff": "0x1.00000016fb054p+0",
+    "torus_potential_trace.cutoff": "0x1.43cf2ba8a19d5p+1",
+    "torus_potential_trace.periods": "0x1.04b7573023ccep+0",
+    "wedge_diagonal.rho": "0x1.53510758fdf39p-1",
+    "wedge_diagonal.theta": "0x1.53510758fdf39p-1",
+    "wedge_trace_expansion.corner_volume": "0x1.30c419584bb9cp-1",
+    "wedge_trace_expansion.dirichlet_area": "0x1.120580605fac1p-1",
+    "wedge_trace_expansion.interior_volume": "0x1.c574020901e97p-1",
+    "wedge_trace_expansion.neumann_area": "0x1.77e172855096bp-1",
+}
+NOT_NUMBERS = ["x", None, 1j, NAN, math.inf, -math.inf]
+
+
+# None is the default volume of a flat geometry
+@pytest.mark.parametrize("name,value", [
+    (name, v) for name, (_, valid, outside, _) in SCALARS.items()
+    for v in NOT_NUMBERS + [outside] * (outside is not None) + [2.5] * (type(valid) is int)
+    if not (v is None and name == "build_model_geometry.volume")])
+def test_scalar_inputs_raise_validation_error(name, value):
+    # at their old per-site checks, or with none, some of these ended in a bare
+    # TypeError, ValueError, AttributeError or ZeroDivisionError, or let NaN through
+    call, _, _, what = SCALARS[name]
+    with pytest.raises(ValidationError, match=re.escape(what)):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_valid_scalar_inputs_keep_their_values(name):
+    call, valid, _, _ = SCALARS[name]
+    assert float.hex(call(valid)) == SCALAR_BITS[name]
 
 
 def _jet():

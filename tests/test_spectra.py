@@ -452,14 +452,19 @@ def test_torus_trace_matches_handmade_fourier_matrix():
 
 
 def dense_fourier_trace(periods, modes, cutoff, t):
-    """Reference: eigvalsh of the full complex matrix H[i, j] = q(n_i - n_j)."""
+    """Reference: the Rayleigh quotients v^H H v of eigh's eigenvectors of the full
+    complex matrix H[i, j] = q(n_i - n_j).  eigvalsh's own eigenvalues carry an
+    error of about eps times the largest: on the pinned 3-D draw of
+    test_torus_trace_blocks_match_dense_matrix they miss a 40-digit mpmath trace
+    by 1.26e-12, the quotients by 1.2e-16 and the blocks by 2.3e-15."""
     lattice = np.array(list(itertools.product(range(-cutoff, cutoff + 1),
                                               repeat=len(periods))))
     H = np.diag(np.sum((2 * math.pi * lattice / np.array(periods)) ** 2, axis=1)).astype(complex)
     diff = lattice[:, None, :] - lattice[None, :, :]
     for k, q in modes.items():
         H[np.all(diff == np.array(k), axis=2)] += q
-    lam = np.linalg.eigvalsh(H)
+    V = np.linalg.eigh(H)[1]
+    lam = np.einsum("ij,ik,kj->j", V.conj(), H, V).real
     return np.array([np.sum(np.exp(-tv * lam)) for tv in t])
 
 
@@ -508,7 +513,10 @@ def guard_times(periods, cutoff, scaled):
 # a complex amplitude on one axis of a 2-D box
 @example(((0.9, 0.5), {(0, 1): 0.2 + 0.3j, (0, -1): 0.2 - 0.3j},
           4, guard_times((0.9, 0.5), 4, [38.0, 52.0])))
-@settings(max_examples=60, deadline=None)
+# a draw where the eigenvalues of eigvalsh, not the blocks, miss by over 1e-12
+@example(((0.9855, 0.5178, 0.5094), {(3, 0, 0): 0.02939, (-3, 0, 0): 0.02939,
+                                     (0, 0, 0): -0.05283}, 3, np.array([0.11338])))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_torus_trace_blocks_match_dense_matrix(problem):
     periods, modes, cutoff, ts = problem
     want = dense_fourier_trace(periods, modes, cutoff, ts)
@@ -898,8 +906,8 @@ def test_lattice_tail_bounds_the_modes_outside_the_box(m, unequal, N):
     lambda: za.bessel_oracle(0.1, za.WedgePoint(1.0, 0.1), za.WedgePoint(1.0, 0.1), terms=0),
 ], ids=["fourier", "lattice", "bessel"])
 def test_first_size_zero_is_rejected(oracle):
-    # a first size of 0 would double to 0 forever; the driver refuses it
-    with pytest.raises(ValidationError, match="first size of at least 1"):
+    # a first size of 0 would double to 0 forever; _sizes refuses it before the driver runs
+    with pytest.raises(ValidationError, match=r"needs a shape of positive integers, not \(0,\)"):
         oracle()
 
 
@@ -940,7 +948,7 @@ def test_torus_trace_rejects_out_of_range_inputs(periods, modes, match):
 ], ids=["periods", "interval_trace", "sphere_trace", "build_model_geometry",
         "build_symmetric_space"])
 def test_every_length_has_the_one_check(call, what, x):
-    # periods, interval lengths and sphere radii all go through spectra._length
+    # periods, interval lengths and sphere radii all go through spectra._number
     message = f"{what} {x!r} is below 1e-100 or not finite"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(x)
