@@ -42,7 +42,7 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-_finite = partial(_number, what="value")
+_finite = lambda raw: _number(float(raw), "value")      # config text, converted first
 
 
 def _floats(raw):

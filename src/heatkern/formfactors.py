@@ -56,8 +56,7 @@ def _family(i):
 def f_universal(i, k):
     """Exact rational constant f^(i)_k of the quadratic trace coefficients."""
     _family(i)
-    _sizes((k,), "order k", least=2)
-    k = int(k)
+    (k,) = _sizes((k,), "order k", least=2)
     if i == 1:
         return Fraction(1)
     if i == 2:
@@ -300,7 +299,7 @@ def a2k2_coefficient(bg, k):
     the bracketed invariants, with operator powers evaluated on the positive
     operator (+|k|^2)^{k-2}; the Ricci-channel terms vanish identically here.
     """
-    _sizes((k,), "order k", least=2)
+    (k,) = _sizes((k,), "order k", least=2)
     f1 = float(f_universal(1, k))
     f2 = float(f_universal(2, k))
     pref = ((4.0 * math.pi) ** (-bg.m / 2.0) * (-1.0) ** k

@@ -149,7 +149,7 @@ def build_operator_jet(geom, pot, cutoff):
     """The conjugated operator on the given geometry, exact through `cutoff`."""
     if geom.m != pot.m:
         raise ValidationError("geometry and potential dimensions differ")
-    _sizes((cutoff,), "operator jet cutoff", least=0)
+    (cutoff,) = _sizes((cutoff,), "operator jet cutoff", least=0)
     if geom.cutoff < cutoff or pot.cutoff < cutoff:
         raise ValidationError(
             f"input jets support order {min(geom.cutoff, pot.cutoff)} < requested {cutoff}")
@@ -202,7 +202,7 @@ class HmdsCoefficient:
 
 def hmds_coefficients(jet, kmax, cutoff):
     """Solve the recursion; coefficient k is exact to order cutoff + 2(kmax-k)."""
-    _sizes((kmax, cutoff), "hmds_coefficients (kmax, cutoff)", least=0)
+    kmax, cutoff = _sizes((kmax, cutoff), "hmds_coefficients (kmax, cutoff)", least=0)
     if cutoff + 2 * kmax > jet.cutoff:
         raise ValidationError(
             f"need jet capacity {cutoff + 2 * kmax}, operator jet has {jet.cutoff}")
@@ -227,7 +227,7 @@ def hmds_coefficients(jet, kmax, cutoff):
 def b_lambda(k, lam, coeffs):
     """Shifted coefficient b_k(lambda) = sum_n C(k,n) (-lambda)^{k-n} a_n, as an
     HmdsCoefficient of order k exact through the smallest cutoff of a_0..a_k."""
-    _sizes((k,), "b_lambda order k", least=0)
+    (k,) = _sizes((k,), "b_lambda order k", least=0)
     _number(lam, "b_lambda shift lam")           # a Fraction lam is kept exact
     have = {c.order: c for c in coeffs}
     missing = [n for n in range(k + 1) if n not in have]
@@ -270,6 +270,7 @@ class HeatTraceExpansion:
         return _like_t(ts, val, "heat-trace expansion")
 
     def coefficient(self, exponent):
+        exponent = _number(exponent, "exponent")
         for e, c in self.terms:
             if abs(e - exponent) < 1e-12:
                 return c

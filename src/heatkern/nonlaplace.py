@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EllipticityError, StructureError
 from .quadrature import sphere_average, unit_directions
-from .spectra import (_array, _certified_trace, _exp_sum, _lattice_tail, _number, _periods,
-                      _read_only, _require, _scalar_t, _sizes, _unit_vectors)
+from .spectra import (_array, _certified_trace, _exp_sum, _gauss_power, _lattice_tail, _number,
+                      _periods, _read_only, _require, _scalar_t, _sizes, _unit_vectors)
 
 _CLUSTER_RTOL = 1e-8
 _SPREAD_RTOL = 1e-10
@@ -77,11 +77,13 @@ class LeadingSymbol:
 
 def laplace_symbol(m, d=1):
     """a^{mu nu} = delta^{mu nu} I."""
+    m, d = _sizes((m, d), "laplace_symbol (m, d)")
     return LeadingSymbol(m=m, d=d, a=np.einsum("mn,ab->mnab", np.eye(m), np.eye(d)))
 
 
 def one_form_symbol(m, c):
     """A(xi) = |xi|^2 I + c xi (x) xi on the cotangent fiber, d = m."""
+    (m,), c = _sizes((m,), "one_form_symbol m"), _number(c, "one_form_symbol c")
     eye = np.eye(m)
     pair = np.einsum("ma,nb->mnab", eye, eye)          # a[mu, nu] = e_mu (x) e_nu
     a = np.einsum("mn,ab->mnab", eye, eye) + 0.5 * c * (pair + pair.transpose(1, 0, 2, 3))
@@ -168,14 +170,15 @@ def eigenstructure(sym, directions=None):
 
 def a0_coefficient(spec, m, vol):
     """Leading trace coefficient (4 pi)^{-m/2} vol sum_i d_i mu_i^{-m/2}."""
+    (m,) = _sizes((m,), "a0_coefficient m")
     return ((4.0 * math.pi) ** (-m / 2.0) * _number(vol, "vol", math.ulp(0.0))
             * sum(di * mui ** (-m / 2.0) for di, mui in zip(spec.mult, spec.mu)))
 
 
 def u0_trace(spec, m, t):
     """Pointwise leading trace sum_i d_i (4 pi t mu_i)^{-m/2}."""
-    t = _scalar_t(t)
-    return sum(di * (4.0 * math.pi * t * mui) ** (-m / 2.0)
+    t, (m,) = _scalar_t(t), _sizes((m,), "u0_trace m")
+    return sum(di * _gauss_power(4.0 * math.pi * t * mui, m, t)
                for di, mui in zip(spec.mult, spec.mu))
 
 
@@ -271,7 +274,7 @@ def torus_oracle(sym, Q=None, t=1e-3, cutoff=8, periods=None):
     """
     m, d = sym.m, sym.d
     periods = (1.0,) * m if periods is None else _periods(periods, m)
-    _sizes((cutoff,), "lattice cutoff")
+    (cutoff,) = _sizes((cutoff,), "lattice cutoff")
     Q = _array(np.zeros((d, d)) if Q is None else Q, (d, d), "Q")
     _require(Q, Q.conj().T, "Q must be Hermitian")
 

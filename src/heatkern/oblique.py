@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
 from .quadrature import sphere_average, unit_directions
-from .spectra import _array, _number, _read_only, _require, _unit_vectors
+from .spectra import _array, _number, _read_only, _require, _sizes, _unit_vectors
 
 _ASCENT_STEPS = 20
 _SETTLED_ULPS = 4               # a rise of lambda_max within this many ulp is no rise
@@ -45,9 +45,7 @@ class ObliqueBoundaryData:
     S: np.ndarray = None
 
     def __post_init__(self):
-        m, d = self.m, self.d
-        if m < 2:
-            raise ValidationError("need m >= 2 for a boundary problem")
+        (m,), d = _sizes((self.m,), "boundary problem m", least=2), self.d
         Pi = _array(self.Pi, (d, d), "Pi")
         _require(Pi, Pi.conj().T, "Pi must be Hermitian")
         _require(Pi @ Pi, Pi, "Pi must be idempotent")
@@ -210,6 +208,7 @@ def smooth_boundary_constants(bc, m, dimV, K=0.0):
     if bc not in ("dirichlet", "neumann"):
         raise ValidationError("bc must be 'dirichlet' or 'neumann'")
     sign = -1.0 if bc == "dirichlet" else 1.0
+    m, dimV = _sizes((m, dimV), "smooth_boundary_constants (m, dimV)")
     b0 = 0.0
     b1 = sign * (4.0 * math.pi) ** (-(m - 1) / 2.0) * dimV / 4.0
     b2 = (4.0 * math.pi) ** (-m / 2.0) * dimV * _number(K, "extrinsic curvature K") / 3.0

@@ -16,10 +16,11 @@ couple (_axis_groups), so a separable torus costs a few circle spectra.
 FourierBackground is the one description of a flat torus with potential and
 curvature modes, for the Fourier oracle, formfactors and the CLI.  Its period
 check _periods is also the one for the torus geometry and the nonlaplace
-lattice oracle.  _number, the scalar sibling of _array, reads every real scalar
-input: a period, length or radius (at least MIN_LENGTH), field, volume,
-amplitude, constant or tolerance is a finite float in its range, or else a
-ValidationError naming it.  _array and _require are the one array check of the
+lattice oracle.  _number reads every real scalar input (a finite float in its
+range) and _sizes every integer size, order and mode number, or else each raises
+a ValidationError naming it.  Both take real numbers only, never a string,
+Decimal or 0-d array, and return the value their caller computes with; the CLI
+converts config text first.  _array and _require are the one array check of the
 package: every matrix-valued input of tensorcalc, spectra, nonlaplace, oblique
 and symmspace is read by _array (size, numbers, finite) and its symmetries are
 tested by _require, so a malformed array is always a ValidationError.
@@ -33,6 +34,7 @@ Any other t (zero, negative, not finite, empty, 2-D) is a ValidationError.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
@@ -56,11 +58,14 @@ MAX_AMPLITUDE = 1e100
 
 
 def _number(x, what, lo=-math.inf, hi=math.inf):
-    """float(x), or a ValidationError naming `what` unless x is a finite real number
-    with lo <= x <= hi.  It runs on Python floats only, with no numpy."""
+    """float(x), the value its caller computes with, or a ValidationError naming `what`
+    unless x is a real number (not a str, bytes, Decimal, complex or 0-d array), finite
+    and lo <= x <= hi.  A float or int skips the slower numbers.Real test."""
+    if not isinstance(x, (float, int)) and not isinstance(x, numbers.Real):
+        raise ValidationError(f"{what} {x!r} is not a real number")
     try:
         value = float(x)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:                   # an int past the float range
         value = math.nan
     if not (lo <= value <= hi and -math.inf < value < math.inf):
         limits = [f"below {lo:g}"] * (lo > -math.inf) + [f"above {hi:g}"] * (hi < math.inf)
@@ -70,13 +75,15 @@ def _number(x, what, lo=-math.inf, hi=math.inf):
 
 def _as_t(t):
     """t as a float array of shape () or (n,), n >= 1, every entry positive and finite;
-    a positive finite Python float needs no further test."""
-    try:
-        ts = np.asarray(t, dtype=float)
-    except (TypeError, ValueError):         # "x" or 1j is no positive finite t either
-        ts = np.array(math.nan)
+    a positive finite Python float needs no further test.  As for _number, strings,
+    Decimals and complex numbers are no t."""
     if type(t) is float and 0.0 < t < math.inf:
-        return ts
+        return np.asarray(t)
+    try:
+        ts = np.asarray(t)
+    except (TypeError, ValueError):         # a ragged list is no t
+        ts = np.array(math.nan)
+    ts = ts.astype(float, copy=False) if ts.dtype.kind in "biuf" else np.array(math.nan)
     if ts.ndim > 1 or ts.size == 0:
         raise ValidationError("t must be a scalar or a non-empty 1-D array")
     if not (np.isfinite(ts) & (ts > 0)).all():
@@ -92,6 +99,14 @@ def _scalar_t(t):
     if ts.ndim:
         raise ValidationError("t must be a scalar")
     return float(ts)
+
+
+def _gauss_power(x, m, t):
+    """x^{-m/2}, x = 4 pi t (mu), as a Python float power, or a NumericError giving t."""
+    try:
+        return x ** (-m / 2.0)
+    except OverflowError:
+        raise NumericError(f"(4 pi t)^(-m/2) overflows at t={t!r}") from None
 
 
 def _like_t(ts, values, what=None):
@@ -244,6 +259,7 @@ def _interval_levels(L, bc, S=None):
 
 def interval_trace(L, bc, t, S=None):
     """Sum of e^{-t lambda} over the interval spectrum with the given bc."""
+    L = _number(L, "interval length", MIN_LENGTH)       # for the first size, too
     levels, tail = _interval_levels(L, bc, S)
     return _certified_trace(t, "interval",
                             lambda tmin: max(np.floor(L / math.pi * math.sqrt(60.0 / tmin)) + 4, 8),
@@ -285,6 +301,7 @@ def _sphere_levels(m, a):
 
 def sphere_trace(m, a, t):
     """Exact heat trace of the round sphere Laplacian, tail below 1e-14."""
+    a = _number(a, "sphere radius", MIN_LENGTH)         # for the first size, too
     levels, tail = _sphere_levels(m, a)
     return _certified_trace(t, "sphere",
                             lambda tmin: max(np.floor(a * math.sqrt(40.0 / tmin)) + 2, 4),
@@ -326,11 +343,15 @@ def _periods(periods, m):
 
 
 def _sizes(sizes, what, least=1):
-    """A ValidationError naming `what` unless every size is an integer >= least."""
+    """The sizes as a tuple of Python ints, the values their caller computes with, or a
+    ValidationError naming `what` unless each is an int or numpy integer >= least
+    (-inf: any integer); a float, str or 0-d array is refused, however integral."""
     if not all(isinstance(n, (int, np.integer)) and n >= least for n in sizes):
-        want = {0: "nonnegative integers", 1: "a shape of positive integers"}
+        want = {0: "nonnegative integers", 1: "a shape of positive integers",
+                -math.inf: "integers"}
         raise ValidationError(f"{what} needs {want.get(least, f'integers >= {least}')}, "
                               f"not {tuple(sizes)}")
+    return tuple(map(int, sizes))
 
 
 def _array(x, shape, what, dtype=complex):
@@ -340,7 +361,7 @@ def _array(x, shape, what, dtype=complex):
     the wrong size, an entry that is not a number, not finite, or not real for a
     float dtype) is a ValidationError naming `what`."""
     if shape is not None:
-        _sizes(shape, what)
+        shape = _sizes(shape, what)
     try:
         a = np.asarray(x, dtype=complex)
     except (TypeError, ValueError, OverflowError):
@@ -396,10 +417,7 @@ def _modes(modes, m, shape, what, flip, relation):
     of magnitude at most MAX_AMPLITUDE, and mode -n holds flip(block of mode n)."""
     out = {}
     for key, amp in modes.items():
-        n = key if isinstance(key, tuple) else (key,)
-        if not all(isinstance(x, (int, np.integer)) for x in n):
-            raise ValidationError(f"{what} mode {key!r} is not a tuple of integers")
-        n = tuple(int(x) for x in n)
+        n = _sizes(key if isinstance(key, tuple) else (key,), f"{what} mode {key!r}", -math.inf)
         if len(n) != m:
             raise ValidationError(f"{what} mode {key!r} has wrong dimension")
         if any(abs(x) > MAX_MODE for x in n):
@@ -435,8 +453,7 @@ class FourierBackground:
     curvature_modes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m, d = self.m, self.d
-        _sizes((m, d), "FourierBackground (m, d)")
+        m, d = _sizes((self.m, self.d), "FourierBackground (m, d)")
         object.__setattr__(self, "periods", _periods(self.periods, m))
         object.__setattr__(self, "potential_modes", _modes(
             self.potential_modes, m, (d, d), "potential", lambda q: q.conj().T,
@@ -454,12 +471,11 @@ class FourierBackground:
 
     @classmethod
     def circle_cosine(cls, length, n, q, d=1):
-        """Q(x) = q cos(2 pi n x / length) on a circle."""
+        """Q(x) = q cos(2 pi n x / length) on a circle, for any integer n."""
+        (n,) = _sizes((n,), "circle_cosine mode n", -math.inf)
+        (d,) = _sizes((d,), "circle_cosine d")
         block = _number(q, "circle_cosine amplitude q") * np.eye(d)
-        if n == 0:
-            modes = {(0,): block}
-        else:
-            modes = {(n,): 0.5 * block, (-n,): 0.5 * block}
+        modes = {(0,): block} if n == 0 else {(n,): 0.5 * block, (-n,): 0.5 * block}
         return cls(m=1, periods=(length,), d=d, potential_modes=modes)
 
     @property
@@ -582,10 +598,9 @@ def torus_potential_trace(periods, modes, cutoff, t):
     A box of more than _MATRIX_BUDGET modes, (2N+1)^m over all m axes however
     they group, is a ResourceError.
     """
-    if isinstance(periods, (int, float)):
-        periods = (periods,)
+    periods = tuple(periods) if np.iterable(periods) else (periods,)
     bg = FourierBackground(len(periods), periods, potential_modes=modes)
-    _sizes((cutoff,), "Fourier cutoff")
+    (cutoff,) = _sizes((cutoff,), "Fourier cutoff")
     m, periods = bg.m, bg.periods
     modes = {n: complex(q[0, 0]) for n, q in bg.potential_modes.items()}
     shift = modes.get((0,) * m, 0.0).real - sum(abs(a) for n, a in modes.items() if any(n))
@@ -625,25 +640,17 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     every resample of a residual bootstrap, whose fixed RNG seed makes the error
     bars reproducible byte for byte.
     """
-    if not (isinstance(bootstrap, (int, np.integer)) and bootstrap >= 2):
-        raise ValidationError(f"bootstrap must be an integer >= 2, not {bootstrap!r}")
-    try:
-        data = np.array([(float(t), float(v)) for t, v in samples]).reshape(-1, 2)
-    except (TypeError, ValueError):
-        raise ValidationError("samples must be (t, value) pairs of real numbers") from None
-    if not np.all(np.isfinite(data)):
-        raise ValidationError("samples must be finite")
-    if np.any(data[:, 0] <= 0):
-        raise ValidationError("sample times must be positive")
-    try:
-        exponents = tuple(float(e) for e in exponents)
-    except (TypeError, ValueError):
-        raise ValidationError(f"exponents must be real numbers, not {exponents!r}") from None
-    if not exponents or not all(math.isfinite(e) for e in exponents):
-        raise ValidationError(f"need at least one exponent, each finite, not {exponents}")
+    (bootstrap,) = _sizes((bootstrap,), "bootstrap", least=2)
+    # any iterables, a generator included; anything else reads as empty, and is refused
+    samples, exponents = ([*x] if np.iterable(x) else [] for x in (samples, exponents))
+    data = _array(samples, (len(samples), 2), "samples", float)
+    exponents = tuple(_number(e, "exponent") for e in exponents)
+    if not exponents:
+        raise ValidationError("need at least one exponent")
     if len(data) < 2 * len(exponents):
         raise ValidationError("need at least twice as many samples as exponents")
-    ts, ys = data[np.argsort(data[:, 0])].T
+    order = np.argsort(_as_t(data[:, 0]))
+    ts, ys = data[order].T
     ratios = ts[1:] / ts[:-1]
     if np.max(np.abs(ratios - ratios[0])) > 1e-9 * ratios[0]:
         raise ValidationError("t-grid must be geometric")

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ResourceError, ValidationError
 from .quadrature import average, cartan_rule
-from .spectra import (MIN_LENGTH, _array, _as_t, _like_t, _number, _read_only, _require,
-                      _scalar_t, _sizes)
+from .spectra import (MIN_LENGTH, _array, _as_t, _gauss_power, _like_t, _number, _read_only,
+                      _require, _scalar_t, _sizes)
 
 
 def _endomorphism(Q):
@@ -115,8 +115,9 @@ class SymmetricSpaceData:
     R_G: float = field(init=False)
 
     def __post_init__(self):
-        E = _array(self.E, (self.p, self.m, self.m), "holonomy generators", float)
-        beta = _array(self.beta, (self.p, self.p), "beta", float)
+        m, p = _sizes((self.m, self.p), "SymmetricSpaceData (m, p)")
+        E = _array(self.E, (p, m, m), "holonomy generators", float)
+        beta = _array(self.beta, (p, p), "beta", float)
         _require(E, -E.transpose(0, 2, 1), "holonomy generators must be antisymmetric")
         _require(beta, beta.T, "beta must be symmetric positive definite")
         if np.any(np.linalg.eigvalsh(beta) <= 0):
@@ -131,21 +132,21 @@ class SymmetricSpaceData:
 
         # |D| <= p max|beta| max|E| entrywise and D_i D_k sums m such squares;
         # these Python floats overflow to inf without a warning
-        dmax = self.p * float(np.max(np.abs(beta))) * float(np.max(np.abs(E), initial=0.0))
-        if not self.m * dmax * dmax <= 1e300:
+        dmax = p * float(np.max(np.abs(beta))) * float(np.max(np.abs(E), initial=0.0))
+        if not m * dmax * dmax <= 1e300:
             raise ValidationError(f"holonomy data too large: D_i up to {dmax:.3g} overflow")
         D = -np.einsum("ik,kab->iab", beta, E)
         object.__setattr__(self, "D", _read_only(D))
 
         # structure constants from [D_i, D_k] = F^j_{ik} D_j, least squares
         # over the span of the D_j, exact to rounding at the scale of D_i D_k
-        basis = D.reshape(self.p, -1).T
+        basis = D.reshape(p, -1).T
         DD = np.einsum("iab,kbc->ikac", D, D)
-        br = (DD - DD.transpose(1, 0, 2, 3)).reshape(self.p * self.p, -1).T
+        br = (DD - DD.transpose(1, 0, 2, 3)).reshape(p * p, -1).T
         sol, *_ = np.linalg.lstsq(basis, br, rcond=None)
         if np.max(np.abs(basis @ sol - br)) > 1e-12 * np.max(np.abs(D)) ** 2:
             raise ValidationError("holonomy brackets do not close on the D_i")
-        F = sol.reshape(self.p, self.p, self.p)
+        F = sol.reshape(p, p, p)
         object.__setattr__(self, "F", _read_only(F))
 
         # beta is Ad-invariant, which theta_quadrature's Cartan reduction needs
@@ -154,14 +155,14 @@ class SymmetricSpaceData:
             raise ValidationError("holonomy structure constants must be beta-antisymmetric")
 
         # adjoint matrices of the isometry algebra, basis (P_a, Q_i)
-        n = self.m + self.p
+        n = m + p
         C = np.zeros((n, n, n))
-        for a in range(self.m):
-            C[a, self.m:, :self.m] = E[:, a, :]
-            C[a, :self.m, self.m:] = -D[:, :, a].T
-        for i in range(self.p):
-            C[self.m + i, :self.m, :self.m] = D[i]
-            C[self.m + i, self.m:, self.m:] = F[:, i, :]
+        for a in range(m):
+            C[a, m:, :m] = E[:, a, :]
+            C[a, :m, m:] = -D[:, :, a].T
+        for i in range(p):
+            C[m + i, :m, :m] = D[i]
+            C[m + i, m:, m:] = F[:, i, :]
         object.__setattr__(self, "C", _read_only(C))
 
         # [C_A, C_B] = C^X_{AB} C_X with C^X_{AB} = C[A, X, B]: Jacobi identity
@@ -171,8 +172,8 @@ class SymmetricSpaceData:
             raise ValidationError("Jacobi identities fail for the derived algebra")
 
         gamma = np.zeros((n, n))
-        gamma[:self.m, :self.m] = np.eye(self.m)
-        gamma[self.m:, self.m:] = beta
+        gamma[:m, :m] = np.eye(m)
+        gamma[m:, m:] = beta
 
         R = float(np.einsum("ik,iab,kab->", beta, E, E))
         R_H = -0.25 * float(np.einsum("ik,mil,lkm->", beta_inv, F, F))
@@ -262,8 +263,7 @@ def theta_series(space, Q=None, order=4):
     ResourceError, and a c_k with a term past the float range a NumericError.
     """
     from .tensorcalc import _basis, _graded_exp, _times
-    _sizes((order,), "theta_series order", least=0)
-    K = int(order)
+    (K,) = _sizes((order,), "theta_series order", least=0)
     B = _basis(space.p, 2 * K)
     if not np.isfinite(B.fact).all():
         raise ResourceError(f"theta_series order {K} needs alpha! past the float range")
@@ -343,4 +343,4 @@ def theta_quadrature(space, Q=None, t=0.01):
 
     M = _fiber_matrix(space, Q)
     qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(M)))) / M.shape[0]
-    return (4.0 * math.pi * t) ** (-space.m / 2.0) * qtr * avg
+    return _gauss_power(4.0 * math.pi * t, space.m, t) * qtr * avg

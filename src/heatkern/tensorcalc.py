@@ -181,16 +181,14 @@ class SymTensor:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _sizes((self.m, self.d), "SymTensor (m, d)")
-        _sizes((self.p, self.q), "SymTensor (p, q)", least=0)
-        shape = (math.comb(self.m + self.p - 1, self.p), math.comb(self.m + self.q - 1, self.q),
-                 self.d, self.d)
+        m, d = _sizes((self.m, self.d), "SymTensor (m, d)")
+        p, q = _sizes((self.p, self.q), "SymTensor (p, q)", least=0)
+        shape = (math.comb(m + p - 1, p), math.comb(m + q - 1, q), d, d)
         e = _array(self.entries, shape, "SymTensor entries")
         # _array reads any layout; a misordered block of the right size is refused here
         if np.shape(self.entries) != shape:
-            raise ValidationError(
-                f"entries shape {np.shape(self.entries)} != {shape} "
-                f"for (m={self.m}, p={self.p}, q={self.q}, d={self.d})")
+            raise ValidationError(f"entries shape {np.shape(self.entries)} != {shape} "
+                                  f"for (m={m}, p={p}, q={q}, d={d})")
         object.__setattr__(self, "entries", e)
 
 
@@ -212,7 +210,8 @@ class TaylorSeries:
     components: tuple
 
     def __post_init__(self):
-        if len(self.components) != self.cutoff + 1:
+        (cutoff,) = _sizes((self.cutoff,), "TaylorSeries cutoff", least=0)
+        if len(self.components) != cutoff + 1:
             raise ValidationError("component list length must be cutoff + 1")
         for n, c in enumerate(self.components):
             if not isinstance(c, SymTensor) or c.q != n or c.m != self.m or c.d != self.d:
@@ -312,9 +311,8 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
     """
     if kind not in ("flat", "torus", "sphere"):
         raise ValidationError(f"unsupported geometry kind {kind!r}")
-    _sizes((m,), "geometry dimension m")
-    _sizes((cutoff,), "geometry cutoff", least=0)
-    m, cutoff = int(m), int(cutoff)
+    (m,) = _sizes((m,), "geometry dimension m")
+    (cutoff,) = _sizes((cutoff,), "geometry cutoff", least=0)
     _basis_size(m, cutoff + 2, f"cutoff-{cutoff} geometry")
 
     if kind == "sphere":
@@ -359,16 +357,15 @@ class PotentialJet:
     curvature: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _sizes((self.cutoff,), "PotentialJet cutoff", least=0)
-        m, d = self.m, self.d
-        # curvature first: its shape check vets m and d before the basis size reads them
+        (cutoff,) = _sizes((self.cutoff,), "PotentialJet cutoff", least=0)
+        m, d = _sizes((self.m, self.d), "PotentialJet (m, d)")   # before the basis size
         curv = _array(self.curvature, (m, m, d, d), "curvature")
-        shape = (_basis_size(m, self.cutoff, "PotentialJet"), d, d)
+        shape = (_basis_size(m, cutoff, "PotentialJet"), d, d)
         Q = _array(self.Q, shape, "Q")
         # _array reads any layout; a (d, d, N) Q or a transposed curvature is refused here
         if np.shape(self.Q) != shape:
             raise ValidationError(f"Q shape {np.shape(self.Q)} != {shape} "
-                                  f"for (m={m}, cutoff={self.cutoff}, d={d})")
+                                  f"for (m={m}, cutoff={cutoff}, d={d})")
         if np.shape(self.curvature) != curv.shape:
             raise ValidationError("curvature must have shape (m, m, d, d)")
         _require(curv, -curv.transpose(1, 0, 2, 3),
@@ -381,8 +378,8 @@ class PotentialJet:
 
     @classmethod
     def constant(cls, m, d, Q0, curvature=None, cutoff=6):
-        _sizes((m, d), "PotentialJet")        # before the basis size and np.zeros read them
-        _sizes((cutoff,), "PotentialJet cutoff", least=0)
+        m, d = _sizes((m, d), "PotentialJet")        # before the basis size and np.zeros
+        (cutoff,) = _sizes((cutoff,), "PotentialJet cutoff", least=0)
         Q0 = _array(Q0, (d, d), "Q0")
         N = _basis_size(m, cutoff, "PotentialJet")
         if curvature is None:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .hmds import HeatTraceExpansion
 from .oblique import smooth_boundary_constants
-from .spectra import _certified_trace, _number, _scalar_t, _sizes
+from .spectra import _certified_trace, _gauss_power, _number, _scalar_t, _sizes
 
 _HALF_PI = math.pi / 2.0
 _MODE_CAP = 100_000              # Bessel orders summed, or run over, in one oracle call
@@ -53,7 +53,7 @@ def _gauss_term(t, m, xdist2, rho, rhop, dtheta):
     expo = (xdist2 + rho * rho + rhop * rhop
             - 2.0 * rho * rhop * math.cos(dtheta)) / (4.0 * t)
     amp = math.sqrt(rho * rhop / t) * math.cos(0.5 * dtheta)
-    return (4.0 * math.pi * t) ** (-m / 2.0) * math.exp(-expo) * math.erf(amp)
+    return _gauss_power(4.0 * math.pi * t, m, t) * math.exp(-expo) * math.erf(amp)
 
 
 def _kernel_pair(t, m, xdist2, rho, theta, rhop, thetap):
@@ -77,14 +77,14 @@ def wedge_kernel(t, p, pp):
 
 def wedge_diagonal(t, rho, theta, m=2):
     """Kernel diagonal; sign(theta) at theta = 0 is the theta -> 0+ limit."""
-    t = _scalar_t(t)
+    t, (m,) = _scalar_t(t), _sizes((m,), "wedge_diagonal m")
     p = WedgePoint(rho, theta)              # the one check of a wedge point
     sgn = -1.0 if p.theta < 0 else 1.0
     ct = math.cos(p.theta)
     gauss = math.exp(-p.rho * p.rho * ct * ct / t)
     val = (1.0 - sgn * gauss - math.erfc(p.rho / math.sqrt(t))
            + sgn * gauss * math.erfc(p.rho * abs(math.sin(p.theta)) / math.sqrt(t)))
-    return (4.0 * math.pi * t) ** (-m / 2.0) * val
+    return _gauss_power(4.0 * math.pi * t, m, t) * val
 
 
 def corner_coefficient(m, dimV=1):
@@ -94,7 +94,7 @@ def corner_coefficient(m, dimV=1):
     bulk prefactor, from int_0^infty rho erfc(rho) drho = 1/4 (Avramidi, Math.
     Phys. Anal. Geom. 7 (2004) 9); the tests confirm it by quadrature.
     """
-    _sizes((m, dimV), "corner_coefficient (m, dimV)")
+    m, dimV = _sizes((m, dimV), "corner_coefficient (m, dimV)")
     return -(4.0 * math.pi) ** (-(m - 2) / 2.0) * dimV / 16.0
 
 
@@ -157,7 +157,7 @@ def bessel_oracle(t, p, pp, terms=40, tol=1e-10):
     the call raises NumericError; a z past the float range does too.
     """
     t = _scalar_t(t)
-    _sizes((terms,), "Bessel terms")
+    (terms,) = _sizes((terms,), "Bessel terms")
     tol = _number(tol, "tolerance tol", math.ulp(0.0))
     if p.xhat or pp.xhat:
         raise ValidationError("mode oracle is the m = 2 slice")
@@ -246,6 +246,7 @@ def wedge_trace_expansion(m, dimV, interior_volume, dirichlet_area,
     Interior Weyl term, the two smooth-face terms (flat faces, K = 0), and
     the corner term; this model produces no logarithmic terms.
     """
+    m, dimV = _sizes((m, dimV), "wedge_trace_expansion (m, dimV)")
     vol, d_area, n_area, c_vol = (_number(x, what, 0.0) for x, what in (
         (interior_volume, "interior_volume"), (dirichlet_area, "dirichlet_area"),
         (neumann_area, "neumann_area"), (corner_volume, "corner_volume")))

@@ -12,14 +12,22 @@ orders zaremba._scaled_half_bessel runs over).  The sums are evaluated again
 only after the test and its own monkeypatches are done, so a test that counts
 an oracle's work sees its own calls alone.  The Fourier box is left out: its
 certificate does not cover the box's own eigenvalues (ROADMAP item 1).
+
+Every hypothesis test runs under one settings profile: derandomized and with no
+example database, so each draw, and any failing one, reproduces from the commit
+alone.  A test's own @settings keeps its example count and deadline.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from heatkern import spectra
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 SUMMED_PAST = ("interval", "sphere", "landau", "Bessel mode")
 

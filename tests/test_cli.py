@@ -586,7 +586,7 @@ def fuzz_configs(draw):
                          for name, items in sections.items())
 
 
-@settings(max_examples=400, deadline=5000, derandomize=True, database=None)
+@settings(max_examples=400, deadline=5000)
 @given(fuzz_configs())
 def test_main_fuzz(case):
     task, text = case

@@ -7,14 +7,18 @@ spectra._require; every real scalar goes through spectra._number and every
 integer size through spectra._sizes.  Each site below puts one fuzzed value in
 one argument and valid values everywhere else.  A size whose monomial basis passes
 tensorcalc.BASIS_BUDGET is a ResourceError, raised before anything is allocated.
+test_every_public_parameter_is_swept_or_exempt holds these tables to every public
+parameter of the library.
 """
 
 import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
 import re
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 import heatkern
 from heatkern import (formfactors as ff, hmds, nonlaplace as nl, oblique as ob, quadrature,
                       spectra, symmspace as ss, tensorcalc as tc, zaremba as zw)
-from heatkern.errors import HeatkernError, ResourceError, ValidationError
+from heatkern.errors import HeatkernError, NumericError, ResourceError, ValidationError
 
 Z2 = np.zeros((2, 2))
 EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -65,6 +69,12 @@ SITES = {
                                                                        directions=v)),
     "strong_ellipticity.directions": ((50, 1), lambda v: ob.strong_ellipticity(
         ob.ObliqueBoundaryData(2, 2, Z2, (Z2,)), directions=v)),
+    "torus_potential_trace.modes": ((1, 1), lambda v: spectra.torus_potential_trace(
+        2 * math.pi, {(0,): v}, 4, 0.5)),
+    "PotentialJet.constant.curvature": ((2, 2, 1, 1), lambda v: tc.PotentialJet.constant(
+        2, 1, [[0.0]], curvature=v, cutoff=1)),
+    "theta_quadrature.Q": ((2, 2), lambda v: ss.theta_quadrature(ss.build_symmetric_space("S2"),
+                                                                 Q=v, t=0.01)),
 }
 
 # inputs that once ended in a bare numpy ValueError or LinAlgError, or that NaN got through
@@ -236,25 +246,25 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
 # one case per guard that no other test reaches
 @pytest.mark.parametrize("call,message", [
     (lambda: spectra.fit_expansion([(-0.1, 1.0)] + GEOMETRIC_T, 2, (-1.0,)),
-     "sample times must be positive"),
+     "t must be positive and finite"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T + [(1.0, 1.0)], 2, (-1.0,)),
      "t-grid must be geometric"),
     (lambda: spectra.fit_expansion([(0.1, 1.0)], 2, ()), "need at least one exponent"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T[:2], 2, ()), "need at least one exponent"),
-    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (math.nan,)), "each finite"),
-    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, ("x",)), "exponents must be real numbers"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (math.nan,)), "exponent nan is not finite"),
+    (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, ("x",)), "exponent 'x' is not a real number"),
     (lambda: spectra.fit_expansion([("a", 1.0)] + GEOMETRIC_T, 2, (-1.0,)),
-     r"samples must be \(t, value\) pairs"),
+     "samples is not an array of numbers"),
     (lambda: spectra.fit_expansion([(1.0,)] + GEOMETRIC_T, 2, (-1.0,)),
-     r"samples must be \(t, value\) pairs"),
+     "samples is not an array of numbers"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=0),
-     "bootstrap must be an integer >= 2, not 0"),
+     r"bootstrap needs integers >= 2, not \(0,\)"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=1),
-     "bootstrap must be an integer >= 2, not 1"),
+     r"bootstrap needs integers >= 2, not \(1,\)"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=-1),
-     "bootstrap must be an integer >= 2, not -1"),
+     r"bootstrap needs integers >= 2, not \(-1,\)"),
     (lambda: spectra.fit_expansion(GEOMETRIC_T, 2, (-1.0,), bootstrap=2.5),
-     "bootstrap must be an integer >= 2, not 2.5"),
+     r"bootstrap needs integers >= 2, not \(2.5,\)"),
     (lambda: hmds.build_operator_jet(_sphere_jet()[0], tc.PotentialJet.zero(3, cutoff=4), 4),
      "geometry and potential dimensions differ"),
     (lambda: hmds.build_operator_jet(*_sphere_jet()[:2], 6),
@@ -317,7 +327,8 @@ def test_wedge_diagonal_refuses_points_outside_the_wedge(rho, theta, message):
 @pytest.mark.parametrize("modes", [{(1.5,): 1.0, (-1.5,): 1.0}, {("x",): 1.0}])
 def test_mode_keys_are_integers(modes):
     # int() once read 1.5 as the mode 1, and "x" ended in its bare ValueError
-    with pytest.raises(ValidationError, match="not a tuple of integers"):
+    key = re.escape(repr(next(iter(modes))))
+    with pytest.raises(ValidationError, match=f"potential mode {key} needs integers, not {key}"):
         spectra.FourierBackground(1, (1.0,), potential_modes=modes)
 
 
@@ -411,6 +422,11 @@ def test_matrix_inputs_succeed_or_raise_validation_error(case):
 
 
 TWO_PI = 2 * math.pi
+CIRCLE = {"length": TWO_PI, "n": 2, "q": 0.4, "d": 1}
+ENTRIES = [[[[0.5]], [[0.25]]]]                 # the entries of a SymTensor(2, 0, 1, 1)
+CURVATURE = np.zeros((1, 1, 1, 1))              # the curvature of a PotentialJet(1, 1, ...)
+_sum = lambda a: float(np.sum(a).real)
+FIT_SAMPLES = [(0.1 * 2.0 ** i, 0.5 / (0.1 * 2.0 ** i) + 2.0 + 0.01 * (-1) ** i) for i in range(6)]
 W1, W2 = zw.WedgePoint(1.0, 0.1), zw.WedgePoint(0.8, -0.3)
 AREAS = ("interior_volume", "dirichlet_area", "neumann_area", "corner_volume")
 
@@ -476,10 +492,115 @@ SCALARS = {
     **{f"wedge_trace_expansion.{area}": (
         lambda v, i=i: zw.wedge_trace_expansion(3, 2, *(v if j == i else 1.5 for j in range(4)))
         .evaluate(0.2), 2.0, -1.0, area) for i, area in enumerate(AREAS)},
+    # integer sizes, orders and mode numbers, each read by spectra._sizes (the sizes
+    # that are an array's shape by spectra._array), and the scalars beside them
+    "sphere_trace.m": (lambda v: spectra.sphere_trace(v, 1.3, 0.1), 3, 4, "sphere spectra"),
+    "FourierBackground.m": (lambda v: spectra.FourierBackground(v, (2.0,)).volume, 1, 0,
+                            "FourierBackground (m, d)"),
+    "FourierBackground.d": (lambda v: spectra.FourierBackground(1, (2.0,), d=v).volume, 1, 0,
+                            "FourierBackground (m, d)"),
+    "FourierBackground.periods": (lambda v: spectra.FourierBackground(1, (v,)).volume, 2.0, -1.0,
+                                  "period"),
+    **{f"circle_cosine.{name}": (lambda v, name=name, valid=valid: ff.h_functional(
+        spectra.FourierBackground.circle_cosine(**{**CIRCLE, name: v}), 0.5), valid, outside, what)
+       for name, valid, outside, what in (("length", TWO_PI, -1.0, "period"),
+                                          ("n", 2, None, "circle_cosine mode n"),
+                                          ("d", 2, 0, "circle_cosine d"))},
+    "fit_expansion.exponents": (lambda v: float(spectra.fit_expansion(
+        FIT_SAMPLES, 2, (v, 0.0)).coefficients[0]), -1.0, None, "exponent"),
+    "fit_expansion.bootstrap": (lambda v: float(spectra.fit_expansion(
+        FIT_SAMPLES, 2, (-1.0, 0.0), bootstrap=v).errors[1]), 50, 1, "bootstrap"),
+    "f_universal.k": (lambda v: float(ff.f_universal(5, v)), 3, 1, "order k"),
+    "a2k2_coefficient.k": (lambda v: ff.a2k2_coefficient(
+        spectra.FourierBackground.circle_cosine(**CIRCLE), v), 3, 1, "order k"),
+    "build_operator_jet.cutoff": (lambda v: float(hmds.hmds_coefficients(
+        hmds.build_operator_jet(*_sphere_jet()[:2], v), 1, 0)[1].diagonal.real[0, 0]), 2, -1,
+        "operator jet cutoff"),
+    "hmds_coefficients.kmax": (lambda v: float(
+        hmds.hmds_coefficients(_sphere_jet()[2], v, 0)[-1].diagonal.real[0, 0]), 2, -1,
+        "hmds_coefficients (kmax, cutoff)"),
+    "hmds_coefficients.cutoff": (lambda v: float(
+        hmds.hmds_coefficients(_sphere_jet()[2], 1, v)[-1].coeffs.real.sum()), 2, -1,
+        "hmds_coefficients (kmax, cutoff)"),
+    "b_lambda.k": (lambda v: float(hmds.b_lambda(v, 0.5, _coefficients()[1]).coeffs[0, 0, 0]), 1,
+                   -1, "b_lambda order k"),
+    "HeatTraceExpansion.coefficient.exponent": (lambda v: hmds.HeatTraceExpansion(
+        2, ((-1.0, 2.0), (0.0, 1.5))).coefficient(v), 0.0, None, "exponent"),
+    "LeadingSymbol.m": (lambda v: float(nl.LeadingSymbol(v, 1, np.eye(2).reshape(2, 2, 1, 1))
+                                        .a.real.sum()), 2, 0, "a needs a shape"),
+    "LeadingSymbol.d": (lambda v: float(nl.LeadingSymbol(1, v, np.eye(2).reshape(1, 1, 2, 2))
+                                        .a.real.sum()), 2, 0, "a needs a shape"),
+    "laplace_symbol.m": (lambda v: nl.a0_coefficient(nl.eigenstructure(nl.laplace_symbol(v, 2)),
+                                                     2, 1.0), 2, 0, "laplace_symbol (m, d)"),
+    "laplace_symbol.d": (lambda v: nl.a0_coefficient(nl.eigenstructure(nl.laplace_symbol(2, v)),
+                                                     2, 1.0), 2, 0, "laplace_symbol (m, d)"),
+    "one_form_symbol.m": (lambda v: nl.a0_coefficient(nl.eigenstructure(nl.one_form_symbol(v, 0.5)),
+                                                      2, 1.0), 2, 0, "one_form_symbol m"),
+    "one_form_symbol.c": (lambda v: nl.a0_coefficient(nl.eigenstructure(nl.one_form_symbol(2, v)),
+                                                      2, 1.0), 0.5, None, "one_form_symbol c"),
+    "a0_coefficient.m": (lambda v: nl.a0_coefficient(nl.eigenstructure(nl.laplace_symbol(2)), v,
+                                                     2.5), 3, 0, "a0_coefficient m"),
+    "u0_trace.m": (lambda v: nl.u0_trace(nl.eigenstructure(nl.one_form_symbol(3, 0.4)), v, 0.1), 3,
+                   0, "u0_trace m"),
+    "torus_oracle.periods": (lambda v: nl.torus_oracle(nl.laplace_symbol(1), t=0.5, periods=(v,)),
+                             1.3, -1.0, "period"),
+    "ObliqueBoundaryData.m": (lambda v: float(np.trace(ob.a1_abelian(
+        ob.ObliqueBoundaryData(v, 2, Z2, (Z2,))).real)), 2, 1, "boundary problem m"),
+    "ObliqueBoundaryData.d": (lambda v: float(np.trace(ob.a1_abelian(
+        ob.ObliqueBoundaryData(2, v, Z2, (Z2,))).real)), 2, 0, "Pi needs a shape"),
+    "smooth_boundary_constants.m": (lambda v: ob.smooth_boundary_constants("neumann", v, 2)[1], 3,
+                                    0, "(m, dimV)"),
+    "smooth_boundary_constants.dimV": (lambda v: ob.smooth_boundary_constants("neumann", 3, v)[1],
+                                       2, 0, "(m, dimV)"),
+    "ConstantFieldStrength.m": (lambda v: ss.nilpotent_trace_density(
+        ss.ConstantFieldStrength(v, EPS), 0.3), 2, 0, "field strength needs a shape"),
+    "SymmetricSpaceData.m": (lambda v: ss.SymmetricSpaceData(m=v, p=1, E=EPS[None], beta=[[1.0]]).R,
+                             2, 0, "SymmetricSpaceData (m, p)"),
+    "SymmetricSpaceData.p": (lambda v: ss.SymmetricSpaceData(m=2, p=v, E=EPS[None], beta=[[1.0]]).R,
+                             1, 0, "SymmetricSpaceData (m, p)"),
+    "theta_series.order": (lambda v: ss.theta_series(ss.build_symmetric_space("S2"), order=v)[-1],
+                           2, -1, "theta_series order"),
+    "SymTensor.m": (lambda v: _sum(tc.SymTensor(v, 0, 1, 1, ENTRIES).entries), 2, 0,
+                    "SymTensor (m, d)"),
+    "SymTensor.p": (lambda v: _sum(tc.SymTensor(2, v, 1, 1, ENTRIES).entries), 0, -1,
+                    "SymTensor (p, q)"),
+    "SymTensor.q": (lambda v: _sum(tc.SymTensor(2, 0, v, 1, ENTRIES).entries), 1, -1,
+                    "SymTensor (p, q)"),
+    "SymTensor.d": (lambda v: _sum(tc.SymTensor(2, 0, 1, v, ENTRIES).entries), 1, 0,
+                    "SymTensor (m, d)"),
+    "TaylorSeries.cutoff": (lambda v: float(tc.TaylorSeries(2, 1, v, (
+        tc.SymTensor(2, 0, 0, 1, [[[[0.5]]]]),)).component(0).entries.real[0, 0, 0, 0]), 0, -1,
+        "TaylorSeries cutoff"),
+    "build_model_geometry.m": (lambda v: tc.build_model_geometry("sphere", v, cutoff=2,
+                                                                 radius=1.3).volume, 2, 0,
+                               "geometry dimension m"),
+    "build_model_geometry.cutoff": (lambda v: tc.build_model_geometry(
+        "sphere", 2, cutoff=v, radius=1.3).radial_profile[-1], 2, -1, "geometry cutoff"),
+    "build_model_geometry.periods": (lambda v: tc.build_model_geometry(
+        "torus", 2, cutoff=2, periods=(v, 1.5)).volume, 2.0, -1.0, "period"),
+    "PotentialJet.m": (lambda v: _sum(tc.PotentialJet(v, 1, 0, [[[0.3]]], CURVATURE).Q), 1, 0,
+                       "PotentialJet (m, d)"),
+    "PotentialJet.d": (lambda v: _sum(tc.PotentialJet(1, v, 0, [[[0.3]]], CURVATURE).Q), 1, 0,
+                       "PotentialJet (m, d)"),
+    "PotentialJet.cutoff": (lambda v: _sum(tc.PotentialJet(1, 1, v, [[[0.3]]], CURVATURE).Q), 0,
+                            -1, "PotentialJet cutoff"),
+    "PotentialJet.constant.m": (lambda v: _sum(tc.PotentialJet.constant(v, 1, [[0.3]], cutoff=1).Q),
+                                2, 0, "PotentialJet"),
+    "PotentialJet.constant.d": (lambda v: _sum(tc.PotentialJet.constant(2, v, [[0.3]], cutoff=1).Q),
+                                1, 0, "PotentialJet"),
+    "PotentialJet.constant.cutoff": (lambda v: _sum(tc.PotentialJet.constant(2, 1, [[0.3]],
+                                                                             cutoff=v).Q), 1, -1,
+                                     "PotentialJet cutoff"),
+    "wedge_diagonal.m": (lambda v: zw.wedge_diagonal(0.1, 0.4, 0.3, m=v), 3, 0, "wedge_diagonal m"),
+    "wedge_trace_expansion.m": (lambda v: zw.wedge_trace_expansion(v, 2, 1.5, 1.5, 1.5, 1.5)
+                                .evaluate(0.2), 3, 0, "(m, dimV)"),
+    "wedge_trace_expansion.dimV": (lambda v: zw.wedge_trace_expansion(3, v, 1.5, 1.5, 1.5, 1.5)
+                                   .evaluate(0.2), 2, 0, "(m, dimV)"),
 }
 
 # each valid call's value, pinned bit for bit as it was before these reads went
-# through spectra._number
+# through spectra._number, and (the entries after wedge_trace_expansion's areas)
+# before spectra._number refused strings and spectra._sizes returned its ints
 SCALAR_BITS = {
     "HeatTraceExpansion.coefficient": "0x1.eaaaaaaaaaaabp+2",
     "HeatTraceExpansion.exponent": "0x1.aaaaaaaaaaaabp+2",
@@ -515,8 +636,59 @@ SCALAR_BITS = {
     "wedge_trace_expansion.dirichlet_area": "0x1.120580605fac1p-1",
     "wedge_trace_expansion.interior_volume": "0x1.c574020901e97p-1",
     "wedge_trace_expansion.neumann_area": "0x1.77e172855096bp-1",
+    "ConstantFieldStrength.m": "0x1.0b97aab0222e3p-2",
+    "FourierBackground.d": "0x1.0000000000000p+1",
+    "FourierBackground.m": "0x1.0000000000000p+1",
+    "FourierBackground.periods": "0x1.0000000000000p+1",
+    "HeatTraceExpansion.coefficient.exponent": "0x1.8000000000000p+0",
+    "LeadingSymbol.d": "0x1.0000000000000p+1",
+    "LeadingSymbol.m": "0x1.0000000000000p+1",
+    "ObliqueBoundaryData.d": "0x1.20dd750429b6dp-3",
+    "ObliqueBoundaryData.m": "0x1.20dd750429b6dp-3",
+    "PotentialJet.constant.cutoff": "0x1.3333333333333p-2",
+    "PotentialJet.constant.d": "0x1.3333333333333p-2",
+    "PotentialJet.constant.m": "0x1.3333333333333p-2",
+    "PotentialJet.cutoff": "0x1.3333333333333p-2",
+    "PotentialJet.d": "0x1.3333333333333p-2",
+    "PotentialJet.m": "0x1.3333333333333p-2",
+    "SymTensor.d": "0x1.8000000000000p-1",
+    "SymTensor.m": "0x1.8000000000000p-1",
+    "SymTensor.p": "0x1.8000000000000p-1",
+    "SymTensor.q": "0x1.8000000000000p-1",
+    "SymmetricSpaceData.m": "0x1.0000000000000p+1",
+    "SymmetricSpaceData.p": "0x1.0000000000000p+1",
+    "TaylorSeries.cutoff": "0x1.0000000000000p-1",
+    "a0_coefficient.m": "0x1.cbbe37631a7dfp-5",
+    "a2k2_coefficient.k": "-0x1.8332cdbe8e79dp-5",
+    "b_lambda.k": "-0x1.aaaaaaaaaaaaap-1",
+    "build_model_geometry.cutoff": "0x1.fde91a93fdd83p-7",
+    "build_model_geometry.m": "0x1.53cb6eee291a0p+4",
+    "build_model_geometry.periods": "0x1.8000000000000p+1",
+    "build_operator_jet.cutoff": "-0x1.5555555555555p-2",
+    "circle_cosine.d": "0x1.a4f31bff5b035p-4",
+    "circle_cosine.length": "0x1.a4f31bff5b035p-5",
+    "circle_cosine.n": "0x1.a4f31bff5b035p-5",
+    "f_universal.k": "0x1.2492492492492p-5",
+    "fit_expansion.bootstrap": "0x1.2fcfc185637e5p-8",
+    "fit_expansion.exponents": "0x1.006f38c00d9c5p-1",
+    "hmds_coefficients.cutoff": "-0x1.60b60b60b60b5p-2",
+    "hmds_coefficients.kmax": "0x1.1111111111110p-3",
+    "laplace_symbol.d": "0x1.45f306dc9c883p-3",
+    "laplace_symbol.m": "0x1.45f306dc9c883p-3",
+    "one_form_symbol.c": "0x1.0f9fdb0d2d1c2p-3",
+    "one_form_symbol.m": "0x1.0f9fdb0d2d1c2p-3",
+    "smooth_boundary_constants.dimV": "0x1.45f306dc9c883p-5",
+    "smooth_boundary_constants.m": "0x1.45f306dc9c883p-5",
+    "sphere_trace.m": "0x1.054bcb9dd3db3p+5",
+    "theta_series.order": "0x1.1111111111111p-4",
+    "torus_oracle.periods": "0x1.00011bea326cep+0",
+    "u0_trace.m": "0x1.d92a5c545126bp+0",
+    "wedge_diagonal.m": "0x1.2eb0ff0c1b0a7p-1",
+    "wedge_trace_expansion.dimV": "0x1.44f37972d8216p-1",
+    "wedge_trace_expansion.m": "0x1.44f37972d8216p-1",
 }
-NOT_NUMBERS = ["x", None, 1j, NAN, math.inf, -math.inf]
+# a numeric string and a Decimal are not real numbers: neither reaches arithmetic
+NOT_NUMBERS = ["x", None, 1j, NAN, math.inf, -math.inf, "1.0", Decimal("1")]
 
 
 # None is the default volume of a flat geometry
@@ -536,6 +708,66 @@ def test_scalar_inputs_raise_validation_error(name, value):
 def test_valid_scalar_inputs_keep_their_values(name):
     call, valid, _, _ = SCALARS[name]
     assert float.hex(call(valid)) == SCALAR_BITS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+@pytest.mark.parametrize("value", [True, "0-d"])
+def test_bool_and_0d_array_return_or_raise_heatkern_error(name, value):
+    # a bool is an int, so it may be read as 0 or 1; a 0-d array is not a number
+    call, valid, _, _ = SCALARS[name]
+    try:
+        call(np.array(valid) if value == "0-d" else value)
+    except HeatkernError:
+        pass
+
+
+SPEC = nl.eigenstructure(nl.laplace_symbol(2))
+
+
+# each once ended in a bare TypeError: a string, a Decimal or a size that no reader
+# read reached arithmetic as it came
+@pytest.mark.parametrize("call,what", [
+    (lambda: spectra.interval_trace("2.0", "DD", 0.1), "interval length"),
+    (lambda: spectra.interval_trace(Decimal("2"), "DD", 0.1), "interval length"),
+    (lambda: spectra.sphere_trace(2, "1.0", 0.1), "sphere radius"),
+    (lambda: hmds.b_lambda(1, "0.5", _coefficients()[1]), "lam"),
+    (lambda: hmds.b_lambda(1, Decimal("0.5"), _coefficients()[1]), "lam"),
+    (lambda: hmds.HeatTraceExpansion(2, ((-1.0, "1.0"),)), "terms coefficient"),
+    (lambda: ob.smooth_boundary_constants("dirichlet", "a", 1), "(m, dimV)"),
+    (lambda: ob.smooth_boundary_constants("dirichlet", 2, "a"), "(m, dimV)"),
+    (lambda: zw.wedge_diagonal(0.1, 0.5, 0.1, m="a"), "wedge_diagonal m"),
+    (lambda: nl.u0_trace(SPEC, "a", 0.1), "u0_trace m"),
+    (lambda: nl.a0_coefficient(SPEC, "a", 1.0), "a0_coefficient m"),
+    (lambda: nl.laplace_symbol("a"), "laplace_symbol (m, d)"),
+    (lambda: nl.one_form_symbol(2, "a"), "one_form_symbol c"),
+    (lambda: nl.one_form_symbol(2.0, 0.1), "one_form_symbol m"),
+    (lambda: zw.wedge_trace_expansion("a", 1, 1.0, 1.0, 1.0), "(m, dimV)"),
+    (lambda: zw.wedge_trace_expansion(1, "a", 1.0, 1.0, 1.0), "(m, dimV)"),
+    (lambda: spectra.FourierBackground.circle_cosine(1.0, "a", 0.1), "circle_cosine mode n"),
+    (lambda: spectra.FourierBackground.circle_cosine(1.0, 1, 0.1, d="a"), "circle_cosine d"),
+    (lambda: ob.ObliqueBoundaryData(m="a", d=2, Pi=Z2, Gamma=(Z2,)), "boundary problem m"),
+], ids=["interval-L-text", "interval-L-decimal", "sphere-a-text", "b-lambda-text",
+        "b-lambda-decimal", "expansion-coefficient-text", "boundary-m", "boundary-dimV",
+        "wedge-diagonal-m", "u0-m", "a0-m", "laplace-m", "one-form-c", "one-form-m-float",
+        "wedge-expansion-m", "wedge-expansion-dimV", "circle-cosine-n", "circle-cosine-d",
+        "oblique-m"])
+def test_probe_calls_name_their_argument(call, what):
+    with pytest.raises(ValidationError, match=re.escape(what)):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: zw.wedge_kernel(t, W1, W2),
+    lambda t: zw.wedge_diagonal(t, 0.5, 0.1),
+    lambda t: zw.bc_residuals(t),
+    lambda t: nl.u0_trace(nl.eigenstructure(nl.one_form_symbol(3, 0.4)), 3, t),
+    lambda t: ss.theta_quadrature(ss.build_symmetric_space("S2"), t=t),
+], ids=["wedge_kernel", "wedge_diagonal", "bc_residuals", "u0_trace", "theta_quadrature"])
+def test_gaussian_prefactor_overflow_is_a_numeric_error(call):
+    # (4 pi t)^{-m/2}, a Python float power, once raised a bare OverflowError below
+    # t = 1e-308; every t that it does not overflow at keeps its bits
+    with pytest.raises(NumericError, match=r"^\(4 pi t\)\^\(-m/2\) overflows at t=1e-310$"):
+        call(1e-310)
 
 
 def _jet():
@@ -568,6 +800,113 @@ def test_array_holders_are_every_dataclass_with_an_array_field():
     with_arrays = {cls for cls in classes
                    if any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
     assert with_arrays <= set(ARRAY_HOLDERS) <= classes
+
+
+LIBRARY = ("formfactors", "hmds", "nonlaplace", "oblique", "quadrature", "spectra", "symmspace",
+           "tensorcalc", "zaremba")
+
+# table keys that name their parameter otherwise
+PARAMETER_OF = {
+    "FourierBackground.potential": "FourierBackground.potential_modes",
+    "FourierBackground.curvature": "FourierBackground.curvature_modes",
+    "PotentialJet.constant": "PotentialJet.constant.Q0",
+    "HeatTraceExpansion.exponent": "HeatTraceExpansion.terms",
+    "HeatTraceExpansion.coefficient": "HeatTraceExpansion.terms",
+    **{f"circle_cosine.{p}": f"FourierBackground.circle_cosine.{p}"
+       for p in ("length", "n", "q", "d")},
+}
+
+# the public parameters that no sweep feeds, by the reason why
+EXEMPT = {
+    "a result of the package, built by the function that checked its inputs": [
+        *(f"OperatorJet.{f}" for f in ("m", "d", "cutoff", "series", "connection", "Q", "basis")),
+        *(f"HmdsCoefficient.{f}" for f in ("order", "cutoff", "coeffs", "basis")),
+        *(f"SymbolSpectrum.{f}" for f in ("symbol", "s", "mu", "mult")),
+        *(f"EllipticityVerdict.{f}" for f in ("elliptic", "min_eigenvalue", "violating_direction")),
+        *(f"FitResult.{f}" for f in ("exponents", "coefficients", "errors", "condition_number")),
+        *(f"ModelGeometry.{f}" for f in ("kind", "m", "cutoff", "volume", "radial_profile")),
+        *(f"BesselResult.{f}" for f in ("value", "tail_bound", "terms", "warning")),
+    ],
+    "an object of the package, whose constructor checked it": [
+        "h_functional.bg", "a2k2_coefficient.bg", "build_operator_jet.geom",
+        "build_operator_jet.pot", "hmds_coefficients.jet", "b_lambda.coeffs",
+        "trace_expansion.geom", "trace_expansion.coeffs",
+        "eigenstructure.sym", "a0_coefficient.spec", "u0_trace.spec", "h_endomorphism.sym",
+        "h_endomorphism.spec", "x_tensor.sym", "y_tensor.sym", "torus_oracle.sym",
+        "strong_ellipticity.data", "a1_quadrature.data", "a1_abelian.data", "a1_clifford.data",
+        "nilpotent_trace_density.fs", "theta_series.space", "theta_quadrature.space",
+        "wedge_kernel.p", "wedge_kernel.pp", "bessel_oracle.p", "bessel_oracle.pp"],
+    "each a SymTensor of its order and of the series' m and d, or a ValidationError": [
+        "TaylorSeries.components", "TaylorSeries.m", "TaylorSeries.d"],
+    "a name, and any other value is refused by name": [
+        "interval_trace.bc", "smooth_boundary_constants.bc", "build_symmetric_space.fixture",
+        "build_model_geometry.kind"],
+    "a family index, refused by formfactors._family unless it equals one of 1..5": [
+        "f_universal.i", "f_profile.i", "gamma_factor.i"],
+    "a method the package calls with arrays it checked or drew itself": [
+        "OperatorJet.apply.P", "LeadingSymbol.symbol_matrix.xi",
+        "SymbolSpectrum.eigenvectors.directions", "SymbolSpectrum.projectors_batch.directions",
+        "ObliqueBoundaryData.gamma_dot.zeta", "FourierBackground.wavevector.n",
+        "TaylorSeries.component.n"],
+    "quadrature's driver and rules, called with checked sizes (quadrature imports no spectra)": [
+        *(f"converge.{f}" for f in ("n", "cap", "estimate", "error", "floor", "refusal", "size")),
+        *(f"average.{f}" for f in ("rule", "first", "last", "integrand", "tol", "relative", "name",
+                                   "count")),
+        "unit_directions.count", "unit_directions.seed", "gauss_hermite_rule.p",
+        "gauss_hermite_rule.n", "cartan_rule.ad", "cartan_rule.n", "sphere_rule.dim",
+        "sphere_rule.n", *(f"sphere_average.{f}" for f in ("dim", "first", "last", "integrand",
+                                                          "tol"))],
+    "checked by unit_directions itself (test_unit_directions_need_a_dimension)": [
+        "unit_directions.p"],
+    "a closed form of the m and radius that build_model_geometry reads first": [
+        "sphere_volume.m", "sphere_volume.radius"],
+    "passed as they are to PotentialJet.constant, whose m, d and cutoff are swept": [
+        "PotentialJet.zero.m", "PotentialJet.zero.d", "PotentialJet.zero.cutoff"],
+    "kept with the terms for the caller; nothing computes with it": ["HeatTraceExpansion.m"],
+    "read by _array and _as_t; the fit rows of test_guards_raise_their_message": [
+        "fit_expansion.samples"],
+    "not read: the fit needs no dimension": ["fit_expansion.m"],
+    "the seed of numpy's Generator, which numpy reads": ["fit_expansion.seed"],
+}
+
+
+def _public_parameters():
+    """'<callable>.<parameter>' for every public function, class and public method of
+    the library modules, a dataclass's fields being its class's parameters."""
+    names = set()
+    for module in (importlib.import_module(f"heatkern.{name}") for name in LIBRARY):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else ()
+            methods = [(f"{name}.{key}", getattr(obj, key)) for key, v in members
+                       if not key.startswith("_")
+                       and isinstance(v, (type(_jet), classmethod, staticmethod))]
+            for qualname, f in [(name, obj)] + methods:
+                names |= {f"{qualname}.{p}" for p in inspect.signature(f).parameters
+                          if p not in ("self", "cls")}
+    return names
+
+
+def _t_swept(params):
+    """The t parameters that tests/test_t_grid.py sweeps: its evaluators are bound
+    methods or lambdas, whose names hold the callables they call."""
+    import test_t_grid
+    called = set()
+    for f in [*test_t_grid.EVALUATORS.values(), *test_t_grid.SCALAR_ROUTES.values()]:
+        called |= {f.__qualname__} if inspect.ismethod(f) else set(f.__code__.co_names)
+    return {f"{name}.t" for name in called} & params
+
+
+def test_every_public_parameter_is_swept_or_exempt():
+    params = _public_parameters()
+    tables = {PARAMETER_OF.get(key, key) for key in [*SCALARS, *SITES]}
+    exempt = [p for names in EXEMPT.values() for p in names]
+    assert sorted(tables - params) == []                   # every key names a parameter
+    assert sorted(set(exempt) - params) == [] and len(exempt) == len(set(exempt))
+    swept = tables | _t_swept(params)
+    assert sorted(swept & set(exempt)) == []
+    assert sorted(params - swept - set(exempt)) == []
 
 
 @pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda cls: cls.__name__)

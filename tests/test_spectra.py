@@ -516,7 +516,7 @@ def guard_times(periods, cutoff, scaled):
 # a draw where the eigenvalues of eigvalsh, not the blocks, miss by over 1e-12
 @example(((0.9855, 0.5178, 0.5094), {(3, 0, 0): 0.02939, (-3, 0, 0): 0.02939,
                                      (0, 0, 0): -0.05283}, 3, np.array([0.11338])))
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None)
 def test_torus_trace_blocks_match_dense_matrix(problem):
     periods, modes, cutoff, ts = problem
     want = dense_fourier_trace(periods, modes, cutoff, ts)
