@@ -49,13 +49,18 @@ _PROFILE_POLY = {
 
 
 def _family(i):
-    if i not in (1, 2, 3, 4, 5):
+    """The family index i, an int in 1..5, or a ValidationError.  A Python int is
+    tested as it is; anything else is read by spectra._sizes first."""
+    if type(i) is not int:
+        (i,) = _sizes((i,), "family index i", -math.inf)
+    if not 1 <= i <= 5:
         raise ValidationError(f"family index i must be in 1..5, not {i!r}")
+    return i
 
 
 def f_universal(i, k):
     """Exact rational constant f^(i)_k of the quadratic trace coefficients."""
-    _family(i)
+    i = _family(i)
     (k,) = _sizes((k,), "order k", least=2)
     if i == 1:
         return Fraction(1)
@@ -70,7 +75,7 @@ def f_universal(i, k):
 
 def f_profile(i, xi):
     """Profile function f^(i)(xi) on [0, 1]."""
-    _family(i)
+    i = _family(i)
     xi = _number(xi, "xi", 0.0, 1.0)
     u = xi * xi
     return float(sum(c * u ** j for j, c in _PROFILE_POLY[i].items()))
@@ -233,7 +238,7 @@ def gamma_factor(i, z):
     np.array([z]); only the Taylor sum and the Rybicki sum are loops of
     their own.  Non-finite z is a ValidationError.
     """
-    _family(i)
+    i = _family(i)
     z = _number(z, "gamma argument z")
     if z < 1.0:
         return _gamma_series_one(i, z)
@@ -245,6 +250,12 @@ def gamma_factor(i, z):
 # ---------------------------------------------------------------------------
 # flat torus backgrounds
 # ---------------------------------------------------------------------------
+
+def _background(bg, what):
+    if not isinstance(bg, FourierBackground):
+        raise ValidationError(f"{what} needs a FourierBackground, not {type(bg).__name__}")
+    return bg
+
 
 def _channel_sums(bg, weight1, weight2):
     """Common mode-sum skeleton of h_functional and a2k2_coefficient.
@@ -284,6 +295,7 @@ def h_functional(bg, t):
     evaluated as a lattice mode sum (box acts as -|k|^2 on mode k), each
     gamma^(i) evaluated on the whole t-array once per distinct |k|^2.
     """
+    bg = _background(bg, "h_functional")
     ts = _as_t(t)
     flat = np.atleast_1d(ts)
     pref = (4.0 * math.pi) ** (-bg.m / 2.0) * bg.volume / 2.0
@@ -299,6 +311,7 @@ def a2k2_coefficient(bg, k):
     the bracketed invariants, with operator powers evaluated on the positive
     operator (+|k|^2)^{k-2}; the Ricci-channel terms vanish identically here.
     """
+    bg = _background(bg, "a2k2_coefficient")
     (k,) = _sizes((k,), "order k", least=2)
     f1 = float(f_universal(1, k))
     f2 = float(f_universal(2, k))

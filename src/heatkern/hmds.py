@@ -50,7 +50,6 @@ gives a float, a non-empty 1-D array an array, any other t a ValidationError.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -102,7 +101,8 @@ def _metric_series(geom, deg):
     prof = list(geom.radial_profile)
     # the profile's own zero: a Python 0 would float a one-term Fraction profile's series
     log_f = _series_log(prof + [0 * prof[0]] * nser, nser)[1:]
-    sqrtg, diag, vanvleck = (_graded_exp([p * c / q for c in log_f], nser - 1, 1, operator.mul)
+    sqrtg, diag, vanvleck = (_graded_exp([p * c / q for c in log_f], nser - 1, 1,
+                                         lambda a, b, *grades: a * b)
                              for p, q in ((m - 1, 2), (m - 3, 2), (1 - m, 4)))
     return vanvleck, diag, [a - b for a, b in zip(sqrtg[1:], diag[1:])]
 

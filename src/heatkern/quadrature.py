@@ -21,7 +21,6 @@ each call from the shared Gauss-Hermite rule.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -78,10 +77,12 @@ def _shared(*arrays):
 def unit_directions(p, count, seed):
     """count unit vectors in R^p: the axes +-e_i, then standard normal draws of
     norm above 1e-3 from the generator seeded with `seed`, normalised.  The
-    read-only result is built once per (p, count, seed)."""
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
-        raise ValidationError(f"unit directions need a dimension p >= 1, not {p!r}")
-    return _unit_directions(int(p), operator.index(count), operator.index(seed))
+    read-only result is built once per (p, count, seed).  Each is an int or numpy
+    integer, checked here: quadrature imports no spectra."""
+    for what, n, least in (("dimension p", p, 1), ("count", count, 0), ("seed", seed, 0)):
+        if not (isinstance(n, (int, np.integer)) and n >= least):
+            raise ValidationError(f"unit directions need a {what} >= {least}, not {n!r}")
+    return _unit_directions(int(p), int(count), int(seed))
 
 
 @lru_cache(maxsize=None)

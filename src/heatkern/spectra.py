@@ -483,6 +483,10 @@ class FourierBackground:
         return float(np.prod(self.periods))
 
     def wavevector(self, n):
+        """2 pi n / L for a mode n of m integers, read as a mode key is (an int for m = 1)."""
+        n = _sizes(n if isinstance(n, tuple) else (n,), f"wavevector mode {n!r}", -math.inf)
+        if len(n) != self.m:
+            raise ValidationError(f"wavevector mode {n!r} has wrong dimension")
         return np.array([2.0 * math.pi * ni / p for ni, p in zip(n, self.periods)])
 
 
@@ -640,6 +644,7 @@ def fit_expansion(samples, m, exponents, bootstrap=200, seed=1234):
     every resample of a residual bootstrap, whose fixed RNG seed makes the error
     bars reproducible byte for byte.
     """
+    _sizes((m,), "fit_expansion m")         # the fit needs no dimension; it is checked all the same
     (bootstrap,) = _sizes((bootstrap,), "bootstrap", least=2)
     # any iterables, a generator included; anything else reads as empty, and is refused
     samples, exponents = ([*x] if np.iterable(x) else [] for x in (samples, exponents))

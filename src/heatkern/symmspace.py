@@ -7,9 +7,10 @@ Two regimes where the diagonal heat kernel closes algebraically:
 * symmetric spaces: the diagonal is a Gaussian average over the holonomy
   algebra of a ratio of sinh determinants, evaluated either as an asymptotic
   series in t (exact Gaussian moments of the expanded integrand, on the dense
-  monomial basis shared with hmds) or by direct quadrature inside the
-  pole-free window, over a Cartan subalgebra of the holonomy algebra
-  (quadrature.cartan_rule), since the integrand is Ad-invariant.
+  monomial basis shared with hmds, each homogeneous grade held as its one
+  degree block) or by direct quadrature inside the pole-free window, over a
+  Cartan subalgebra of the holonomy algebra (quadrature.cartan_rule), since
+  the integrand is Ad-invariant.
 
 The omega-integral is treated primarily as an asymptotic series: the 1/sinh
 factor has poles on the real axis, so the literal integral only makes sense
@@ -209,36 +210,53 @@ def _log_sinh_coeffs(kmax):
 
 
 def _traced_powers(B, mats, jmax):
-    """tr((x . M)^{2j}) for j = 0..jmax as scalar (N,) polynomials on B.
+    """tr((x . M)^{2j}) for j = 0..jmax, each as its block of degree 2j on B.
 
     (x . M)^n is homogeneous of degree n, so only its degree block, rows
-    B.offsets[n] to B.offsets[n + 1], is built, from the block of degree n - 1;
-    every other row of the traces is zero."""
+    B.offsets[n] to B.offsets[n + 1], is built, from the block of degree n - 1:
+    one gather through `B.down` for every axis at once, one matmul by the stack
+    of M_i and one sum over the axes from 0, in order, as Python's `sum`."""
     from .tensorcalc import _pad, _take
     off = B.offsets
     P = np.eye(mats.shape[1])[None]                               # (x . M)^0
-    traces = np.zeros((jmax + 1, B.N), dtype=np.result_type(P, mats))
-    traces[0, 0] = np.trace(P[0])
+    traces = [np.trace(P, axis1=1, axis2=2)]
     for n in range(1, 2 * jmax + 1):
-        pad = _pad(P)
-        P = sum(_take(pad, B.down[i, off[n]:off[n + 1]] - off[n - 1]) @ mats[i]
-                for i in range(len(mats)))
+        below = _take(_pad(P), B.down[:, off[n]:off[n + 1]] - off[n - 1])
+        P = np.add.reduce(below @ mats[:, None], axis=0, initial=0)
         if n % 2 == 0:
-            traces[n // 2, off[n]:off[n + 1]] = np.trace(P, axis1=1, axis2=2)
+            traces.append(np.trace(P, axis1=1, axis2=2))
     return traces
 
 
-def _normal_moments(B, cov):
-    """E[x^alpha] = alpha! [x^alpha] exp(x^T cov x / 2) for x ~ N(0, cov), on B.
+def _block_times(B, C, P, i, j):
+    """C P for scalar polynomials held as degree blocks of B: C the block of
+    degree 2i, P that of degree 2j, the product that of degree 2(i + j).
 
-    At degree 0 the quadratic lies off the basis, where B.up points at N, so
-    it is built with one extra slot.
-    """
-    from .tensorcalc import _graded_exp, _times
-    quad = np.zeros(B.N + 1)
-    np.add.at(quad, B.up[:, B.up[:, 0]], cov / 2.0)
-    G = _graded_exp([quad[:B.N]], B.deg // 2, np.eye(B.N, 1)[:, :, None], partial(_times, B))
-    return B.fact * sum(G)[:, 0, 0]
+    One gather through the `B.quot` rows of C's support reads P at
+    y^alpha / y^{alpha_a} for each support monomial a and each alpha of the
+    product's block; a position off the basis reads P's zero row.  The terms
+    are summed from 0 in basis order, as `tensorcalc._times` sums them on the
+    full basis, so each coefficient has the same bits."""
+    off = B.offsets
+    (a,) = C.nonzero()
+    at = B.quot[off[2 * i] + a, off[2 * (i + j)]:off[2 * (i + j) + 1]] - off[2 * j]
+    shifted = np.concatenate((P, np.zeros(1))).take(at, mode="clip")
+    return np.add.reduce(C[a, None] * shifted, axis=0, initial=0)
+
+
+def _normal_moments(B, cov):
+    """E[x^alpha] = alpha! [x^alpha] exp(x^T cov x / 2) for x ~ N(0, cov), as the
+    blocks of degree 2k, k = 0..B.deg // 2, of B; every odd moment is 0.
+
+    The quadratic is the block of degree 2, where y_mu y_nu sits at
+    up[nu, up[mu, 0]]; G_k is its graded exponential on block 2k."""
+    from .tensorcalc import _graded_exp
+    off, K = B.offsets, B.deg // 2
+    quad = np.zeros(B.m * (B.m + 1) // 2)
+    if K:
+        np.add.at(quad, B.up[:, B.up[:, 0]] - off[2], cov / 2.0)
+    G = _graded_exp([quad], K, np.ones(1), partial(_block_times, B))
+    return [B.fact[off[2 * k]:off[2 * k + 1]] * g for k, g in enumerate(G)]
 
 
 def _fiber_matrix(space, Q):
@@ -252,17 +270,20 @@ def theta_series(space, Q=None, order=4):
 
     U^diag(t) = (4 pi t)^{-m/2} sum_k c_k t^k + O(t^{order+1-m/2}), fiber
     trace normalized so c_0 = 1.  The Gaussian omega-average is evaluated
-    exactly, with polynomials in the p holonomy variables as dense arrays on
-    tensorcalc's monomial basis of degree <= 2 order: both determinant factors
-    are expanded through t^order via log(sinh x / x) and exponentiated as a
-    graded series G_k; the moments of the Gaussian with covariance 2 beta^{-1}
-    are the graded exponential of its quadratic form, and c_k pairs the two.
+    exactly, with polynomials in the p holonomy variables on tensorcalc's
+    monomial basis of degree <= 2 order: both determinant factors are expanded
+    through t^order via log(sinh x / x) and exponentiated as a graded series
+    G_k; the moments of the Gaussian with covariance 2 beta^{-1} are the graded
+    exponential of its quadratic form, and c_k pairs the two.  Every grade is
+    homogeneous (s_j, G_k and the k-th moment grade of degree 2j, 2k and 2k),
+    so each is held as its degree block and multiplied by `_block_times`; the
+    sums keep the order of the full-basis products, bit for bit.
     The average runs in curvature units and the fiber factor in units of its
     largest eigenvalue, both powers of 2, so the rescaling is exact.  An order
     whose basis passes BASIS_BUDGET or has an alpha! past the float range is a
     ResourceError, and a c_k with a term past the float range a NumericError.
     """
-    from .tensorcalc import _basis, _graded_exp, _times
+    from .tensorcalc import _basis, _graded_exp
     (K,) = _sizes((order,), "theta_series order", least=0)
     B = _basis(space.p, 2 * K)
     if not np.isfinite(B.fact).all():
@@ -274,12 +295,19 @@ def theta_series(space, Q=None, order=4):
     cov = 2.0 * np.linalg.inv(space.beta)
     e = math.frexp(np.max(np.abs(cov)))[1] // 2
     bcoef = _log_sinh_coeffs(K)
-    tr = _traced_powers(B, np.ldexp(space.F.transpose(1, 0, 2), 2 * e), K) \
-        - _traced_powers(B, np.ldexp(space.D, 2 * e), K)
-    # log integrand = sum_j t^j s_j(x), x = omega / sigma
-    G = _graded_exp([float(bcoef[j]) / 2.0 / 4 ** j * tr[j] for j in range(1, K + 1)], K,
-                    np.eye(B.N, 1)[:, :, None], partial(_times, B))
-    gamma = (np.array(G)[:, :, 0, 0] @ _normal_moments(B, np.ldexp(cov, -2 * e))).tolist()
+    trF = _traced_powers(B, np.ldexp(space.F.transpose(1, 0, 2), 2 * e), K)
+    trD = _traced_powers(B, np.ldexp(space.D, 2 * e), K)
+    # log integrand = sum_j t^j s_j(x), x = omega / sigma, s_j the block of degree 2j
+    G = _graded_exp([float(bcoef[j]) / 2.0 / 4 ** j * (trF[j] - trD[j]) for j in range(1, K + 1)],
+                    K, np.ones(1), partial(_block_times, B))
+    moments = _normal_moments(B, np.ldexp(cov, -2 * e))
+    # G_k pairs with the moments on block 2k only, all pairs in one product over
+    # the full basis: its BLAS sum groups the terms as the unblocked series did
+    rows, mom = np.zeros((K + 1, B.N)), np.zeros(B.N)
+    for k, (g, m_k) in enumerate(zip(G, moments)):
+        block = slice(B.offsets[2 * k], B.offsets[2 * k + 1])
+        rows[k, block], mom[block] = g, m_k
+    gamma = (rows @ mom).tolist()
 
     # fiber factor tr e^{-tM} / d = sum_a t^a tr (-M)^a / (a! d), in units r = 2^q of
     # its largest eigenvalue; the term fib_a gamma_{k-a} of c_k is r^a s^(k-a) times

@@ -10,8 +10,9 @@ degree <= deg in that order, multiplied by index gathers
 Every basis and jet checks its size N against BASIS_BUDGET before it allocates.
 `hmds` builds the operator jet on it, and `symmspace` the theta series in the
 holonomy variables.  `_graded_exp` is the one exponential recurrence, for a
-w-series and for polynomials on the basis alike.  Nothing in the algebra
-casts to float: on object arrays of Fractions every product stays exact.
+w-series and for polynomials held as their degree blocks alike.  Nothing in
+the algebra casts to float: on object arrays of Fractions every product stays
+exact.
 Taylor data are coefficient arrays on this basis: a PotentialJet holds Q as
 the plain y^alpha coefficients.  SymTensor and TaylorSeries serve only
 `HmdsCoefficient.series`, which stores a component densely over those
@@ -240,15 +241,17 @@ def _series_log(a, n):
 
 def _graded_exp(s, K, one, times):
     """Grades G_0..G_K of exp(sum_j s_j), s_j = s[j - 1] of grade j and 0 past
-    the end of s: G_0 = one and k G_k = sum_j times(j s_j, G_{k-j}).
+    the end of s: G_0 = one and k G_k = sum_j times(j s_j, G_{k-j}, j, k - j).
 
-    `times` is the algebra's product: scalar multiplication for a w-series,
-    `_times` on a basis for polynomials.  The weights j and k are integers, so
-    a Fraction series stays exact.
+    `times(a, b, i, j)` is the algebra's product of a of grade i and b of
+    grade j: scalar multiplication for a w-series, which reads no grade, and
+    `symmspace._block_times` for polynomials held as their degree blocks.  The
+    weights j and k are integers, so a Fraction series stays exact.
     """
     G = [one]
     for k in range(1, K + 1):
-        G.append(sum(times(j * s[j - 1], G[k - j]) for j in range(1, min(k, len(s)) + 1)) / k)
+        G.append(sum(times(j * s[j - 1], G[k - j], j, k - j)
+                     for j in range(1, min(k, len(s)) + 1)) / k)
     return G
 
 
@@ -290,7 +293,17 @@ class ModelGeometry:
 
 
 def sphere_volume(m, radius):
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0) * radius ** m
+    """Volume of the round m-sphere of the given radius; one past the float range
+    is a ValidationError."""
+    (m,) = _sizes((m,), "sphere_volume m")
+    radius = _number(radius, "sphere radius", MIN_LENGTH)
+    try:
+        vol = 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0) * radius ** m
+    except OverflowError:
+        vol = math.inf
+    if not math.isfinite(vol):
+        raise ValidationError(f"sphere radius {radius!r} gives a non-finite volume")
+    return vol
 
 
 def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=None):
@@ -318,12 +331,7 @@ def build_model_geometry(kind, m, cutoff=6, radius=None, periods=None, volume=No
     if kind == "sphere":
         radius = _number(radius, "sphere radius", MIN_LENGTH)
         profile = _sphere_profile(radius, cutoff // 2 + 2)
-        try:
-            vol = sphere_volume(m, radius)
-        except OverflowError:
-            vol = math.inf
-        if not math.isfinite(vol):
-            raise ValidationError(f"sphere radius {radius!r} gives a non-finite volume")
+        vol = sphere_volume(m, radius)
     elif kind == "torus":
         if periods is None:
             raise ValidationError("torus requires periods")

@@ -1,5 +1,5 @@
-"""Every interval, sphere and Landau level sum and every Bessel mode sum the suite
-makes is summed past its certificate.
+"""Every interval, sphere and Landau level sum, every Bessel mode sum and every rule
+average the suite makes is evaluated again past its certificate.
 
 spectra._certified_trace stops a level or mode sum at the first n, through
 quadrature.converge, whose tail bound is within the oracle's floor of the sum.
@@ -13,18 +13,25 @@ only after the test and its own monkeypatches are done, so a test that counts
 an oracle's work sees its own calls alone.  The Fourier box is left out: its
 certificate does not cover the box's own eigenvalues (ROADMAP item 1).
 
+quadrature.average runs through the same driver, bound in `quadrature`: each
+rule average (a Cartan or sphere rule, or a test's own) that settled at n is
+taken again on the next rule, 2n, wherever 2n is within the average's `last`
+cap, and must be within that average's own tolerance of it.
+
 Every hypothesis test runs under one settings profile: derandomized and with no
 example database, so each draw, and any failing one, reproduces from the commit
 alone.  A test's own @settings keeps its example count and deadline.
 """
 
+import functools
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from heatkern import spectra
+from heatkern import quadrature, spectra
 
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
@@ -33,34 +40,44 @@ SUMMED_PAST = ("interval", "sphere", "landau", "Bessel mode")
 
 
 class PastCertificate:
-    """The certified sums of one test, each summed again at 4n by `check`."""
+    """The certified sums and rule averages of one test, each evaluated again by
+    `check`: a sum at 4n, an average on the next rule, 2n."""
 
     def __init__(self, converge):
         self._converge, self.sums, self.checked = converge, [], []
 
     def converge(self, n, cap, estimate, error, floor, refusal, size=lambda n: n):
         result = self._converge(n, cap, estimate, error, floor, refusal, size)
-        # the oracle's name is the `what` of the _certified_trace call
-        what = sys._getframe(1).f_locals.get("what")
-        if what in SUMMED_PAST and size(4 * result[1]) <= cap:
-            self.sums.append((what, estimate, floor, result[0], result[1]))
+        caller = sys._getframe(1)
+        if caller.f_code is quadrature.average.__code__:
+            what, kind, past = caller.f_locals["name"], "average", 2 * result[1]
+        else:
+            # the oracle's name is the `what` of the _certified_trace call
+            what, kind, past = caller.f_locals.get("what"), "sum", 4 * result[1]
+        if (kind == "average" or what in SUMMED_PAST) and size(past) <= cap:
+            self.sums.append((what, kind, estimate, floor, result[0], past, result[1]))
         return result
 
     def check(self):
         sums, self.sums = self.sums, []
-        for what, estimate, floor, total, n in sums:
-            past = estimate(4 * n)
+        for what, kind, estimate, floor, total, past_n, n in sums:
+            past = estimate(past_n)
             gap = np.abs(past - total)
             assert (gap <= floor(past)).all(), (
-                f"{what} sum moves by {gap.max():.3e} from n = {n} to {4 * n}, past its "
-                f"floor {np.min(floor(past)):.3e}")
+                f"{what} {kind} moves by {np.max(gap):.3e} from n = {n} to {past_n}, past "
+                f"its floor {np.min(floor(past)):.3e}")
             self.checked.append((what, n))
 
 
 @pytest.fixture(autouse=True)
 def past_certificate():
     recorder = PastCertificate(spectra.converge)
+    # called with no frame of its own between the caller and the recorder, and read
+    # as the driver itself by inspect, as the public-parameter test reads quadrature
+    converge = functools.update_wrapper(partial(PastCertificate.converge, recorder),
+                                        recorder._converge)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra, "converge", recorder.converge)
+        patch.setattr(spectra, "converge", converge)
+        patch.setattr(quadrature, "converge", converge)
         yield recorder
     recorder.check()

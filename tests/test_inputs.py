@@ -189,6 +189,11 @@ def test_numpy_integer_sizes_are_accepted():
     assert type(ff.f_universal(5, np.int64(3)).denominator) is int
     bg = spectra.FourierBackground(np.int64(1), (1.0,), potential_modes={(1,): 0.1, (-1,): 0.1})
     assert ff.a2k2_coefficient(bg, np.int64(3)) == ff.a2k2_coefficient(bg, 3)
+    assert ff.gamma_factor(np.int64(2), 3.0) == ff.gamma_factor(2, 3.0)
+    assert ff.f_universal(np.int64(5), 3) == ff.f_universal(5, 3)
+    assert np.array_equal(bg.wavevector((np.int64(1),)), bg.wavevector(1))
+    assert quadrature.unit_directions(2, np.int64(6), np.int64(1)) is \
+        quadrature.unit_directions(2, 6, 1)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -276,10 +281,14 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
     (lambda: hmds.trace_expansion(_coefficients()[0], [hmds.HmdsCoefficient(
         0, 0, np.array([[[1j]]]), tc._basis(2, 0))]), "coefficient trace is not real"),
     (lambda: ff.f_profile(6, 0.5), "family index i must be in 1..5"),
+    (lambda: ff.f_profile(1.0, 0.5), r"family index i needs integers, not \(1.0,\)"),
     (lambda: ff.f_profile(1, 1.5), "xi 1.5 is below 0 or above 1 or not finite"),
     (lambda: tc.build_model_geometry("torus", 2), "torus requires periods"),
     (lambda: tc.build_model_geometry("sphere", 4, cutoff=0, radius=1e100),
      "gives a non-finite volume"),
+    (lambda: tc.sphere_volume(4, 1e100), "gives a non-finite volume"),
+    (lambda: spectra.FourierBackground(1, (1.0,)).wavevector((1, 2)),
+     r"wavevector mode \(1, 2\) has wrong dimension"),
     (lambda: tc.TaylorSeries(2, 1, 1, ()), r"component list length must be cutoff \+ 1"),
     (lambda: tc.TaylorSeries(2, 1, 0, (None,)), "component 0 has wrong type or order"),
     (lambda: zw.wedge_diagonal(0.1, -1.0, 0.5), "rho -1.0 is below 0 or not finite"),
@@ -300,7 +309,8 @@ GEOMETRIC_T = [(0.1 * 2.0 ** i, 1.0) for i in range(4)]
         "fit-sample-not-pair", "fit-bootstrap-0", "fit-bootstrap-1", "fit-bootstrap-negative",
         "fit-bootstrap-float", "jet-dimensions-differ", "jet-too-short",
         "jet-profile-too-short", "trace-not-homogeneous", "trace-not-real", "f-profile-i",
-        "f-profile-xi", "torus-no-periods", "sphere-volume-overflow", "taylor-length",
+        "f-profile-i-float", "f-profile-xi", "torus-no-periods", "sphere-volume-overflow",
+        "sphere-volume-direct-overflow", "wavevector-dimension", "taylor-length",
         "taylor-component", "wedge-rho-negative", "a1-abelian-singular", "bc-t-negative",
         "bc-t-zero", "bc-t-nan", "bc-rho-nan", "bc-rho-inf", "bc-source-corner",
         "bc-sample-not-pair", "bc-residual-not-finite", "interval-bc-not-text"])
@@ -426,6 +436,7 @@ CIRCLE = {"length": TWO_PI, "n": 2, "q": 0.4, "d": 1}
 ENTRIES = [[[[0.5]], [[0.25]]]]                 # the entries of a SymTensor(2, 0, 1, 1)
 CURVATURE = np.zeros((1, 1, 1, 1))              # the curvature of a PotentialJet(1, 1, ...)
 _sum = lambda a: float(np.sum(a).real)
+CIRCLE_BACKGROUND = spectra.FourierBackground.circle_cosine(TWO_PI, 2, 0.4)
 FIT_SAMPLES = [(0.1 * 2.0 ** i, 0.5 / (0.1 * 2.0 ** i) + 2.0 + 0.01 * (-1) ** i) for i in range(6)]
 W1, W2 = zw.WedgePoint(1.0, 0.1), zw.WedgePoint(0.8, -0.3)
 AREAS = ("interior_volume", "dirichlet_area", "neumann_area", "corner_volume")
@@ -596,6 +607,28 @@ SCALARS = {
                                 .evaluate(0.2), 3, 0, "(m, dimV)"),
     "wedge_trace_expansion.dimV": (lambda v: zw.wedge_trace_expansion(3, v, 1.5, 1.5, 1.5, 1.5)
                                    .evaluate(0.2), 2, 0, "(m, dimV)"),
+    # once exempt as a method, an object, a closed form or a family index: each is read
+    # by spectra._sizes or spectra._number, or by a check of its own
+    "FourierBackground.wavevector.n": (lambda v: float(spectra.FourierBackground(1, (2.0,))
+                                                       .wavevector(v)[0]), 1, None,
+                                       "wavevector mode"),
+    "sphere_volume.m": (lambda v: tc.sphere_volume(v, 1.3), 3, 0, "sphere_volume m"),
+    "sphere_volume.radius": (lambda v: tc.sphere_volume(2, v), 1.3, -1.0, "sphere radius"),
+    "unit_directions.p": (lambda v: float(quadrature.unit_directions(v, 6, 1)[-1].sum()), 2, 0,
+                          "dimension p"),
+    "unit_directions.count": (lambda v: float(quadrature.unit_directions(2, v, 1)[-1, 0]), 6, -1,
+                              "count"),
+    "unit_directions.seed": (lambda v: float(quadrature.unit_directions(2, 6, v)[-1, 0]), 1, -1,
+                             "seed"),
+    "h_functional.bg": (lambda v: ff.h_functional(v, 0.5), CIRCLE_BACKGROUND, None,
+                        "h_functional needs a FourierBackground"),
+    "a2k2_coefficient.bg": (lambda v: ff.a2k2_coefficient(v, 3), CIRCLE_BACKGROUND, None,
+                            "a2k2_coefficient needs a FourierBackground"),
+    "fit_expansion.m": (lambda v: float(spectra.fit_expansion(
+        FIT_SAMPLES, v, (-1.0, 0.0)).coefficients[0]), 2, 0, "fit_expansion m"),
+    "f_universal.i": (lambda v: float(ff.f_universal(v, 3)), 5, 6, "family index i"),
+    "f_profile.i": (lambda v: ff.f_profile(v, 0.3), 5, 0, "family index i"),
+    "gamma_factor.i": (lambda v: ff.gamma_factor(v, 3.0), 2, 6, "family index i"),
 }
 
 # each valid call's value, pinned bit for bit as it was before these reads went
@@ -686,6 +719,19 @@ SCALAR_BITS = {
     "wedge_diagonal.m": "0x1.2eb0ff0c1b0a7p-1",
     "wedge_trace_expansion.dimV": "0x1.44f37972d8216p-1",
     "wedge_trace_expansion.m": "0x1.44f37972d8216p-1",
+    # the parameters once exempt, as each was before its reader (wavevector at (1,))
+    "FourierBackground.wavevector.n": "0x1.921fb54442d18p+1",
+    "a2k2_coefficient.bg": "-0x1.8332cdbe8e79dp-5",
+    "f_profile.i": "0x1.a27525460aa65p-5",
+    "f_universal.i": "0x1.2492492492492p-5",
+    "fit_expansion.m": "0x1.006f38c00d9c5p-1",
+    "gamma_factor.i": "0x1.01aa5d93c504fp-3",
+    "h_functional.bg": "0x1.a4f31bff5b035p-5",
+    "sphere_volume.m": "0x1.5aefb3943519dp+5",
+    "sphere_volume.radius": "0x1.53cb6eee291a0p+4",
+    "unit_directions.count": "0x1.f75fb7baf421cp-3",
+    "unit_directions.p": "-0x1.727340e38d273p-1",
+    "unit_directions.seed": "0x1.f75fb7baf421cp-3",
 }
 # a numeric string and a Decimal are not real numbers: neither reaches arithmetic
 NOT_NUMBERS = ["x", None, 1j, NAN, math.inf, -math.inf, "1.0", Decimal("1")]
@@ -724,8 +770,8 @@ def test_bool_and_0d_array_return_or_raise_heatkern_error(name, value):
 SPEC = nl.eigenstructure(nl.laplace_symbol(2))
 
 
-# each once ended in a bare TypeError: a string, a Decimal or a size that no reader
-# read reached arithmetic as it came
+# each once ended in a bare TypeError (h_functional's an AttributeError): a string, a
+# Decimal, a 0-d array or a size that no reader read reached arithmetic as it came
 @pytest.mark.parametrize("call,what", [
     (lambda: spectra.interval_trace("2.0", "DD", 0.1), "interval length"),
     (lambda: spectra.interval_trace(Decimal("2"), "DD", 0.1), "interval length"),
@@ -746,11 +792,18 @@ SPEC = nl.eigenstructure(nl.laplace_symbol(2))
     (lambda: spectra.FourierBackground.circle_cosine(1.0, "a", 0.1), "circle_cosine mode n"),
     (lambda: spectra.FourierBackground.circle_cosine(1.0, 1, 0.1, d="a"), "circle_cosine d"),
     (lambda: ob.ObliqueBoundaryData(m="a", d=2, Pi=Z2, Gamma=(Z2,)), "boundary problem m"),
+    (lambda: spectra.FourierBackground(1, (1.0,)).wavevector("x"), "wavevector mode 'x'"),
+    (lambda: tc.sphere_volume("a", 1.0), "sphere_volume m"),
+    (lambda: quadrature.unit_directions(2, "x", 1), "unit directions need a count"),
+    (lambda: ff.h_functional("x", 0.1), "h_functional needs a FourierBackground, not str"),
+    (lambda: ff.gamma_factor(np.array(2), 0.5), "family index i"),
+    (lambda: ff.f_profile(np.array(1), 0.5), "family index i"),
 ], ids=["interval-L-text", "interval-L-decimal", "sphere-a-text", "b-lambda-text",
         "b-lambda-decimal", "expansion-coefficient-text", "boundary-m", "boundary-dimV",
         "wedge-diagonal-m", "u0-m", "a0-m", "laplace-m", "one-form-c", "one-form-m-float",
         "wedge-expansion-m", "wedge-expansion-dimV", "circle-cosine-n", "circle-cosine-d",
-        "oblique-m"])
+        "oblique-m", "wavevector-n", "sphere-volume-m", "unit-directions-count", "h-functional-bg",
+        "gamma-factor-i-0d", "f-profile-i-0d"])
 def test_probe_calls_name_their_argument(call, what):
     with pytest.raises(ValidationError, match=re.escape(what)):
         call()
@@ -828,8 +881,8 @@ EXEMPT = {
         *(f"BesselResult.{f}" for f in ("value", "tail_bound", "terms", "warning")),
     ],
     "an object of the package, whose constructor checked it": [
-        "h_functional.bg", "a2k2_coefficient.bg", "build_operator_jet.geom",
-        "build_operator_jet.pot", "hmds_coefficients.jet", "b_lambda.coeffs",
+        "build_operator_jet.geom", "build_operator_jet.pot", "hmds_coefficients.jet",
+        "b_lambda.coeffs",
         "trace_expansion.geom", "trace_expansion.coeffs",
         "eigenstructure.sym", "a0_coefficient.spec", "u0_trace.spec", "h_endomorphism.sym",
         "h_endomorphism.spec", "x_tensor.sym", "y_tensor.sym", "torus_oracle.sym",
@@ -841,31 +894,22 @@ EXEMPT = {
     "a name, and any other value is refused by name": [
         "interval_trace.bc", "smooth_boundary_constants.bc", "build_symmetric_space.fixture",
         "build_model_geometry.kind"],
-    "a family index, refused by formfactors._family unless it equals one of 1..5": [
-        "f_universal.i", "f_profile.i", "gamma_factor.i"],
     "a method the package calls with arrays it checked or drew itself": [
         "OperatorJet.apply.P", "LeadingSymbol.symbol_matrix.xi",
         "SymbolSpectrum.eigenvectors.directions", "SymbolSpectrum.projectors_batch.directions",
-        "ObliqueBoundaryData.gamma_dot.zeta", "FourierBackground.wavevector.n",
-        "TaylorSeries.component.n"],
+        "ObliqueBoundaryData.gamma_dot.zeta", "TaylorSeries.component.n"],
     "quadrature's driver and rules, called with checked sizes (quadrature imports no spectra)": [
         *(f"converge.{f}" for f in ("n", "cap", "estimate", "error", "floor", "refusal", "size")),
         *(f"average.{f}" for f in ("rule", "first", "last", "integrand", "tol", "relative", "name",
                                    "count")),
-        "unit_directions.count", "unit_directions.seed", "gauss_hermite_rule.p",
-        "gauss_hermite_rule.n", "cartan_rule.ad", "cartan_rule.n", "sphere_rule.dim",
-        "sphere_rule.n", *(f"sphere_average.{f}" for f in ("dim", "first", "last", "integrand",
-                                                          "tol"))],
-    "checked by unit_directions itself (test_unit_directions_need_a_dimension)": [
-        "unit_directions.p"],
-    "a closed form of the m and radius that build_model_geometry reads first": [
-        "sphere_volume.m", "sphere_volume.radius"],
+        "gauss_hermite_rule.p", "gauss_hermite_rule.n", "cartan_rule.ad", "cartan_rule.n",
+        "sphere_rule.dim", "sphere_rule.n",
+        *(f"sphere_average.{f}" for f in ("dim", "first", "last", "integrand", "tol"))],
     "passed as they are to PotentialJet.constant, whose m, d and cutoff are swept": [
         "PotentialJet.zero.m", "PotentialJet.zero.d", "PotentialJet.zero.cutoff"],
     "kept with the terms for the caller; nothing computes with it": ["HeatTraceExpansion.m"],
     "read by _array and _as_t; the fit rows of test_guards_raise_their_message": [
         "fit_expansion.samples"],
-    "not read: the fit needs no dimension": ["fit_expansion.m"],
     "the seed of numpy's Generator, which numpy reads": ["fit_expansion.seed"],
 }
 

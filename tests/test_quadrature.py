@@ -197,6 +197,26 @@ def test_unsettled_sphere_average_raises_with_order(dim):
         sphere_average(dim, 4, 8, grows, 1e-10)
 
 
+def test_rule_averages_are_taken_past_their_certificates(past_certificate):
+    # conftest's fixture keeps every rule average whose next rule is within its cap
+    # and takes it again there; here it runs by hand
+    sym = nl.one_form_symbol(3, 0.7)
+    nl.h_endomorphism(sym, nl.eigenstructure(sym))
+    ss.theta_quadrature(ss.build_symmetric_space("S3", radius=1.3), t=0.01)
+    kept = [(what, n) for what, *_, n in past_certificate.sums]
+    assert [what for what, _ in kept] == ["sphere", "Cartan"]
+    past_certificate.check()
+    assert past_certificate.checked[-2:] == kept and not past_certificate.sums
+    # an average that settles at n = 2 but moves on the rule of 4 fails the check,
+    # and one whose next rule is past its cap is not kept
+    step = lambda n: (np.full((n, 1), float(n > 2)), np.full(n, 1.0 / n))
+    average(step, 1, 4, lambda x: x[:, 0], 1e-10, False, "step", "{last}")
+    average(step, 1, 2, lambda x: x[:, 0], 1e-10, False, "capped", "{last}")
+    assert [what for what, *_ in past_certificate.sums] == ["step"]
+    with pytest.raises(AssertionError, match="step average moves by 1.000e.00 from n = 2 to 4"):
+        past_certificate.check()
+
+
 # ---------------------------------------------------------------------------
 # the rule cache
 # ---------------------------------------------------------------------------

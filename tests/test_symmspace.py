@@ -256,8 +256,27 @@ def test_theta_series_s2_matches_mulholland_rationals():
         assert abs(got - float(w)) <= 1e-14 * float(w)
 
 
+def on_full_basis(B, block, n):
+    """The block of degree n as an (N,) polynomial on the full basis of B."""
+    full = np.zeros(B.N, dtype=block.dtype)
+    full[B.offsets[n]:B.offsets[n + 1]] = block
+    return full
+
+
+def full_basis_normal_moments(B, cov):
+    """The moments with the quadratic and every grade on all N rows of B, multiplied
+    by tensorcalc._times: the recurrence that _normal_moments replaced, kept as its
+    reference."""
+    quad = np.zeros(B.N + 1)
+    np.add.at(quad, B.up[:, B.up[:, 0]], cov / 2.0)
+    G = tc._graded_exp([quad[:B.N]], B.deg // 2, np.eye(B.N, 1)[:, :, None],
+                       lambda a, b, *grades: tc._times(B, a, b))
+    return B.fact * sum(G)[:, 0, 0]
+
+
 def test_normal_moments_match_symbolic_expansion():
-    # alpha! times the x^alpha coefficient of exp(x^T C x / 2), expanded by sympy
+    # alpha! times the x^alpha coefficient of exp(x^T C x / 2), expanded by sympy;
+    # the blocks, put on the full basis, are the full-basis recurrence bit for bit
     sympy = pytest.importorskip("sympy")
     C = [[sympy.Rational(2), sympy.Rational(1, 2), sympy.Rational(-1, 3)],
          [sympy.Rational(1, 2), sympy.Rational(3, 2), sympy.Rational(1, 4)],
@@ -266,14 +285,34 @@ def test_normal_moments_match_symbolic_expansion():
     quad = sum(C[i][k] * x[i] * x[k] for i in range(3) for k in range(3)) / 2
     series = sympy.Poly(sum(quad ** k / math.factorial(k) for k in range(7)), *x).as_dict()
     B = tc._basis(3, 12)
-    got = ss._normal_moments(B, np.array(C, dtype=float))
+    cov = np.array(C, dtype=float)
+    blocks = ss._normal_moments(B, cov)
+    assert len(blocks) == 7
+    got = sum(on_full_basis(B, block, 2 * k) for k, block in enumerate(blocks))
+    assert got.tobytes() == full_basis_normal_moments(B, cov).tobytes()
     want = np.array([float(series.get(tuple(e), 0) * f) for e, f in
                      zip(B.expo.tolist(), B.fact)])
-    assert not got[B.degree % 2 == 1].any()
     for n in range(0, 13, 2):
         # per degree block: E[x0 x1 x2^6] cancels to exactly 0, but only in rationals
         block = B.degree == n
         assert np.max(np.abs(got[block] - want[block])) <= 1e-14 * np.max(np.abs(want[block]))
+
+
+@pytest.mark.parametrize("p,deg", [(1, 12), (2, 10), (3, 16), (4, 8)])
+def test_block_times_is_the_full_basis_product_bit_for_bit(p, deg):
+    # every pair of even degree blocks, each with zero coefficients in its support
+    # and positions off the basis in its gather
+    rng = np.random.default_rng(p)
+    B = tc._basis(p, deg)
+    size = lambda n: B.offsets[n + 1] - B.offsets[n]
+    for i in range(deg // 2 + 1):
+        for j in range(deg // 2 + 1 - i):
+            C = rng.standard_normal(size(2 * i)) * (rng.random(size(2 * i)) < 0.7)
+            P = rng.standard_normal(size(2 * j))
+            got = ss._block_times(B, C, P, i, j)
+            want = tc._times(B, on_full_basis(B, C, 2 * i),
+                             on_full_basis(B, P, 2 * j)[:, None, None])
+            assert on_full_basis(B, got, 2 * (i + j)).tobytes() == want[:, 0, 0].tobytes(), (i, j)
 
 
 def test_theta_series_s2_frozen_coefficients():
@@ -354,15 +393,48 @@ def full_basis_traced_powers(B, mats, jmax):
 @pytest.mark.parametrize("a", [0.7, 1.0, 3.0])
 def test_traced_powers_on_the_degree_block_match_the_full_basis(fixture, a):
     # the block build makes the same float operations in the same order, so the
-    # traces agree bit for bit, zero rows included
+    # blocks, put on the full basis, are its traces bit for bit, zero rows included
     space = ss.build_symmetric_space(fixture, radius=a)
     for order in range(7):
         B = tc._basis(space.p, 2 * order)
         for mats in (space.F.transpose(1, 0, 2), space.D):
-            got = ss._traced_powers(B, mats, order)
+            blocks = ss._traced_powers(B, mats, order)
+            assert len(blocks) == order + 1
+            got = np.array([on_full_basis(B, b, 2 * j) for j, b in enumerate(blocks)])
             want = full_basis_traced_powers(B, mats, order)
-            assert np.array_equal(got, want), order
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), order
+
+
+# theta_series at order 8, as it was when every grade was held on the full basis;
+# order K returns the first K + 1 of these, bit for bit
+THETA_BITS = {
+    ("S2", 1e-3): ["0x1.0000000000000p+0", "0x1.4585555555555p+18", "0x1.f0b4935555555p+35",
+                   "0x1.68e91cd0cd34dp+53", "0x1.5830f03f10f32p+71", "0x1.dd72f9fcf008fp+89",
+                   "0x1.bdfda82c4ade3p+108", "0x1.0250cbf47bdaap+128", "0x1.61e8740f2387ep+147"],
+    ("S2", 1.3): ["0x1.0000000000000p+0", "0x1.93f1dca7a317ap-3", "0x1.7e6ed3eefe620p-6",
+                  "0x1.58d34d7baa942p-9", "0x1.9813d055c24b5p-12", "0x1.5f39205fd81c6p-14",
+                  "0x1.971f60d6427a6p-16", "0x1.249cd67b14c66p-17", "0x1.f17b010cadb10p-19"],
+    ("S2", 1e3): ["0x1.0000000000000p+0", "0x1.65e9f80f29211p-22", "0x1.2c3d6f030f9acp-44",
+                  "0x1.dfbb83078b581p-67", "0x1.f709342e6162fp-89", "0x1.7f9d96dc4c24bp-110",
+                  "0x1.89ffb1ffa781fp-131", "0x1.f5d25b31c22d3p-152", "0x1.79f8b26898347p-172"],
+    ("S3", 1e-3): ["0x1.0000000000000p+0", "0x1.e848000000000p+19", "0x1.d1a94a2000001p+38",
+                   "0x1.280f39a348556p+57", "0x1.1a582513bbe79p+75", "0x1.aed2bf933c97ep+92",
+                   "0x1.11e8f827844ddp+110", "0x1.2a89ca9c11e35p+127", "0x1.1cb5507d3ef33p+144"],
+    ("S3", 1.3): ["0x1.0000000000000p+0", "0x1.2ef5657dba51cp-1", "0x1.6687e6b00e7bfp-3",
+                  "0x1.1add558f71ed9p-5", "0x1.4ec040e65961dp-8", "0x1.3cec8c367c019p-11",
+                  "0x1.f413cc949536dp-15", "0x1.522cfbbd6b2cep-18", "0x1.90353c1836151p-22"],
+    ("S3", 1e3): ["0x1.0000000000000p+0", "0x1.0c6f7a0b5ed8dp-20", "0x1.19799812dea10p-41",
+                  "0x1.8987d17c304e1p-63", "0x1.9ca58cce0be2dp-85", "0x1.5a273320c8b48p-107",
+                  "0x1.e3f50764ba29cp-130", "0x1.21fb00f91914fp-152", "0x1.30110b18b1daep-175"],
+}
+
+
+@pytest.mark.parametrize("fixture,radius", sorted(THETA_BITS))
+def test_theta_series_keeps_its_bits(fixture, radius):
+    space = ss.build_symmetric_space(fixture, radius)
+    for order in range(9):
+        got = [float.hex(c) for c in ss.theta_series(space, order=order)]
+        assert got == THETA_BITS[fixture, radius][:order + 1], order
 
 
 def test_theta_series_order_cap():
