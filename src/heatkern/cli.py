@@ -1,6 +1,8 @@
 """Config-driven runner: asymptotic predictions vs exact-spectrum oracles.
 
-Configs are flat INI files; see configs/ for the fixtures.  Four tasks:
+The command line is `heatkern TASK --config CFG [--out OUT]`, each option at most
+once, as --flag VALUE or --flag=VALUE; -h or --help prints that usage line.  Configs
+are flat INI files; see configs/ for the fixtures.  Four tasks:
 
 * asymptotics: tabulate the asymptotic model over the t-grid;
 * oracle: tabulate the exact-spectrum oracle;
@@ -11,7 +13,8 @@ Every config key is one row of _KEYS.  A missing required key, a value its
 row rejects, and a section or key no row reads for the configured geometry
 kind are config errors.
 
-Exit codes: 0 success, 1 validation/config error, 2 tolerance breach.
+Exit codes: 0 success, 1 a malformed command line (the usage line) or a
+validation/config error, 2 tolerance breach; each error is one stderr line.
 The three table tasks write CSV or JSON, as [output] format says; report
 writes JSON only.  Output is byte-deterministic for a fixed config: floats
 are printed with %.17g and rows are written in grid order.
@@ -19,7 +22,6 @@ are printed with %.17g and rows are written in grid order.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import dataclasses
 import math
@@ -34,32 +36,23 @@ from .spectra import (MIN_LENGTH, FourierBackground, _like_t, _number, interval_
                       landau_trace_density, sphere_trace, torus_potential_trace)
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
+_USAGE = "usage: heatkern {%s} --config CFG [--out OUT]" % ",".join(_TASKS)
 _SCHEMA = "# heatkern-schema=1"
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
+_fmt = lambda x: "%.17g" % float(x)
 _finite = lambda raw: _number(float(raw), "value")      # config text, converted first
-
-
-def _floats(raw):
-    return tuple(_finite(x) for x in raw.split(","))
+_floats = lambda raw: tuple(_finite(x) for x in raw.split(","))
 
 
 def _parse_modes(raw):
     modes = {}
-    for entry in raw.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in filter(None, map(str.strip, raw.split(";"))):
         key, _, val = entry.partition(":")
         if not val:
             raise ValidationError(f"mode entry {entry!r} must look like 'n1,n2:amp'")
-        n = tuple(int(x) for x in key.split(","))
-        modes[n] = complex(val)
+        modes[tuple(int(x) for x in key.split(","))] = complex(val)
     return modes
 
 
@@ -69,6 +62,7 @@ def _parse_modes(raw):
 # choices or a closed range (lo, hi); the library checks its own ranges.
 _REQUIRED = object()
 _POSITIVE = (math.ulp(0.0), math.inf)
+_NORMAL = (sys.float_info.min, math.inf)       # a subnormal field overflows the level count
 _EXPECTED = {int: "an integer", _finite: "a finite number",
              _floats: "finite numbers 'a,b,...'", _parse_modes: "modes 'n1,n2:amp; ...'"}
 _KEYS = (
@@ -96,7 +90,7 @@ _KEYS = (
     ("operator", "cutoff", ("circle", "torus"), int, 64, None),
     ("geometry", "periods", ("torus",), _floats, _REQUIRED, None),
     ("operator", "modes", ("torus",), _parse_modes, {}, None),
-    ("operator", "field", ("landau",), _finite, 1.0, _POSITIVE),
+    ("operator", "field", ("landau",), _finite, 1.0, _NORMAL),
     ("geometry", "length", ("interval",), _finite, math.pi, None),
     ("boundary", "bc", ("interval",), str, "DD", ("DD", "NN", "DN")),
 )
@@ -314,24 +308,34 @@ def run(cfg):
     return 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="heatkern",
-        description="short-time heat kernel asymptotics vs exact-spectrum oracles")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _TASKS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+def _args(argv):
+    """(task, config, out or None) of the usage line's shape; else ValidationError(_USAGE)."""
+    task, *rest = argv or [""]
+    opts = {}
+    while rest:
+        flag, eq, value = rest.pop(0).partition("=")
+        if not eq and rest and not rest[0].startswith("-"):
+            eq, value = "=", rest.pop(0)
+        if not eq or flag not in ("--config", "--out") or flag in opts:
+            raise ValidationError(_USAGE)
+        opts[flag] = value
+    if task not in _TASKS or "--config" not in opts:
+        raise ValidationError(_USAGE)
+    return task, opts["--config"], opts.get("--out")
 
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
     try:
-        cfg = RunConfig.from_ini(args.config)
-        if cfg.task != args.command:
-            raise ValidationError(
-                f"config task {cfg.task!r} does not match subcommand {args.command!r}")
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_path=args.out)
+        task, config, out = _args(argv)
+        cfg = RunConfig.from_ini(config)
+        if cfg.task != task:
+            raise ValidationError(f"config task {cfg.task!r} does not match subcommand {task!r}")
+        if out is not None:
+            cfg = dataclasses.replace(cfg, out_path=out)
         return run(cfg)
     except (HeatkernError, OSError) as exc:   # OSError: the output cannot be written
         print(f"error: {exc}", file=sys.stderr)

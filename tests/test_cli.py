@@ -247,6 +247,86 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# ---------------------------------------------------------------------------
+# the command line: TASK --config CFG [--out OUT]
+# ---------------------------------------------------------------------------
+
+USAGE = "usage: heatkern {asymptotics,oracle,compare,report} --config CFG [--out OUT]"
+CFG = str(REPO_CONFIGS / "interval_dd.ini")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus", "--config", CFG],
+    ["compare"],
+    ["compare", "--out", "o.csv"],
+    ["compare", "--config"],
+    ["compare", "--out", "o.csv", "--config"],
+    ["compare", "--config", "--out", "o.csv"],
+    ["compare", "--config", CFG, "--out", "a.csv", "--out", "b.csv"],
+    ["compare", "--config", CFG, "--config", CFG],
+    ["compare", "--config=" + CFG, "--config", CFG],
+    ["compare", "--config", CFG, "--verbose"],
+    ["compare", "--conf", CFG],
+    ["compare", "--conf=" + CFG],
+    ["compare", "--config", CFG, "extra"],
+    ["compare", "extra", "--config", CFG],
+    ["--config", CFG, "compare"],
+    ["compare", "-c", CFG],
+])
+def test_malformed_command_line_exits_1_with_the_usage_line(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {USAGE}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["compare", "--config", CFG, "-h"],
+                                  ["compare", "--help", "--config", "absent.ini"]])
+def test_help_prints_the_usage_line_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (USAGE + "\n", "")
+
+
+FIXTURES = sorted(p.stem for p in REPO_CONFIGS.glob("*.ini"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("form", ["out-first", "equals"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_option_order_and_equals_form_reproduce_the_golden_bytes(tmp_path, name, form):
+    cfg = REPO_CONFIGS / f"{name}.ini"
+    parsed = RunConfig.from_ini(cfg)
+    out = tmp_path / Path(parsed.out_path).name
+    argv = ([parsed.task, "--out", str(out), "--config", str(cfg)] if form == "out-first"
+            else [parsed.task, f"--config={cfg}", f"--out={out}"])
+    expected = json.loads((GOLDEN / "exit_status.json").read_text(encoding="utf-8"))
+    assert main(argv) == expected[name]
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_module_entrypoint_refuses_a_missing_config_in_one_line():
+    proc = subprocess.run([sys.executable, "-m", "heatkern.cli", "compare"],
+                          capture_output=True, text=True, timeout=120, env=_subprocess_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {USAGE}\n"
+
+
+def test_a_cold_fixture_process_loads_no_argparse_gettext_or_locale(tmp_path):
+    # runs heatkern.cli as __main__, as `python -m heatkern.cli` does, then reads
+    # sys.modules once main has returned
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('heatkern.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    out = tmp_path / "interval_dd.csv"
+    proc = subprocess.run([sys.executable, "-c", code, "compare", "--config", CFG,
+                           "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env=_subprocess_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
 GRID = "[grid]\nstart = 0.1\n"
 
 
@@ -267,7 +347,11 @@ GRID = "[grid]\nstart = 0.1\n"
     ("landau", GRID + "[output]\npath = out%x.csv\n", "config parse error"),
     ("landau", GRID + "[operator]\nfield = nan\n", "bad value for [operator] field: 'nan'"),
     ("landau", GRID + "[operator]\nfield = 0\n",
-     "bad value for [operator] field: '0'; expected a finite number in [5e-324, inf]"),
+     "bad value for [operator] field: '0'; expected a finite number in "
+     "[2.2250738585072014e-308, inf]"),
+    ("landau", GRID + "[operator]\nfield = 1e-320\n",
+     "bad value for [operator] field: '1e-320'; expected a finite number in "
+     "[2.2250738585072014e-308, inf]"),
     ("landau", GRID + "[operator]\nfield = -1\n", "bad value for [operator] field: '-1'"),
     ("interval", "length = nan\n" + GRID, "bad value for [geometry] length: 'nan'"),
     ("sphere", "radius = inf\n" + GRID, "bad value for [geometry] radius: 'inf'"),
@@ -327,16 +411,11 @@ def test_every_task_refuses_a_nonpositive_field_alike(tmp_path, capsys, field):
     assert_every_task_refuses_alike(tmp_path, capsys, "landau", f"[operator]\nfield = {field}")
 
 
-@pytest.mark.parametrize("task", ["oracle", "compare"])
-def test_a_subnormal_field_is_refused_in_finite_words(tmp_path, capsys, task):
-    # B = 1e-320 passes the config row; the level sum's first size, 20 / (t B),
-    # overflows, and the refusal names a bound in place of "inf"
-    path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = landau\n"
-                               f"[operator]\nfield = 1e-320\n{GRID}")
-    rc = main([task, "--config", path, "--out", str(tmp_path / "o.csv")])
-    err = capsys.readouterr().err
-    assert rc == 1 and err.count("\n") == 1
-    assert "needs more than 1.8e+308 levels" in err and "inf" not in err
+@pytest.mark.parametrize("field", ["5e-324", "1e-320", "2.2e-308"])
+def test_every_task_refuses_a_subnormal_field_alike(tmp_path, capsys, field):
+    # the oracle's first level count, 20 / (t B), overflows for a subnormal B, so the
+    # config row refuses it before any task reads it; spectra refuses it in the library
+    assert_every_task_refuses_alike(tmp_path, capsys, "landau", f"[operator]\nfield = {field}")
 
 
 def assert_every_task_refuses_alike(tmp_path, capsys, kind, line):
