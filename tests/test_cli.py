@@ -418,6 +418,19 @@ def test_every_task_refuses_a_subnormal_field_alike(tmp_path, capsys, field):
     assert_every_task_refuses_alike(tmp_path, capsys, "landau", f"[operator]\nfield = {field}")
 
 
+@pytest.mark.parametrize("task", ["oracle", "compare"])
+def test_a_subnormal_field_is_refused_in_finite_words(tmp_path, capsys, task):
+    # B = 1e-320 stops at the config row, which names the value and the least normal
+    # field; the level sum never runs, so no overflowed level count is printed
+    path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = landau\n"
+                               f"[operator]\nfield = 1e-320\n{GRID}")
+    rc = main([task, "--config", path, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert "field: '1e-320'" in err and "[2.2250738585072014e-308, inf]" in err
+    assert "levels" not in err
+
+
 def assert_every_task_refuses_alike(tmp_path, capsys, kind, line):
     errs = set()
     for task in ("asymptotics", "oracle", "compare", "report"):
