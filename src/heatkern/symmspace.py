@@ -59,9 +59,10 @@ class ConstantFieldStrength:
         object.__setattr__(self, "Q", _read_only(_endomorphism(self.Q)))
 
     def rotation_frequencies(self):
-        """Positive frequencies B_j, one per +iB_j eigenvalue of rhat."""
-        ev = np.linalg.eigvals(self.rhat)
-        return sorted(float(b) for b in ev.imag if b > 1e-12)
+        """Positive frequencies B_j, one per +iB_j eigenvalue of rhat; an imaginary
+        part up to 1e-12 times the largest is a zero eigenvalue's rounding."""
+        b = np.linalg.eigvals(self.rhat).imag
+        return sorted(float(x) for x in b if x > 1e-12 * np.max(np.abs(b)))
 
 
 def _x_over_sinh(x):
@@ -73,25 +74,19 @@ def _x_over_sinh(x):
 
 def nilpotent_trace_density(fs, t):
     """Diagonal density (4 pi t)^{-m/2} tr e^{-tQ} prod_j t B_j / sinh(t B_j),
-    each factor from _x_over_sinh; spectra.landau_trace_density sums m = 2 by levels."""
+    each factor from _x_over_sinh; spectra.landau_trace_density sums m = 2 by levels.
+    A density past the float range is a NumericError naming its first t."""
     ts = _as_t(t)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         qtr = np.sum(np.exp(np.multiply.outer(-ts, np.linalg.eigvalsh(fs.Q))), axis=-1)
         det = np.prod([_x_over_sinh(ts * b) for b in fs.rotation_frequencies()], axis=0)
-        return _like_t(ts, (4.0 * math.pi * ts) ** (-fs.m / 2.0) * qtr * det)
+        return _like_t(ts, (4.0 * math.pi * ts) ** (-fs.m / 2.0) * qtr * det,
+                       "heat-trace expansion")
 
 
 # ---------------------------------------------------------------------------
 # symmetric spaces
 # ---------------------------------------------------------------------------
-
-def _holonomy_ad(beta, F):
-    """L^T ad(omega(e_c)) L^{-T}, ad(omega)_{jk} = omega^i F^j_{ik}: ad in the
-    coordinates v of theta_quadrature, omega(v) = 2 L^{-T} v, L = chol(beta)."""
-    L = np.linalg.cholesky(beta)
-    Linv_T = np.linalg.inv(L).T
-    return 2.0 * np.tensordot(Linv_T.T, L.T @ F.transpose(1, 0, 2) @ Linv_T, 1)
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpaceData:
@@ -102,6 +97,12 @@ class SymmetricSpaceData:
     generators D_i = -beta_{ik} E^k, the holonomy structure constants F
     solving [D_i, D_k] = F^j_{ik} D_j, the adjoint matrices C_A of the full
     isometry algebra, and the curvature scalars R, R_H, R_G.
+
+    Each is derived once, on the unit problem beta 4^e (4^e puts the largest
+    |beta| in [1, 4)), and stored times 4^-e by exact ldexp, the E blocks of C
+    as they are; data whose D_i D_k or stored fields overflow is refused.  Kept
+    for the theta routes: e, the unit problem's Cartan frame L^{-1} (L L^T =
+    beta 4^e, omega = 2 v L^{-1}) and `ad`, the L^T ad(omega(e_c)) L^{-T}.
     """
 
     m: int
@@ -114,7 +115,11 @@ class SymmetricSpaceData:
     R: float = field(init=False)
     R_H: float = field(init=False)
     R_G: float = field(init=False)
+    e: int = field(init=False)
+    frame: np.ndarray = field(init=False)
+    ad: np.ndarray = field(init=False)
 
+    @np.errstate(over="ignore", invalid="ignore")    # what overflows is refused below
     def __post_init__(self):
         m, p = _sizes((self.m, self.p), "SymmetricSpaceData (m, p)")
         E = _array(self.E, (p, m, m), "holonomy generators", float)
@@ -123,66 +128,58 @@ class SymmetricSpaceData:
         _require(beta, beta.T, "beta must be symmetric positive definite")
         if np.any(np.linalg.eigvalsh(beta) <= 0):
             raise ValidationError("beta must be symmetric positive definite")
-        # theta_series and theta_quadrature average over a Gaussian of covariance
-        # 2 beta^{-1}; as a Python float it overflows to inf without a warning
-        beta_inv = np.linalg.inv(beta)
-        if not math.isfinite(2.0 * float(np.max(np.abs(beta_inv)))):
-            raise ValidationError("beta too small: the covariance 2 beta^{-1} overflows")
         object.__setattr__(self, "E", _read_only(E))
         object.__setattr__(self, "beta", _read_only(beta))
-
-        # |D| <= p max|beta| max|E| entrywise and D_i D_k sums m such squares;
-        # these Python floats overflow to inf without a warning
-        dmax = p * float(np.max(np.abs(beta))) * float(np.max(np.abs(E), initial=0.0))
-        if not m * dmax * dmax <= 1e300:
-            raise ValidationError(f"holonomy data too large: D_i up to {dmax:.3g} overflow")
+        e = (2 - math.frexp(float(np.max(np.abs(beta))))[1]) // 2
+        beta = np.ldexp(beta, 2 * e)
+        too_large = "holonomy data too large: its products overflow"
         D = -np.einsum("ik,kab->iab", beta, E)
-        object.__setattr__(self, "D", _read_only(D))
-
+        DD = np.einsum("iab,kbc->ikac", D, D)
+        if not np.isfinite(DD).all():                      # F is solved from them
+            raise ValidationError(too_large)
         # structure constants from [D_i, D_k] = F^j_{ik} D_j, least squares
         # over the span of the D_j, exact to rounding at the scale of D_i D_k
         basis = D.reshape(p, -1).T
-        DD = np.einsum("iab,kbc->ikac", D, D)
         br = (DD - DD.transpose(1, 0, 2, 3)).reshape(p * p, -1).T
         sol, *_ = np.linalg.lstsq(basis, br, rcond=None)
         if np.max(np.abs(basis @ sol - br)) > 1e-12 * np.max(np.abs(D)) ** 2:
             raise ValidationError("holonomy brackets do not close on the D_i")
         F = sol.reshape(p, p, p)
-        object.__setattr__(self, "F", _read_only(F))
 
         # beta is Ad-invariant, which theta_quadrature's Cartan reduction needs
-        ad = _holonomy_ad(beta, F)
+        L = np.linalg.cholesky(beta)
+        frame = np.linalg.inv(L)
+        ad = 2.0 * np.tensordot(frame, L.T @ F.transpose(1, 0, 2) @ frame.T, 1)
         if np.max(np.abs(ad + ad.transpose(0, 2, 1))) > 1e-12 * np.max(np.abs(ad)):
             raise ValidationError("holonomy structure constants must be beta-antisymmetric")
 
         # adjoint matrices of the isometry algebra, basis (P_a, Q_i)
         n = m + p
         C = np.zeros((n, n, n))
-        for a in range(m):
-            C[a, m:, :m] = E[:, a, :]
-            C[a, :m, m:] = -D[:, :, a].T
-        for i in range(p):
-            C[m + i, :m, :m] = D[i]
-            C[m + i, m:, m:] = F[:, i, :]
-        object.__setattr__(self, "C", _read_only(C))
+        C[:m, m:, :m], C[:m, :m, m:] = E.transpose(1, 0, 2), -D.transpose(2, 1, 0)
+        C[m:, :m, :m], C[m:, m:, m:] = D, F.transpose(1, 0, 2)
 
         # [C_A, C_B] = C^X_{AB} C_X with C^X_{AB} = C[A, X, B]: Jacobi identity
         jac = np.einsum("aij,bjk->abik", C, C) - np.einsum("bij,ajk->abik", C, C) \
             - np.einsum("axb,xik->abik", C, C)
-        if np.max(np.abs(jac)) > 1e-12 * float(np.max(np.abs(C))) ** 2:
+        if np.max(np.abs(jac)) > 1e-12 * np.max(np.abs(C)) ** 2:
             raise ValidationError("Jacobi identities fail for the derived algebra")
 
-        gamma = np.zeros((n, n))
-        gamma[:m, :m] = np.eye(m)
+        gamma = np.eye(n)
         gamma[m:, m:] = beta
-
-        R = float(np.einsum("ik,iab,kab->", beta, E, E))
-        R_H = -0.25 * float(np.einsum("ik,mil,lkm->", beta_inv, F, F))
-        gamma_inv = np.linalg.inv(gamma)
-        R_G = -0.25 * float(np.einsum("ab,acd,bdc->", gamma_inv, C, C))
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "R_H", R_H)
-        object.__setattr__(self, "R_G", R_G)
+        R = np.einsum("ik,iab,kab->", beta, E, E)
+        R_H = -0.25 * np.einsum("ik,mil,lkm->", np.linalg.inv(beta), F, F)
+        R_G = -0.25 * np.einsum("ab,acd,bdc->", np.linalg.inv(gamma), C, C)
+        shift = np.full(C.shape, -2 * e)
+        shift[:m, m:, :m] = 0                              # the E blocks of C
+        arrays = np.ldexp(D, -2 * e), np.ldexp(F, -2 * e), np.ldexp(C, shift)
+        scalars = np.ldexp([R, R_H, R_G], -2 * e)
+        if not (np.isfinite(scalars).all() and all(np.isfinite(a).all() for a in arrays)):
+            raise ValidationError(too_large)
+        for name, value in zip(("D", "F", "C", "frame", "ad"), arrays + (frame, ad)):
+            object.__setattr__(self, name, _read_only(value))
+        for name, value in zip(("R", "R_H", "R_G", "e"), scalars.tolist() + [e]):
+            object.__setattr__(self, name, value)
 
 
 def build_symmetric_space(fixture, radius=1.0):
@@ -278,29 +275,24 @@ def theta_series(space, Q=None, order=4):
     homogeneous (s_j, G_k and the k-th moment grade of degree 2j, 2k and 2k),
     so each is held as its degree block and multiplied by `_block_times`; the
     sums keep the order of the full-basis products, bit for bit.
-    The average runs in curvature units and the fiber factor in units of its
-    largest eigenvalue, both powers of 2, so the rescaling is exact.  An order
-    whose basis passes BASIS_BUDGET or has an alpha! past the float range is a
-    ResourceError, and a c_k with a term past the float range a NumericError.
+    The average runs on the space's unit problem (beta, D, F) 4^e and the fiber
+    factor in units of its largest eigenvalue, both powers of 2, so the rescaling
+    is exact.  An order whose basis passes BASIS_BUDGET or has an alpha! past
+    the float range is a ResourceError, and a c_k with a term past the float
+    range a NumericError.
     """
     from .tensorcalc import _basis, _graded_exp
     (K,) = _sizes((order,), "theta_series order", least=0)
     B = _basis(space.p, 2 * K)
     if not np.isfinite(B.fact).all():
         raise ResourceError(f"theta_series order {K} needs alpha! past the float range")
-    # curvature units: sigma = 2^e is the power of 2 near the Gaussian width, and
-    # s = sigma^-2 the curvature scale; the unit problem (beta, D, F) / s has a
-    # covariance in [1/2, 2), and its gamma_j are gamma_j / s^j exactly, in a range
-    # where no product overflows or underflows on the way
-    cov = 2.0 * np.linalg.inv(space.beta)
-    e = math.frexp(np.max(np.abs(cov)))[1] // 2
-    bcoef = _log_sinh_coeffs(K)
+    bcoef, e = _log_sinh_coeffs(K), space.e
     trF = _traced_powers(B, np.ldexp(space.F.transpose(1, 0, 2), 2 * e), K)
     trD = _traced_powers(B, np.ldexp(space.D, 2 * e), K)
-    # log integrand = sum_j t^j s_j(x), x = omega / sigma, s_j the block of degree 2j
+    # log integrand = sum_j t^j s_j(x), x = omega 2^-e, s_j the block of degree 2j
     G = _graded_exp([float(bcoef[j]) / 2.0 / 4 ** j * (trF[j] - trD[j]) for j in range(1, K + 1)],
                     K, np.ones(1), partial(_block_times, B))
-    moments = _normal_moments(B, np.ldexp(cov, -2 * e))
+    moments = _normal_moments(B, 2.0 * np.linalg.inv(np.ldexp(space.beta, 2 * e)))
     # G_k pairs with the moments on block 2k only, all pairs in one product over
     # the full basis: its BLAS sum groups the terms as the unblocked series did
     rows, mom = np.zeros((K + 1, B.N)), np.zeros(B.N)
@@ -338,37 +330,35 @@ def theta_quadrature(space, Q=None, t=0.01):
     Valid only while the Gaussian support stays clear of the first zero of
     the sinh determinant in the denominator; the guard requires
     sqrt(t) * ||D|| * 6 sigma < pi with sigma^2 = 2 lambda_max(beta^{-1}).
-    The integrand is Ad-invariant and F is beta-antisymmetric, so the average
-    is quadrature.average on quadrature.cartan_rule from 16 nodes per axis of
-    the rank-r Cartan subalgebra, doubling to at most 64, to 1e-10 relative.
+    The average runs on the space's unit problem, at t 4^-e in its Cartan frame:
+    the integrand is Ad-invariant and F is beta-antisymmetric, so it is
+    quadrature.average on quadrature.cartan_rule(space.ad) from 16 nodes per
+    axis of the rank-r Cartan subalgebra, doubling to at most 64, to 1e-10
+    relative.  A diagonal past the float range is a NumericError naming t.
     """
     t = _scalar_t(t)
-    dnorm = math.sqrt(sum(np.linalg.norm(space.D[i], 2) ** 2 for i in range(space.p)))
-    sigma = math.sqrt(2.0 * np.max(np.linalg.eigvalsh(np.linalg.inv(space.beta))))
-    if math.sqrt(t) * dnorm * 6.0 * sigma >= math.pi:
+    root = math.sqrt(t) * 2.0 ** -space.e                  # sqrt(t 4^-e), exactly
+    D = np.ldexp(space.D, 2 * space.e)
+    Fmats = np.ldexp(space.F.transpose(1, 0, 2), 2 * space.e)
+    dnorm = math.sqrt(sum(np.linalg.norm(D[i], 2) ** 2 for i in range(space.p)))
+    sigma = math.sqrt(2.0) * np.linalg.norm(space.frame, 2)
+    if root * dnorm * 6.0 * sigma >= math.pi:
         raise DomainError(
             "t beyond the safe window: sqrt(t)*||D||*6*sigma must stay below pi "
             "so the sinh-determinant pole lies outside the Gaussian support "
-            f"(got {math.sqrt(t) * dnorm * 6.0 * sigma:.3f})")
-
-    L = np.linalg.cholesky(space.beta)
-    Linv_T = np.linalg.inv(L).T
-    has_F = bool(np.any(space.F))
-    Fmats = space.F.transpose(1, 0, 2)
+            f"(got {root * dnorm * 6.0 * sigma:.3f})")
 
     def integrand(v):
-        omega = 2.0 * v @ Linv_T.T
-        Xd = 0.5 * math.sqrt(t) * np.einsum("ni,iab->nab", omega, space.D)
-        vals = 1.0 / np.sqrt(_sinhc_det(Xd))
-        if has_F:
-            Xf = 0.5 * math.sqrt(t) * np.einsum("ni,iab->nab", omega, Fmats)
-            vals = vals * np.sqrt(_sinhc_det(Xf))
-        return vals
+        omega = 2.0 * v @ space.frame
+        Xd = 0.5 * root * np.einsum("ni,iab->nab", omega, D)
+        Xf = 0.5 * root * np.einsum("ni,iab->nab", omega, Fmats)
+        return 1.0 / np.sqrt(_sinhc_det(Xd)) * np.sqrt(_sinhc_det(Xf))
 
-    ad = _holonomy_ad(space.beta, space.F)
-    avg = float(average(lambda n: cartan_rule(ad, n), 16, 64, integrand, 1e-10, True,
+    avg = float(average(lambda n: cartan_rule(space.ad, n), 16, 64, integrand, 1e-10, True,
                         "Cartan", "{last} nodes per axis"))
 
     M = _fiber_matrix(space, Q)
-    qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(M)))) / M.shape[0]
-    return _gauss_power(4.0 * math.pi * t, space.m, t) * qtr * avg
+    with np.errstate(over="ignore"):
+        qtr = float(np.sum(np.exp(-t * np.linalg.eigvalsh(M)))) / M.shape[0]
+    return _like_t(np.asarray(t), _gauss_power(4.0 * math.pi * t, space.m, t) * qtr * avg,
+                   "theta_quadrature")

@@ -818,6 +818,36 @@ path = {out}
     assert main(["compare", "--config", path]) == 0
 
 
+def test_landau_compare_weak_field(tmp_path):
+    # a field below 1e-12 keeps its frequency: at tB = 1 the closed form is the
+    # level sum, not the free density, with an absolute tolerance far below both
+    out = tmp_path / "landau.csv"
+    path = write_ini(tmp_path, f"""
+[run]
+task = compare
+
+[geometry]
+kind = landau
+
+[operator]
+field = 1e-13
+
+[grid]
+start = 1e12
+stop = 1e13
+count = 6
+geometric = true
+
+[tolerances]
+abs = 1e-30
+rel = 1e-10
+
+[output]
+path = {out}
+""")
+    assert main(["compare", "--config", path]) == 0
+
+
 def test_landau_oracle_is_the_level_sum(monkeypatch):
     # the oracle shares no code with the closed form it checks: with that form
     # broken it still matches a 40-digit (B/4 pi)/sinh(tB) on the fixture grid

@@ -264,7 +264,7 @@ def s4_space(a):
 def test_cartan_rule_gaussian_moments(space, rank):
     # |v|^2 is Ad-invariant: E|v|^2 = p/2 and E|v|^4 = p(p+2)/4 under pi^{-p/2} e^{-|v|^2}
     p = space.p
-    x, w = cartan_rule(ss._holonomy_ad(space.beta, space.F), 16)
+    x, w = cartan_rule(space.ad, 16)
     assert x.shape == (16 ** rank, p) and np.linalg.matrix_rank(x) == rank
     assert abs(w.sum() - 1.0) < 1e-15
     r2 = np.sum(x * x, axis=1)
@@ -298,8 +298,12 @@ def test_theta_quadrature_uses_rank_one_rules_on_s3(monkeypatch):
         return rule(p, n)
 
     monkeypatch.setattr(quadrature, "gauss_hermite_rule", recording)
-    ss.theta_quadrature(ss.build_symmetric_space("S3", radius=1.3), t=0.01)
-    assert dims and set(dims) == {1}
+    # at radius 9e153 the products D_i D_k underflow at absolute scale, not on the
+    # unit problem, where the holonomy algebra is so(3) at any radius
+    for radius in (1.3, 9e153):
+        dims.clear()
+        ss.theta_quadrature(ss.build_symmetric_space("S3", radius=radius), t=0.006 * radius ** 2)
+        assert dims and set(dims) == {1}, radius
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +379,35 @@ def test_theta_quadrature_pinned(node_counts, fixture, radius, Q, t, counts, wan
     got = ss.theta_quadrature(ss.build_symmetric_space(fixture, radius=radius), Q=Q, t=t)
     assert node_counts == counts
     assert abs(got - want) < 1e-14
+
+
+# both theta routes as they were when each derived its own curvature scale and
+# Cartan frame: the shared unit problem makes the same float operations
+THETA_ROUTE_BITS = [
+    (lambda: ss.theta_series(ss.build_symmetric_space("S2", 0.37), order=8),
+     ["0x1.0000000000000p+0", "0x1.37a9bb4f39887p+1", "0x1.c75099f73353ap+1",
+      "0x1.3cc074cc6b8cbp+2", "0x1.2137dc870a200p+3", "0x1.801d09e393637p+4",
+      "0x1.5787b5a28a5b4p+6", "0x1.7d003ac1bc475p+8", "0x1.f3c5b8d5d5877p+10"]),
+    (lambda: ss.theta_series(ss.build_symmetric_space("S3", 1.3), Q=np.diag([0.3, -1.2]),
+                             order=6),
+     ["0x1.0000000000000p+0", "0x1.0aade5f2105c1p+0", "0x1.a5cdd7fba1b46p-1",
+      "0x1.ecf15d647a257p-2", "0x1.b8049bf3cef8fp-3", "0x1.3b2b662d7b5d2p-4",
+      "0x1.786d42aae00fbp-6"]),
+    (lambda: [ss.theta_quadrature(ss.build_symmetric_space("S2", 0.37), t=t)
+              for t in (0.002, 0.01)], ["0x1.3fdd50b29f766p+5", "0x1.04f0ab48b8560p+3"]),
+    (lambda: [ss.theta_quadrature(ss.build_symmetric_space("S3", 1.3), Q=np.diag([0.3, -1.2]),
+                                  t=t) for t in (0.005, 0.02)],
+     ["0x1.fe9af32ecc16ep+5", "0x1.0359c1a09d3a9p+3"]),
+    (lambda: [ss.theta_quadrature(s4_space(1.3), t=t) for t in (0.003, 0.006)],
+     ["0x1.610f932c6947ep+9", "0x1.6250f9f37ff90p+7"]),
+]
+
+
+@pytest.mark.parametrize("route,bits", THETA_ROUTE_BITS,
+                         ids=["series-S2", "series-S3", "quadrature-S2", "quadrature-S3",
+                              "quadrature-S4"])
+def test_theta_routes_keep_their_bits(route, bits):
+    assert [float.hex(v) for v in route()] == bits
 
 
 @pytest.mark.parametrize("fixture,m", [("S2", 2), ("S3", 3)])

@@ -37,6 +37,31 @@ def test_nilpotent_density_m2_matches_landau():
         assert abs(ss.nilpotent_trace_density(fs, t) - want) < 1e-14 * want
 
 
+@pytest.mark.parametrize("B", [1e-13, 1e-200])
+def test_weak_field_keeps_its_frequency(B):
+    # the frequency cut is relative to the field, so no field reads as zero
+    fs = ss.ConstantFieldStrength(2, planar_field(B))
+    for tb in (0.1, 1.0, 3.0):
+        want = spectra.landau_trace_density(B, tb / B)
+        assert abs(ss.nilpotent_trace_density(fs, tb / B) - want) <= 1e-12 * want, tb
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ss.theta_quadrature(ss.build_symmetric_space("S3", 1000.0), Q=-800.0, t=1.0),
+    lambda: ss.nilpotent_trace_density(ss.ConstantFieldStrength(2, planar_field(1.0),
+                                                                Q=[[-800.0]]), 1.0),
+    lambda: ss.nilpotent_trace_density(ss.ConstantFieldStrength(2, planar_field(1e3),
+                                                                Q=[[-800.0]]), [0.5, 1.0]),
+], ids=["quadrature", "nilpotent", "nilpotent-inf-times-0"])
+def test_fiber_trace_that_overflows_is_refused(call):
+    # tr e^{-tQ} = e^{800} is past the float range: a NumericError naming t, with no
+    # numpy warning, where theta_series refuses the same case at its c_k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"overflows at t=1\.0$"):
+            call()
+
+
 def test_nilpotent_small_field_limit():
     t = 0.3
     got = ss.nilpotent_trace_density(ss.ConstantFieldStrength(2, planar_field(1e-9)), t)
@@ -155,28 +180,44 @@ def test_non_finite_inputs_rejected(call):
         call()
 
 
-@pytest.mark.parametrize("fixture,radius", [("S3", 1e-10), ("S2", 1e-10), ("S3", 1e10)])
+@pytest.mark.parametrize("fixture,radius", [
+    ("S3", 1e-10), ("S2", 1e-10), ("S3", 1e10), ("S2", 1e-100), ("S3", 1e-100),
+    ("S2", 1e80), ("S3", 1e80), ("S2", 9e153), ("S3", 9e153)])
 def test_extreme_radius_scales_theta_series(fixture, radius):
-    # the closure and Jacobi checks are relative to the size of the products,
-    # so exact data at any scale passes and c_k scales as kappa^k
+    # every field is derived on the unit problem, so the closure and Jacobi checks
+    # pass at any scale, the curvatures scale as kappa and c_k as kappa^k.  Outside
+    # radii 1e-10..1e10 c_2 leaves the normal floats, so there only c_1 is compared
     kappa = 1 / radius / radius
-    unit = ss.theta_series(ss.build_symmetric_space(fixture), order=4)
-    got = ss.theta_series(ss.build_symmetric_space(fixture, radius=radius), order=4)
+    order = 4 if 1e-10 <= radius <= 1e10 else 1
+    unit, space = ss.build_symmetric_space(fixture), ss.build_symmetric_space(fixture, radius)
+    want = ss.theta_series(unit, order=order)
+    got = ss.theta_series(space, order=order)
     assert np.all(np.isfinite(got))
-    for k in range(5):
-        assert abs(got[k] / kappa ** k - unit[k]) <= 1e-12 * abs(unit[k])
+    for k in range(order + 1):
+        assert abs(got[k] / kappa ** k - want[k]) <= (1e-15 if k < 2 else 2e-15) * abs(want[k])
+    for name in ("R", "R_H", "R_G"):          # R_H is 0 on S2
+        w = getattr(unit, name)
+        assert abs(getattr(space, name) * radius * radius - w) <= 1e-15 * abs(w), name
 
 
 @pytest.mark.parametrize("fixture", ["S2", "S3"])
-def test_radius_whose_products_overflow_is_rejected(fixture):
-    # kappa = 1e200: D_i D_k would overflow; from radius about 9.5e153 the
-    # covariance 2 beta^{-1} does; no numpy warning, no NaN series
+def test_extreme_radius_builds_and_data_that_overflows_is_rejected(fixture):
+    # at kappa = 1e200 the products D_i D_k, and from radius about 9.5e153 the
+    # covariance 2 beta^{-1}, leave the float range at absolute scale, but not on
+    # the unit problem: these radii build with finite fields.  Data whose unit
+    # products (E x 1e200) or absolute fields (beta = 1e300, E x 1e10) overflow is
+    # refused; no numpy warning, no NaN series
     for radius in (1e-100, 1e154, 1e160):
-        with pytest.raises(ValidationError, match="overflow"):
-            ss.build_symmetric_space(fixture, radius=radius)
+        space = ss.build_symmetric_space(fixture, radius=radius)
+        for value in (space.D, space.F, space.C, space.R, space.R_H, space.R_G):
+            assert np.all(np.isfinite(value))
+        assert np.all(np.isfinite(ss.theta_series(space, order=1)))
     space = ss.build_symmetric_space(fixture, radius=9e153)
     assert np.all(np.isfinite(ss.theta_series(space, order=4)))
     assert math.isfinite(ss.theta_quadrature(space, t=0.1))
+    for E, beta in ((space.E * 1e200, np.eye(space.p)), (space.E * 1e10, 1e300 * np.eye(space.p))):
+        with pytest.raises(ValidationError, match="overflow"):
+            ss.SymmetricSpaceData(m=space.m, p=space.p, E=E, beta=beta)
 
 
 @pytest.mark.parametrize("fixture,a", [("S2", 1.0), ("S3", 1.0), ("S3", 1.7)])
@@ -468,7 +509,7 @@ def test_theta_series_that_overflows_is_refused(radius, Q, order, k):
             ss.theta_series(space, Q=Q, order=order)
 
 
-# theta_series runs in curvature units, so at a radius of 1e-3 no product overflows
+# theta_series runs on the unit problem, so at a radius of 1e-3 no product overflows
 # before c_k does, and at 1e3 none underflows while c_k is a normal float (before,
 # a = 1e-3 was refused at c_47, and at a = 1e3 c_41..c_48 lost their partial
 # products to underflow, c_48 coming out 2.8e10 times too small).  kappa = 1 / a / a
