@@ -1,13 +1,24 @@
 """Config-driven runner: asymptotic predictions vs exact-spectrum oracles.
 
 The command line is `heatkern TASK --config CFG [--out OUT]`, each option at most
-once, as --flag VALUE or --flag=VALUE; -h or --help prints that usage line.  Configs
-are flat INI files; see configs/ for the fixtures.  Four tasks:
+once, as --flag VALUE or --flag=VALUE; -h or --help prints that usage line.  Four
+tasks:
 
 * asymptotics: tabulate the asymptotic model over the t-grid;
 * oracle: tabulate the exact-spectrum oracle;
 * compare: both, with per-t errors and a tolerance verdict as exit status;
 * report: a JSON summary of the assembled model.
+
+A config is a flat INI file in UTF-8 (see configs/ for the fixtures), read by
+_sections.  Its lines are `[name]` section headers (a non-empty name other than
+DEFAULT, case-sensitive, with no text after the `]`), `key = value` or
+`key: value` lines (split at the first `=` or `:`; the key is stripped and
+lower-cased, the value stripped), blank lines and full-line `#` or `;`
+comments.  Any other line is a config parse error: a line with no delimiter, a
+key before any section, a duplicate section or key, an indented line (where
+configparser would read a continuation), a value holding `%` (which
+configparser would interpolate) and a NUL byte.  So no value is read
+differently from configparser's reading of the same file.
 
 Every config key is one row of _KEYS.  A missing required key, a value its
 row rejects, and a section or key no row reads for the configured geometry
@@ -22,7 +33,6 @@ are printed with %.17g and rows are written in grid order.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import sys
@@ -32,13 +42,15 @@ from functools import partial
 import numpy as np
 
 from .errors import HeatkernError, ValidationError
-from .spectra import (MIN_LENGTH, FourierBackground, _like_t, _number, interval_trace,
-                      landau_trace_density, sphere_trace, torus_potential_trace)
+from .spectra import (_LEVEL_CAP, MIN_LENGTH, FourierBackground, _like_t, _number,
+                      interval_trace, landau_trace_density, sphere_trace,
+                      torus_potential_trace)
 
 _TASKS = ("asymptotics", "oracle", "compare", "report")
 _USAGE = "usage: heatkern {%s} --config CFG [--out OUT]" % ",".join(_TASKS)
 _SCHEMA = "# heatkern-schema=1"
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+             "0": False, "no": False, "false": False, "off": False}
 
 
 _fmt = lambda x: "%.17g" % float(x)
@@ -116,6 +128,49 @@ def _read(row, items, values):
     raise ValidationError(f"bad value for [{section}] {key}: {raw!r}; expected {expected}")
 
 
+def _sections(text, path):
+    """{section: {key: value}} of a config's text in the grammar of the module
+    docstring; any other line is a ValidationError naming its number.  Lines end
+    at "\\n" only, as in a text file: str.splitlines would also end one at a form
+    feed or U+0085, which configparser keeps inside a value."""
+    sections, items = {}, None
+    for number, line in enumerate(text.split("\n"), 1):
+        body = line.strip()
+        if not body or body[0] in "#;":
+            continue
+        if line[0].isspace():
+            why = "an indented line (no continuation lines)"
+        elif "\0" in body:
+            why = "a NUL byte"
+        elif body[0] == "[":
+            section = body[1:-1]
+            if body[-1] != "]" or not section or "]" in section or section == "DEFAULT":
+                why = f"bad section header {body!r}"
+            elif section in sections:
+                why = f"duplicate section [{section}]"
+            else:
+                items = sections[section] = {}
+                continue
+        elif items is None:
+            why = "a key before any [section]"
+        else:
+            key, eq, value = body.partition("=")
+            if ":" in key:
+                key, eq, value = body.partition(":")
+            key, value = key.rstrip().lower(), value.strip()
+            if not (eq and key):
+                why = f"{body!r} is not 'key = value'"
+            elif key in items:
+                why = f"duplicate key [{section}] {key}"
+            elif "%" in value:
+                why = f"'%' in the value of [{section}] {key} (no interpolation)"
+            else:
+                items[key] = value
+                continue
+        raise ValidationError(f"config parse error in {path}: line {number}: {why}")
+    return sections
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A config's parsed values; params holds the kind-specific rows of _KEYS."""
@@ -130,15 +185,12 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, path):
-        parser = configparser.ConfigParser()
         try:
-            with open(path) as fh:
-                parser.read_file(fh)
-            sections = {name: dict(parser.items(name)) for name in parser.sections()}
-        except OSError as exc:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}")
-        except configparser.Error as exc:
-            raise ValidationError(f"config parse error in {path}: {exc}")
+        sections = _sections(text, path)
 
         values, params, known = {}, {}, set()
         for row in _KEYS:
@@ -156,6 +208,13 @@ class RunConfig:
         start, stop, count = values["start"], values["stop"], values["count"]
         if stop < start:
             raise ValidationError("grid must satisfy 0 < start <= stop")
+        if values["kind"] == "landau":
+            # landau_trace_density's first level count at the grid's least t, so that
+            # every task refuses a field the oracle cannot sum, in the same words
+            field = params["field"]
+            if not (20.0 / (start * field) if start * field else math.inf) <= _LEVEL_CAP:
+                raise ValidationError(f"landau field {field!r} at grid start {start!r} needs "
+                                      f"20 / (start field) levels, over the cap of {_LEVEL_CAP}")
         # both spacings return start and stop exactly as the end points
         spacing = np.geomspace if _BOOLEANS[values["geometric"]] else np.linspace
         return cls(task=values["task"], kind=values["kind"],
@@ -285,15 +344,25 @@ def run(cfg):
         summary = {"status": "ok" if first_fail is None else "fail",
                    "max_abs": float(abs_err.max()), "max_rel": float(rel_err.max()),
                    "first_failing_t": first_fail}
-    table = list(zip(cfg.grid, *(col.tolist() for col in cols.values())))
+    table = {"t": ts, **cols}
+    keys = sorted(table) if cfg.out_format == "json" else list(table)    # json sorts keys
+    data = np.column_stack([table[key] for key in keys])
+    values = data.ravel().tolist()
 
+    # each table is one % operation over all its rows
     if cfg.out_format == "json":
-        payload = {"schema": 1, "task": cfg.task,
-                   "rows": [dict(zip(["t", *cols], row)) for row in table]}
-        _write_text(cfg.out_path, _json(payload | ({"summary": summary} if summary else {})))
+        if not np.isfinite(data).all():
+            values = [v if math.isfinite(v) else '"%s"' % _fmt(v) for v in values]
+        # a row as json.dumps(indent=2) spells it, a float as %s does (float.__repr__);
+        # the rows take the place of the null that is the document's first value
+        row = "{\n      " + ",\n      ".join('"%s": %%s' % key for key in keys) + "\n    }"
+        rows = ",\n    ".join([row] * len(ts)) % tuple(values)
+        payload = {"schema": 1, "task": cfg.task, "rows": [None]}
+        _write_text(cfg.out_path, _json(payload | ({"summary": summary} if summary else {}))
+                    .replace("null", rows, 1))
     else:
-        row_fmt = ",".join(["%.17g"] * (1 + len(cols)))     # _fmt's spelling, one % per row
-        lines = [_SCHEMA, ",".join(["t", *cols]), *[row_fmt % row for row in table]]
+        row = ",".join(["%.17g"] * len(keys))     # _fmt's spelling
+        lines = [_SCHEMA, ",".join(keys), "\n".join([row] * len(ts)) % tuple(values)]
         if summary:
             status = "ok" if first_fail is None else f"fail first_t={_fmt(first_fail)}"
             lines.append(f"# summary: status={status} max_abs={_fmt(summary['max_abs'])} "

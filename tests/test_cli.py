@@ -1,5 +1,6 @@
 """Config-driven runner: exit codes, output schema, byte determinism."""
 
+import configparser
 import contextlib
 import functools
 import io
@@ -197,6 +198,39 @@ def test_repo_config_fixtures_parse():
         RunConfig.from_ini(str(p))
 
 
+LANDAU_RUN = b"[run]\ntask = compare\n[geometry]\nkind = landau\n[grid]\nstart = 0.1\n"
+
+
+@pytest.mark.parametrize("text,needle", [
+    (b"[run]\ntask = compare\njunk\n", "line 3: 'junk' is not 'key = value'"),
+    (b"task = compare\n[run]\n", "line 1: a key before any [section]"),
+    (b"\xff\xfe[run]\ntask = compare\n", "'utf-8' codec can't decode byte 0xff"),
+    (LANDAU_RUN + b"[output]\npath = o\x00.csv\n", "line 8: a NUL byte"),
+    (b"[run]\ntask = compare\nTask = oracle\n", "line 3: duplicate key [run] task"),
+    (LANDAU_RUN + b"[run]\n", "line 7: duplicate section [run]"),
+    (b"[]\ntask = compare\n", "line 1: bad section header '[]'"),
+    (b"[run]\ntask = compare\n  more\n", "line 3: an indented line"),
+    (b"[run]\n  task = compare\n", "line 2: an indented line"),
+    (LANDAU_RUN + b"[output]\npath = o%%.csv\n", "line 8: '%' in the value of [output] path"),
+    (LANDAU_RUN + b"[output]\npath = %(task)s.csv\n", "line 8: '%' in the value"),
+    (b"[DEFAULT]\ntask = compare\n", "line 1: bad section header '[DEFAULT]'"),
+    (b"[run] x\ntask = compare\n", "line 1: bad section header '[run] x'"),
+    (b"[run]]\ntask = compare\n", "line 1: bad section header '[run]]'"),
+    (b"[run]\n= compare\n", "line 2: '= compare' is not 'key = value'"),
+], ids=["no-delimiter", "no-section", "not-utf8", "nul", "duplicate-key",
+        "duplicate-section", "empty-section", "continuation", "indented-key", "percent",
+        "interpolation", "default", "after-bracket", "bracket-in-name", "no-key"])
+def test_config_parse_error_exits_1_with_one_line(tmp_path, capsys, text, needle):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text)
+    rc = main(["compare", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    what = "cannot read config" if text.startswith(b"\xff") else "config parse error in"
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {what} {path}: ") and needle in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -313,12 +347,13 @@ def test_module_entrypoint_refuses_a_missing_config_in_one_line():
 
 def test_a_cold_fixture_process_loads_no_argparse_gettext_or_locale(tmp_path):
     # runs heatkern.cli as __main__, as `python -m heatkern.cli` does, then reads
-    # sys.modules once main has returned
+    # sys.modules once main has returned; the config is read without configparser
     code = ("import runpy, sys\n"
             "try:\n"
             "    runpy.run_module('heatkern.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
-            "    print(exc.code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+            "    print(exc.code, *sorted({'argparse', 'configparser', 'gettext', 'locale'}\n"
+            "                            & set(sys.modules)))\n")
     out = tmp_path / "interval_dd.csv"
     proc = subprocess.run([sys.executable, "-c", code, "compare", "--config", CFG,
                            "--out", str(out)],
@@ -418,6 +453,17 @@ def test_every_task_refuses_a_subnormal_field_alike(tmp_path, capsys, field):
     assert_every_task_refuses_alike(tmp_path, capsys, "landau", f"[operator]\nfield = {field}")
 
 
+@pytest.mark.parametrize("field,start", [("1e-6", "0.1"), ("1e-300", "1e-300")])
+def test_every_task_refuses_a_field_too_weak_for_the_grid_alike(tmp_path, capsys, field, start):
+    # the oracle's first level count, 20 / (start B), is over its cap (or infinite,
+    # start B underflowing to 0): refused by the config before any task runs
+    err = assert_every_task_refuses_alike(tmp_path, capsys, "landau",
+                                          f"[operator]\nfield = {field}\n[grid]\nstart = {start}",
+                                          grid="")
+    assert err == (f"error: landau field {float(field)!r} at grid start {float(start)!r} "
+                   "needs 20 / (start field) levels, over the cap of 2000000\n")
+
+
 @pytest.mark.parametrize("task", ["oracle", "compare"])
 def test_a_subnormal_field_is_refused_in_finite_words(tmp_path, capsys, task):
     # B = 1e-320 stops at the config row, which names the value and the least normal
@@ -431,11 +477,12 @@ def test_a_subnormal_field_is_refused_in_finite_words(tmp_path, capsys, task):
     assert "levels" not in err
 
 
-def assert_every_task_refuses_alike(tmp_path, capsys, kind, line):
+def assert_every_task_refuses_alike(tmp_path, capsys, kind, line, grid=GRID):
+    """The one stderr line with which every task refuses the config."""
     errs = set()
     for task in ("asymptotics", "oracle", "compare", "report"):
         path = write_ini(tmp_path, f"[run]\ntask = {task}\n[geometry]\nkind = {kind}\n"
-                                   f"{line}\n{GRID}")
+                                   f"{line}\n{grid}")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main([task, "--config", path, "--out", str(tmp_path / "o.txt")])
@@ -443,7 +490,8 @@ def assert_every_task_refuses_alike(tmp_path, capsys, kind, line):
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
         errs.add(err)
-    assert len(errs) == 1
+    (err,) = errs
+    return err
 
 
 BUDGET_M5 = ("error: cutoff-6 geometry: N = comb(13, 5) monomials of degree <= 8 in m = 5 "
@@ -554,6 +602,46 @@ def test_json_compare_writes_non_finite_errors_as_csv_strings(tmp_path, capsys):
     assert payload["summary"]["max_rel"] == "inf"
     assert [row["rel_err"] for row in payload["rows"]] == ["inf"] * 4
     assert math.isfinite(payload["summary"]["max_abs"])
+
+
+SPECIAL = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+
+
+def strict(x):
+    """A non-finite float as the string of its CSV spelling, in nested payloads."""
+    if isinstance(x, dict):
+        return {k: strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [strict(v) for v in x]
+    return cli._fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+@pytest.mark.parametrize("task,columns", [
+    ("asymptotics", ["asymptotic"]),
+    ("oracle", ["oracle"]),
+    ("compare", ["asymptotic", "oracle", "abs_err", "rel_err"]),
+])
+def test_json_rows_are_the_json_dumps_of_the_row_dicts(tmp_path, monkeypatch, task, columns):
+    # the rows are one % operation on a template; their bytes must be json.dumps'
+    # (sort_keys, indent=2) of one dict per row, with each special float in every
+    # column, so the evaluators' non-finite check is bypassed here
+    grid = tuple(SPECIAL)
+    values = {"asymptotic": np.array(SPECIAL), "oracle": np.array(SPECIAL[::-1])}
+    monkeypatch.setattr(cli, "_column", lambda model, column, ts: values[column])
+    monkeypatch.setitem(cli._MODELS, "landau", lambda cfg: {})
+    out = tmp_path / "o.json"
+    with np.errstate(invalid="ignore"):
+        cli.run(RunConfig(task=task, kind="landau", grid=grid, out_format="json",
+                          out_path=str(out), abs_tol=1e-12, rel_tol=1e-6, params={}))
+        values["abs_err"] = np.abs(values["asymptotic"] - values["oracle"])
+        values["rel_err"] = values["abs_err"] / np.maximum(np.abs(values["oracle"]), 1e-300)
+    text = out.read_text(encoding="utf-8")
+    rows = [dict(zip(["t", *columns], row))
+            for row in zip(grid, *(values[name].tolist() for name in columns))]
+    payload = {"schema": 1, "task": task, "rows": rows}
+    if task == "compare":
+        payload["summary"] = json.loads(text)["summary"]
+    assert text == json.dumps(strict(payload), sort_keys=True, indent=2) + "\n"
 
 
 def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
@@ -697,6 +785,36 @@ def test_main_fuzz(case):
         assert err == ""
     else:
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def configparser_sections(text):
+    """The reading of text that cli._sections must match: configparser's defaults."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_configs())
+def test_reader_reads_the_fuzz_configs_as_configparser_does(case):
+    # derandomized and with no example database, as every test here (conftest.py)
+    _, text = case
+    assert cli._sections(text, "run.ini") == configparser_sections(text)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "# a comment\n; another\n\n[run]\n  # an indented comment\ntask=compare\n",
+    "[run]\nTask : compare\nkEy = a = b: c\nother: x = y\nempty =\nspaced   =   v  \n",
+    "[Run]\n[run]\nk = a\x0cb\x85c\u2028d\x1ce\nj = \x0c\n",
+    "[run]\r\nk = v\r\n\r\n[ a b ]\r\nj=w\r\n",
+    "[run]\nk = v\n\n\n[geometry]\nkind = sphere\n\n",
+    "[[run]\nk = [v]\n[a = b]\n",
+], ids=["empty", "comments", "delimiters", "line-breaks", "crlf", "blank-lines", "brackets"])
+def test_reader_reads_grammar_corners_as_configparser_does(text):
+    # delimiters ':' and '=', case, comments, blank lines, Unicode line breaks
+    # that a text file keeps inside a line, carriage returns and odd section names
+    assert cli._sections(text, "run.ini") == configparser_sections(text)
 
 
 # ---------------------------------------------------------------------------
